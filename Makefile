@@ -9,8 +9,9 @@ test:
 
 ## Scheduler perf trajectory: runs benchmarks/test_scheduler_overhead.py
 ## under pytest-benchmark, replays the §V-A workload end-to-end at
-## 2k/20k/100k requests, measures the commit path (WriteBatch.flush +
-## compaction, ephemeral-key tier on vs off under bounded retention),
+## 2k/20k/100k requests, measures the production commit path
+## (WriteBatch.flush + compaction under bounded retention: per-action
+## cost, its 100k/2k growth, history entries and history-free writes),
 ## measures the sweep orchestrator's grid scaling at 1/2/4 workers
 ## (+ resume-from-store), and writes BENCH_scheduler.json (committed, so
 ## every PR is measured against the last).
@@ -19,8 +20,9 @@ bench:
 
 ## Gate the committed trajectory: fails when the 20k/2k pass-cost ratio
 ## exceeds 3x, the batched path drifts from ~1 revision per action, the
-## ephemeral tier stops cutting >=20% off per-action commit cost at 2k
-## (or stops shrinking history), the sharded sweep's merged payload
+## per-action keys stop committing history-free (> 0.05 retained history
+## entries per action at any size, or no history-free writes), the
+## sharded sweep's merged payload
 ## drifts from the sequential one, resume of a completed sweep stops
 ## being served from the store in <1 s, (on >=2-core machines) the
 ## 4-worker grid speedup drops below 1.5x, or the observability gates

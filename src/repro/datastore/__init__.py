@@ -8,7 +8,7 @@ last-write-wins per key, one coalesced watch delivery), which is what
 """
 
 from .batch import DELETE, WriteBatch
-from .client import Datastore, DatastoreClient, WriteStats
+from .client import EPHEMERAL_HOT_PREFIXES, Datastore, DatastoreClient, WriteStats
 from .kv import BatchCommit, CompactedError, EphemeralKeyError, KeyValue, KVStore
 from .lease import Lease, LeaseManager
 from .txn import Compare, CompareTarget, Op, Txn, TxnResult
@@ -18,6 +18,7 @@ __all__ = [
     "Datastore",
     "DatastoreClient",
     "WriteStats",
+    "EPHEMERAL_HOT_PREFIXES",
     "BatchCommit",
     "CompactedError",
     "EphemeralKeyError",

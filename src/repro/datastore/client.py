@@ -9,17 +9,26 @@ Key schema (paper §III-E: "The Datastore stores the estimated latency of
 each inference request, the LRU list of each GPU, and the status of each
 GPU"):
 
-==============================  =============================================
-key                             value
-==============================  =============================================
-``gpu/status/<gpu_id>``         ``"busy"`` | ``"idle"``
-``gpu/finish_time/<gpu_id>``    float, absolute estimated finish time
-``gpu/lru/<gpu_id>``            tuple[str, ...], LRU order (head = coldest)
-``cache/locations/<model>``     tuple[str, ...], GPUs where the model is resident
-``fn/meta/<fn_name>``           dict, registered-function metadata
-``fn/latency/<request_id>``     ``LatencyRecord``, per-invocation latency record
-``fn/scale/<fn_name>``          int, current replica count
-==============================  =============================================
+==============================  =======  ====================================
+key                             history  value
+==============================  =======  ====================================
+``gpu/status/<gpu_id>``         none     ``"busy"`` | ``"idle"``
+``gpu/finish_time/<gpu_id>``    none     float, absolute estimated finish time
+``gpu/lru/<gpu_id>``            none     tuple[str, ...], LRU order (head = coldest)
+``cache/locations/<model>``     MVCC     tuple[str, ...], GPUs where the model is resident
+``fn/meta/<fn_name>``           MVCC     dict, registered-function metadata
+``fn/latency/<request_id>``     none     ``LatencyRecord``, per-invocation latency record
+``fn/scale/<fn_name>``          MVCC     int, current replica count
+==============================  =======  ====================================
+
+*history* says which tier a key commits through.  ``MVCC`` keys keep full
+etcd semantics (per-key history, event-log records, historical reads,
+watch-from-revision, compaction).  ``none`` keys — the prefixes in
+:data:`EPHEMERAL_HOT_PREFIXES` — are the blackboard the Scheduler only
+ever reads live: identical live reads, read-your-writes and watch
+delivery, but no MVCC history and no event-log records, so historical
+reads and watch-from-revision over them raise
+:class:`~repro.datastore.kv.EphemeralKeyError` (see :mod:`.kv`).
 
 Batched write path
 ------------------
@@ -35,15 +44,6 @@ post-event hook.  Client reads overlay the pending batch, so components
 keep read-your-writes semantics between flushes.  ``batched=False`` (the
 default for a bare :class:`Datastore`) preserves the literal one-revision-
 per-put path.
-
-Ephemeral-key tier
-------------------
-``ephemeral_prefixes=(...)`` routes matching keys (typically the
-high-churn ``gpu/status/*`` / ``gpu/finish_time/*`` / ``fn/latency/*``
-status keys) through the store's fast lane: identical live reads,
-read-your-writes, and watch delivery, but no MVCC history or event-log
-records — historical reads of those keys raise
-:class:`~repro.datastore.kv.EphemeralKeyError`.  See :mod:`.kv`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,17 @@ from .lease import Lease, LeaseManager
 from .txn import Txn
 from .watch import Watch, WatchEvent, WatchHub
 
-__all__ = ["Datastore", "DatastoreClient", "WriteStats"]
+__all__ = ["Datastore", "DatastoreClient", "WriteStats", "EPHEMERAL_HOT_PREFIXES"]
+
+#: the schema's history-free keys (the ``none`` rows above): written on
+#: every dispatch and completion, never read at a historical revision.
+#: :class:`~repro.runtime.FaaSCluster` always builds its Datastore with
+#: these; a bare ``Datastore``/``KVStore`` keeps full history for every
+#: key.  Ordered most-frequently-written first, since the store's
+#: membership test (``str.startswith`` over the tuple) probes in order.
+EPHEMERAL_HOT_PREFIXES = (
+    "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/"
+)
 
 #: bounded settle loop: a flush may wake watchers that issue new writes;
 #: they flush too, but a watcher that writes on every delivery would
@@ -103,6 +113,7 @@ class Datastore:
         watch_delay: float = 0.0,
         batched: bool = False,
         ephemeral_prefixes: tuple[str, ...] = (),
+        autocompact_keep: int | None = None,
     ) -> None:
         self.sim = sim
         self.kv = KVStore(ephemeral_prefixes=ephemeral_prefixes)
@@ -111,6 +122,12 @@ class Datastore:
         self.batched = batched
         self.pending = WriteBatch(self.kv)
         self.stats = WriteStats()
+        #: sliding-horizon history compaction (etcd ``--auto-compaction``
+        #: analogue; None = keep everything): see :meth:`_autocompact`.
+        #: Checked where revisions are minted — after each flush — so a
+        #: batched replay pays nothing per simulator event for it; the
+        #: unbatched path, which never flushes, checks after every event.
+        self.autocompact_keep = autocompact_keep
         if batched:
             # The action boundary: whatever writes a simulator event handler
             # issued commit as one transaction once the handler returns.
@@ -125,6 +142,8 @@ class Datastore:
                     flush()
 
             sim.subscribe_post_event(_post_event_flush)
+        elif autocompact_keep is not None:
+            sim.subscribe_post_event(self._autocompact)
 
     def client(self, namespace: str = "") -> "DatastoreClient":
         """A client view under ``namespace`` (empty = root)."""
@@ -160,7 +179,20 @@ class Datastore:
                 committed += n
             if not pending._pending:
                 break
+        if self.autocompact_keep is not None:
+            self._autocompact()
         return committed
+
+    def _autocompact(self) -> None:
+        """Once more than 2×keep revisions of history have accumulated,
+        discard everything below ``revision - keep``.  The hysteresis
+        keeps the O(durable keys) compaction walk off the per-commit
+        path; compaction never touches live keys, so scheduling decisions
+        are unaffected."""
+        kv = self.kv
+        keep = self.autocompact_keep
+        if kv.revision - kv.compacted_revision > 2 * keep:
+            kv.compact(kv.revision - keep)
 
 
 class DatastoreClient:

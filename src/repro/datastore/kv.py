@@ -39,8 +39,12 @@ are retained, and revision *lineage* is not tracked — an ephemeral key's
 anchor lineage to.  The trade is explicit and typed: ``get(key,
 revision=...)`` and watch-from-revision replay raise
 :class:`EphemeralKeyError` for ephemeral keys, and compaction becomes
-near-free for them (there is nothing to discard).  The tier is opt-in;
-with the default ``()`` every key keeps full etcd semantics, bit for bit.
+near-free for them (there is nothing to discard).  Which keys are
+history-free is a property of the key schema
+(:data:`~repro.datastore.client.EPHEMERAL_HOT_PREFIXES`, which the
+runtime always passes); a bare ``KVStore()`` keeps full etcd semantics
+for every key, bit for bit — the reference the differential suite
+replays the production path against.
 """
 
 from __future__ import annotations

@@ -43,14 +43,13 @@ recording wall, req/s, and peak RSS per replay — the flat-memory tier
 behind the ROADMAP's "millions of users" item.
 
 The ``commit_path`` section replays the §V-A workload at 2k / 20k / 100k
-under the bounded-retention control-plane config (MVCC autocompaction +
-``latency_log_keep``) with the ephemeral-key tier off (every key full
-etcd semantics) and on (``EPHEMERAL_HOT_PREFIXES`` — the
-status/finish-time/latency keys nothing ever replays), timing
-``WriteBatch.flush`` + ``KVStore.compact`` in isolation: per-action
-commit µs, history entries and event-log records per action, and the
-tier's on/off commit-cost ratio at each size — the "commit-path residue"
-trajectory.
+on the production commit path (the schema's hot keys —
+``EPHEMERAL_HOT_PREFIXES`` — history-free, durable keys full MVCC) under
+the bounded-retention control-plane config (MVCC autocompaction +
+``latency_log_keep``), timing ``WriteBatch.flush`` + ``KVStore.compact``
+in isolation: per-action commit µs and its 100k/2k growth, history
+entries per action, event-log records and history-free writes at each
+size — the "commit-path residue" trajectory.
 
 The ``observability`` section replays the 2k §V-A workload with the
 flight recorder (``SystemConfig(tracer="flight")``) off and on —
@@ -73,8 +72,9 @@ gates transfer across container speeds — the earlier absolute 2k gate
 ``check_bench`` (``make bench-check``) gates the committed trajectory: the
 20k/2k pass-cost ratio must stay under 3× (the index fast path's
 sublinearity), the batched path must stay at ~1 revision per scheduling
-action, the ephemeral-key tier must cut per-action commit cost by ≥20%
-at 2k (and actually shed history entries — the fast lane must engage),
+action, the per-action keys must stay history-free (≤0.05 retained
+history entries per action at every size, and the history-free lane
+must actually take writes),
 ≥30% of scheduling passes must be elided on the 2k §V-A replay
 and elision must not *lose* at 100k (on ≤ 1.1× off per action, both arms
 best-of-2), the 2k replay's ``run_s`` and every size's req/s must hold
@@ -564,27 +564,22 @@ def measure_pass_elision(root: Path | None = None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Commit-path (ephemeral-key tier) trajectory
+# Commit-path trajectory
 # ----------------------------------------------------------------------
 #: retention window for the commit-path replays: tight enough that MVCC
-#: autocompaction and the ``latency_log_keep`` sliding window — the
-#: retention work the ephemeral tier makes near-free — engage even at the
-#: 2k gate point (the §V-A control plane never reads history this deep)
+#: autocompaction and the ``latency_log_keep`` sliding window engage even
+#: at the 2k point (the §V-A control plane never reads history this deep)
 _COMMIT_PATH_KEEP = 500
 
-# child-process body: ``reps`` interleaved §V-A replay pairs (tier off,
-# tier on, off, on, …) under the bounded-retention control-plane config
-# (autocompaction + latency window at _COMMIT_PATH_KEEP), timing the
-# batched write path's WriteBatch.flush *and* KVStore.compact in
-# isolation (perf_counter wrappers installed on the classes before any
-# system exists) — the commit-plus-retention cost is measured directly
-# rather than inferred from the end-to-end delta.  Both arms run inside
-# ONE child, interleaved, because the gated on/off ratio is tiny in
-# absolute terms (~10 ms of measured commit time per 2k replay): machine
-# drift between two separate children is larger than the effect, while
-# interleaved arms see the same conditions and the drift divides out of
-# the ratio.  One build_workload serves every replay (columnar injection
-# mints request objects per submit; each rep gets a fresh FaaSCluster).
+# child-process body: ``reps`` §V-A replays on the production commit
+# path under the bounded-retention control-plane config (autocompaction
+# + latency window at _COMMIT_PATH_KEEP), timing the batched write
+# path's WriteBatch.flush *and* KVStore.compact in isolation
+# (perf_counter wrappers installed on the classes before any system
+# exists) — the commit-plus-retention cost is measured directly rather
+# than inferred from the end-to-end delta.  One build_workload serves
+# every replay (columnar injection mints request objects per submit;
+# each rep gets a fresh FaaSCluster).
 _COMMIT_PATH_CHILD_CODE = """
 import gc, json, sys, time
 n = int(sys.argv[1]); keep = int(sys.argv[2]); reps = int(sys.argv[3])
@@ -592,132 +587,105 @@ import repro.datastore.batch as batch_mod
 import repro.datastore.kv as kv_mod
 _orig_flush = batch_mod.WriteBatch.flush
 _orig_compact = kv_mod.KVStore.compact
-_acc = {"on": [0.0, 0], "off": [0.0, 0]}
-_cur = _acc["off"]
+_acc = [0.0, 0]
 def _timed_flush(self):
     t0 = time.perf_counter()
     result = _orig_flush(self)
-    a = _cur
-    a[0] += time.perf_counter() - t0
-    a[1] += 1
+    _acc[0] += time.perf_counter() - t0
+    _acc[1] += 1
     return result
 def _timed_compact(self, revision):
     t0 = time.perf_counter()
     result = _orig_compact(self, revision)
-    _cur[0] += time.perf_counter() - t0
+    _acc[0] += time.perf_counter() - t0
     return result
 batch_mod.WriteBatch.flush = _timed_flush
 kv_mod.KVStore.compact = _timed_compact
 from repro.traces.azure import SyntheticAzureTrace
 from repro.traces.workload import WorkloadSpec, build_workload
-from repro.runtime import EPHEMERAL_HOT_PREFIXES, FaaSCluster, SystemConfig
+from repro.runtime import FaaSCluster, SystemConfig
 minutes = max(1, round(n / 325))
 workload = build_workload(WorkloadSpec(working_set=15, minutes=minutes),
                           trace=SyntheticAzureTrace())
-configs = {
-    "off": SystemConfig(kv_autocompact_keep=keep, latency_log_keep=keep),
-    "on": SystemConfig(ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES,
-                       kv_autocompact_keep=keep, latency_log_keep=keep),
-}
-run_s = {"on": 0.0, "off": 0.0}
-systems = {}
+config = SystemConfig(kv_autocompact_keep=keep, latency_log_keep=keep)
+run_s = 0.0
 for rep in range(reps):
-    # alternate which arm goes first and collect garbage before each
-    # replay: both arms then start from the same heap state, so cyclic-gc
-    # pauses triggered by the PREVIOUS replay's garbage never land inside
-    # the other arm's timed windows (gc triggered by an arm's own
-    # allocation pressure still charges that arm — that cost is real)
-    order = ("on", "off") if rep % 2 else ("off", "on")
-    for arm in order:
-        gc.collect()
-        _cur = _acc[arm]
-        system = FaaSCluster(configs[arm])
-        t0 = time.perf_counter()
-        system.submit_workload(workload)
-        system.run()
-        run_s[arm] += time.perf_counter() - t0
-        systems[arm] = system
-result = {"requests": len(workload), "reps": reps,
-          "actions": len(systems["off"].scheduler.decisions)}
-for arm in ("off", "on"):
-    kv = systems[arm].datastore.kv
-    actions = len(systems[arm].scheduler.decisions)
-    result.update({
-        "run_s_" + arm: round(run_s[arm] / reps, 4),
-        "commit_s_" + arm: round(_acc[arm][0], 4),
-        "flushes_" + arm: _acc[arm][1],
-        "commit_us_per_action_" + arm:
-            round(_acc[arm][0] / (actions * reps) * 1e6, 2),
-        "history_entries_" + arm: kv.history_entry_count(),
-        "history_entries_per_action_" + arm:
-            round(kv.history_entry_count() / actions, 3),
-        "event_log_records_" + arm: len(kv._event_revs),
-    })
-result["ephemeral_writes_on"] = systems["on"].datastore.kv.ephemeral_writes
-result["commit_on_vs_off"] = round(
-    result["commit_us_per_action_on"] / result["commit_us_per_action_off"], 3)
-print(json.dumps(result))
+    # collect garbage before each replay so cyclic-gc pauses triggered by
+    # the PREVIOUS replay's garbage never land inside this one's timed
+    # windows (gc triggered by a replay's own allocation pressure still
+    # charges it — that cost is real)
+    gc.collect()
+    system = FaaSCluster(config)
+    t0 = time.perf_counter()
+    system.submit_workload(workload)
+    system.run()
+    run_s += time.perf_counter() - t0
+kv = system.datastore.kv
+# the scheduler's exact entry-point counter, not len(decisions): the
+# decision log is a ring capped at 100k entries, which would shrink the
+# 100k point's denominator and read as per-action cost growing with N
+actions = system.scheduler.actions
+print(json.dumps({
+    "requests": len(workload), "reps": reps, "actions": actions,
+    "run_s": round(run_s / reps, 4),
+    "commit_s": round(_acc[0], 4),
+    "flushes": _acc[1],
+    "commit_us_per_action": round(_acc[0] / (actions * reps) * 1e6, 2),
+    "history_entries": kv.history_entry_count(),
+    "history_entries_per_action": round(kv.history_entry_count() / actions, 3),
+    "event_log_records": len(kv._event_revs),
+    "ephemeral_writes": kv.ephemeral_writes,
+}))
 """
 
-#: replay pairs aggregated per child at the gated 2k point (larger sizes
-#: have enough measured time per replay that one pair suffices)
-_COMMIT_PATH_GATE_REPS = 5
-
-
-def _commit_path_replay(root: Path, n_requests: int, *, reps: int = 1) -> dict:
-    return _run_child(
-        root, _COMMIT_PATH_CHILD_CODE, n_requests, _COMMIT_PATH_KEEP, reps,
-        label="commit-path replay",
-    )
+#: replays aggregated per child at the 2k point, where one replay spends
+#: only ~10 ms inside the measured calls (larger sizes have enough
+#: measured time that one replay suffices)
+_COMMIT_PATH_2K_REPS = 5
 
 
 def measure_commit_path(root: Path | None = None) -> dict:
-    """§V-A replays with the ephemeral-key tier on vs off at 2k/20k/100k.
+    """§V-A replays on the production commit path at 2k/20k/100k.
 
-    Both arms run the bounded-retention control-plane config (MVCC
-    autocompaction + ``latency_log_keep`` at :data:`_COMMIT_PATH_KEEP`) —
-    the configuration the tier targets, where the status keys' history
-    is not just written but continuously compacted away again.  Times
+    The control plane's only commit path: the schema's hot keys
+    (``EPHEMERAL_HOT_PREFIXES``) history-free, every other key full MVCC,
+    under the bounded-retention config (autocompaction +
+    ``latency_log_keep`` at :data:`_COMMIT_PATH_KEEP`).  Times
     ``WriteBatch.flush`` + ``KVStore.compact`` in isolation per replay,
     so the recorded per-action cost is the commit-plus-retention path
-    itself — history columns, event-log appends, tombstones, compaction
-    walks — not the surrounding scheduling work.  The 2k on/off ratio is
-    a ``check_bench`` gate (the tier must actually cut commit cost), and
-    the measured commit time at 2k is only ~10 ms per replay, so the
-    gate point is defended twice over: each child interleaves
-    :data:`_COMMIT_PATH_GATE_REPS` off/on replay *pairs* (machine drift
-    hits both arms equally and divides out of the ratio), and the point
-    runs best-of-2 children keyed on total measured commit time.  The
-    structural counters (history entries, event-log records, ephemeral
-    writes) are deterministic.
+    itself, not the surrounding scheduling work; ``commit_us_growth`` is
+    the 100k/2k ratio of that cost (flat in N = 1.0).  The structural
+    counters (history entries, event-log records, history-free writes)
+    are deterministic and are what ``check_bench`` gates.
     """
-    from ..runtime import EPHEMERAL_HOT_PREFIXES
+    from ..datastore import EPHEMERAL_HOT_PREFIXES
 
     root = root or _repo_root()
     sizes: dict[str, dict] = {}
     for n in _E2E_SIZES:
-        reps = _COMMIT_PATH_GATE_REPS if n == _E2E_SIZES[0] else 1
-        point = _commit_path_replay(root, n, reps=reps)
-        if n == _E2E_SIZES[0]:
-            # best-of-2 children, picked by total measured commit time:
-            # the quieter child saw less interference on BOTH arms
-            again = _commit_path_replay(root, n, reps=reps)
-            if (again["commit_s_on"] + again["commit_s_off"]
-                    < point["commit_s_on"] + point["commit_s_off"]):
-                point = again
+        reps = _COMMIT_PATH_2K_REPS if n == _E2E_SIZES[0] else 1
+        # best of 2 children by measured commit time: the box's noise
+        # only ever adds time, and the growth ratio below divides two
+        # of these points
+        point = min(
+            (
+                _run_child(
+                    root, _COMMIT_PATH_CHILD_CODE, n, _COMMIT_PATH_KEEP, reps,
+                    label="commit-path replay",
+                )
+                for _ in range(2)
+            ),
+            key=lambda child: child["commit_s"],
+        )
         sizes[str(n)] = {
             key: point[key]
             for key in (
-                "requests", "reps", "actions",
-                "commit_us_per_action_off", "commit_us_per_action_on",
-                "commit_on_vs_off",
-                "history_entries_off", "history_entries_on",
-                "history_entries_per_action_off",
-                "history_entries_per_action_on",
-                "event_log_records_off", "event_log_records_on",
-                "ephemeral_writes_on", "run_s_off", "run_s_on",
+                "requests", "reps", "actions", "commit_us_per_action",
+                "history_entries", "history_entries_per_action",
+                "event_log_records", "ephemeral_writes", "run_s",
             )
         }
+    small, large = sizes[str(_E2E_SIZES[0])], sizes[str(_E2E_SIZES[-1])]
     return {
         "workload": "§V-A working-set-15, 325 req/min, paper testbed, "
                     "bounded retention (autocompact + latency window "
@@ -725,6 +693,9 @@ def measure_commit_path(root: Path | None = None) -> dict:
         "ephemeral_prefixes": list(EPHEMERAL_HOT_PREFIXES),
         "retention_keep": _COMMIT_PATH_KEEP,
         "sizes": sizes,
+        "commit_us_growth": round(
+            large["commit_us_per_action"] / small["commit_us_per_action"], 3
+        ),
     }
 
 
@@ -1000,12 +971,14 @@ def run_bench(output: str | None = None, *, verbose: bool = True) -> dict:
         for n, cell in report["commit_path"]["sizes"].items():
             print(
                 f"  commit path {int(n):>7,} req: "
-                f"{cell['commit_us_per_action_off']:6.1f} -> "
-                f"{cell['commit_us_per_action_on']:6.1f} us/action "
-                f"({cell['commit_on_vs_off']}x); history/action "
-                f"{cell['history_entries_per_action_off']} -> "
-                f"{cell['history_entries_per_action_on']}"
+                f"{cell['commit_us_per_action']:6.1f} us/action; "
+                f"history/action {cell['history_entries_per_action']}, "
+                f"{cell['ephemeral_writes']:,} history-free writes"
             )
+        print(
+            "  commit cost 100k / 2k: "
+            f"{report['commit_path']['commit_us_growth']}x"
+        )
         for n, cell in report["end_to_end"]["sizes"].items():
             extra = ""
             if "speedup_vs_pre_pr" in cell:
@@ -1192,11 +1165,11 @@ _MIN_STREAMING_VS_BATCH_RPS = 0.55
 #: absorbs residual single-core jitter — elision must not *lose*)
 _MAX_ELISION_ON_VS_OFF_100K = 1.10
 
-# -- commit-path (ephemeral-key tier) gates -----------------------------
-#: 2k replay: per-action commit cost with the ephemeral tier on must be
-#: at most this fraction of the tier-off cost (both arms best-of-2) —
-#: the ISSUE's ≥20% commit-cost reduction, measured on the flush itself
-_MAX_COMMIT_ON_VS_OFF_2K = 0.80
+# -- commit-path gates ---------------------------------------------------
+#: retained MVCC history entries per scheduling action, at every size:
+#: the per-action keys are history-free, so only the durable keys'
+#: windowed history may remain (measured 0.005 at 2k, ~0 beyond)
+_MAX_HISTORY_ENTRIES_PER_ACTION = 0.05
 
 # -- observability (flight recorder) gates ------------------------------
 #: 2k replay with the flight recorder on may cost at most this factor of
@@ -1219,10 +1192,10 @@ def check_bench(path: str | None = None) -> list[str]:
     * the batched write path must stay at ~1 revision per scheduling
       action (0.8–1.3) — drift means some write stopped flowing through
       the shared batch;
-    * the ephemeral-key tier must cut the 2k replay's per-action commit
-      cost to ≤0.8× the tier-off cost (both arms best-of-2, flush timed
-      in isolation) and must strictly reduce history entries — a ratio
-      drifting toward 1.0 means the hot keys stopped matching the tier;
+    * the per-action keys must stay history-free: ≤0.05 retained history
+      entries per scheduling action at every commit-path size, with the
+      history-free lane actually taking writes — drift means a hot key
+      stopped matching the schema's history-free prefixes;
     * wall-clock gates (2k run budget, per-size throughput floors, the
       faults-disabled floor) are ratios against the report's own
       ``calibration.spin_s``, so they hold on any machine speed;
@@ -1293,25 +1266,24 @@ def check_bench(path: str | None = None) -> list[str]:
     if not commit:
         problems.append("commit_path section missing")
     else:
-        cell_2k = commit.get("2000", {})
-        ratio = cell_2k.get("commit_on_vs_off")
-        if ratio is None:
-            problems.append("commit_path 2k commit_on_vs_off missing")
-        elif ratio > _MAX_COMMIT_ON_VS_OFF_2K:
-            problems.append(
-                f"2k commit cost with the ephemeral tier on is {ratio}× the "
-                f"tier-off cost (gate ≤ {_MAX_COMMIT_ON_VS_OFF_2K}: the tier "
-                "must cut per-action commit cost by ≥20%)"
-            )
-        hist_on = cell_2k.get("history_entries_on")
-        hist_off = cell_2k.get("history_entries_off")
-        if hist_on is None or hist_off is None:
-            problems.append("commit_path 2k history_entries missing")
-        elif hist_on >= hist_off:
-            problems.append(
-                f"ephemeral tier left history entries unchanged at 2k "
-                f"({hist_on} on vs {hist_off} off): the fast lane never engaged"
-            )
+        for size, cell in commit.items():
+            per_action = cell.get("history_entries_per_action")
+            if per_action is None:
+                problems.append(
+                    f"commit_path {size} history_entries_per_action missing"
+                )
+            elif per_action > _MAX_HISTORY_ENTRIES_PER_ACTION:
+                problems.append(
+                    f"{size}-request replay retains {per_action} history "
+                    f"entries per action (gate ≤ "
+                    f"{_MAX_HISTORY_ENTRIES_PER_ACTION}: the per-action keys "
+                    "must commit history-free)"
+                )
+            if not cell.get("ephemeral_writes", 0) > 0:
+                problems.append(
+                    f"commit_path {size} recorded no history-free writes: "
+                    "the hot keys never took the history-free lane"
+                )
     spin_s = report.get("calibration", {}).get("spin_s")
     e2e = report.get("end_to_end", {}).get("sizes", {})
     if not spin_s:

@@ -2,7 +2,6 @@
 
 from .config import (
     DEFAULT_STREAMING_COMPACT_KEEP,
-    EPHEMERAL_HOT_PREFIXES,
     SystemConfig,
     streaming_config,
 )
@@ -10,7 +9,6 @@ from .system import FaaSCluster
 
 __all__ = [
     "DEFAULT_STREAMING_COMPACT_KEEP",
-    "EPHEMERAL_HOT_PREFIXES",
     "SystemConfig",
     "FaaSCluster",
     "streaming_config",

@@ -13,23 +13,11 @@ __all__ = [
     "SystemConfig",
     "streaming_config",
     "DEFAULT_STREAMING_COMPACT_KEEP",
-    "EPHEMERAL_HOT_PREFIXES",
 ]
 
 #: MVCC revisions retained by :func:`streaming_config`'s autocompaction
 #: default — deep enough for any watcher lag, bounded at any replay size
 DEFAULT_STREAMING_COMPACT_KEEP = 20_000
-
-#: the control plane's high-churn status keys: written on every dispatch
-#: and completion, never read at a historical revision (``gpu/lru/`` is
-#: the Cache Manager's per-GPU eviction-order mirror — serialized once
-#: per flush, only ever read live).  The canonical value for
-#: ``SystemConfig(ephemeral_prefixes=...)`` — ordered
-#: most-frequently-written first, since the store's membership test
-#: (``str.startswith`` over the tuple) probes prefixes in order.
-EPHEMERAL_HOT_PREFIXES = (
-    "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/"
-)
 
 
 @dataclass(frozen=True)
@@ -67,23 +55,17 @@ class SystemConfig:
     #: None (default) keeps full history.  Compaction never touches live
     #: keys, so scheduling decisions are unaffected.
     kv_autocompact_keep: int | None = None
-    #: ephemeral-key tier: Datastore keys under these prefixes skip MVCC
-    #: history and event-log records entirely (live reads, read-your-writes,
-    #: and watch delivery are untouched; historical reads raise
-    #: ``EphemeralKeyError``).  The high-churn status keys nothing replays —
-    #: :data:`EPHEMERAL_HOT_PREFIXES` — are the intended value; with it set,
-    #: compaction and ``latency_log_keep`` windows are near-free for those
-    #: keys.  Scheduling decisions are byte-identical either way (asserted
-    #: by the ephemeral parity suite).  ``()`` (default) keeps full etcd
-    #: semantics for every key.
-    ephemeral_prefixes: tuple[str, ...] = ()
-    #: sliding window of ``fn/latency/<request_id>`` records each GPU
-    #: Manager retains in the Datastore: past this many, the oldest is
-    #: deleted in the same batched transaction that writes the newest.
-    #: Those keys are write-only during a run (nothing schedules off
-    #: them), but left to accumulate they pin one key string + KeyValue +
-    #: LatencyRecord + history entry per request — the dominant linear
-    #: memory term at 1M requests.  None (default) keeps every record.
+    #: sliding window of ``fn/latency/<request_id>`` records each *node's*
+    #: GPU Manager retains in the Datastore: past this many, that manager
+    #: deletes its oldest record in the same batched transaction that
+    #: writes its newest.  The window is per manager, so the live
+    #: ``fn/latency/*`` key set is bounded by nodes × keep, not by keep
+    #: (60,000 live at keep = 20k on the 3-node testbed once every window
+    #: has filled).  Those keys are write-only during a run (nothing
+    #: schedules off them) and history-free, but left to accumulate they
+    #: pin one key string + KeyValue + LatencyRecord per request — the
+    #: dominant linear memory term at 1M requests.  None (default) keeps
+    #: every record.
     latency_log_keep: int | None = None
     #: per-tenant quotas (empty = no isolation limits)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
@@ -166,12 +148,6 @@ class SystemConfig:
             raise ValueError("watch_delay_s cannot be negative")
         if self.kv_autocompact_keep is not None and self.kv_autocompact_keep < 1:
             raise ValueError("kv_autocompact_keep must be >= 1 when set")
-        if not isinstance(self.ephemeral_prefixes, tuple):
-            # a frozen dataclass can't coerce; insist on the hashable shape
-            raise ValueError("ephemeral_prefixes must be a tuple of key prefixes")
-        for prefix in self.ephemeral_prefixes:
-            if not isinstance(prefix, str) or not prefix:
-                raise ValueError("ephemeral_prefixes entries must be non-empty strings")
         if self.latency_log_keep is not None and self.latency_log_keep < 1:
             raise ValueError("latency_log_keep must be >= 1 when set")
         if self.fault_profile not in FAULT_PROFILES:

@@ -21,7 +21,7 @@ from ..core.replacement import make_policy
 from ..core.request import InferenceRequest
 from ..core.scheduler import Scheduler
 from ..core.tenancy import TenancyController
-from ..datastore.client import Datastore
+from ..datastore.client import EPHEMERAL_HOT_PREFIXES, Datastore
 from ..metrics.collector import MetricsCollector
 from ..models.profiler import ProfileRegistry
 from ..models.profiles import ModelInstance
@@ -44,7 +44,8 @@ class FaaSCluster:
             self.sim,
             watch_delay=self.config.watch_delay_s,
             batched=self.config.datastore_batching,
-            ephemeral_prefixes=self.config.ephemeral_prefixes,
+            ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES,
+            autocompact_keep=self.config.kv_autocompact_keep,
         )
 
         # model profiles for every GPU type present (§VI heterogeneity)
@@ -188,22 +189,6 @@ class FaaSCluster:
         # registered after build observe only post-build changes, exactly as
         # they would against the unbatched write path
         self.datastore.flush()
-
-        if self.config.kv_autocompact_keep is not None:
-            # sliding-horizon history compaction (etcd --auto-compaction
-            # analogue): once more than 2×keep revisions of history have
-            # accumulated, discard everything below revision - keep.  The
-            # hook runs after the flush hook (registration order), so it
-            # only ever sees committed state; hysteresis at 2×keep keeps
-            # the O(keys) compaction walk off the per-event path.
-            keep = self.config.kv_autocompact_keep
-            kv = self.datastore.kv
-
-            def _autocompact() -> None:
-                if kv.revision - kv.compacted_revision > 2 * keep:
-                    kv.compact(kv.revision - keep)
-
-            self.sim.subscribe_post_event(_autocompact)
 
     # ------------------------------------------------------------------
     # Wiring callbacks

@@ -1,23 +1,30 @@
-"""Ephemeral-tier parity: the fast lane must change *costs*, never
-*behaviour*.
+"""History-free hot keys, differentially tested against full MVCC.
 
-With ``SystemConfig(ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES)`` the
-high-churn status keys skip MVCC history, event-log records, and lineage
-— but every scheduling input is a *live* read, so on a seeded workload
-the tier on and off must produce identical DecisionLogs and an identical
-normalized final key→value store state, across the write-path matrix
-(batched × pass-elision), through GPU failure/recovery, and under a full
-chaos profile.  The structural claim is asserted too: with the tier on,
-the hot prefixes leave zero history entries and zero event-log records.
+:class:`FaaSCluster` always commits the schema's hot prefixes
+(``EPHEMERAL_HOT_PREFIXES``) through the store's history-free lane — no
+MVCC history, no event-log records, no lineage.  Every scheduling input
+is a *live* read, so that may change costs but never behaviour.  The
+reference arm is the same system over a full-history ``KVStore()``,
+obtained by monkeypatching the one prefix constant ``FaaSCluster`` reads
+to ``()`` (there is no production switch): on a seeded workload both
+arms must produce identical DecisionLogs and an identical normalized
+final key→value state across the write-path matrix (batched ×
+pass-elision), through GPU failure/recovery, under a full chaos profile,
+and under bounded retention.  The structural claim is asserted too: the
+production arm leaves zero history entries and zero event-log records
+under the hot prefixes.
 """
 
 import pytest
 
+import repro.runtime.system as system_module
 from repro.cluster import ClusterSpec
 from repro.core.request import InferenceRequest
+from repro.datastore import EPHEMERAL_HOT_PREFIXES, EphemeralKeyError
 from repro.experiments.bench import seeded_workload
 from repro.models import ModelInstance, get_profile, model_names
-from repro.runtime import EPHEMERAL_HOT_PREFIXES, FaaSCluster, SystemConfig
+from repro.runtime import FaaSCluster, SystemConfig
+from repro.traces import WorkloadSpec, build_workload
 
 SEED = 20230801  # arbitrary but frozen
 N_FUNCTIONS = 30
@@ -35,7 +42,6 @@ def _architecture(fn_idx: int) -> str:
 def _run(
     spec,
     *,
-    ephemeral: bool,
     batched: bool = True,
     elide: bool = True,
     fail_gpu_at: float | None = None,
@@ -47,7 +53,6 @@ def _run(
             policy="lalbo3",
             datastore_batching=batched,
             pass_elision=elide,
-            ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES if ephemeral else (),
             **config_kwargs,
         )
     )
@@ -68,7 +73,7 @@ def _run(
         (d.time_s, d.kind, id_to_index[d.request_id], d.model_id, d.gpu_id, d.visits)
         for d in system.scheduler.decisions
     ]
-    # normalize on *values*: ephemeral KeyValues are lineage-free by
+    # normalize on *values*: history-free KeyValues are lineage-free by
     # design (create_revision == mod_revision, version pinned at 1), so
     # revision metadata is intentionally allowed to differ — what must
     # not differ is which keys are live and what they hold.  Request ids
@@ -83,6 +88,27 @@ def _run(
     return system, decisions, state
 
 
+@pytest.fixture
+def differential(monkeypatch):
+    """Replay one spec on the production path and on the full-history
+    reference; assert decision and final-state equality plus the
+    production arm's zero hot residue; return both systems."""
+
+    def run_both(spec, **kwargs):
+        production, dec, state = _run(spec, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(system_module, "EPHEMERAL_HOT_PREFIXES", ())
+            reference, ref_dec, ref_state = _run(spec, **kwargs)
+        assert reference.datastore.kv.ephemeral_prefixes == ()
+        assert reference.datastore.kv.ephemeral_writes == 0
+        assert dec == ref_dec
+        assert state == ref_state
+        _assert_no_hot_residue(production)
+        return production, reference, dec
+
+    return run_both
+
+
 def _assert_no_hot_residue(system):
     kv = system.datastore.kv
     hot = [k for k in kv._history if k.startswith(EPHEMERAL_HOT_PREFIXES)]
@@ -92,82 +118,62 @@ def _assert_no_hot_residue(system):
     assert kv.ephemeral_writes > 0
 
 
-class TestEphemeralTierParity:
-    def test_identical_decisions_and_state_through_gpu_failure(self):
+class TestHistoryFreeDifferential:
+    def test_identical_decisions_and_state_through_gpu_failure(self, differential):
         spec = _workload(SEED, 2000)
         fail_at = spec[900][1]  # while the system is under load
-        _, dec_off, state_off = _run(spec, ephemeral=False, fail_gpu_at=fail_at)
-        sys_on, dec_on, state_on = _run(spec, ephemeral=True, fail_gpu_at=fail_at)
-        assert any(kind.value == "resubmit" for _, kind, *_ in dec_on)
-        assert dec_on == dec_off
-        assert state_on == state_off
-        _assert_no_hot_residue(sys_on)
+        _, _, decisions = differential(spec, fail_gpu_at=fail_at)
+        assert any(kind.value == "resubmit" for _, kind, *_ in decisions)
 
-    def test_parity_across_write_path_matrix(self):
-        """The tier composes with every (batched, elision) combination:
-        all eight cells agree on decisions and normalized final state."""
-        spec = _workload(SEED + 1, 1200)
-        reference = None
-        for batched in (True, False):
-            for elide in (True, False):
-                for ephemeral in (False, True):
-                    system, dec, state = _run(
-                        spec, ephemeral=ephemeral, batched=batched, elide=elide
-                    )
-                    if reference is None:
-                        reference = (dec, state)
-                    assert dec == reference[0]
-                    assert state == reference[1]
-                    if ephemeral:
-                        _assert_no_hot_residue(system)
+    @pytest.mark.parametrize("batched", (True, False))
+    @pytest.mark.parametrize("elide", (True, False))
+    def test_across_write_path_matrix(self, differential, batched, elide):
+        """The lane composes with every (batched, elision) combination."""
+        differential(_workload(SEED + 1, 1200), batched=batched, elide=elide)
 
-    def test_parity_under_chaos_profile(self):
+    def test_under_chaos_profile(self, differential):
         """Fault injection exercises the health watchdog, leases, drains,
-        and resubmission — none of which may observe the tier."""
-        spec = _workload(SEED + 2, 1500)
-        _, dec_off, state_off = _run(
-            spec, ephemeral=False, fault_profile="recoverable", seed=7
-        )
-        sys_on, dec_on, state_on = _run(
-            spec, ephemeral=True, fault_profile="recoverable", seed=7
-        )
-        assert dec_on == dec_off
-        assert state_on == state_off
-        _assert_no_hot_residue(sys_on)
+        and resubmission — none of which may observe the lane."""
+        differential(_workload(SEED + 2, 1500), fault_profile="recoverable", seed=7)
 
-    def test_parity_under_bounded_retention(self):
-        """The tier's target configuration: autocompaction plus the
-        latency-record sliding window.  Decisions and final values stay
-        identical while the tier-on store retains (near) zero history."""
-        spec = _workload(SEED + 3, 1500)
-        kwargs = dict(kv_autocompact_keep=300, latency_log_keep=300)
-        sys_off, dec_off, state_off = _run(spec, ephemeral=False, **kwargs)
-        sys_on, dec_on, state_on = _run(spec, ephemeral=True, **kwargs)
-        assert dec_on == dec_off
-        assert state_on == state_off
-        _assert_no_hot_residue(sys_on)
-        # the structural win the commit-path bench gates on
+    def test_under_bounded_retention(self, differential):
+        """Autocompaction plus the latency-record sliding window: decisions
+        and final values stay identical while the production store retains
+        (near) zero history."""
+        production, reference, _ = differential(
+            _workload(SEED + 3, 1500), kv_autocompact_keep=300, latency_log_keep=300
+        )
         assert (
-            sys_on.datastore.kv.history_entry_count()
-            < sys_off.datastore.kv.history_entry_count()
+            production.datastore.kv.history_entry_count()
+            < reference.datastore.kv.history_entry_count()
         )
 
+
+class TestProductionPath:
     def test_latency_window_stays_bounded_without_history_growth(self):
-        spec = _workload(SEED + 4, 1500)
         keep = 100
-        system, _, _ = _run(spec, ephemeral=True, latency_log_keep=keep)
+        system, _, _ = _run(_workload(SEED + 4, 1500), latency_log_keep=keep)
         kv = system.datastore.kv
         latency_keys = [k for k in kv.keys() if k.startswith("fn/latency/")]
         # one window per GPU manager node; each bounded by `keep`
         assert latency_keys
         assert len(latency_keys) <= keep * len(system.cluster.nodes)
-        assert kv.history_entry_count() == 0 or not any(
-            k.startswith("fn/latency/") for k in kv._history
+        assert not any(k.startswith("fn/latency/") for k in kv._history)
+
+    def test_default_cluster_commits_hot_keys_history_free(self):
+        """A default ``FaaSCluster()`` reports the four schema prefixes
+        and a replay leaves nothing under them in history or event log."""
+        assert EPHEMERAL_HOT_PREFIXES == (
+            "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/"
         )
-
-    def test_default_config_keeps_tier_off(self):
-        assert SystemConfig().ephemeral_prefixes == ()
-
-    def test_hot_prefixes_cover_the_per_action_keys(self):
-        for prefix in ("gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/"):
-            assert prefix in EPHEMERAL_HOT_PREFIXES
+        system = FaaSCluster()
+        kv = system.datastore.kv
+        assert kv.ephemeral_prefixes == EPHEMERAL_HOT_PREFIXES
+        system.submit_workload(build_workload(WorkloadSpec(working_set=15, minutes=3)))
+        system.run()
+        assert system.completed
+        _assert_no_hot_residue(system)
+        gpu_id = system.cluster.gpus[0].gpu_id
+        assert kv.get_value(f"gpu/status/{gpu_id}") == "idle"
+        with pytest.raises(EphemeralKeyError):
+            kv.get(f"gpu/status/{gpu_id}", revision=1)

@@ -6,8 +6,11 @@ live*, never *what the run computes*: at exact-window sizes its summary
 is byte-identical to the batch pipeline's, for any chunking.
 """
 
+import gc
+
 import pytest
 
+from repro.datastore import KeyValue
 from repro.experiments.replay import replay_streaming
 from repro.metrics.summary import summarize
 from repro.runtime import (
@@ -81,6 +84,43 @@ class TestFlatMemoryState:
         kv = system.datastore.kv
         assert kv.compacted_revision > 0
         assert kv.revision - kv.compacted_revision <= 2 * 200 + 200
+
+    def test_retained_kv_heap_is_flat_in_request_count(self):
+        """What the Datastore retains — MVCC history entries and
+        GC-tracked ``KeyValue`` objects (the mass every full-heap
+        collection re-scans) — is set by the configured windows, not by
+        how many requests were replayed: the per-action keys are
+        history-free, so only the live key set (fixed keys + nodes ×
+        ``latency_log_keep``) and the durable keys' windowed history
+        survive."""
+        keep = 200
+
+        def tracked_keyvalues() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is KeyValue)
+
+        def retained(minutes: int) -> tuple[int, int, int]:
+            before = tracked_keyvalues()
+            cfg = streaming_config(kv_autocompact_keep=keep, latency_log_keep=keep)
+            spec = WorkloadSpec(working_set=15, minutes=minutes, seed=0)
+            summary, system = replay_streaming(spec, config=cfg)
+            kv = system.datastore.kv
+            assert kv.compacted_revision > 0
+            history = kv.history_entry_count()
+            tracked = tracked_keyvalues() - before
+            latency_keys = sum(1 for k in kv.keys() if k.startswith("fn/latency/"))
+            assert latency_keys <= keep * len(system.cluster.nodes)
+            # every retained KeyValue is a live one or a windowed history entry
+            assert tracked <= len(kv) + history
+            assert history <= keep
+            return summary.completed_requests, history, tracked
+
+        n_small, history_small, tracked_small = retained(9)
+        n_large, history_large, tracked_large = retained(18)
+        assert n_small > 2500 and n_large >= 1.9 * n_small
+        slack = 16  # a late model load publishes one durable key
+        assert history_large <= history_small + slack
+        assert tracked_large <= tracked_small + slack
 
     def test_spill_path_requires_streaming(self):
         with pytest.raises(ValueError):
