@@ -32,9 +32,10 @@ bench:
 bench-check:
 	python -m repro.experiments bench-check
 
-## Fast-path/reference decision parity only (quick hot-path sanity).
+## Production vs the all-literal reference system: decisions + final KV
+## state (quick hot-path sanity).
 parity:
-	python -m pytest tests/core/test_decision_parity.py -q
+	python -m pytest tests/core/test_differential.py -q
 
 ## cProfile the 2k-request §V-A replay: the top-25 functions by
 ## cumulative time, then a per-subsystem rollup (commit path, dispatch,

@@ -144,7 +144,11 @@ def _system_with_hit_at_tail(depth: int):
     return system
 
 
-def _one_pass_best(depth: int, *, fast: bool = True, rounds: int = 5) -> float:
+def _one_pass(system) -> bool:
+    return system.scheduler.policy.schedule_pass(system.scheduler)
+
+
+def _one_pass_best(depth: int, *, run_pass=_one_pass, rounds: int = 5) -> float:
     """Best-of-``rounds`` wall time of one pass on a fresh system per round.
 
     The minimum is the noise-robust estimator for the ratio assertions
@@ -154,9 +158,8 @@ def _one_pass_best(depth: int, *, fast: bool = True, rounds: int = 5) -> float:
     times = []
     for _ in range(rounds):
         system = _system_with_hit_at_tail(depth)
-        system.scheduler.policy.use_fast_path = fast
         t0 = time.perf_counter()
-        progress = system.scheduler.policy.schedule_pass(system.scheduler)
+        progress = run_pass(system)
         times.append(time.perf_counter() - t0)
         assert progress is True  # the tail hit was found and dispatched
     return min(times)
@@ -174,10 +177,7 @@ def test_scheduling_scan_cost_at_depth(benchmark, depth):
         system = _system_with_hit_at_tail(depth)
         return (system,), {}
 
-    def one_pass(system):
-        return system.scheduler.policy.schedule_pass(system.scheduler)
-
-    progress = benchmark.pedantic(one_pass, setup=setup, rounds=5, iterations=1)
+    progress = benchmark.pedantic(_one_pass, setup=setup, rounds=5, iterations=1)
     assert progress is True
 
 
@@ -220,12 +220,17 @@ def test_fast_scan_beats_reference_scan():
     """The index-driven scan must dominate the reference O(queue) scan.
 
     Guards the fast path against regressions that would quietly fall back
-    to (or underperform) the literal Algorithm-1 loop.
+    to (or underperform) the literal Algorithm-1 loop — the scan a pass
+    runs for the one idle GPU when a tenant quota binds.
     """
 
+    def literal_scan(system):
+        scheduler = system.scheduler
+        return scheduler.policy._schedule_gpu_reference(scheduler, system.cluster.gpus[0])
+
     def ratio(rounds):
-        t_ref = _one_pass_best(2_000, fast=False, rounds=rounds)
-        t_fast = _one_pass_best(2_000, fast=True, rounds=rounds)
+        t_ref = _one_pass_best(2_000, run_pass=literal_scan, rounds=rounds)
+        t_fast = _one_pass_best(2_000, rounds=rounds)
         return t_fast / t_ref
 
     _assert_ratio(ratio, 1 / 5)

@@ -12,10 +12,12 @@ Scheduler, so they are pure decision logic and unit-testable against fakes.
 
 Fast path (§VI scalability)
 ---------------------------
-Every policy carries two interchangeable implementations of its queue
-scan:
+LB and LALB carry two implementations of their queue scan, and each
+per-GPU scan picks its route from an observable property of the system —
+whether a tenant quota can bind during this pass (see below) — never
+from a setting:
 
-* the **index-driven fast path** (default) — Alg. 1's first scan asks the
+* the **index-driven fast path** — Alg. 1's first scan asks the
   Cache Manager for the GPU's resident models and the GlobalQueue's
   model index for each model's oldest request, so its cost is bounded by
   the number of models cached on the GPU, exactly as §VI argues; the O3
@@ -24,25 +26,26 @@ scan:
   rediscovering starved requests by rescanning; the second scan walks
   queue heads (every Algorithm-2 outcome removes the head, so the cost is
   proportional to decisions made, not queue length);
-* the **reference scan** (``use_fast_path = False``) — the literal
-  O(GPUs × queue) loop transcribed from Algorithms 1/2.  It is kept both
-  as executable documentation and so the decision-parity tests can assert
-  the fast path produces byte-identical ``DecisionLog`` sequences.
+* the **reference scan** — the literal O(GPUs × queue) loop transcribed
+  from Algorithms 1/2, whose per-request ``may_dispatch`` probes handle
+  quota refusals exactly.  It is the production route whenever a quota
+  binds, and the executable specification the fast path must match:
+  ``tests/core/test_differential.py`` sends every scan down it and
+  requires byte-identical ``DecisionLog`` sequences.
 
 Pass elision (dirty signals)
 ----------------------------
 Every policy also declares a :class:`~repro.core.signals.PassGuard` — the
 preconditions under which one pass can produce any decision.  The
-Scheduler's elision engine consults it before every would-be pass and
-skips passes the guard proves are no-ops; inside a pass, policies that
-support it consult the same predicate (``SchedulerOps.
-pass_work_remaining``, bound only when elision is on) to stop walking
-idle GPUs once no remaining GPU can act.  Elision changes *which
-provably-empty scans run*, never a decision: the parity suites replay
-identical workloads with elision on and off and require byte-identical
-``DecisionLog``s.  (The ``fast_scans``/``reference_scans`` counters may
-legitimately differ across elision modes — an elided pass performs no
-scans at all.)
+Scheduler consults it before every would-be pass and skips passes the
+guard proves are no-ops; inside a pass, policies that support it consult
+the same predicate (``SchedulerOps.pass_work_remaining``) to stop
+walking idle GPUs once no remaining GPU can act.  Elision changes *which
+provably-empty scans run*, never a decision: the differential suite
+replays identical workloads under the conservative base guard with the
+probe unbound and requires byte-identical ``DecisionLog``s.  (The
+``fast_scans``/``reference_scans`` counters may legitimately differ
+between the two — an elided pass performs no scans at all.)
 
 The fast path assumes the admission check is trivially true.  With a
 :class:`~repro.core.tenancy.TenancyController` installed the policies no
@@ -86,12 +89,12 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     """What a policy may observe and do; implemented by the Scheduler.
 
     ``pass_work_remaining`` is the optional mid-pass narrowing probe: the
-    elision engine binds it to the policy's :class:`PassGuard` so a pass
-    can stop walking idle GPUs the moment no remaining GPU can possibly
-    act (the same provable-no-op predicate that elides whole passes).
-    Implementations without it (unit-test fakes, the literal engine with
-    elision off) simply run the full historical walk — policies look it
-    up with ``getattr(..., None)`` and never require it.
+    Scheduler binds it to the policy's :class:`PassGuard` so a pass can
+    stop walking idle GPUs the moment no remaining GPU can possibly act
+    (the same provable-no-op predicate that elides whole passes).
+    Implementations without it (unit-test fakes, the differential
+    suite's literal arm) simply run the full walk — policies look it up
+    with ``getattr(..., None)`` and never require it.
     """
 
     global_queue: GlobalQueue
@@ -149,9 +152,7 @@ class SchedulingPolicy(ABC):
     """One pass of scheduling decisions over the current system state."""
 
     name: str = "abstract"
-    #: flip to False to run the literal Algorithm-1/2 scans (parity tests)
-    use_fast_path: bool = True
-    #: preconditions for a pass to act; the elision engine consults this
+    #: preconditions for a pass to act; the Scheduler consults this
     #: before every would-be pass.  The base guard is the conservative
     #: fail-safe (exactly the historical run conditions), so subclasses
     #: that declare nothing are never over-elided.
@@ -202,7 +203,7 @@ class LoadBalancingPolicy(SchedulingPolicy):
         return progress
 
     def _head(self, s: SchedulerOps, gpu: GPUDevice) -> InferenceRequest | None:
-        if self.use_fast_path and _admission_is_trivial(s):
+        if _admission_is_trivial(s):
             self.fast_scans += 1
             return s.global_queue.head()  # O(1): admission cannot refuse it
         self.reference_scans += 1
@@ -251,13 +252,10 @@ class LocalityOnlyPolicy(SchedulingPolicy):
         # so filtering the snapshot on ``is_idle`` yields exactly the
         # membership and frequency order a fresh probe would.
         idle_view = s.idle_gpus_by_frequency()
-        # the fast iteration allocates no snapshot; each visited request is
-        # either left in place or removed, so the live walk sees the same
-        # sequence as the reference snapshot
-        requests = (
-            s.global_queue.iter_requests() if self.use_fast_path else iter(s.global_queue)
-        )
-        for request in requests:
+        # the live iteration allocates no snapshot; each visited request is
+        # either left in place or removed, so the walk sees the same
+        # sequence a snapshot would
+        for request in s.global_queue.iter_requests():
             if not s.may_dispatch(request):
                 continue
             locations = s.cache.locations(request.model_id)
@@ -307,8 +305,9 @@ class LALBPolicy(SchedulingPolicy):
     3. if no queued request is cached here, run Algorithm 2 over the queue
        in arrival order until some request lands on this GPU.
 
-    The default implementation is the §VI index-driven fast path (see the
-    module docstring); ``use_fast_path = False`` selects the literal scan.
+    Each per-GPU scan takes the §VI index-driven fast path unless a tenant
+    quota can bind during the pass, in which case it runs the literal
+    scan (see the module docstring).
     """
 
     guard = DispatchableWorkGuard()
@@ -351,11 +350,10 @@ class LALBPolicy(SchedulingPolicy):
     # ------------------------------------------------------------------
     def _schedule_gpu(self, s: SchedulerOps, gpu: GPUDevice) -> bool:
         if (
-            self.use_fast_path
             # the queue's lazy starvation tracking must assume *this*
             # policy's limit (guards against policy swaps mid-experiment);
             # read the private field — this check runs per idle-GPU scan
-            and s.global_queue._o3_limit == self.limit
+            s.global_queue._o3_limit == self.limit
             and _admission_is_trivial(s)
         ):
             self.fast_scans += 1

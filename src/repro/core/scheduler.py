@@ -9,20 +9,20 @@ The Scheduler implements :class:`~repro.core.policies.SchedulerOps`: the
 policy objects decide, the Scheduler executes (removing requests from
 queues, invoking GPU Managers, shipping the GPU address with the dispatch).
 
-Pass-elision engine
--------------------
-Every entry point (``submit`` / ``on_gpu_idle`` / ``resubmit``) used to
-run at least one full policy pass.  With elision on (the default,
-``SystemConfig(pass_elision=True)``) the Scheduler instead consults the
-policy's :class:`~repro.core.signals.PassGuard` before every would-be
-pass — the initial pass of an action and every re-invocation after a
-productive one — and skips passes the guard proves are no-ops, reacting
-to the dirty signals the components publish (idle-set delta, queue
-length, idle local work) instead of re-deriving "nothing to do" from
-full state.  ``passes_executed`` / ``passes_elided`` count every
-considered pass into exactly one of the two bins, so benchmarks can gate
-that elision actually engages.  The pre-elision engine survives as
-``pass_elision=False`` for the parity suites.
+Pass elision
+------------
+There is one engine.  Every entry point (``submit`` / ``on_gpu_idle`` /
+``resubmit``) consults the policy's :class:`~repro.core.signals.PassGuard`
+before every would-be pass — the initial pass of an action and every
+re-invocation after a productive one — and skips passes the guard proves
+are no-ops, reacting to the dirty signals the components publish
+(idle-set delta, queue length, idle local work) instead of re-deriving
+"nothing to do" from full state.  ``passes_executed`` / ``passes_elided``
+count every considered pass into exactly one of the two bins, so
+benchmarks can gate that elision actually engages.  The literal
+always-pass engine is this same loop under the base ``PassGuard()`` with
+the mid-pass probe unbound (``pass_work_remaining = None``); that is how
+``tests/core/test_differential.py`` builds its reference arm.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class Scheduler:
         *,
         datastore: DatastoreClient | None = None,
         tenancy: TenancyController | None = None,
-        pass_elision: bool = True,
         deadline_s: float | None = None,
     ) -> None:
         self.sim = sim
@@ -113,19 +112,17 @@ class Scheduler:
         #: idle ∩ local-work dirty-signal join (see signals.py); consumed
         #: by the pass guards and the mid-pass narrowing probe
         self.idle_local_work = IdleLocalWorkIndex(cluster, self.local_queues)
-        self.pass_elision = pass_elision
         #: scheduling actions seen (entry-point invocations)
         self.actions = 0
-        #: passes actually run (either engine)
+        #: passes actually run
         self.passes_executed = 0
-        #: passes proven no-ops by the guard and skipped (elision on only)
+        #: passes proven no-ops by the guard and skipped
         self.passes_elided = 0
-        # the mid-pass narrowing probe: bound only when elision is on
-        # (None keeps the policies on the full historical walk, and keeps
-        # their getattr probe on the cheap found-attribute path)
-        self.pass_work_remaining = self._pass_work_remaining if pass_elision else None
-        #: flight recorder, installed by the runtime when tracing is on;
-        #: None keeps _run_policy on the uninstrumented engines
+        #: the mid-pass narrowing probe policies look up with getattr; an
+        #: instance attribute so the lookup stays a dict hit (None keeps
+        #: the policies on the full walk of every idle GPU)
+        self.pass_work_remaining = self._pass_work_remaining
+        #: flight recorder, installed by the runtime when tracing is on
         self._tracer = None
         #: ExplainLog when SystemConfig(trace_decisions=True); always
         #: defined so the policies' getattr probe stays on the cheap
@@ -210,15 +207,14 @@ class Scheduler:
         coalesced watch notification.  Inside a simulator event the flush
         defers to the post-event hook instead, so a handler that calls
         several scheduler entry points (e.g. a failure resubmitting many
-        requests) still commits as a single action.  With batching off (or
-        no Datastore) this is a no-op, preserving the literal per-put
-        behaviour.
+        requests) still commits as a single action.  With no Datastore (or
+        a write-through one, whose batch is always empty) this is a no-op.
         """
         if self.datastore is not None and not self.sim._running:
             self.datastore.flush()
 
     def _pass_work_remaining(self) -> bool:
-        """The narrowing probe policies consult mid-pass (elision on).
+        """The narrowing probe policies consult mid-pass.
 
         Same provable-no-op predicate the policy's guard applies between
         passes, evaluated from the live dirty signals — so a pass stops
@@ -240,170 +236,62 @@ class Scheduler:
         guard matters because dispatching can synchronously change GPU
         state, which policies observe mid-pass.
 
-        With elision on, the policy's :class:`PassGuard` replaces the
-        historical run/stop conditions: every would-be pass is either
-        executed or — when the guard proves it a no-op — elided and
-        counted.  Both engines run the same passes in the same order;
-        elision only removes passes that would have decided nothing.
+        The policy's :class:`PassGuard` states those run/stop conditions:
+        every would-be pass — the first of an action and each
+        re-invocation after a productive one — is either executed or,
+        when the guard proves it a no-op, elided and counted.
+
+        The tracer/explain hooks live here, once: "off" is the attribute
+        being ``None``, so the default path pays one attribute load per
+        action (a second once armed) and one identity test per hook site
+        reached.  The pass ring
+        is written *in place* rather than through ``tracer.pass_span``:
+        one closure call per executed pass is measurable at 2k-replay
+        rates, and ``_tracer`` here is always the runtime-installed
+        :class:`~repro.obs.FlightRecorder` (the lower-rate hooks
+        elsewhere go through the Tracer protocol).
         """
         if self._scheduling:
             return
-        if self._tracer is not None or self.explain is not None:
-            self._run_policy_observed()
-            return
-        if self.pass_elision:
-            guard_may_act = self.policy.guard.may_act
-            if not guard_may_act(self):
-                self.passes_elided += 1
-                return
-            self._scheduling = True
-            try:
-                while True:
-                    self.passes_executed += 1
-                    self._work_exhausted = False
-                    if not self.policy.schedule_pass(self):
-                        break
-                    if self._work_exhausted or not guard_may_act(self):
-                        self.passes_elided += 1
-                        break
-            finally:
-                self._scheduling = False
-            return
-        # reference engine: the pre-elision run/stop conditions, verbatim
-        if not self.cluster.idle_gpus():
-            return
-        if len(self.global_queue) == 0 and self.local_queues.total() == 0:
-            return
-        self._scheduling = True
-        try:
-            while True:
-                self.passes_executed += 1
-                if not self.policy.schedule_pass(self):
-                    break
-                if not self.cluster.idle_gpus():
-                    break
-                if len(self.global_queue) == 0 and self.local_queues.total() == 0:
-                    break
-        finally:
-            self._scheduling = False
-
-    def _signal_state(self) -> str:
-        """The dirty-signal snapshot an armed/elided pass saw (explain
-        mode only — builds a string, never called on the default path)."""
-        return (
-            f"idle={self.cluster.idle_count} "
-            f"queued={self.global_queue._live} "
-            f"local={self.local_queues.total()} "
-            f"idle_local_work={bool(self.idle_local_work)}"
-        )
-
-    def _run_policy_observed(self) -> None:
-        """:meth:`_run_policy` with the tracer/explain hooks threaded in.
-
-        Runs exactly the passes the uninstrumented engines run, in the
-        same order (the observability parity suite asserts byte-identical
-        DecisionLogs); adds a wall-clock span per ``span_stride``-th
-        executed pass when a tracer is installed (unsampled passes only
-        bump the exact counter) and pass/elision context when explain is
-        on.
-        Kept separate so the default engines above stay literally
-        untouched — "zero cost when off" is two identity tests (and the
-        runtime rebinds ``_run_policy`` to this method when it installs
-        a tracer, so the on path does not even pay the extra dispatch).
-
-        The pass ring is written *in place* rather than through
-        ``tracer.pass_span``: one closure call per executed pass is
-        measurable at 2k-replay rates, and ``_tracer`` here is always
-        the runtime-installed :class:`~repro.obs.FlightRecorder` (the
-        lower-rate hooks elsewhere go through the Tracer protocol).
-        """
-        if self._scheduling:
+        guard_may_act = self.policy.guard.may_act
+        explain = self.explain
+        if not guard_may_act(self):
+            self.passes_elided += 1
+            if explain is not None:
+                explain.pass_elided(self.sim._now, self._signal_state())
             return
         tracer = self._tracer
-        explain = self.explain
-        if self.pass_elision:
-            guard_may_act = self.policy.guard.may_act
-            if not guard_may_act(self):
-                self.passes_elided += 1
-                if explain is not None:
-                    explain.pass_elided(self.sim._now, self._signal_state())
-                return
-            if tracer is not None:
-                # loop-invariant tracer state, bound once per armed
-                # invocation (after the early-outs: most invocations
-                # elide, and the elided path should pay nothing extra).
-                # decision_log is the underlying deque — len() on it is
-                # a C-level size read, where len(self.decisions) would
-                # dispatch a Python __len__ twice per sampled pass
-                decision_log = self.decisions._log
-                p_state = tracer._p_state
-                p_stride = tracer.span_stride
-            self._scheduling = True
-            try:
-                while True:
-                    self.passes_executed += 1
-                    self._work_exhausted = False
-                    if explain is not None:
-                        explain.pass_begin(self.passes_executed, self._signal_state())
-                    if tracer is not None:
-                        # count every pass; clock + record only the
-                        # stride-sampled ones (the probes are the cost)
-                        n = p_state[2] + 1
-                        p_state[2] = n
-                        if n % p_stride:
-                            progressed = self.policy.schedule_pass(self)
-                        else:
-                            d0 = len(decision_log)
-                            t0 = perf_counter_ns()
-                            progressed = self.policy.schedule_pass(self)
-                            wall = perf_counter_ns() - t0
-                            p_buf = tracer._p_buf
-                            i = p_state[0]
-                            b = i * 3
-                            p_buf[b] = self.sim._now
-                            p_buf[b + 1] = wall
-                            p_buf[b + 2] = len(decision_log) - d0
-                            p_state[1] += 1
-                            i += 1
-                            p_state[0] = 0 if i == tracer.capacity else i
-                    else:
-                        progressed = self.policy.schedule_pass(self)
-                    if not progressed:
-                        break
-                    if self._work_exhausted or not guard_may_act(self):
-                        self.passes_elided += 1
-                        if explain is not None:
-                            explain.pass_elided(self.sim._now, self._signal_state())
-                        break
-            finally:
-                self._scheduling = False
-                if explain is not None:
-                    explain.pass_end()
-            return
-        # mirrored reference engine (pre-elision run/stop conditions)
-        if not self.cluster.idle_gpus():
-            return
-        if len(self.global_queue) == 0 and self.local_queues.total() == 0:
-            return
         if tracer is not None:
+            # loop-invariant tracer state, bound once per armed action
+            # (after the early-out: most actions elide, and the elided
+            # path should pay nothing extra).  decision_log is the
+            # underlying deque — len() on it is a C-level size read,
+            # where len(self.decisions) would dispatch a Python __len__
+            # twice per sampled pass
             decision_log = self.decisions._log
             p_state = tracer._p_state
             p_stride = tracer.span_stride
+        schedule_pass = self.policy.schedule_pass
         self._scheduling = True
         try:
             while True:
                 self.passes_executed += 1
+                self._work_exhausted = False
                 if explain is not None:
                     explain.pass_begin(self.passes_executed, self._signal_state())
-                if tracer is not None:
+                if tracer is None:
+                    progressed = schedule_pass(self)
+                else:
+                    # count every pass; clock + record only the
+                    # stride-sampled ones (the probes are the cost)
                     n = p_state[2] + 1
                     p_state[2] = n
                     if n % p_stride:
-                        progressed = self.policy.schedule_pass(self)
+                        progressed = schedule_pass(self)
                     else:
                         d0 = len(decision_log)
                         t0 = perf_counter_ns()
-                        progressed = self.policy.schedule_pass(self)
+                        progressed = schedule_pass(self)
                         wall = perf_counter_ns() - t0
                         p_buf = tracer._p_buf
                         i = p_state[0]
@@ -414,18 +302,27 @@ class Scheduler:
                         p_state[1] += 1
                         i += 1
                         p_state[0] = 0 if i == tracer.capacity else i
-                else:
-                    progressed = self.policy.schedule_pass(self)
                 if not progressed:
                     break
-                if not self.cluster.idle_gpus():
-                    break
-                if len(self.global_queue) == 0 and self.local_queues.total() == 0:
+                if self._work_exhausted or not guard_may_act(self):
+                    self.passes_elided += 1
+                    if explain is not None:
+                        explain.pass_elided(self.sim._now, self._signal_state())
                     break
         finally:
             self._scheduling = False
             if explain is not None:
                 explain.pass_end()
+
+    def _signal_state(self) -> str:
+        """The dirty-signal snapshot an armed/elided pass saw (explain
+        mode only — builds a string, never called on the default path)."""
+        return (
+            f"idle={self.cluster.idle_count} "
+            f"queued={self.global_queue._live} "
+            f"local={self.local_queues.total()} "
+            f"idle_local_work={bool(self.idle_local_work)}"
+        )
 
     # ------------------------------------------------------------------
     # SchedulerOps: observations

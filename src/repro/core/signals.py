@@ -39,9 +39,9 @@ A guard may return False **only** when the pass it would have admitted
 provably makes no decision, records nothing, and mutates nothing
 observable (including the lazy O3 ``visits`` accounting — a pass that
 never reaches a per-GPU scan never bumps visits).  Under that contract,
-eliding the pass is byte-identical to running it, which is what the
-decision-parity suites assert for every policy, with and without
-elision.
+eliding the pass is byte-identical to running it, which is what
+``tests/core/test_differential.py`` asserts for every policy by
+replaying under the base guard below.
 
 For the paper's four policies one shared proof covers the guard
 (:class:`DispatchableWorkGuard`): every decision either serves an *idle*

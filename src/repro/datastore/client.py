@@ -41,9 +41,11 @@ status flip, the finish-time estimate, the latency record — then flush as
 boundaries: the Scheduler's entry points, the Gateway's CRUD/invoke calls,
 and (as the safety net covering every other event handler) a simulator
 post-event hook.  Client reads overlay the pending batch, so components
-keep read-your-writes semantics between flushes.  ``batched=False`` (the
-default for a bare :class:`Datastore`) preserves the literal one-revision-
-per-put path.
+keep read-your-writes semantics between flushes.
+:class:`~repro.runtime.FaaSCluster` always builds its Datastore batched;
+a bare ``Datastore()`` writes through — one revision per put — and is
+the write-path specification ``tests/core/test_differential.py`` puts
+under the same system.
 """
 
 from __future__ import annotations
@@ -81,10 +83,11 @@ class WriteStats:
     """Write-amplification counters for the control-plane write path.
 
     ``logical_writes`` counts every client ``put``/``put_lazy``/``delete``
-    call — what the components *asked* for, in either mode.  ``flushes``,
+    call — what the components *asked* for.  ``flushes``,
     ``committed_keys``, and ``coalesced_writes`` describe the batched path
-    only (they stay 0 with batching off, where every logical write commits
-    individually and the revision counter tracks the logical stream).
+    only (they stay 0 on a write-through ``Datastore()``, where every
+    logical write commits individually and the revision counter tracks
+    the logical stream).
     Revisions come from ``kv.revision``; ``writes-per-revision`` (logical /
     revisions) is the amplification the batched path removes.
     """
@@ -125,8 +128,9 @@ class Datastore:
         #: sliding-horizon history compaction (etcd ``--auto-compaction``
         #: analogue; None = keep everything): see :meth:`_autocompact`.
         #: Checked where revisions are minted — after each flush — so a
-        #: batched replay pays nothing per simulator event for it; the
-        #: unbatched path, which never flushes, checks after every event.
+        #: batched replay pays nothing per simulator event for it; a
+        #: write-through store, which never flushes, checks after every
+        #: event.
         self.autocompact_keep = autocompact_keep
         if batched:
             # The action boundary: whatever writes a simulator event handler
@@ -156,10 +160,10 @@ class Datastore:
     def flush(self) -> int:
         """Commit the pending write batch; returns keys committed.
 
-        No-op when nothing is pending (or batching is off and clients wrote
-        through).  Watcher callbacks may issue new writes during delivery;
-        those are flushed too (bounded), so the pending set is empty when
-        this returns under any sane watcher graph.
+        No-op when nothing is pending (a write-through store never has
+        anything pending).  Watcher callbacks may issue new writes during
+        delivery; those are flushed too (bounded), so the pending set is
+        empty when this returns under any sane watcher graph.
         """
         pending = self.pending
         if not pending._pending:

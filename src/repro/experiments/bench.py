@@ -4,12 +4,12 @@
 ``benchmarks/test_scheduler_overhead.py`` suite under pytest-benchmark and
 distills the results into a small committed JSON file: the median cost of
 one scheduling pass at queue depths 100 / 2 000 / 20 000 plus the index
-micro-benches.  It also replays a seeded 2k-request workload once per
-Datastore write mode and records the control plane's **write
-amplification** — datastore writes and revisions per scheduling action,
-revisions per 1k requests, and the batched path's revision-reduction
-factor — so the transactional write path's win is tracked alongside pass
-cost.
+micro-benches.  It also replays a seeded 2k-request workload and records
+the control plane's **write amplification** — datastore writes and
+revisions per scheduling action and revisions per 1k requests — so the
+transactional write path's ~1 revision per action is tracked alongside
+pass cost (the ≥ 3× reduction against a write-through store is asserted
+by ``tests/core/test_differential.py``).
 
 The ``end_to_end`` section replays the §V-A workload at 2k / 20k / 100k
 requests through the full system (columnar build → bulk injection → run →
@@ -25,10 +25,9 @@ fresh subprocess with a cold store, plus a resume pass against the
 figure payload at each worker count — identical hashes prove the sharded
 and sequential grids produce byte-identical figure inputs.
 
-The ``pass_elision`` section replays the same workloads with the
-dirty-signal elision engine on and off: the elided-pass fraction proves
-the guard layer engages on the paper's workload, and the per-action
-times document what skipping provably no-op passes buys end to end.
+The ``pass_elision`` section replays the same workloads and records the
+engine's pass counters: the elided-pass fraction proves the guard layer
+engages on the paper's workload.
 
 The ``fault_replay`` section replays the 2k §V-A workload under the
 chaos subsystem's ``recoverable`` profile twice (identical decision-log
@@ -75,9 +74,8 @@ sublinearity), the batched path must stay at ~1 revision per scheduling
 action, the per-action keys must stay history-free (≤0.05 retained
 history entries per action at every size, and the history-free lane
 must actually take writes),
-≥30% of scheduling passes must be elided on the 2k §V-A replay
-and elision must not *lose* at 100k (on ≤ 1.1× off per action, both arms
-best-of-2), the 2k replay's ``run_s`` and every size's req/s must hold
+≥30% of scheduling passes must be elided on the 2k §V-A replay, the
+2k replay's ``run_s`` and every size's req/s must hold
 their calibration-relative budgets, the 1M streaming replay's peak RSS
 must stay within 1.5× the 100k point with 100k streaming throughput at
 ≥0.85× batch, the recoverable-fault replay must complete every request
@@ -189,8 +187,8 @@ def seeded_workload(
 
     Bursty arrivals with Pareto-skewed popularity, deep enough queues to
     exercise hits, misses, evictions, local queues, and the O3 starvation
-    guard.  Shared by the write-amplification bench and the write-path
-    parity tests so both measure the *same* workload.
+    guard.  Shared by the write-amplification bench and the differential
+    suite so both measure the *same* workload.
     """
     rng = random.Random(seed)
     spec = []
@@ -201,8 +199,9 @@ def seeded_workload(
     return spec
 
 
-def _write_amp_mode(batched: bool) -> dict:
-    """Replay the seeded workload and count datastore writes/revisions."""
+def measure_write_amplification() -> dict:
+    """Replay the seeded workload; count datastore writes and revisions
+    per scheduling action."""
     from ..cluster import ClusterSpec
     from ..core.request import InferenceRequest
     from ..models import ModelInstance, get_profile, model_names
@@ -211,11 +210,7 @@ def _write_amp_mode(batched: bool) -> dict:
     names = model_names()
     spec = seeded_workload(_WRITE_AMP_SEED, _WRITE_AMP_REQUESTS)
     system = FaaSCluster(
-        SystemConfig(
-            cluster=ClusterSpec.homogeneous(2, 4),
-            policy="lalbo3",
-            datastore_batching=batched,
-        )
+        SystemConfig(cluster=ClusterSpec.homogeneous(2, 4), policy="lalbo3")
     )
     instances = [
         ModelInstance(f"m{i}", get_profile(names[i % len(names)])) for i in range(30)
@@ -226,7 +221,7 @@ def _write_amp_mode(batched: bool) -> dict:
 
     ds = system.datastore
     actions = len(system.scheduler.decisions)
-    return {
+    batched = {
         "requests": _WRITE_AMP_REQUESTS,
         "scheduling_actions": actions,
         "logical_writes": ds.stats.logical_writes,
@@ -240,20 +235,8 @@ def _write_amp_mode(batched: bool) -> dict:
             ds.kv.revision / _WRITE_AMP_REQUESTS * 1000, 1
         ),
     }
+    return {"workload_seed": _WRITE_AMP_SEED, "batched": batched}
 
-
-def measure_write_amplification() -> dict:
-    """Batched vs. literal write path on the same seeded workload."""
-    unbatched = _write_amp_mode(batched=False)
-    batched = _write_amp_mode(batched=True)
-    return {
-        "workload_seed": _WRITE_AMP_SEED,
-        "unbatched": unbatched,
-        "batched": batched,
-        "revision_reduction_factor": round(
-            unbatched["revisions"] / max(batched["revisions"], 1), 2
-        ),
-    }
 
 #: pre-PR end-to-end wall times (seconds) for the §V-A replay at each size,
 #: measured at commit 32f5d42 (per-request workload build + per-request
@@ -486,18 +469,18 @@ def measure_fault_replay(root: Path | None = None) -> dict:
 # ----------------------------------------------------------------------
 # Pass-elision trajectory
 # ----------------------------------------------------------------------
-# child-process body: one §V-A replay with elision on or off, reporting
-# wall time plus the engine's action/pass counters
+# child-process body: one §V-A replay, reporting wall time plus the
+# engine's action/pass counters
 _ELISION_CHILD_CODE = """
 import json, sys, time
-n = int(sys.argv[1]); elide = sys.argv[2] == "on"
+n = int(sys.argv[1])
 from repro.traces.azure import SyntheticAzureTrace
 from repro.traces.workload import WorkloadSpec, build_workload
 from repro.runtime import FaaSCluster, SystemConfig
 minutes = max(1, round(n / 325))
 workload = build_workload(WorkloadSpec(working_set=15, minutes=minutes),
                           trace=SyntheticAzureTrace())
-system = FaaSCluster(SystemConfig(pass_elision=elide))
+system = FaaSCluster(SystemConfig())
 t0 = time.perf_counter()
 system.submit_workload(workload)
 system.run()
@@ -514,48 +497,25 @@ print(json.dumps({
 """
 
 
-def _elision_replay(root: Path, n_requests: int, *, elide: bool) -> dict:
-    return _run_child(
-        root, _ELISION_CHILD_CODE, n_requests, "on" if elide else "off",
-        label="elision replay",
-    )
-
-
 def measure_pass_elision(root: Path | None = None) -> dict:
-    """§V-A replays with the elision engine on vs off at 2k/20k/100k.
+    """§V-A replays at 2k/20k/100k, each in a fresh subprocess.
 
     Records the elided-pass fraction (the signal that the guard layer
-    actually engages on the paper's workload) and per-action wall time
-    under each engine, each replay in a fresh subprocess.
+    actually engages on the paper's workload) and per-action wall time.
     """
     root = root or _repo_root()
     sizes: dict[str, dict] = {}
     for n in _E2E_SIZES:
-        on = _elision_replay(root, n, elide=True)
-        off = _elision_replay(root, n, elide=False)
-        if n == _E2E_SIZES[-1]:
-            # the 100k point is a bench-check gate (elision must not
-            # lose); take the faster of two runs per arm so single-core
-            # scheduling jitter (±15% observed) doesn't decide it
-            on2 = _elision_replay(root, n, elide=True)
-            off2 = _elision_replay(root, n, elide=False)
-            if on2["run_s"] < on["run_s"]:
-                on = on2
-            if off2["run_s"] < off["run_s"]:
-                off = off2
-        considered = on["passes_elided"] + on["passes_executed"]
+        run = _run_child(root, _ELISION_CHILD_CODE, n, label="elision replay")
+        considered = run["passes_elided"] + run["passes_executed"]
         sizes[str(n)] = {
-            "requests": on["requests"],
-            "actions": on["actions"],
-            "passes_executed": on["passes_executed"],
-            "passes_elided": on["passes_elided"],
-            "elided_fraction": round(on["passes_elided"] / considered, 4),
-            "run_s_elision_on": on["run_s"],
-            "run_s_elision_off": off["run_s"],
-            "per_action_us_elision_on": on["per_action_us"],
-            "per_action_us_elision_off": off["per_action_us"],
-            # with elision off every considered pass executes
-            "passes_executed_elision_off": off["passes_executed"],
+            "requests": run["requests"],
+            "actions": run["actions"],
+            "passes_executed": run["passes_executed"],
+            "passes_elided": run["passes_elided"],
+            "elided_fraction": round(run["passes_elided"] / considered, 4),
+            "run_s_elision_on": run["run_s"],
+            "per_action_us_elision_on": run["per_action_us"],
         }
     return {
         "workload": "§V-A working-set-15, 325 req/min, paper testbed",
@@ -963,9 +923,8 @@ def run_bench(output: str | None = None, *, verbose: bool = True) -> dict:
         amp = report["write_amplification"]
         print(
             "  datastore revisions/action: "
-            f"{amp['unbatched']['revisions_per_scheduling_action']} unbatched -> "
-            f"{amp['batched']['revisions_per_scheduling_action']} batched "
-            f"({amp['revision_reduction_factor']}x fewer)"
+            f"{amp['batched']['revisions_per_scheduling_action']} "
+            f"({amp['batched']['writes_per_scheduling_action']} logical writes)"
         )
         print(f"  calibration spin: {report['calibration']['spin_s']:.4f} s (best of 3)")
         for n, cell in report["commit_path"]["sizes"].items():
@@ -1008,7 +967,6 @@ def run_bench(output: str | None = None, *, verbose: bool = True) -> dict:
             print(
                 f"  pass elision {int(n):>7,} req: "
                 f"{cell['elided_fraction'] * 100:5.1f}% elided  "
-                f"{cell['per_action_us_elision_off']:6.1f} -> "
                 f"{cell['per_action_us_elision_on']:6.1f} us/action"
             )
         obs = report["observability"]
@@ -1160,11 +1118,6 @@ _MAX_1M_RSS_VS_100K = 1.5
 #: compaction are real per-request work — with heavy 1-core variance)
 _MIN_STREAMING_VS_BATCH_RPS = 0.55
 
-#: 100k pass-elision gate: elision-on per-action time may exceed
-#: elision-off by at most this factor (both arms best-of-2; the margin
-#: absorbs residual single-core jitter — elision must not *lose*)
-_MAX_ELISION_ON_VS_OFF_100K = 1.10
-
 # -- commit-path gates ---------------------------------------------------
 #: retained MVCC history entries per scheduling action, at every size:
 #: the per-action keys are history-free, so only the durable keys'
@@ -1199,8 +1152,7 @@ def check_bench(path: str | None = None) -> list[str]:
     * wall-clock gates (2k run budget, per-size throughput floors, the
       faults-disabled floor) are ratios against the report's own
       ``calibration.spin_s``, so they hold on any machine speed;
-    * pass elision must engage (≥30% elided at 2k) and must not lose at
-      100k (per-action on ≤ 1.1× off, both arms best-of-2);
+    * pass elision must engage (≥30% elided at 2k);
     * the streaming tier must prove flat memory (1M peak RSS ≤ 1.5× the
       100k point) without giving back throughput (100k streaming vs batch
       in the same report, floor ``_MIN_STREAMING_VS_BATCH_RPS``);
@@ -1251,16 +1203,6 @@ def check_bench(path: str | None = None) -> list[str]:
             problems.append(
                 f"elided-pass fraction on the 2k §V-A replay = {fraction} "
                 f"(gate ≥ {_MIN_ELIDED_FRACTION}: the guard layer must engage)"
-            )
-        cell_100k = elision.get("100000", {})
-        on_us = cell_100k.get("per_action_us_elision_on")
-        off_us = cell_100k.get("per_action_us_elision_off")
-        if on_us is None or off_us is None:
-            problems.append("pass_elision 100k per-action times missing")
-        elif on_us > _MAX_ELISION_ON_VS_OFF_100K * off_us:
-            problems.append(
-                f"100k pass elision loses: {on_us} µs/action on vs {off_us} off "
-                f"(gate ≤ {_MAX_ELISION_ON_VS_OFF_100K}× — elision must not lose)"
             )
     commit = report.get("commit_path", {}).get("sizes", {})
     if not commit:

@@ -37,17 +37,6 @@ class SystemConfig:
     replacement: str = "lru"
     #: Datastore watch-notification delay (0 = synchronous)
     watch_delay_s: float = 0.0
-    #: batch the control plane's Datastore writes: each scheduling action's
-    #: puts commit as one transaction → one revision → one coalesced watch
-    #: batch (False restores the literal one-revision-per-put path)
-    datastore_batching: bool = True
-    #: event-driven pass elision: the Scheduler consults each policy's
-    #: PassGuard against the dirty signals (idle-set delta, queue length,
-    #: idle local work) and skips provably no-op scheduling passes, and
-    #: policies narrow their idle-GPU walks with the same predicate.
-    #: Decisions are byte-identical either way (asserted by the parity
-    #: suites); False restores the literal always-pass engine.
-    pass_elision: bool = True
     #: auto-compact the Datastore's MVCC history below a sliding revision
     #: horizon of this many revisions (etcd's ``--auto-compaction``
     #: analogue): the KV event log and per-key history stay bounded on

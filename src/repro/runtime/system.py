@@ -43,7 +43,7 @@ class FaaSCluster:
         self.datastore = Datastore(
             self.sim,
             watch_delay=self.config.watch_delay_s,
-            batched=self.config.datastore_batching,
+            batched=True,
             ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES,
             autocompact_keep=self.config.kv_autocompact_keep,
         )
@@ -130,7 +130,6 @@ class FaaSCluster:
             self._managers,
             datastore=self.datastore.client(),
             tenancy=self.tenancy,
-            pass_elision=self.config.pass_elision,
             deadline_s=self.config.deadline_s,
         )
         self.scheduler.on_lost = self.metrics.on_lost
@@ -142,11 +141,6 @@ class FaaSCluster:
         if self.config.trace_decisions:
             self.explain = ExplainLog()
             self.scheduler.explain = self.explain
-        if self.tracer is not None or self.explain is not None:
-            # skip the per-call observed-engine dispatch: every
-            # _run_policy call on this instance goes straight to the
-            # instrumented engine (which re-checks re-entrancy itself)
-            self.scheduler._run_policy = self.scheduler._run_policy_observed
         # rebind the managers' idle callback straight onto the scheduler:
         # the _on_gpu_idle wrapper only forwarded, and the hop runs once
         # per completion
@@ -187,7 +181,7 @@ class FaaSCluster:
 
         # commit construction-time writes (initial GPU statuses) so watchers
         # registered after build observe only post-build changes, exactly as
-        # they would against the unbatched write path
+        # they would against a write-through store
         self.datastore.flush()
 
     # ------------------------------------------------------------------

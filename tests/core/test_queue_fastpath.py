@@ -2,7 +2,7 @@
 
 lazy O3-visit accounting (prefix bumps + materialization), the ordered
 starved set, positional ``push_sorted``, and the allocation-free live walk.
-The end-to-end guarantees are covered by ``test_decision_parity``; these
+The end-to-end guarantees are covered by ``test_differential``; these
 tests pin the queue-level contracts directly.
 """
 

@@ -12,8 +12,10 @@ import random
 
 import pytest
 
+import repro.runtime.system as system_module
 from repro.cluster import ClusterSpec
 from repro.core.request import InferenceRequest
+from repro.datastore import Datastore
 from repro.models import ModelInstance, get_profile, model_names
 from repro.runtime import FaaSCluster, SystemConfig
 
@@ -37,15 +39,22 @@ def _workload(seed: int):
     return spec
 
 
+def _write_through(sim, **kwargs):
+    return Datastore(sim, **{**kwargs, "batched": False})
+
+
 def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True):
-    system = FaaSCluster(
-        SystemConfig(
-            cluster=ClusterSpec.homogeneous(1, 3),
-            policy="lalbo3",
-            kv_autocompact_keep=keep,
-            datastore_batching=batched,
+    with pytest.MonkeyPatch.context() as patch:
+        if not batched:  # the runtime always batches; swap the store under it
+            patch.setattr(system_module, "Datastore", _write_through)
+        system = FaaSCluster(
+            SystemConfig(
+                cluster=ClusterSpec.homogeneous(1, 3),
+                policy="lalbo3",
+                kv_autocompact_keep=keep,
+            )
         )
-    )
+    assert system.datastore.batched is batched
     peak = {"events": 0}
     if track_peak:
         kv = system.datastore.kv
@@ -76,7 +85,7 @@ def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True)
 @pytest.mark.parametrize("batched", (True, False))
 def test_event_log_stays_bounded_and_decisions_unchanged(batched):
     """The horizon is checked after each flush on the batched path and
-    after each event on the unbatched one (which never flushes)."""
+    after each event on a write-through store (which never flushes)."""
     spec = _workload(SEED)
     baseline_system, baseline_decisions, _ = _run(None, spec, batched=batched)
     compacted_system, compacted_decisions, peak_events = _run(

@@ -1,6 +1,11 @@
 """The package's public API surface must stay importable and coherent."""
 
+import dataclasses
+
+import pytest
+
 import repro
+from repro.core.scheduler import Scheduler
 
 
 def test_version():
@@ -42,3 +47,27 @@ def test_subpackages_importable():
     import repro.traces
 
     assert repro.sim.Simulator is not None
+
+
+def test_option_budget():
+    """Every ``SystemConfig`` field is a configuration axis tests and
+    benches must cover, so a new knob has to show up as a diff here —
+    and the engine selectors that were removed must stay removed."""
+    assert {f.name for f in dataclasses.fields(repro.SystemConfig)} == {
+        "cluster", "policy", "o3_limit", "replacement", "watch_delay_s",
+        "kv_autocompact_keep", "latency_log_keep", "quotas", "seed",
+        "fault_profile", "fault_plan", "deadline_s", "max_retries",
+        "retry_backoff_s", "health_heartbeat_s", "health_ttl_s",
+        "metrics_streaming", "metrics_exact_cap", "metrics_spill_path",
+        "tracer", "tracer_capacity", "trace_span_stride", "trace_decisions",
+        "trace_spill_path", "trace_spill_keep",
+    }
+    with pytest.raises(TypeError):
+        repro.SystemConfig(pass_elision=False)
+    with pytest.raises(TypeError):
+        repro.SystemConfig(datastore_batching=False)
+    s = repro.FaaSCluster().scheduler
+    with pytest.raises(TypeError):
+        Scheduler(
+            s.sim, s.cluster, s.policy, s.cache, s.estimator, {}, pass_elision=False
+        )
