@@ -14,8 +14,9 @@ estimator subscribes to local-queue push/pop and keeps a running
 inference-time sum per GPU, so :meth:`estimated_finish_time` is O(1)
 instead of re-walking the GPU's local queue on every Alg. 2 comparison.
 The sum resets to exactly 0.0 whenever a queue empties (bounding
-floating-point drift) and falls back to a lazy reference walk for GPUs the
-estimator has not yet seen a device object for.
+floating-point drift).  The estimator is built with the cluster's devices
+while their local queues are still empty, so every mutation is costed as
+it happens.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ class FinishTimeEstimator:
         sim: Simulator,
         registry: ProfileRegistry,
         local_queues: LocalQueues,
+        gpus: list[GPUDevice],
     ) -> None:
         self.sim = sim
         self.registry = registry
@@ -45,11 +47,9 @@ class FinishTimeEstimator:
         #: maintained by the GPU Managers on every dispatch/completion.
         self._busy_until: dict[str, float] = {}
         #: gpu_id -> device, for costing queue mutations as they happen
-        self._devices: dict[str, GPUDevice] = {}
-        #: gpu_id -> running sum of queued inference times; None marks a
-        #: sum that must be lazily recomputed (mutation seen before the
-        #: device was known)
-        self._queued_cost: dict[str, float | None] = {}
+        self._devices: dict[str, GPUDevice] = {g.gpu_id: g for g in gpus}
+        #: gpu_id -> running sum of queued inference times
+        self._queued_cost: dict[str, float] = {g.gpu_id: 0.0 for g in gpus}
         #: (architecture, gpu_type, batch) -> profiled latency.  Profiles
         #: are immutable once registered, so the memo never invalidates;
         #: Alg. 2 evaluates these on every wait-vs-load comparison.
@@ -60,30 +60,18 @@ class FinishTimeEstimator:
     # ------------------------------------------------------------------
     # Maintained by GPU Managers
     # ------------------------------------------------------------------
-    def register_gpus(self, gpus: list[GPUDevice]) -> None:
-        """Make devices known up front so queue mutations can be costed
-        incrementally from the first push; empty queues start at an exact
-        0.0 sum."""
-        for gpu in gpus:
-            self._devices[gpu.gpu_id] = gpu
-            if self.local_queues.length(gpu.gpu_id) == 0:
-                self._queued_cost[gpu.gpu_id] = 0.0
-
     def _on_queue_change(self, gpu_id: str, request: InferenceRequest, added: bool) -> None:
         if self.local_queues.length(gpu_id) == 0:
             # exact resync at every empty point: incremental float error
             # cannot accumulate across queue generations
             self._queued_cost[gpu_id] = 0.0
             return
-        device = self._devices.get(gpu_id)
-        current = self._queued_cost.get(gpu_id)
-        if device is None:
-            self._queued_cost[gpu_id] = None  # recompute on next estimate
-            return
-        if current is None:
-            return  # sum unknown (mutation preceded the device): stays lazy
-        cost = self.infer_time(request, device)
-        self._queued_cost[gpu_id] = current + cost if added else current - cost
+        cost = self.infer_time(request, self._devices[gpu_id])
+        if added:
+            self._queued_cost[gpu_id] += cost
+        else:
+            self._queued_cost[gpu_id] -= cost
+
     def set_busy_until(self, gpu_id: str, t: float) -> None:
         self._busy_until[gpu_id] = t
 
@@ -114,22 +102,13 @@ class FinishTimeEstimator:
         return t
 
     def queued_cost(self, gpu: GPUDevice) -> float:
-        """Total inference time queued on ``gpu``'s local queue (O(1)).
-
-        Served from the running sum the local-queue observer maintains;
-        recomputed by reference walk only when a mutation arrived before
-        the device was known (stand-alone estimator uses).
-        """
-        cost = self._queued_cost.get(gpu.gpu_id)
-        if cost is None:
-            cost = self.reference_queued_cost(gpu)
-            self._queued_cost[gpu.gpu_id] = cost
-            self._devices.setdefault(gpu.gpu_id, gpu)
-        return cost
+        """Total inference time queued on ``gpu``'s local queue (O(1)),
+        served from the running sum the local-queue observer maintains."""
+        return self._queued_cost[gpu.gpu_id]
 
     def reference_queued_cost(self, gpu: GPUDevice) -> float:
-        """The literal queue walk the running sum replaces (kept for lazy
-        recomputes and the incremental-vs-reference test assertions)."""
+        """The literal queue walk the running sum replaces: the oracle the
+        incremental-vs-reference tests compare against."""
         cost = 0.0
         for req in self.local_queues.requests(gpu.gpu_id):
             cost += self.infer_time(req, gpu)
@@ -166,7 +145,4 @@ class FinishTimeEstimator:
         busy = self._busy_until.get(gpu_id, now)
         if busy < now:
             busy = now
-        cost = self._queued_cost.get(gpu_id)
-        if cost is None:
-            cost = self.queued_cost(busy_gpu)  # lazy recompute path
-        return busy - now + cost < self.load_time(request, idle_gpu)
+        return busy - now + self._queued_cost[gpu_id] < self.load_time(request, idle_gpu)

@@ -1,6 +1,6 @@
 """Metrics: per-run collection and the paper's evaluation summaries."""
 
-from .collector import ExactWindow, MetricsCollector
+from .collector import MetricsCollector
 from .exposition import prometheus_exposition
 from .histogram import DEFAULT_GROWTH, LogHistogram, quantile_error_bound
 from .summary import RunSummary, per_architecture_breakdown, summarize
@@ -8,7 +8,6 @@ from .timeline import TIMELINE_FIELDS, TimelineProbe, TimelineSample, TimelineSa
 
 __all__ = [
     "DEFAULT_GROWTH",
-    "ExactWindow",
     "LogHistogram",
     "MetricsCollector",
     "RunSummary",

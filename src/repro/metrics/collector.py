@@ -9,38 +9,35 @@ The collector observes two event streams:
   model, the quantity behind Fig. 6's "average number of duplicates of the
   top one model".
 
-Storage is **columnar**: every completion appends one row of scalars
-(arrival / dispatch / completion stamps, interned model / GPU /
-architecture codes, hit and SLA outcomes) to per-column append buffers,
-materialized into typed NumPy arrays lazily when read, alongside the
-request-object list kept for drill-down.
-:mod:`~repro.metrics.summary` reduces those columns with vectorized NumPy
-instead of per-request Python loops, and the per-model / miss counters are
-maintained *running* on :meth:`MetricsCollector.on_complete`, so queries
-like :meth:`most_invoked_model` cost O(models) — never a rescan of the
-completed list.
+Completions land in **an exact window that closes**.  While the window is
+open every completion appends one row of scalars (arrival / dispatch /
+completion stamps, interned model / GPU / architecture codes, hit and SLA
+outcomes) and its request object; :meth:`MetricsCollector.columns`
+materializes the rows into typed NumPy arrays lazily, and
+:mod:`~repro.metrics.summary` reduces those columns with vectorized NumPy.
+The per-model / miss counters are maintained *running* on
+:meth:`MetricsCollector.on_complete`, so queries like
+:meth:`most_invoked_model` cost O(models) — never a rescan of the rows.
 
-Streaming mode
---------------
-Columnar storage is linear in replay size, which turns a 10M-request
-replay into an OOM.  ``MetricsCollector(sim, streaming=True)`` keeps
-memory **flat**: completed request objects are not retained, and each
-completion folds into
+Rows are linear in replay size, which turns a 10M-request replay into an
+OOM, so the completion that takes the run past ``exact_cap`` *closes* the
+window: its rows are replayed, in completion order, through
+:meth:`MetricsCollector._fold` into
 
 * fixed-size :class:`~repro.metrics.histogram.LogHistogram` stores
-  (latency overall and per architecture),
-* exact running counters (misses, false misses, SLA totals/violations,
-  per-model invocations, compensated queueing-delay sum), and
-* an *exact window* — compact per-request scalar buffers retained up to
-  ``exact_cap`` completions (default 20k, a few hundred KB).  While the
-  run fits the window, :func:`~repro.metrics.summary.summarize` reduces
-  the very same float64 values with the very same NumPy calls as the
-  columnar path, so the summary is **byte-identical**; past the cap the
-  window is dropped and quantiles come from the histograms within the
-  documented ~1 % relative bound (counts, rates and ratios stay exact).
+  (latency overall and per architecture), and
+* exact running aggregates (SLA totals/violations, per-architecture
+  misses, compensated queueing-delay sum),
+
+then rows and request objects are released and every later completion
+folds directly.  Because the replay is in order, the fold state is the
+same whatever the cap was.  Summaries are exact while the window is open;
+once closed, counts, rates and ratios stay exact and quantiles come from
+the histograms within their documented ~1 % relative bound.
+``exact_cap=None`` (the default) never closes the window.
 
 ``spill_to`` optionally tees every completion row to a CSV on disk for
-drill-down, since streaming mode keeps none of them in memory.
+drill-down past the close.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from ..core.request import InferenceRequest
 from ..sim import Simulator
 from .histogram import LogHistogram
 
-__all__ = ["MetricsCollector", "CompletionColumns", "ExactWindow"]
+__all__ = ["MetricsCollector", "CompletionColumns"]
 
 
 @dataclass(frozen=True)
@@ -89,26 +86,8 @@ class CompletionColumns:
         return self.dispatched - self.arrival
 
 
-@dataclass(frozen=True)
-class ExactWindow:
-    """Typed views of the streaming collector's exact-window buffers.
-
-    Same float64 values, in the same order, as the columnar path's
-    derived columns — reducing them with the same NumPy calls reproduces
-    the columnar summary bit for bit.
-    """
-
-    latency: np.ndarray       # float64, completed - arrival
-    queueing: np.ndarray      # float64, dispatched - arrival (NaN if never)
-    architecture: np.ndarray  # int32 codes
-    cache_hit: np.ndarray     # int8: 1 hit / 0 miss / -1 unknown
-
-    def __len__(self) -> int:
-        return int(self.latency.shape[0])
-
-
 class _ArchStream:
-    """Fixed-size per-architecture fold target (streaming breakdown)."""
+    """Fixed-size per-architecture fold target (breakdown past the close)."""
 
     __slots__ = ("hist", "misses")
 
@@ -118,7 +97,7 @@ class _ArchStream:
 
 
 class _RowSpill:
-    """Lazily-opened CSV tee of completion rows (streaming drill-down)."""
+    """Lazily-opened CSV tee of completion rows (drill-down)."""
 
     __slots__ = ("path", "_fh")
 
@@ -176,11 +155,11 @@ class MetricsCollector:
         self,
         sim: Simulator,
         *,
-        streaming: bool = False,
-        exact_cap: int = 20_000,
+        exact_cap: int | None = None,
         spill_to: str | None = None,
     ) -> None:
         self.sim = sim
+        #: request objects of the open window, for drill-down ([] once closed)
         self.completed: list[InferenceRequest] = []
         self.started_at = sim.now
         # duplicates tracking: current residency count and its time integral
@@ -195,7 +174,9 @@ class MetricsCollector:
         self._invocations: dict[str, int] = {}  # model_id -> completions
         # availability accounting (chaos/robustness): lost requests,
         # failure-retry totals, and open-fault → repair-time tracking
+        #: lost request objects of the open window ([] once closed)
         self.lost: list[InferenceRequest] = []
+        self.lost_count = 0
         self.lost_reasons: dict[str, int] = {}
         self.retries_total = 0
         self.faults_injected = 0
@@ -205,49 +186,34 @@ class MetricsCollector:
         self.tracer = None
         #: (fault kind, target, repair seconds) per healed fault
         self.repairs: list[tuple[str, str, float]] = []
-        # columnar completion buffers: plain Python lists on the append
-        # path (a NumPy scalar store costs several times a list append,
-        # and this runs once per completion), materialized into typed
-        # arrays lazily — and cached — when the columns are read
         self._models = _Interner()
         self._gpus = _Interner()
         self._archs = _Interner()
         self._n = 0
-        #: one 9-field row tuple per completion (a single append beats
-        #: nine per-column appends on the completion path); split into
-        #: typed arrays lazily by columns()
-        self._rows: list[tuple] = []
+        #: completions the window holds before it closes (None = never)
+        self.exact_cap = exact_cap
+        #: the open window: one 9-field row tuple per completion (a single
+        #: plain-list append beats nine per-column appends, and a NumPy
+        #: scalar store costs several times a list append — this runs once
+        #: per completion), split into typed arrays lazily, and cached, by
+        #: columns().  None once the window has closed.
+        self._rows: list[tuple] | None = []
         self._columns_cache: CompletionColumns | None = None
-        # --- streaming (flat-memory) mode state --------------------------
-        self.streaming = streaming
-        self.exact_cap = int(exact_cap)
         self._spill = _RowSpill(spill_to) if spill_to else None
-        self._lost_streamed = 0
-        if streaming:
-            self.lat_hist = LogHistogram()
-            self._arch_stats: dict[int, _ArchStream] = {}
-            # exact-window append buffers; dropped (set to None) past cap
-            self._w_lat: list[float] | None = []
-            self._w_queue: list[float] | None = []
-            self._w_arch: list[int] | None = []
-            self._w_hit: list[int] | None = []
-            self._window_cache: ExactWindow | None = None
-            # exact running aggregates (valid in both regimes)
-            self.sla_total = 0
-            self.sla_violations = 0
-            self._queue_sum = 0.0
-            self._queue_sum_c = 0.0
+        # fold state: empty while the window is open, filled by _fold
+        self.lat_hist = LogHistogram()
+        self._arch_stats: dict[int, _ArchStream] = {}
+        self.sla_total = 0
+        self.sla_violations = 0
+        self._queue_sum = 0.0
+        self._queue_sum_c = 0.0
 
     # ------------------------------------------------------------------
     # Observers
     # ------------------------------------------------------------------
     def on_complete(self, request: InferenceRequest) -> None:
-        if self.streaming:
-            self._on_complete_streaming(request)
-            return
         if request.completed_at is None:
             raise ValueError(f"request {request.request_id} has not completed")
-        self.completed.append(request)
         if request.retries:
             self.retries_total += request.retries
         model_id = request.model_id
@@ -257,7 +223,7 @@ class MetricsCollector:
             self.miss_count += 1
         if request.false_miss:
             self.false_miss_count += 1
-        self._rows.append((
+        row = (
             request.arrival_time,
             request.dispatched_at if request.dispatched_at is not None else np.nan,
             request.completed_at,
@@ -267,92 +233,77 @@ class MetricsCollector:
             -1 if hit is None else (1 if hit else 0),
             request.false_miss,
             request.sla_s if request.sla_s is not None else np.nan,
-        ))
+        )
         self._n += 1
+        rows = self._rows
+        if rows is None:
+            self._fold(row)
+        else:
+            rows.append(row)
+            self.completed.append(request)
+            if self.exact_cap is not None and self._n > self.exact_cap:
+                self._close_window()
+        if self._spill is not None:
+            self._spill.write(request)
 
-    def _on_complete_streaming(self, request: InferenceRequest) -> None:
-        """Fold one completion into fixed-size state; retain nothing.
+    def _fold(self, row: tuple) -> None:
+        """Fold one completion row into the fixed-size state.
 
         The scalar derivations (``completed - arrival`` etc.) are the same
-        IEEE float64 operations the columnar path performs elementwise, so
-        the exact window holds bit-identical values.
+        IEEE float64 operations :class:`CompletionColumns` performs
+        elementwise, so the histograms see the values the columns held.
         """
-        completed = request.completed_at
-        if completed is None:
-            raise ValueError(f"request {request.request_id} has not completed")
-        if request.retries:
-            self.retries_total += request.retries
-        model_id = request.model_id
-        self._invocations[model_id] = self._invocations.get(model_id, 0) + 1
-        hit = request.cache_hit
-        if hit is False:
-            self.miss_count += 1
-        if request.false_miss:
-            self.false_miss_count += 1
-        arrival = request.arrival_time
+        arrival, dispatched, completed, _, _, arch, hit, _, sla = row
         lat = completed - arrival
-        dispatched = request.dispatched_at
-        queue = (dispatched - arrival) if dispatched is not None else float("nan")
-        arch = self._archs.code(request.model.architecture)
-        sla = request.sla_s
-        self._n += 1
-        # exact running aggregates
-        if sla is not None:
+        queue = dispatched - arrival  # NaN if never dispatched
+        if sla == sla:  # NaN = best-effort
             self.sla_total += 1
             if lat > sla:
                 self.sla_violations += 1
+        # Neumaier-compensated running sum
         s = self._queue_sum
         t = s + queue
         self._queue_sum_c += (s - t) + queue if abs(s) >= abs(queue) else (queue - t) + s
         self._queue_sum = t
-        # histogram folds (both regimes; take over past the window)
         self.lat_hist.record(lat)
         stats = self._arch_stats.get(arch)
         if stats is None:
             stats = self._arch_stats[arch] = _ArchStream()
         stats.hist.record(lat)
-        if hit is False:
+        if hit == 0:
             stats.misses += 1
-        # exact window, dropped once the run outgrows it
-        w_lat = self._w_lat
-        if w_lat is not None:
-            if self._n <= self.exact_cap:
-                w_lat.append(lat)
-                self._w_queue.append(queue)
-                self._w_arch.append(arch)
-                self._w_hit.append(-1 if hit is None else (1 if hit else 0))
-            else:
-                self._w_lat = self._w_queue = self._w_arch = self._w_hit = None
-                self._window_cache = None
-        if self._spill is not None:
-            self._spill.write(request)
 
-    def exact_window(self) -> ExactWindow | None:
-        """Typed views of the exact window, or ``None`` once outgrown.
+    def _close_window(self) -> None:
+        """The run outgrew ``exact_cap``: replay the window through
+        :meth:`_fold` in completion order and release it."""
+        rows = self._rows
+        self._rows = None
+        self._columns_cache = None
+        self.completed = []
+        self.lost = []
+        for row in rows:
+            self._fold(row)
 
-        Streaming mode only.  Cached until the next completion, like
-        :meth:`columns`.
-        """
-        if not self.streaming:
-            raise RuntimeError("exact_window() is only meaningful in streaming mode")
-        if self._w_lat is None:
-            return None
-        cached = self._window_cache
-        if cached is not None and len(cached) == self._n:
-            return cached
-        window = ExactWindow(
-            latency=np.asarray(self._w_lat, dtype=np.float64),
-            queueing=np.asarray(self._w_queue, dtype=np.float64),
-            architecture=np.asarray(self._w_arch, dtype=np.int32),
-            cache_hit=np.asarray(self._w_hit, dtype=np.int8),
-        )
-        self._window_cache = window
-        return window
+    @property
+    def window_open(self) -> bool:
+        """Whether every completion so far is still held as an exact row."""
+        return self._rows is not None
 
     @property
     def queueing_sum(self) -> float:
-        """Compensated running sum of queueing delays (streaming mode)."""
+        """Compensated sum of the folded queueing delays: every completion's,
+        once the window has closed."""
         return self._queue_sum + self._queue_sum_c
+
+    def latency_histogram(self) -> LogHistogram:
+        """Latency histogram over every completion so far: the live fold
+        target once the window has closed, else filled from the open
+        window on demand."""
+        if self._rows is None:
+            return self.lat_hist
+        hist = LogHistogram()
+        hist.record_many(row[2] - row[0] for row in self._rows)
+        return hist
 
     def close_spill(self) -> None:
         """Flush and close the row-spill CSV, if one was configured."""
@@ -379,9 +330,8 @@ class MetricsCollector:
     def on_lost(self, request: InferenceRequest, reason: str) -> None:
         """A request left the system without completing (deadline timeout
         or exhausted retry budget)."""
-        if self.streaming:
-            self._lost_streamed += 1
-        else:
+        self.lost_count += 1
+        if self._rows is not None:
             self.lost.append(request)
         self.lost_reasons[reason] = self.lost_reasons.get(reason, 0) + 1
         if request.retries:
@@ -403,10 +353,6 @@ class MetricsCollector:
             self.repairs.append((kind, target, self.sim.now - start))
         if self.tracer is not None:
             self.tracer.fault_cleared(kind, target)
-
-    @property
-    def lost_count(self) -> int:
-        return self._lost_streamed if self.streaming else len(self.lost)
 
     def mean_mttr(self) -> float:
         """Mean time-to-repair over every healed fault (0.0 if none)."""
@@ -447,23 +393,25 @@ class MetricsCollector:
         return self._archs.names
 
     def columns(self) -> CompletionColumns:
-        """Typed array views of the completion columns.
+        """Typed array views of the open window's completion columns.
 
-        Materialized from the append buffers on demand and cached until
-        the next completion, so the several summarize/breakdown consumers
-        of one finished run convert each column exactly once.
+        Materialized from the row buffer on demand and cached until the
+        next completion, so the several summarize/breakdown consumers of
+        one finished run convert each column exactly once.  Raises once
+        the window has closed — the rows are gone.
         """
-        if self.streaming:
+        rows = self._rows
+        if rows is None:
             raise RuntimeError(
-                "streaming collector keeps no per-request columns; "
-                "use exact_window() / lat_hist instead"
+                f"the exact window closed past {self.exact_cap} completions; "
+                "use latency_histogram() and the running counters instead"
             )
         cached = self._columns_cache
         if cached is not None and len(cached) == self._n:
             return cached
-        if self._rows:
+        if rows:
             (arrival, dispatched, completed, model, gpu, arch,
-             cache_hit, false_miss, sla) = zip(*self._rows)
+             cache_hit, false_miss, sla) = zip(*rows)
         else:
             arrival = dispatched = completed = model = gpu = arch = ()
             cache_hit = false_miss = sla = ()

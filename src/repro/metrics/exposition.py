@@ -8,9 +8,10 @@ Prometheus text exposition format (``# HELP`` / ``# TYPE`` lines,
 ``metric{label="v"} value`` samples).  Pure rendering: nothing here
 adds state or hot-path cost; it reads counters that exist either way.
 
-In streaming-metrics mode the latency :class:`~repro.metrics.histogram.
-LogHistogram` is rendered as a Prometheus histogram (cumulative ``le``
-buckets over the non-empty log buckets, plus ``_sum`` / ``_count``).
+Request latency is rendered as a Prometheus histogram (cumulative ``le``
+buckets over the non-empty buckets of the collector's
+:meth:`~repro.metrics.collector.MetricsCollector.latency_histogram`, plus
+``_sum`` / ``_count``) in every configuration.
 """
 
 from __future__ import annotations
@@ -116,21 +117,20 @@ def prometheus_exposition(system) -> str:
             _sample(lines, "repro_trace_records_dropped_total",
                     dropped[ring], f'{{ring="{ring}"}}')
 
-    if metrics.streaming:
-        hist = metrics.lat_hist
-        name = "repro_request_latency_seconds"
-        _metric(lines, name, "histogram",
-                "End-to-end request latency (streaming log-histogram)")
-        cumulative = 0
-        counts = hist.counts
-        for i in range(len(counts)):
-            c = int(counts[i])
-            if not c:
-                continue
-            cumulative += c
-            le = hist.lo * hist.growth ** (i + 1)
-            _sample(lines, f"{name}_bucket", cumulative, f'{{le="{le!r}"}}')
-        _sample(lines, f"{name}_bucket", cumulative, '{le="+Inf"}')
-        _sample(lines, f"{name}_sum", float(hist.sum))
-        _sample(lines, f"{name}_count", hist.count)
+    hist = metrics.latency_histogram()
+    name = "repro_request_latency_seconds"
+    _metric(lines, name, "histogram",
+            "End-to-end request latency (log-bucketed histogram)")
+    cumulative = 0
+    counts = hist.counts
+    for i in range(len(counts)):
+        c = int(counts[i])
+        if not c:
+            continue
+        cumulative += c
+        le = hist.lo * hist.growth ** (i + 1)
+        _sample(lines, f"{name}_bucket", cumulative, f'{{le="{le!r}"}}')
+    _sample(lines, f"{name}_bucket", cumulative, '{le="+Inf"}')
+    _sample(lines, f"{name}_sum", float(hist.sum))
+    _sample(lines, f"{name}_count", hist.count)
     return "\n".join(lines) + "\n"

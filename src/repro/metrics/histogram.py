@@ -1,22 +1,21 @@
-"""Fixed-size log-bucketed histograms for streaming metrics.
+"""Fixed-size log-bucketed histograms: the metrics fold target.
 
-The columnar :class:`~repro.metrics.collector.MetricsCollector` keeps one
-row per completion, which makes memory linear in replay size — fine at
-100k requests, an OOM at 10M.  :class:`LogHistogram` is the fold target
-for the streaming mode: per-request latency samples land in a **fixed**
-array of log-spaced buckets (the HdrHistogram shape), alongside running
-compensated sums, so a million-request replay carries the same few
-kilobytes of metric state as a two-thousand-request one.
+The :class:`~repro.metrics.collector.MetricsCollector`'s exact window
+keeps one row per completion, which makes memory linear in replay size —
+fine at 100k requests, an OOM at 10M.  :class:`LogHistogram` is what the
+rows fold into when the window closes: per-request latency samples land
+in a **fixed** array of log-spaced buckets (the HdrHistogram shape),
+alongside running compensated sums, so a million-request replay carries
+the same few kilobytes of metric state as a two-thousand-request one.
 
 Accuracy contract
 -----------------
 * ``count`` / ``min`` / ``max`` are exact.
 * ``sum`` (and therefore ``mean``) uses Neumaier-compensated summation:
   exact to the last float64 rounding of the true sum — in practice it
-  matches NumPy's pairwise ``mean`` to ~1 ulp, and the streaming
-  collector only relies on it *above* its exact-buffer cap (below the
-  cap, summaries come from the retained sample buffer and are
-  byte-identical to the columnar path).
+  matches NumPy's pairwise ``mean`` to ~1 ulp, and the collector only
+  relies on it once its exact window has closed (while the window is
+  open, summaries are NumPy reductions of the retained rows).
 * ``variance`` derives from the compensated sum of squares; same regime.
 * ``quantile`` reports the **geometric midpoint** of the bucket holding
   the q-th sample.  With bucket boundaries growing by ``growth`` per
@@ -58,7 +57,7 @@ def quantile_error_bound(growth: float = DEFAULT_GROWTH) -> float:
 
 
 class LogHistogram:
-    """Streaming histogram over positive float samples, fixed memory.
+    """Histogram over positive float samples, fixed memory.
 
     >>> h = LogHistogram()
     >>> for v in (0.5, 1.0, 2.0, 4.0):

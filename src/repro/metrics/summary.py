@@ -5,11 +5,11 @@ and GPU (SM) utilization; plus the efficiency metrics of §V-D (false miss
 ratio, average duplicates of the hottest model) and the latency variance
 examined in the O3 sensitivity study (§V-E).
 
-All request-level quantities reduce the collector's completion *columns*
-with NumPy (means, percentiles, masked SLA counts) rather than iterating
-request objects; the object path survives only as a fallback for
-collectors whose ``completed`` list was populated out-of-band (hand-built
-fixtures), detected by a row-count mismatch.
+Request-level quantities come from one of two sources, chosen by what the
+collector still holds: while its exact window is open, NumPy reductions
+over the completion *columns* (means, percentiles, masked SLA counts);
+once the window has closed, the log histograms and running sums the rows
+were folded into.  Counts, rates and ratios are exact either way.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.topology import Cluster
-from ..core.request import InferenceRequest
 from .collector import MetricsCollector
 
 __all__ = ["RunSummary", "summarize"]
@@ -77,99 +76,46 @@ class RunSummary:
         }
 
 
-def _latencies(requests: list[InferenceRequest]) -> np.ndarray:
-    return np.array([r.latency for r in requests], dtype=float)
-
-
-def _columns_current(collector: MetricsCollector) -> bool:
-    """Columns cover the completed list (False for hand-built fixtures)."""
-    return collector.completed_count == len(collector.completed)
-
-
 def per_architecture_breakdown(collector: MetricsCollector) -> dict[str, dict[str, float]]:
     """Per-architecture statistics: count, mean latency, miss ratio.
 
     Big models (vgg19) pay more per miss than small ones (squeezenet), so
-    the breakdown shows where the locality wins come from.  Groups by the
-    interned architecture codes: one boolean mask per architecture instead
-    of a Python dict-of-lists pass over the requests.
+    the breakdown shows where the locality wins come from.  With the
+    window open, groups by the interned architecture codes: one boolean
+    mask per architecture instead of a Python dict-of-lists pass over the
+    requests.  Past the close, reads the per-architecture histograms.
     """
-    if getattr(collector, "streaming", False):
-        return _per_architecture_breakdown_streaming(collector)
-    if not _columns_current(collector):
-        return _per_architecture_breakdown_objects(collector)
-    cols = collector.columns()
-    lat = cols.latency
-    misses = cols.cache_hit == 0
-    out: dict[str, dict[str, float]] = {}
     names = collector.architectures
-    for code in sorted(range(len(names)), key=lambda c: names[c]):
-        mask = cols.architecture == code
-        n = int(mask.sum())
-        if not n:
-            continue
-        sel = lat[mask]
-        out[names[code]] = {
-            "count": float(n),
-            "avg_latency_s": float(sel.mean()),
-            "p99_latency_s": float(np.percentile(sel, 99)),
-            "miss_ratio": float(misses[mask].sum()) / n,
-        }
-    return out
-
-
-def _per_architecture_breakdown_streaming(collector: MetricsCollector) -> dict[str, dict[str, float]]:
-    """Streaming-mode breakdown: exact inside the window, histogram past it."""
-    names = collector.architectures
-    window = collector.exact_window()
-    out: dict[str, dict[str, float]] = {}
-    if window is not None:
-        # same masks, same float64 values, same reductions as the
-        # columnar branch → byte-identical results
-        lat = window.latency
-        misses = window.cache_hit == 0
-        for code in sorted(range(len(names)), key=lambda c: names[c]):
-            mask = window.architecture == code
-            n = int(mask.sum())
-            if not n:
-                continue
+    #: architecture code -> (count, mean latency, p99 latency, misses)
+    cells: dict[int, tuple[int, float, float, float]] = {}
+    if collector.window_open:
+        cols = collector.columns()
+        lat = cols.latency
+        misses = cols.cache_hit == 0
+        for code in range(len(names)):
+            mask = cols.architecture == code
             sel = lat[mask]
-            out[names[code]] = {
-                "count": float(n),
-                "avg_latency_s": float(sel.mean()),
-                "p99_latency_s": float(np.percentile(sel, 99)),
-                "miss_ratio": float(misses[mask].sum()) / n,
-            }
-        return out
-    for code in sorted(collector._arch_stats, key=lambda c: names[c]):
-        stats = collector._arch_stats[code]
-        n = stats.hist.count
-        if not n:
-            continue
-        out[names[code]] = {
+            cells[code] = (
+                int(mask.sum()),
+                float(sel.mean()),
+                float(np.percentile(sel, 99)),
+                float(misses[mask].sum()),
+            )
+    else:
+        for code, stats in collector._arch_stats.items():
+            hist = stats.hist
+            cells[code] = (hist.count, hist.mean(), hist.percentile(99), stats.misses)
+    return {
+        names[code]: {
             "count": float(n),
-            "avg_latency_s": stats.hist.mean(),
-            "p99_latency_s": stats.hist.percentile(99),
-            "miss_ratio": stats.misses / n,
+            "avg_latency_s": avg,
+            "p99_latency_s": p99,
+            "miss_ratio": n_misses / n,
         }
-    return out
-
-
-def _per_architecture_breakdown_objects(collector: MetricsCollector) -> dict[str, dict[str, float]]:
-    groups: dict[str, list[InferenceRequest]] = {}
-    for r in collector.completed:
-        groups.setdefault(r.model.architecture, []).append(r)
-    out: dict[str, dict[str, float]] = {}
-    for arch, reqs in sorted(groups.items()):
-        lat = _latencies(reqs)
-        misses = sum(1 for r in reqs if r.cache_hit is False)
-        out[arch] = {
-            "count": float(len(reqs)),
-            "avg_latency_s": float(lat.mean()),
-            "p99_latency_s": float(np.percentile(lat, 99)),
-            "miss_ratio": misses / len(reqs),
-        }
-    return out
+        for code, (n, avg, p99, n_misses) in sorted(
+            cells.items(), key=lambda cell: names[cell[0]]
+        )
+    }
 
 
 def summarize(
@@ -186,102 +132,29 @@ def summarize(
     ``top_model`` defaults to the most-invoked model instance; pass it
     explicitly when the workload's hottest function is known a priori.
     ``horizon`` defaults to the collector's current simulated time.
-    """
-    if getattr(collector, "streaming", False):
-        return _summarize_streaming(
-            collector,
-            cluster,
-            policy=policy,
-            working_set=working_set,
-            horizon=horizon,
-            top_model=top_model,
-        )
-    reqs = collector.completed
-    end = horizon if horizon is not None else collector.sim.now
-    duration = max(end - collector.started_at, 1e-12)
-    if not reqs:
-        raise ValueError("no completed requests to summarize")
-    if _columns_current(collector):
-        cols = collector.columns()
-        lat = cols.latency
-        queueing_mean = float(np.mean(cols.queueing))
-        misses = int(collector.miss_count)
-        false_misses = int(collector.false_miss_count)
-        with_sla = ~np.isnan(cols.sla_s)
-        n_sla = int(with_sla.sum())
-        n_violations = int(np.sum(lat[with_sla] > cols.sla_s[with_sla]))
-        sla_violations = n_violations / n_sla if n_sla else 0.0
-    else:  # out-of-band completed list: fall back to the object walk
-        lat = _latencies(reqs)
-        queueing_mean = float(np.mean([r.queueing_delay for r in reqs]))
-        misses = sum(1 for r in reqs if r.cache_hit is False)
-        false_misses = sum(1 for r in reqs if r.false_miss)
-        sla_reqs = [r for r in reqs if r.sla_s is not None]
-        n_violations = sum(1 for r in sla_reqs if not r.met_sla)
-        sla_violations = n_violations / len(sla_reqs) if sla_reqs else 0.0
-    top = top_model if top_model is not None else collector.most_invoked_model()
-    sm = float(np.mean([g.sm_utilization(horizon=duration) for g in cluster.gpus]))
-    return RunSummary(
-        policy=policy,
-        working_set=working_set,
-        completed_requests=len(reqs),
-        avg_latency_s=float(lat.mean()),
-        latency_variance=float(lat.var(ddof=0)),
-        p50_latency_s=float(np.percentile(lat, 50)),
-        p99_latency_s=float(np.percentile(lat, 99)),
-        cache_miss_ratio=misses / len(reqs),
-        sm_utilization=sm,
-        false_miss_ratio=false_misses / len(reqs),
-        avg_duplicates_top_model=(
-            collector.average_duplicates(top, horizon=end) if top is not None else 0.0
-        ),
-        top_model=top,
-        avg_queueing_s=queueing_mean,
-        horizon_s=duration,
-        sla_violation_ratio=sla_violations,
-        lost_requests=len(getattr(collector, "lost", ())),
-        total_retries=int(getattr(collector, "retries_total", 0)),
-        # goodput: completions that met their SLA (best-effort requests
-        # count as good) per second of run
-        goodput_rps=(len(reqs) - n_violations) / duration,
-        faults_injected=int(getattr(collector, "faults_injected", 0)),
-        mean_mttr_s=float(collector.mean_mttr())
-        if hasattr(collector, "mean_mttr")
-        else 0.0,
-    )
 
-
-def _summarize_streaming(
-    collector: MetricsCollector,
-    cluster: Cluster,
-    *,
-    policy: str = "?",
-    working_set: int = 0,
-    horizon: float | None = None,
-    top_model: str | None = None,
-) -> RunSummary:
-    """Summary off the streaming collector's fixed-size state.
-
-    While the run still fits the exact window this reduces the identical
-    float64 values with the identical NumPy calls as the columnar branch
-    of :func:`summarize` — byte-for-byte the same :class:`RunSummary`.
-    Past the window, counts / ratios / SLA numbers stay exact (running
-    counters), means come from compensated sums, and quantiles come from
-    the log histograms within their documented relative-error bound.
+    While the collector's exact window is open every quantity is an exact
+    reduction of the retained rows.  Once it has closed, counts / ratios /
+    SLA numbers stay exact (running counters), means come from compensated
+    sums, and quantiles come from the log histograms within their
+    documented relative-error bound.
     """
     n = collector.completed_count
     end = horizon if horizon is not None else collector.sim.now
     duration = max(end - collector.started_at, 1e-12)
     if not n:
         raise ValueError("no completed requests to summarize")
-    window = collector.exact_window()
-    if window is not None:
-        lat = window.latency
+    if collector.window_open:
+        cols = collector.columns()
+        lat = cols.latency
         avg_latency = float(lat.mean())
         latency_var = float(lat.var(ddof=0))
         p50 = float(np.percentile(lat, 50))
         p99 = float(np.percentile(lat, 99))
-        queueing_mean = float(np.mean(window.queueing))
+        queueing_mean = float(np.mean(cols.queueing))
+        with_sla = ~np.isnan(cols.sla_s)
+        n_sla = int(with_sla.sum())
+        n_violations = int(np.sum(lat[with_sla] > cols.sla_s[with_sla]))
     else:
         hist = collector.lat_hist
         avg_latency = hist.mean()
@@ -289,8 +162,8 @@ def _summarize_streaming(
         p50 = hist.percentile(50)
         p99 = hist.percentile(99)
         queueing_mean = collector.queueing_sum / n
-    n_violations = collector.sla_violations
-    sla_violations = n_violations / collector.sla_total if collector.sla_total else 0.0
+        n_sla = collector.sla_total
+        n_violations = collector.sla_violations
     top = top_model if top_model is not None else collector.most_invoked_model()
     sm = float(np.mean([g.sm_utilization(horizon=duration) for g in cluster.gpus]))
     return RunSummary(
@@ -310,10 +183,12 @@ def _summarize_streaming(
         top_model=top,
         avg_queueing_s=queueing_mean,
         horizon_s=duration,
-        sla_violation_ratio=sla_violations,
+        sla_violation_ratio=n_violations / n_sla if n_sla else 0.0,
         lost_requests=collector.lost_count,
-        total_retries=int(collector.retries_total),
+        total_retries=collector.retries_total,
+        # goodput: completions that met their SLA (best-effort requests
+        # count as good) per second of run
         goodput_rps=(n - n_violations) / duration,
-        faults_injected=int(collector.faults_injected),
-        mean_mttr_s=float(collector.mean_mttr()),
+        faults_injected=collector.faults_injected,
+        mean_mttr_s=collector.mean_mttr(),
     )

@@ -82,17 +82,16 @@ class SystemConfig:
     #: built whenever a fault plan is active; TTL must exceed the cadence)
     health_heartbeat_s: float = 1.0
     health_ttl_s: float = 3.0
-    #: flat-memory metrics: fold completions into fixed-size histograms /
-    #: running counters instead of columnar per-request storage (see
-    #: :mod:`repro.metrics.collector`).  Summaries are byte-identical to
-    #: columnar up to ``metrics_exact_cap`` completions, ~1 %-bounded
-    #: quantiles beyond.  False keeps the exact columnar store.
-    metrics_streaming: bool = False
-    #: streaming mode's exact-window size (completions whose scalars are
-    #: retained for byte-exact summaries before histograms take over)
-    metrics_exact_cap: int = 20_000
-    #: optional CSV path: streaming mode tees every completion row there
-    #: for drill-down, since it keeps none of them in memory
+    #: completions the metrics collector keeps as exact per-request rows
+    #: (see :mod:`repro.metrics.collector`).  A run that outgrows the cap
+    #: closes the window: the rows fold into fixed-size histograms /
+    #: running sums and are released, so memory stays flat — counts and
+    #: rates stay exact, quantiles hold a ~1 % relative bound.  None
+    #: (default) keeps every row, which the paper's figures need; 0 folds
+    #: from the first completion.
+    metrics_exact_cap: int | None = None
+    #: optional CSV path: every completion row is teed there for
+    #: drill-down, whether or not the window still holds it
     metrics_spill_path: str | None = None
     #: tracing backend: ``"null"`` (default) installs nothing — every
     #: component keeps its ``None`` tracer and the hot paths pay one
@@ -154,10 +153,8 @@ class SystemConfig:
             raise ValueError("health_heartbeat_s must be positive")
         if self.health_ttl_s <= self.health_heartbeat_s:
             raise ValueError("health_ttl_s must exceed health_heartbeat_s")
-        if self.metrics_exact_cap < 0:
+        if self.metrics_exact_cap is not None and self.metrics_exact_cap < 0:
             raise ValueError("metrics_exact_cap cannot be negative")
-        if self.metrics_spill_path is not None and not self.metrics_streaming:
-            raise ValueError("metrics_spill_path requires metrics_streaming=True")
         if self.tracer not in ("null", "flight"):
             raise ValueError(f"unknown tracer {self.tracer!r} (known: null, flight)")
         if self.tracer_capacity < 16:
@@ -180,21 +177,21 @@ class SystemConfig:
 def streaming_config(**overrides) -> SystemConfig:
     """A :class:`SystemConfig` with every at-scale bounded-memory default on.
 
-    The flat-RSS replay preset: streaming metrics (histogram fold past the
-    exact window), MVCC autocompaction (bounded KV event log), and a
-    sliding latency-record window (bounded live key set) — the three
-    linear-memory consumers a million-request replay cannot afford.
-    Any field can still be overridden, including the defaults this preset
-    sets.
+    The flat-RSS replay preset: a capped metrics window (rows fold into
+    histograms once the run outgrows it), MVCC autocompaction (bounded KV
+    event log), and a sliding latency-record window (bounded live key
+    set) — the three linear-memory consumers a million-request replay
+    cannot afford.  Any field can still be overridden, including the
+    defaults this preset sets.
 
     >>> cfg = streaming_config(policy="lalb")
-    >>> cfg.metrics_streaming, cfg.kv_autocompact_keep, cfg.policy
-    (True, 20000, 'lalb')
+    >>> cfg.metrics_exact_cap, cfg.kv_autocompact_keep, cfg.policy
+    (20000, 20000, 'lalb')
     >>> cfg.latency_log_keep
     20000
     """
     merged: dict = {
-        "metrics_streaming": True,
+        "metrics_exact_cap": DEFAULT_STREAMING_COMPACT_KEEP,
         "kv_autocompact_keep": DEFAULT_STREAMING_COMPACT_KEEP,
         "latency_log_keep": DEFAULT_STREAMING_COMPACT_KEEP,
     }

@@ -54,7 +54,6 @@ class FaaSCluster:
 
         self.metrics = MetricsCollector(
             self.sim,
-            streaming=self.config.metrics_streaming,
             exact_cap=self.config.metrics_exact_cap,
             spill_to=self.config.metrics_spill_path,
         )
@@ -85,8 +84,9 @@ class FaaSCluster:
             self.cache.tracer = self.tracer
 
         local_queues = LocalQueues()
-        self.estimator = FinishTimeEstimator(self.sim, self.registry, local_queues)
-        self.estimator.register_gpus(self.cluster.gpus)
+        self.estimator = FinishTimeEstimator(
+            self.sim, self.registry, local_queues, self.cluster.gpus
+        )
 
         self.tenancy: TenancyController | None = None
         if self.config.quotas:

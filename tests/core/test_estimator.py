@@ -14,7 +14,7 @@ def env():
     sim = Simulator()
     cluster = build_cluster(sim, ClusterSpec.homogeneous(1, 2))
     lq = LocalQueues()
-    est = FinishTimeEstimator(sim, ProfileRegistry.from_table1(), lq)
+    est = FinishTimeEstimator(sim, ProfileRegistry.from_table1(), lq, cluster.gpus)
     return sim, cluster, lq, est
 
 
@@ -76,7 +76,6 @@ class TestIncrementalQueuedCost:
     def test_incremental_sum_tracks_push_pop(self, env, make_request):
         sim, cluster, lq, est = env
         gpu = cluster.gpus[0]
-        est.register_gpus(cluster.gpus)
         rng_ops = [
             make_request(f"fn-{i}", arch)
             for i, arch in enumerate(["resnet50", "alexnet", "vgg19", "vgg16"])
@@ -91,28 +90,21 @@ class TestIncrementalQueuedCost:
     def test_sum_resets_exactly_at_empty(self, env, make_request):
         sim, cluster, lq, est = env
         gpu = cluster.gpus[0]
-        est.register_gpus(cluster.gpus)
         for _ in range(3):
             lq.push(gpu.gpu_id, make_request("fn", "resnet50"))
         while lq.length(gpu.gpu_id):
             lq.pop(gpu.gpu_id)
         assert est.queued_cost(gpu) == 0.0  # exact zero, not accumulated drift
 
-    def test_unregistered_gpu_falls_back_to_reference_walk(self, env, make_request):
+    def test_queue_mutation_for_unknown_gpu_raises(self, env, make_request):
         sim, cluster, lq, est = env
-        gpu = cluster.gpus[0]
-        # no register_gpus: the push is observed before the device is known
-        lq.push(gpu.gpu_id, make_request("fn", "alexnet"))
-        assert est.queued_cost(gpu) == pytest.approx(est.reference_queued_cost(gpu))
-        # the lazy recompute registered the device: further mutations are
-        # tracked incrementally
-        lq.push(gpu.gpu_id, make_request("fn2", "vgg19"))
-        assert est.queued_cost(gpu) == pytest.approx(est.reference_queued_cost(gpu))
+        # devices are fixed at construction: there is no lazy fallback
+        with pytest.raises(KeyError):
+            lq.push("no-such-gpu", make_request("fn", "alexnet"))
 
     def test_estimated_finish_time_uses_running_sum(self, env, make_request):
         sim, cluster, lq, est = env
         gpu = cluster.gpus[0]
-        est.register_gpus(cluster.gpus)
         est.set_busy_until(gpu.gpu_id, 2.0)
         lq.push(gpu.gpu_id, make_request("fn-a", "resnet50"))  # 1.28 s
         assert est.estimated_finish_time(gpu) == pytest.approx(2.0 + 1.28)

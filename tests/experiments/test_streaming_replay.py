@@ -1,9 +1,9 @@
 """End-to-end streaming replay: parity with batch, flat memory state.
 
-The streaming pipeline (chunked columns → low-water refill →
-histogram-fold metrics → KV autocompaction) must change *where requests
-live*, never *what the run computes*: at exact-window sizes its summary
-is byte-identical to the batch pipeline's, for any chunking.
+The streaming pipeline (chunked columns → low-water refill → capped
+metrics window → KV autocompaction) must change *where requests live*,
+never *what the run computes*: while the run fits the metrics window its
+summary is byte-identical to the batch pipeline's, for any chunking.
 """
 
 import gc
@@ -65,16 +65,24 @@ class TestBatchParity:
 
 class TestFlatMemoryState:
     def test_no_linear_state_retained(self):
+        """Retained per-request state is bounded by the cap: nothing once
+        the run has outgrown it, at most ``cap`` rows before."""
+        cap = 500
+        _, system = replay_streaming(SPEC, config=streaming_config(metrics_exact_cap=cap))
+        m = system.metrics
+        assert m.completed_count > cap and not m.window_open
+        assert m.completed == [] and m.lost == []
+        assert m._rows is None
+        assert m.lat_hist.count == m.completed_count
+        # the default preset's window still holds this 2k replay, whole
         _, system = replay_streaming(SPEC)
         m = system.metrics
-        assert m.streaming
-        assert m.completed == []
-        assert m._rows == []
-        assert m.lat_hist.count == m.completed_count > 0
+        assert m.window_open
+        assert len(m.completed) == len(m._rows) == m.completed_count <= m.exact_cap
 
     def test_streaming_config_defaults(self):
         cfg = streaming_config()
-        assert cfg.metrics_streaming
+        assert cfg.metrics_exact_cap == DEFAULT_STREAMING_COMPACT_KEEP
         assert cfg.kv_autocompact_keep == DEFAULT_STREAMING_COMPACT_KEEP
         assert streaming_config(kv_autocompact_keep=7).kv_autocompact_keep == 7
 
@@ -122,9 +130,16 @@ class TestFlatMemoryState:
         assert history_large <= history_small + slack
         assert tracked_large <= tracked_small + slack
 
-    def test_spill_path_requires_streaming(self):
-        with pytest.raises(ValueError):
-            SystemConfig(metrics_spill_path="/tmp/x.csv")
+    def test_spill_under_default_cap_tees_every_completion(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        spec = WorkloadSpec(working_set=15, minutes=1, seed=0)
+        summary, system = replay_streaming(
+            spec, config=SystemConfig(metrics_spill_path=str(path))
+        )
+        assert system.metrics.window_open
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) - 1 == summary.completed_requests > 0  # minus header
 
 
 class TestIdleMinutes:

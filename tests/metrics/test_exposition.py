@@ -2,6 +2,8 @@
 
 import re
 
+import pytest
+
 from repro.metrics import prometheus_exposition
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces.azure import SyntheticAzureTrace
@@ -62,10 +64,28 @@ def test_no_tracer_metrics_without_tracer():
     assert "repro_trace_records_total" not in text
 
 
-def test_streaming_mode_renders_latency_histogram():
-    system = _replay(SystemConfig(metrics_streaming=True, metrics_exact_cap=0))
+@pytest.mark.parametrize(
+    "cfg",
+    [SystemConfig(), SystemConfig(metrics_exact_cap=0)],
+    ids=["window-open", "window-closed"],
+)
+def test_latency_histogram_rendered_in_every_configuration(cfg):
+    system = _replay(cfg)
+    assert system.metrics.window_open == (cfg.metrics_exact_cap is None)
     text = prometheus_exposition(system)
     assert "# TYPE repro_request_latency_seconds histogram" in text
-    assert 'repro_request_latency_seconds_bucket{le="+Inf"}' in text
-    count = re.search(r"repro_request_latency_seconds_count (\d+)", text)
-    assert count and int(count.group(1)) == system.metrics.completed_count
+    n = system.metrics.completed_count
+    assert f'repro_request_latency_seconds_bucket{{le="+Inf"}} {n}' in text
+    assert re.search(r"^repro_request_latency_seconds_sum \S+$", text, re.M)
+    count = re.search(r"^repro_request_latency_seconds_count (\d+)$", text, re.M)
+    assert count and int(count.group(1)) == n > 0
+
+
+def test_histogram_is_the_same_on_either_side_of_the_close():
+    def histogram_lines(cfg):
+        text = prometheus_exposition(_replay(cfg))
+        return [ln for ln in text.splitlines() if "request_latency_seconds" in ln]
+
+    assert histogram_lines(SystemConfig()) == histogram_lines(
+        SystemConfig(metrics_exact_cap=0)
+    )

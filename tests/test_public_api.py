@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 import repro
+import repro.metrics
 from repro.core.scheduler import Scheduler
+from repro.metrics import MetricsCollector
 
 
 def test_version():
@@ -58,7 +60,7 @@ def test_option_budget():
         "kv_autocompact_keep", "latency_log_keep", "quotas", "seed",
         "fault_profile", "fault_plan", "deadline_s", "max_retries",
         "retry_backoff_s", "health_heartbeat_s", "health_ttl_s",
-        "metrics_streaming", "metrics_exact_cap", "metrics_spill_path",
+        "metrics_exact_cap", "metrics_spill_path",
         "tracer", "tracer_capacity", "trace_span_stride", "trace_decisions",
         "trace_spill_path", "trace_spill_keep",
     }
@@ -66,8 +68,18 @@ def test_option_budget():
         repro.SystemConfig(pass_elision=False)
     with pytest.raises(TypeError):
         repro.SystemConfig(datastore_batching=False)
+    with pytest.raises(TypeError):
+        repro.SystemConfig(metrics_streaming=True)
     s = repro.FaaSCluster().scheduler
     with pytest.raises(TypeError):
         Scheduler(
             s.sim, s.cluster, s.policy, s.cache, s.estimator, {}, pass_elision=False
         )
+    with pytest.raises(TypeError):
+        MetricsCollector(s.sim, streaming=True)
+    assert set(repro.metrics.__all__) == {
+        "DEFAULT_GROWTH", "LogHistogram", "MetricsCollector", "RunSummary",
+        "per_architecture_breakdown", "prometheus_exposition",
+        "quantile_error_bound", "summarize", "TIMELINE_FIELDS",
+        "TimelineProbe", "TimelineSample", "TimelineSampler",
+    }
