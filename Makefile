@@ -7,28 +7,23 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	python -m pytest -x -q
 
-## Scheduler perf trajectory: runs benchmarks/test_scheduler_overhead.py
-## under pytest-benchmark, replays the §V-A workload end-to-end at
-## 2k/20k/100k requests, measures the production commit path
-## (WriteBatch.flush + compaction under bounded retention: per-action
-## cost, its 100k/2k growth, history entries and history-free writes),
-## measures the sweep orchestrator's grid scaling at 1/2/4 workers
-## (+ resume-from-store), and writes BENCH_scheduler.json (committed, so
-## every PR is measured against the last).
+## Micro ledger: runs benchmarks/test_scheduler_overhead.py under
+## pytest-benchmark (pass cost at queue depths 100/2k/20k + the index
+## micro-benches), measures the flight recorder's on/off overhead on the
+## 2k §V-A replay and the sweep orchestrator's grid scaling at 1/2/4
+## workers (+ resume-from-store), and writes BENCH_scheduler.json
+## (committed).  Replay-path performance — throughput, RSS, per-layer
+## cost on the four §V workloads — is not measured here:
+##   python benchmarks/e2e/run.py [--traced]      # BENCHMARK.json
 bench:
 	python -m repro.experiments bench
 
-## Gate the committed trajectory: fails when the 20k/2k pass-cost ratio
-## exceeds 3x, the batched path drifts from ~1 revision per action, the
-## per-action keys stop committing history-free (> 0.05 retained history
-## entries per action at any size, or no history-free writes), the
-## sharded sweep's merged payload
-## drifts from the sequential one, resume of a completed sweep stops
-## being served from the store in <1 s, (on >=2-core machines) the
-## 4-worker grid speedup drops below 1.5x, or the observability gates
-## fail: flight-recorder overhead > 5% over tracer-off, tracer-off
-## throughput below the calibration-relative floor, an invalid exported
-## trace, or decision logs diverging under tracing (docs/observability.md).
+## Gate the committed micro ledger: fails when the 20k/2k pass-cost ratio
+## exceeds 3x, the flight recorder costs > 5% over tracer-off, exports an
+## invalid trace or changes a decision (docs/observability.md), the
+## sharded sweep's merged payload drifts from the sequential one, resume
+## of a completed sweep stops being served from the store in <1 s, or (on
+## >=2-core machines) the 4-worker grid speedup drops below 1.5x.
 bench-check:
 	python -m repro.experiments bench-check
 

@@ -31,7 +31,8 @@ Named profiles (:data:`FAULT_PROFILES`) are seeded generators:
 ``build_fault_plan("recoverable", seed=7)`` always yields the identical
 plan.  The ``"recoverable"`` profile is the default chaos diet — every
 fault heals, so a replay under it must complete with **zero lost
-requests** (gated by ``make bench-check``).
+requests** (``tests/chaos/test_chaos_runtime.py`` replays it over the 2k
+§V-A workload and asserts exactly that).
 """
 
 from __future__ import annotations

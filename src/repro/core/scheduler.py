@@ -245,11 +245,11 @@ class Scheduler:
         being ``None``, so the default path pays one attribute load per
         action (a second once armed) and one identity test per hook site
         reached.  The pass ring
-        is written *in place* rather than through ``tracer.pass_span``:
+        is written *in place* rather than through a recorder method:
         one closure call per executed pass is measurable at 2k-replay
         rates, and ``_tracer`` here is always the runtime-installed
-        :class:`~repro.obs.FlightRecorder` (the lower-rate hooks
-        elsewhere go through the Tracer protocol).
+        :class:`~repro.obs.FlightRecorder` (the lower-rate instant
+        hooks elsewhere call its methods).
         """
         if self._scheduling:
             return

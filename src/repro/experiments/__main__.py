@@ -9,7 +9,7 @@ Usage::
     python -m repro.experiments fig7
     python -m repro.experiments all --workers 4 --store .sweep-results
     python -m repro.experiments sweep --workers 4 --store .sweep-results
-    python -m repro.experiments bench        # scheduler perf → BENCH_scheduler.json
+    python -m repro.experiments bench        # micro benches → BENCH_scheduler.json
     python -m repro.experiments bench-check  # gate the committed trajectory
     python -m repro.experiments profile      # cProfile the 2k §V-A replay
     python -m repro.experiments trace        # traced 2k replay → trace.json (Perfetto)
@@ -175,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"BENCH CHECK FAILED: {problem}", file=sys.stderr)
             return 1
         print(
-            "bench check ok: depth scaling, revisions-per-action, and sweep "
+            "bench check ok: depth scaling, tracer overhead, and sweep "
             "scaling/resume within gates"
         )
         return 0

@@ -13,14 +13,12 @@ trace_decisions=True)`` adds the scheduler explain mode
 
 from .explain import Cause, ExplainLog, format_request_causes, run_explain
 from .export import chrome_trace_events, validate_chrome_trace, write_chrome_trace
-from .tracer import FlightRecorder, NullTracer, Tracer
+from .tracer import FlightRecorder
 
 __all__ = [
     "Cause",
     "ExplainLog",
     "FlightRecorder",
-    "NullTracer",
-    "Tracer",
     "chrome_trace_events",
     "format_request_causes",
     "run_explain",

@@ -67,42 +67,7 @@ from __future__ import annotations
 import json
 from array import array
 
-__all__ = ["Tracer", "NullTracer", "FlightRecorder"]
-
-
-class Tracer:
-    """The tracing protocol: every hook a component may call.
-
-    The base class is a usable no-op (see :class:`NullTracer`); the
-    runtime never installs one — "off" is represented by the attribute
-    being ``None`` so components pay one identity test, not a method
-    call, per would-be record.
-    """
-
-    def request_complete(self, request) -> None: ...
-    def pass_span(self, wall_ns: int, decisions: int) -> None: ...
-    def commit_span(self, wall_ns: int, keys: int) -> None: ...
-    def instant(self, name: str, detail: str = "") -> None: ...
-
-    # -- instant conveniences (shared spellings, so exporters can route) --
-    def fault(self, kind: str, target: str = "") -> None:
-        self.instant(f"fault:{kind}", target)
-
-    def fault_cleared(self, kind: str, target: str = "") -> None:
-        self.instant(f"fault_cleared:{kind}", target)
-
-    def fault_skipped(self, kind: str, target: str = "") -> None:
-        self.instant(f"fault_skipped:{kind}", target)
-
-    def cache_event(self, kind: str, gpu_id: str, model_id: str) -> None:
-        self.instant(f"cache:{kind}", f"{model_id}@{gpu_id}")
-
-    def lost(self, reason: str, request_id: int) -> None:
-        self.instant(f"lost:{reason}", str(request_id))
-
-
-class NullTracer(Tracer):
-    """Explicit no-op tracer (every hook inherited, every hook a pass)."""
+__all__ = ["FlightRecorder"]
 
 
 class _Interner:
@@ -165,7 +130,7 @@ class _Spill:
             self._fh = None
 
 
-class FlightRecorder(Tracer):
+class FlightRecorder:
     """Slot-indexed flight recorder over fixed-capacity ring buffers."""
 
     def __init__(
@@ -217,13 +182,16 @@ class FlightRecorder(Tracer):
     # object, so tracing adds no cyclic-GC pressure)
     # ------------------------------------------------------------------
     def _bind_hooks(self) -> None:
-        """Compile the four hooks as closures over the ring buffers.
+        """Compile ``request_complete`` and ``instant`` as closures over
+        their ring buffers.
 
-        Shadowing the :class:`Tracer` methods with instance-attribute
-        closures turns the half-dozen ``self.`` attribute loads each
-        hook would pay into cell loads — measurable at the call rates
-        of a 2k-request replay (one hook per pass, per commit, and per
-        completion).
+        Instance-attribute closures turn the half-dozen ``self.``
+        attribute loads each hook would pay into cell loads.  The pass
+        and commit rings have no hook here: their only writers
+        (``Scheduler._run_policy``, ``WriteBatch.flush``) store into
+        ``_p_buf`` / ``_c_buf`` in place, stride check before the clock
+        probes, and ``FaaSCluster._on_request_complete`` does the same
+        for the request ring unless a spill is configured.
         """
         capacity = self.capacity
         sim = self._sim
@@ -251,46 +219,6 @@ class FlightRecorder(Tracer):
                     "retries": request.retries,
                 })
 
-        # The protocol-path span hooks apply the sampling stride
-        # themselves so totals/records behave identically however a span
-        # arrives; the runtime's inline sites (scheduler pass loop, batch
-        # flush) check the stride *before* their clock probes instead,
-        # which is where the real saving lives.
-        stride = self.span_stride
-        p_buf = self._p_buf
-        p_state = self._p_state
-
-        def pass_span(wall_ns: int, decisions: int) -> None:
-            n = p_state[2] + 1
-            p_state[2] = n
-            if n % stride:
-                return
-            i = p_state[0]
-            b = i * 3
-            p_buf[b] = sim._now
-            p_buf[b + 1] = wall_ns
-            p_buf[b + 2] = decisions
-            p_state[1] += 1
-            i += 1
-            p_state[0] = 0 if i == capacity else i
-
-        c_buf = self._c_buf
-        c_state = self._c_state
-
-        def commit_span(wall_ns: int, keys: int) -> None:
-            n = c_state[2] + 1
-            c_state[2] = n
-            if n % stride:
-                return
-            i = c_state[0]
-            b = i * 3
-            c_buf[b] = sim._now
-            c_buf[b + 1] = wall_ns
-            c_buf[b + 2] = keys
-            c_state[1] += 1
-            i += 1
-            c_state[0] = 0 if i == capacity else i
-
         i_time, i_str = self._i_time, self._i_str
         i_state = self._i_state
 
@@ -305,9 +233,23 @@ class FlightRecorder(Tracer):
             i_state[0] = 0 if i == capacity else i
 
         self.request_complete = request_complete
-        self.pass_span = pass_span
-        self.commit_span = commit_span
         self.instant = instant
+
+    # -- instant conveniences (shared spellings, so exporters can route) --
+    def fault(self, kind: str, target: str = "") -> None:
+        self.instant(f"fault:{kind}", target)
+
+    def fault_cleared(self, kind: str, target: str = "") -> None:
+        self.instant(f"fault_cleared:{kind}", target)
+
+    def fault_skipped(self, kind: str, target: str = "") -> None:
+        self.instant(f"fault_skipped:{kind}", target)
+
+    def cache_event(self, kind: str, gpu_id: str, model_id: str) -> None:
+        self.instant(f"cache:{kind}", f"{model_id}@{gpu_id}")
+
+    def lost(self, reason: str, request_id: int) -> None:
+        self.instant(f"lost:{reason}", str(request_id))
 
     # ------------------------------------------------------------------
     # Snapshots (export-time only: allocation and interning are fine here)

@@ -58,7 +58,7 @@ class FaaSCluster:
             spill_to=self.config.metrics_spill_path,
         )
         # ---- observability: flight recorder + explain log -------------
-        # "Off" is the attribute staying None, not a NullTracer object:
+        # "Off" is the attribute staying None, not a no-op object:
         # every hook site in the hot path is one attribute load and one
         # identity test, nothing else.
         self.tracer: FlightRecorder | None = None
@@ -205,8 +205,8 @@ class FaaSCluster:
                 # call per completion is measurable at replay rates);
                 # the ring holds a borrowed reference — the request's
                 # stamps are final once complete, and fields are read
-                # at snapshot time.  The spill-configured path keeps
-                # the protocol hook, which also builds the JSONL record
+                # at snapshot time.  The spill-configured path calls
+                # the recorder's hook, which also builds the JSONL record
                 state = tracer._r_state
                 i = state[0]
                 tracer._r_objs[i] = request

@@ -23,7 +23,6 @@ from .workload import (
     WorkloadSpec,
     assign_architectures,
     build_workload,
-    build_workload_reference,
     build_workload_streaming,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "WorkloadSpec",
     "assign_architectures",
     "build_workload",
-    "build_workload_reference",
     "build_workload_streaming",
 ]

@@ -29,15 +29,16 @@ them into two flat columns:
 No :class:`~repro.core.request.InferenceRequest` objects are built during
 extraction.  ``Workload.requests`` **materializes them lazily** — the full
 object list is constructed once, on first access, and cached; column-only
-consumers (``describe``, ``counts`` reductions, the bench's workload-build
+consumers (``describe``, ``counts`` reductions, workload-build
 timings, CSV export of arrival columns) never pay for object construction
 at all.  At 100k+ requests that turns extraction from the dominant cost
 into a rounding error and lets :meth:`~repro.runtime.system.FaaSCluster.
 submit_workload` bulk-inject the arrival column with one heap build.
 
-The literal seed implementation survives as :func:`build_workload_reference`
-so the parity tests can prove the columns encode the *identical* request
-stream (function ids, arrival times, model assignment, per-minute totals).
+The seed's literal per-request loop is the oracle in
+``tests/traces/test_workload_columnar.py``, which proves the columns
+encode the *identical* request stream (function ids, arrival times, model
+assignment, per-minute totals).
 
 Streaming pipeline
 ------------------
@@ -71,7 +72,6 @@ __all__ = [
     "WorkloadChunk",
     "StreamingWorkload",
     "build_workload",
-    "build_workload_reference",
     "build_workload_streaming",
     "assign_architectures",
 ]
@@ -291,9 +291,9 @@ def build_workload(
     Per minute this performs exactly the generator calls of the original
     per-request loop — ``shuffle`` over the repeated function indices,
     then a sorted ``uniform`` draw — so the resulting columns encode the
-    byte-identical request stream (proven against
-    :func:`build_workload_reference` by the seeded parity tests), but no
-    request objects are constructed here.
+    byte-identical request stream (proven against the per-request oracle
+    in ``tests/traces/test_workload_columnar.py``), but no request
+    objects are constructed here.
     """
     spec = spec or WorkloadSpec()
     trace = trace or SyntheticAzureTrace()
@@ -321,57 +321,6 @@ def build_workload(
         function_index=fn_col,
         tenant=tenant,
     )
-
-
-def build_workload_reference(
-    spec: WorkloadSpec | None = None,
-    *,
-    trace: SyntheticAzureTrace | None = None,
-    tenant: str = "default",
-) -> Workload:
-    """The seed repository's per-request extraction loop, retained verbatim.
-
-    Builds one :class:`InferenceRequest` at a time in Python — the path the
-    columnar pipeline must reproduce byte for byte.  Kept as executable
-    documentation, as the parity baseline, and as the bench's
-    "pre-vectorization" workload generator.
-    """
-    spec = spec or WorkloadSpec()
-    trace = trace or SyntheticAzureTrace()
-    function_ids, normalized, instances, rng = _extract(spec, trace, tenant)
-
-    requests: list[InferenceRequest] = []
-    arrivals_all: list[float] = []
-    fn_all: list[int] = []
-    for m in range(spec.minutes):
-        fn_indices = np.repeat(np.arange(len(function_ids)), normalized[:, m])
-        rng.shuffle(fn_indices)
-        arrivals = np.sort(rng.uniform(60.0 * m, 60.0 * (m + 1), size=len(fn_indices)))
-        for t, fi in zip(arrivals, fn_indices):
-            fid = function_ids[fi]
-            requests.append(
-                InferenceRequest(
-                    function_name=fid,
-                    model=instances[fid],
-                    arrival_time=float(t),
-                    batch_size=spec.batch_size,
-                    tenant=tenant,
-                    sla_s=spec.sla_s,
-                )
-            )
-            arrivals_all.append(float(t))
-            fn_all.append(int(fi))
-    workload = Workload(
-        spec=spec,
-        instances=instances,
-        counts=normalized,
-        function_ids=function_ids,
-        arrival_times=np.array(arrivals_all, dtype=np.float64),
-        function_index=np.array(fn_all, dtype=np.int64),
-        tenant=tenant,
-    )
-    workload._requests = requests  # already materialized, the hard way
-    return workload
 
 
 # ----------------------------------------------------------------------

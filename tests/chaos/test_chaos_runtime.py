@@ -13,6 +13,7 @@ from repro.chaos import ChaosInjector, FaultPlan, build_fault_plan
 from repro.chaos.plan import GPUCrash, KVLatencySpike, LeaseExpiry, Straggler, WatchDrop
 from repro.cluster import ClusterSpec
 from repro.runtime import FaaSCluster, SystemConfig
+from repro.traces import WorkloadSpec, build_workload
 
 
 def _system(plan=None, *, gpus=2, policy="lalb", **kwargs):
@@ -258,3 +259,31 @@ class TestAvailabilityUnderChaos:
         assert summary.faults_injected >= len(plan) - 1  # overlaps may skip
         assert summary.mean_mttr_s > 0
         assert len(system.sim) == 0
+
+    def test_recoverable_profile_over_the_2k_paper_replay(self):
+        """The shipped ``recoverable`` profile over the default 2k §V-A
+        replay on the paper testbed: every request completes, none lost,
+        retries stay bounded, and two runs of the same plan + seed produce
+        the identical decision log (request ids are process-global, so
+        they are compared as submission ranks)."""
+
+        def replay():
+            requests = build_workload(WorkloadSpec(working_set=15, minutes=6)).requests
+            rank = {r.request_id: i for i, r in enumerate(requests)}
+            system = FaaSCluster(SystemConfig(fault_profile="recoverable"))
+            system.submit_workload(requests)
+            system.run()
+            decisions = [
+                (d.time_s, d.kind, rank[d.request_id], d.model_id, d.gpu_id, d.visits)
+                for d in system.scheduler.decisions
+            ]
+            return system, requests, decisions
+
+        system, requests, decisions = replay()
+        m = system.metrics
+        assert m.lost_count == 0
+        assert len(m.completed) == len(requests)
+        assert m.faults_injected > 0
+        assert m.retries_total > 0  # the faults actually hit loaded GPUs
+        assert max(r.retries for r in requests) <= 8
+        assert replay()[2] == decisions

@@ -10,7 +10,7 @@ import gc
 
 import pytest
 
-from repro.datastore import KeyValue
+from repro.datastore import EPHEMERAL_HOT_PREFIXES, EphemeralKeyError, KeyValue
 from repro.experiments.replay import replay_streaming
 from repro.metrics.summary import summarize
 from repro.runtime import (
@@ -129,6 +129,23 @@ class TestFlatMemoryState:
         slack = 16  # a late model load publishes one durable key
         assert history_large <= history_small + slack
         assert tracked_large <= tracked_small + slack
+
+    def test_retained_kv_heap_holds_no_hot_key_history(self):
+        """The 2k §V-A replay under tight retention (the windows engage
+        even at this size): nothing under the schema's hot prefixes
+        reaches MVCC history or the event log, the history-free lane
+        takes the writes, only the durable keys' windowed history
+        survives, and a historical read of a hot key is a typed error."""
+        system = FaaSCluster(SystemConfig(kv_autocompact_keep=500, latency_log_keep=500))
+        system.submit_workload(build_workload(SPEC))
+        system.run()
+        kv = system.datastore.kv
+        assert [k for k in kv._history if k.startswith(EPHEMERAL_HOT_PREFIXES)] == []
+        assert [k for k in kv._event_keys if k.startswith(EPHEMERAL_HOT_PREFIXES)] == []
+        assert kv.ephemeral_writes > 0
+        assert kv.history_entry_count() / system.scheduler.actions <= 0.05
+        with pytest.raises(EphemeralKeyError):
+            kv.get("gpu/status/" + system.cluster.gpus[0].gpu_id, revision=1)
 
     def test_spill_under_default_cap_tees_every_completion(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -1,6 +1,8 @@
 """The package's public API surface must stay importable and coherent."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +85,44 @@ def test_option_budget():
         "quantile_error_bound", "summarize", "TIMELINE_FIELDS",
         "TimelineProbe", "TimelineSample", "TimelineSampler",
     }
+
+
+def test_reference_engines_stay_out_of_src():
+    """The per-request workload builder and the no-op tracer protocol are
+    test oracles / dead twins now; pinning the export lists keeps them
+    from growing back."""
+    import repro.obs
+    import repro.traces
+
+    assert set(repro.traces.__all__) == {
+        "AzureTraceConfig", "SyntheticAzureTrace", "calibrate_zipf_exponent",
+        "ImageBatch", "cifar_like", "compress_to_batch", "hymenoptera_like",
+        "load_dataset", "mnist_like",
+        "FileTrace", "TraceFrame", "export_synthetic_day",
+        "read_invocations_csv", "write_invocations_csv",
+        "StreamingWorkload", "Workload", "WorkloadChunk", "WorkloadSpec",
+        "assign_architectures", "build_workload", "build_workload_streaming",
+    }
+    assert set(repro.obs.__all__) == {
+        "Cause", "ExplainLog", "FlightRecorder", "chrome_trace_events",
+        "format_request_causes", "run_explain", "validate_chrome_trace",
+        "write_chrome_trace",
+    }
+
+
+def test_bench_ledger_shape():
+    """``BENCH_scheduler.json`` holds only what ``benchmarks/e2e`` does not
+    measure (micro pass cost, tracer overhead, sweep scaling); a retired
+    replay-path section must show up as a diff here."""
+    from repro.experiments import bench
+
+    assert set(bench.__all__) == {
+        "run_bench", "check_bench", "measure_observability",
+        "measure_sweep_scaling", "DEFAULT_OUTPUT",
+    }
+    committed = Path(__file__).resolve().parents[1] / bench.DEFAULT_OUTPUT
+    assert list(json.loads(committed.read_text())) == [
+        "suite", "commit", "machine", "pass_cost_by_depth_s",
+        "observability", "sweep_scaling", "benchmarks",
+    ]
+    assert bench.check_bench(str(committed)) == []

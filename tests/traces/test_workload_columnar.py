@@ -1,21 +1,64 @@
-"""Columnar workload pipeline vs. the retained per-request reference.
+"""Columnar workload pipeline vs. the seed's per-request loop.
 
 The columnar :func:`build_workload` must encode the byte-identical request
 stream the seed's per-request loop produced — same function sequence, same
 arrival instants, same model assignment — for every working set and seed,
-while building no request objects until asked.
+while building no request objects until asked.  The loop lives here, as
+the oracle (:func:`build_workload_reference`); nothing in ``src/`` runs it.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.request import InferenceRequest
 from repro.traces import (
     AzureTraceConfig,
     SyntheticAzureTrace,
     WorkloadSpec,
     build_workload,
-    build_workload_reference,
+    build_workload_streaming,
 )
+
+
+def build_workload_reference(spec, *, trace, tenant="default"):
+    """The seed repository's per-request extraction loop, kept verbatim:
+    one :class:`InferenceRequest` at a time in Python, against the shared
+    extraction head (top-K functions, per-minute normalization, model
+    instances) and a fresh ``default_rng(spec.seed)``."""
+    head = build_workload_streaming(spec, trace=trace, tenant=tenant)
+    function_ids, normalized, instances = head.function_ids, head.counts, head.instances
+    rng = np.random.default_rng(spec.seed)
+
+    requests: list[InferenceRequest] = []
+    arrivals_all: list[float] = []
+    fn_all: list[int] = []
+    for m in range(spec.minutes):
+        fn_indices = np.repeat(np.arange(len(function_ids)), normalized[:, m])
+        rng.shuffle(fn_indices)
+        arrivals = np.sort(rng.uniform(60.0 * m, 60.0 * (m + 1), size=len(fn_indices)))
+        for t, fi in zip(arrivals, fn_indices):
+            fid = function_ids[fi]
+            requests.append(
+                InferenceRequest(
+                    function_name=fid,
+                    model=instances[fid],
+                    arrival_time=float(t),
+                    batch_size=spec.batch_size,
+                    tenant=tenant,
+                    sla_s=spec.sla_s,
+                )
+            )
+            arrivals_all.append(float(t))
+            fn_all.append(int(fi))
+    return SimpleNamespace(
+        function_ids=function_ids,
+        counts=normalized,
+        arrival_times=np.array(arrivals_all, dtype=np.float64),
+        function_index=np.array(fn_all, dtype=np.int64),
+        requests=requests,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +125,3 @@ class TestLazyMaterialization:
         via_iter = list(w)
         assert via_iter == w.requests
         assert via_iter[0] is w.requests[0]
-
-    def test_reference_builder_is_prematerialized(self, trace):
-        w = build_workload_reference(WorkloadSpec(working_set=5, minutes=1), trace=trace)
-        assert w.materialized
