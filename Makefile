@@ -32,11 +32,15 @@ bench-check:
 parity:
 	python -m pytest tests/core/test_differential.py -q
 
-## cProfile the 2k-request §V-A replay: the top-25 functions by
-## cumulative time, then a per-subsystem rollup (commit path, dispatch,
-## scheduling passes, cache manager, metrics, sim kernel) of exclusive
-## time — the tools that found every hot spot so far (index scans,
-## batched txns, columnar replay, pass elision, commit-path residue).
+## cProfile the 2k-request §V-A replay (materialize + inject + run, the
+## window benchmarks/e2e times): the top-25 functions by cumulative time,
+## then a per-subsystem rollup (commit path, dispatch, scheduling passes,
+## global queue, cache manager, metrics, sim kernel) of exclusive time
+## and calls per request — the tools that found every hot spot so far
+## (index scans, batched txns, columnar replay, pass elision, commit-path
+## residue, visit-tree upkeep on a shallow queue).  The total
+## calls/request is exact run to run; tests/experiments/test_call_budget.py
+## gates it.
 ##   make profile                          # 2k requests
 ##   make profile PROFILE_REQUESTS=20000   # deeper replay
 PROFILE_REQUESTS ?= 2000

@@ -108,7 +108,7 @@ class Cluster:
                 self._freq_insert(g)
 
     def _freq_insert(self, gpu: GPUDevice) -> None:
-        key = (-gpu.completed_requests, gpu.gpu_id)
+        key = (-gpu._completed_requests, gpu.gpu_id)
         i = bisect_left(self._freq_keys, key)
         self._freq_keys.insert(i, key)
         self._freq_gpus.insert(i, gpu)
@@ -130,7 +130,7 @@ class Cluster:
         if gpu.is_idle:
             if filed is None:
                 self._freq_insert(gpu)
-            elif filed[0] != -gpu.completed_requests:
+            elif filed[0] != -gpu._completed_requests:
                 # frequency changed while idle (a completion bump landing
                 # after become_idle): re-file at the new rank
                 del self._freq_key_of[gpu_id]

@@ -149,7 +149,8 @@ class CacheManager:
         self._locations.setdefault(instance.instance_id, set()).add(gpu_id)
         self._locations_sorted.pop(instance.instance_id, None)
         self._publish(gpu_id, instance.instance_id)
-        self._emit("load", gpu_id, instance.instance_id)
+        for fn in self._observers:
+            fn("load", gpu_id, instance.instance_id, self.sim._now)
         if self.tracer is not None:
             self.tracer.cache_event("load", gpu_id, instance.instance_id)
 
@@ -163,7 +164,8 @@ class CacheManager:
                 del self._locations[model_id]
         self._locations_sorted.pop(model_id, None)
         self._publish(gpu_id, model_id)
-        self._emit("evict", gpu_id, model_id)
+        for fn in self._observers:
+            fn("evict", gpu_id, model_id, self.sim._now)
         if self.tracer is not None:
             self.tracer.cache_event("evict", gpu_id, model_id)
 
@@ -179,10 +181,11 @@ class CacheManager:
         history entry per completion that said nothing — etcd clients do
         not re-put values they know are unchanged either.
         """
-        changed = self._policies[gpu_id].on_access(model_id, self.sim._now)
-        if changed:
+        now = self.sim._now
+        if self._policies[gpu_id].on_access(model_id, now):
             self._publish(gpu_id, model_id, locations_changed=False)
-        self._emit("use", gpu_id, model_id)
+        for fn in self._observers:
+            fn("use", gpu_id, model_id, now)
 
     # ------------------------------------------------------------------
     # Observability
@@ -190,11 +193,6 @@ class CacheManager:
     def subscribe(self, fn: CacheEvent) -> None:
         """Register a cache-event observer (the metrics collector)."""
         self._observers.append(fn)
-
-    def _emit(self, kind: str, gpu_id: str, model_id: str) -> None:
-        now = self.sim._now  # hot path: one read, no property call
-        for fn in self._observers:
-            fn(kind, gpu_id, model_id, now)
 
     def _publish(
         self, gpu_id: str, model_id: str, *, locations_changed: bool = True

@@ -48,14 +48,16 @@ class DecisionLog:
             raise ValueError("maxlen must be positive")
         self._maxlen = maxlen
         self._log: deque[Decision] = deque(maxlen=maxlen)
-        self._counts: Counter[DecisionKind] = Counter()
+        # keyed by the kind's value string, read via the enum's _value_
+        # slot: Enum.__hash__ is a Python-level call, twice per record
+        self._counts: Counter[str] = Counter()
 
     def record(self, decision: Decision) -> None:
         log = self._log
         if len(log) == self._maxlen:
-            self._counts[log[0].kind] -= 1  # about to be evicted
+            self._counts[log[0].kind._value_] -= 1  # about to be evicted
         log.append(decision)
-        self._counts[decision.kind] += 1
+        self._counts[decision.kind._value_] += 1
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -65,7 +67,7 @@ class DecisionLog:
         return iter(self._log)
 
     def count(self, kind: DecisionKind) -> int:
-        return self._counts[kind]
+        return self._counts[kind._value_]
 
     def for_request(self, request_id: int) -> list[Decision]:
         return [d for d in self._log if d.request_id == request_id]
@@ -78,7 +80,7 @@ class DecisionLog:
 
     def hit_rate(self) -> float:
         """Hit fraction among plain dispatches (local/moves are hits too)."""
-        hits = self._counts[DecisionKind.DISPATCH_HIT]
-        misses = self._counts[DecisionKind.DISPATCH_MISS]
+        hits = self.count(DecisionKind.DISPATCH_HIT)
+        misses = self.count(DecisionKind.DISPATCH_MISS)
         total = hits + misses
         return hits / total if total else 0.0

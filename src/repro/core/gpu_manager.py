@@ -40,6 +40,10 @@ from .request import InferenceRequest, RequestState
 __all__ = ["GPUManager", "LatencyRecord"]
 
 
+def _discard(key: str, value: object) -> None:
+    """Where reports go when there is no Datastore to mirror them."""
+
+
 class LatencyRecord(NamedTuple):
     """Per-invocation record mirrored to ``fn/latency/<request_id>``.
 
@@ -82,9 +86,13 @@ class GPUManager:
         self.registry = registry
         self.estimator = estimator
         self.datastore = datastore
+        #: every report below goes through this one bound callable (a
+        #: manager built without a Datastore discards them)
+        self._put = datastore.put if datastore is not None else _discard
         self.on_idle = on_idle or (lambda gpu: None)
         self.on_complete = on_complete or (lambda req: None)
-        self.on_dispatch = on_dispatch or (lambda req: None)
+        #: observer of dispatches (tenancy accounting); None = nobody
+        self.on_dispatch = on_dispatch
         self.on_drained = on_drained or (lambda gpu: None)
         # --- array-backed per-GPU lifecycle state -----------------------
         # Each device gets a dense node-local slot at construction; the
@@ -118,8 +126,8 @@ class GPUManager:
         # finish-time puts happen on every dispatch and completion
         self._status_key = [f"gpu/status/{g.gpu_id}" for g in node.gpus]
         self._finish_key = [f"gpu/finish_time/{g.gpu_id}" for g in node.gpus]
-        for gpu in node.gpus:
-            self._set_status(gpu, "idle")
+        for key in self._status_key:
+            self._put(key, "idle")
 
     # ------------------------------------------------------------------
     # Dispatch entry point (called by the Scheduler)
@@ -138,19 +146,19 @@ class GPUManager:
         request.gpu_id = gpu.gpu_id
         request.dispatched_at = self.sim._now  # hot path: skip the property
         self._executing[slot] = request
-        self._set_status(gpu, "busy")
+        self._put(self._status_key[slot], "busy")
 
-        if self.cache.is_cached_on(request.model_id, gpu.gpu_id):
-            request.cache_hit = True
-            self.on_dispatch(request)
-            proc = gpu.process_for(request.model_id)
-            self._start_inference(gpu, proc, request)
-        else:
-            request.cache_hit = False
+        model_id = request.model_id
+        hit = request.cache_hit = self.cache.is_cached_on(model_id, gpu.gpu_id)
+        if not hit:
             # §V-D "false miss": the model was resident on another GPU at
             # decision time, yet this dispatch re-uploads it here.
-            request.false_miss = self.cache.cached_anywhere(request.model_id)
+            request.false_miss = self.cache.cached_anywhere(model_id)
+        if self.on_dispatch is not None:
             self.on_dispatch(request)
+        if hit:
+            self._start_inference(gpu, gpu.process_for(model_id), request)
+        else:
             self._start_miss(gpu, request)
 
     # ------------------------------------------------------------------
@@ -165,12 +173,15 @@ class GPUManager:
         gpu.begin_loading()
         load_t = self.estimator.load_time(request, gpu)
         infer_t = self.estimator.infer_time(request, gpu)
-        slow = self._slowdown[gpu._mgr_slot]
+        slot = gpu._mgr_slot
+        slow = self._slowdown[slot]
         if slow is not None:
             load_t *= slow
             infer_t *= slow
-        self._publish_busy_until(gpu, self.sim._now + load_t + infer_t)
-        self._pending_event[gpu._mgr_slot] = self.sim.schedule(
+        busy_until = self.sim._now + load_t + infer_t
+        self.estimator.set_busy_until(gpu.gpu_id, busy_until)
+        self._put(self._finish_key[slot], busy_until)
+        self._pending_event[slot] = self.sim.schedule(
             load_t, self._loaded, gpu, proc, request
         )
 
@@ -187,11 +198,14 @@ class GPUManager:
         gpu.begin_inference()
         request.exec_start_at = self.sim._now
         infer_t = self.estimator.infer_time(request, gpu)
-        slow = self._slowdown[gpu._mgr_slot]
+        slot = gpu._mgr_slot
+        slow = self._slowdown[slot]
         if slow is not None:
             infer_t *= slow
-        self._publish_busy_until(gpu, self.sim._now + infer_t)
-        self._pending_event[gpu._mgr_slot] = self.sim.schedule(
+        busy_until = self.sim._now + infer_t
+        self.estimator.set_busy_until(gpu.gpu_id, busy_until)
+        self._put(self._finish_key[slot], busy_until)
+        self._pending_event[slot] = self.sim.schedule(
             infer_t, self._finished, gpu, proc, request
         )
 
@@ -199,10 +213,12 @@ class GPUManager:
         slot = gpu._mgr_slot
         draining = self._draining[slot]
         proc.mark_done()
-        # bump the use-frequency *before* the idle flip: the cluster's
-        # incremental frequency-ordered idle view then files the GPU once,
-        # at its final rank, instead of filing and re-filing
-        gpu.completed_requests += 1
+        # bump the use-frequency under the state change that follows (the
+        # idle flip here, go_offline when draining) and let that be the
+        # one notice: a busy GPU is in none of the cluster's idle views,
+        # so the bump alone has nothing to re-file, and the flip files
+        # the GPU once, at its final rank
+        gpu._completed_requests += 1
         if not draining:
             gpu.become_idle()
         request.state = RequestState.COMPLETED
@@ -215,19 +231,20 @@ class GPUManager:
         self._executing[slot] = None
         self._pending_event[slot] = None
         self.estimator.clear_busy(gpu.gpu_id)
+        model_id = request.model_id
         if draining:
             # graceful drain completion: the request finished normally;
             # now retire the GPU.  The LRU touch is skipped — every cache
             # location is withdrawn in the same write batch as the status
             # flip, so watchers see one atomic invalidation.
             self._take_offline(gpu)
-            self._record_latency(request)
+            self._record_latency(request, model_id)
             self.on_complete(request)
             self.on_drained(gpu)
             return
-        self.cache.on_used(gpu.gpu_id, request.model_id)
-        self._set_status(gpu, "idle")
-        self._record_latency(request)
+        self.cache.on_used(gpu.gpu_id, model_id)
+        self._put(self._status_key[slot], "idle")
+        self._record_latency(request, model_id)
         self.on_complete(request)
         self.on_idle(gpu)
 
@@ -277,7 +294,7 @@ class GPUManager:
         slot = gpu._mgr_slot
         if self._executing[slot] is not None:
             self._draining[slot] = True
-            self._set_status(gpu, "draining")
+            self._put(self._status_key[slot], "draining")
             return True
         self._take_offline(gpu)
         return False
@@ -293,13 +310,13 @@ class GPUManager:
                 self.cache.on_evicted(gpu.gpu_id, model_id)
         gpu.go_offline()
         self.estimator.clear_busy(gpu.gpu_id)
-        self._set_status(gpu, "offline")
+        self._put(self._status_key[gpu._mgr_slot], "offline")
         self._draining[gpu._mgr_slot] = False
 
     def recover(self, gpu: GPUDevice) -> None:
         """Bring a failed GPU back, empty, and report it idle."""
         gpu.come_online()
-        self._set_status(gpu, "idle")
+        self._put(self._status_key[gpu._mgr_slot], "idle")
         self.on_idle(gpu)
 
     def is_draining(self, gpu_id: str) -> bool:
@@ -327,27 +344,18 @@ class GPUManager:
     def in_flight(self, gpu_id: str) -> InferenceRequest | None:
         return self._executing[self._slot_of[gpu_id]]
 
-    def _publish_busy_until(self, gpu: GPUDevice, t: float) -> None:
-        self.estimator.set_busy_until(gpu.gpu_id, t)
-        if self.datastore is not None:
-            self.datastore.put(self._finish_key[gpu._mgr_slot], t)
-
-    def _set_status(self, gpu: GPUDevice, status: str) -> None:
-        if self.datastore is not None:
-            self.datastore.put(self._status_key[gpu._mgr_slot], status)
-
-    def _record_latency(self, request: InferenceRequest) -> None:
+    def _record_latency(self, request: InferenceRequest, model_id: str) -> None:
         if self.datastore is None:
             return
         arrival = request.arrival_time
         # positional LatencyRecord + inlined latency/queueing properties:
         # _finished just stamped both timestamps, so the validation is dead
         key = f"fn/latency/{request.request_id}"
-        self.datastore.put(
+        self._put(
             key,
             LatencyRecord(
                 request.function_name,
-                request.model_id,
+                model_id,
                 request.gpu_id,
                 request.completed_at - arrival,
                 request.dispatched_at - arrival,

@@ -12,10 +12,12 @@ than the queue length.  This module supplies everything the index-driven
 scheduling fast path needs to honour that bound:
 
 * ``first_entry_for_model`` — O(1) oldest queued request per model;
-* lazy O3 ``visits`` accounting — one scan's "every skipped request is
-  visited once more" (Alg. 1 line 15) becomes a single O(log n) prefix
-  update on a segment tree instead of an O(queue) walk, with per-request
-  values materialized on demand;
+* O3 ``visits`` accounting in O(log n + a constant) per scan — "every
+  skipped request is visited once more" (Alg. 1 line 15) is counted
+  eagerly on the newest, not-yet-attached entries (at most
+  ``_MAX_PENDING_LEAVES - 1`` of them: on a shallow queue, all of them)
+  and as one lazy prefix update on a segment tree for the entries that
+  outlived that cap, with per-request values materialized on demand;
 * an ordered *starved* set — requests whose visits exceeded the O3 limit
   surface by index (Alg. 1 line 11) instead of being rediscovered by
   rescanning the queue;
@@ -39,9 +41,14 @@ __all__ = ["GlobalQueue", "LocalQueues"]
 #: surface from the starvation search (empty, removed, or already-starved).
 _INF = 1 << 60
 
-#: deferred-leaf backlog cap: pushes beyond this settle their own tree
-#: leaf immediately, bounding the settling any single scan can inherit
+#: unattached-tail cap: the newest entries count their skips eagerly and
+#: move to the visit tree together once this many have accumulated, so a
+#: scan walks fewer than this many entries whatever the queue depth
 _MAX_PENDING_LEAVES = 32
+
+
+def _entry_slot(entry: "_Entry") -> int:
+    return entry.slot
 
 
 class _VisitTree:
@@ -180,27 +187,27 @@ class _Entry:
     """One queued request plus its position and lazy O3-visit state."""
 
     __slots__ = (
-        "request", "key", "slot", "alive", "starved",
+        "request", "model_id", "key", "slot", "alive", "starved",
         "visits_at_entry", "rem0", "leaf_applied",
     )
 
     def __init__(self, request: InferenceRequest, key: tuple[float, int], slot: int) -> None:
         self.request = request
+        self.model_id = request.model_id  # the bucket this entry is filed under
         self.key = key  # (arrival_time, push sequence): total queue order
         self.slot = slot  # index into the queue's entry array
         self.alive = True
         self.starved = False
-        #: eager visit count at (re)indexing time; live value adds the
-        #: number of lazy prefix bumps that covered this slot since
+        #: visit count as of the last settle; an attached entry's live
+        #: value adds the lazy prefix bumps that covered its slot since
         self.visits_at_entry = 0
-        #: remaining skip budget at (re)indexing time (tree leaf baseline)
+        #: remaining skip budget as of the last settle
         self.rem0 = 0
-        #: whether the visit tree's leaf actually holds rem0 yet.  Leaf
-        #: attachment is deferred until the first scan whose prefix covers
-        #: this slot: a request that is pushed and dispatched before any
-        #: such scan (the hot submit→dispatch shape) never touches the
-        #: tree at all.  While unapplied, the live visit count is exactly
-        #: ``visits_at_entry`` — no bump can have covered the slot.
+        #: whether the visit tree holds this entry's budget.  False while
+        #: the entry sits in the queue's unattached tail, where each
+        #: covering scan updates ``visits_at_entry`` / ``rem0`` in place —
+        #: both are then exact, and a request pushed and dispatched on a
+        #: shallow queue never touches the tree at all.
         self.leaf_applied = False
 
 
@@ -223,10 +230,13 @@ class GlobalQueue:
         self._live = 0
         self._head = 0  # first possibly-alive slot
         self._seq = itertools.count()
-        self._tree: _VisitTree | None = None
-        #: entries whose tree leaf has not been written yet (deferred
-        #: attachment; applied by the first bump whose prefix covers them)
+        self._tree = _VisitTree(64) if o3_limit is not None else None
+        #: the unattached tail: exactly the live, non-starved entries the
+        #: tree does not hold, in slot order (fewer than the cap)
         self._pending_leaves: list[_Entry] = []
+        #: live, non-starved entries the tree holds; the tree is read and
+        #: written only while this is non-zero
+        self._attached = 0
         self._starved: list[_Entry] = []  # slot-ordered; may hold dead entries
         self._starved_dead = 0
         self._version = 0  # bumped whenever slots are renumbered
@@ -319,17 +329,15 @@ class GlobalQueue:
         if len(self._entries) > 64 and self._live * 2 < len(self._entries):
             self._reindex()  # too many holes: compact before appending
         slot = len(self._entries)
-        if self._o3_limit is not None:
-            if self._tree is None:
-                self._tree = _VisitTree(64)
-            if slot >= self._tree.size:
-                self._reindex()
-                slot = len(self._entries)
+        tree = self._tree
+        if tree is not None and slot >= tree.size:
+            self._reindex()
+            slot = len(self._entries)
         entry = _Entry(request, (request.arrival_time, next(self._seq)), slot)
         self._entries.append(entry)
         self._keys.append(entry.key)
         self._by_id[request.request_id] = entry
-        model_id = request.model_id
+        model_id = entry.model_id
         bucket = self._buckets.get(model_id)
         if bucket is None:  # avoid minting a throwaway deque per push
             bucket = self._buckets[model_id] = deque()
@@ -370,20 +378,21 @@ class GlobalQueue:
         self._version += 1
         self._by_id[request.request_id] = entry
         self._bucket_insert(entry)
-        model_id = request.model_id
+        model_id = entry.model_id
         self._model_live[model_id] = self._model_live.get(model_id, 0) + 1
         self._live += 1
         if self._track_tenants:
             self._tenant_add(request)
         self._head = min(self._head, pos)
         if self._o3_limit is not None:
-            # set the entry's skip budget first: the tree rebuild below
-            # reads every entry's rem0, including the new one
-            self._attach_visits(entry, tree_leaf_pending=False)
-            self._rebuild_tree()
+            self._attach_visits(entry)
+            # the new entry may sit ahead of older unattached ones
+            self._pending_leaves.sort(key=_entry_slot)
+            if self._attached:
+                self._rebuild_tree()  # every leaf past pos moved up a slot
 
     def _bucket_insert(self, entry: _Entry) -> None:
-        bucket = self._buckets.setdefault(entry.request.model_id, deque())
+        bucket = self._buckets.setdefault(entry.model_id, deque())
         # walk from the tail: the re-queued request is usually younger than
         # most of its model's backlog, and failure re-insertions are rare
         i = len(bucket)
@@ -395,18 +404,25 @@ class GlobalQueue:
         entry = self._by_id.pop(request.request_id, None)
         if entry is None:
             raise KeyError(f"request {request.request_id} is not in the global queue")
-        self._materialize(entry)
+        if self._o3_limit is not None:
+            # fold the skip count into the request's eager ``visits``
+            request._visits = self._entry_visits(entry)
+            if entry.starved:
+                self._starved_dead += 1
+            elif entry.leaf_applied:
+                # park the live countdown so the starvation search never
+                # surfaces the slot (starved leaves already sit at infinity)
+                self._tree.point_set(entry.slot, _INF)
+                self._attached -= 1
+            else:
+                self._pending_leaves.remove(entry)
+            probe = request._queue_probe
+            if probe is not None and probe[1] is entry:
+                request._queue_probe = None
         entry.alive = False
         self._entries[entry.slot] = None
         self._live -= 1
-        if self._tree is not None and not entry.starved and entry.leaf_applied:
-            # starved and never-attached leaves already sit at infinity;
-            # only live countdowns need parking so the starvation search
-            # never surfaces the slot
-            self._tree.point_set(entry.slot, _INF)
-        if entry.starved:
-            self._starved_dead += 1
-        model_id = request.model_id
+        model_id = entry.model_id
         remaining = self._model_live[model_id] - 1
         if remaining:
             self._model_live[model_id] = remaining
@@ -451,7 +467,7 @@ class GlobalQueue:
         entries = self._entries
         for i in range(self._head, len(entries)):
             entry = entries[i]
-            if entry is not None and entry.request.model_id in model_ids:
+            if entry is not None and entry.model_id in model_ids:
                 return entry
         return None
 
@@ -534,22 +550,33 @@ class GlobalQueue:
     def bump_visits_before(self, stop_slot: int | None) -> None:
         """Count one more skip for every live request before ``stop_slot``.
 
-        This is Alg. 1 line 15 for a whole first scan: O(log n) instead of
-        touching every queued request.  Requests whose skip budget reaches
-        zero move to the starved set (their ``visits`` freeze at limit+1,
-        exactly the eager value, since starved requests are never skipped
-        again — Alg. 1 line 11 routes them instead).
+        This is Alg. 1 line 15 for a whole first scan, in O(log n + cap)
+        instead of touching every queued request: the unattached tail is
+        counted entry by entry (fewer than ``_MAX_PENDING_LEAVES``), the
+        entries that outlived it by one prefix update on the visit tree.
+        Requests whose skip budget reaches zero move to the starved set
+        (their ``visits`` freeze at limit+1, since starved requests are
+        never skipped again — Alg. 1 line 11 routes them instead).
         """
         if self._o3_limit is None:
             raise RuntimeError("queue does not track O3 visits (no o3_limit)")
         r = len(self._entries) if stop_slot is None else stop_slot
-        if r <= 0 or self._tree is None:
+        if r <= 0:
+            return
+        starved_now = False
+        for entry in self._pending_leaves:
+            if entry.slot >= r:
+                break
+            entry.visits_at_entry += 1
+            entry.rem0 -= 1
+            if not entry.rem0:
+                entry.starved = starved_now = True
+                insort(self._starved, entry, key=_entry_slot)
+        if starved_now:
+            self._pending_leaves = [e for e in self._pending_leaves if not e.starved]
+        if not self._attached:
             return
         tree = self._tree
-        if self._pending_leaves:
-            # deferred leaf attachment: settle the entries this prefix is
-            # about to decrement; slots at or past the stop keep deferring
-            self._flush_pending_leaves(r)
         tree.prefix_add(r, -1)
         while (slot := tree.first_depleted(r)) is not None:
             entry = self._entries[slot]
@@ -557,9 +584,10 @@ class GlobalQueue:
             entry.visits_at_entry += entry.rem0  # freeze at limit + 1
             entry.starved = True
             tree.point_set(slot, _INF)
-            insort(self._starved, entry, key=lambda e: e.slot)
+            self._attached -= 1
+            insort(self._starved, entry, key=_entry_slot)
 
-    def _attach_visits(self, entry: _Entry, *, tree_leaf_pending: bool = True) -> None:
+    def _attach_visits(self, entry: _Entry) -> None:
         request = entry.request
         entry.visits_at_entry = request._visits
         need = self._o3_limit + 1 - entry.visits_at_entry  # type: ignore[operator]
@@ -567,79 +595,60 @@ class GlobalQueue:
             # re-queued with its starvation already earned (fairness:
             # resubmit preserves visits) — surface it immediately
             entry.starved = True
-            insort(self._starved, entry, key=lambda e: e.slot)
+            insort(self._starved, entry, key=_entry_slot)
         else:
             entry.rem0 = need
-            if tree_leaf_pending:
-                # deferred: the leaf is written only if a scan's prefix
-                # ever covers this slot (see bump_visits_before).  The
-                # backlog is capped so one scan never settles more than a
-                # constant number of leaves — §VI's per-pass bound must
-                # not degrade to O(pushes since the last scan).
-                self._pending_leaves.append(entry)
-                if len(self._pending_leaves) >= _MAX_PENDING_LEAVES:
-                    self._flush_pending_leaves(None)
+            pending = self._pending_leaves
+            pending.append(entry)
+            if len(pending) >= _MAX_PENDING_LEAVES:
+                # the tail outlived the cap (a backlog is building): hand
+                # it to the tree, so no scan ever walks more than a
+                # constant number of entries — §VI's per-pass bound must
+                # not degrade to O(pushes since the last dispatch)
+                tree = self._tree
+                for e in pending:
+                    tree.point_set(e.slot, e.rem0)  # type: ignore[union-attr]
+                    e.leaf_applied = True
+                self._attached += len(pending)
+                self._pending_leaves = []
         # inlined request._attach_queue_entry (one call per push saved)
         request._queue_probe = (self, entry)
 
-    def _flush_pending_leaves(self, r: int | None) -> None:
-        """Write the deferred tree leaves for slots below ``r`` (None =
-        all); dead and already-starved entries are dropped unwritten."""
-        tree = self._tree
-        keep = []
-        for e in self._pending_leaves:
-            if not e.alive or e.starved or e.leaf_applied:
-                continue
-            if r is None or e.slot < r:
-                tree.point_set(e.slot, e.rem0)  # type: ignore[union-attr]
-                e.leaf_applied = True
-            else:
-                keep.append(e)
-        self._pending_leaves = keep
-
-    def _materialize(self, entry: _Entry) -> None:
-        """Fold the lazy skip count into the request's eager ``visits``."""
-        request = entry.request
-        if self._o3_limit is not None:
-            request._visits = self._entry_visits(entry)
-        # inlined request._detach_queue_entry (one call per removal saved)
-        probe = request._queue_probe
-        if probe is not None and probe[1] is entry:
-            request._queue_probe = None
-
     def _entry_visits(self, entry: _Entry) -> int:
-        if entry.starved or self._tree is None or not entry.leaf_applied:
+        if entry.starved or not entry.leaf_applied:
             return entry.visits_at_entry
         return entry.visits_at_entry + (entry.rem0 - self._tree.point_get(entry.slot))
 
     def _entry_set_visits(self, entry: _Entry, value: int) -> None:
         # Direct writes (the reference scan's `request.visits += 1`) re-base
-        # the lazy accounting: the eager baseline takes the new value and
-        # the tree leaf is reset to the matching remaining skip budget, so
-        # a later fast scan sees exactly the state an all-lazy history
+        # the accounting: the baseline takes the new value and the skip
+        # budget (the tree leaf, for an attached entry) is reset to match,
+        # so a later fast scan sees exactly the state an all-lazy history
         # would have produced (including crossing into the starved set).
         entry.visits_at_entry = value
-        if entry.starved or self._tree is None:
+        if entry.starved:
             return
         remaining = self._o3_limit + 1 - value  # type: ignore[operator]
-        if remaining <= 0:
-            entry.starved = True
-            if entry.leaf_applied:
-                self._tree.point_set(entry.slot, _INF)
-            insort(self._starved, entry, key=lambda e: e.slot)
-        else:
+        if remaining > 0:
             entry.rem0 = remaining
             if entry.leaf_applied:
                 self._tree.point_set(entry.slot, remaining)
-            # deferred entries keep deferring: rem0 is what the eventual
-            # attachment will write
+            return
+        entry.starved = True
+        if entry.leaf_applied:
+            self._tree.point_set(entry.slot, _INF)
+            self._attached -= 1
+        else:
+            self._pending_leaves.remove(entry)
+        insort(self._starved, entry, key=_entry_slot)
 
     # ------------------------------------------------------------------
     # Re-indexing (hole compaction / tree growth / positional insert)
     # ------------------------------------------------------------------
     def _reindex(self) -> None:
         """Drop holes, renumber slots 0..live-1, rebuild keys and tree."""
-        if self._tree is not None:
+        if self._attached:
+            # settle: fold the tree's countdowns into the attached entries
             values = self._tree.values(len(self._entries))
             for entry in self._entries:
                 if entry is not None and not entry.starved and entry.leaf_applied:
@@ -660,16 +669,16 @@ class GlobalQueue:
             self._rebuild_tree()
 
     def _rebuild_tree(self) -> None:
+        """A tree sized for the live entries, holding the (settled)
+        budgets of the attached ones; the unattached tail stays out."""
         need = max(64, 2 * (self._live + 1))
         cap = 1 << (need - 1).bit_length()
-        leaves = []
-        for e in self._entries:
-            if e is None or e.starved:
-                leaves.append(_INF)
-            else:
-                leaves.append(e.rem0)
-                e.leaf_applied = True  # the rebuild just wrote its leaf
-        self._pending_leaves = []
+        leaves = None
+        if self._attached:
+            leaves = [
+                e.rem0 if e is not None and e.leaf_applied and not e.starved else _INF
+                for e in self._entries
+            ]
         self._tree = _VisitTree(cap, leaves)
 
 

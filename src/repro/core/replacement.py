@@ -69,18 +69,10 @@ class EvictionPolicy(ABC):
         """
         if model_id not in self._resident:
             raise KeyError(f"{model_id} is not resident")
-        if self._access_changes_order(model_id):
-            self._order_view = None  # access can reorder victims (LRU/LFU/...)
-            self._access(model_id, now)
-            return True
-        self._access(model_id, now)  # stat-keeping policies still observe it
-        return False
-
-    def _access_changes_order(self, model_id: str) -> bool:
-        """Whether an access to ``model_id`` can reorder the victims.
-        Conservative default; exact overrides in LRU (already-MRU) and
-        FIFO (never reorders)."""
-        return True
+        changed = self._access(model_id, now)
+        if changed:
+            self._order_view = None
+        return changed
 
     def on_evict(self, model_id: str) -> None:
         if model_id not in self._resident:
@@ -105,7 +97,9 @@ class EvictionPolicy(ABC):
     def _insert(self, model_id: str, now: float) -> None: ...
 
     @abstractmethod
-    def _access(self, model_id: str, now: float) -> None: ...
+    def _access(self, model_id: str, now: float) -> bool:
+        """Observe a hit; return whether it can reorder the victims (True
+        when in doubt; exact in LRU — already-MRU — and FIFO — never)."""
 
     @abstractmethod
     def _forget(self, model_id: str) -> None: ...
@@ -168,15 +162,14 @@ class LRUPolicy(EvictionPolicy):
     def _insert(self, model_id: str, now: float) -> None:
         self._order[model_id] = None  # newly loaded = most recently used
 
-    def _access(self, model_id: str, now: float) -> None:
+    def _access(self, model_id: str, now: float) -> bool:
+        if next(reversed(self._order)) == model_id:
+            return False  # re-using the most-recently-used model
         self._order.move_to_end(model_id)
+        return True
 
     def _forget(self, model_id: str) -> None:
         del self._order[model_id]
-
-    def _access_changes_order(self, model_id: str) -> bool:
-        # re-using the most-recently-used model leaves the order intact
-        return next(reversed(self._order)) != model_id
 
     def _compute_eviction_order(self) -> list[str]:
         return list(self._order)
@@ -196,10 +189,7 @@ class FIFOPolicy(EvictionPolicy):
     def _insert(self, model_id: str, now: float) -> None:
         self._order[model_id] = None
 
-    def _access(self, model_id: str, now: float) -> None:
-        pass  # reuse does not matter to FIFO
-
-    def _access_changes_order(self, model_id: str) -> bool:
+    def _access(self, model_id: str, now: float) -> bool:
         return False  # load order is fixed at insertion
 
     def _forget(self, model_id: str) -> None:
@@ -221,9 +211,10 @@ class LFUPolicy(EvictionPolicy):
         self._counts[model_id] = 0
         self._last_use[model_id] = now
 
-    def _access(self, model_id: str, now: float) -> None:
+    def _access(self, model_id: str, now: float) -> bool:
         self._counts[model_id] += 1
         self._last_use[model_id] = now
+        return True
 
     def _forget(self, model_id: str) -> None:
         del self._counts[model_id]
@@ -243,8 +234,9 @@ class SizeAwarePolicy(EvictionPolicy):
     def _insert(self, model_id: str, now: float) -> None:
         self._last_use[model_id] = now
 
-    def _access(self, model_id: str, now: float) -> None:
+    def _access(self, model_id: str, now: float) -> bool:
         self._last_use[model_id] = now
+        return True
 
     def _forget(self, model_id: str) -> None:
         del self._last_use[model_id]
@@ -271,8 +263,9 @@ class BeladyPolicy(EvictionPolicy):
     def _insert(self, model_id: str, now: float) -> None:
         self._now = now
 
-    def _access(self, model_id: str, now: float) -> None:
+    def _access(self, model_id: str, now: float) -> bool:
         self._now = now
+        return True
 
     def _forget(self, model_id: str) -> None:
         pass

@@ -89,9 +89,10 @@ class InferenceRequest:
         """Times this request was skipped by the O3 dispatch (Alg. 1 line 15).
 
         While the request sits in a visit-tracking :class:`GlobalQueue`
-        the count is maintained *lazily* (one O(log n) prefix update per
-        scheduling scan instead of touching every queued request); the
-        probe resolves the live value on read.
+        the count lives in its queue entry (and, once a backlog has
+        built, in one O(log n) prefix update per scheduling scan instead
+        of a touch per queued request); the probe resolves the live value
+        on read.
         """
         probe = self._queue_probe
         if probe is not None:

@@ -64,6 +64,13 @@ class Scheduler:
     ) -> None:
         self.sim = sim
         self.cluster = cluster
+        # SchedulerOps' GPU observations are the Cluster's incrementally
+        # maintained views, handed out without a forwarding frame; callers
+        # must not mutate the returned lists
+        self.gpu = cluster.gpu
+        self.idle_gpus = cluster.idle_gpus
+        self.idle_gpus_by_frequency = cluster.idle_gpus_by_frequency
+        self.busy_gpus = cluster.busy_gpus
         self.policy = policy
         self.cache = cache
         self.estimator = estimator
@@ -142,13 +149,15 @@ class Scheduler:
             )
         self.actions += 1
         self._run_policy()
-        self._flush_writes()
+        if not self.sim._running:
+            self._flush_writes()
 
     def on_gpu_idle(self, gpu: GPUDevice) -> None:
         """GPU Manager callback: a GPU finished its request."""
         self.actions += 1
         self._run_policy()
-        self._flush_writes()
+        if not self.sim._running:
+            self._flush_writes()
 
     def drain_local(self, gpu_id: str) -> list[InferenceRequest]:
         """Empty a GPU's local queue (failure handling): the locality that
@@ -165,7 +174,8 @@ class Scheduler:
         self.global_queue.push_sorted(request)
         self.actions += 1
         self._run_policy()
-        self._flush_writes()
+        if not self.sim._running:
+            self._flush_writes()
 
     def give_up(self, request: InferenceRequest, reason: str) -> None:
         """Drop a request whose retry budget is exhausted (bounded-retry
@@ -204,13 +214,14 @@ class Scheduler:
         cache touches, status flips, finish-time estimates, latency
         records — in the Datastore's shared WriteBatch; committing here
         turns the whole action into one transaction, one revision, and one
-        coalesced watch notification.  Inside a simulator event the flush
-        defers to the post-event hook instead, so a handler that calls
-        several scheduler entry points (e.g. a failure resubmitting many
-        requests) still commits as a single action.  With no Datastore (or
-        a write-through one, whose batch is always empty) this is a no-op.
+        coalesced watch notification.  The entry points call this only
+        outside a simulator event: inside one the flush belongs to the
+        post-event hook, so a handler that calls several scheduler entry
+        points (e.g. a failure resubmitting many requests) still commits
+        as a single action.  With no Datastore (or a write-through one,
+        whose batch is always empty) this is a no-op.
         """
-        if self.datastore is not None and not self.sim._running:
+        if self.datastore is not None:
             self.datastore.flush()
 
     def _pass_work_remaining(self) -> bool:
@@ -325,28 +336,9 @@ class Scheduler:
         )
 
     # ------------------------------------------------------------------
-    # SchedulerOps: observations
+    # SchedulerOps: observations (the GPU views are the Cluster's own
+    # methods, bound in __init__)
     # ------------------------------------------------------------------
-    def idle_gpus(self) -> list[GPUDevice]:
-        return self.cluster.idle_gpus()
-
-    def idle_gpus_by_frequency(self) -> list[GPUDevice]:
-        """Idle GPUs, most-used first (Alg. 1's "sorted by frequency").
-
-        Frequency is the number of requests the GPU has completed; ties
-        break on gpu_id for determinism.  Served from the Cluster's
-        incrementally maintained view (one remove per dispatch, one
-        re-file per completion — no rebuild-and-sort on state changes).
-        Callers must not mutate the returned list.
-        """
-        return self.cluster.idle_gpus_by_frequency()
-
-    def busy_gpus(self) -> list[GPUDevice]:
-        return self.cluster.busy_gpus()
-
-    def gpu(self, gpu_id: str) -> GPUDevice:
-        return self.cluster.gpu(gpu_id)
-
     def may_dispatch(self, request: InferenceRequest, gpu: GPUDevice | None = None) -> bool:
         """Tenancy admission check (§VI isolation).
 

@@ -25,25 +25,28 @@ The batch also answers overlay reads (:meth:`peek`) so a batched
 :class:`~repro.datastore.client.DatastoreClient` keeps read-your-writes
 semantics between flushes.
 
-Ephemeral keys need no special handling here: they accumulate, coalesce,
-overlay, and commit exactly like durable keys — the fast lane lives in
-:meth:`KVStore._apply_put`/``_apply_delete``, where a committed ephemeral
-key skips the history/event-log bookkeeping the batch's transaction would
-otherwise pay per key.  The flush's coalesced map is handed to
-``KVStore._apply_coalesced`` unchanged either way.
+Ephemeral keys accumulate, coalesce and overlay exactly like durable keys.
+They differ at the commit: a flush that nothing observes — no watch or
+mutation hook on the store, no lease in the batch, which is every flush of
+a trace replay — applies its entries to the store's live view inside
+:meth:`WriteBatch.flush`, minting one ``KeyValue`` per ephemeral key and
+nothing else (no events, no liveness map, no snapshot of the batch);
+durable keys go through ``KVStore._apply_put`` either way.  An observed
+flush hands the coalesced map to ``KVStore._apply_coalesced`` unchanged.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from .kv import BatchCommit, KVStore
+from .kv import BatchCommit, KeyValue, KVStore, _tuple_new
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .lease import Lease
 
-__all__ = ["DELETE", "WriteBatch"]
+__all__ = ["DELETE", "WriteBatch", "WriteStats"]
 
 
 class _Delete:
@@ -63,6 +66,33 @@ _DEL = "delete"
 _DELETE_OP = (_DEL,)
 
 
+@dataclass
+class WriteStats:
+    """Write-amplification counters for the control-plane write path.
+
+    ``logical_writes`` counts every ``put``/``put_lazy``/``delete`` — what
+    the components *asked* for.  ``flushes``, ``committed_keys``, and
+    ``coalesced_writes`` describe the batched path only (they stay 0 on a
+    write-through ``Datastore()``, where every logical write commits
+    individually and the revision counter tracks the logical stream).
+    Revisions come from ``kv.revision``; ``writes-per-revision`` (logical /
+    revisions) is the amplification the batched path removes.
+    """
+
+    logical_writes: int = 0
+    flushes: int = 0
+    committed_keys: int = 0
+    coalesced_writes: int = 0  # logical writes absorbed by LWW
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "logical_writes": self.logical_writes,
+            "flushes": self.flushes,
+            "committed_keys": self.committed_keys,
+            "coalesced_writes": self.coalesced_writes,
+        }
+
+
 class WriteBatch:
     """Accumulates puts/deletes; :meth:`flush` commits them as one txn."""
 
@@ -74,51 +104,55 @@ class WriteBatch:
     def __init__(self, store: KVStore) -> None:
         self._store = store
         # key -> ("put", value, fresh) | ("lazy", thunk, fresh) | ("delete",)
-        # — the *same* entry shapes ``KVStore._apply_coalesced`` consumes, so
-        # the flush hands over a plain ``dict.copy()`` instead of re-minting
-        # one tuple per key.  Insertion order = first-touch order, which
-        # becomes the committed batch's event order.  ``fresh`` marks a put
-        # that overwrote a pending delete: the flush re-emits the delete
-        # before it so the store recreates the key (version 1), just as the
-        # sequential delete-then-put would have.
+        # — the *same* entry shapes ``KVStore._apply_coalesced`` consumes.
+        # Insertion order = first-touch order, which becomes the committed
+        # batch's event order.  ``fresh`` marks a put that landed over a
+        # pending delete: the store recreates the key (version 1), just as
+        # the sequential delete-then-put would have.  It is filled in at
+        # flush time from ``_deleted``, so a write never reads the entry
+        # it replaces.
         #
         # The dict object is stable for the batch's lifetime (flush drains
         # it in place): the Datastore's per-event safety-net hook closes
         # over it so the no-op path is a single truthiness test.
         self._pending: dict[str, tuple] = {}
+        #: keys deleted since the last flush (rare: function CRUD and the
+        #: latency-log window)
+        self._deleted: set[str] = set()
         #: keys whose latest put/put_lazy carried a lease (rare: only lease
         #: users pay for it; the empty-dict truthiness test on the lease-less
         #: path is one attribute load)
         self._leases: dict[str, "Lease"] = {}
-        #: count of pending lazy entries, so a flush with none skips the
-        #: thunk-resolution pass entirely
-        self._lazy = 0
-        #: writes absorbed by last-write-wins since the last flush — each
-        #: one is a revision bump (and watch fan-out) the batch removed
-        self.overwritten = 0
+        #: whether anything was marked lazy since the last flush, so a
+        #: flush with none skips the thunk-resolution pass entirely
+        self._lazy = False
+        #: what was asked for and what was committed; a Datastore shares
+        #: this object as its ``stats``
+        self.stats = WriteStats()
+        #: ``stats.logical_writes`` as of the last flush
+        self._flushed_writes = 0
 
     @property
     def pending_map(self) -> dict:
         """The live pending dict (stable identity; treat as read-only)."""
         return self._pending
 
+    @property
+    def overwritten(self) -> int:
+        """Writes of the open batch absorbed by last-write-wins so far —
+        each one is a revision bump (and watch fan-out) the batch removed."""
+        return self.stats.logical_writes - self._flushed_writes - len(self._pending)
+
     # ------------------------------------------------------------------
-    # Accumulation (put/put_lazy carry the same body rather than sharing a
-    # helper: these run several times per scheduling action, and the extra
-    # call layer was measurable on the replay hot path)
+    # Accumulation: a store into the pending map and a count, nothing read
+    # back — these run several times per scheduling action, and a root
+    # client of a batched Datastore binds them as its own ``put`` /
+    # ``put_lazy``
     # ------------------------------------------------------------------
     def put(self, key: str, value: Any, *, lease: "Lease | None" = None) -> None:
         """Record a put; overwrites any pending entry for ``key``."""
-        pending = self._pending
-        prior = pending.get(key)
-        fresh = False
-        if prior is not None:
-            self.overwritten += 1
-            kind = prior[0]
-            fresh = kind is _DEL or prior[2]  # put lands over a delete
-            if kind is _LAZY:
-                self._lazy -= 1
-        pending[key] = (_PUT, value, fresh)
+        self.stats.logical_writes += 1
+        self._pending[key] = (_PUT, value, False)
         if lease is not None:
             self._leases[key] = lease
         elif self._leases:
@@ -129,18 +163,9 @@ class WriteBatch:
     ) -> None:
         """Mark ``key`` dirty; ``thunk()`` supplies the value at flush time
         (or :data:`DELETE` to delete the key instead)."""
-        pending = self._pending
-        prior = pending.get(key)
-        fresh = False
-        if prior is None:
-            self._lazy += 1
-        else:
-            self.overwritten += 1
-            kind = prior[0]
-            fresh = kind is _DEL or prior[2]
-            if kind is not _LAZY:
-                self._lazy += 1
-        pending[key] = (_LAZY, thunk, fresh)
+        self.stats.logical_writes += 1
+        self._lazy = True
+        self._pending[key] = (_LAZY, thunk, False)
         if lease is not None:
             self._leases[key] = lease
         elif self._leases:
@@ -148,12 +173,9 @@ class WriteBatch:
 
     def delete(self, key: str) -> None:
         """Record a delete; overwrites any pending entry for ``key``."""
-        prior = self._pending.get(key)
-        if prior is not None:
-            self.overwritten += 1
-            if prior[0] is _LAZY:
-                self._lazy -= 1
+        self.stats.logical_writes += 1
         self._pending[key] = _DELETE_OP
+        self._deleted.add(key)
         if self._leases:
             self._leases.pop(key, None)
 
@@ -199,16 +221,20 @@ class WriteBatch:
     def flush(self) -> BatchCommit:
         """Commit every pending entry as one atomic transaction.
 
-        Lazy thunks are resolved now, leases attach to their committed
-        keys, and the pending set is cleared *before* the store applies the
-        batch so watcher callbacks that issue new writes start the next
-        batch instead of mutating the one being committed.  (Thunks are
-        value *serializers*: they must not write back into the batch —
-        they run while the pending map is being drained in place.)
+        Lazy thunks are resolved now and leases attach to their committed
+        keys.  When anything can observe the commit (a watch or mutation
+        hook on the store, a lease in the batch) the pending set is
+        snapshotted and cleared *before* the store applies it, so watcher
+        callbacks that issue new writes start the next batch instead of
+        mutating the one being committed; otherwise the entries are
+        applied to the store's live view right here and the set is cleared
+        afterwards.  (Thunks are value *serializers*: they must not write
+        back into the batch — they run while the pending map is being
+        drained in place.)
         """
         pending = self._pending
         if not pending:
-            return BatchCommit(revision=None, events=(), existed={})
+            return BatchCommit(revision=None, events=())
         tracer = self._tracer
         t0 = 0
         if tracer is not None:
@@ -219,10 +245,19 @@ class WriteBatch:
             state[2] = n
             if not n % tracer.span_stride:
                 t0 = perf_counter_ns()
-        # resolve lazy thunks in place (value reassignment on an existing
-        # key never resizes the dict, so iterating while storing is safe);
-        # after this every entry already has the coalesced {key: op} shape
-        # the store consumes, and the handoff is a single C-level copy
+        stats = self.stats
+        stats.coalesced_writes += stats.logical_writes - self._flushed_writes - len(pending)
+        self._flushed_writes = stats.logical_writes
+        # after the two passes below every entry has the coalesced
+        # {key: op} shape the store consumes (value reassignment on an
+        # existing key never resizes the dict, so iterating while storing
+        # is safe)
+        if self._deleted:
+            for key in self._deleted:
+                entry = pending[key]
+                if entry is not _DELETE_OP:  # written again after the delete
+                    pending[key] = (entry[0], entry[1], True)
+            self._deleted.clear()
         if self._lazy:
             for key, entry in pending.items():
                 if entry[0] is _LAZY:
@@ -230,28 +265,55 @@ class WriteBatch:
                     pending[key] = (
                         _DELETE_OP if value is DELETE else (_PUT, value, entry[2])
                     )
-            self._lazy = 0
-        coalesced = pending.copy()
-        # clear in place *after* taking the op map but *before* applying:
-        # the dict keeps its identity (the post-event hook closes over it)
-        # and watcher callbacks fired by the commit start the next batch
-        # instead of mutating the one being committed
-        pending.clear()
-        leases = self._leases
-        if leases:
-            lease_items: list[tuple[str, "Lease"]] | None = list(leases.items())
-            leases.clear()
+            self._lazy = False
+        store = self._store
+        if store._on_mutation or store._on_batch or self._leases:
+            coalesced = pending.copy()
+            pending.clear()
+            lease_items = list(self._leases.items())
+            self._leases.clear()
+            commit = store._apply_coalesced(coalesced)
+            if commit.revision is not None:
+                for key, lease in lease_items:
+                    # a lazy entry whose thunk returned DELETE keeps its lease
+                    # recorded but commits as a delete — never attach for those
+                    if lease.alive and coalesced[key][0] is _PUT:
+                        lease.attach(key)
         else:
-            lease_items = None
-        # the per-action flush discards the pre-commit liveness map, so
-        # skip building it (transactions use apply_batch, which keeps it)
-        commit = self._store._apply_coalesced(coalesced, want_existed=False)
-        if lease_items is not None and commit.revision is not None:
-            for key, lease in lease_items:
-                # a lazy entry whose thunk returned DELETE keeps its lease
-                # recorded but commits as a delete — never attach for those
-                if lease.alive and coalesced[key][0] is _PUT:
-                    lease.attach(key)
+            # the unobserved lane: nothing can run between these stores,
+            # so the revision is claimed up front and handed back if no
+            # entry turns out to be effective (deletes of missing keys)
+            live = store._live
+            eph = store._ephemeral
+            revision = store._revision = store._revision + 1
+            count = eph_count = 0
+            for key, entry in pending.items():
+                if entry[0] is _PUT:
+                    if eph and key.startswith(eph):
+                        # KVStore._apply_put's ephemeral lane, in line: the
+                        # control plane commits 2-3 of these per action
+                        if key not in live:
+                            store._sorted_keys = None
+                        live[key] = _tuple_new(
+                            KeyValue, (key, entry[1], revision, revision, 1)
+                        )
+                        eph_count += 1
+                    else:
+                        store._apply_put(key, entry[1], fresh=entry[2])
+                elif key in live:
+                    store._apply_delete(key)
+                else:
+                    continue
+                count += 1
+            pending.clear()
+            store.ephemeral_writes += eph_count
+            if not count:
+                store._revision -= 1
+                revision = None
+            commit = _tuple_new(BatchCommit, (revision, (), None, count))
+        if commit.revision is not None:
+            stats.flushes += 1
+            stats.committed_keys += commit.count
         if t0:
             # write the commit ring in place (the tracer here is always
             # the runtime-installed FlightRecorder; one closure call per

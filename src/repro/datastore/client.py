@@ -50,11 +50,10 @@ under the same system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..sim import Simulator
-from .batch import DELETE, WriteBatch
+from .batch import DELETE, WriteBatch, WriteStats
 from .kv import KeyValue, KVStore
 from .lease import Lease, LeaseManager
 from .txn import Txn
@@ -78,34 +77,6 @@ EPHEMERAL_HOT_PREFIXES = (
 _MAX_FLUSH_CASCADE = 25
 
 
-@dataclass
-class WriteStats:
-    """Write-amplification counters for the control-plane write path.
-
-    ``logical_writes`` counts every client ``put``/``put_lazy``/``delete``
-    call — what the components *asked* for.  ``flushes``,
-    ``committed_keys``, and ``coalesced_writes`` describe the batched path
-    only (they stay 0 on a write-through ``Datastore()``, where every
-    logical write commits individually and the revision counter tracks
-    the logical stream).
-    Revisions come from ``kv.revision``; ``writes-per-revision`` (logical /
-    revisions) is the amplification the batched path removes.
-    """
-
-    logical_writes: int = 0
-    flushes: int = 0
-    committed_keys: int = 0
-    coalesced_writes: int = field(default=0)  # logical writes absorbed by LWW
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "logical_writes": self.logical_writes,
-            "flushes": self.flushes,
-            "committed_keys": self.committed_keys,
-            "coalesced_writes": self.coalesced_writes,
-        }
-
-
 class Datastore:
     """The system-wide etcd-like store (KV + watches + leases + txns)."""
 
@@ -124,7 +95,7 @@ class Datastore:
         self.leases = LeaseManager(sim, self.kv)
         self.batched = batched
         self.pending = WriteBatch(self.kv)
-        self.stats = WriteStats()
+        self.stats: WriteStats = self.pending.stats
         #: sliding-horizon history compaction (etcd ``--auto-compaction``
         #: analogue; None = keep everything): see :meth:`_autocompact`.
         #: Checked where revisions are minted — after each flush — so a
@@ -163,24 +134,17 @@ class Datastore:
         No-op when nothing is pending (a write-through store never has
         anything pending).  Watcher callbacks may issue new writes during
         delivery; those are flushed too (bounded), so the pending set is
-        empty when this returns under any sane watcher graph.
+        empty when this returns under any sane watcher graph.  Each
+        commit is one :meth:`WriteBatch.flush`, which also keeps
+        :attr:`stats`; when nothing observes the store its result carries
+        the committed-key count and no events.
         """
         pending = self.pending
         if not pending._pending:
-            return 0  # fast exit: this runs after *every* simulator event
-        stats = self.stats
+            return 0
         committed = 0
         for _ in range(_MAX_FLUSH_CASCADE):
-            stats.coalesced_writes += pending.overwritten
-            pending.overwritten = 0
-            commit = pending.flush()
-            if commit.revision is not None:
-                stats.flushes += 1
-                # commit.count, not len(commit.events): the hookless flush
-                # fast path commits without materializing event tuples
-                n = commit.count
-                stats.committed_keys += n
-                committed += n
+            committed += pending.flush().count
             if not pending._pending:
                 break
         if self.autocompact_keep is not None:
@@ -212,6 +176,12 @@ class DatastoreClient:
             namespace += "/"
         self._store = store
         self.namespace = namespace
+        if store.batched and not namespace:
+            # nothing to prefix and nothing to commit yet: the batch's own
+            # methods are this client's write path (same signatures, one
+            # frame per put below the component)
+            self.put = store.pending.put
+            self.put_lazy = store.pending.put_lazy
 
     # ------------------------------------------------------------------
     def _k(self, key: str) -> str:
@@ -224,10 +194,10 @@ class DatastoreClient:
         (no :class:`KeyValue` exists until the transaction commits).
         """
         store = self._store
-        store.stats.logical_writes += 1
         if store.batched:
             store.pending.put(self.namespace + key, value, lease=lease)
             return None
+        store.stats.logical_writes += 1
         kv = store.kv.put(self._k(key), value)
         if lease is not None:
             lease.attach(self._k(key))
@@ -244,10 +214,10 @@ class DatastoreClient:
         immediate ``put`` (or ``delete``) of ``thunk()``'s result.
         """
         store = self._store
-        store.stats.logical_writes += 1
         if store.batched:
             store.pending.put_lazy(self.namespace + key, thunk, lease=lease)
             return
+        store.stats.logical_writes += 1
         value = thunk()
         if value is DELETE:
             self._store.kv.delete(self._k(key))
@@ -279,7 +249,6 @@ class DatastoreClient:
 
     def delete(self, key: str) -> bool:
         """Delete a namespaced key; True if it (visibly) existed."""
-        self._store.stats.logical_writes += 1
         full = self._k(key)
         if self._store.batched:
             pending = self._store.pending.peek(full)
@@ -288,6 +257,7 @@ class DatastoreClient:
             )
             self._store.pending.delete(full)
             return existed
+        self._store.stats.logical_writes += 1
         return self._store.kv.delete(full)
 
     def range(self, prefix: str) -> dict[str, Any]:

@@ -103,12 +103,13 @@ class BatchCommit(NamedTuple):
 
     revision: int | None
     events: tuple[tuple[str, KeyValue | None], ...]
-    existed: dict[str, bool]
+    #: None from a ``WriteBatch.flush`` that nothing observes: that lane
+    #: never builds the map
+    existed: dict[str, bool] | None = None
     #: number of keys the commit mutated.  Authoritative where ``events``
-    #: may be skipped: the hookless per-action flush (no watches, no
-    #: mutation hooks, ``want_existed=False``) commits without building
-    #: per-event tuples nobody would read, and returns ``events=()`` with
-    #: the true count here.
+    #: is skipped: a flush that nothing observes (no watch, no mutation
+    #: hook, no lease) commits without building per-event tuples nobody
+    #: would read, and returns ``events=()`` with the true count here.
     count: int = 0
 
 
@@ -230,14 +231,12 @@ class KVStore:
             # lineage-free mint: create_revision = mod_revision, version
             # pinned at 1 — without history there is nothing to anchor
             # version counting to, and skipping the prev lookup keeps the
-            # lane a mint + dict store).  The len probe replaces the prev
-            # lookup for sorted-key invalidation: the cache only cares
+            # lane a mint + dict store).  The sorted-key cache only cares
             # whether the key *set* grew.
             kv = _tuple_new(KeyValue, (key, value, revision, revision, 1))
-            before = len(live)
-            live[key] = kv
-            if len(live) != before:
+            if key not in live:
                 self._sorted_keys = None
+            live[key] = kv
             self.ephemeral_writes += 1
             return kv
         prev = None if fresh else live.get(key)
@@ -324,92 +323,37 @@ class KVStore:
                 raise ValueError(f"unknown batch op kind {kind!r}")
         return self._apply_coalesced(coalesced)
 
-    def _apply_coalesced(
-        self, coalesced: dict[str, tuple], *, want_existed: bool = True
-    ) -> BatchCommit:
+    def _apply_coalesced(self, coalesced: dict[str, tuple]) -> BatchCommit:
         """Commit an already-coalesced batch (``apply_batch``'s inner half).
 
         ``coalesced`` maps key → ``("put", value, fresh)`` or
         ``("delete",)``; the :class:`~repro.datastore.batch.WriteBatch`
-        maintains exactly this shape while accumulating, so its flush calls
-        here directly instead of rebuilding an op list for re-coalescing.
-
-        ``want_existed=False`` skips building the pre-commit liveness map:
-        the control plane's per-action flushes discard it, and this path
-        runs once per scheduling action, so the extra full pass over the
-        batch was measurable.  Transactions (which answer per-op responses
-        from it) keep the default.
+        maintains exactly this shape while accumulating, so an observed
+        flush calls here directly instead of rebuilding an op list for
+        re-coalescing.  (A flush nothing observes commits in
+        ``WriteBatch.flush`` itself.)
         """
         live = self._live
-        existed: dict[str, bool] = {}
-        effective = False
-        if want_existed:
-            for key, entry in coalesced.items():
-                ex = key in live
-                existed[key] = ex
-                if ex or entry[0] == "put":
-                    effective = True
-        else:
-            for key, entry in coalesced.items():
-                if entry[0] == "put" or key in live:
-                    effective = True
-                    break
-        if not effective:
+        existed = {key: key in live for key in coalesced}
+        if not any(
+            ex or coalesced[key][0] == "put" for key, ex in existed.items()
+        ):
             return BatchCommit(revision=None, events=(), existed=existed)
         self._revision += 1
         revision = self._revision
-        apply_put = self._apply_put
-        # the ephemeral branch is inlined rather than routed through
-        # _apply_put: the control plane commits 2-3 ephemeral keys per
-        # scheduling action through exactly this loop, and the method
-        # call + prev lookup were the last per-key residue left
-        eph = self._ephemeral
-        if not want_existed and not self._on_mutation and not self._on_batch:
-            # hookless flush fast path: no watcher or mutation hook will
-            # ever see per-event tuples and the flush caller reads only
-            # the committed-key count, so skip building the events list
-            count = 0
-            for key, entry in coalesced.items():
-                if entry[0] == "put":
-                    if eph and key.startswith(eph):
-                        kv = _tuple_new(
-                            KeyValue, (key, entry[1], revision, revision, 1)
-                        )
-                        before = len(live)
-                        live[key] = kv
-                        if len(live) != before:
-                            self._sorted_keys = None
-                        self.ephemeral_writes += 1
-                    else:
-                        apply_put(key, entry[1], fresh=entry[2])
-                    count += 1
-                elif key in live:
-                    self._apply_delete(key)
-                    count += 1
-            return BatchCommit(revision, (), existed, count)
         events: list[tuple[str, KeyValue | None]] = []
-        events_append = events.append
         for key, entry in coalesced.items():
             if entry[0] == "put":
-                if eph and key.startswith(eph):
-                    kv = _tuple_new(KeyValue, (key, entry[1], revision, revision, 1))
-                    before = len(live)
-                    live[key] = kv
-                    if len(live) != before:
-                        self._sorted_keys = None
-                    self.ephemeral_writes += 1
-                    events_append((key, kv))
-                else:
-                    events_append((key, apply_put(key, entry[1], fresh=entry[2])))
-            elif existed[key] if want_existed else key in live:
+                events.append((key, self._apply_put(key, entry[1], fresh=entry[2])))
+            elif existed[key]:
                 self._apply_delete(key)
-                events_append((key, None))
+                events.append((key, None))
         if self._on_mutation:
             for key, kv in events:
-                self._notify(key, kv, self._revision)
+                self._notify(key, kv, revision)
         if self._on_batch:
-            self._notify_batch(self._revision, events)
-        return BatchCommit(self._revision, tuple(events), existed, len(events))
+            self._notify_batch(revision, events)
+        return BatchCommit(revision, tuple(events), existed, len(events))
 
     def delete_prefix(self, prefix: str) -> int:
         """Delete every key starting with ``prefix``; returns count deleted.

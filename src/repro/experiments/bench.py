@@ -360,16 +360,19 @@ def run_bench(output: str | None = None, *, verbose: bool = True) -> dict:
 
 
 #: per-subsystem rollup buckets for ``run_profile``: path fragment →
-#: label, probed in order (first match wins).  tottime sums per bucket,
-#: so the rollup answers "where does the run actually spend its time"
-#: without reading 25 rows of per-function output.
+#: label, probed in order (first match wins).  tottime and calls sum per
+#: bucket, so the rollup answers "where does the run actually spend its
+#: time" without reading 25 rows of per-function output.
 _PROFILE_BUCKETS = (
     ("repro/datastore/", "commit path (datastore)"),
     ("repro/core/gpu_manager", "dispatch (gpu manager)"),
     ("repro/cluster/", "dispatch (devices)"),
     ("repro/core/scheduler", "scheduling pass"),
     ("repro/core/policies", "scheduling pass"),
-    ("repro/core/queues", "scheduling pass"),
+    # its own row: folded into "scheduling pass" it hid 8 visit-tree calls
+    # per request on a queue of depth 0 (push, the O3 bump and remove are
+    # entered from three different layers)
+    ("repro/core/queues", "global queue (O3 accounting)"),
     # guard evaluation gets its own bucket (ROADMAP: "guard evaluation
     # under bursty dirty signals") — signals.py is exactly the PassGuard /
     # dirty-signal machinery, so its exclusive time answers that question
@@ -410,18 +413,20 @@ def _subsystem_rollup(stats) -> list[tuple[str, float, int]]:
     )
 
 
-def run_profile(n_requests: int = 2000, top: int = 25) -> None:
-    """cProfile the §V-A replay: top cumulative functions + subsystem rollup.
+def profile_replay(n_requests: int = 2000):
+    """cProfile the §V-A replay; returns ``(profiler, total calls,
+    requests completed)``.
 
-    ``make profile`` — the tool that found every hot spot so far (index
-    scans, batched txns, columnar replay, pass elision, the commit-path
-    residue); run it before hunting the next one.  After the per-function
-    table it prints a per-subsystem rollup (commit vs dispatch vs
-    scheduling pass vs metrics, exclusive time), so a PR can say "the
-    commit path is now X% of the run" without hand-summing rows.
+    The profiled window is the one ``benchmarks/e2e`` times: materialize
+    the request objects → ``submit_workload`` → ``run``.  The call count
+    is exact — the same to the digit run to run under one
+    ``PYTHONHASHSEED`` and within 0.01 calls/request under another — so
+    ``tests/experiments/test_call_budget.py`` gates on it.  It is summed
+    from ``getstats()``: ``pstats`` keys rows by (file, line, name) and
+    keeps one of the NamedTuple ``__new__`` lambdas that all sit at
+    ``<string>:1``, so its ``total_calls`` reads 1–3 calls/request low.
     """
     import cProfile
-    import pstats
 
     from ..runtime import FaaSCluster, SystemConfig
     from ..traces.azure import SyntheticAzureTrace
@@ -432,25 +437,45 @@ def run_profile(n_requests: int = 2000, top: int = 25) -> None:
         WorkloadSpec(working_set=15, minutes=minutes), trace=SyntheticAzureTrace()
     )
     system = FaaSCluster(SystemConfig())
-    system.submit_workload(workload)
     profiler = cProfile.Profile()
     profiler.enable()
+    workload.requests  # built once here, reused by submit_workload
+    system.submit_workload(workload)
     system.run()
     profiler.disable()
-    print(
-        f"§V-A replay, {len(workload)} requests, "
-        f"{len(system.completed)} completed — top {top} by cumulative time:"
-    )
+    total_calls = sum(entry.callcount for entry in profiler.getstats())
+    return profiler, total_calls, system.metrics.completed_count
+
+
+def run_profile(n_requests: int = 2000, top: int = 25) -> None:
+    """cProfile the §V-A replay: top cumulative functions + subsystem rollup.
+
+    ``make profile`` — the tool that found every hot spot so far (index
+    scans, batched txns, columnar replay, pass elision, the commit-path
+    residue); run it before hunting the next one.  After the per-function
+    table it prints a per-subsystem rollup (commit vs dispatch vs
+    scheduling pass vs queue vs metrics: exclusive time and calls per
+    request), so a PR can say "the commit path is now X% of the run and
+    N calls per request" without hand-summing rows.
+    """
+    import pstats
+
+    profiler, total_calls, completed = profile_replay(n_requests)
+    print(f"§V-A replay, {completed} requests completed — top {top} by cumulative time:")
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)
     rollup = _subsystem_rollup(stats)
     total = sum(t for _, t, _ in rollup) or 1.0
-    print("per-subsystem rollup (exclusive time):")
+    print("per-subsystem rollup (exclusive time; C-level builtin calls are filed under other):")
     for label, tottime, calls in rollup:
         print(
-            f"  {label:<26} {tottime:8.3f} s  {tottime / total * 100:5.1f}%  "
-            f"{calls:>9,} calls"
+            f"  {label:<30} {tottime:8.3f} s  {tottime / total * 100:5.1f}%  "
+            f"{calls:>10,} calls  {calls / completed:7.2f} /request"
         )
+    print(
+        f"  {'total':<30} {total:8.3f} s  100.0%  "
+        f"{total_calls:>10,} calls  {total_calls / completed:7.2f} /request"
+    )
 
 
 #: bench-check gates (ROADMAP "BENCH trajectory")

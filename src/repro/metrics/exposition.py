@@ -92,9 +92,9 @@ def prometheus_exposition(system) -> str:
     _metric(lines, "repro_decisions_total", "counter",
             "Scheduling decisions recorded, by kind")
     decisions = scheduler.decisions
-    for kind in sorted(decisions._counts, key=lambda k: k.value):
+    for kind in sorted(decisions._counts):
         _sample(lines, "repro_decisions_total",
-                decisions._counts[kind], f'{{kind="{kind.value}"}}')
+                decisions._counts[kind], f'{{kind="{kind}"}}')
 
     kv = system.datastore.kv
     _metric(lines, "repro_kv_revision", "gauge", "Datastore MVCC revision")

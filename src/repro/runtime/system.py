@@ -109,13 +109,10 @@ class FaaSCluster:
                 self.estimator,
                 datastore=self.datastore.client(),
                 latency_keep=self.config.latency_log_keep,
-                on_idle=self._on_gpu_idle,
                 on_complete=self._on_request_complete,
-                # only tenancy observes dispatches; without it the managers
-                # keep their no-op default instead of calling a wrapper
-                # that checks for None once per dispatch
+                # only tenancy observes dispatches
                 on_dispatch=(
-                    self._on_request_dispatch if self.tenancy is not None else None
+                    self.tenancy.on_dispatch if self.tenancy is not None else None
                 ),
                 on_drained=self._on_gpu_drained,
             )
@@ -141,9 +138,8 @@ class FaaSCluster:
         if self.config.trace_decisions:
             self.explain = ExplainLog()
             self.scheduler.explain = self.explain
-        # rebind the managers' idle callback straight onto the scheduler:
-        # the _on_gpu_idle wrapper only forwarded, and the hop runs once
-        # per completion
+        # completions wake the scheduler directly; nothing can complete
+        # before this line, so on_idle is wired here, once it exists
         for manager in self._managers.values():
             manager.on_idle = self.scheduler.on_gpu_idle
 
@@ -187,13 +183,6 @@ class FaaSCluster:
     # ------------------------------------------------------------------
     # Wiring callbacks
     # ------------------------------------------------------------------
-    def _on_gpu_idle(self, gpu) -> None:
-        self.scheduler.on_gpu_idle(gpu)
-
-    def _on_request_dispatch(self, request: InferenceRequest) -> None:
-        if self.tenancy is not None:
-            self.tenancy.on_dispatch(request)
-
     def _on_request_complete(self, request: InferenceRequest) -> None:
         self.metrics.on_complete(request)
         tracer = self.tracer

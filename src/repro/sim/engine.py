@@ -173,19 +173,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _new_event(self, time: float, priority: int, fn: Callable[..., Any], args: tuple) -> Event:
-        """Allocate a slab slot and its payload (heap insertion is the caller's)."""
-        free = self._free
-        if free:
-            slot = free.pop()
-        else:
-            slot = len(self._slab)
-            self._slab.append(None)
-        ev = Event(time, priority, next(self._seq), fn, args, self, slot)
-        self._slab[slot] = ev
-        self._live += 1
-        return ev
-
     def _release(self, ev: Event) -> None:
         """Vacate a pending event's slot (cancellation path)."""
         self._slab[ev._slot] = None
@@ -208,8 +195,15 @@ class Simulator:
             raise SimError("event time is NaN")
         if time < self._now:
             raise SimError(f"cannot schedule in the past: {time} < {self._now}")
-        ev = self._new_event(float(time), priority, fn, args)
-        heapq.heappush(self._heap, (ev.time, priority, ev.seq, ev._slot))
+        slab = self._slab
+        if self._free:
+            slot = self._free.pop()  # recycle a fired or cancelled event's slot
+        else:
+            slot = len(slab)
+            slab.append(None)
+        ev = slab[slot] = Event(float(time), priority, next(self._seq), fn, args, self, slot)
+        self._live += 1
+        heapq.heappush(self._heap, (ev.time, priority, ev.seq, slot))
         return ev
 
     def schedule_many(
@@ -240,6 +234,9 @@ class Simulator:
             pairs = list(zip(times, args_seq, strict=True))
         was_empty = not self._heap
         heap = self._heap
+        slab = self._slab
+        free = self._free
+        seq = self._seq
         events: list[Event] = []
         sorted_so_far = True
         prev = -math.inf
@@ -250,8 +247,16 @@ class Simulator:
                     raise SimError("event time is NaN")
                 if t < now:
                     raise SimError(f"cannot schedule in the past: {t} < {now}")
-                ev = self._new_event(float(t), priority, fn, tuple(args))
-                heap.append((ev.time, priority, ev.seq, ev._slot))
+                # slot allocation as in schedule_at (one frame per event
+                # matters here: this loop injects the whole arrival column)
+                if free:
+                    slot = free.pop()
+                else:
+                    slot = len(slab)
+                    slab.append(None)
+                ev = slab[slot] = Event(float(t), priority, next(seq), fn, tuple(args), self, slot)
+                self._live += 1
+                heap.append((ev.time, priority, ev.seq, slot))
                 events.append(ev)
                 if ev.time < prev:
                     sorted_so_far = False

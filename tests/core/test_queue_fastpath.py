@@ -6,9 +6,15 @@ The end-to-end guarantees are covered by ``test_differential``; these
 tests pin the queue-level contracts directly.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro.core.queues import GlobalQueue
+from repro.core.queues import _MAX_PENDING_LEAVES, GlobalQueue, _VisitTree
+from repro.core.request import InferenceRequest
+from repro.models import ModelInstance, get_profile, model_names
+from repro.runtime import FaaSCluster, SystemConfig
+from repro.traces import WorkloadSpec, build_workload
 
 
 def _push_n(q, make_request, n, prefix="fn", arch="alexnet"):
@@ -160,3 +166,61 @@ class TestLiveIteration:
         q.bump_visits_before(None)
         assert [r.visits for r in reqs[150:]] == [2] * 50
         assert extra.visits == 1
+
+
+class TestRouteSelection:
+    """Both sides of the queue's one route choice — eager skip counts on
+    the unattached tail vs the visit tree for entries that outlived the
+    cap — pinned with exact call counts on whole-system replays."""
+
+    @pytest.fixture
+    def tree_calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("point_set", "prefix_add", "point_get", "values"):
+            def counted(self, *args, _fn=getattr(_VisitTree, name), _name=name):
+                calls[_name] += 1
+                return _fn(self, *args)
+
+            monkeypatch.setattr(_VisitTree, name, counted)
+        return calls
+
+    def test_shallow_queue_never_touches_the_tree(self, tree_calls):
+        """§V-A headline shape (WS15, 99.9 % hits, queue depth ~0): O3
+        accounting costs no visit-tree call at all."""
+        workload = build_workload(WorkloadSpec(working_set=15, minutes=6))
+        system = FaaSCluster(SystemConfig(policy="lalbo3"))
+        system.submit_workload(workload)
+        system.run()
+        assert system.metrics.completed_count == len(workload) == 1950
+        assert system.scheduler.policy.fast_scans > 1000  # the bumps did run
+        assert tree_calls == Counter()
+
+    def test_backlog_is_handed_to_the_tree_and_bounds_the_eager_walk(
+        self, tree_calls, monkeypatch
+    ):
+        """≥ 2k queued behind busy GPUs: the tail attaches at the cap, the
+        scans decrement the tree, and no scan walks a full tail."""
+        tails = []
+        bump = GlobalQueue.bump_visits_before
+
+        def spy(self, stop_slot):
+            tails.append(len(self._pending_leaves))
+            return bump(self, stop_slot)
+
+        monkeypatch.setattr(GlobalQueue, "bump_visits_before", spy)
+        system = FaaSCluster(SystemConfig(policy="lalbo3"))
+        names = model_names()
+        instances = [
+            ModelInstance(f"m{i}", get_profile(names[i % len(names)])) for i in range(25)
+        ]
+        for i in range(2200):
+            system.submit_at(
+                InferenceRequest(f"fn{i % 25}", instances[i % 25], arrival_time=i * 1e-6)
+            )
+        system.run(until=0.01)
+        assert len(system.scheduler.global_queue) >= 2000
+        assert system.cluster.idle_count == 0
+        system.run()
+        assert system.metrics.completed_count == 2200
+        assert tree_calls["point_set"] > 2000 and tree_calls["prefix_add"] > 1000
+        assert tails and max(tails) <= _MAX_PENDING_LEAVES - 1

@@ -82,3 +82,103 @@ def test_arrival_order_is_nondecreasing(ops):
     q, _, _ = _run_ops(ops)
     arrivals = [r.arrival_time for r in q]
     assert arrivals == sorted(arrivals)
+
+
+# ---------------------------------------------------------------------------
+# O3 visit accounting against a literal model (Alg. 1 lines 11/15)
+# ---------------------------------------------------------------------------
+# Sized to cross the queue's three internal regimes inside one sequence: the
+# 32-entry unattached tail (push bursts up to 40), the 64-slot hole
+# compaction (bulk removals, then a push) and a tree growth (> 64 live
+# entries), with partial-prefix bumps, removals and re-insertions between.
+_o3_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(1, 40)),
+        st.tuples(st.just("remove"), st.integers(0, 10**6), st.integers(1, 50)),
+        st.tuples(st.just("push_sorted"), st.integers(0, 10**6)),
+        st.tuples(st.just("bump"), st.one_of(st.none(), st.integers(0, 10**6))),
+        st.tuples(st.just("set_visits"), st.integers(0, 10**6), st.integers(0, 4)),
+    ),
+    max_size=30,
+)
+
+
+class _LiteralO3Queue:
+    """The specification: a list in queue order, ``visits += 1`` per live,
+    non-starved request before the stop, starved once past the limit."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.rows = []  # [request, visits, starved], oldest first
+
+    def insert(self, request, visits):
+        at = sum(row[0].arrival_time <= request.arrival_time for row in self.rows)
+        self.rows.insert(at, [request, visits, visits > self.limit])
+
+    def bump(self, stop):
+        for row in self.rows[:stop]:
+            if not row[2]:
+                row[1] += 1
+                row[2] = row[1] > self.limit
+
+
+@given(st.sampled_from([0, 2, 25]), st.integers(0, 80), _o3_ops)
+@settings(max_examples=120, deadline=None)
+def test_o3_accounting_matches_literal_model(limit, backlog, ops):
+    q = GlobalQueue(o3_limit=limit)
+    spec = _LiteralO3Queue(limit)
+    removed = []  # (request, visits when it left the queue)
+    pushed = 0
+
+    def push(n):
+        nonlocal pushed
+        for _ in range(n):
+            pushed += 1
+            r = InferenceRequest(
+                f"fn{pushed}", ModelInstance(f"m{pushed}", _PROFILE), arrival_time=float(pushed)
+            )
+            q.push(r)
+            spec.insert(r, 0)
+
+    def check():
+        assert len(q) == len(spec.rows)
+        assert [r.request_id for r in q] == [row[0].request_id for row in spec.rows]
+        assert [r.visits for r in q] == [row[1] for row in spec.rows]
+        assert [e.request for e in q.starved_entries_before(None)] == [
+            row[0] for row in spec.rows if row[2]
+        ]
+        assert q.starved_count == sum(row[2] for row in spec.rows)
+        assert [r.visits for r, _ in removed] == [v for _, v in removed]
+
+    push(backlog)
+    check()
+    for op in ops:
+        if op[0] == "push":
+            push(op[1])
+        elif op[0] == "remove":
+            for _ in range(min(op[2], len(spec.rows))):
+                request, visits, _ = spec.rows.pop(op[1] % len(spec.rows))
+                q.remove(request)
+                removed.append((request, visits))
+        elif op[0] == "push_sorted" and removed:
+            request, visits = removed.pop(op[1] % len(removed))
+            q.push_sorted(request)  # visits preserved, maybe already past the limit
+            spec.insert(request, visits)
+        elif op[0] == "bump" and spec.rows:
+            if op[1] is None:
+                q.bump_visits_before(None)
+                spec.bump(len(spec.rows))
+            else:
+                stop = op[1] % len(spec.rows)
+                entry = q.first_entry_for_model(spec.rows[stop][0].model_id)
+                q.bump_visits_before(entry.slot)
+                spec.bump(stop)
+        elif op[0] == "set_visits":
+            # the reference scan's direct write; it only ever reaches
+            # requests that have not starved yet (Alg. 1 line 11 comes first)
+            live = [row for row in spec.rows if not row[2]]
+            if live:
+                row = live[op[1] % len(live)]
+                row[0].visits = row[1] = op[2]
+                row[2] = row[1] > limit
+        check()
