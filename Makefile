@@ -48,7 +48,8 @@ profile:
 	python -m repro.experiments profile --profile-requests $(PROFILE_REQUESTS)
 
 ## Flight-recorder replay: run the 2k §V-A workload with tracing on and
-## write a Perfetto-loadable trace.json (docs/observability.md).
+## write a Perfetto-loadable trace.json plus the run's counters as
+## Prometheus text, trace.prom (docs/observability.md).
 ##   make trace                            # 2k requests -> trace.json
 ##   make trace TRACE_REQUESTS=20000       # deeper replay
 TRACE_REQUESTS ?= 2000

@@ -2,7 +2,7 @@
 
 Runs two minutes of the Azure workload on the 12-GPU testbed, kills a
 whole node (4 GPUs) one minute in — losing every model cached there and
-the requests in flight — then brings it back.  A timeline sampler records
+the requests in flight — then brings it back.  A timeline probe records
 queue depths and GPU states so you can watch the system absorb the hit:
 requests are re-queued at their arrival positions, retried on survivors,
 and nothing is lost.
@@ -10,7 +10,7 @@ and nothing is lost.
 Run:  python examples/failure_recovery.py
 """
 
-from repro.metrics import TimelineSampler
+from repro.metrics import TimelineProbe
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces import SyntheticAzureTrace, WorkloadSpec, build_workload
 
@@ -20,8 +20,7 @@ def main() -> None:
     workload = build_workload(
         WorkloadSpec(working_set=15, minutes=2), trace=SyntheticAzureTrace()
     )
-    sampler = TimelineSampler(system, period_s=10.0)
-    sampler.start()
+    probe = TimelineProbe(system, period_s=10.0)
 
     for request in workload.requests:
         system.submit_at(request)
@@ -32,12 +31,10 @@ def main() -> None:
         system.sim.schedule_at(60.0, system.fail_gpu, gpu_id)     # node dies
         system.sim.schedule_at(90.0, system.recover_gpu, gpu_id)  # comes back
 
-    system.run(until=workload.duration_s)
-    sampler.stop()
-    system.run()  # drain the tail
+    system.run()
 
     print("time   idle  load  infer  queue  completed")
-    for s in sampler.samples:
+    for s in probe.samples:
         marker = "  <- node1 down" if 60.0 <= s.time_s < 90.0 else ""
         print(
             f"{s.time_s:5.0f}  {s.gpus_idle:4d}  {s.gpus_loading:4d}  "

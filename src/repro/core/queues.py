@@ -611,7 +611,7 @@ class GlobalQueue:
                     e.leaf_applied = True
                 self._attached += len(pending)
                 self._pending_leaves = []
-        # inlined request._attach_queue_entry (one call per push saved)
+        # the request reads/writes its live visit count through this pair
         request._queue_probe = (self, entry)
 
     def _entry_visits(self, entry: _Entry) -> int:

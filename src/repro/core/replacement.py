@@ -89,9 +89,6 @@ class EvictionPolicy(ABC):
             view = self._resident_view = frozenset(self._resident)
         return view
 
-    def size_of(self, model_id: str) -> float:
-        return self._resident[model_id]
-
     # -- policy-specific hooks -------------------------------------------
     @abstractmethod
     def _insert(self, model_id: str, now: float) -> None: ...

@@ -108,14 +108,6 @@ class InferenceRequest:
             queue._entry_set_visits(entry, value)
         self._visits = value
 
-    def _attach_queue_entry(self, queue: Any, entry: Any) -> None:
-        self._queue_probe = (queue, entry)
-
-    def _detach_queue_entry(self, entry: Any) -> None:
-        probe = self._queue_probe
-        if probe is not None and probe[1] is entry:
-            self._queue_probe = None
-
     @property
     def met_sla(self) -> bool | None:
         """Whether the completed request met its SLA (None when no SLA)."""

@@ -239,14 +239,6 @@ class DatastoreClient:
                 return default if kind == "delete" else value
         return self._store.kv.get_value(full, default)
 
-    def get_kv(self, key: str) -> KeyValue | None:
-        """Full KeyValue (with revisions) of a namespaced key.
-
-        Always reads *committed* state: a pending batched write has no
-        revision metadata until its transaction commits.
-        """
-        return self._store.kv.get(self._k(key))
-
     def delete(self, key: str) -> bool:
         """Delete a namespaced key; True if it (visibly) existed."""
         full = self._k(key)

@@ -7,9 +7,8 @@ from .ablations import (
     run_cache_policy_ablation,
     run_gpu_scaling,
 )
-from .export import read_csv_rows, write_summaries_csv, write_timeline_csv
 from .fig4 import format_fig4, headline_reductions, run_fig4
-from .replay import GatewayReplay, replay_streaming, replay_through_gateway
+from .replay import GatewayReplay, replay, replay_through_gateway
 from .fig5 import false_per_miss, format_fig5, run_fig5
 from .fig6 import format_fig6, run_fig6
 from .fig7 import PAPER_O3_LIMITS, format_fig7, run_fig7
@@ -39,11 +38,8 @@ __all__ = [
     "run_belady_bound",
     "run_cache_policy_ablation",
     "run_gpu_scaling",
-    "read_csv_rows",
-    "write_summaries_csv",
-    "write_timeline_csv",
     "GatewayReplay",
-    "replay_streaming",
+    "replay",
     "replay_through_gateway",
     "format_fig4",
     "headline_reductions",

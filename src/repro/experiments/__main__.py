@@ -12,7 +12,7 @@ Usage::
     python -m repro.experiments bench        # micro benches → BENCH_scheduler.json
     python -m repro.experiments bench-check  # gate the committed trajectory
     python -m repro.experiments profile      # cProfile the 2k §V-A replay
-    python -m repro.experiments trace        # traced 2k replay → trace.json (Perfetto)
+    python -m repro.experiments trace        # traced 2k replay → trace.json (Perfetto) + trace.prom
     python -m repro.experiments explain 42   # why request #42 was scheduled the way it was
 
 Grid targets route through the sharded sweep orchestrator
@@ -120,20 +120,34 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.target == "trace":
-        from .replay import replay_traced
+        from pathlib import Path
 
-        summary, system, path = replay_traced(
-            args.requests,
-            seed=args.seed,
-            out=args.trace_out,
-            spill=args.trace_spill,
+        from ..metrics.exposition import prometheus_exposition
+        from ..obs.export import write_chrome_trace
+        from ..runtime.config import SystemConfig
+        from ..traces.azure import SyntheticAzureTrace
+        from ..traces.workload import build_workload, spec_for_requests
+        from .replay import replay
+
+        _, system = replay(
+            SystemConfig(
+                tracer="flight", trace_spill_path=args.trace_spill, seed=args.seed
+            ),
+            build_workload(
+                spec_for_requests(args.requests, seed=args.seed),
+                trace=SyntheticAzureTrace(),
+            ),
         )
+        path = write_chrome_trace(system.tracer, args.trace_out)
+        prom = Path(args.trace_out).with_suffix(".prom")
+        prom.write_text(prometheus_exposition(system))
         totals = system.tracer.totals
         print(
             f"traced replay: {len(system.completed)} requests, "
             f"{totals['passes']} passes, {totals['commits']} commits, "
             f"{totals['instants']} instants -> {path}"
         )
+        print(f"counters (Prometheus text format) -> {prom}")
         print("open in https://ui.perfetto.dev or chrome://tracing")
         return 0
 

@@ -11,8 +11,8 @@ All runs share the deterministic trace/workload machinery of the main
 experiments.  The grid-shaped ablations (:func:`run_cache_policy_ablation`
 and :func:`run_gpu_scaling`) route through the sweep orchestrator and
 accept its ``workers``/``store``/``resume`` knobs; the Belady bound and
-batch-size sweep assemble their systems by hand (clairvoyant policy swap,
-non-default batch sizes) and stay on the direct path.
+batch-size sweep need what a cell cannot name (a clairvoyant policy swap,
+non-default batch sizes) and call the replay driver directly.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from collections import defaultdict
 
 from ..cluster.topology import ClusterSpec
 from ..core.replacement import BeladyPolicy
-from ..metrics.summary import RunSummary, summarize
+from ..metrics.summary import RunSummary
 from ..runtime.config import SystemConfig
-from ..runtime.system import FaaSCluster
 from ..traces.azure import SyntheticAzureTrace
 from ..traces.workload import Workload, WorkloadSpec, build_workload
+from .replay import replay
 from .runner import ExperimentConfig, shared_trace
 
 __all__ = [
@@ -71,29 +71,26 @@ def run_belady_bound(
     """LRU vs. the offline Belady bound under the same scheduler.
 
     Returns ``{"lru": ..., "belady": ...}``.  Belady needs the workload's
-    future, so the system is assembled by hand around a shared workload.
+    future, so its policy is swapped in on the built system, around a
+    shared workload.
     """
     trace = trace or shared_trace()
+
+    def install_oracle(system) -> None:
+        oracle = build_belady_oracle(workload)  # this iteration's workload
+        # swap every GPU's policy list for the clairvoyant one
+        system.cache._policies = {
+            gpu_id: BeladyPolicy(oracle) for gpu_id in system.cache._policies
+        }
+
     out: dict[str, RunSummary] = {}
-    for name in ("lru", "belady"):
+    for name, prepare in (("lru", None), ("belady", install_oracle)):
         workload = build_workload(WorkloadSpec(working_set=working_set, seed=seed), trace=trace)
-        config = SystemConfig(policy=policy, replacement="lru", seed=seed)
-        system = FaaSCluster(config)
-        if name == "belady":
-            oracle = build_belady_oracle(workload)
-            # swap every GPU's policy list for the clairvoyant one
-            system.cache._policies = {
-                gpu_id: BeladyPolicy(oracle) for gpu_id in system.cache._policies
-            }
-        for request in workload.requests:
-            system.submit_at(request)
-        system.run()
-        out[name] = summarize(
-            system.metrics,
-            system.cluster,
-            policy=f"{policy}+{name}",
-            working_set=working_set,
-            top_model=workload.top_model_id,
+        out[name], _ = replay(
+            SystemConfig(policy=policy, replacement="lru", seed=seed),
+            workload,
+            label=f"{policy}+{name}",
+            prepare=prepare,
         )
     return out
 
@@ -146,16 +143,8 @@ def run_batch_size_sweep(
         workload = build_workload(
             WorkloadSpec(working_set=working_set, batch_size=batch), trace=trace
         )
-        system = FaaSCluster(SystemConfig(policy="lalbo3"))
-        for request in workload.requests:
-            system.submit_at(request)
-        system.run()
-        out[batch] = summarize(
-            system.metrics,
-            system.cluster,
-            policy=f"lalbo3@batch{batch}",
-            working_set=working_set,
-            top_model=workload.top_model_id,
+        out[batch], _ = replay(
+            SystemConfig(policy="lalbo3"), workload, label=f"lalbo3@batch{batch}"
         )
     return out
 

@@ -170,11 +170,10 @@ _OBS_CHILD_CODE = """
 import gc, hashlib, json, sys, time
 n = int(sys.argv[1]); reps = int(sys.argv[2])
 from repro.traces.azure import SyntheticAzureTrace
-from repro.traces.workload import WorkloadSpec, build_workload
+from repro.traces.workload import build_workload, spec_for_requests
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.obs.export import chrome_trace_events, validate_chrome_trace
-minutes = max(1, round(n / 325))
-spec = WorkloadSpec(working_set=15, minutes=minutes)
+spec = spec_for_requests(n)
 def fresh():
     return build_workload(spec, trace=SyntheticAzureTrace())
 configs = {"off": SystemConfig(), "on": SystemConfig(tracer="flight")}
@@ -430,11 +429,10 @@ def profile_replay(n_requests: int = 2000):
 
     from ..runtime import FaaSCluster, SystemConfig
     from ..traces.azure import SyntheticAzureTrace
-    from ..traces.workload import WorkloadSpec, build_workload
+    from ..traces.workload import build_workload, spec_for_requests
 
-    minutes = max(1, round(n_requests / 325))
     workload = build_workload(
-        WorkloadSpec(working_set=15, minutes=minutes), trace=SyntheticAzureTrace()
+        spec_for_requests(n_requests), trace=SyntheticAzureTrace()
     )
     system = FaaSCluster(SystemConfig())
     profiler = cProfile.Profile()

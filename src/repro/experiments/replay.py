@@ -1,21 +1,27 @@
-"""Gateway-level workload replay: the full Fig. 2 path at trace scale.
+"""The replay driver: one trace-driven run of the full system.
 
-The main experiment runner submits :class:`InferenceRequest` objects
-straight to the Scheduler — that is what the paper measures (function
-latency excludes container management, which both schedulers share).  This
-module replays the same workload through the *entire* FaaS front-end
-instead: every workload function is registered via the Gateway (Dockerfile
-flag parsing, ML-API interception, container pools, Watchdog), and every
-trace invocation becomes a Gateway call.
+:func:`replay` is the single spelling of build → inject → run → summarize
+behind every scheduler-level consumer — ``run_experiment``, the sweep's
+``execute_cell``, the ablations, and the CLI's ``trace`` / ``explain``
+targets.  It submits :class:`InferenceRequest` objects straight to the
+Scheduler — that is what the paper measures (function latency excludes
+container management, which both schedulers share).
 
+:func:`replay_through_gateway` replays the same workload through the
+*entire* FaaS front-end instead: every workload function is registered via
+the Gateway (Dockerfile flag parsing, ML-API interception, container
+pools, Watchdog), and every trace invocation becomes a Gateway call.
 Useful for end-to-end validation (the scheduler-level and gateway-level
 runs must agree on cache behaviour) and for studying FaaS-layer overheads
-(cold starts, container contention) that the paper factors out.
+(cold starts, container contention) that the paper factors out.  It
+returns a different result through a different front-end, so it stays
+separate code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -23,23 +29,58 @@ from ..faas.gateway import Gateway
 from ..faas.spec import FunctionSpec
 from ..faas.watchdog import Invocation
 from ..metrics.summary import RunSummary, summarize
-from ..runtime.config import SystemConfig, streaming_config
+from ..runtime.config import SystemConfig
 from ..runtime.system import FaaSCluster
 from ..traces.azure import SyntheticAzureTrace
 from ..traces.workload import (
+    StreamingWorkload,
     Workload,
     WorkloadSpec,
     assign_architectures,
     build_workload,
-    build_workload_streaming,
 )
 
-__all__ = [
-    "GatewayReplay",
-    "replay_through_gateway",
-    "replay_streaming",
-    "replay_traced",
-]
+__all__ = ["GatewayReplay", "replay", "replay_through_gateway"]
+
+
+def replay(
+    config: SystemConfig,
+    workload: Workload | StreamingWorkload,
+    *,
+    label: str | None = None,
+    prepare: Callable[[FaaSCluster], None] | None = None,
+) -> tuple[RunSummary, FaaSCluster]:
+    """Build the system, inject ``workload``, run to drain, summarize.
+
+    A :class:`~repro.traces.StreamingWorkload` is fed chunk by chunk
+    (:meth:`FaaSCluster.submit_workload_streaming` — pair it with
+    :func:`~repro.runtime.config.streaming_config` for flat RSS), a
+    :class:`~repro.traces.Workload` in one bulk injection.  ``prepare``
+    runs on the built system before anything is injected (attach a probe,
+    swap a policy); ``label`` overrides the summary's policy name.  Both
+    spill files, when configured, are complete and closed on return.
+
+    Returns the run summary plus the drained system for drill-down.
+    """
+    system = FaaSCluster(config)
+    if prepare is not None:
+        prepare(system)
+    if isinstance(workload, StreamingWorkload):
+        system.submit_workload_streaming(workload)
+    else:
+        system.submit_workload(workload)
+    system.run()
+    summary = summarize(
+        system.metrics,
+        system.cluster,
+        policy=label or config.policy,
+        working_set=workload.spec.working_set,
+        top_model=workload.top_model_id,
+    )
+    system.metrics.close_spill()
+    if system.tracer is not None:
+        system.tracer.close()
+    return summary, system
 
 
 @dataclass
@@ -112,10 +153,10 @@ def replay_through_gateway(
         workload.instances[fid] = fn.model_handle.instance
     system.run(until=warmup_s)  # image builds + first replicas
 
-    replay = GatewayReplay(system=system, gateway=gateway, workload=workload)
+    result = GatewayReplay(system=system, gateway=gateway, workload=workload)
 
     def fire(fid: str) -> None:
-        replay.invocations.append(gateway.invoke(fid))
+        result.invocations.append(gateway.invoke(fid))
 
     # gateway invocations need only (time, function name): feed the
     # workload's columns straight into the bulk scheduler — no
@@ -127,89 +168,4 @@ def replay_through_gateway(
         ((fids[i],) for i in workload.function_index.tolist()),
     )
     system.run()
-    return replay
-
-
-def replay_streaming(
-    spec: WorkloadSpec | None = None,
-    *,
-    config: SystemConfig | None = None,
-    trace: SyntheticAzureTrace | None = None,
-    minutes_per_chunk: int = 8,
-    low_water: int = 64,
-) -> tuple[RunSummary, FaaSCluster]:
-    """Scheduler-level §V-A replay at flat RSS: the streaming pipeline.
-
-    Chunked workload columns (:func:`build_workload_streaming`) feed the
-    simulator through :meth:`FaaSCluster.submit_workload_streaming`, the
-    metrics collector folds completions into fixed-size histograms, and
-    MVCC autocompaction bounds the Datastore's history — so peak memory is
-    set by the chunk size and cluster state, not the request count.  The
-    default ``config`` is :func:`~repro.runtime.config.streaming_config`.
-
-    Returns the run summary plus the drained system for drill-down.
-    """
-    spec = spec or WorkloadSpec()
-    trace = trace or SyntheticAzureTrace()
-    workload = build_workload_streaming(spec, trace=trace)
-    system = FaaSCluster(config if config is not None else streaming_config())
-    system.submit_workload_streaming(
-        workload, minutes_per_chunk=minutes_per_chunk, low_water=low_water
-    )
-    system.run()
-    summary = summarize(
-        system.metrics,
-        system.cluster,
-        policy=system.config.policy,
-        working_set=spec.working_set,
-        top_model=workload.top_model_id,
-    )
-    system.metrics.close_spill()
-    return summary, system
-
-
-def replay_traced(
-    n_requests: int = 2000,
-    *,
-    seed: int = 0,
-    config: SystemConfig | None = None,
-    out: str = "trace.json",
-    spill: str | None = None,
-) -> tuple[RunSummary, FaaSCluster, str]:
-    """Scheduler-level §V-A replay with the flight recorder on, exported
-    as a Chrome trace-event file (open ``out`` in Perfetto / chrome://tracing).
-
-    ``config`` overrides are honoured but the tracer is forced on (that is
-    the point of this entry); pass ``spill`` to tee decimated request
-    records to a JSONL file alongside the ring snapshot.
-
-    Returns ``(summary, system, trace_path)``; the drained ``system`` keeps
-    its :class:`~repro.obs.FlightRecorder` on ``system.tracer`` for
-    programmatic drill-down.
-    """
-    from dataclasses import replace
-
-    from ..obs.export import write_chrome_trace
-
-    base = config or SystemConfig()
-    cfg = replace(
-        base, tracer="flight", trace_spill_path=spill, seed=base.seed or seed
-    )
-    spec = WorkloadSpec(
-        working_set=15, minutes=max(1, round(n_requests / 325)), seed=seed
-    )
-    workload = build_workload(spec, trace=SyntheticAzureTrace())
-    system = FaaSCluster(cfg)
-    system.submit_workload(workload)
-    system.run()
-    assert system.tracer is not None
-    system.tracer.close()
-    path = write_chrome_trace(system.tracer, out)
-    summary = summarize(
-        system.metrics,
-        system.cluster,
-        policy=cfg.policy,
-        working_set=spec.working_set,
-        top_model=workload.top_model_id,
-    )
-    return summary, system, path
+    return result

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..cluster.topology import PAPER_TESTBED, ClusterSpec
-from ..metrics.summary import RunSummary, summarize
+from ..metrics.summary import RunSummary
 from ..runtime.config import SystemConfig
-from ..runtime.system import FaaSCluster
 from ..traces.azure import AzureTraceConfig, SyntheticAzureTrace
 from ..traces.workload import WorkloadSpec, build_workload
+from .replay import replay
 
 __all__ = [
     "ExperimentConfig",
@@ -34,7 +34,7 @@ __all__ = [
 PAPER_POLICIES = ("lb", "lalb", "lalbo3")
 
 #: process-wide trace instances, one per config — every sweep consumer
-#: (figs 4–7, ablations, multi-seed) shares one handle instead of
+#: (figs 4–7, ablations) shares one handle instead of
 #: rebuilding an identical SyntheticAzureTrace per call
 _SHARED_TRACES: dict[AzureTraceConfig, SyntheticAzureTrace] = {}
 
@@ -79,41 +79,36 @@ class ExperimentConfig:
             return f"{base}@{self.fault_profile}"
         return base
 
+    def workload_spec(self) -> WorkloadSpec:
+        """The workload half of the cell."""
+        return WorkloadSpec(
+            working_set=self.working_set,
+            minutes=self.minutes,
+            requests_per_minute=self.requests_per_minute,
+            sla_s=self.sla_s,
+            seed=self.seed,
+        )
+
+    def system_config(self) -> SystemConfig:
+        """The system half of the cell."""
+        return SystemConfig(
+            cluster=self.cluster,
+            policy=self.policy,
+            o3_limit=self.o3_limit,
+            replacement=self.replacement,
+            seed=self.seed,
+            fault_profile=self.fault_profile,
+        )
+
 
 def run_experiment(
     config: ExperimentConfig, *, trace: SyntheticAzureTrace | None = None
 ) -> RunSummary:
     """Build the workload, run the system to drain, and summarize."""
-    trace = trace or SyntheticAzureTrace()
     workload = build_workload(
-        WorkloadSpec(
-            working_set=config.working_set,
-            minutes=config.minutes,
-            requests_per_minute=config.requests_per_minute,
-            sla_s=config.sla_s,
-            seed=config.seed,
-        ),
-        trace=trace,
+        config.workload_spec(), trace=trace or SyntheticAzureTrace()
     )
-    system = FaaSCluster(
-        SystemConfig(
-            cluster=config.cluster,
-            policy=config.policy,
-            o3_limit=config.o3_limit,
-            replacement=config.replacement,
-            seed=config.seed,
-            fault_profile=config.fault_profile,
-        )
-    )
-    system.submit_workload(workload)
-    system.run()
-    return summarize(
-        system.metrics,
-        system.cluster,
-        policy=config.label(),
-        working_set=config.working_set,
-        top_model=workload.top_model_id,
-    )
+    return replay(config.system_config(), workload, label=config.label())[0]
 
 
 def run_policy_grid(

@@ -42,8 +42,8 @@ embarrassingly parallel; this module turns it into a subsystem:
    sequential and sharded sweeps produce **byte-identical** figure
    inputs (asserted by ``tests/experiments/test_sweep.py``).
 
-The §V consumers (``run_policy_grid``, ``run_fig7``, ``run_multi_seed``,
-the ablations) all route through :func:`run_cells`; the CLI exposes the
+The §V consumers (``run_policy_grid``, ``run_fig7``, the grid-shaped
+ablations) all route through :func:`run_cells`; the CLI exposes the
 subsystem as ``python -m repro.experiments sweep --workers N --store DIR
 --resume`` (see also ``make sweep``).
 """
@@ -61,12 +61,11 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from ..cluster.topology import PAPER_TESTBED, ClusterSpec
-from ..metrics.summary import per_architecture_breakdown, summarize
+from ..metrics.summary import per_architecture_breakdown
 from ..metrics.timeline import TIMELINE_FIELDS, TimelineProbe
-from ..runtime.config import SystemConfig
-from ..runtime.system import FaaSCluster
 from ..traces.azure import AzureTraceConfig, SyntheticAzureTrace
 from ..traces.workload import Workload, WorkloadSpec, build_workload
+from .replay import replay
 from .runner import PAPER_POLICIES, ExperimentConfig, shared_trace
 from .store import CellResult, ResultStore
 
@@ -143,16 +142,6 @@ class SweepCell:
         store can never serve a stale cell."""
         blob = json.dumps(self.canonical_payload(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def workload_spec(self) -> WorkloadSpec:
-        cfg = self.config
-        return WorkloadSpec(
-            working_set=cfg.working_set,
-            minutes=cfg.minutes,
-            requests_per_minute=cfg.requests_per_minute,
-            sla_s=cfg.sla_s,
-            seed=cfg.seed,
-        )
 
     def label(self) -> str:
         cfg = self.config
@@ -282,50 +271,40 @@ def execute_cell(
 ) -> CellResult:
     """Run one cell to completion and package everything the store keeps.
 
-    Equivalent to :func:`~repro.experiments.runner.run_experiment` (same
-    workload, same system, same summary — byte-identical, proven by the
-    sweep tests) plus the per-architecture breakdown and the passive
-    timeline matrix.  ``timeline=False`` skips the probe (its per-event
-    callback) without affecting the summary — :func:`run_cells` passes it
-    for storeless sweeps, whose consumers read only summaries.
+    :func:`~repro.experiments.runner.run_experiment`'s run — the same
+    :func:`~repro.experiments.replay.replay` call — plus the
+    per-architecture breakdown and the passive timeline matrix.
+    ``timeline=False`` skips the probe (its per-event callback) without
+    affecting the summary — :func:`run_cells` passes it for storeless
+    sweeps, whose consumers read only summaries.
     """
     t0 = time.perf_counter()
     if trace is None or trace.config != cell.trace:
         trace = shared_trace(cell.trace)  # per-process cache; workers reuse
     config = cell.config
-    workload = _workload_for(cell.workload_spec(), trace)
-    system = FaaSCluster(
-        SystemConfig(
-            cluster=config.cluster,
-            policy=config.policy,
-            o3_limit=config.o3_limit,
-            replacement=config.replacement,
-            seed=config.seed,
-            fault_profile=config.fault_profile,
-        )
+    probe: TimelineProbe | None = None
+
+    def attach_probe(system) -> None:
+        nonlocal probe
+        probe = TimelineProbe(system, period_s=cell.timeline_period_s)
+
+    summary, system = replay(
+        config.system_config(),
+        _workload_for(config.workload_spec(), trace),
+        label=config.label(),
+        prepare=(
+            attach_probe
+            if timeline and cell.timeline_period_s is not None
+            else None
+        ),
     )
-    probe = (
-        TimelineProbe(system, period_s=cell.timeline_period_s)
-        if timeline and cell.timeline_period_s is not None
-        else None
-    )
-    system.submit_workload(workload)
-    system.run()
-    summary = summarize(
-        system.metrics,
-        system.cluster,
-        policy=config.label(),
-        working_set=config.working_set,
-        top_model=workload.top_model_id,
-    )
-    breakdown = per_architecture_breakdown(system.metrics)
     if probe is not None:
         probe.stop()
     return CellResult(
         cell_id=cell.cell_id,
         config=cell.canonical_payload(),
         summary=summary,
-        per_architecture=breakdown,
+        per_architecture=per_architecture_breakdown(system.metrics),
         timeline_fields=TIMELINE_FIELDS,
         timeline=tuple(tuple(row) for row in probe.matrix()) if probe else (),
         wall_s=round(time.perf_counter() - t0, 4),

@@ -5,7 +5,6 @@ from .autoscaler import Autoscaler
 from .container import Container, ContainerPool, ContainerState
 from .gateway import FunctionNotFound, Gateway, RegisteredFunction
 from .interceptor import GPUModelHandle, InterceptedMLAPI
-from .namespaces import Namespace, NamespaceError, NamespaceManager, NamespaceView
 from .spec import Dockerfile, FunctionSpec, default_template
 from .watchdog import HealthWatchdog, Invocation, InvocationStatus, Watchdog
 
@@ -19,10 +18,6 @@ __all__ = [
     "RegisteredFunction",
     "GPUModelHandle",
     "InterceptedMLAPI",
-    "Namespace",
-    "NamespaceError",
-    "NamespaceManager",
-    "NamespaceView",
     "Dockerfile",
     "FunctionSpec",
     "default_template",

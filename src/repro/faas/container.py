@@ -151,6 +151,3 @@ class ContainerPool:
 
     def idle_count(self) -> int:
         return sum(1 for c in self.containers if c.state is ContainerState.IDLE)
-
-    def busy_count(self) -> int:
-        return sum(1 for c in self.containers if c.state is ContainerState.BUSY)

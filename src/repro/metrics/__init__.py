@@ -4,7 +4,7 @@ from .collector import MetricsCollector
 from .exposition import prometheus_exposition
 from .histogram import DEFAULT_GROWTH, LogHistogram, quantile_error_bound
 from .summary import RunSummary, per_architecture_breakdown, summarize
-from .timeline import TIMELINE_FIELDS, TimelineProbe, TimelineSample, TimelineSampler
+from .timeline import TIMELINE_FIELDS, TimelineProbe, TimelineSample
 
 __all__ = [
     "DEFAULT_GROWTH",
@@ -18,5 +18,4 @@ __all__ = [
     "TIMELINE_FIELDS",
     "TimelineProbe",
     "TimelineSample",
-    "TimelineSampler",
 ]

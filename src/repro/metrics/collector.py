@@ -360,13 +360,6 @@ class MetricsCollector:
             return 0.0
         return sum(t for _, _, t in self.repairs) / len(self.repairs)
 
-    def mttr_by_kind(self) -> dict[str, float]:
-        """Per-fault-kind mean time-to-repair (healed faults only)."""
-        sums: dict[str, list[float]] = {}
-        for kind, _, t in self.repairs:
-            sums.setdefault(kind, []).append(t)
-        return {kind: sum(ts) / len(ts) for kind, ts in sorted(sums.items())}
-
     def _advance(self, model_id: str, now: float) -> None:
         since = self._dup_since.get(model_id, self.started_at)
         self._dup_integral[model_id] += self._dup_count[model_id] * (now - since)
@@ -448,10 +441,6 @@ class MetricsCollector:
 
     def current_duplicates(self, model_id: str) -> int:
         return self._dup_count.get(model_id, 0)
-
-    def invocations(self, model_id: str) -> int:
-        """Completed invocations of one model (running counter, O(1))."""
-        return self._invocations.get(model_id, 0)
 
     def most_invoked_model(self) -> str | None:
         """Model instance with the most completed invocations (the "top one

@@ -2,26 +2,17 @@
 
 The paper's figures report end-of-run aggregates; operators of the real
 system also need the *evolution* — queue depths, instantaneous GPU states,
-per-interval cache hit rates.  :class:`TimelineSampler` snapshots the
-system on a fixed period (simulated time) and exposes the series as NumPy
-arrays ready for plotting or CSV export.
-
-Samples land in a columnar buffer (one float64 matrix grown geometrically)
-and each snapshot reads the collector's running counters, so a snapshot is
-O(GPUs) — the seed rescanned the completed-request list per tick, which
-made sampling quadratic over a long run.  :attr:`TimelineSampler.samples`
-materializes :class:`TimelineSample` objects lazily for drill-down.
-
-:class:`TimelineProbe` is the sampler's *passive* sibling, built for the
-sweep orchestrator (:mod:`repro.experiments.sweep`): it rides the
+per-interval cache hit rates.  :class:`TimelineProbe` rides the
 simulator's post-event hook and records one row whenever the clock crosses
 a period boundary, injecting **no events of its own**.  A probed run's
 event stream — and therefore its DecisionLog, metrics, and final clock —
 is identical to an unprobed one, and a drain-to-empty ``run()`` still
 terminates (a :class:`~repro.sim.PeriodicTimer` would reschedule itself
-forever).
+forever).  Each snapshot reads the collector's running counters, so it is
+O(GPUs).  The sweep orchestrator (:mod:`repro.experiments.sweep`) persists
+one probe matrix per cell.
 
-Both keep memory **bounded** when asked: pass ``max_samples`` (an even
+Memory stays **bounded** when asked: pass ``max_samples`` (an even
 budget) and, whenever the row count hits it, the series is decimated —
 every other row is dropped and the sampling period doubles, so the kept
 rows still sit exactly on the (new, coarser) period boundaries.  A run of
@@ -37,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.gpu import GPUState
-from ..sim import PeriodicTimer
 
-__all__ = ["TimelineSample", "TimelineSampler", "TimelineProbe", "TIMELINE_FIELDS"]
+__all__ = ["TimelineSample", "TimelineProbe", "TIMELINE_FIELDS"]
 
-_FIELDS = (
+#: public row schema of :class:`TimelineProbe` (persisted per cell by the
+#: sweep store)
+TIMELINE_FIELDS = (
     "time_s",
     "global_queue_depth",
     "local_queue_depth",
@@ -51,24 +43,10 @@ _FIELDS = (
     "completed_requests",
     "cumulative_misses",
 )
-_FIELD_INDEX = {name: i for i, name in enumerate(_FIELDS)}
-_INT_FIELDS = frozenset(_FIELDS[1:])
-
-
-def _check_max_samples(max_samples: int | None) -> int | None:
-    if max_samples is None:
-        return None
-    if max_samples < 2 or max_samples % 2:
-        raise ValueError("max_samples must be an even number >= 2")
-    return int(max_samples)
-
-#: public row schema shared by :class:`TimelineSampler` and
-#: :class:`TimelineProbe` (and persisted per cell by the sweep store)
-TIMELINE_FIELDS = _FIELDS
 
 
 def _capture_row(system, time_s: float) -> tuple:
-    """One snapshot row of the shared schema, stamped at ``time_s``."""
+    """One :data:`TIMELINE_FIELDS` row, stamped at ``time_s``."""
     idle = loading = inferring = 0
     for g in system.cluster.gpus:
         state = g.state
@@ -105,122 +83,6 @@ class TimelineSample:
     cumulative_misses: int
 
 
-class TimelineSampler:
-    """Periodic sampler over a :class:`~repro.runtime.system.FaaSCluster`.
-
-    >>> from repro.runtime import FaaSCluster, SystemConfig
-    >>> system = FaaSCluster(SystemConfig())
-    >>> sampler = TimelineSampler(system, period_s=10.0)
-    >>> sampler.start()
-    >>> system.run(until=30.0)
-    >>> len(sampler.samples)
-    3
-    >>> sampler.stop()
-    """
-
-    def __init__(
-        self, system, *, period_s: float = 5.0, max_samples: int | None = None
-    ) -> None:
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        self.system = system
-        self.period_s = period_s
-        self.max_samples = _check_max_samples(max_samples)
-        self._n = 0
-        self._buf = np.empty((64, len(_FIELDS)), dtype=np.float64)
-        self._samples_cache: tuple[int, list[TimelineSample]] | None = None
-        self._timer = PeriodicTimer(system.sim, period_s, self._snapshot)
-
-    def start(self) -> None:
-        self._timer.start()
-
-    def stop(self) -> None:
-        self._timer.stop()
-
-    # ------------------------------------------------------------------
-    def _snapshot(self) -> None:
-        system = self.system
-        i = self._n
-        if i == len(self._buf):
-            grown = np.empty((2 * len(self._buf), len(_FIELDS)), dtype=np.float64)
-            grown[:i] = self._buf
-            self._buf = grown
-        self._buf[i] = _capture_row(system, system.sim.now)
-        self._n = i + 1
-        if self.max_samples is not None and self._n == self.max_samples:
-            self._decimate()
-
-    def _decimate(self) -> None:
-        """Halve the series, double the period; rows stay on boundaries.
-
-        Row k sits at ``start + (k+1) * period``; keeping odd indices
-        keeps exactly the even multiples of the old period — which are
-        the boundaries of the doubled one.  The in-flight timer picks the
-        new period up at its next self-reschedule, so the sample after
-        the last kept row lands on the next doubled-period boundary.
-        """
-        kept = self._buf[1 : self._n : 2].copy()
-        self._n = len(kept)
-        self._buf[: self._n] = kept
-        self.period_s *= 2.0
-        self._timer.set_period(self.period_s)
-        self._samples_cache = None
-
-    # ------------------------------------------------------------------
-    # Series accessors
-    # ------------------------------------------------------------------
-    @property
-    def samples(self) -> list[TimelineSample]:
-        """Snapshots as objects (materialized from the columns, cached
-        until the next snapshot lands)."""
-        cached = self._samples_cache
-        if cached is not None and cached[0] == self._n:
-            return cached[1]
-        rows = [
-            TimelineSample(
-                row[0], int(row[1]), int(row[2]), int(row[3]),
-                int(row[4]), int(row[5]), int(row[6]), int(row[7]),
-            )
-            for row in self._buf[: self._n].tolist()
-        ]
-        self._samples_cache = (self._n, rows)
-        return rows
-
-    def series(self, field: str) -> np.ndarray:
-        """One sampled column as a NumPy array (see TimelineSample fields)."""
-        idx = _FIELD_INDEX.get(field)
-        if idx is None:
-            raise KeyError(f"unknown timeline field {field!r}")
-        return self._buf[: self._n, idx].copy()
-
-    def instantaneous_sm_utilization(self) -> np.ndarray:
-        """Fraction of GPUs whose SMs were busy at each sample instant."""
-        total = len(self.system.cluster.gpus)
-        return self.series("gpus_inferring") / total
-
-    def interval_miss_ratio(self) -> np.ndarray:
-        """Cache miss ratio within each sampling interval (NaN when idle)."""
-        misses = np.diff(self.series("cumulative_misses"), prepend=0.0)
-        done = np.diff(self.series("completed_requests"), prepend=0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(done > 0, misses / done, np.nan)
-
-    def peak_queue_depth(self) -> int:
-        if not self._n:
-            return 0
-        return int(self.series("global_queue_depth").max())
-
-    def to_rows(self) -> list[dict]:
-        """Flat dict rows (e.g. for csv.DictWriter)."""
-        out = []
-        for row in self._buf[: self._n]:
-            d = {"time_s": float(row[0])}
-            for name in _FIELDS[1:]:
-                d[name] = int(row[_FIELD_INDEX[name]])
-            out.append(d)
-        return out
-
-
 class TimelineProbe:
     """Event-driven timeline sampler that perturbs nothing.
 
@@ -234,8 +96,7 @@ class TimelineProbe:
     summaries between probed (sweep) and direct (:func:`~repro.
     experiments.runner.run_experiment`) execution.
 
-    The row schema is :data:`TIMELINE_FIELDS`, shared with
-    :class:`TimelineSampler`.
+    The row schema is :data:`TIMELINE_FIELDS`.
     """
 
     def __init__(
@@ -245,7 +106,9 @@ class TimelineProbe:
             raise ValueError("period_s must be positive")
         self.system = system
         self.period_s = period_s
-        self.max_samples = _check_max_samples(max_samples)
+        if max_samples is not None and (max_samples < 2 or max_samples % 2):
+            raise ValueError("max_samples must be an even number >= 2")
+        self.max_samples = max_samples
         self._rows: list[tuple] = []
         self._next = system.sim.now + period_s
         self._unsubscribe = system.sim.subscribe_post_event(self._on_event)
@@ -256,9 +119,8 @@ class TimelineProbe:
             self._rows.append(_capture_row(self.system, self._next))
             self._next += self.period_s
             if self.max_samples is not None and len(self._rows) == self.max_samples:
-                # same decimation as the sampler: row k is at boundary
-                # (k+1)·period, so odd indices are the even multiples —
-                # the boundaries of the doubled period
+                # row k is at boundary (k+1)·period, so odd indices are
+                # the even multiples — the boundaries of the doubled period
                 self._rows = self._rows[1::2]
                 self.period_s *= 2.0
                 self._next = self._rows[-1][0] + self.period_s
@@ -276,6 +138,11 @@ class TimelineProbe:
     def fields(self) -> tuple[str, ...]:
         return TIMELINE_FIELDS
 
+    @property
+    def samples(self) -> list[TimelineSample]:
+        """Snapshots as objects, for drill-down."""
+        return [TimelineSample(*row) for row in self._rows]
+
     def matrix(self) -> list[list[float]]:
         """Rows as plain floats (JSON-ready; one list per sample)."""
         return [[float(v) for v in row] for row in self._rows]
@@ -283,5 +150,5 @@ class TimelineProbe:
     def to_numpy(self) -> np.ndarray:
         """Rows as one ``(samples, fields)`` float64 matrix."""
         if not self._rows:
-            return np.empty((0, len(_FIELDS)), dtype=np.float64)
+            return np.empty((0, len(TIMELINE_FIELDS)), dtype=np.float64)
         return np.asarray(self._rows, dtype=np.float64)

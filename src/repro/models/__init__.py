@@ -1,13 +1,10 @@
 """ML model substrate: Table I zoo, profiles, NumPy inference engine, profiler."""
 
-from .persistence import load_registry, save_registry
 from .profiler import ProfileRegistry, WallClockProfile, profile_network
 from .profiles import PAPER_BATCH_SIZE, BatchRegression, ModelInstance, ModelProfile
 from .zoo import TABLE1, TABLE1_ROWS, get_profile, model_names, paper_profiles
 
 __all__ = [
-    "load_registry",
-    "save_registry",
     "ProfileRegistry",
     "WallClockProfile",
     "profile_network",

@@ -1,7 +1,6 @@
 """NumPy CNN inference engine (forward pass only)."""
 
-from .blocks import AvgPool2D, Dropout, ResidualBlock
-from .factory import FAMILY_SPECS, available_architectures, build_model, build_residual_model
+from .factory import FAMILY_SPECS, available_architectures, build_model
 from .layers import (
     BatchNorm2D,
     Conv2D,
@@ -17,13 +16,9 @@ from .layers import (
 from .network import Network
 
 __all__ = [
-    "AvgPool2D",
-    "Dropout",
-    "ResidualBlock",
     "FAMILY_SPECS",
     "available_architectures",
     "build_model",
-    "build_residual_model",
     "BatchNorm2D",
     "Conv2D",
     "Flatten",

@@ -24,7 +24,6 @@ from .network import Network
 
 __all__ = [
     "build_model",
-    "build_residual_model",
     "FAMILY_SPECS",
     "available_architectures",
 ]
@@ -103,39 +102,3 @@ def build_model(
     layers.append(Flatten())
     layers.append(Linear(channels, num_classes, rng=rng))
     return Network(architecture, layers)
-
-
-def build_residual_model(
-    architecture: str,
-    *,
-    num_classes: int = 10,
-    in_channels: int = 3,
-    seed: int = 0,
-) -> Network:
-    """Residual variant of :func:`build_model` for the ResNet-style families.
-
-    Uses :class:`~repro.models.nn.blocks.ResidualBlock` stages (stride-2
-    down-sampling between stages) instead of conv/pool stacks — the
-    structurally faithful miniature for the resnet/resnext/wideresnet rows
-    of Table I.
-    """
-    from .blocks import ResidualBlock
-
-    if architecture not in FAMILY_SPECS:
-        raise KeyError(
-            f"unknown architecture {architecture!r}; known: {sorted(FAMILY_SPECS)}"
-        )
-    if not any(architecture.startswith(fam) for fam in ("resnet", "resnext", "wideresnet")):
-        raise ValueError(f"{architecture!r} is not a residual family")
-    width, blocks, _ = FAMILY_SPECS[architecture]
-    rng = np.random.default_rng(seed)
-    layers: list = [Conv2D(in_channels, width, 3, padding=1, rng=rng), ReLU()]
-    channels = width
-    for b in range(blocks):
-        out = width * (2**b)
-        layers.append(ResidualBlock(channels, out, stride=2 if b > 0 else 1, rng=rng))
-        channels = out
-    layers.append(GlobalAvgPool())
-    layers.append(Flatten())
-    layers.append(Linear(channels, num_classes, rng=rng))
-    return Network(f"{architecture}(residual)", layers)

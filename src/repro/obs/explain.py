@@ -157,24 +157,21 @@ def run_explain(
     """
     # local imports: repro.runtime imports this module for ExplainLog,
     # so the heavy runtime imports must not run at module import time
+    from ..experiments.replay import replay
     from ..runtime.config import SystemConfig
-    from ..runtime.system import FaaSCluster
     from ..traces.azure import SyntheticAzureTrace
-    from ..traces.workload import WorkloadSpec, build_workload
+    from ..traces.workload import build_workload, spec_for_requests
 
-    spec = WorkloadSpec(
-        working_set=15, minutes=max(1, round(n_requests / 325)), seed=seed
+    workload = build_workload(
+        spec_for_requests(n_requests, seed=seed), trace=SyntheticAzureTrace()
     )
-    workload = build_workload(spec, trace=SyntheticAzureTrace())
     requests = workload.requests
     if not 1 <= request_id <= len(requests):
         return (
             f"request {request_id} out of range: this replay has "
             f"{len(requests)} requests (1..{len(requests)})"
         )
-    system = FaaSCluster(config or SystemConfig(trace_decisions=True))
-    system.submit_workload(workload)
-    system.run()
+    _, system = replay(config or SystemConfig(trace_decisions=True), workload)
     explain = system.scheduler.explain
     target = requests[request_id - 1]
     header = (

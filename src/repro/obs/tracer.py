@@ -272,15 +272,6 @@ class FlightRecorder:
         self.request_records()
         return self._gpus.names
 
-    @property
-    def instant_names(self) -> list[str]:
-        """Distinct instant names among the retained records."""
-        seen: dict[str, None] = {}
-        state = self._i_state
-        for i in self._order(state[1], state[0]):
-            seen.setdefault(self._i_str[i * 2])
-        return list(seen)
-
     def request_records(self) -> list[tuple]:
         """``(request_id, arrival, dispatched, exec_start, completed,
         model_code, gpu_code, hit, retries)``, oldest retained first.

@@ -166,13 +166,6 @@ class SystemConfig:
         if self.trace_spill_keep < 1:
             raise ValueError("trace_spill_keep must be >= 1")
 
-    @property
-    def faults_active(self) -> bool:
-        """Whether this config carries a non-empty fault schedule."""
-        if self.fault_plan is not None:
-            return len(self.fault_plan) > 0
-        return self.fault_profile != "none"
-
 
 def streaming_config(**overrides) -> SystemConfig:
     """A :class:`SystemConfig` with every at-scale bounded-memory default on.

@@ -39,20 +39,6 @@ class PeriodicTimer:
             self._event.cancel()
             self._event = None
 
-    @property
-    def period(self) -> float:
-        return self._period
-
-    def set_period(self, period: float) -> None:
-        """Change the tick period; takes effect at the next reschedule.
-
-        Safe to call from inside the timer's own callback — the tick that
-        invoked it will reschedule itself ``period`` seconds out.
-        """
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self._period = period
-
     def _tick(self) -> None:
         if self._stopped:
             return

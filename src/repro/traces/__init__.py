@@ -9,13 +9,6 @@ from .datasets import (
     load_dataset,
     mnist_like,
 )
-from .io import (
-    FileTrace,
-    TraceFrame,
-    export_synthetic_day,
-    read_invocations_csv,
-    write_invocations_csv,
-)
 from .workload import (
     StreamingWorkload,
     Workload,
@@ -24,6 +17,7 @@ from .workload import (
     assign_architectures,
     build_workload,
     build_workload_streaming,
+    spec_for_requests,
 )
 
 __all__ = [
@@ -36,11 +30,6 @@ __all__ = [
     "hymenoptera_like",
     "load_dataset",
     "mnist_like",
-    "FileTrace",
-    "TraceFrame",
-    "export_synthetic_day",
-    "read_invocations_csv",
-    "write_invocations_csv",
     "StreamingWorkload",
     "Workload",
     "WorkloadChunk",
@@ -48,4 +37,5 @@ __all__ = [
     "assign_architectures",
     "build_workload",
     "build_workload_streaming",
+    "spec_for_requests",
 ]

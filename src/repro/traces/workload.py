@@ -68,6 +68,7 @@ from .azure import SyntheticAzureTrace
 
 __all__ = [
     "WorkloadSpec",
+    "spec_for_requests",
     "Workload",
     "WorkloadChunk",
     "StreamingWorkload",
@@ -100,6 +101,14 @@ class WorkloadSpec:
             raise ValueError("minutes and requests_per_minute must be >= 1")
         if self.sla_s is not None and self.sla_s <= 0:
             raise ValueError("sla_s must be positive when set")
+
+
+def spec_for_requests(n_requests: int, *, seed: int = 0) -> WorkloadSpec:
+    """The §V-A spec (working set 15, 325 req/min) sized in whole minutes
+    to roughly ``n_requests`` — the replay the trace / explain / profile
+    targets and the observability bench share."""
+    minutes = max(1, round(n_requests / PAPER_REQUESTS_PER_MINUTE))
+    return WorkloadSpec(working_set=15, minutes=minutes, seed=seed)
 
 
 @dataclass

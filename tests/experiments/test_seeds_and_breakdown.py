@@ -1,10 +1,6 @@
-"""Tests for multi-seed spreads, per-architecture breakdown, and fn logs."""
-
-import pytest
+"""Tests for the per-architecture breakdown and fn logs."""
 
 from repro.cluster import ClusterSpec
-from repro.experiments import ExperimentConfig
-from repro.experiments.seeds import MetricSpread, run_multi_seed
 from repro.faas import FunctionSpec, Gateway
 from repro.metrics.summary import per_architecture_breakdown
 from repro.runtime import FaaSCluster, SystemConfig
@@ -13,29 +9,6 @@ from repro.traces import AzureTraceConfig, SyntheticAzureTrace, WorkloadSpec, bu
 SMALL_TRACE = SyntheticAzureTrace(
     AzureTraceConfig(num_functions=200, mean_rate_per_minute=1500, seed=21)
 )
-SMALL = ExperimentConfig(
-    working_set=5, minutes=1, requests_per_minute=40, cluster=ClusterSpec.homogeneous(1, 3)
-)
-
-
-class TestMultiSeed:
-    def test_spreads_for_all_metrics(self):
-        out = run_multi_seed(SMALL, seeds=(0, 1, 2), trace=SMALL_TRACE)
-        assert set(out) >= {"avg_latency_s", "cache_miss_ratio", "sm_utilization"}
-        spread = out["avg_latency_s"]
-        assert isinstance(spread, MetricSpread)
-        assert len(spread.values) == 3
-        assert spread.mean > 0
-        assert spread.std >= 0
-        assert 0 <= spread.cv < 1.0
-
-    def test_needs_two_seeds(self):
-        with pytest.raises(ValueError):
-            run_multi_seed(SMALL, seeds=(0,), trace=SMALL_TRACE)
-
-    def test_cv_zero_when_mean_zero(self):
-        s = MetricSpread("m", mean=0.0, std=0.0, values=(0.0, 0.0))
-        assert s.cv == 0.0
 
 
 class TestPerArchitectureBreakdown:

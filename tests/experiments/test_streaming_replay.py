@@ -11,7 +11,7 @@ import gc
 import pytest
 
 from repro.datastore import EPHEMERAL_HOT_PREFIXES, EphemeralKeyError, KeyValue
-from repro.experiments.replay import replay_streaming
+from repro.experiments.replay import replay
 from repro.metrics.summary import summarize
 from repro.runtime import (
     DEFAULT_STREAMING_COMPACT_KEEP,
@@ -25,19 +25,34 @@ from repro.traces import WorkloadSpec, build_workload, build_workload_streaming
 SPEC = WorkloadSpec(working_set=15, minutes=6, sla_s=2.0, seed=0)
 
 
-@pytest.fixture(scope="module")
-def batch_summary():
-    workload = build_workload(SPEC)
-    system = FaaSCluster(SystemConfig())
-    system.submit_workload(workload)
+def replay_streaming(spec, config=None):
+    """The streaming pipeline through the one driver."""
+    return replay(
+        config if config is not None else streaming_config(),
+        build_workload_streaming(spec),
+    )
+
+
+def run_by_hand(system, workload, **chunking):
+    """The driver's steps spelled out: the reference arm, and the way to
+    vary the chunking parameters ``submit_workload_streaming`` owns."""
+    if chunking:
+        system.submit_workload_streaming(workload, **chunking)
+    else:
+        system.submit_workload(workload)
     system.run()
     return summarize(
         system.metrics,
         system.cluster,
         policy="lalbo3",
-        working_set=SPEC.working_set,
+        working_set=workload.spec.working_set,
         top_model=workload.top_model_id,
     )
+
+
+@pytest.fixture(scope="module")
+def batch_summary():
+    return run_by_hand(FaaSCluster(SystemConfig()), build_workload(SPEC))
 
 
 class TestBatchParity:
@@ -47,12 +62,20 @@ class TestBatchParity:
 
     @pytest.mark.parametrize("low_water", [1, 8, 1024])
     def test_low_water_mark_is_invisible(self, batch_summary, low_water):
-        summary, _ = replay_streaming(SPEC, low_water=low_water)
+        summary = run_by_hand(
+            FaaSCluster(streaming_config()),
+            build_workload_streaming(SPEC),
+            low_water=low_water,
+        )
         assert summary == batch_summary
 
     @pytest.mark.parametrize("minutes_per_chunk", [1, 3, 100])
     def test_chunk_size_is_invisible(self, batch_summary, minutes_per_chunk):
-        summary, _ = replay_streaming(SPEC, minutes_per_chunk=minutes_per_chunk)
+        summary = run_by_hand(
+            FaaSCluster(streaming_config()),
+            build_workload_streaming(SPEC),
+            minutes_per_chunk=minutes_per_chunk,
+        )
         assert summary == batch_summary
 
     def test_rejects_bad_low_water(self):
@@ -164,5 +187,9 @@ class TestIdleMinutes:
         # a 1-minute workload chunked at 1 minute exercises the
         # pull-next-chunk loop ending exactly at the stream's end
         spec = WorkloadSpec(working_set=15, minutes=1, seed=4)
-        summary, _ = replay_streaming(spec, minutes_per_chunk=1)
+        summary = run_by_hand(
+            FaaSCluster(streaming_config()),
+            build_workload_streaming(spec),
+            minutes_per_chunk=1,
+        )
         assert summary.completed_requests > 0

@@ -83,7 +83,7 @@ def test_option_budget():
         "DEFAULT_GROWTH", "LogHistogram", "MetricsCollector", "RunSummary",
         "per_architecture_breakdown", "prometheus_exposition",
         "quantile_error_bound", "summarize", "TIMELINE_FIELDS",
-        "TimelineProbe", "TimelineSample", "TimelineSampler",
+        "TimelineProbe", "TimelineSample",
     }
 
 
@@ -98,15 +98,50 @@ def test_reference_engines_stay_out_of_src():
         "AzureTraceConfig", "SyntheticAzureTrace", "calibrate_zipf_exponent",
         "ImageBatch", "cifar_like", "compress_to_batch", "hymenoptera_like",
         "load_dataset", "mnist_like",
-        "FileTrace", "TraceFrame", "export_synthetic_day",
-        "read_invocations_csv", "write_invocations_csv",
         "StreamingWorkload", "Workload", "WorkloadChunk", "WorkloadSpec",
         "assign_architectures", "build_workload", "build_workload_streaming",
+        "spec_for_requests",
     }
     assert set(repro.obs.__all__) == {
         "Cause", "ExplainLog", "FlightRecorder", "chrome_trace_events",
         "format_request_causes", "run_explain", "validate_chrome_trace",
         "write_chrome_trace",
+    }
+
+
+def test_one_way_in():
+    """One replay driver and no shelf-ware: the export lists of the
+    packages that lost modules are pinned so a second driver, a second
+    model factory or an unused front-end shows up as a diff here
+    (``tests/test_reachability.py`` checks the modules themselves)."""
+    import repro.experiments
+    import repro.faas
+    import repro.models.nn
+
+    assert set(repro.experiments.__all__) == {
+        "build_belady_oracle", "run_batch_size_sweep", "run_belady_bound",
+        "run_cache_policy_ablation", "run_gpu_scaling",
+        "GatewayReplay", "replay", "replay_through_gateway",
+        "format_fig4", "headline_reductions", "run_fig4",
+        "false_per_miss", "format_fig5", "run_fig5", "format_fig6", "run_fig6",
+        "PAPER_O3_LIMITS", "format_fig7", "run_fig7",
+        "format_reduction", "format_table", "reduction_pct",
+        "PAPER_POLICIES", "ExperimentConfig", "run_experiment",
+        "run_policy_grid", "shared_trace", "CellResult", "ResultStore",
+        "SweepCell", "SweepResult", "SweepSpec", "execute_cell", "run_cells",
+        "run_keyed_cells", "run_sweep",
+        "format_table1", "table1_from_paper", "table1_wallclock",
+    }
+    assert set(repro.faas.__all__) == {
+        "Autoscaler", "Container", "ContainerPool", "ContainerState",
+        "FunctionNotFound", "Gateway", "RegisteredFunction", "GPUModelHandle",
+        "InterceptedMLAPI", "Dockerfile", "FunctionSpec", "default_template",
+        "Invocation", "InvocationStatus", "Watchdog", "HealthWatchdog",
+    }
+    assert set(repro.models.nn.__all__) == {
+        "FAMILY_SPECS", "available_architectures", "build_model",
+        "BatchNorm2D", "Conv2D", "Flatten", "GlobalAvgPool", "Layer",
+        "Linear", "MaxPool2D", "ReLU", "Softmax", "im2col", "Network",
     }
 
 
