@@ -38,9 +38,11 @@ parity:
 ## global queue, cache manager, metrics, sim kernel) of exclusive time
 ## and calls per request — the tools that found every hot spot so far
 ## (index scans, batched txns, columnar replay, pass elision, commit-path
-## residue, visit-tree upkeep on a shallow queue).  The total
-## calls/request is exact run to run; tests/experiments/test_call_budget.py
-## gates it.
+## residue, O3 skip-count upkeep on shallow and then on deep queues).  The
+## total calls/request is exact run to run;
+## tests/experiments/test_call_budget.py gates it on this shallow replay
+## and on an over-capacity one whose global queue runs 6k deep
+## (experiments.bench.profile_replay takes any WorkloadSpec).
 ##   make profile                          # 2k requests
 ##   make profile PROFILE_REQUESTS=20000   # deeper replay
 PROFILE_REQUESTS ?= 2000

@@ -15,12 +15,14 @@ scheduling fast path needs to honour that bound:
 * O3 ``visits`` accounting in O(log n + a constant) per scan — "every
   skipped request is visited once more" (Alg. 1 line 15) is counted
   eagerly on the newest, not-yet-attached entries (at most
-  ``_MAX_PENDING_LEAVES - 1`` of them: on a shallow queue, all of them)
-  and as one lazy prefix update on a segment tree for the entries that
-  outlived that cap, with per-request values materialized on demand;
+  ``_MAX_PENDING_LEAVES - 1`` of them: on a shallow queue, all of them);
+  for the entries that outlived that cap a scan only records the slot it
+  stopped at, and a request's count is read on demand as the number of
+  recorded scans that stopped beyond its slot (:class:`_BumpCounter`);
 * an ordered *starved* set — requests whose visits exceeded the O3 limit
   surface by index (Alg. 1 line 11) instead of being rediscovered by
-  rescanning the queue;
+  rescanning the queue, and a scan finds the newly starved without a
+  search (``bump_visits_before``);
 * ``push_sorted`` — positional re-insertion (O(log n) search, one array
   splice) that updates the model index incrementally instead of the old
   clear-and-rebuild.
@@ -37,12 +39,8 @@ from .request import InferenceRequest, RequestState
 
 __all__ = ["GlobalQueue", "LocalQueues"]
 
-#: Sentinel "remaining skips before starvation" for slots that must never
-#: surface from the starvation search (empty, removed, or already-starved).
-_INF = 1 << 60
-
 #: unattached-tail cap: the newest entries count their skips eagerly and
-#: move to the visit tree together once this many have accumulated, so a
+#: move to the bump counter together once this many have accumulated, so a
 #: scan walks fewer than this many entries whatever the queue depth
 _MAX_PENDING_LEAVES = 32
 
@@ -51,136 +49,51 @@ def _entry_slot(entry: "_Entry") -> int:
     return entry.slot
 
 
-class _VisitTree:
-    """Min segment tree with lazy prefix-add over queue slots.
+class _BumpCounter:
+    """Fenwick array of scan stop positions.
 
-    Each leaf holds a queued request's *remaining skip budget*: how many
-    more times the O3 scan may pass it over before the starvation guard
-    (Alg. 1 line 11) must route it through Algorithm 2.  One scheduling
-    scan decrements a whole queue prefix in O(log n); leaves that reach
-    zero are popped into the queue's ordered starved set.
+    A scheduling scan that stopped at slot ``r`` skipped exactly the queue
+    prefix ``[0, r)`` (Alg. 1 line 15), so a queued request's skip count
+    is "how many scans since I was filed stopped beyond my slot":
+    ``add(r)`` records one scan, ``cover(slot)`` counts the recorded scans
+    with ``r > slot``, both in O(log size).  Nothing is stored per
+    request — leaving the queue writes nothing here.
     """
 
-    __slots__ = ("size", "_mn", "_lz")
+    __slots__ = ("size", "_total", "_sums")
 
-    def __init__(self, size: int, leaves: list[int] | None = None) -> None:
-        self.size = size
-        self._mn = [_INF] * (2 * size)
-        self._lz = [0] * (2 * size)
-        if leaves:
-            mn = self._mn
-            mn[size : size + len(leaves)] = leaves
-            for i in range(size - 1, 0, -1):
-                left, right = mn[2 * i], mn[2 * i + 1]
-                mn[i] = left if left <= right else right
+    def __init__(self, size: int) -> None:
+        self.size = size  # stop positions 1..size
+        self._total = 0
+        self._sums = [0] * (size + 1)
 
-    # -- point access ----------------------------------------------------
-    def point_get(self, i: int) -> int:
-        node = i + self.size
-        lz = self._lz
-        total = self._mn[node]
-        node >>= 1
-        while node:
-            total += lz[node]
-            node >>= 1
-        return total
+    def add(self, r: int) -> None:
+        """Record one scan that skipped slots ``[0, r)``, ``1 <= r <= size``."""
+        self._total += 1
+        sums, size = self._sums, self.size
+        while r <= size:
+            sums[r] += 1
+            r += r & -r
 
-    def point_set(self, i: int, value: int) -> None:
-        mn, lz, size = self._mn, self._lz, self.size
-        node = i + size
-        # push pending adds down the root→leaf path so the leaf write and
-        # the pull-up below see settled values
-        for shift in range(node.bit_length() - 1, 0, -1):
-            anc = node >> shift
-            add = lz[anc]
-            if add:
-                lz[anc] = 0
-                for child in (2 * anc, 2 * anc + 1):
-                    mn[child] += add
-                    if child < size:
-                        lz[child] += add
-        mn[node] = value
-        node >>= 1
-        while node:
-            left, right = mn[2 * node], mn[2 * node + 1]
-            m = (left if left <= right else right) + lz[node]
-            if mn[node] == m:
-                break  # ancestors derive from this value: nothing changes
-            mn[node] = m
-            node >>= 1
+    def cover(self, slot: int) -> int:
+        """Recorded scans that skipped ``slot`` (those with ``r > slot``)."""
+        sums = self._sums
+        below = 0  # scans that stopped at or before the slot
+        while slot:
+            below += sums[slot]
+            slot &= slot - 1
+        return self._total - below
 
-    # -- prefix update / starvation search -------------------------------
-    def prefix_add(self, r: int, delta: int) -> None:
-        """Add ``delta`` to every leaf in ``[0, r)``.
-
-        Iterative: a prefix decomposes into full-cover nodes along the
-        single root→``r`` boundary path, so the update is a loop of at
-        most ``log₂(size)`` steps with no recursion — this runs once per
-        scheduling scan (Alg. 1 line 15 for the whole scan), so the call
-        overhead of the recursive form was measurable.
-        """
-        size = self.size
-        if r <= 0:
-            return
-        mn, lz = self._mn, self._lz
-        if r >= size:
-            mn[1] += delta
-            lz[1] += delta
-            return
-        node, lo, hi = 1, 0, size
-        path = []
-        while True:
-            if r >= hi:
-                mn[node] += delta
-                if node < size:
-                    lz[node] += delta
-                break
-            path.append(node)
-            mid = (lo + hi) >> 1
-            if r <= mid:
-                node, hi = 2 * node, mid
-            else:
-                left = 2 * node
-                mn[left] += delta
-                if left < size:
-                    lz[left] += delta
-                node, lo = left + 1, mid
-        for n in reversed(path):
-            left, right = mn[2 * n], mn[2 * n + 1]
-            mn[n] = (left if left <= right else right) + lz[n]
-
-    def first_depleted(self, r: int) -> int | None:
-        """Leftmost leaf in ``[0, r)`` whose value is ≤ 0, or None."""
-        return self._find(1, 0, self.size, r, 0)
-
-    def _find(self, node: int, lo: int, hi: int, r: int, acc: int) -> int | None:
-        if lo >= r or self._mn[node] + acc > 0:
-            return None
-        if node >= self.size:
-            return node - self.size
-        acc += self._lz[node]
-        mid = (lo + hi) // 2
-        found = self._find(2 * node, lo, mid, r, acc)
-        if found is not None:
-            return found
-        return self._find(2 * node + 1, mid, hi, r, acc)
-
-    def values(self, n: int) -> list[int]:
-        """True values of the first ``n`` leaves (for rebuilds)."""
-        out: list[int] = []
-        self._collect(1, 0, self.size, n, 0, out)
-        return out
-
-    def _collect(self, node: int, lo: int, hi: int, n: int, acc: int, out: list[int]) -> None:
-        if lo >= n:
-            return
-        if node >= self.size:
-            out.append(self._mn[node] + acc)
-            return
-        acc += self._lz[node]
-        mid = (lo + hi) // 2
-        self._collect(2 * node, lo, mid, n, acc, out)
-        self._collect(2 * node + 1, mid, hi, n, acc, out)
+    def covers(self) -> list[int]:
+        """``cover(slot)`` for every slot in ``[0, size)``, in one O(size)
+        pass (the settle before a renumbering reads them all)."""
+        stops = self._sums[:-1]  # stop positions 0..size-1 bound those slots
+        for i in range(self.size - 1, 0, -1):  # undo the Fenwick partial sums
+            parent = i + (i & -i)
+            if parent < self.size:
+                stops[parent] -= stops[i]
+        total = self._total
+        return [total - below for below in itertools.accumulate(stops)]
 
 
 class _Entry:
@@ -188,7 +101,7 @@ class _Entry:
 
     __slots__ = (
         "request", "model_id", "key", "slot", "alive", "starved",
-        "visits_at_entry", "rem0", "leaf_applied",
+        "visits_at_entry", "attached", "cov0", "regular",
     )
 
     def __init__(self, request: InferenceRequest, key: tuple[float, int], slot: int) -> None:
@@ -198,17 +111,17 @@ class _Entry:
         self.slot = slot  # index into the queue's entry array
         self.alive = True
         self.starved = False
-        #: visit count as of the last settle; an attached entry's live
-        #: value adds the lazy prefix bumps that covered its slot since
+        #: visit count as of the last settle; exact while the entry sits
+        #: in the queue's unattached tail (each covering scan updates it in
+        #: place, so a request pushed and dispatched on a shallow queue
+        #: never touches the bump counter); once ``attached`` the live
+        #: value is ``visits_at_entry + cover(slot) - cov0``
         self.visits_at_entry = 0
-        #: remaining skip budget as of the last settle
-        self.rem0 = 0
-        #: whether the visit tree holds this entry's budget.  False while
-        #: the entry sits in the queue's unattached tail, where each
-        #: covering scan updates ``visits_at_entry`` / ``rem0`` in place —
-        #: both are then exact, and a request pushed and dispatched on a
-        #: shallow queue never touches the tree at all.
-        self.leaf_applied = False
+        self.attached = False
+        self.cov0 = 0  # cover(slot) as of hand-over / the last settle or write
+        #: pushed at the tail with no visits and never written since: no
+        #: regular entry behind it has been skipped more often
+        self.regular = True
 
 
 class GlobalQueue:
@@ -230,13 +143,19 @@ class GlobalQueue:
         self._live = 0
         self._head = 0  # first possibly-alive slot
         self._seq = itertools.count()
-        self._tree = _VisitTree(64) if o3_limit is not None else None
+        self._counter = _BumpCounter(64) if o3_limit is not None else None
         #: the unattached tail: exactly the live, non-starved entries the
-        #: tree does not hold, in slot order (fewer than the cap)
+        #: counter does not cover, in slot order (fewer than the cap)
         self._pending_leaves: list[_Entry] = []
-        #: live, non-starved entries the tree holds; the tree is read and
-        #: written only while this is non-zero
+        #: live, non-starved attached entries; scans record themselves in
+        #: the counter only while this is non-zero
         self._attached = 0
+        #: every slot before this one is a hole, starved or irregular
+        #: (forward-only between renumberings)
+        self._chain_from = 0
+        #: live attached entries with ``regular`` unset, in slot order
+        #: (dead and starved ones linger until a scan passes them)
+        self._irregular: list[_Entry] = []
         self._starved: list[_Entry] = []  # slot-ordered; may hold dead entries
         self._starved_dead = 0
         self._version = 0  # bumped whenever slots are renumbered
@@ -329,8 +248,8 @@ class GlobalQueue:
         if len(self._entries) > 64 and self._live * 2 < len(self._entries):
             self._reindex()  # too many holes: compact before appending
         slot = len(self._entries)
-        tree = self._tree
-        if tree is not None and slot >= tree.size:
+        counter = self._counter
+        if counter is not None and slot >= counter.size:
             self._reindex()
             slot = len(self._entries)
         entry = _Entry(request, (request.arrival_time, next(self._seq)), slot)
@@ -359,12 +278,14 @@ class GlobalQueue:
         times" invariant.  The position is found by O(log n) bisection and
         the model index is updated with a single positional insert rather
         than the old clear-and-rebuild of every index.  The entry array is
-        still compacted and the visit tree re-based on this path — an O(n)
+        still compacted and the skip counts settled on this path — an O(n)
         splice with small constants, acceptable because failures are rare.
         """
         if request.request_id in self._by_id:
             raise ValueError(f"request {request.request_id} already queued")
-        self._reindex()  # settle slots so position == insertion index
+        # settle: position == insertion index, and the bump counter is
+        # empty, so the slots past the insert may shift under it
+        self._reindex()
         key = (request.arrival_time, next(self._seq))
         pos = bisect_left(self._keys, key)
         if pos == len(self._entries):
@@ -385,11 +306,10 @@ class GlobalQueue:
             self._tenant_add(request)
         self._head = min(self._head, pos)
         if self._o3_limit is not None:
+            entry.regular = False  # entries behind it may have fewer visits
             self._attach_visits(entry)
             # the new entry may sit ahead of older unattached ones
             self._pending_leaves.sort(key=_entry_slot)
-            if self._attached:
-                self._rebuild_tree()  # every leaf past pos moved up a slot
 
     def _bucket_insert(self, entry: _Entry) -> None:
         bucket = self._buckets.setdefault(entry.model_id, deque())
@@ -406,16 +326,16 @@ class GlobalQueue:
             raise KeyError(f"request {request.request_id} is not in the global queue")
         if self._o3_limit is not None:
             # fold the skip count into the request's eager ``visits``
-            request._visits = self._entry_visits(entry)
+            visits = entry.visits_at_entry
             if entry.starved:
                 self._starved_dead += 1
-            elif entry.leaf_applied:
-                # park the live countdown so the starvation search never
-                # surfaces the slot (starved leaves already sit at infinity)
-                self._tree.point_set(entry.slot, _INF)
+            elif entry.attached:
+                # one read: the counter holds nothing per entry to undo
+                visits += self._counter.cover(entry.slot) - entry.cov0
                 self._attached -= 1
             else:
                 self._pending_leaves.remove(entry)
+            request._visits = visits
             probe = request._queue_probe
             if probe is not None and probe[1] is entry:
                 request._queue_probe = None
@@ -553,12 +473,20 @@ class GlobalQueue:
         This is Alg. 1 line 15 for a whole first scan, in O(log n + cap)
         instead of touching every queued request: the unattached tail is
         counted entry by entry (fewer than ``_MAX_PENDING_LEAVES``), the
-        entries that outlived it by one prefix update on the visit tree.
-        Requests whose skip budget reaches zero move to the starved set
+        entries that outlived it by recording the stop slot in the bump
+        counter.  Requests skipped past the limit move to the starved set
         (their ``visits`` freeze at limit+1, since starved requests are
         never skipped again — Alg. 1 line 11 routes them instead).
+
+        Finding them needs no search.  Any scan that covers a regular
+        entry covers every regular entry ahead of it, so their counts are
+        non-increasing in slot order and only the first live one can have
+        just crossed the limit: one ``cover`` at ``_chain_from``, plus one
+        per *live irregular* entry before the stop slot (dead and starved
+        ones are dropped the first time a scan passes them).
         """
-        if self._o3_limit is None:
+        limit = self._o3_limit
+        if limit is None:
             raise RuntimeError("queue does not track O3 visits (no o3_limit)")
         r = len(self._entries) if stop_slot is None else stop_slot
         if r <= 0:
@@ -568,93 +496,116 @@ class GlobalQueue:
             if entry.slot >= r:
                 break
             entry.visits_at_entry += 1
-            entry.rem0 -= 1
-            if not entry.rem0:
-                entry.starved = starved_now = True
-                insort(self._starved, entry, key=_entry_slot)
+            if entry.visits_at_entry > limit:
+                self._starve(entry)
+                starved_now = True
         if starved_now:
             self._pending_leaves = [e for e in self._pending_leaves if not e.starved]
         if not self._attached:
             return
-        tree = self._tree
-        tree.prefix_add(r, -1)
-        while (slot := tree.first_depleted(r)) is not None:
-            entry = self._entries[slot]
-            assert entry is not None and not entry.starved
-            entry.visits_at_entry += entry.rem0  # freeze at limit + 1
-            entry.starved = True
-            tree.point_set(slot, _INF)
+        counter = self._counter
+        counter.add(r)
+        irregular = self._irregular
+        if irregular and irregular[0].slot < r:
+            dropped = False
+            for entry in irregular:
+                if entry.slot >= r:
+                    break
+                if not entry.alive or entry.starved:
+                    dropped = True
+                elif (visits := self._entry_visits(entry)) > limit:
+                    entry.visits_at_entry = visits  # frozen from here on
+                    self._starve(entry)
+                    dropped = True
+            if dropped:
+                self._irregular = [e for e in irregular if e.alive and not e.starved]
+        entries = self._entries
+        i = self._chain_from
+        while i < r:
+            entry = entries[i]
+            if entry is not None and entry.regular and not entry.starved:
+                if not entry.attached:
+                    break  # the unattached tail starts here
+                visits = entry.visits_at_entry + counter.cover(i) - entry.cov0
+                if visits <= limit:
+                    break  # within the limit, like every regular entry behind it
+                entry.visits_at_entry = visits  # frozen from here on
+                self._starve(entry)
+            i += 1
+        self._chain_from = i
+
+    def _starve(self, entry: _Entry) -> None:
+        if entry.attached:
             self._attached -= 1
-            insort(self._starved, entry, key=_entry_slot)
+        entry.starved = True
+        insort(self._starved, entry, key=_entry_slot)
 
     def _attach_visits(self, entry: _Entry) -> None:
         request = entry.request
-        entry.visits_at_entry = request._visits
-        need = self._o3_limit + 1 - entry.visits_at_entry  # type: ignore[operator]
-        if need <= 0:
+        visits = entry.visits_at_entry = request._visits
+        if visits > self._o3_limit:  # type: ignore[operator]
             # re-queued with its starvation already earned (fairness:
             # resubmit preserves visits) — surface it immediately
-            entry.starved = True
-            insort(self._starved, entry, key=_entry_slot)
+            self._starve(entry)
         else:
-            entry.rem0 = need
+            if visits:
+                entry.regular = False  # entries ahead of it may have fewer
             pending = self._pending_leaves
             pending.append(entry)
             if len(pending) >= _MAX_PENDING_LEAVES:
-                # the tail outlived the cap (a backlog is building): hand
-                # it to the tree, so no scan ever walks more than a
-                # constant number of entries — §VI's per-pass bound must
-                # not degrade to O(pushes since the last dispatch)
-                tree = self._tree
+                # the tail outlived the cap (a backlog is building): from
+                # here the counter carries its skips, so no scan ever
+                # walks more than a constant number of entries — §VI's
+                # per-pass bound must not degrade to O(pushes since the
+                # last dispatch)
+                cover = self._counter.cover  # type: ignore[union-attr]
                 for e in pending:
-                    tree.point_set(e.slot, e.rem0)  # type: ignore[union-attr]
-                    e.leaf_applied = True
+                    e.cov0 = cover(e.slot)
+                    e.attached = True
+                    if not e.regular:
+                        self._irregular.append(e)
+                self._irregular.sort(key=_entry_slot)
                 self._attached += len(pending)
                 self._pending_leaves = []
         # the request reads/writes its live visit count through this pair
         request._queue_probe = (self, entry)
 
     def _entry_visits(self, entry: _Entry) -> int:
-        if entry.starved or not entry.leaf_applied:
+        if entry.starved or not entry.attached:
             return entry.visits_at_entry
-        return entry.visits_at_entry + (entry.rem0 - self._tree.point_get(entry.slot))
+        return entry.visits_at_entry + self._counter.cover(entry.slot) - entry.cov0
 
     def _entry_set_visits(self, entry: _Entry, value: int) -> None:
         # Direct writes (the reference scan's `request.visits += 1`) re-base
-        # the accounting: the baseline takes the new value and the skip
-        # budget (the tree leaf, for an attached entry) is reset to match,
-        # so a later fast scan sees exactly the state an all-lazy history
-        # would have produced (including crossing into the starved set).
+        # the accounting: the baseline takes the new value, and the entry's
+        # count stops following from its position, so a later fast scan
+        # sees exactly the state an all-lazy history would have produced
+        # (including crossing into the starved set).
         entry.visits_at_entry = value
         if entry.starved:
             return
-        remaining = self._o3_limit + 1 - value  # type: ignore[operator]
-        if remaining > 0:
-            entry.rem0 = remaining
-            if entry.leaf_applied:
-                self._tree.point_set(entry.slot, remaining)
-            return
-        entry.starved = True
-        if entry.leaf_applied:
-            self._tree.point_set(entry.slot, _INF)
-            self._attached -= 1
-        else:
-            self._pending_leaves.remove(entry)
-        insort(self._starved, entry, key=_entry_slot)
+        if value > self._o3_limit:  # type: ignore[operator]
+            if not entry.attached:
+                self._pending_leaves.remove(entry)
+            self._starve(entry)
+        elif entry.attached:
+            entry.cov0 = self._counter.cover(entry.slot)
+            if entry.regular:
+                insort(self._irregular, entry, key=_entry_slot)
+        entry.regular = False
 
     # ------------------------------------------------------------------
-    # Re-indexing (hole compaction / tree growth / positional insert)
+    # Re-indexing (hole compaction / counter growth / positional insert)
     # ------------------------------------------------------------------
     def _reindex(self) -> None:
-        """Drop holes, renumber slots 0..live-1, rebuild keys and tree."""
+        """Drop holes, renumber slots 0..live-1, rebuild keys; the skip
+        counts settle into the entries and the bump counter starts empty."""
         if self._attached:
-            # settle: fold the tree's countdowns into the attached entries
-            values = self._tree.values(len(self._entries))
+            covers = self._counter.covers()
             for entry in self._entries:
-                if entry is not None and not entry.starved and entry.leaf_applied:
-                    rem = values[entry.slot]
-                    entry.visits_at_entry += entry.rem0 - rem
-                    entry.rem0 = rem
+                if entry is not None and entry.attached and not entry.starved:
+                    entry.visits_at_entry += covers[entry.slot] - entry.cov0
+                    entry.cov0 = 0
         alive = [e for e in self._entries if e is not None]
         for i, entry in enumerate(alive):
             entry.slot = i
@@ -665,21 +616,12 @@ class GlobalQueue:
         if self._starved_dead:
             self._starved = [e for e in self._starved if e.alive]
             self._starved_dead = 0
-        if self._tree is not None:
-            self._rebuild_tree()
-
-    def _rebuild_tree(self) -> None:
-        """A tree sized for the live entries, holding the (settled)
-        budgets of the attached ones; the unattached tail stays out."""
-        need = max(64, 2 * (self._live + 1))
-        cap = 1 << (need - 1).bit_length()
-        leaves = None
-        if self._attached:
-            leaves = [
-                e.rem0 if e is not None and e.leaf_applied and not e.starved else _INF
-                for e in self._entries
-            ]
-        self._tree = _VisitTree(cap, leaves)
+        if self._counter is not None:
+            self._chain_from = 0
+            if self._irregular:
+                self._irregular = [e for e in self._irregular if e.alive and not e.starved]
+            need = max(64, 2 * (self._live + 1))
+            self._counter = _BumpCounter(1 << (need - 1).bit_length())
 
 
 class LocalQueues:

@@ -68,6 +68,11 @@ class InferenceRequest:
     retries: int = 0
     result: Any = None
 
+    #: cache-item identity: the model *instance*, not the architecture
+    #: (read ~7 times per request on the hot path, so a slot filled once;
+    #: ``model`` is not reassigned after construction)
+    model_id: str = field(init=False, repr=False, compare=False)
+
     # -- O3 visit accounting (Alg. 1 line 15) ---------------------------
     #: eager skip count; authoritative whenever the request is not sitting
     #: in a visit-tracking GlobalQueue (see the ``visits`` property)
@@ -77,6 +82,7 @@ class InferenceRequest:
     _queue_probe: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.model_id = self.model.instance_id
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if self.arrival_time < 0:
@@ -133,11 +139,6 @@ class InferenceRequest:
         self.cache_hit = None
         self.false_miss = False
         self.retries += 1
-
-    @property
-    def model_id(self) -> str:
-        """Cache-item identity: the model *instance*, not the architecture."""
-        return self.model.instance_id
 
     @property
     def latency(self) -> float:

@@ -55,6 +55,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..traces.workload import WorkloadSpec
 
 __all__ = [
     "run_bench",
@@ -368,9 +372,9 @@ _PROFILE_BUCKETS = (
     ("repro/cluster/", "dispatch (devices)"),
     ("repro/core/scheduler", "scheduling pass"),
     ("repro/core/policies", "scheduling pass"),
-    # its own row: folded into "scheduling pass" it hid 8 visit-tree calls
-    # per request on a queue of depth 0 (push, the O3 bump and remove are
-    # entered from three different layers)
+    # its own row: folded into "scheduling pass" it hid 8 O3-accounting
+    # calls per request on a queue of depth 0 (push, the O3 bump and remove
+    # are entered from three different layers)
     ("repro/core/queues", "global queue (O3 accounting)"),
     # guard evaluation gets its own bucket (ROADMAP: "guard evaluation
     # under bursty dirty signals") — signals.py is exactly the PassGuard /
@@ -412,9 +416,9 @@ def _subsystem_rollup(stats) -> list[tuple[str, float, int]]:
     )
 
 
-def profile_replay(n_requests: int = 2000):
-    """cProfile the §V-A replay; returns ``(profiler, total calls,
-    requests completed)``.
+def profile_replay(spec: WorkloadSpec):
+    """cProfile the replay of ``spec`` under the default configuration;
+    returns ``(profiler, total calls, requests completed)``.
 
     The profiled window is the one ``benchmarks/e2e`` times: materialize
     the request objects → ``submit_workload`` → ``run``.  The call count
@@ -429,11 +433,9 @@ def profile_replay(n_requests: int = 2000):
 
     from ..runtime import FaaSCluster, SystemConfig
     from ..traces.azure import SyntheticAzureTrace
-    from ..traces.workload import build_workload, spec_for_requests
+    from ..traces.workload import build_workload
 
-    workload = build_workload(
-        spec_for_requests(n_requests), trace=SyntheticAzureTrace()
-    )
+    workload = build_workload(spec, trace=SyntheticAzureTrace())
     system = FaaSCluster(SystemConfig())
     profiler = cProfile.Profile()
     profiler.enable()
@@ -458,7 +460,9 @@ def run_profile(n_requests: int = 2000, top: int = 25) -> None:
     """
     import pstats
 
-    profiler, total_calls, completed = profile_replay(n_requests)
+    from ..traces.workload import spec_for_requests
+
+    profiler, total_calls, completed = profile_replay(spec_for_requests(n_requests))
     print(f"§V-A replay, {completed} requests completed — top {top} by cumulative time:")
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)

@@ -23,11 +23,13 @@ def make_request(make_instance):
         function=None,
         tenant="default",
         batch_size=32,
+        model=None,
     ):
-        inst = make_instance(instance_id, architecture, tenant)
+        """``model`` shares one deployed instance between requests (same
+        cache item); by default each request deploys its own."""
         return InferenceRequest(
             function_name=function or instance_id,
-            model=inst,
+            model=model or make_instance(instance_id, architecture, tenant),
             arrival_time=arrival,
             tenant=tenant,
             batch_size=batch_size,

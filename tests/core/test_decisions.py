@@ -59,12 +59,10 @@ class TestSchedulerIntegration:
 
     def test_miss_then_hit_recorded(self, system, make_request):
         inst = ModelInstance("fn-m", get_profile("resnet50"))
-        r1 = make_request("fn-m", "resnet50")
-        r1.model = inst
+        r1 = make_request("fn-m", "resnet50", model=inst)
         system.submit(r1)
         system.run()
-        r2 = make_request("fn-m", "resnet50", arrival=system.sim.now)
-        r2.model = inst
+        r2 = make_request("fn-m", "resnet50", arrival=system.sim.now, model=inst)
         system.submit(r2)
         system.run()
         log = system.scheduler.decisions
@@ -76,20 +74,17 @@ class TestSchedulerIntegration:
     def test_move_and_local_dispatch_recorded(self, system, make_request):
         gpu0, gpu1 = system.cluster.gpus
         inst = ModelInstance("fn-m", get_profile("resnet50"))
-        warm = make_request("w", "resnet50")
-        warm.model = inst
+        warm = make_request("w", "resnet50", model=inst)
         gpu1.begin_inference()
         system.submit(warm)
         system.run()
         gpu1.become_idle()
         # hit keeps gpu0 busy; next same-model request moves to local queue
-        a = make_request("a", "resnet50", arrival=system.sim.now)
-        a.model = inst
+        a = make_request("a", "resnet50", arrival=system.sim.now, model=inst)
         gpu1.begin_inference()
         system.submit(a)
         gpu1.become_idle()
-        b = make_request("b", "resnet50", arrival=system.sim.now)
-        b.model = inst
+        b = make_request("b", "resnet50", arrival=system.sim.now, model=inst)
         system.submit(b)
         system.run()
         log = system.scheduler.decisions

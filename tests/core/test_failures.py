@@ -111,21 +111,18 @@ class TestLocalQueueFailure:
         global queue at their arrival position."""
         gpu0, gpu1 = system.cluster.gpus
         inst = ModelInstance("fn-hot", get_profile("resnet50"))
-        warmup = make_request("fn-hot-warm", "resnet50")
-        warmup.model = inst
+        warmup = make_request("fn-hot-warm", "resnet50", model=inst)
         gpu1.begin_inference()  # park gpu1 → warmup loads the model on gpu0
         submit(system, warmup)
         system.run()
         gpu1.become_idle()
         # a hit keeps gpu0 busy inferring (1.28 s < 2.67 s load) ...
-        r0 = make_request("fn-hot0", "resnet50", arrival=system.sim.now)
-        r0.model = inst
+        r0 = make_request("fn-hot0", "resnet50", arrival=system.sim.now, model=inst)
         gpu1.begin_inference()
         submit(system, r0)
         gpu1.become_idle()
         # ... so the next same-model request is bound to gpu0's local queue
-        r1 = make_request("fn-hot1", "resnet50", arrival=system.sim.now)
-        r1.model = inst
+        r1 = make_request("fn-hot1", "resnet50", arrival=system.sim.now, model=inst)
         submit(system, r1)
         assert system.scheduler.local_queues.length(gpu0.gpu_id) == 1
         system.fail_gpu(gpu0.gpu_id)
@@ -240,19 +237,16 @@ class TestGracefulDrain:
         onto survivors instead of dying with it."""
         gpu0, gpu1 = system.cluster.gpus
         inst = ModelInstance("fn-hot", get_profile("resnet50"))
-        warmup = make_request("fn-hot-warm", "resnet50")
-        warmup.model = inst
+        warmup = make_request("fn-hot-warm", "resnet50", model=inst)
         gpu1.begin_inference()  # park gpu1 → warmup loads on gpu0
         submit(system, warmup)
         system.run()
         gpu1.become_idle()
-        r0 = make_request("fn-hot0", "resnet50", arrival=system.sim.now)
-        r0.model = inst
+        r0 = make_request("fn-hot0", "resnet50", arrival=system.sim.now, model=inst)
         gpu1.begin_inference()
         submit(system, r0)  # hit keeps gpu0 busy
         gpu1.become_idle()
-        r1 = make_request("fn-hot1", "resnet50", arrival=system.sim.now)
-        r1.model = inst
+        r1 = make_request("fn-hot1", "resnet50", arrival=system.sim.now, model=inst)
         submit(system, r1)  # same model → bound to gpu0's local queue
         assert system.scheduler.local_queues.length(gpu0.gpu_id) == 1
         system.drain_gpu(gpu0.gpu_id)
@@ -331,8 +325,7 @@ class TestTenancyCleanup:
         )
         inst = ModelInstance("fn-t", get_profile("resnet50"), tenant="t")
         system.register_model(inst)
-        r = make_request("fn-t", "resnet50", tenant="t")
-        r.model = inst
+        r = make_request("fn-t", "resnet50", tenant="t", model=inst)
         system.submit(r)
         system.run(until=1.0)  # mid-load: reservation held
         assert system.tenancy.usage("t")["processes"] == 1

@@ -49,9 +49,8 @@ class TestHitPath:
         inst_req = make_request("fn-1", "resnet50")
         submit(system, inst_req)
         system.run()
-        r2 = make_request("fn-1", "resnet50", arrival=system.sim.now)
         # same *instance* → same cache item
-        r2.model = inst_req.model
+        r2 = make_request("fn-1", "resnet50", arrival=system.sim.now, model=inst_req.model)
         submit(system, r2)
         system.run()
         assert r2.cache_hit is True
@@ -70,8 +69,7 @@ class TestHitPath:
         system.cluster.gpus[1].become_idle()
         assert system.cache.lru_list(gpu_id) == [a.model_id, b.model_id]
         # reuse a → it becomes hottest
-        r = make_request("fn-a", "resnet50")
-        r.model = a.model
+        r = make_request("fn-a", "resnet50", model=a.model)
         system.cluster.gpus[1].begin_inference()
         submit(system, r)
         system.run(until=system.sim.now + 10)

@@ -31,8 +31,7 @@ def test_waits_for_busy_cached_gpu_even_when_idle_exists(make_request):
     warm(system, inst, gpu1)
     gpu1.begin_inference()
     system.estimator.set_busy_until(gpu1.gpu_id, 100.0)  # wait >> load time
-    r = make_request("fn-m", "resnet50")
-    r.model = inst
+    r = make_request("fn-m", "resnet50", model=inst)
     system.submit(r)
     # LALB would miss on idle gpu0; locality-only queues behind gpu1
     assert r.gpu_id is None
@@ -55,8 +54,7 @@ def test_cached_idle_gpu_dispatch(make_request):
     gpu0, gpu1 = system.cluster.gpus
     inst = ModelInstance("fn-m", get_profile("alexnet"))
     warm(system, inst, gpu1)
-    r = make_request("fn-m", "alexnet")
-    r.model = inst
+    r = make_request("fn-m", "alexnet", model=inst)
     system.submit(r)
     system.run()
     assert r.gpu_id == gpu1.gpu_id
@@ -73,8 +71,7 @@ def test_no_false_misses_by_construction(make_request):
     inst = ModelInstance("hot", get_profile("resnet50"))
     reqs = []
     for i in range(6):
-        r = make_request(f"hot-{i}", "resnet50", arrival=system.sim.now)
-        r.model = inst
+        r = make_request(f"hot-{i}", "resnet50", arrival=system.sim.now, model=inst)
         reqs.append(r)
         system.submit(r)
         system.run()

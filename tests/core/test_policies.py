@@ -60,8 +60,7 @@ class TestLoadBalancing:
         # head request is fn-a; LB sends it to the first idle GPU (gpu0),
         # and fn-b goes to gpu1 (its cached GPU, but only by accident)
         ra = make_request("fn-a", "resnet50")
-        rb = make_request("fn-b", "alexnet")
-        rb.model = inst_b
+        rb = make_request("fn-b", "alexnet", model=inst_b)
         system.submit(ra)
         system.submit(rb)
         system.run()
@@ -74,8 +73,7 @@ class TestLoadBalancing:
         inst = ModelInstance("fn-m", get_profile("resnet50"))
         warm(system, inst, gpu1)
         gpu1.begin_inference()  # cached GPU busy
-        r = make_request("fn-m", "resnet50")
-        r.model = inst
+        r = make_request("fn-m", "resnet50", model=inst)
         system.submit(r)
         system.run(until=10.0)
         # LB dispatched to idle gpu0 although gpu1 held the model
@@ -90,8 +88,7 @@ class TestLALBLocality:
         gpu0, gpu1 = system.cluster.gpus
         inst = ModelInstance("fn-m", get_profile("resnet50"))
         warm(system, inst, gpu1)
-        r = make_request("fn-m", "resnet50")
-        r.model = inst
+        r = make_request("fn-m", "resnet50", model=inst)
         system.submit(r)
         system.run()
         assert r.gpu_id == gpu1.gpu_id
@@ -103,14 +100,12 @@ class TestLALBLocality:
         gpu0, gpu1 = system.cluster.gpus
         inst = ModelInstance("fn-m", get_profile("resnet50"))
         # a hit in flight on gpu1 keeps it busy only 1.28 s < 2.67 s load
-        r0 = make_request("fn-m0", "resnet50")
-        r0.model = inst
+        r0 = make_request("fn-m0", "resnet50", model=inst)
         warm(system, inst, gpu1)
         gpu0.begin_inference()  # park gpu0 so r0 lands on gpu1
         system.submit(r0)
         gpu0.become_idle()
-        r = make_request("fn-m", "resnet50", arrival=system.sim.now)
-        r.model = inst
+        r = make_request("fn-m", "resnet50", arrival=system.sim.now, model=inst)
         system.submit(r)
         # r should be in gpu1's local queue, not dispatched to gpu0
         assert system.scheduler.local_queues.length(gpu1.gpu_id) == 1
@@ -127,8 +122,7 @@ class TestLALBLocality:
         gpu1.begin_inference()
         # make the estimated wait enormous
         system.estimator.set_busy_until(gpu1.gpu_id, 100.0)
-        r = make_request("fn-m", "resnet50")
-        r.model = inst
+        r = make_request("fn-m", "resnet50", model=inst)
         system.submit(r)
         assert r.gpu_id == gpu0.gpu_id  # dispatched immediately as a miss
         assert r.false_miss is True
@@ -149,12 +143,10 @@ class TestLALBLocality:
         system = build("lalb", gpus=1)
         gpu0 = system.cluster.gpus[0]
         inst = ModelInstance("fn-m", get_profile("resnet50"))
-        r0 = make_request("fn-m0", "resnet50")
-        r0.model = inst
+        r0 = make_request("fn-m0", "resnet50", model=inst)
         system.submit(r0)  # cold miss occupies gpu0 (load+infer)
         # while busy, a same-model request and a different-model request arrive
-        r1 = make_request("fn-m1", "resnet50", arrival=0.0)
-        r1.model = inst
+        r1 = make_request("fn-m1", "resnet50", arrival=0.0, model=inst)
         r2 = make_request("fn-other", "alexnet", arrival=0.0)
         system.submit(r2)  # arrives first in the global queue
         system.submit(r1)
@@ -180,8 +172,7 @@ class TestOutOfOrderDispatch:
         gpu0.begin_inference()  # keep gpu0 out of the picture
         system.estimator.set_busy_until(gpu0.gpu_id, 1000.0)
         cold = make_request("cold-1", "vgg19")
-        hot = make_request("hot", "resnet50")
-        hot.model = hot_inst
+        hot = make_request("hot", "resnet50", model=hot_inst)
         return system, gpu1, cold, hot
 
     def test_o3_promotes_cached_request(self, make_request):
@@ -208,8 +199,7 @@ class TestOutOfOrderDispatch:
         q = system.scheduler.global_queue
 
         def push_hot(i):
-            r = make_request(f"hot-{i}", "resnet50", arrival=system.sim.now)
-            r.model = hot_inst
+            r = make_request(f"hot-{i}", "resnet50", arrival=system.sim.now, model=hot_inst)
             q.push(r)
             return r
 

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.queues import _MAX_PENDING_LEAVES, GlobalQueue, _VisitTree
+from repro.core.queues import _MAX_PENDING_LEAVES, GlobalQueue, _BumpCounter
 from repro.core.request import InferenceRequest
 from repro.models import ModelInstance, get_profile, model_names
 from repro.runtime import FaaSCluster, SystemConfig
@@ -168,38 +168,53 @@ class TestLiveIteration:
         assert extra.visits == 1
 
 
+def _backlog_system(n, n_models=25):
+    """``n`` requests over ``n_models`` instances submitted within a few
+    milliseconds: the GPUs fill and the rest waits in the global queue."""
+    system = FaaSCluster(SystemConfig(policy="lalbo3"))
+    names = model_names()
+    instances = [
+        ModelInstance(f"m{i}", get_profile(names[i % len(names)])) for i in range(n_models)
+    ]
+    for i in range(n):
+        system.submit_at(
+            InferenceRequest(f"fn{i % n_models}", instances[i % n_models], arrival_time=i * 1e-6)
+        )
+    return system
+
+
+@pytest.fixture
+def counter_calls(monkeypatch):
+    calls = Counter()
+    for name in ("add", "cover", "covers"):
+        def counted(self, *args, _fn=getattr(_BumpCounter, name), _name=name):
+            calls[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(_BumpCounter, name, counted)
+    return calls
+
+
 class TestRouteSelection:
     """Both sides of the queue's one route choice — eager skip counts on
-    the unattached tail vs the visit tree for entries that outlived the
+    the unattached tail vs the bump counter for entries that outlived the
     cap — pinned with exact call counts on whole-system replays."""
 
-    @pytest.fixture
-    def tree_calls(self, monkeypatch):
-        calls = Counter()
-        for name in ("point_set", "prefix_add", "point_get", "values"):
-            def counted(self, *args, _fn=getattr(_VisitTree, name), _name=name):
-                calls[_name] += 1
-                return _fn(self, *args)
-
-            monkeypatch.setattr(_VisitTree, name, counted)
-        return calls
-
-    def test_shallow_queue_never_touches_the_tree(self, tree_calls):
+    def test_shallow_queue_never_touches_the_counter(self, counter_calls):
         """§V-A headline shape (WS15, 99.9 % hits, queue depth ~0): O3
-        accounting costs no visit-tree call at all."""
+        accounting costs no counter call at all."""
         workload = build_workload(WorkloadSpec(working_set=15, minutes=6))
         system = FaaSCluster(SystemConfig(policy="lalbo3"))
         system.submit_workload(workload)
         system.run()
         assert system.metrics.completed_count == len(workload) == 1950
         assert system.scheduler.policy.fast_scans > 1000  # the bumps did run
-        assert tree_calls == Counter()
+        assert counter_calls == Counter()
 
-    def test_backlog_is_handed_to_the_tree_and_bounds_the_eager_walk(
-        self, tree_calls, monkeypatch
-    ):
-        """≥ 2k queued behind busy GPUs: the tail attaches at the cap, the
-        scans decrement the tree, and no scan walks a full tail."""
+    def test_backlog_is_counted_by_stop_slot(self, counter_calls, monkeypatch):
+        """≥ 2k queued behind busy GPUs: the tail attaches at the cap, each
+        scan is one counter write, no scan walks a full tail, and spotting
+        the starved costs a constant number of reads per scan."""
         tails = []
         bump = GlobalQueue.bump_visits_before
 
@@ -208,19 +223,48 @@ class TestRouteSelection:
             return bump(self, stop_slot)
 
         monkeypatch.setattr(GlobalQueue, "bump_visits_before", spy)
-        system = FaaSCluster(SystemConfig(policy="lalbo3"))
-        names = model_names()
-        instances = [
-            ModelInstance(f"m{i}", get_profile(names[i % len(names)])) for i in range(25)
-        ]
-        for i in range(2200):
-            system.submit_at(
-                InferenceRequest(f"fn{i % 25}", instances[i % 25], arrival_time=i * 1e-6)
-            )
+        system = _backlog_system(2200)
         system.run(until=0.01)
         assert len(system.scheduler.global_queue) >= 2000
         assert system.cluster.idle_count == 0
         system.run()
         assert system.metrics.completed_count == 2200
-        assert tree_calls["point_set"] > 2000 and tree_calls["prefix_add"] > 1000
+        assert counter_calls["add"] > 1000
         assert tails and max(tails) <= _MAX_PENDING_LEAVES - 1
+        # per scan: the chain head, each request it starves, and the
+        # dispatched request's final count; the hand-over read is per push
+        assert counter_calls["cover"] <= 2200 + 3 * counter_calls["add"]
+
+    def test_scan_reads_one_cover_per_live_irregular(self, counter_calls):
+        """The one bound the counter adds: a scan reads one ``cover`` per
+        *live irregular* entry before its stop slot, on top of the chain
+        head.  N failure-requeued requests in a 2k-deep queue cost N reads
+        a scan while they wait and nothing once they have been served."""
+        n = 5
+        system = _backlog_system(2200)
+        system.run(until=0.01)
+        queue = system.scheduler.global_queue
+        assert len(queue) >= 2000 and queue._attached >= 1900
+        victims = list(queue)[10:60:10]
+        assert len(victims) == n
+        for request in victims:  # what a GPU failure does to its requests
+            queue.remove(request)
+            queue.push_sorted(request)
+        # the re-inserted entries are handed over with the next full tail
+        for i in range(_MAX_PENDING_LEAVES):
+            queue.push(InferenceRequest("fn-pad", victims[0].model, arrival_time=1.0 + i))
+        assert [e.request for e in queue._irregular] == victims
+
+        def reads_per_scan(stop_slot):
+            before = counter_calls["cover"]
+            queue.bump_visits_before(stop_slot)
+            return counter_calls["cover"] - before
+
+        assert n <= reads_per_scan(None) <= n + 2
+        assert reads_per_scan(25) <= 2 + 2  # only two of them sit before slot 25
+        adds = counter_calls["add"]
+        for request in victims:
+            queue.remove(request)  # dispatched: O(1), no counter write
+        assert counter_calls["add"] == adds == 2
+        assert reads_per_scan(None) <= 2  # dead entries are dropped unread
+        assert queue._irregular == []

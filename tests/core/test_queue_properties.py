@@ -2,7 +2,7 @@
 
 from collections import OrderedDict
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.queues import GlobalQueue
@@ -89,7 +89,7 @@ def test_arrival_order_is_nondecreasing(ops):
 # ---------------------------------------------------------------------------
 # Sized to cross the queue's three internal regimes inside one sequence: the
 # 32-entry unattached tail (push bursts up to 40), the 64-slot hole
-# compaction (bulk removals, then a push) and a tree growth (> 64 live
+# compaction (bulk removals, then a push) and a counter growth (> 64 live
 # entries), with partial-prefix bumps, removals and re-insertions between.
 _o3_ops = st.lists(
     st.one_of(
@@ -122,7 +122,46 @@ class _LiteralO3Queue:
                 row[2] = row[1] > self.limit
 
 
+# The attached entries' counts are read off scan stop positions, and
+# starvation is looked for only at the head of the regular chain and at the
+# listed irregular entries.  These sequences are the cases where a count
+# does *not* follow from position; each must starve on exactly the scan the
+# literal list says.  (A backlog of 32 or 40 is attached at once; a later
+# push of 24 or 32 hands the tail over again.)
+_BUMP = ("bump", None)
+#: (a) an old request re-queued at the head with *fewer* visits than the
+#: entries behind it: they cross the limit first, it crosses two scans later
+_REQUEUED_AT_HEAD_WITH_FEWER = [
+    ("remove", 0, 1), _BUMP, _BUMP, ("push_sorted", 0), ("push", 32), _BUMP, _BUMP, _BUMP,
+]
+#: (b) direct writes to attached regular entries: one mid-queue raised above
+#: its neighbours, then the head lowered below them
+_WRITTEN_WHILE_ATTACHED = [
+    ("set_visits", 5, 2), _BUMP, _BUMP, ("set_visits", 0, 0), _BUMP, _BUMP, _BUMP,
+]
+#: (c) the newest request comes back to the tail carrying visits: it starves
+#: while every entry ahead of it is still within the limit
+_TAIL_PUSH_WITH_VISITS = [
+    ("set_visits", 39, 2), ("remove", 39, 1), ("push_sorted", 0), ("push", 32), _BUMP, _BUMP,
+]
+#: (d) counts settle through a counter growth (slot 64) and a hole
+#: compaction (50 of 80 removed) in the middle of a backlog
+_REINDEX_MID_BACKLOG = [
+    _BUMP, ("bump", 20), ("push", 40), _BUMP, ("bump", 50), ("remove", 0, 50), ("push", 1),
+    _BUMP, ("bump", 10), ("push_sorted", 7), _BUMP,
+]
+#: (e) the chain reaches the unattached tail, which is handed over later
+#: and must still be found
+_CHAIN_MEETS_THE_TAIL = [_BUMP, _BUMP, ("push", 8), _BUMP, ("push", 24), _BUMP, _BUMP]
+
+
 @given(st.sampled_from([0, 2, 25]), st.integers(0, 80), _o3_ops)
+@example(2, 40, _REQUEUED_AT_HEAD_WITH_FEWER)
+@example(2, 40, _WRITTEN_WHILE_ATTACHED)
+@example(2, 40, _TAIL_PUSH_WITH_VISITS)
+@example(2, 40, _REINDEX_MID_BACKLOG)
+@example(25, 40, _REINDEX_MID_BACKLOG)
+@example(2, 32, _CHAIN_MEETS_THE_TAIL)
 @settings(max_examples=120, deadline=None)
 def test_o3_accounting_matches_literal_model(limit, backlog, ops):
     q = GlobalQueue(o3_limit=limit)

@@ -106,8 +106,7 @@ class TestEndToEndIsolation:
             system.register_model(inst)
 
         def req(inst):
-            r = make_request(inst.instance_id, inst.architecture, tenant=inst.tenant)
-            r.model = inst
+            r = make_request(inst.instance_id, inst.architecture, tenant=inst.tenant, model=inst)
             return r
 
         r1, r2, r3, r4 = req(g1), req(g2), req(p1), req(p2)
@@ -136,8 +135,7 @@ class TestNoBusyLoop:
         inst = ModelInstance("fn-t", get_profile("alexnet"), tenant="t")
         system.register_model(inst)
         for i in range(3):
-            r = make_request(f"fn-t{i}", "alexnet", tenant="t")
-            r.model = inst
+            r = make_request(f"fn-t{i}", "alexnet", tenant="t", model=inst)
             system.submit(r)
         system.sim.run(max_events=10_000)  # raises SimError if it spins
         assert len(system.scheduler.global_queue) == 3
