@@ -45,12 +45,12 @@ def _discard(key: str, value: object) -> None:
 
 
 class LatencyRecord(NamedTuple):
-    """Per-invocation record mirrored to ``fn/latency/<request_id>``.
+    """The names of a ``fn/latency/<request_id>`` value's fields.
 
-    An immutable NamedTuple rather than a dict: one is retained in the
-    store's history per completed request, and tuples of atomic values
-    leave the cyclic collector's tracked set — at 100k+ requests the
-    difference is a full-heap GC pass over 100k fewer containers.
+    The store holds the *exact* 7-tuple in this order, one per completed
+    request; ``LatencyRecord(*value)`` names it on read.  Only exact tuples
+    of atoms leave the cyclic collector's tracked set (a NamedTuple never
+    does) — at 100k requests, a full-heap pass over 100k fewer containers.
     """
 
     function: str
@@ -117,7 +117,7 @@ class GPUManager:
         # sliding window over this manager's fn/latency/* keys: when
         # latency_keep is set, writing record N deletes record N-keep in
         # the same batched transaction, so the store's live set (and the
-        # KeyValue/LatencyRecord objects it pins) stays bounded on
+        # row and value tuples it pins) stays bounded on
         # million-request replays.  Nothing reads these keys mid-run, so
         # scheduling is untouched either way.
         self._latency_keep = latency_keep
@@ -348,12 +348,12 @@ class GPUManager:
         if self.datastore is None:
             return
         arrival = request.arrival_time
-        # positional LatencyRecord + inlined latency/queueing properties:
-        # _finished just stamped both timestamps, so the validation is dead
+        # bare tuple in LatencyRecord order + inlined latency/queueing
+        # properties: _finished just stamped both timestamps (no validation)
         key = f"fn/latency/{request.request_id}"
         self._put(
             key,
-            LatencyRecord(
+            (
                 request.function_name,
                 model_id,
                 request.gpu_id,

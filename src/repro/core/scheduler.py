@@ -34,7 +34,7 @@ from ..cluster.topology import Cluster
 from ..datastore.client import DatastoreClient
 from ..sim import Simulator
 from .cache_manager import CacheManager
-from .decisions import Decision, DecisionKind, DecisionLog
+from .decisions import DecisionKind, DecisionLog
 from .estimator import FinishTimeEstimator
 from .gpu_manager import GPUManager
 from .policies import SchedulingPolicy
@@ -115,7 +115,7 @@ class Scheduler:
         #: runtime wires this to MetricsCollector.on_lost
         self.on_lost = None
         self.decisions = DecisionLog()
-        self._record_decision = self.decisions.record  # hot-path bound method
+        self._append_decision = self.decisions.append  # hot-path bound method
         #: idle ∩ local-work dirty-signal join (see signals.py); consumed
         #: by the pass guards and the mid-pass narrowing probe
         self.idle_local_work = IdleLocalWorkIndex(cluster, self.local_queues)
@@ -388,16 +388,14 @@ class Scheduler:
         self.local_queues.push(gpu.gpu_id, request)
 
     def _record(self, kind: DecisionKind, request: InferenceRequest, gpu_id: str | None) -> None:
-        # positional Decision mint + cached bound method + direct _now
-        # read: one Decision is recorded per scheduling action
-        decision = Decision(
-            self.sim._now, kind, request.request_id,
-            request.model_id, gpu_id, request.visits,
+        # cached bound method + direct _now read: one row is appended per
+        # scheduling action, and only explain mode mints the named view
+        self._append_decision(
+            self.sim._now, kind, request.request_id, request.model_id, gpu_id, request.visits
         )
-        self._record_decision(decision)
         explain = self.explain
         if explain is not None:
-            explain.attach(decision)
+            explain.attach(self.decisions.last(1)[0])
 
     def _execute(self, request: InferenceRequest, gpu: GPUDevice) -> None:
         # the "GPU address" shipped with the function's container (§III-B);

@@ -29,8 +29,8 @@ Ephemeral keys accumulate, coalesce and overlay exactly like durable keys.
 They differ at the commit: a flush that nothing observes — no watch or
 mutation hook on the store, no lease in the batch, which is every flush of
 a trace replay — applies its entries to the store's live view inside
-:meth:`WriteBatch.flush`, minting one ``KeyValue`` per ephemeral key and
-nothing else (no events, no liveness map, no snapshot of the batch);
+:meth:`WriteBatch.flush`, storing one exact-tuple row per ephemeral key
+and nothing else (no events, no liveness map, no snapshot of the batch);
 durable keys go through ``KVStore._apply_put`` either way.  An observed
 flush hands the coalesced map to ``KVStore._apply_coalesced`` unchanged.
 """
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from .kv import BatchCommit, KeyValue, KVStore, _tuple_new
+from .kv import BatchCommit, KVStore, _tuple_new
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .lease import Lease
@@ -294,9 +294,7 @@ class WriteBatch:
                         # control plane commits 2-3 of these per action
                         if key not in live:
                             store._sorted_keys = None
-                        live[key] = _tuple_new(
-                            KeyValue, (key, entry[1], revision, revision, 1)
-                        )
+                        live[key] = (key, entry[1], revision, revision, 1)
                         eph_count += 1
                     else:
                         store._apply_put(key, entry[1], fresh=entry[2])

@@ -17,7 +17,7 @@ key                             history  value
 ``gpu/lru/<gpu_id>``            none     tuple[str, ...], LRU order (head = coldest)
 ``cache/locations/<model>``     MVCC     tuple[str, ...], GPUs where the model is resident
 ``fn/meta/<fn_name>``           MVCC     dict, registered-function metadata
-``fn/latency/<request_id>``     none     ``LatencyRecord``, per-invocation latency record
+``fn/latency/<request_id>``     none     exact 7-tuple in ``LatencyRecord`` field order (``LatencyRecord(*value)`` names it)
 ``fn/scale/<fn_name>``          MVCC     int, current replica count
 ==============================  =======  ====================================
 

@@ -71,9 +71,11 @@ class EphemeralKeyError(LookupError):
 class KeyValue(NamedTuple):
     """A key-value pair plus its etcd-style revision metadata.
 
-    A NamedTuple rather than a dataclass: the control plane mints one per
-    committed key on every transaction, so construction cost is on the
-    write path's critical path.
+    What reads return.  A durable key holds one (live view, history,
+    event log); an ephemeral key holds the *exact* 5-tuple of these fields,
+    named on read — CPython's cyclic collector never untracks a tuple
+    subclass, so one minted per hot key would stay on its books while the
+    key lives (80k ``fn/latency/*`` entries on a batch replay).
     """
 
     key: str
@@ -87,6 +89,11 @@ class KeyValue(NamedTuple):
 #: it builds the identical object but skips the generated Python-level
 #: ``__new__`` wrapper (~2x faster per mint, one mint per committed key)
 _tuple_new = tuple.__new__
+
+
+def _named(row: tuple | None) -> KeyValue | None:
+    """A live-view entry as reads return it (ephemeral rows are bare)."""
+    return _tuple_new(KeyValue, row) if type(row) is tuple else row
 
 
 class BatchCommit(NamedTuple):
@@ -130,16 +137,15 @@ class KVStore:
         self.ephemeral_writes = 0
         self._revision = 0
         self._compacted = 0
-        # live view: key -> KeyValue
-        self._live: dict[str, KeyValue] = {}
+        # live view: key -> KeyValue (durable) | exact 5-tuple (ephemeral)
+        self._live: dict[str, tuple] = {}
         # history: key -> ([mod_revisions], [KeyValue-or-tombstone])
         self._history: dict[str, tuple[list[int], list[Any]]] = {}
         # global event log for watch replay, stored as three parallel
         # columns (revision / key / value) rather than one tuple per event:
-        # the revision column bisects for events_since/compact, and a long
-        # run no longer retains one GC-tracked tuple per historical write —
-        # at 100k+ requests the log holds ~500k entries, and full-heap GC
-        # passes over that many containers dominated replay wall time
+        # the revision column bisects for events_since/compact, and a
+        # durable write retains one GC-tracked object (its KeyValue, shared
+        # with the live view and the history column), not two
         self._event_revs: list[int] = []
         self._event_keys: list[str] = []
         self._event_vals: list[KeyValue | None] = []
@@ -233,12 +239,12 @@ class KVStore:
             # version counting to, and skipping the prev lookup keeps the
             # lane a mint + dict store).  The sorted-key cache only cares
             # whether the key *set* grew.
-            kv = _tuple_new(KeyValue, (key, value, revision, revision, 1))
+            row = (key, value, revision, revision, 1)
             if key not in live:
                 self._sorted_keys = None
-            live[key] = kv
+            live[key] = row
             self.ephemeral_writes += 1
-            return kv
+            return _tuple_new(KeyValue, row)  # for put()'s caller and the hooks
         prev = None if fresh else live.get(key)
         if prev is None:
             kv = _tuple_new(KeyValue, (key, value, revision, revision, 1))
@@ -378,7 +384,7 @@ class KVStore:
         :class:`EphemeralKeyError` — those keys keep no history by design.
         """
         if revision is None:
-            return self._live.get(key)
+            return _named(self._live.get(key))
         if self._ephemeral and key.startswith(self._ephemeral):
             raise EphemeralKeyError(
                 f"{key!r} is in the ephemeral tier: historical reads are "
@@ -404,7 +410,7 @@ class KVStore:
     def get_value(self, key: str, default: Any = None) -> Any:
         """Convenience: latest value of ``key`` or ``default``."""
         kv = self._live.get(key)
-        return kv.value if kv is not None else default
+        return kv[1] if kv is not None else default
 
     def range(self, prefix: str, *, limit: int | None = None) -> list[KeyValue]:
         """Live pairs whose key starts with ``prefix``, sorted by key.
@@ -420,7 +426,7 @@ class KVStore:
         for i in range(bisect.bisect_left(keys, prefix), len(keys)):
             if not keys[i].startswith(prefix) or (limit is not None and len(out) >= limit):
                 break
-            out.append(self._live[keys[i]])
+            out.append(_named(self._live[keys[i]]))
         return out
 
     def range_interval(self, start: str, end: str, *, limit: int | None = None) -> list[KeyValue]:
@@ -434,7 +440,7 @@ class KVStore:
         hi = bisect.bisect_left(keys, end, lo)
         if limit is not None:
             hi = min(hi, lo + limit)
-        return [self._live[k] for k in keys[lo:hi]]
+        return [_named(self._live[k]) for k in keys[lo:hi]]
 
     def events_since(
         self, revision: int, *, key_prefix: str | None = None
@@ -472,7 +478,7 @@ class KVStore:
     def items(self) -> Iterator[KeyValue]:
         """Iterate live pairs in key order."""
         for k in self._sorted():
-            yield self._live[k]
+            yield _named(self._live[k])
 
     # ------------------------------------------------------------------
     # Compaction

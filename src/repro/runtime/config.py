@@ -52,7 +52,7 @@ class SystemConfig:
     #: (60,000 live at keep = 20k on the 3-node testbed once every window
     #: has filled).  Those keys are write-only during a run (nothing
     #: schedules off them) and history-free, but left to accumulate they
-    #: pin one key string + KeyValue + LatencyRecord per request — the
+    #: pin one key string + row tuple + value tuple per request — the
     #: dominant linear memory term at 1M requests.  None (default) keeps
     #: every record.
     latency_log_keep: int | None = None

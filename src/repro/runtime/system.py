@@ -240,10 +240,11 @@ class FaaSCluster:
 
         Equivalent to calling :meth:`submit_at` per request (same event
         ordering, bit-identical run) but the arrivals enter the simulator
-        through :meth:`~repro.sim.Simulator.schedule_many`: one heap build
-        over the presorted arrival column instead of one sift-up per
-        request.  Accepts a :class:`~repro.traces.Workload` (materializing
-        its columns once) or any iterable of requests.
+        through :meth:`~repro.sim.Simulator.schedule_many`: the presorted
+        column stays a column in the kernel's arrival lane — no event
+        object, heap entry or sift per request.  Accepts a
+        :class:`~repro.traces.Workload` (materializing its columns once)
+        or any iterable of requests.
         """
         requests = workload.requests if hasattr(workload, "requests") else list(workload)
         self.sim.schedule_many(
@@ -265,11 +266,11 @@ class FaaSCluster:
         then arms a refill: when the arrival ``low_water`` requests from
         the chunk's tail fires, the *next* chunk is drawn (its RNG state
         picks up exactly where the previous chunk left off) and injected
-        — so the event heap, slab, and live request objects stay bounded
-        by one chunk plus in-flight work instead of the whole trace.
+        — so the arrival lane and live request objects stay bounded by one
+        chunk plus in-flight work instead of the whole trace.
 
         The refill event carries ``priority=-1``: it beats the same-time
-        arrival in the tie-break, so the heap never runs dry mid-stream.
+        arrival in the tie-break, so the lane never runs dry mid-stream.
         Scheduling is deterministic — chunk boundaries and refill times
         are pure functions of the workload spec.
         """

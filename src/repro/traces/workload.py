@@ -33,7 +33,7 @@ consumers (``describe``, ``counts`` reductions, workload-build
 timings, CSV export of arrival columns) never pay for object construction
 at all.  At 100k+ requests that turns extraction from the dominant cost
 into a rounding error and lets :meth:`~repro.runtime.system.FaaSCluster.
-submit_workload` bulk-inject the arrival column with one heap build.
+submit_workload` hand the arrival column to the sim kernel as a column.
 
 The seed's literal per-request loop is the oracle in
 ``tests/traces/test_workload_columnar.py``, which proves the columns

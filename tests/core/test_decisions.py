@@ -47,6 +47,27 @@ class TestDecisionLog:
         assert len(log.for_gpu("g1")) == 2
         assert [d.request_id for d in log.last(2)] == [7, 9]
 
+    def test_last_zero_is_empty_and_last_n_is_the_tail(self):
+        """``last(0)`` returned the whole log (``list(log)[-0:]``)."""
+        log = DecisionLog()
+        for req_id in range(5):
+            log.record(mk(DecisionKind.DISPATCH_HIT, req_id=req_id))
+        assert log.last(0) == [] and log.last(-3) == []
+        assert [d.request_id for d in log.last(2)] == [3, 4]
+        assert [d.request_id for d in log.last(99)] == [0, 1, 2, 3, 4]
+
+    def test_reads_name_the_rows(self):
+        """Rows are stored as exact tuples (the kind as its value string);
+        every read hands back the ``Decision`` that was recorded."""
+        log = DecisionLog()
+        d = Decision(1.5, DecisionKind.MOVE_TO_LOCAL, 7, "m", None, visits=3)
+        log.record(d)
+        log.append(2.5, DecisionKind.TIMEOUT, 8, "m", "g1")
+        assert log._log[0] == (1.5, "move_to_local", 7, "m", None, 3)
+        assert list(log) == [d, Decision(2.5, DecisionKind.TIMEOUT, 8, "m", "g1")]
+        assert all(type(x) is Decision for x in [*log, *log.last(2), *log.for_gpu("g1")])
+        assert log.for_request(7) == [d]
+
     def test_invalid_maxlen(self):
         with pytest.raises(ValueError):
             DecisionLog(maxlen=0)

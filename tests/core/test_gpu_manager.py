@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec, GPUState
+from repro.core.gpu_manager import LatencyRecord
 from repro.core.request import RequestState
 from repro.runtime import FaaSCluster, SystemConfig
 
@@ -128,7 +129,9 @@ class TestStateAndReporting:
     def test_latency_record_written(self, system, make_request):
         r = submit(system, make_request("fn-z", "alexnet"))
         system.run()
-        rec = system.datastore.client().get(f"fn/latency/{r.request_id}")
+        value = system.datastore.client().get(f"fn/latency/{r.request_id}")
+        assert type(value) is tuple  # stored bare (GC-untracked); named on read
+        rec = LatencyRecord(*value)
         assert rec.function == "fn-z"
         assert rec.cache_hit is False
         assert rec.latency_s == pytest.approx(2.81 + 1.25)

@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import SimError, Simulator
+from repro.sim import Event, SimError, Simulator
 
 
 def test_initial_clock_is_zero():
@@ -281,6 +284,46 @@ class TestScheduleMany:
         sim.run()
         assert fired == list(range(5000))
 
+    def test_validation_failure_leaves_active_lane_untouched(self):
+        sim = Simulator(start_time=5.0)
+        fired = []
+        events = sim.schedule_many([6.0, 7.0], fired.append, [("a",), ("b",)])
+        nan = float("nan")
+        for bad in ([8.0, 4.0], [8.0, nan], [nan, 8.0], [nan], [4.0], [4.0, 8.0]):
+            with pytest.raises(SimError):
+                sim.schedule_many(bad, fired.append, [("x",)] * len(bad))
+        with pytest.raises(ValueError):
+            sim.schedule_many([8.0], fired.append, [])
+        assert len(sim) == len(events) == 2 and sim.peek() == 6.0
+        sim.run()
+        assert fired == ["a", "b"] and sim.processed_events == 2
+
+    def test_two_outcomes_lane_segment_or_schedule_at_loop(self):
+        sim = Simulator()
+        lane = sim.schedule_many([1.0, 2.0, 2.0], lambda: None)
+        assert not sim._heap and len(sim) == 3  # a column, not three heap entries
+        assert [type(ev) for ev in lane] == [Event] * 3  # handles minted on access
+        appended = sim.schedule_many([2.0, 3.0], lambda: None)  # starts at the tail
+        assert not sim._heap and len(sim._lane) == 2 and len(appended) == 2
+        for column in ([2.5, 2.0], [1.5, 4.0]):  # unsorted; starts before the tail
+            events = sim.schedule_many(column, lambda: None)
+            assert type(events) is list and [ev.time for ev in events] == column
+        assert len(sim._heap) == 4 and len(sim) == 9
+        assert sim.schedule_many([], lambda: None) == []
+
+    def test_lane_handle_cancel_is_idempotent_and_ignored_once_fired(self):
+        sim = Simulator()
+        fired = []
+        events = sim.schedule_many([1.0, 2.0, 3.0], fired.append, ((i,) for i in range(3)))
+        events[2].cancel()
+        events[2].cancel()  # a second handle to the same entry
+        assert len(sim) == 2
+        sim.run(until=1.0)
+        events[0].cancel()  # already fired
+        assert len(sim) == 1 and sim.peek() == 2.0
+        sim.run()
+        assert fired == [0, 1] and len(sim) == 0 and not sim._lane
+
 
 class TestSlabRecycling:
     def test_cancelled_slot_recycles_without_misfire(self):
@@ -302,3 +345,111 @@ class TestSlabRecycling:
         ev.cancel()
         assert sim._slab[slot] is None
         assert slot in sim._free
+
+
+# ---------------------------------------------------------------------------
+# lane ≡ loop of schedule_at: a random program run on two simulators, one
+# handing its columns to schedule_many, one expanding them entry by entry
+# ---------------------------------------------------------------------------
+_gap = st.sampled_from([0.0, 0.0, 0.25, 1.0, 10.0])  # zeros make same-instant ties
+_priority = st.sampled_from([0, 0, 0, -1, 1])
+# (start offset, gaps between entries, order, priority)
+_column = st.tuples(
+    _gap,
+    st.lists(_gap, min_size=1, max_size=8),
+    st.sampled_from(["ascending", "ascending", "shuffled"]),
+    _priority,
+)
+# a streaming refill: at the own timestamp of entry k of the column just
+# injected, at priority -1, inject the next column starting `shift` from
+# that column's tail (negative = not appendable)
+_refill = st.tuples(st.integers(0, 7), _column, st.sampled_from([-1.0, 0.0, 0.25]))
+_program = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _gap, _priority),
+        st.tuples(st.just("schedule_at"), _gap, _priority),
+        st.tuples(st.just("many"), _column, st.none() | _refill),
+        st.tuples(st.just("cancel"), st.integers(0, 400)),
+        st.tuples(st.just("run"), _gap),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("probe")),
+        st.tuples(st.just("drain")),
+    ),
+    max_size=30,
+)
+
+
+class _Arm:
+    """One simulator plus everything observable about it."""
+
+    def __init__(self, bulk: bool) -> None:
+        self.sim = Simulator()
+        self.bulk = bulk
+        self.log = []  # firings and probe readings, in order
+        self.handles = []  # zero-argument cancellers
+        self.columns = 0
+
+    def fire(self, tag) -> None:
+        self.log.append(("fired", self.sim.now, tag))
+
+    def many(self, column, refill, origin: float) -> None:
+        start, gaps, order, priority = column
+        times, t = [], max(origin + start, self.sim.now)
+        for gap in gaps:
+            times.append(t)
+            t += gap
+        tail = times[-1]
+        if order == "shuffled":
+            random.Random(len(times)).shuffle(times)
+        self.columns += 1
+        args = [((self.columns, i),) for i in range(len(times))]
+        if self.bulk:
+            events = self.sim.schedule_many(times, self.fire, args, priority=priority)
+        else:
+            events = [
+                self.sim.schedule_at(t, self.fire, *a, priority=priority)
+                for t, a in zip(times, args)
+            ]
+        assert len(events) == len(times)
+        self.handles.extend(
+            (lambda events=events, i=i: events[i].cancel()) for i in range(len(times))
+        )
+        if refill is not None:
+            k, next_column, shift = refill
+            self.sim.schedule_at(
+                times[k % len(times)], self.many, next_column, None, tail + shift, priority=-1
+            )
+
+    def execute(self, program) -> list:
+        sim, log = self.sim, self.log
+        for op in program:
+            if op[0] == "schedule":
+                self.handles.append(sim.schedule(op[1], self.fire, "s", priority=op[2]).cancel)
+            elif op[0] == "schedule_at":
+                ev = sim.schedule_at(sim.now + op[1], self.fire, "a", priority=op[2])
+                self.handles.append(ev.cancel)
+            elif op[0] == "many":
+                self.many(op[1], op[2], sim.now)
+            elif op[0] == "cancel":
+                if self.handles:
+                    self.handles[op[1] % len(self.handles)]()
+            elif op[0] == "run":
+                sim.run(until=sim.now + op[1])
+            elif op[0] == "step":
+                log.append(("step", sim.step()))
+            elif op[0] == "probe":
+                log.append(("probe", sim.peek(), len(sim)))
+            else:
+                log.append(
+                    ("drain", [(ev.time, ev.priority, ev.seq, ev.args) for ev in sim.drain()])
+                )
+            log.append((sim.now, sim.processed_events, len(sim)))
+        sim.run()
+        log.append((sim.now, sim.processed_events, len(sim), sim.peek()))
+        return log
+
+
+@given(_program)
+@settings(max_examples=300, deadline=None)
+def test_schedule_many_is_a_loop_of_schedule_at(program):
+    assert _Arm(bulk=True).execute(program) == _Arm(bulk=False).execute(program)
