@@ -27,7 +27,7 @@ Package map
 ``repro.faas``        OpenFaaS-like substrate: Gateway, Watchdog,
                       containers, autoscaler, intercepted ML API
 ``repro.cluster``     simulated GPU cluster: devices, PCIe, nodes, processes
-``repro.datastore``   etcd-like store: MVCC KV, watches, leases, txns
+``repro.datastore``   etcd-like store: MVCC KV, leases, batched writes
 ``repro.models``      Table I zoo, profiles, NumPy CNN engine, profiler
 ``repro.traces``      synthetic Azure trace, workload extraction, datasets
 ``repro.chaos``       deterministic fault injection: seeded FaultPlans,

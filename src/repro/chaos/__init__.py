@@ -20,10 +20,8 @@ from .plan import (
     FAULT_PROFILES,
     FaultPlan,
     GPUCrash,
-    KVLatencySpike,
     LeaseExpiry,
     Straggler,
-    WatchDrop,
     build_fault_plan,
 )
 
@@ -32,8 +30,6 @@ __all__ = [
     "GPUCrash",
     "Straggler",
     "LeaseExpiry",
-    "WatchDrop",
-    "KVLatencySpike",
     "FAULT_PROFILES",
     "build_fault_plan",
     "ChaosInjector",

@@ -5,8 +5,8 @@ construction — before any workload is submitted — so the fault events
 occupy a fixed, plan-determined position in the simulator's tie-break
 order.  Every handler drives the system through its public failure API
 (``fail_gpu`` / ``recover_gpu``, the manager's slowdown knob, the health
-watchdog's heartbeat suppression, the watch hub's delivery windows), so a
-fault replay exercises exactly the code paths a real outage would.
+watchdog's heartbeat suppression), so a fault replay exercises exactly
+the code paths a real outage would.
 
 Handlers are defensive about overlap: a crash against an already-offline
 GPU is skipped (another fault owns it), a recovery against an
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .plan import FaultPlan, GPUCrash, KVLatencySpike, LeaseExpiry, Straggler, WatchDrop
+from .plan import FaultPlan, GPUCrash, LeaseExpiry, Straggler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faas → runtime)
     from ..runtime.system import FaaSCluster
@@ -49,10 +49,6 @@ class ChaosInjector:
                 sim.schedule_at(fault.at_s, self._straggle, fault)
             elif isinstance(fault, LeaseExpiry):
                 sim.schedule_at(fault.at_s, self._lease_expiry, fault)
-            elif isinstance(fault, WatchDrop):
-                sim.schedule_at(fault.at_s, self._watch_drop, fault)
-            elif isinstance(fault, KVLatencySpike):
-                sim.schedule_at(fault.at_s, self._kv_spike, fault)
             else:  # pragma: no cover - plan.validate() rejects unknown kinds
                 raise TypeError(f"unknown fault {fault!r}")
 
@@ -107,26 +103,3 @@ class ChaosInjector:
         # the watchdog records the fault/repair metrics itself: the fault's
         # observable effect (GPU offline) starts at escalation, not here
         health.suppress(gpu.gpu_id, fault.duration_s)
-
-    def _watch_drop(self, fault: WatchDrop) -> None:
-        hub = self.system.datastore.watches
-        self.injected += 1
-        self.system.metrics.on_fault("watch_drop", "hub")
-        hub.set_drop_window(self.system.sim.now + fault.duration_s)
-        self.system.sim.schedule(
-            fault.duration_s, self.system.metrics.on_fault_cleared, "watch_drop", "hub"
-        )
-
-    def _kv_spike(self, fault: KVLatencySpike) -> None:
-        hub = self.system.datastore.watches
-        self.injected += 1
-        self.system.metrics.on_fault("kv_latency_spike", "hub")
-        hub.set_latency_spike(
-            self.system.sim.now + fault.duration_s, fault.extra_delay_s
-        )
-        self.system.sim.schedule(
-            fault.duration_s,
-            self.system.metrics.on_fault_cleared,
-            "kv_latency_spike",
-            "hub",
-        )

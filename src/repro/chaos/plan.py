@@ -21,11 +21,6 @@ survive, ROADMAP "north star"):
   heartbeating for a window; the lease-backed health watchdog escalates
   the missed heartbeats to ``go_offline`` and self-heals when the
   heartbeats return.
-* :class:`WatchDrop` — the Datastore's watch delivery drops every
-  notification in a window (mirrors lag; decisions, driven by
-  authoritative in-memory state, are unaffected).
-* :class:`KVLatencySpike` — watch delivery slows by an extra delay for a
-  window (an etcd commit-latency spike as observed by watchers).
 
 Named profiles (:data:`FAULT_PROFILES`) are seeded generators:
 ``build_fault_plan("recoverable", seed=7)`` always yields the identical
@@ -44,8 +39,6 @@ __all__ = [
     "GPUCrash",
     "Straggler",
     "LeaseExpiry",
-    "WatchDrop",
-    "KVLatencySpike",
     "FaultPlan",
     "FAULT_PROFILES",
     "build_fault_plan",
@@ -90,29 +83,7 @@ class LeaseExpiry:
     kind = "lease_expiry"
 
 
-@dataclass(frozen=True)
-class WatchDrop:
-    """Drop every watch delivery for ``duration_s`` seconds."""
-
-    at_s: float
-    duration_s: float
-
-    kind = "watch_drop"
-
-
-@dataclass(frozen=True)
-class KVLatencySpike:
-    """Add ``extra_delay_s`` to watch delivery for ``duration_s`` seconds
-    (commit latency as observed by watchers)."""
-
-    at_s: float
-    duration_s: float
-    extra_delay_s: float
-
-    kind = "kv_latency_spike"
-
-
-Fault = GPUCrash | Straggler | LeaseExpiry | WatchDrop | KVLatencySpike
+Fault = GPUCrash | Straggler | LeaseExpiry
 
 
 @dataclass(frozen=True)
@@ -147,6 +118,8 @@ class FaultPlan:
 
     def validate(self) -> None:
         for fault in self.faults:
+            if not isinstance(fault, Fault):
+                raise ValueError(f"{fault!r}: unknown fault kind")
             if fault.at_s < 0:
                 raise ValueError(f"{fault!r}: at_s cannot be negative")
             if isinstance(fault, Straggler) and fault.factor < 1.0:
@@ -195,15 +168,6 @@ def _recoverable(seed: int, horizon_s: float, gpus: int) -> FaultPlan:
             gpu_index=rng.randrange(gpus),
             duration_s=rng.uniform(0.04, 0.08) * horizon_s,
         ),
-        WatchDrop(
-            at_s=window(0.25, 0.55),
-            duration_s=rng.uniform(0.03, 0.06) * horizon_s,
-        ),
-        KVLatencySpike(
-            at_s=window(0.40, 0.65),
-            duration_s=rng.uniform(0.03, 0.06) * horizon_s,
-            extra_delay_s=rng.uniform(0.2, 1.0),
-        ),
     ]
     return FaultPlan(name="recoverable", faults=tuple(faults), seed=seed)
 
@@ -243,11 +207,6 @@ def _severe(seed: int, horizon_s: float, gpus: int) -> FaultPlan:
                 duration_s=rng.uniform(0.06, 0.12) * horizon_s,
             )
         )
-    faults.append(WatchDrop(at_s=window(0.20, 0.50),
-                            duration_s=rng.uniform(0.05, 0.10) * horizon_s))
-    faults.append(KVLatencySpike(at_s=window(0.30, 0.60),
-                                 duration_s=rng.uniform(0.05, 0.10) * horizon_s,
-                                 extra_delay_s=rng.uniform(0.5, 2.0)))
     return FaultPlan(name="severe", faults=tuple(faults), seed=seed)
 
 

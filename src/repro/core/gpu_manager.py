@@ -19,7 +19,7 @@ manager's :class:`~repro.datastore.client.DatastoreClient`; against a
 batched Datastore every write a single step issues — e.g. a completion's
 LRU touch + status flip + latency record — accumulates and commits as one
 transaction at the action boundary (the Scheduler's flush or the
-simulator's post-event hook), one revision, one coalesced watch batch.
+simulator's post-event hook), one revision.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ class GPUManager:
             # graceful drain completion: the request finished normally;
             # now retire the GPU.  The LRU touch is skipped — every cache
             # location is withdrawn in the same write batch as the status
-            # flip, so watchers see one atomic invalidation.
+            # flip, so readers see one atomic invalidation.
             self._take_offline(gpu)
             self._record_latency(request, model_id)
             self.on_complete(request)

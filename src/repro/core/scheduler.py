@@ -213,13 +213,13 @@ class Scheduler:
         The batched write path accumulates every put this action caused —
         cache touches, status flips, finish-time estimates, latency
         records — in the Datastore's shared WriteBatch; committing here
-        turns the whole action into one transaction, one revision, and one
-        coalesced watch notification.  The entry points call this only
-        outside a simulator event: inside one the flush belongs to the
-        post-event hook, so a handler that calls several scheduler entry
-        points (e.g. a failure resubmitting many requests) still commits
-        as a single action.  With no Datastore (or a write-through one,
-        whose batch is always empty) this is a no-op.
+        turns the whole action into one transaction and one revision.
+        The entry points call this only outside a simulator event: inside
+        one the flush belongs to the post-event hook, so a handler that
+        calls several scheduler entry points (e.g. a failure resubmitting
+        many requests) still commits as a single action.  With no
+        Datastore (or a write-through one, whose batch is always empty)
+        this is a no-op.
         """
         if self.datastore is not None:
             self.datastore.flush()

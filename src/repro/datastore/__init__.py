@@ -1,18 +1,16 @@
-"""etcd-like Datastore: MVCC KV store, watches, leases, transactions, and
-the control plane's batched write path (:class:`WriteBatch`).
+"""etcd-like Datastore: MVCC KV store, leases, and the control plane's
+batched write path (:class:`WriteBatch`).
 
 Mutations commit either one-per-revision (``KVStore.put``/``delete``) or as
 atomic multi-key batches (``KVStore.apply_batch`` — one revision,
-last-write-wins per key, one coalesced watch delivery), which is what
-``Datastore(batched=True)`` builds the control-plane write path on.
+last-write-wins per key), which is what ``Datastore(batched=True)`` builds
+the control-plane write path on.
 """
 
 from .batch import DELETE, WriteBatch
 from .client import EPHEMERAL_HOT_PREFIXES, Datastore, DatastoreClient, WriteStats
 from .kv import BatchCommit, CompactedError, EphemeralKeyError, KeyValue, KVStore
 from .lease import Lease, LeaseManager
-from .txn import Compare, CompareTarget, Op, Txn, TxnResult
-from .watch import EventType, Watch, WatchBatch, WatchEvent, WatchHub
 
 __all__ = [
     "Datastore",
@@ -28,14 +26,4 @@ __all__ = [
     "WriteBatch",
     "Lease",
     "LeaseManager",
-    "Compare",
-    "CompareTarget",
-    "Op",
-    "Txn",
-    "TxnResult",
-    "EventType",
-    "Watch",
-    "WatchBatch",
-    "WatchEvent",
-    "WatchHub",
 ]

@@ -3,13 +3,11 @@
 Every scheduling action in the paper's control plane touches several
 Datastore keys — an LRU list, a model's locations, the GPU's status and
 estimated finish time, a latency record.  Issued as individual ``put``
-calls each one bumps the MVCC revision and synchronously fans out watch
-notifications; real etcd clients instead batch related mutations into one
-transaction and receive one watch response per revision.
+calls each one bumps the MVCC revision; real etcd clients instead batch
+related mutations into one transaction.
 
-A :class:`WriteBatch` accumulates those dirty keys and commits them with
-one :meth:`KVStore.apply_batch` call: **one atomic transaction → one
-revision → one coalesced watch batch**, last-write-wins per key.  Two
+A :class:`WriteBatch` accumulates those dirty keys and commits them as
+**one atomic transaction → one revision**, last-write-wins per key.  Two
 kinds of entry exist:
 
 * ``put(key, value)`` / ``delete(key)`` — eager: the value is captured at
@@ -26,13 +24,11 @@ The batch also answers overlay reads (:meth:`peek`) so a batched
 semantics between flushes.
 
 Ephemeral keys accumulate, coalesce and overlay exactly like durable keys.
-They differ at the commit: a flush that nothing observes — no watch or
-mutation hook on the store, no lease in the batch, which is every flush of
-a trace replay — applies its entries to the store's live view inside
-:meth:`WriteBatch.flush`, storing one exact-tuple row per ephemeral key
-and nothing else (no events, no liveness map, no snapshot of the batch);
-durable keys go through ``KVStore._apply_put`` either way.  An observed
-flush hands the coalesced map to ``KVStore._apply_coalesced`` unchanged.
+They differ at the commit: :meth:`WriteBatch.flush` applies them to the
+store's live view in line, storing one exact-tuple row per ephemeral key
+and nothing else (no history, no snapshot of the batch); durable keys go
+through ``KVStore._apply_put``.  A lease carried by a put (the health
+watchdog's) attaches to its key once the commit has a revision.
 """
 
 from __future__ import annotations
@@ -97,16 +93,14 @@ class WriteBatch:
     """Accumulates puts/deletes; :meth:`flush` commits them as one txn."""
 
     #: optional flight recorder (installed by the runtime when tracing is
-    #: on); a class attribute so the hookless flush pays one attribute
+    #: on); a class attribute so every flush pays one attribute
     #: load + identity test and no per-instance slot
     _tracer = None
 
     def __init__(self, store: KVStore) -> None:
         self._store = store
         # key -> ("put", value, fresh) | ("lazy", thunk, fresh) | ("delete",)
-        # — the *same* entry shapes ``KVStore._apply_coalesced`` consumes.
-        # Insertion order = first-touch order, which becomes the committed
-        # batch's event order.  ``fresh`` marks a put that landed over a
+        # in first-touch order.  ``fresh`` marks a put that landed over a
         # pending delete: the store recreates the key (version 1), just as
         # the sequential delete-then-put would have.  It is filled in at
         # flush time from ``_deleted``, so a write never reads the entry
@@ -140,7 +134,7 @@ class WriteBatch:
     @property
     def overwritten(self) -> int:
         """Writes of the open batch absorbed by last-write-wins so far —
-        each one is a revision bump (and watch fan-out) the batch removed."""
+        each one is a revision bump the batch removed."""
         return self.stats.logical_writes - self._flushed_writes - len(self._pending)
 
     # ------------------------------------------------------------------
@@ -221,20 +215,15 @@ class WriteBatch:
     def flush(self) -> BatchCommit:
         """Commit every pending entry as one atomic transaction.
 
-        Lazy thunks are resolved now and leases attach to their committed
-        keys.  When anything can observe the commit (a watch or mutation
-        hook on the store, a lease in the batch) the pending set is
-        snapshotted and cleared *before* the store applies it, so watcher
-        callbacks that issue new writes start the next batch instead of
-        mutating the one being committed; otherwise the entries are
-        applied to the store's live view right here and the set is cleared
-        afterwards.  (Thunks are value *serializers*: they must not write
-        back into the batch — they run while the pending map is being
-        drained in place.)
+        Lazy thunks are resolved now, the entries are applied to the
+        store's live view right here, and leases attach to their
+        committed keys before the pending set is cleared.  (Thunks are
+        value *serializers*: they must not write back into the batch —
+        they run while the pending map is being drained in place.)
         """
         pending = self._pending
         if not pending:
-            return BatchCommit(revision=None, events=())
+            return BatchCommit(revision=None, count=0)
         tracer = self._tracer
         t0 = 0
         if tracer is not None:
@@ -266,49 +255,45 @@ class WriteBatch:
                         _DELETE_OP if value is DELETE else (_PUT, value, entry[2])
                     )
             self._lazy = False
+        # nothing can run between these stores, so the revision is claimed
+        # up front and handed back if no entry turns out to be effective
+        # (deletes of missing keys)
         store = self._store
-        if store._on_mutation or store._on_batch or self._leases:
-            coalesced = pending.copy()
-            pending.clear()
-            lease_items = list(self._leases.items())
-            self._leases.clear()
-            commit = store._apply_coalesced(coalesced)
-            if commit.revision is not None:
-                for key, lease in lease_items:
+        live = store._live
+        eph = store._ephemeral
+        revision = store._revision = store._revision + 1
+        count = eph_count = 0
+        for key, entry in pending.items():
+            if entry[0] is _PUT:
+                if eph and key.startswith(eph):
+                    # KVStore._apply_put's ephemeral lane, in line: the
+                    # control plane commits 2-3 of these per action
+                    if key not in live:
+                        store._sorted_keys = None
+                    live[key] = (key, entry[1], revision, revision, 1)
+                    eph_count += 1
+                else:
+                    store._apply_put(key, entry[1], fresh=entry[2])
+            elif key in live:
+                store._apply_delete(key)
+            else:
+                continue
+            count += 1
+        store.ephemeral_writes += eph_count
+        if not count:
+            store._revision -= 1
+            revision = None
+        leases = self._leases
+        if leases:
+            if revision is not None:
+                for key, lease in leases.items():
                     # a lazy entry whose thunk returned DELETE keeps its lease
                     # recorded but commits as a delete — never attach for those
-                    if lease.alive and coalesced[key][0] is _PUT:
+                    if lease.alive and pending[key][0] is _PUT:
                         lease.attach(key)
-        else:
-            # the unobserved lane: nothing can run between these stores,
-            # so the revision is claimed up front and handed back if no
-            # entry turns out to be effective (deletes of missing keys)
-            live = store._live
-            eph = store._ephemeral
-            revision = store._revision = store._revision + 1
-            count = eph_count = 0
-            for key, entry in pending.items():
-                if entry[0] is _PUT:
-                    if eph and key.startswith(eph):
-                        # KVStore._apply_put's ephemeral lane, in line: the
-                        # control plane commits 2-3 of these per action
-                        if key not in live:
-                            store._sorted_keys = None
-                        live[key] = (key, entry[1], revision, revision, 1)
-                        eph_count += 1
-                    else:
-                        store._apply_put(key, entry[1], fresh=entry[2])
-                elif key in live:
-                    store._apply_delete(key)
-                else:
-                    continue
-                count += 1
-            pending.clear()
-            store.ephemeral_writes += eph_count
-            if not count:
-                store._revision -= 1
-                revision = None
-            commit = _tuple_new(BatchCommit, (revision, (), None, count))
+            leases.clear()
+        pending.clear()
+        commit = _tuple_new(BatchCommit, (revision, count))
         if commit.revision is not None:
             stats.flushes += 1
             stats.committed_keys += commit.count

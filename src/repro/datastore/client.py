@@ -1,6 +1,6 @@
 """Datastore facade and the key schema shared by the FaaS components.
 
-:class:`Datastore` bundles the MVCC store, watch hub, lease manager, and —
+:class:`Datastore` bundles the MVCC store, the lease manager, and —
 when built with ``batched=True`` — the control plane's shared
 :class:`~repro.datastore.batch.WriteBatch`.  :class:`DatastoreClient` adds
 a key-prefix namespace per component.
@@ -22,12 +22,10 @@ key                             history  value
 ==============================  =======  ====================================
 
 *history* says which tier a key commits through.  ``MVCC`` keys keep full
-etcd semantics (per-key history, event-log records, historical reads,
-watch-from-revision, compaction).  ``none`` keys — the prefixes in
-:data:`EPHEMERAL_HOT_PREFIXES` — are the blackboard the Scheduler only
-ever reads live: identical live reads, read-your-writes and watch
-delivery, but no MVCC history and no event-log records, so historical
-reads and watch-from-revision over them raise
+etcd semantics (per-key history, historical reads, compaction).  ``none``
+keys — the prefixes in :data:`EPHEMERAL_HOT_PREFIXES` — are the
+blackboard the Scheduler only ever reads live: identical live reads and
+read-your-writes, but no MVCC history, so historical reads of them raise
 :class:`~repro.datastore.kv.EphemeralKeyError` (see :mod:`.kv`).
 
 Batched write path
@@ -36,11 +34,11 @@ With ``batched=True`` every client ``put``/``delete``/``put_lazy`` lands in
 the Datastore's single pending :class:`WriteBatch` instead of committing
 immediately.  All writes of one scheduling action — a cache touch, the GPU
 status flip, the finish-time estimate, the latency record — then flush as
-**one atomic transaction → one revision → one coalesced watch batch**
-(last-write-wins per key).  Flushing happens at the control plane's action
-boundaries: the Scheduler's entry points, the Gateway's CRUD/invoke calls,
-and (as the safety net covering every other event handler) a simulator
-post-event hook.  Client reads overlay the pending batch, so components
+**one atomic transaction → one revision** (last-write-wins per key).
+Flushing happens at the control plane's action boundaries: the
+Scheduler's entry points, the Gateway's CRUD/invoke calls, and (as the
+safety net covering every other event handler) a simulator post-event
+hook.  Client reads overlay the pending batch, so components
 keep read-your-writes semantics between flushes.
 :class:`~repro.runtime.FaaSCluster` always builds its Datastore batched;
 a bare ``Datastore()`` writes through — one revision per put — and is
@@ -56,8 +54,6 @@ from ..sim import Simulator
 from .batch import DELETE, WriteBatch, WriteStats
 from .kv import KeyValue, KVStore
 from .lease import Lease, LeaseManager
-from .txn import Txn
-from .watch import Watch, WatchEvent, WatchHub
 
 __all__ = ["Datastore", "DatastoreClient", "WriteStats", "EPHEMERAL_HOT_PREFIXES"]
 
@@ -71,27 +67,20 @@ EPHEMERAL_HOT_PREFIXES = (
     "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/"
 )
 
-#: bounded settle loop: a flush may wake watchers that issue new writes;
-#: they flush too, but a watcher that writes on every delivery would
-#: otherwise spin forever
-_MAX_FLUSH_CASCADE = 25
-
 
 class Datastore:
-    """The system-wide etcd-like store (KV + watches + leases + txns)."""
+    """The system-wide etcd-like store (KV + leases + the write batch)."""
 
     def __init__(
         self,
         sim: Simulator,
         *,
-        watch_delay: float = 0.0,
         batched: bool = False,
         ephemeral_prefixes: tuple[str, ...] = (),
         autocompact_keep: int | None = None,
     ) -> None:
         self.sim = sim
         self.kv = KVStore(ephemeral_prefixes=ephemeral_prefixes)
-        self.watches = WatchHub(self.kv, sim=sim, delay=watch_delay)
         self.leases = LeaseManager(sim, self.kv)
         self.batched = batched
         self.pending = WriteBatch(self.kv)
@@ -124,29 +113,17 @@ class Datastore:
         """A client view under ``namespace`` (empty = root)."""
         return DatastoreClient(self, namespace)
 
-    def txn(self) -> Txn:
-        """Start an atomic transaction on the root keyspace."""
-        return Txn(self.kv)
-
     def flush(self) -> int:
         """Commit the pending write batch; returns keys committed.
 
         No-op when nothing is pending (a write-through store never has
-        anything pending).  Watcher callbacks may issue new writes during
-        delivery; those are flushed too (bounded), so the pending set is
-        empty when this returns under any sane watcher graph.  Each
-        commit is one :meth:`WriteBatch.flush`, which also keeps
-        :attr:`stats`; when nothing observes the store its result carries
-        the committed-key count and no events.
+        anything pending).  The commit is one :meth:`WriteBatch.flush`,
+        which also keeps :attr:`stats`.
         """
         pending = self.pending
         if not pending._pending:
             return 0
-        committed = 0
-        for _ in range(_MAX_FLUSH_CASCADE):
-            committed += pending.flush().count
-            if not pending._pending:
-                break
+        committed = pending.flush().count
         if self.autocompact_keep is not None:
             self._autocompact()
         return committed
@@ -270,37 +247,6 @@ class DatastoreClient:
                     out[key[n:]] = value
         return out
 
-    def watch(
-        self,
-        key: str,
-        fn: Callable[..., None],
-        *,
-        prefix: bool = False,
-        start_revision: int | None = None,
-        coalesced: bool = False,
-        max_pending: int | None = None,
-    ) -> Watch:
-        """Watch a namespaced key (or prefix) for changes.
-
-        ``start_revision`` first replays every historical mutation after
-        that revision (etcd's "watch from revision"); registrations that
-        cover the store's ephemeral tier raise
-        :class:`~repro.datastore.kv.EphemeralKeyError` — those mutations
-        were never event-logged.  ``coalesced=True`` delivers one
-        :class:`~repro.datastore.watch.WatchBatch` per committed
-        transaction instead of individual events.  ``max_pending`` bounds
-        a delayed watcher's delivery queue (drop-oldest backpressure; see
-        :class:`~repro.datastore.watch.Watch`).
-        """
-        return self._store.watches.watch(
-            self._k(key),
-            fn,
-            prefix=prefix,
-            start_revision=start_revision,
-            coalesced=coalesced,
-            max_pending=max_pending,
-        )
-
     def lease(self, ttl: float) -> Lease:
         """Grant a TTL lease from the shared lease manager."""
         return self._store.leases.grant(ttl)
@@ -308,11 +254,3 @@ class DatastoreClient:
     def flush(self) -> int:
         """Commit the Datastore's pending write batch (action boundary)."""
         return self._store.flush()
-
-    def txn(self) -> Txn:
-        if self.namespace:
-            raise RuntimeError(
-                "transactions are namespace-unaware; build them on Datastore.txn() "
-                "with fully qualified keys"
-            )
-        return self._store.txn()

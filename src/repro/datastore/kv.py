@@ -13,7 +13,7 @@ those interactions plus the tests' linearizability checks:
 * **atomic multi-key commits** (:meth:`KVStore.apply_batch`): a batch of
   puts/deletes applies all-or-nothing under *one* revision bump with
   last-write-wins coalescing per key — exactly how an etcd transaction
-  mutates the store — and fans out to watchers as one coalesced batch,
+  mutates the store,
 * per-key ``create_revision`` / ``mod_revision`` / ``version`` metadata,
 * historical reads (``get(key, revision=...)``) backed by per-key history,
 * range / prefix reads, and
@@ -29,18 +29,17 @@ Ephemeral-key tier
 High-churn status keys (``gpu/status/*``, ``gpu/finish_time/*``,
 ``fn/latency/*``) are written on every dispatch and completion, yet
 nothing ever reads them at a historical revision — paying full MVCC
-history and event-log bookkeeping for them is pure commit-path residue.
-A store built with ``ephemeral_prefixes=(...)`` routes matching keys
-through a fast lane: live view, current-value reads, and watch delivery
-are identical, but no per-key history columns and no event-log records
-are retained, and revision *lineage* is not tracked — an ephemeral key's
-``create_revision`` always equals its ``mod_revision`` and its
-``version`` is pinned at 1, because without history there is nothing to
-anchor lineage to.  The trade is explicit and typed: ``get(key,
-revision=...)`` and watch-from-revision replay raise
-:class:`EphemeralKeyError` for ephemeral keys, and compaction becomes
-near-free for them (there is nothing to discard).  Which keys are
-history-free is a property of the key schema
+history bookkeeping for them is pure commit-path residue.  A store built
+with ``ephemeral_prefixes=(...)`` routes matching keys through a fast
+lane: the live view and current-value reads are identical, but no
+per-key history columns are retained, and revision *lineage* is not
+tracked — an ephemeral key's ``create_revision`` always equals its
+``mod_revision`` and its ``version`` is pinned at 1, because without
+history there is nothing to anchor lineage to.  The trade is explicit
+and typed: ``get(key, revision=...)`` raises :class:`EphemeralKeyError`
+for ephemeral keys, and compaction becomes near-free for them (there is
+nothing to discard).  Which keys are history-free is a property of the
+key schema
 (:data:`~repro.datastore.client.EPHEMERAL_HOT_PREFIXES`, which the
 runtime always passes); a bare ``KVStore()`` keeps full etcd semantics
 for every key, bit for bit — the reference the differential suite
@@ -50,8 +49,7 @@ replays the production path against.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 __all__ = ["KeyValue", "KVStore", "CompactedError", "EphemeralKeyError", "BatchCommit"]
 
@@ -63,16 +61,16 @@ class CompactedError(LookupError):
 
 
 class EphemeralKeyError(LookupError):
-    """Raised on a historical read (or watch-from-revision replay) of a key
-    in the store's ephemeral tier: ephemeral keys keep no MVCC history and
-    no event-log records, so the requested view never existed."""
+    """Raised on a historical read of a key in the store's ephemeral tier:
+    ephemeral keys keep no MVCC history, so the requested view never
+    existed."""
 
 
 class KeyValue(NamedTuple):
     """A key-value pair plus its etcd-style revision metadata.
 
-    What reads return.  A durable key holds one (live view, history,
-    event log); an ephemeral key holds the *exact* 5-tuple of these fields,
+    What reads return.  A durable key holds one (live view and history);
+    an ephemeral key holds the *exact* 5-tuple of these fields,
     named on read — CPython's cyclic collector never untracks a tuple
     subclass, so one minted per hot key would stay on its books while the
     key lives (80k ``fn/latency/*`` entries on a batch replay).
@@ -101,22 +99,11 @@ class BatchCommit(NamedTuple):
 
     ``revision`` is None when the batch had no effect (empty, or only
     deletes of missing keys) — exactly like a failed single-key delete, no
-    revision is consumed.  ``events`` lists the coalesced mutations in
-    first-touch key order (``KeyValue`` for puts, None for deletes), all
-    sharing ``revision``.  ``existed`` records, per coalesced key, whether
-    it was live *before* the commit (what a single-key ``delete`` would
-    have returned).
+    revision is consumed.  ``count`` is the number of keys the commit
+    mutated, all at ``revision``.
     """
 
     revision: int | None
-    events: tuple[tuple[str, KeyValue | None], ...]
-    #: None from a ``WriteBatch.flush`` that nothing observes: that lane
-    #: never builds the map
-    existed: dict[str, bool] | None = None
-    #: number of keys the commit mutated.  Authoritative where ``events``
-    #: is skipped: a flush that nothing observes (no watch, no mutation
-    #: hook, no lease) commits without building per-event tuples nobody
-    #: would read, and returns ``events=()`` with the true count here.
     count: int = 0
 
 
@@ -128,10 +115,10 @@ class KVStore:
             if not isinstance(prefix, str) or not prefix:
                 raise ValueError("ephemeral prefixes must be non-empty strings")
         #: key prefixes routed through the ephemeral fast lane (no per-key
-        #: history, no event-log records; see the module docstring).  A
-        #: tuple because ``str.startswith`` accepts one natively — the
-        #: per-put membership test is a single C-level call, and with the
-        #: default ``()`` it short-circuits on the falsy tuple.
+        #: history; see the module docstring).  A tuple because
+        #: ``str.startswith`` accepts one natively — the per-put membership
+        #: test is a single C-level call, and with the default ``()`` it
+        #: short-circuits on the falsy tuple.
         self._ephemeral: tuple[str, ...] = tuple(ephemeral_prefixes)
         #: writes that took the ephemeral fast lane (puts + deletes)
         self.ephemeral_writes = 0
@@ -141,28 +128,9 @@ class KVStore:
         self._live: dict[str, tuple] = {}
         # history: key -> ([mod_revisions], [KeyValue-or-tombstone])
         self._history: dict[str, tuple[list[int], list[Any]]] = {}
-        # global event log for watch replay, stored as three parallel
-        # columns (revision / key / value) rather than one tuple per event:
-        # the revision column bisects for events_since/compact, and a
-        # durable write retains one GC-tracked object (its KeyValue, shared
-        # with the live view and the history column), not two
-        self._event_revs: list[int] = []
-        self._event_keys: list[str] = []
-        self._event_vals: list[KeyValue | None] = []
-        # bound appends for the per-put event-log writes (compact() trims
-        # the lists in place, so the bindings never go stale)
-        self._ev_rev_append = self._event_revs.append
-        self._ev_key_append = self._event_keys.append
-        self._ev_val_append = self._event_vals.append
         # sorted live-key cache for range/keys/items; invalidated whenever
         # the *key set* changes (value-only updates keep it valid)
         self._sorted_keys: list[str] | None = []
-        # mutation hooks (used by the watch subsystem); stored as tuples so
-        # the per-commit fan-out iterates a stable snapshot without copying
-        self._on_mutation: tuple[Callable[[str, KeyValue | None, int], None], ...] = ()
-        # batch hooks: fn(revision, [(key, KeyValue|None), ...]) — one call
-        # per commit, single puts/deletes included as singleton batches
-        self._on_batch: tuple[Callable[[int, list[tuple[str, KeyValue | None]]], None], ...] = ()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -197,19 +165,6 @@ class KVStore:
         the commit-path residue the ephemeral tier removes)."""
         return sum(len(revs) for revs, _ in self._history.values())
 
-    def check_replayable(self, key: str, *, prefix: bool = False) -> None:
-        """Raise :class:`EphemeralKeyError` when a watch-from-revision
-        replay of ``key`` (or the prefix under it) could cover ephemeral
-        keys: their mutations were never event-logged, so a historical
-        replay would silently miss them."""
-        for eph in self._ephemeral:
-            if key.startswith(eph) or (prefix and eph.startswith(key)):
-                raise EphemeralKeyError(
-                    f"cannot replay history for {key!r}: it covers the "
-                    f"ephemeral tier ({eph!r} keeps no event log; "
-                    f"configured ephemeral prefixes: {self._ephemeral!r})"
-                )
-
     def keys(self) -> list[str]:
         """All live keys, sorted (cached until the key set changes)."""
         return list(self._sorted())
@@ -232,19 +187,18 @@ class KVStore:
         revision = self._revision
         live = self._live
         if self._ephemeral and key.startswith(self._ephemeral):
-            # ephemeral fast lane: live view + watch fan-out only — no
-            # history columns, no event-log records, and no lineage (a
-            # lineage-free mint: create_revision = mod_revision, version
-            # pinned at 1 — without history there is nothing to anchor
-            # version counting to, and skipping the prev lookup keeps the
-            # lane a mint + dict store).  The sorted-key cache only cares
+            # ephemeral fast lane: live view only — no history columns
+            # and no lineage (a lineage-free mint: create_revision =
+            # mod_revision, version pinned at 1 — without history there is
+            # nothing to anchor version counting to, and skipping the prev
+            # lookup keeps the lane a mint + dict store).  The sorted-key cache only cares
             # whether the key *set* grew.
             row = (key, value, revision, revision, 1)
             if key not in live:
                 self._sorted_keys = None
             live[key] = row
             self.ephemeral_writes += 1
-            return _tuple_new(KeyValue, row)  # for put()'s caller and the hooks
+            return _tuple_new(KeyValue, row)  # for put()'s caller
         prev = None if fresh else live.get(key)
         if prev is None:
             kv = _tuple_new(KeyValue, (key, value, revision, revision, 1))
@@ -260,9 +214,6 @@ class KVStore:
         else:
             hist[0].append(revision)
             hist[1].append(kv)
-        self._ev_rev_append(revision)
-        self._ev_key_append(key)
-        self._ev_val_append(kv)
         return kv
 
     def _apply_delete(self, key: str) -> None:
@@ -270,25 +221,19 @@ class KVStore:
         del self._live[key]
         self._sorted_keys = None
         if self._ephemeral and key.startswith(self._ephemeral):
-            # ephemeral fast lane: no tombstone, no event-log record —
-            # the latency-log window's per-completion delete costs only
-            # the live-map removal
+            # ephemeral fast lane: no tombstone — the latency-log
+            # window's per-completion delete costs only the live-map
+            # removal
             self.ephemeral_writes += 1
             return
         self._record(key, _TOMBSTONE)
-        self._event_revs.append(self._revision)
-        self._event_keys.append(key)
-        self._event_vals.append(None)
 
     def put(self, key: str, value: Any) -> KeyValue:
         """Write ``key`` and return its new :class:`KeyValue`."""
         if not isinstance(key, str) or not key:
             raise ValueError("key must be a non-empty string")
         self._revision += 1
-        kv = self._apply_put(key, value)
-        self._notify(key, kv, self._revision)
-        self._notify_batch(self._revision, [(key, kv)])
-        return kv
+        return self._apply_put(key, value)
 
     def delete(self, key: str) -> bool:
         """Delete ``key``; returns whether it existed."""
@@ -296,8 +241,6 @@ class KVStore:
             return False
         self._revision += 1
         self._apply_delete(key)
-        self._notify(key, None, self._revision)
-        self._notify_batch(self._revision, [(key, None)])
         return True
 
     def apply_batch(self, ops: Sequence[tuple]) -> BatchCommit:
@@ -306,9 +249,8 @@ class KVStore:
         ``ops`` is a sequence of ``("put", key, value)`` / ``("delete",
         key)`` tuples.  Ops are coalesced last-write-wins per key (etcd
         txn semantics: one transaction → one revision → at most one event
-        per key), applied all-or-nothing, and announced to watchers as a
-        single coalesced batch.  A put that follows a delete of the same
-        key *within the batch* recreates the key (version 1, fresh
+        per key) and applied all-or-nothing.  A put that follows a delete of
+        the same key *within the batch* recreates the key (version 1, fresh
         create_revision), matching what the ops would have produced applied
         sequentially.  Deletes of missing keys are no-ops; a batch with no
         effective mutation consumes no revision.
@@ -327,47 +269,29 @@ class KVStore:
                 coalesced[key] = ("delete",)
             else:
                 raise ValueError(f"unknown batch op kind {kind!r}")
-        return self._apply_coalesced(coalesced)
-
-    def _apply_coalesced(self, coalesced: dict[str, tuple]) -> BatchCommit:
-        """Commit an already-coalesced batch (``apply_batch``'s inner half).
-
-        ``coalesced`` maps key → ``("put", value, fresh)`` or
-        ``("delete",)``; the :class:`~repro.datastore.batch.WriteBatch`
-        maintains exactly this shape while accumulating, so an observed
-        flush calls here directly instead of rebuilding an op list for
-        re-coalescing.  (A flush nothing observes commits in
-        ``WriteBatch.flush`` itself.)
-        """
         live = self._live
-        existed = {key: key in live for key in coalesced}
         if not any(
-            ex or coalesced[key][0] == "put" for key, ex in existed.items()
+            entry[0] == "put" or key in live for key, entry in coalesced.items()
         ):
-            return BatchCommit(revision=None, events=(), existed=existed)
+            return BatchCommit(revision=None, count=0)
         self._revision += 1
-        revision = self._revision
-        events: list[tuple[str, KeyValue | None]] = []
+        count = 0
         for key, entry in coalesced.items():
             if entry[0] == "put":
-                events.append((key, self._apply_put(key, entry[1], fresh=entry[2])))
-            elif existed[key]:
+                self._apply_put(key, entry[1], fresh=entry[2])
+            elif key in live:
                 self._apply_delete(key)
-                events.append((key, None))
-        if self._on_mutation:
-            for key, kv in events:
-                self._notify(key, kv, revision)
-        if self._on_batch:
-            self._notify_batch(revision, events)
-        return BatchCommit(revision, tuple(events), existed, len(events))
+            else:
+                continue
+            count += 1
+        return BatchCommit(self._revision, count)
 
     def delete_prefix(self, prefix: str) -> int:
         """Delete every key starting with ``prefix``; returns count deleted.
 
-        All victims commit as **one** :meth:`apply_batch` revision — one
-        coalesced watch delivery, one event-log group — instead of one
-        revision per key, so namespace teardown and drain paths keep the
-        batched write path's one-commit-per-action shape.
+        All victims commit as **one** :meth:`apply_batch` revision instead
+        of one revision per key, so namespace teardown and drain paths keep
+        the batched write path's one-commit-per-action shape.
         """
         victims = [k for k in self._live if k.startswith(prefix)]
         if victims:
@@ -429,52 +353,6 @@ class KVStore:
             out.append(_named(self._live[keys[i]]))
         return out
 
-    def range_interval(self, start: str, end: str, *, limit: int | None = None) -> list[KeyValue]:
-        """Live pairs with ``start <= key < end`` (etcd's half-open range)."""
-        if end <= start:
-            return []
-        if limit is not None and limit < 0:
-            raise ValueError("limit cannot be negative")
-        keys = self._sorted()
-        lo = bisect.bisect_left(keys, start)
-        hi = bisect.bisect_left(keys, end, lo)
-        if limit is not None:
-            hi = min(hi, lo + limit)
-        return [_named(self._live[k]) for k in keys[lo:hi]]
-
-    def events_since(
-        self, revision: int, *, key_prefix: str | None = None
-    ) -> list[tuple[int, str, KeyValue | None]]:
-        """All mutations with revision strictly greater than ``revision``.
-
-        Powers watch replay ("watch from revision").  A batch commit
-        contributes one entry per coalesced key, all sharing the batch's
-        revision.  Raises :class:`CompactedError` when the requested start
-        has been compacted.
-
-        ``key_prefix`` narrows the replay to keys under that prefix and
-        raises :class:`EphemeralKeyError` when the prefix overlaps the
-        ephemeral tier: those mutations were never logged, so the filtered
-        replay would be silently incomplete.  With ``key_prefix=None`` the
-        full durable log is returned — ephemeral keys are absent from it
-        by construction (documented tier semantics, not an error).
-        """
-        if revision < self._compacted:
-            # events at or below the compaction point are gone, so a replay
-            # starting before it would silently skip mutations
-            raise CompactedError(
-                f"cannot replay from revision {revision}: compacted at {self._compacted}"
-            )
-        if key_prefix is not None:
-            self.check_replayable(key_prefix, prefix=True)
-        idx = bisect.bisect_right(self._event_revs, revision)
-        events = zip(
-            self._event_revs[idx:], self._event_keys[idx:], self._event_vals[idx:]
-        )
-        if key_prefix is None:
-            return list(events)
-        return [ev for ev in events if ev[1].startswith(key_prefix)]
-
     def items(self) -> Iterator[KeyValue]:
         """Iterate live pairs in key order."""
         for k in self._sorted():
@@ -494,11 +372,6 @@ class KVStore:
         if revision <= self._compacted:
             return
         self._compacted = revision
-        # drop replayable events at or below the compaction revision
-        idx = bisect.bisect_right(self._event_revs, revision)
-        del self._event_revs[:idx]
-        del self._event_keys[:idx]
-        del self._event_vals[:idx]
         empty = []
         for key, (revs, vals) in self._history.items():
             # Keep the newest entry at-or-below `revision` so historical reads
@@ -519,37 +392,3 @@ class KVStore:
         revs, vals = self._history.setdefault(key, ([], []))
         revs.append(self._revision)
         vals.append(entry)
-
-    def _notify(self, key: str, kv: KeyValue | None, revision: int) -> None:
-        for hook in self._on_mutation:
-            hook(key, kv, revision)
-
-    def _notify_batch(self, revision: int, events: list[tuple[str, KeyValue | None]]) -> None:
-        for hook in self._on_batch:
-            hook(revision, events)
-
-    def subscribe(self, hook: Callable[[str, KeyValue | None, int], None]) -> Callable[[], None]:
-        """Register a per-key mutation hook; returns an unsubscribe callable."""
-        self._on_mutation = self._on_mutation + (hook,)
-
-        def unsubscribe() -> None:
-            self._on_mutation = tuple(h for h in self._on_mutation if h is not hook)
-
-        return unsubscribe
-
-    def subscribe_batch(
-        self, hook: Callable[[int, list[tuple[str, KeyValue | None]]], None]
-    ) -> Callable[[], None]:
-        """Register a commit hook: ``hook(revision, [(key, kv|None), ...])``.
-
-        Fired exactly once per revision — single puts/deletes arrive as
-        singleton batches, :meth:`apply_batch` commits as one coalesced
-        batch.  This is what the watch subsystem consumes to deliver one
-        notification per transaction instead of one per touched key.
-        """
-        self._on_batch = self._on_batch + (hook,)
-
-        def unsubscribe() -> None:
-            self._on_batch = tuple(h for h in self._on_batch if h is not hook)
-
-        return unsubscribe

@@ -14,8 +14,6 @@ from .kv import KVStore
 
 __all__ = ["Lease", "LeaseManager"]
 
-_lease_ids = itertools.count(1)
-
 
 class Lease:
     """A TTL lease; keys attached to it are deleted when it expires."""
@@ -23,7 +21,7 @@ class Lease:
     def __init__(self, mgr: "LeaseManager", ttl: float) -> None:
         if ttl <= 0:
             raise ValueError("ttl must be positive")
-        self.lease_id = next(_lease_ids)
+        self.lease_id = next(mgr._ids)
         self.ttl = float(ttl)
         self._mgr = mgr
         self.keys: set[str] = set()
@@ -36,8 +34,7 @@ class Lease:
         """Register a callback fired when the lease *expires* (TTL runs out
         without a refresh).  Explicit :meth:`revoke` does not fire it — a
         clean shutdown is not a liveness failure.  Callbacks run after the
-        lease's keys are reaped, so watchers of those keys have already
-        been notified of the deletes."""
+        lease's keys are reaped, so the store no longer holds them."""
         if not self.alive:
             raise RuntimeError(f"lease {self.lease_id} is not alive")
         self._expiry_callbacks.append(fn)
@@ -71,6 +68,8 @@ class LeaseManager:
     def __init__(self, sim: Simulator, store: KVStore) -> None:
         self._sim = sim
         self._store = store
+        #: per-manager IDs, so every Datastore grants lease 1 first
+        self._ids = itertools.count(1)
         self.leases: dict[int, Lease] = {}
 
     def grant(self, ttl: float) -> Lease:

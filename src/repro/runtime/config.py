@@ -16,7 +16,7 @@ __all__ = [
 ]
 
 #: MVCC revisions retained by :func:`streaming_config`'s autocompaction
-#: default — deep enough for any watcher lag, bounded at any replay size
+#: default — bounded at any replay size
 DEFAULT_STREAMING_COMPACT_KEEP = 20_000
 
 
@@ -35,11 +35,9 @@ class SystemConfig:
     o3_limit: int = DEFAULT_O3_LIMIT
     #: cache replacement policy per GPU: "lru", "fifo", "lfu", "size"
     replacement: str = "lru"
-    #: Datastore watch-notification delay (0 = synchronous)
-    watch_delay_s: float = 0.0
     #: auto-compact the Datastore's MVCC history below a sliding revision
     #: horizon of this many revisions (etcd's ``--auto-compaction``
-    #: analogue): the KV event log and per-key history stay bounded on
+    #: analogue): the per-key MVCC history stays bounded on
     #: 1M+-request replays instead of retaining every historical write.
     #: None (default) keeps full history.  Compaction never touches live
     #: keys, so scheduling decisions are unaffected.
@@ -132,8 +130,6 @@ class SystemConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.o3_limit < 0:
             raise ValueError("o3_limit cannot be negative")
-        if self.watch_delay_s < 0:
-            raise ValueError("watch_delay_s cannot be negative")
         if self.kv_autocompact_keep is not None and self.kv_autocompact_keep < 1:
             raise ValueError("kv_autocompact_keep must be >= 1 when set")
         if self.latency_log_keep is not None and self.latency_log_keep < 1:
@@ -143,6 +139,8 @@ class SystemConfig:
             raise ValueError(
                 f"unknown fault profile {self.fault_profile!r} (known: {known})"
             )
+        if self.fault_plan is not None:
+            self.fault_plan.validate()
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive when set")
         if self.max_retries is not None and self.max_retries < 0:
@@ -172,7 +170,7 @@ def streaming_config(**overrides) -> SystemConfig:
 
     The flat-RSS replay preset: a capped metrics window (rows fold into
     histograms once the run outgrows it), MVCC autocompaction (bounded KV
-    event log), and a sliding latency-record window (bounded live key
+    history), and a sliding latency-record window (bounded live key
     set) — the three linear-memory consumers a million-request replay
     cannot afford.  Any field can still be overridden, including the
     defaults this preset sets.

@@ -42,7 +42,6 @@ class FaaSCluster:
         self.cluster: Cluster = build_cluster(self.sim, self.config.cluster)
         self.datastore = Datastore(
             self.sim,
-            watch_delay=self.config.watch_delay_s,
             batched=True,
             ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES,
             autocompact_keep=self.config.kv_autocompact_keep,
@@ -175,9 +174,9 @@ class FaaSCluster:
             self.chaos = ChaosInjector(self, self.fault_plan)
             self.chaos.arm()
 
-        # commit construction-time writes (initial GPU statuses) so watchers
-        # registered after build observe only post-build changes, exactly as
-        # they would against a write-through store
+        # commit construction-time writes (initial GPU statuses) so the
+        # first workload event starts from an empty batch, exactly as a
+        # write-through store would
         self.datastore.flush()
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ may leak simulator state).
 import pytest
 
 from repro.chaos import ChaosInjector, FaultPlan, build_fault_plan
-from repro.chaos.plan import GPUCrash, KVLatencySpike, LeaseExpiry, Straggler, WatchDrop
+from repro.chaos.plan import GPUCrash, LeaseExpiry, Straggler
 from repro.cluster import ClusterSpec
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces import WorkloadSpec, build_workload
@@ -83,37 +83,6 @@ class TestInjector:
         assert (r_slow.completed_at - 1.0) > r_fast.completed_at * 2
         assert slowed.metrics.repairs[0][0] == "straggler"
         assert len(slowed.sim) == 0
-
-    def test_watch_drop_swallows_deliveries(self):
-        plan = FaultPlan("drop", faults=(WatchDrop(at_s=1.0, duration_s=5.0),))
-        system = _system(plan)
-        client = system.datastore.client()
-        seen = []
-        client.watch("chaos-test/", seen.append, prefix=True)
-        system.sim.schedule_at(2.0, client.put, "chaos-test/a", 1)  # inside window
-        system.sim.schedule_at(8.0, client.put, "chaos-test/b", 2)  # after it
-        system.run()
-        assert [e.key for e in seen] == ["chaos-test/b"]
-        assert system.datastore.watches.chaos_dropped_batches >= 1
-        assert len(system.sim) == 0
-
-    def test_kv_latency_spike_delays_deliveries(self):
-        plan = FaultPlan(
-            "spike",
-            faults=(KVLatencySpike(at_s=1.0, duration_s=5.0, extra_delay_s=2.0),),
-        )
-        system = _system(plan)
-        client = system.datastore.client()
-        delivered_at = []
-        client.watch(
-            "chaos-test/", lambda ev: delivered_at.append(system.sim.now), prefix=True
-        )
-        system.sim.schedule_at(2.0, client.put, "chaos-test/a", 1)
-        system.run()
-        assert len(delivered_at) == 1
-        assert delivered_at[0] >= 4.0  # put at 2.0 + 2.0 s spike
-        assert ("kv_latency_spike", "hub", 5.0) in system.metrics.repairs
-        assert len(system.sim) == 0
 
 
 class TestHealthWatchdog:

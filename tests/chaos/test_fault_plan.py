@@ -6,17 +6,18 @@ replays, the bench gates, the sweep's fault axis) rests on
 gpus).
 """
 
+from dataclasses import dataclass, replace
+
 import pytest
 
 from repro.chaos import FAULT_PROFILES, FaultPlan, build_fault_plan
 from repro.chaos.plan import (
     DEFAULT_HORIZON_S,
     GPUCrash,
-    KVLatencySpike,
     LeaseExpiry,
     Straggler,
-    WatchDrop,
 )
+from repro.runtime import SystemConfig
 
 
 class TestSeededProfiles:
@@ -39,7 +40,7 @@ class TestSeededProfiles:
     def test_recoverable_profile_always_heals(self):
         for seed in range(5):
             plan = build_fault_plan("recoverable", seed=seed)
-            assert len(plan) == 6
+            assert len(plan) == 4
             for fault in plan:
                 if isinstance(fault, GPUCrash):
                     assert fault.recover_after_s is not None
@@ -67,7 +68,9 @@ class TestSeededProfiles:
 
 class TestValidation:
     def test_negative_injection_time_rejected(self):
-        plan = FaultPlan("bad", faults=(WatchDrop(at_s=-1.0, duration_s=2.0),))
+        plan = FaultPlan(
+            "bad", faults=(LeaseExpiry(at_s=-1.0, gpu_index=0, duration_s=2.0),)
+        )
         with pytest.raises(ValueError, match="at_s"):
             plan.validate()
 
@@ -85,12 +88,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration_s"):
             plan.validate()
 
+    def test_unknown_fault_kind_rejected(self):
+        @dataclass(frozen=True)
+        class DiskFull:
+            at_s: float
+
+        plan = FaultPlan("bad", faults=(DiskFull(at_s=1.0),))
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            plan.validate()
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            SystemConfig(fault_plan=plan)
+
     def test_end_s_covers_recovery_and_windows(self):
         plan = FaultPlan(
             "spans",
             faults=(
                 GPUCrash(at_s=10.0, gpu_index=0, recover_after_s=25.0),
-                KVLatencySpike(at_s=20.0, duration_s=5.0, extra_delay_s=0.5),
+                Straggler(at_s=20.0, gpu_index=1, factor=2.0, duration_s=5.0),
             ),
         )
         assert plan.end_s == 35.0
@@ -99,3 +113,75 @@ class TestValidation:
             "perm", faults=(GPUCrash(at_s=12.0, gpu_index=0),)
         )
         assert permanent.end_s == 12.0
+
+
+#: one well-formed fault of every shipped kind
+WELL_FORMED = {
+    "crash": GPUCrash(at_s=5.0, gpu_index=0, recover_after_s=10.0),
+    "straggler": Straggler(at_s=5.0, gpu_index=1, factor=2.0, duration_s=8.0),
+    "lease_expiry": LeaseExpiry(at_s=5.0, gpu_index=2, duration_s=6.0),
+}
+
+
+class TestValidationPerKind:
+    @pytest.mark.parametrize("kind", sorted(WELL_FORMED))
+    def test_well_formed_fault_validates_and_configures(self, kind):
+        plan = FaultPlan(kind, faults=(WELL_FORMED[kind],))
+        plan.validate()
+        assert SystemConfig(fault_plan=plan).fault_plan is plan
+
+    @pytest.mark.parametrize("kind", sorted(WELL_FORMED))
+    def test_negative_injection_time_rejected(self, kind):
+        fault = replace(WELL_FORMED[kind], at_s=-0.5)
+        with pytest.raises(ValueError, match="at_s"):
+            FaultPlan("bad", faults=(fault,)).validate()
+
+    @pytest.mark.parametrize("kind", ["straggler", "lease_expiry"])
+    @pytest.mark.parametrize("duration_s", [0.0, -3.0])
+    def test_windowed_kind_needs_a_positive_duration(self, kind, duration_s):
+        fault = replace(WELL_FORMED[kind], duration_s=duration_s)
+        with pytest.raises(ValueError, match="duration_s"):
+            FaultPlan("bad", faults=(fault,)).validate()
+
+    @pytest.mark.parametrize(
+        "factor, ok", [(0.0, False), (0.99, False), (1.0, True), (6.0, True)]
+    )
+    def test_straggler_factor_boundary(self, factor, ok):
+        plan = FaultPlan("s", faults=(replace(WELL_FORMED["straggler"], factor=factor),))
+        if ok:
+            plan.validate()
+        else:
+            with pytest.raises(ValueError, match="factor"):
+                plan.validate()
+
+    @pytest.mark.parametrize(
+        "record",
+        [None, {"at_s": 1.0}, "crash", (1.0, 0)],
+        ids=["none", "dict", "str", "tuple"],
+    )
+    def test_non_fault_record_rejected(self, record):
+        plan = FaultPlan("bad", faults=(WELL_FORMED["crash"], record))
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            plan.validate()
+
+    @pytest.mark.parametrize(
+        "fault, end_s",
+        [
+            (WELL_FORMED["crash"], 15.0),
+            (GPUCrash(at_s=7.0, gpu_index=0), 7.0),
+            (WELL_FORMED["straggler"], 13.0),
+            (WELL_FORMED["lease_expiry"], 11.0),
+        ],
+        ids=["crash-recovers", "crash-permanent", "straggler", "lease_expiry"],
+    )
+    def test_end_s_of_one_fault(self, fault, end_s):
+        assert FaultPlan("one", faults=(fault,)).end_s == end_s
+
+    @pytest.mark.parametrize("profile", ["recoverable", "severe"])
+    def test_profiles_draw_only_shipped_kinds(self, profile):
+        kinds = {
+            type(fault)
+            for seed in range(5)
+            for fault in build_fault_plan(profile, seed=seed)
+        }
+        assert kinds == {GPUCrash, Straggler, LeaseExpiry}

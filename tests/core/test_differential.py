@@ -56,7 +56,7 @@ ALL_LITERAL = frozenset(AXES)
 ARMS = [frozenset({axis}) for axis in AXES] + [ALL_LITERAL]
 ARM_IDS = [*AXES, "all"]
 
-Replay = namedtuple("Replay", "system axes decisions state watched")
+Replay = namedtuple("Replay", "system axes decisions state")
 
 
 def _workload(seed: int, n_requests: int) -> list[tuple[int, float]]:
@@ -128,7 +128,6 @@ def _run(
     *,
     cluster: ClusterSpec = ClusterSpec.homogeneous(2, 4),
     fail_gpu_at: float | None = None,
-    watch_prefix: str | None = None,
     **config,
 ) -> Replay:
     """Replay ``spec`` on the production system, or on the reference with
@@ -136,12 +135,9 @@ def _run(
     submission index, and its normalized final KV state."""
     requests = _requests(spec, tenants="quotas" in config)
     index_of = {r.request_id: i for i, r in enumerate(requests)}
-    watched: list = []
     with literal_system(SystemConfig(cluster=cluster, **config), axes) as system:
         for model in {r.model.instance_id: r.model for r in requests}.values():
             system.register_model(model)
-        if watch_prefix is not None:
-            system.datastore.watches.watch(watch_prefix, watched.append, prefix=True)
         for request in requests:
             system.submit_at(request)
         if fail_gpu_at is not None:
@@ -163,7 +159,7 @@ def _run(
         if key.startswith("fn/latency/"):
             key = f"fn/latency/#{index_of[int(key.rsplit('/', 1)[1])]}"
         state[key] = kv.value
-    return Replay(system, frozenset(axes), decisions, state, watched)
+    return Replay(system, frozenset(axes), decisions, state)
 
 
 def _assert_matches(production: Replay, reference: Replay) -> None:
@@ -192,7 +188,6 @@ def _assert_matches(production: Replay, reference: Replay) -> None:
 def _assert_no_hot_residue(system) -> None:
     kv = system.datastore.kv
     assert [k for k in kv._history if k.startswith(EPHEMERAL_HOT_PREFIXES)] == []
-    assert [k for k in kv._event_keys if k.startswith(EPHEMERAL_HOT_PREFIXES)] == []
     assert kv.ephemeral_writes > 0
 
 
@@ -387,17 +382,22 @@ class TestWritePath:
             == literal.system.datastore.stats.logical_writes
         )
 
-    def test_watchers_see_coalesced_batches_with_same_final_values(self):
+    def test_coalesced_batches_end_with_the_same_lru_rows(self):
         spec = _workload(SEED + 2, 300)
-        kwargs = dict(cluster=ClusterSpec.homogeneous(1, 4), watch_prefix="gpu/lru/")
-        batched = _run(spec, **kwargs).watched
-        literal = _run(spec, {"writes"}, **kwargs).watched
-        # last-write-wins coalescing: strictly fewer notifications, but the
-        # last observed value per key is identical
-        assert len(batched) < len(literal)
-        assert {ev.key: ev.value for ev in batched} == {
-            ev.key: ev.value for ev in literal
-        }
+        kwargs = dict(cluster=ClusterSpec.homogeneous(1, 4))
+        batched = _run(spec, **kwargs)
+        literal = _run(spec, {"writes"}, **kwargs)
+
+        def lru_rows(replay: Replay) -> dict:
+            return {k: v for k, v in replay.state.items() if k.startswith("gpu/lru/")}
+
+        # last-write-wins coalescing: strictly fewer commits, but the final
+        # live LRU row of every GPU is identical
+        assert (
+            batched.system.datastore.kv.revision < literal.system.datastore.kv.revision
+        )
+        assert len(lru_rows(batched)) == 4
+        assert lru_rows(batched) == lru_rows(literal)
 
 
 class TestProductionPath:
@@ -413,7 +413,7 @@ class TestProductionPath:
 
     def test_default_cluster_commits_hot_keys_history_free(self):
         """A default ``FaaSCluster()`` reports the four schema prefixes
-        and a replay leaves nothing under them in history or event log."""
+        and a replay leaves nothing under them in MVCC history."""
         assert EPHEMERAL_HOT_PREFIXES == (
             "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/"
         )

@@ -1,10 +1,8 @@
-"""Unit tests for etcd extensions: bounded ranges, interval ranges, and
-watch-from-revision replay."""
+"""Unit tests for etcd extensions: bounded ranges."""
 
 import pytest
 
-from repro.datastore import CompactedError, Datastore, EventType, KVStore
-from repro.sim import Simulator
+from repro.datastore import KVStore
 
 
 @pytest.fixture
@@ -29,92 +27,3 @@ class TestBoundedRange:
     def test_negative_limit_rejected(self, store):
         with pytest.raises(ValueError):
             store.range("x/", limit=-1)
-
-
-class TestIntervalRange:
-    def test_half_open_interval(self, store):
-        got = store.range_interval("a", "c")
-        assert [kv.key for kv in got] == ["a", "b"]
-
-    def test_empty_when_end_not_after_start(self, store):
-        assert store.range_interval("c", "a") == []
-        assert store.range_interval("a", "a") == []
-
-    def test_interval_with_limit(self, store):
-        got = store.range_interval("a", "z", limit=3)
-        assert len(got) == 3
-
-    def test_interval_spanning_prefixes(self, store):
-        got = store.range_interval("b", "x/2")
-        assert [kv.key for kv in got] == ["b", "c", "x/1"]
-
-
-class TestEventsSince:
-    def test_replays_all_after_revision(self):
-        s = KVStore()
-        s.put("a", 1)  # rev 1
-        s.put("b", 2)  # rev 2
-        s.delete("a")  # rev 3
-        events = s.events_since(1)
-        assert [(rev, key, kv.value if kv else None) for rev, key, kv in events] == [
-            (2, "b", 2),
-            (3, "a", None),
-        ]
-
-    def test_since_head_is_empty(self, store):
-        assert store.events_since(store.revision) == []
-
-    def test_compaction_blocks_old_replay(self):
-        s = KVStore()
-        s.put("a", 1)
-        s.put("a", 2)
-        s.put("a", 3)
-        s.compact(2)
-        with pytest.raises(CompactedError):
-            s.events_since(1)
-        assert len(s.events_since(2)) == 1  # the rev-3 event survives
-
-
-class TestWatchFromRevision:
-    def test_catch_up_then_live(self):
-        ds = Datastore(Simulator())
-        ds.kv.put("gpu/0", "idle")   # rev 1
-        ds.kv.put("gpu/1", "busy")   # rev 2
-        seen = []
-        ds.watches.watch("gpu/", seen.append, prefix=True, start_revision=0)
-        # both historical events replayed immediately
-        assert [(e.key, e.value) for e in seen] == [("gpu/0", "idle"), ("gpu/1", "busy")]
-        ds.kv.put("gpu/0", "busy")  # live event
-        assert seen[-1].value == "busy"
-        assert len(seen) == 3
-
-    def test_partial_catch_up(self):
-        ds = Datastore(Simulator())
-        ds.kv.put("k", 1)  # rev 1
-        ds.kv.put("k", 2)  # rev 2
-        seen = []
-        ds.watches.watch("k", seen.append, start_revision=1)
-        assert [(e.type, e.value) for e in seen] == [(EventType.PUT, 2)]
-
-    def test_catch_up_includes_deletes(self):
-        ds = Datastore(Simulator())
-        ds.kv.put("k", 1)
-        ds.kv.delete("k")
-        seen = []
-        ds.watches.watch("k", seen.append, start_revision=0)
-        assert [e.type for e in seen] == [EventType.PUT, EventType.DELETE]
-
-    def test_catch_up_filters_by_key(self):
-        ds = Datastore(Simulator())
-        ds.kv.put("a", 1)
-        ds.kv.put("b", 2)
-        seen = []
-        ds.watches.watch("a", seen.append, start_revision=0)
-        assert [e.key for e in seen] == ["a"]
-
-    def test_watch_without_revision_gets_no_history(self):
-        ds = Datastore(Simulator())
-        ds.kv.put("k", 1)
-        seen = []
-        ds.watches.watch("k", seen.append)
-        assert seen == []

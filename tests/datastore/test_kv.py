@@ -145,20 +145,3 @@ class TestCompaction:
         store.put("pad", 0)
         store.compact(store.revision)
         assert store.get("a") is None
-
-
-class TestSubscription:
-    def test_hooks_see_mutations(self, store):
-        seen = []
-        store.subscribe(lambda key, kv, rev: seen.append((key, kv.value if kv else None, rev)))
-        store.put("a", 1)
-        store.delete("a")
-        assert seen == [("a", 1, 1), ("a", None, 2)]
-
-    def test_unsubscribe(self, store):
-        seen = []
-        unsub = store.subscribe(lambda *args: seen.append(args))
-        store.put("a", 1)
-        unsub()
-        store.put("a", 2)
-        assert len(seen) == 1

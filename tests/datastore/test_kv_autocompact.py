@@ -1,7 +1,7 @@
 """KV history windowing: ``SystemConfig(kv_autocompact_keep=N)``.
 
 The etcd ``--auto-compaction`` analogue: a long replay normally retains
-every historical KeyValue and every watch-replay event.  With the sliding
+every historical KeyValue.  With the sliding
 horizon enabled, history below ``revision - keep`` is compacted away after
 each event (with 2×keep hysteresis), bounding datastore memory — and,
 because compaction never touches live keys, the scheduling decisions must
@@ -23,7 +23,7 @@ SEED = 20230731
 N_REQUESTS = 1200
 #: more models than the three GPUs can hold, drawn uniformly: the replay
 #: keeps loading and evicting, and those ``cache/locations/*``
-#: publications are what fills the event log — the per-action status
+#: publications are what fills the MVCC history — the per-action status
 #: keys are history-free and never reach it
 N_FUNCTIONS = 60
 KEEP = 150
@@ -55,14 +55,14 @@ def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True)
             )
         )
     assert system.datastore.batched is batched
-    peak = {"events": 0}
+    peak = {"history": 0}
     if track_peak:
         kv = system.datastore.kv
 
-        def watch_len() -> None:
-            peak["events"] = max(peak["events"], len(kv._event_revs))
+        def history_len() -> None:
+            peak["history"] = max(peak["history"], kv.history_entry_count())
 
-        system.sim.subscribe_post_event(watch_len)
+        system.sim.subscribe_post_event(history_len)
     names = model_names()
     instances = [
         ModelInstance(f"m{i}", get_profile(names[i % len(names)]))
@@ -79,16 +79,16 @@ def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True)
         (d.time_s, d.kind, id_to_index[d.request_id], d.model_id, d.gpu_id, d.visits)
         for d in system.scheduler.decisions
     ]
-    return system, decisions, peak["events"]
+    return system, decisions, peak["history"]
 
 
 @pytest.mark.parametrize("batched", (True, False))
-def test_event_log_stays_bounded_and_decisions_unchanged(batched):
+def test_history_stays_bounded_and_decisions_unchanged(batched):
     """The horizon is checked after each flush on the batched path and
     after each event on a write-through store (which never flushes)."""
     spec = _workload(SEED)
     baseline_system, baseline_decisions, _ = _run(None, spec, batched=batched)
-    compacted_system, compacted_decisions, peak_events = _run(
+    compacted_system, compacted_decisions, peak_history = _run(
         KEEP, spec, track_peak=True, batched=batched
     )
 
@@ -103,11 +103,11 @@ def test_event_log_stays_bounded_and_decisions_unchanged(batched):
     # replayable history (+ the revisions one event handler can commit)
     assert kv.revision - kv.compacted_revision <= 2 * KEEP + 30
 
-    # the event log was actually windowed, not just trimmed at the end
-    baseline_events = len(baseline_kv._event_revs)
-    assert baseline_events > 4 * KEEP  # workload long enough to matter
-    assert peak_events < baseline_events
-    assert len(kv._event_revs) < baseline_events / 2
+    # the history was actually windowed, not just trimmed at the end
+    baseline_history = baseline_kv.history_entry_count()
+    assert baseline_history > 4 * KEEP  # workload long enough to matter
+    assert peak_history < baseline_history
+    assert kv.history_entry_count() < baseline_history / 2
 
     # ... and the control plane never noticed
     assert compacted_decisions == baseline_decisions

@@ -1,19 +1,12 @@
-"""Ephemeral-key tier semantics: the fast lane must keep the live view,
-watch delivery, and read-your-writes identical to the durable path while
-retaining *no* per-key history, no event-log records, and no lineage —
-and every API whose answer would depend on the missing history must fail
-loudly with :class:`EphemeralKeyError`, never silently return a wrong
-view."""
+"""Ephemeral-key tier semantics: the fast lane must keep the live view
+and read-your-writes identical to the durable path while retaining *no*
+per-key history and no lineage — and a historical read, whose answer
+would depend on the missing history, must fail loudly with
+:class:`EphemeralKeyError`, never silently return a wrong view."""
 
 import pytest
 
-from repro.datastore import (
-    Datastore,
-    EphemeralKeyError,
-    KVStore,
-    WatchBatch,
-    WriteBatch,
-)
+from repro.datastore import Datastore, EphemeralKeyError, KVStore, WriteBatch
 from repro.sim import Simulator
 
 EPH = ("gpu/status/", "fn/latency/")
@@ -57,8 +50,6 @@ class TestFastLaneSemantics:
             s.put("gpu/status/g0", i)
             s.put("fn/latency/%d" % i, i * 0.1)
         assert s.history_entry_count() == 0
-        assert len(s._event_revs) == 0
-        assert s.events_since(0) == []
 
     def test_ephemeral_writes_counter(self):
         s = store()
@@ -82,7 +73,6 @@ class TestFastLaneSemantics:
         assert s.delete("gpu/status/g0")
         assert "gpu/status/g0" not in s
         assert s.history_entry_count() == 0
-        assert len(s._event_revs) == 0
 
     def test_mixed_batch_commits_one_revision(self):
         s = store()
@@ -97,7 +87,6 @@ class TestFastLaneSemantics:
         assert commit.count == 3
         # only the durable key left residue
         assert s.history_entry_count() == 1
-        assert len(s._event_revs) == 1
         # all three share the commit revision in the live view
         assert s.get("gpu/status/g0").mod_revision == 1
         assert s.get("cache/locations/m").mod_revision == 1
@@ -131,84 +120,6 @@ class TestHistoricalReadsRaise:
         s.put("gpu/status/g0", "busy")
         assert s.get("gpu/status/g0", revision=None).value == "busy"
 
-    def test_events_since_with_overlapping_prefix_raises(self):
-        s = store()
-        s.put("gpu/status/g0", "busy")
-        with pytest.raises(EphemeralKeyError):
-            s.events_since(0, key_prefix="gpu/status/")
-        with pytest.raises(EphemeralKeyError):
-            # a broader prefix *covering* the tier is just as unreplayable
-            s.events_since(0, key_prefix="gpu/")
-
-    def test_events_since_disjoint_prefix_allowed(self):
-        s = store()
-        s.put("gpu/status/g0", "busy")
-        s.put("cache/locations/m", ["g0"])
-        events = s.events_since(0, key_prefix="cache/")
-        assert [key for _, key, _ in events] == ["cache/locations/m"]
-
-    def test_unfiltered_events_since_omits_ephemeral_by_design(self):
-        s = store()
-        s.put("gpu/status/g0", "busy")
-        s.put("durable", 1)
-        assert [key for _, key, _ in s.events_since(0)] == ["durable"]
-
-    def test_check_replayable(self):
-        s = store()
-        s.check_replayable("durable")  # no raise
-        with pytest.raises(EphemeralKeyError):
-            s.check_replayable("gpu/status/g0")
-        with pytest.raises(EphemeralKeyError):
-            s.check_replayable("gpu/", prefix=True)
-
-
-class TestWatchDelivery:
-    def test_live_watch_sees_ephemeral_mutations(self):
-        sim = Simulator()
-        ds = Datastore(sim, batched=False, ephemeral_prefixes=EPH)
-        got = []
-        ds.client().watch("gpu/status/", got.append, prefix=True)
-        ds.client().put("gpu/status/g0", "busy")
-        ds.client().delete("gpu/status/g0")
-        assert [(e.type.value, e.key) for e in got] == [
-            ("put", "gpu/status/g0"),
-            ("delete", "gpu/status/g0"),
-        ]
-
-    def test_batched_commit_delivers_one_coalesced_batch(self):
-        sim = Simulator()
-        ds = Datastore(sim, batched=True, ephemeral_prefixes=EPH)
-        batches: list[WatchBatch] = []
-        ds.client().watch("gpu/", batches.append, prefix=True, coalesced=True)
-        c = ds.client()
-        c.put("gpu/status/g0", "busy")
-        c.put("gpu/finish_time/g0", 1.5)  # durable here: not in EPH
-        ds.flush()
-        assert len(batches) == 1
-        assert {e.key for e in batches[0].events} == {
-            "gpu/status/g0",
-            "gpu/finish_time/g0",
-        }
-
-    def test_watch_from_revision_over_ephemeral_raises(self):
-        sim = Simulator()
-        ds = Datastore(sim, batched=False, ephemeral_prefixes=EPH)
-        ds.client().put("gpu/status/g0", "busy")
-        with pytest.raises(EphemeralKeyError):
-            ds.client().watch("gpu/status/g0", lambda e: None, start_revision=0)
-        with pytest.raises(EphemeralKeyError):
-            ds.client().watch(
-                "gpu/", lambda e: None, prefix=True, start_revision=0
-            )
-
-    def test_watch_from_revision_durable_prefix_still_replays(self):
-        sim = Simulator()
-        ds = Datastore(sim, batched=False, ephemeral_prefixes=EPH)
-        ds.client().put("cache/locations/m", ["g0"])
-        got = []
-        ds.client().watch("cache/", got.append, prefix=True, start_revision=0)
-        assert [e.key for e in got] == ["cache/locations/m"]
-
 
 class TestDeletePrefix:
     def test_single_revision_for_all_victims(self):
@@ -221,18 +132,6 @@ class TestDeletePrefix:
         assert s.revision == before + 1  # exactly one revision consumed
         assert s.get_value("keep") == 1
         assert not [k for k in s.keys() if k.startswith("fn/latency/")]
-
-    def test_single_coalesced_watch_batch(self):
-        sim = Simulator()
-        ds = Datastore(sim, batched=False, ephemeral_prefixes=EPH)
-        for i in range(5):
-            ds.client().put("fn/latency/%d" % i, i)
-        batches: list[WatchBatch] = []
-        ds.client().watch("fn/", batches.append, prefix=True, coalesced=True)
-        ds.kv.delete_prefix("fn/latency/")
-        assert len(batches) == 1
-        assert len(batches[0].events) == 5
-        assert all(e.type.value == "delete" for e in batches[0].events)
 
     def test_empty_prefix_consumes_no_revision(self):
         s = store()
@@ -262,23 +161,16 @@ class TestWriteBatchOverlay:
         assert ds.flush() == 2
         assert ds.stats.committed_keys == 2
 
-    def test_hookless_flush_skips_event_tuples(self):
-        """The hookless fast path returns ``events=()`` with the true
-        ``count`` — and flips back to materialized events the moment a
-        watch subscribes."""
-        s = store()
-        wb = WriteBatch(s)
+    def test_leased_flush_attaches_its_key(self):
+        """A lease on an ephemeral put attaches once the flush commits;
+        the commit itself counts the key as any flush does."""
+        sim = Simulator()
+        ds = Datastore(sim, batched=True, ephemeral_prefixes=EPH)
+        wb = ds.pending
         wb.put("gpu/status/g0", "busy")
-        commit = wb.flush()
-        assert commit.events == ()
-        assert commit.count == 1
-        from repro.datastore.watch import WatchHub
-
-        hub = WatchHub(s, sim=Simulator())
-        seen = []
-        hub.watch("gpu/status/g0", seen.append)
-        wb.put("gpu/status/g0", "idle")
-        commit = wb.flush()
-        assert commit.count == 1
-        assert len(commit.events) == 1  # watch fan-out needs real events
-        assert len(seen) == 1
+        assert wb.flush().count == 1
+        lease = ds.leases.grant(5.0)
+        wb.put("gpu/status/g0", "idle", lease=lease)
+        assert wb.flush().count == 1
+        assert lease.keys == {"gpu/status/g0"}
+        assert ds.kv.get_value("gpu/status/g0") == "idle"

@@ -1,17 +1,8 @@
-"""Unit tests for watches, leases, and transactions."""
+"""Unit tests for leases and namespaced clients."""
 
 import pytest
 
-from repro.datastore import (
-    Compare,
-    CompareTarget,
-    Datastore,
-    EventType,
-    KVStore,
-    Op,
-    Txn,
-    WatchHub,
-)
+from repro.datastore import Datastore
 from repro.sim import Simulator
 
 
@@ -23,56 +14,6 @@ def sim():
 @pytest.fixture
 def ds(sim):
     return Datastore(sim)
-
-
-class TestWatch:
-    def test_exact_key_watch(self, ds):
-        events = []
-        ds.watches.watch("a", events.append)
-        ds.kv.put("a", 1)
-        ds.kv.put("b", 2)
-        ds.kv.delete("a")
-        assert [(e.type, e.key, e.value) for e in events] == [
-            (EventType.PUT, "a", 1),
-            (EventType.DELETE, "a", None),
-        ]
-
-    def test_prefix_watch(self, ds):
-        events = []
-        ds.watches.watch("gpu/", events.append, prefix=True)
-        ds.kv.put("gpu/0", "idle")
-        ds.kv.put("gpu/1", "busy")
-        ds.kv.put("fn/x", 1)
-        assert [e.key for e in events] == ["gpu/0", "gpu/1"]
-
-    def test_cancel_stops_delivery(self, ds):
-        events = []
-        w = ds.watches.watch("a", events.append)
-        ds.kv.put("a", 1)
-        w.cancel()
-        ds.kv.put("a", 2)
-        assert len(events) == 1
-        assert ds.watches.active_watches == 0
-
-    def test_delayed_delivery_uses_sim_clock(self, sim):
-        ds = Datastore(sim, watch_delay=0.5)
-        events = []
-        ds.watches.watch("a", lambda e: events.append(sim.now))
-        ds.kv.put("a", 1)
-        assert events == []  # not yet delivered
-        sim.run()
-        assert events == [0.5]
-
-    def test_delay_requires_sim(self):
-        with pytest.raises(ValueError):
-            WatchHub(KVStore(), sim=None, delay=0.5)
-
-    def test_watch_event_carries_revision(self, ds):
-        events = []
-        ds.watches.watch("a", events.append)
-        ds.kv.put("x", 0)
-        ds.kv.put("a", 1)
-        assert events[0].revision == 2
 
 
 class TestLease:
@@ -118,81 +59,12 @@ class TestLease:
         with pytest.raises(ValueError):
             ds.leases.grant(0.0)
 
-
-class TestTxn:
-    def test_cas_success_branch(self):
-        store = KVStore()
-        store.put("x", 1)
-        res = (
-            Txn(store)
-            .when(Compare("x", CompareTarget.VALUE, "==", 1))
-            .then(Op.put("x", 2), Op.put("y", "side"))
-            .otherwise(Op.get("x"))
-            .commit()
-        )
-        assert res.succeeded
-        assert store.get_value("x") == 2
-        assert store.get_value("y") == "side"
-
-    def test_cas_failure_branch(self):
-        store = KVStore()
-        store.put("x", 1)
-        res = (
-            Txn(store)
-            .when(Compare("x", CompareTarget.VALUE, "==", 99))
-            .then(Op.put("x", 2))
-            .otherwise(Op.get("x"))
-            .commit()
-        )
-        assert not res.succeeded
-        assert store.get_value("x") == 1
-        assert res.responses[0].value == 1
-
-    def test_missing_key_comparisons(self):
-        store = KVStore()
-        assert Compare("nope", CompareTarget.EXISTS, "==", False).evaluate(store.get("nope"))
-        assert Compare("nope", CompareTarget.VERSION, "==", 0).evaluate(store.get("nope"))
-
-    def test_version_guard(self):
-        store = KVStore()
-        store.put("x", "a")
-        store.put("x", "b")
-        res = (
-            Txn(store)
-            .when(Compare("x", CompareTarget.VERSION, ">=", 2))
-            .then(Op.delete("x"))
-            .commit()
-        )
-        assert res.succeeded
-        assert "x" not in store
-
-    def test_multiple_guards_all_must_hold(self):
-        store = KVStore()
-        store.put("a", 1)
-        store.put("b", 2)
-        res = (
-            Txn(store)
-            .when(
-                Compare("a", CompareTarget.VALUE, "==", 1),
-                Compare("b", CompareTarget.VALUE, "==", 99),
-            )
-            .then(Op.put("winner", True))
-            .commit()
-        )
-        assert not res.succeeded
-        assert "winner" not in store
-
-    def test_double_commit_rejected(self):
-        store = KVStore()
-        txn = Txn(store).then(Op.put("x", 1))
-        txn.commit()
-        with pytest.raises(RuntimeError):
-            txn.commit()
-
-    def test_unknown_operator_rejected(self):
-        store = KVStore()
-        with pytest.raises(ValueError):
-            Compare("x", CompareTarget.VALUE, "~=", 1).evaluate(store.get("x"))
+    def test_lease_ids_are_per_datastore(self):
+        # a second replay in the same process mints the same lease IDs
+        first, second = Datastore(Simulator()), Datastore(Simulator())
+        assert first.leases.grant(1.0).lease_id == 1
+        assert second.leases.grant(1.0).lease_id == 1
+        assert first.leases.grant(1.0).lease_id == 2
 
 
 class TestClient:
@@ -210,19 +82,3 @@ class TestClient:
         c.put("gpu/0", "idle")
         c.put("gpu/1", "busy")
         assert c.range("gpu/") == {"gpu/0": "idle", "gpu/1": "busy"}
-
-    def test_namespaced_txn_rejected(self, ds):
-        with pytest.raises(RuntimeError):
-            ds.client("ns").txn()
-
-    def test_root_client_txn_allowed(self, ds):
-        res = ds.client().txn().then(Op.put("k", 1)).commit()
-        assert res.succeeded
-
-    def test_watch_through_client(self, ds):
-        c = ds.client("ns")
-        seen = []
-        c.watch("a", seen.append)
-        c.put("a", 5)
-        assert seen[0].key == "ns/a"
-        assert seen[0].value == 5

@@ -1,19 +1,10 @@
-"""Txn/batch semantics: atomic multi-key commits, last-write-wins
-coalescing, coalesced watch delivery and replay, WriteBatch accumulation,
-and the batched Datastore client's read-your-writes overlay."""
+"""Batch semantics: atomic multi-key commits, last-write-wins coalescing,
+WriteBatch accumulation, and the batched Datastore client's
+read-your-writes overlay."""
 
 import pytest
 
-from repro.datastore import (
-    DELETE,
-    Datastore,
-    EventType,
-    KVStore,
-    Op,
-    Txn,
-    WatchBatch,
-    WriteBatch,
-)
+from repro.datastore import DELETE, CompactedError, Datastore, KVStore, WriteBatch
 from repro.sim import Simulator
 
 
@@ -28,15 +19,17 @@ class TestApplyBatch:
         commit = s.apply_batch([("put", "a", 1), ("put", "b", 2), ("put", "c", 3)])
         assert s.revision == 1
         assert commit.revision == 1
-        assert {kv.mod_revision for _, kv in commit.events} == {1}
+        assert commit.count == 3
+        assert {s.get(k).mod_revision for k in "abc"} == {1}
         assert [s.get_value(k) for k in "abc"] == [1, 2, 3]
 
     def test_last_write_wins_within_batch(self):
         s = KVStore()
         commit = s.apply_batch([("put", "k", "first"), ("put", "k", "last")])
         assert s.get_value("k") == "last"
-        # one event, one history entry: the intermediate value never existed
-        assert len(commit.events) == 1
+        # one key, one history entry: the intermediate value never existed
+        assert commit.count == 1
+        assert s.history_entry_count() == 1
         assert s.get("k", revision=1).value == "last"
         assert s.get("k").version == 1
 
@@ -45,7 +38,8 @@ class TestApplyBatch:
         s.put("k", 0)
         commit = s.apply_batch([("put", "k", 1), ("delete", "k")])
         assert "k" not in s
-        assert commit.events == (("k", None),)
+        assert commit.count == 1
+        assert s.get("k", revision=commit.revision) is None
 
     def test_delete_then_put_recreates_key(self):
         """A batch that deletes then re-puts a key must match the
@@ -59,8 +53,9 @@ class TestApplyBatch:
         assert kv.value == "new"
         assert kv.version == 1
         assert kv.create_revision == commit.revision == 3
-        # one coalesced PUT event, the intermediate delete never observable
-        assert commit.events == (("k", kv),)
+        # one coalesced put, the intermediate delete never observable
+        assert commit.count == 1
+        assert s.get("k", revision=commit.revision) == kv
 
     def test_mixed_puts_and_deletes_share_one_revision(self):
         s = KVStore()
@@ -77,25 +72,28 @@ class TestApplyBatch:
         assert s.revision == 0
         assert s.apply_batch([]).revision is None
 
-    def test_existed_reflects_pre_commit_state(self):
+    def test_count_skips_deletes_of_missing_keys(self):
         s = KVStore()
         s.put("there", 1)
-        commit = s.apply_batch([("delete", "there"), ("put", "fresh", 2)])
-        assert commit.existed == {"there": True, "fresh": False}
-
-    def test_events_since_replays_coalesced_batch(self):
-        s = KVStore()
-        s.put("a", 1)  # rev 1
-        s.apply_batch([("put", "b", 2), ("put", "c", 3)])  # rev 2
-        events = s.events_since(1)
-        assert [(rev, key) for rev, key, _ in events] == [(2, "b"), (2, "c")]
+        commit = s.apply_batch(
+            [("delete", "there"), ("delete", "gone"), ("put", "fresh", 2)]
+        )
+        assert commit.count == 2
+        assert s.keys() == ["fresh"]
 
     def test_compaction_drops_whole_batches(self):
         s = KVStore()
         s.apply_batch([("put", "a", 1), ("put", "b", 2)])  # rev 1
         s.apply_batch([("put", "a", 3), ("put", "c", 4)])  # rev 2
-        s.compact(1)
-        assert [(rev, key) for rev, key, _ in s.events_since(1)] == [(2, "a"), (2, "c")]
+        s.compact(2)
+        # the rev-1 view is gone for every key of that batch at once ...
+        for key in "abc":
+            with pytest.raises(CompactedError):
+                s.get(key, revision=1)
+        # ... and the rev-2 view survives whole: b's rev-1 write is still
+        # its newest entry at-or-below the compaction point
+        assert {k: s.get(k, revision=2).value for k in "abc"} == {"a": 3, "b": 2, "c": 4}
+        assert s.history_entry_count() == 3
 
     def test_unknown_op_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -103,92 +101,31 @@ class TestApplyBatch:
 
 
 class TestTxnSingleRevision:
+    """``apply_batch`` is the store's transaction: every op commits under
+    one revision, and an op that changes nothing consumes none."""
+
     def test_multi_op_txn_is_one_revision(self):
         s = KVStore()
-        res = Txn(s).then(Op.put("x", 1), Op.put("y", 2), Op.delete("nope")).commit()
-        assert res.succeeded
+        commit = s.apply_batch([("put", "x", 1), ("put", "y", 2), ("delete", "nope")])
+        assert commit.revision == 1
         assert s.revision == 1
         assert s.get("x").mod_revision == s.get("y").mod_revision == 1
-        assert res.responses[2] is False  # delete of a missing key
-
-    def test_txn_watchers_see_one_batch(self, sim):
-        ds = Datastore(sim)
-        batches = []
-        ds.watches.watch("", batches.append, prefix=True, coalesced=True)
-        ds.txn().then(Op.put("a", 1), Op.put("b", 2)).commit()
-        assert len(batches) == 1
-        assert [e.key for e in batches[0]] == ["a", "b"]
-        assert batches[0].revision == 1
+        assert commit.count == 2  # the delete of a missing key is a no-op
 
     def test_get_reads_post_commit_state(self):
         s = KVStore()
-        res = Txn(s).then(Op.put("k", 41), Op.get("k")).commit()
-        assert res.responses[1].value == 41
+        commit = s.apply_batch([("put", "k", 41)])
+        assert s.get("k").mod_revision == commit.revision
+        assert s.get("k").value == 41
+        assert s.get("k", revision=commit.revision).value == 41
 
-    def test_read_only_txn_consumes_no_revision(self):
+    def test_ineffective_commits_keep_the_last_revision(self):
         s = KVStore()
         s.put("k", 1)
-        Txn(s).then(Op.get("k")).commit()
+        s.apply_batch([("delete", "absent")])
+        assert WriteBatch(s).flush().revision is None
         assert s.revision == 1
-
-
-class TestCoalescedWatch:
-    def test_coalesced_watch_receives_watchbatch(self, sim):
-        ds = Datastore(sim)
-        seen = []
-        w = ds.watches.watch("gpu/", seen.append, prefix=True, coalesced=True)
-        ds.kv.apply_batch(
-            [("put", "gpu/0", "busy"), ("put", "gpu/1", "idle"), ("put", "fn/x", 1)]
-        )
-        assert len(seen) == 1
-        batch = seen[0]
-        assert isinstance(batch, WatchBatch)
-        assert [e.key for e in batch] == ["gpu/0", "gpu/1"]  # fn/x filtered out
-        assert w.batches_delivered == 1
-        assert w.delivered == 2
-
-    def test_plain_watch_gets_individual_events_per_batch(self, sim):
-        ds = Datastore(sim)
-        seen = []
-        w = ds.watches.watch("gpu/", seen.append, prefix=True)
-        ds.kv.apply_batch([("put", "gpu/0", "busy"), ("put", "gpu/1", "idle")])
-        assert [(e.type, e.key) for e in seen] == [
-            (EventType.PUT, "gpu/0"),
-            (EventType.PUT, "gpu/1"),
-        ]
-        assert w.batches_delivered == 1
-
-    def test_replay_across_coalesced_batches_groups_by_revision(self, sim):
-        ds = Datastore(sim)
-        ds.kv.apply_batch([("put", "a", 1), ("put", "b", 2)])  # rev 1
-        ds.kv.put("a", 3)  # rev 2
-        ds.kv.apply_batch([("put", "b", 4), ("delete", "a")])  # rev 3
-        seen = []
-        ds.watches.watch("", seen.append, prefix=True, start_revision=0, coalesced=True)
-        assert [b.revision for b in seen] == [1, 2, 3]
-        assert [e.key for e in seen[0]] == ["a", "b"]
-        assert [(e.key, e.type) for e in seen[2]] == [
-            ("b", EventType.PUT),
-            ("a", EventType.DELETE),
-        ]
-
-    def test_plain_replay_across_batches_stays_flat(self, sim):
-        ds = Datastore(sim)
-        ds.kv.apply_batch([("put", "a", 1), ("put", "b", 2)])
-        seen = []
-        ds.watches.watch("", seen.append, prefix=True, start_revision=0)
-        assert [e.key for e in seen] == ["a", "b"]
-        assert all(e.revision == 1 for e in seen)
-
-    def test_delayed_delivery_schedules_one_event_per_batch(self, sim):
-        ds = Datastore(sim, watch_delay=0.25)
-        seen = []
-        ds.watches.watch("", lambda b: seen.append((sim.now, len(b))), prefix=True, coalesced=True)
-        pending_before = len(sim)
-        ds.kv.apply_batch([("put", f"k/{i}", i) for i in range(10)])
-        assert len(sim) == pending_before + 1  # one delivery event, not ten
-        sim.run()
-        assert seen == [(0.25, 10)]
+        assert s.get("k").mod_revision == 1
 
 
 class TestWriteBatch:
@@ -296,14 +233,13 @@ class TestBatchedClient:
     def test_post_event_hook_flushes_at_action_boundary(self, sim):
         ds = Datastore(sim, batched=True)
         c = ds.client()
-        seen = []
-        ds.watches.watch("", seen.append, prefix=True, coalesced=True)
         sim.schedule(1.0, lambda: (c.put("a", 1), c.put("b", 2)))
         sim.schedule(2.0, lambda: c.put("a", 3))
         sim.run()
         assert ds.kv.revision == 2  # one revision per event, not per put
-        assert [b.revision for b in seen] == [1, 2]
-        assert [e.key for e in seen[0]] == ["a", "b"]
+        assert ds.kv.get("a", revision=1).value == 1
+        assert ds.kv.get("b").mod_revision == 1
+        assert ds.kv.get("a").mod_revision == 2
 
     def test_lease_attaches_at_flush(self, sim):
         ds = Datastore(sim, batched=True)

@@ -156,7 +156,7 @@ class TestFlatMemoryState:
     def test_retained_kv_heap_holds_no_hot_key_history(self):
         """The 2k §V-A replay under tight retention (the windows engage
         even at this size): nothing under the schema's hot prefixes
-        reaches MVCC history or the event log, the history-free lane
+        reaches MVCC history, the history-free lane
         takes the writes, only the durable keys' windowed history
         survives, and a historical read of a hot key is a typed error."""
         system = FaaSCluster(SystemConfig(kv_autocompact_keep=500, latency_log_keep=500))
@@ -164,7 +164,6 @@ class TestFlatMemoryState:
         system.run()
         kv = system.datastore.kv
         assert [k for k in kv._history if k.startswith(EPHEMERAL_HOT_PREFIXES)] == []
-        assert [k for k in kv._event_keys if k.startswith(EPHEMERAL_HOT_PREFIXES)] == []
         assert kv.ephemeral_writes > 0
         assert kv.history_entry_count() / system.scheduler.actions <= 0.05
         with pytest.raises(EphemeralKeyError):

@@ -22,4 +22,4 @@ def test_all_docstring_examples_pass():
         failures += result.failed
         attempted += result.attempted
     assert failures == 0
-    assert attempted >= 3  # the kernel, txn, and sampler examples at minimum
+    assert attempted >= 3  # the kernel, histogram, and config examples at minimum

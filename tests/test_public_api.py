@@ -58,7 +58,7 @@ def test_option_budget():
     benches must cover, so a new knob has to show up as a diff here —
     and the engine selectors that were removed must stay removed."""
     assert {f.name for f in dataclasses.fields(repro.SystemConfig)} == {
-        "cluster", "policy", "o3_limit", "replacement", "watch_delay_s",
+        "cluster", "policy", "o3_limit", "replacement",
         "kv_autocompact_keep", "latency_log_keep", "quotas", "seed",
         "fault_profile", "fault_plan", "deadline_s", "max_retries",
         "retry_backoff_s", "health_heartbeat_s", "health_ttl_s",
@@ -72,6 +72,8 @@ def test_option_budget():
         repro.SystemConfig(datastore_batching=False)
     with pytest.raises(TypeError):
         repro.SystemConfig(metrics_streaming=True)
+    with pytest.raises(TypeError):
+        repro.SystemConfig(watch_delay_s=0.5)
     s = repro.FaaSCluster().scheduler
     with pytest.raises(TypeError):
         Scheduler(
