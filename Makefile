@@ -40,9 +40,11 @@ parity:
 ## (index scans, batched txns, columnar replay, pass elision, commit-path
 ## residue, O3 skip-count upkeep on shallow and then on deep queues).  The
 ## total calls/request is exact run to run;
-## tests/experiments/test_call_budget.py gates it on this shallow replay
-## and on an over-capacity one whose global queue runs 6k deep
-## (experiments.bench.profile_replay takes any WorkloadSpec).
+## tests/experiments/test_call_budget.py gates it on this shallow replay,
+## on an over-capacity one whose global queue runs 6k deep and on a
+## streaming one past its caps (experiments.bench.profile_replay takes
+## any Workload or StreamingWorkload plus a SystemConfig); CI runs this
+## target with PYTHONHASHSEED=0 right before that gate.
 ##   make profile                          # 2k requests
 ##   make profile PROFILE_REQUESTS=20000   # deeper replay
 PROFILE_REQUESTS ?= 2000

@@ -16,7 +16,7 @@ belong to the Cache Manager and Scheduler.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..sim import IntervalAccumulator, Simulator
 from .pcie import PCIeModel
@@ -82,13 +82,16 @@ class GPUDevice:
         # keyed by the state value strings, read via the enum's _value_
         # slot: interned-string hashing is C-level, while both Enum.value
         # (a DynamicClassAttribute) and Enum.__hash__ are Python-level —
-        # this runs on every busy/idle transition
+        # this runs on every busy/idle transition.  Every state starts
+        # with a total, so _set_state closes an interval with one add.
         self._intervals = IntervalAccumulator(sim)
         self._intervals.start(GPUState.IDLE._value_)
+        self._intervals.totals.update(dict.fromkeys([s._value_ for s in GPUState], 0.0))
         self._completed_requests = 0
-        #: observer called on every state or completion-count change; the
-        #: Cluster uses it to keep its idle/busy views incremental
-        self.on_change: Callable[["GPUDevice"], None] | None = None
+        #: the owning Cluster, whose views _set_state keeps exact in line,
+        #: and this GPU's index in its use-frequency order
+        self._cluster = None
+        self._rank = 0
         # array-backed lifecycle slots, stamped at construction by the
         # owning GPUManager (node-local) and Scheduler (cluster-wide): the
         # hot execute → _loaded → _start_inference → _finished chain and
@@ -105,8 +108,10 @@ class GPUDevice:
     @completed_requests.setter
     def completed_requests(self, value: int) -> None:
         self._completed_requests = value
-        if self.on_change is not None:
-            self.on_change(self)
+        cluster = self._cluster
+        if cluster is not None:
+            cluster.version += 1
+            cluster._refile(self)
 
     # ------------------------------------------------------------------
     # Memory & residency
@@ -212,13 +217,24 @@ class GPUDevice:
         self._set_state(to)
 
     def _set_state(self, to: GPUState) -> None:
-        self._intervals.switch(to._value_)
+        # IntervalAccumulator.switch and the owning cluster's views, in
+        # line: two of these run per request
+        iv = self._intervals
+        now = self.sim._now
+        iv.totals[iv.state] += now - iv._since
+        iv.state = to._value_
+        iv._since = now
+        was_idle = self.is_idle
         self.state = to
-        self.is_idle = to is GPUState.IDLE
-        self.is_busy = not self.is_idle
+        idle = self.is_idle = to is GPUState.IDLE
+        self.is_busy = not idle
         self.is_online = to is not GPUState.OFFLINE
-        if self.on_change is not None:
-            self.on_change(self)
+        cluster = self._cluster
+        if cluster is not None:
+            cluster.version += 1
+            cluster.idle_count += idle - was_idle  # +1, -1 or 0
+            if idle:  # the one transition after a completion-count bump
+                cluster._refile(self)
 
     # ------------------------------------------------------------------
     # SM-utilization accounting (paper §V-C)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..sim import Simulator
@@ -52,30 +51,29 @@ PAPER_TESTBED = ClusterSpec.homogeneous(3, 4)
 class Cluster:
     """A set of GPU nodes plus flat views over their devices.
 
-    The idle/busy views are maintained incrementally: every GPU notifies
-    the cluster on a state or completion-count change (bumping
-    :attr:`version`), and the device-ordered idle/busy lists are rebuilt
-    lazily only when stale.  The schedulers' per-pass "any idle GPU?"
-    probes therefore stop re-scanning every device.  Returned lists are
-    cache snapshots — callers must not mutate them.
+    The devices keep these views exact themselves: every state change
+    (``GPUDevice._set_state``) bumps :attr:`version` and adjusts
+    :attr:`idle_count` in line, and the device-ordered idle/busy lists
+    are rebuilt lazily only when :attr:`version` has moved.  Returned
+    lists are cache snapshots — callers must not mutate them.
 
     Dirty-signal layer (pass elision)
     --------------------------------
     Beyond the lazily rebuilt views the cluster publishes its **idle-set
     delta** directly:
 
-    * :attr:`idle_count` is maintained on every transition, so "is any
-      GPU idle?" is one attribute load — the guard the scheduling engine
+    * :attr:`idle_count` is exact after every transition, so "is any GPU
+      idle?" is one attribute load — the guard the scheduling engine
       consults before every would-be pass;
-    * the frequency-ordered idle view (Alg. 1's "sorted by use
-      frequency") is updated *incrementally*: a dispatch removes one GPU
-      from the sorted list and a completion re-inserts one at its new
-      frequency rank, replacing the old rebuild-and-sort on every state
-      change.  The order is identical to
-      ``sorted(idle, key=lambda g: (-g.completed_requests, g.gpu_id))``
-      by construction: a GPU is re-filed on the rare occasions its key
-      changes while listed (a completion bump landing after
-      ``become_idle``), and its filed key makes removal exact.
+    * :attr:`by_frequency` holds *every* GPU in Alg. 1's use-frequency
+      order, ``sorted(gpus, key=lambda g: (-g.completed_requests,
+      g.gpu_id))``.  A GPU's completion count moves only just before it
+      returns to idle (or through the ``completed_requests`` setter), and
+      that is the only time it is re-filed — one insertion-sort step from
+      its current rank.  Within a scheduling pass GPUs only *leave* the
+      idle set, so the order is stable for the whole pass: the LALB pass
+      walks it in place and skips the busy GPUs, with no idle list built
+      per pass.
     """
 
     def __init__(self, sim: Simulator, nodes: list[GPUNode]) -> None:
@@ -90,55 +88,38 @@ class Cluster:
         #: their own cached views off it (see idle_gpus/busy_gpus below)
         self.version = 0
         #: number of currently idle GPUs (exact, O(1) to read)
-        self.idle_count = 0
+        self.idle_count = sum(1 for g in self.gpus if g.is_idle)
         self._idle_version = -1
         self._idle_cache: list[GPUDevice] = []
         self._busy_version = -1
         self._busy_cache: list[GPUDevice] = []
-        # frequency-ordered idle view: parallel (key, device) lists kept
-        # sorted by (-completed_requests, gpu_id), plus the key each idle
-        # GPU is filed under (doubles as the idle-membership record, and
-        # stays exact when a completion count moves after insertion)
-        self._freq_keys: list[tuple[int, str]] = []
-        self._freq_gpus: list[GPUDevice] = []
-        self._freq_key_of: dict[str, tuple[int, str]] = {}
-        for g in self.gpus:
-            g.on_change = self._on_gpu_change
-            if g.is_idle:
-                self._freq_insert(g)
+        #: every GPU, most-used first (ties on gpu_id); the list object is
+        #: stable and re-ordered in place — do not mutate it
+        self.by_frequency: list[GPUDevice] = sorted(
+            self.gpus, key=lambda g: (-g._completed_requests, g.gpu_id)
+        )
+        for rank, g in enumerate(self.by_frequency):
+            g._cluster = self
+            g._rank = rank
+        self._last_rank = len(self.gpus) - 1
 
-    def _freq_insert(self, gpu: GPUDevice) -> None:
+    def _refile(self, gpu: GPUDevice) -> None:
+        """Move ``gpu`` to its rank in :attr:`by_frequency` after its
+        completion count changed (every other GPU is already in place)."""
+        order = self.by_frequency
         key = (-gpu._completed_requests, gpu.gpu_id)
-        i = bisect_left(self._freq_keys, key)
-        self._freq_keys.insert(i, key)
-        self._freq_gpus.insert(i, gpu)
-        self._freq_key_of[gpu.gpu_id] = key
-        self.idle_count += 1
-
-    def _freq_remove(self, key: tuple[int, str]) -> None:
-        # remove by the key the GPU was *filed* under: exact even when its
-        # live completion count has moved on since insertion
-        i = bisect_left(self._freq_keys, key)
-        del self._freq_keys[i]
-        del self._freq_gpus[i]
-        self.idle_count -= 1
-
-    def _on_gpu_change(self, gpu: GPUDevice) -> None:
-        self.version += 1
-        gpu_id = gpu.gpu_id
-        filed = self._freq_key_of.get(gpu_id)
-        if gpu.is_idle:
-            if filed is None:
-                self._freq_insert(gpu)
-            elif filed[0] != -gpu._completed_requests:
-                # frequency changed while idle (a completion bump landing
-                # after become_idle): re-file at the new rank
-                del self._freq_key_of[gpu_id]
-                self._freq_remove(filed)
-                self._freq_insert(gpu)
-        elif filed is not None:
-            del self._freq_key_of[gpu_id]
-            self._freq_remove(filed)
+        i = gpu._rank
+        while i and (-(prev := order[i - 1])._completed_requests, prev.gpu_id) > key:
+            order[i] = prev
+            prev._rank = i
+            i -= 1
+        last = self._last_rank
+        while i < last and (-(nxt := order[i + 1])._completed_requests, nxt.gpu_id) < key:
+            order[i] = nxt
+            nxt._rank = i
+            i += 1
+        order[i] = gpu
+        gpu._rank = i
 
     def gpu(self, gpu_id: str) -> GPUDevice:
         return self._by_id[gpu_id]
@@ -156,12 +137,10 @@ class Cluster:
         """Idle GPUs, most-used first (Alg. 1's "sorted by frequency").
 
         Frequency is the number of requests the GPU has completed; ties
-        break on gpu_id for determinism.  Maintained incrementally from
-        the idle-set delta; each call returns a fresh snapshot *copy*
-        because the scheduling passes dispatch (and so shrink the live
-        view) while iterating it.
+        break on gpu_id for determinism.  A fresh list each call, filtered
+        from :attr:`by_frequency` (the LALB pass walks that order itself).
         """
-        return self._freq_gpus.copy()
+        return [g for g in self.by_frequency if g.is_idle]
 
     def busy_gpus(self) -> list[GPUDevice]:
         if self._busy_version != self.version:

@@ -44,17 +44,19 @@ class FinishTimeEstimator:
         self.registry = registry
         self.local_queues = local_queues
         #: absolute time at which each GPU finishes its in-flight request;
-        #: maintained by the GPU Managers on every dispatch/completion.
+        #: written by the GPU Managers on every dispatch.  A value in the
+        #: past (a completed request's finish time) reads as "now".
         self._busy_until: dict[str, float] = {}
         #: gpu_id -> device, for costing queue mutations as they happen
         self._devices: dict[str, GPUDevice] = {g.gpu_id: g for g in gpus}
         #: gpu_id -> running sum of queued inference times
         self._queued_cost: dict[str, float] = {g.gpu_id: 0.0 for g in gpus}
-        #: (architecture, gpu_type, batch) -> profiled latency.  Profiles
-        #: are immutable once registered, so the memo never invalidates;
-        #: Alg. 2 evaluates these on every wait-vs-load comparison.
-        self._infer_memo: dict[tuple[str, str, int], float] = {}
-        self._load_memo: dict[tuple[str, str], float] = {}
+        #: (model_id, gpu_type[, batch]) -> (model instance, latency): a hit
+        #: reads no ``architecture`` property, and the stored instance
+        #: guards against two instances sharing an id.  Profiles never
+        #: change once registered, so the memo never invalidates.
+        self._infer_memo: dict[tuple[str, str, int], tuple[object, float]] = {}
+        self._load_memo: dict[tuple[str, str], tuple[object, float]] = {}
         local_queues.subscribe(self._on_queue_change)
 
     # ------------------------------------------------------------------
@@ -79,26 +81,33 @@ class FinishTimeEstimator:
         self._busy_until.pop(gpu_id, None)
 
     def busy_until(self, gpu_id: str) -> float:
-        return self._busy_until.get(gpu_id, self.sim.now)
+        """When ``gpu_id`` finishes its in-flight work (now, if it has none)."""
+        now = self.sim.now
+        return max(self._busy_until.get(gpu_id, now), now)
 
     # ------------------------------------------------------------------
     # Queries (used by the LALB policy)
     # ------------------------------------------------------------------
     def infer_time(self, request: InferenceRequest, gpu: GPUDevice) -> float:
         """Profiled inference latency of ``request`` on ``gpu``'s type."""
-        key = (request.model.architecture, gpu.gpu_type, request.batch_size)
-        t = self._infer_memo.get(key)
-        if t is None:
-            profile = self.registry.get(key[0], key[1])
-            t = self._infer_memo[key] = profile.infer_time(request.batch_size)
+        model = request.model
+        key = (request.model_id, gpu.gpu_type, request.batch_size)
+        memo = self._infer_memo.get(key)
+        if memo is not None and memo[0] is model:
+            return memo[1]
+        t = self.registry.get(model.architecture, gpu.gpu_type).infer_time(request.batch_size)
+        self._infer_memo[key] = (model, t)
         return t
 
     def load_time(self, request: InferenceRequest, gpu: GPUDevice) -> float:
         """Profiled model-upload latency of ``request`` on ``gpu``'s type."""
-        key = (request.model.architecture, gpu.gpu_type)
-        t = self._load_memo.get(key)
-        if t is None:
-            t = self._load_memo[key] = self.registry.get(key[0], key[1]).load_time_s
+        model = request.model
+        key = (request.model_id, gpu.gpu_type)
+        memo = self._load_memo.get(key)
+        if memo is not None and memo[0] is model:
+            return memo[1]
+        t = self.registry.get(model.architecture, gpu.gpu_type).load_time_s
+        self._load_memo[key] = (model, t)
         return t
 
     def queued_cost(self, gpu: GPUDevice) -> float:
@@ -121,7 +130,7 @@ class FinishTimeEstimator:
         Local-queue requests were bound there *because* their model is
         cached (Alg. 2), so they are costed as cache hits.
         """
-        return max(self.busy_until(gpu.gpu_id), self.sim.now) + self.queued_cost(gpu)
+        return self.busy_until(gpu.gpu_id) + self.queued_cost(gpu)
 
     def wait_time(self, gpu: GPUDevice) -> float:
         """Seconds until ``gpu`` could start a newly bound request."""

@@ -85,6 +85,10 @@ class GPUManager:
         self.cache = cache
         self.registry = registry
         self.estimator = estimator
+        #: the estimator's finish times, written in line on every dispatch
+        #: and never cleared on completion: a finished request's time is
+        #: in the past, which every reader clamps to now
+        self._busy_until = estimator._busy_until
         self.datastore = datastore
         #: every report below goes through this one bound callable (a
         #: manager built without a Datastore discards them)
@@ -178,11 +182,12 @@ class GPUManager:
         if slow is not None:
             load_t *= slow
             infer_t *= slow
-        busy_until = self.sim._now + load_t + infer_t
-        self.estimator.set_busy_until(gpu.gpu_id, busy_until)
+        now = self.sim._now
+        busy_until = now + load_t + infer_t
+        self._busy_until[gpu.gpu_id] = busy_until
         self._put(self._finish_key[slot], busy_until)
-        self._pending_event[slot] = self.sim.schedule(
-            load_t, self._loaded, gpu, proc, request
+        self._pending_event[slot] = self.sim.schedule_at(
+            now + load_t, self._loaded, gpu, proc, request
         )
 
     def _loaded(self, gpu: GPUDevice, proc: GPUProcess, request: InferenceRequest) -> None:
@@ -196,30 +201,28 @@ class GPUManager:
     def _start_inference(self, gpu: GPUDevice, proc: GPUProcess, request: InferenceRequest) -> None:
         proc.mark_running()
         gpu.begin_inference()
-        request.exec_start_at = self.sim._now
+        now = request.exec_start_at = self.sim._now
         infer_t = self.estimator.infer_time(request, gpu)
         slot = gpu._mgr_slot
         slow = self._slowdown[slot]
         if slow is not None:
             infer_t *= slow
-        busy_until = self.sim._now + infer_t
-        self.estimator.set_busy_until(gpu.gpu_id, busy_until)
+        busy_until = now + infer_t
+        self._busy_until[gpu.gpu_id] = busy_until
         self._put(self._finish_key[slot], busy_until)
-        self._pending_event[slot] = self.sim.schedule(
-            infer_t, self._finished, gpu, proc, request
+        # the completion fires at exactly the published finish time
+        self._pending_event[slot] = self.sim.schedule_at(
+            busy_until, self._finished, gpu, proc, request
         )
 
     def _finished(self, gpu: GPUDevice, proc: GPUProcess, request: InferenceRequest) -> None:
         slot = gpu._mgr_slot
         draining = self._draining[slot]
         proc.mark_done()
-        # bump the use-frequency under the state change that follows (the
-        # idle flip here, go_offline when draining) and let that be the
-        # one notice: a busy GPU is in none of the cluster's idle views,
-        # so the bump alone has nothing to re-file, and the flip files
-        # the GPU once, at its final rank
-        gpu._completed_requests += 1
-        if not draining:
+        if draining:
+            gpu.completed_requests += 1  # the setter re-files: it goes offline next
+        else:
+            gpu._completed_requests += 1  # the idle flip re-files it
             gpu.become_idle()
         request.state = RequestState.COMPLETED
         request.completed_at = self.sim._now
@@ -230,7 +233,6 @@ class GPUManager:
             request.result = network(request.payload)
         self._executing[slot] = None
         self._pending_event[slot] = None
-        self.estimator.clear_busy(gpu.gpu_id)
         model_id = request.model_id
         if draining:
             # graceful drain completion: the request finished normally;
@@ -367,4 +369,4 @@ class GPUManager:
             log = self._latency_log
             log.append(key)
             if len(log) > self._latency_keep:
-                self.datastore.delete(log.popleft())
+                self.datastore.discard(log.popleft())

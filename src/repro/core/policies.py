@@ -49,20 +49,20 @@ between the two — an elided pass performs no scans at all.)
 
 The fast path assumes the admission check is trivially true.  With a
 :class:`~repro.core.tenancy.TenancyController` installed the policies no
-longer fall back to the reference scans wholesale: before each per-GPU
-scan they ask the controller to *certify the pass* from the GlobalQueue's
-tenant index (``pass_admission_trivial`` — every queued tenant has enough
-quota headroom to absorb the pass's worst case, so no ``may_dispatch``
-probe can refuse).  Only when a quota is actually binding does the scan
-drop to the literal reference loops, whose per-request probes handle
-refusals exactly.  ``fast_scans`` / ``reference_scans`` count which route
-each per-GPU scan took.
+longer fall back to the reference scans wholesale: at a pass's first
+per-GPU scan they ask the controller to *certify the pass* from the
+GlobalQueue's tenant index (``pass_admission_trivial`` — every queued
+tenant has enough quota headroom to absorb the pass's worst case, so no
+``may_dispatch`` probe can refuse).  Only when a quota is actually binding
+do the pass's scans drop to the literal reference loops, whose
+per-request probes handle refusals exactly.  ``fast_scans`` /
+``reference_scans`` count which route each per-GPU scan took.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Protocol
+from typing import Callable, Protocol
 
 from ..cluster.gpu import GPUDevice
 from .cache_manager import CacheManager
@@ -88,13 +88,11 @@ DEFAULT_O3_LIMIT = 25
 class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     """What a policy may observe and do; implemented by the Scheduler.
 
-    ``pass_work_remaining`` is the optional mid-pass narrowing probe: the
+    ``pass_work_remaining`` is the mid-pass narrowing probe: the
     Scheduler binds it to the policy's :class:`PassGuard` so a pass can
     stop walking idle GPUs the moment no remaining GPU can possibly act
-    (the same provable-no-op predicate that elides whole passes).
-    Implementations without it (unit-test fakes, the differential
-    suite's literal arm) simply run the full walk — policies look it up
-    with ``getattr(..., None)`` and never require it.
+    (the same provable-no-op predicate that elides whole passes).  None
+    (the differential suite's literal arm) runs the full walk.
     """
 
     global_queue: GlobalQueue
@@ -105,6 +103,12 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     #: Implementations whose may_dispatch can refuse requests MUST expose a
     #: non-None value here, or the fast paths will skip the admission probes.
     tenancy: object | None
+    #: every GPU in Alg. 1's use-frequency order (busy ones included); the
+    #: order does not change within a pass
+    gpus_by_frequency: list[GPUDevice]
+    pass_work_remaining: Callable[[], bool] | None
+    #: explain-mode cause log, or None
+    explain: object | None
 
     def idle_gpus(self) -> list[GPUDevice]: ...
     def idle_gpus_by_frequency(self) -> list[GPUDevice]: ...
@@ -118,13 +122,13 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     ) -> bool: ...
 
 
-_MISSING = object()
-
-
 def _admission_is_trivial(s: SchedulerOps) -> bool:
     """True when no ``may_dispatch`` probe can refuse for the rest of this
     scheduling pass, so an index-driven scan that skips the probes is
     decision-identical to the reference loop.
+
+    A pass asks once, at its first queue scan: idle GPUs only leave
+    mid-pass, so the worst case certified then bounds every later scan.
 
     Three cases:
 
@@ -133,15 +137,12 @@ def _admission_is_trivial(s: SchedulerOps) -> bool:
       the GlobalQueue's tenant index against the pass's worst case (at
       most one new model load per currently idle GPU), O(quota'd tenants)
       instead of a queue scan;
-    * anything else (a ``tenancy`` object without the probe, or an ops
-      implementation omitting the attribute) — fail safe: the reference
+    * a ``tenancy`` object without the probe — fail safe: the reference
       scans run and probe ``may_dispatch`` per request.
     """
-    tenancy = getattr(s, "tenancy", _MISSING)
+    tenancy = s.tenancy
     if tenancy is None:
         return True
-    if tenancy is _MISSING:
-        return False
     probe = getattr(tenancy, "pass_admission_trivial", None)
     if probe is None:
         return False
@@ -180,8 +181,9 @@ class LoadBalancingPolicy(SchedulingPolicy):
     guard = DispatchableWorkGuard()
 
     def schedule_pass(self, s: SchedulerOps) -> bool:
-        work = getattr(s, "pass_work_remaining", None)
+        work = s.pass_work_remaining
         progress = False
+        trivial = None  # the pass's admission certificate, read at its first scan
         for gpu in s.idle_gpus():
             if not gpu.is_idle:  # may have changed earlier in this pass
                 continue
@@ -191,7 +193,14 @@ class LoadBalancingPolicy(SchedulingPolicy):
                 s.dispatch_local_head(gpu)
                 progress = True
             else:
-                request = self._head(s, gpu)
+                if trivial is None:
+                    trivial = _admission_is_trivial(s)
+                if trivial:
+                    self.fast_scans += 1
+                    request = s.global_queue.head()  # O(1): admission cannot refuse it
+                else:
+                    self.reference_scans += 1
+                    request = self._head_reference(s, gpu)
                 if request is None:
                     continue
                 s.dispatch(request, gpu)
@@ -201,13 +210,6 @@ class LoadBalancingPolicy(SchedulingPolicy):
             if work is not None and not work():
                 return True
         return progress
-
-    def _head(self, s: SchedulerOps, gpu: GPUDevice) -> InferenceRequest | None:
-        if _admission_is_trivial(s):
-            self.fast_scans += 1
-            return s.global_queue.head()  # O(1): admission cannot refuse it
-        self.reference_scans += 1
-        return self._head_reference(s, gpu)
 
     @staticmethod
     def _head_reference(s: SchedulerOps, gpu: GPUDevice) -> InferenceRequest | None:
@@ -320,26 +322,37 @@ class LALBPolicy(SchedulingPolicy):
         self.name = "lalbo3" if limit > 0 else "lalb"
 
     def schedule_pass(self, s: SchedulerOps) -> bool:
-        work = getattr(s, "pass_work_remaining", None)
-        # explain mode: the Scheduler always defines the attribute (None
-        # when off), so this getattr stays on the found-attribute path
-        exp = getattr(s, "explain", None)
+        work = s.pass_work_remaining
+        exp = s.explain
         peek = s.local_queues.peek
         queue = s.global_queue
         progress = False
-        for gpu in s.idle_gpus_by_frequency():
-            if not gpu.is_idle:  # became busy earlier in this pass
+        fast = None  # the pass's scan route, picked at its first scan
+        for gpu in s.gpus_by_frequency:  # Alg. 1's order, stable within a pass
+            if not gpu.is_idle:  # busy, or dispatched to earlier in this pass
                 continue
             # Alg. 1 lines 2–5: local queue has absolute priority.
             if peek(gpu.gpu_id) is not None:
                 if exp is not None:
                     exp.note("alg1:local_queue_priority", gpu.gpu_id)
                 s.dispatch_local_head(gpu)
-                progress = True
-            elif queue._live == 0 or not self._schedule_gpu(s, gpu):
+            elif queue._live == 0:
                 continue
             else:
-                progress = True
+                if fast is None:
+                    # the queue's lazy starvation tracking must assume
+                    # *this* policy's limit (guards against policy swaps
+                    # mid-experiment)
+                    fast = queue._o3_limit == self.limit and _admission_is_trivial(s)
+                if fast:
+                    self.fast_scans += 1
+                    acted = self._schedule_gpu_fast(s, gpu)
+                else:
+                    self.reference_scans += 1
+                    acted = self._schedule_gpu_reference(s, gpu)
+                if not acted:
+                    continue
+            progress = True
             # narrowing: a dispatch just changed cluster/queue state; when
             # no remaining idle GPU can possibly act (queue drained, no
             # idle local work), the rest of the walk is provably a no-op
@@ -348,19 +361,6 @@ class LALBPolicy(SchedulingPolicy):
         return progress
 
     # ------------------------------------------------------------------
-    def _schedule_gpu(self, s: SchedulerOps, gpu: GPUDevice) -> bool:
-        if (
-            # the queue's lazy starvation tracking must assume *this*
-            # policy's limit (guards against policy swaps mid-experiment);
-            # read the private field — this check runs per idle-GPU scan
-            s.global_queue._o3_limit == self.limit
-            and _admission_is_trivial(s)
-        ):
-            self.fast_scans += 1
-            return self._schedule_gpu_fast(s, gpu)
-        self.reference_scans += 1
-        return self._schedule_gpu_reference(s, gpu)
-
     def _schedule_gpu_fast(self, s: SchedulerOps, gpu: GPUDevice) -> bool:
         """Index-driven Algorithm 1 for one idle GPU.
 
@@ -377,7 +377,7 @@ class LALBPolicy(SchedulingPolicy):
           lazy prefix update.
         """
         queue = s.global_queue
-        exp = getattr(s, "explain", None)
+        exp = s.explain
         acted = False
         # -- first scan (lines 6–16) --------------------------------------
         # strategy pick off two O(1) signals: when the queue (including
@@ -387,7 +387,7 @@ class LALBPolicy(SchedulingPolicy):
         # oldest-hit entry.
         hit = None  # oldest queued entry whose model is cached on `gpu`
         resident = s.cache.models_on(gpu.gpu_id)
-        if queue.scan_span() <= len(resident):
+        if len(queue._entries) - queue._head <= len(resident):
             hit = queue.first_entry_matching(resident)
         else:
             for model_id in resident:
@@ -442,7 +442,7 @@ class LALBPolicy(SchedulingPolicy):
         The literal O(queue) transcription of the paper's pseudocode; the
         fast path above must match it decision for decision.
         """
-        exp = getattr(s, "explain", None)
+        exp = s.explain
         acted = False
         # -- first scan (lines 6–16): look for a cache hit on this GPU ----
         for request in s.global_queue:
@@ -495,7 +495,7 @@ class LALBPolicy(SchedulingPolicy):
         * ``"blocked"`` — left in the global queue because the tenant's
           quota forbids starting a new GPU process (§VI extension).
         """
-        exp = getattr(s, "explain", None)
+        exp = s.explain
         locations = s.cache.locations(request.model_id)
         # Lines 1–3: not cached anywhere → allow the miss on GPUi
         # (subject to the tenant's quota on new GPU processes, §VI).

@@ -157,7 +157,9 @@ class GlobalQueue:
         #: (dead and starved ones linger until a scan passes them)
         self._irregular: list[_Entry] = []
         self._starved: list[_Entry] = []  # slot-ordered; may hold dead entries
-        self._starved_dead = 0
+        #: live requests past the O3 limit (the starvation/O3 signal): zero,
+        #: the common state, lets the LALB fast scan skip the line-11 sweep
+        self.starved_count = 0
         self._version = 0  # bumped whenever slots are renumbered
         # tenant-admissibility index (§VI isolation fast path): live entry
         # count and queued model-size histogram per tenant, so a
@@ -180,28 +182,6 @@ class GlobalQueue:
     def tracks_visits(self) -> bool:
         """Whether lazy O3-visit accounting is active (LALB fast path)."""
         return self._o3_limit is not None
-
-    @property
-    def starved_count(self) -> int:
-        """Live requests past the O3 limit (the starvation/O3 signal).
-
-        O(1): the starved list and its dead count are both maintained
-        incrementally.  The LALB fast scan consults this before walking
-        the starved set at all — zero (the overwhelmingly common state)
-        elides the whole Alg. 1 line-11 sweep.
-        """
-        return len(self._starved) - self._starved_dead
-
-    def scan_span(self) -> int:
-        """Upper bound on the slots a live in-order walk must visit.
-
-        This is the queue-length signal the first-scan strategy pick
-        consults: when the span undercuts the number of models resident
-        on the GPU, walking the queue beats one index probe per resident
-        model.  Counts holes after the head cursor, so it bounds the true
-        cost of :meth:`first_entry_matching`, not just the live count.
-        """
-        return len(self._entries) - self._head
 
     def __contains__(self, request: InferenceRequest) -> bool:
         return request.request_id in self._by_id
@@ -328,7 +308,7 @@ class GlobalQueue:
             # fold the skip count into the request's eager ``visits``
             visits = entry.visits_at_entry
             if entry.starved:
-                self._starved_dead += 1
+                self.starved_count -= 1
             elif entry.attached:
                 # one read: the counter holds nothing per entry to undo
                 visits += self._counter.cover(entry.slot) - entry.cov0
@@ -379,9 +359,9 @@ class GlobalQueue:
         """Oldest live entry whose model is in ``model_ids`` (a set).
 
         The queue-walk half of the first-scan strategy pick: cost is
-        bounded by :meth:`scan_span`, so callers choose it exactly when
-        the queue is shorter than the GPU's resident-model list and the
-        per-model index probes would cost more.  Equivalent to taking the
+        bounded by the slots past the head cursor, so callers choose it
+        exactly when those are fewer than the GPU's resident models and
+        the per-model index probes would cost more.  Equivalent to taking the
         minimum slot over ``first_entry_for_model`` of every member.
         """
         entries = self._entries
@@ -456,9 +436,8 @@ class GlobalQueue:
         2 before the scan may dispatch its cache hit at ``stop_slot``.
         """
         starved = self._starved
-        if self._starved_dead * 2 > len(starved):
+        if (len(starved) - self.starved_count) * 2 > len(starved):  # mostly dead
             self._starved = starved = [e for e in starved if e.alive]
-            self._starved_dead = 0
         out = []
         for entry in starved:
             if stop_slot is not None and entry.slot >= stop_slot:
@@ -538,6 +517,7 @@ class GlobalQueue:
         if entry.attached:
             self._attached -= 1
         entry.starved = True
+        self.starved_count += 1
         insort(self._starved, entry, key=_entry_slot)
 
     def _attach_visits(self, entry: _Entry) -> None:
@@ -613,9 +593,8 @@ class GlobalQueue:
         self._keys = [e.key for e in alive]
         self._head = 0
         self._version += 1
-        if self._starved_dead:
+        if len(self._starved) != self.starved_count:
             self._starved = [e for e in self._starved if e.alive]
-            self._starved_dead = 0
         if self._counter is not None:
             self._chain_from = 0
             if self._irregular:

@@ -70,6 +70,7 @@ class Scheduler:
         self.gpu = cluster.gpu
         self.idle_gpus = cluster.idle_gpus
         self.idle_gpus_by_frequency = cluster.idle_gpus_by_frequency
+        self.gpus_by_frequency = cluster.by_frequency
         self.busy_gpus = cluster.busy_gpus
         self.policy = policy
         self.cache = cache
@@ -125,15 +126,12 @@ class Scheduler:
         self.passes_executed = 0
         #: passes proven no-ops by the guard and skipped
         self.passes_elided = 0
-        #: the mid-pass narrowing probe policies look up with getattr; an
-        #: instance attribute so the lookup stays a dict hit (None keeps
-        #: the policies on the full walk of every idle GPU)
+        #: the mid-pass narrowing probe the policies read once per pass
+        #: (None keeps them on the full walk of every idle GPU)
         self.pass_work_remaining = self._pass_work_remaining
         #: flight recorder, installed by the runtime when tracing is on
         self._tracer = None
-        #: ExplainLog when SystemConfig(trace_decisions=True); always
-        #: defined so the policies' getattr probe stays on the cheap
-        #: found-attribute path
+        #: ExplainLog when SystemConfig(trace_decisions=True), else None
         self.explain = None
 
     # ------------------------------------------------------------------
@@ -361,15 +359,27 @@ class Scheduler:
 
         The dispatch carries the GPU address (server IP + device name) as
         §III-B describes; it is recorded on the request for the logs.
+        (:meth:`_record` and :meth:`_execute`, written out in line.)
         """
         self.global_queue.remove(request)
-        kind = (
+        gpu_id = gpu.gpu_id
+        model_id = request.model_id
+        self._append_decision(
+            self.sim._now,
             DecisionKind.DISPATCH_HIT
-            if self.cache.is_cached_on(request.model_id, gpu.gpu_id)
-            else DecisionKind.DISPATCH_MISS
+            if self.cache.is_cached_on(model_id, gpu_id)
+            else DecisionKind.DISPATCH_MISS,
+            request.request_id,
+            model_id,
+            gpu_id,
+            request._visits,
         )
-        self._record(kind, request, gpu.gpu_id)
-        self._execute(request, gpu)
+        if self.explain is not None:
+            self.explain.attach(self.decisions.last(1)[0])
+        slot = gpu._sched_slot
+        request.gpu_address = self._address_by_slot[slot]
+        self._manager_by_slot[slot].execute(request, gpu)
+        self.dispatched_count += 1
 
     def dispatch_local_head(self, gpu: GPUDevice) -> None:
         """Serve the head of ``gpu``'s local queue (Alg. 1 lines 2–5)."""
@@ -389,9 +399,10 @@ class Scheduler:
 
     def _record(self, kind: DecisionKind, request: InferenceRequest, gpu_id: str | None) -> None:
         # cached bound method + direct _now read: one row is appended per
-        # scheduling action, and only explain mode mints the named view
+        # scheduling action, and only explain mode mints the named view.
+        # The request sits in no global queue here: ``_visits`` is exact.
         self._append_decision(
-            self.sim._now, kind, request.request_id, request.model_id, gpu_id, request.visits
+            self.sim._now, kind, request.request_id, request.model_id, gpu_id, request._visits
         )
         explain = self.explain
         if explain is not None:

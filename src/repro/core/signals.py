@@ -12,13 +12,15 @@ module supplies the two halves the scheduling engine needs:
   signal                published by
   ====================  ==============================================
   idle-set delta        :class:`~repro.cluster.topology.Cluster`
-                        (``idle_count`` and the incrementally
-                        maintained frequency-ordered idle view)
+                        (``idle_count``, which every GPU state change
+                        updates in line, and ``by_frequency``: all GPUs
+                        in use-frequency order, re-filed only as a GPU
+                        returns to idle, so a pass walks it in place)
   queue length / heads  :class:`~repro.core.queues.GlobalQueue`
-                        (O(1) ``len``, per-model head index,
-                        ``scan_span``)
+                        (O(1) ``len``, per-model head index, the scan
+                        span past the head cursor)
   starved/O3 counter    :class:`~repro.core.queues.GlobalQueue`
-                        (``starved_count``)
+                        (the ``starved_count`` field)
   cache residency       :class:`~repro.core.cache_manager.CacheManager`
                         (``models_on`` — an O(1) cached frozenset, so
                         both membership and cardinality are signals)

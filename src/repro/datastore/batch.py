@@ -25,10 +25,11 @@ semantics between flushes.
 
 Ephemeral keys accumulate, coalesce and overlay exactly like durable keys.
 They differ at the commit: :meth:`WriteBatch.flush` applies them to the
-store's live view in line, storing one exact-tuple row per ephemeral key
-and nothing else (no history, no snapshot of the batch); durable keys go
-through ``KVStore._apply_put``.  A lease carried by a put (the health
-watchdog's) attaches to its key once the commit has a revision.
+store's live view in line, storing (or dropping) one exact-tuple row per
+ephemeral key and nothing else (no history, no snapshot of the batch);
+durable keys go through ``KVStore._apply_put`` / ``_apply_delete``.  A
+lease carried by a put (the health watchdog's) attaches to its key once
+the commit has a revision.
 """
 
 from __future__ import annotations
@@ -275,7 +276,12 @@ class WriteBatch:
                 else:
                     store._apply_put(key, entry[1], fresh=entry[2])
             elif key in live:
-                store._apply_delete(key)
+                if eph and key.startswith(eph):  # _apply_delete's lane, in line
+                    del live[key]
+                    store._sorted_keys = None
+                    eph_count += 1
+                else:
+                    store._apply_delete(key)
             else:
                 continue
             count += 1

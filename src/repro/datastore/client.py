@@ -124,8 +124,9 @@ class Datastore:
         if not pending._pending:
             return 0
         committed = pending.flush().count
-        if self.autocompact_keep is not None:
-            self._autocompact()
+        keep, kv = self.autocompact_keep, self.kv
+        if keep is not None and kv._revision - kv._compacted > 2 * keep:
+            kv.compact(kv._revision - keep)  # _autocompact, in line
         return committed
 
     def _autocompact(self) -> None:
@@ -159,6 +160,7 @@ class DatastoreClient:
             # frame per put below the component)
             self.put = store.pending.put
             self.put_lazy = store.pending.put_lazy
+            self.discard = store.pending.delete
 
     # ------------------------------------------------------------------
     def _k(self, key: str) -> str:
@@ -228,6 +230,10 @@ class DatastoreClient:
             return existed
         self._store.stats.logical_writes += 1
         return self._store.kv.delete(full)
+
+    def discard(self, key: str) -> None:
+        """:meth:`delete`, minus the existence check (overlay read)."""
+        self.delete(key)
 
     def range(self, prefix: str) -> dict[str, Any]:
         """Live key→value pairs under ``prefix`` (namespace stripped).

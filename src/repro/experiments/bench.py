@@ -58,7 +58,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from ..traces.workload import WorkloadSpec
+    from ..runtime import SystemConfig
+    from ..traces.workload import StreamingWorkload, Workload
 
 __all__ = [
     "run_bench",
@@ -416,12 +417,17 @@ def _subsystem_rollup(stats) -> list[tuple[str, float, int]]:
     )
 
 
-def profile_replay(spec: WorkloadSpec):
-    """cProfile the replay of ``spec`` under the default configuration;
-    returns ``(profiler, total calls, requests completed)``.
+def profile_replay(
+    workload: Workload | StreamingWorkload, config: SystemConfig | None = None
+):
+    """cProfile the replay of ``workload`` under ``config`` (default
+    ``SystemConfig()``); returns ``(profiler, total calls, completed)``.
 
     The profiled window is the one ``benchmarks/e2e`` times: materialize
-    the request objects → ``submit_workload`` → ``run``.  The call count
+    the request objects → ``submit_workload`` → ``run``, or for a
+    :class:`~repro.traces.StreamingWorkload` the chunked
+    ``submit_workload_streaming`` → ``run`` (pair it with a
+    :func:`~repro.runtime.streaming_config`).  The call count
     is exact — the same to the digit run to run under one
     ``PYTHONHASHSEED`` and within 0.01 calls/request under another — so
     ``tests/experiments/test_call_budget.py`` gates on it.  It is summed
@@ -432,15 +438,16 @@ def profile_replay(spec: WorkloadSpec):
     import cProfile
 
     from ..runtime import FaaSCluster, SystemConfig
-    from ..traces.azure import SyntheticAzureTrace
-    from ..traces.workload import build_workload
+    from ..traces.workload import StreamingWorkload
 
-    workload = build_workload(spec, trace=SyntheticAzureTrace())
-    system = FaaSCluster(SystemConfig())
+    system = FaaSCluster(config or SystemConfig())
     profiler = cProfile.Profile()
     profiler.enable()
-    workload.requests  # built once here, reused by submit_workload
-    system.submit_workload(workload)
+    if isinstance(workload, StreamingWorkload):
+        system.submit_workload_streaming(workload)
+    else:
+        workload.requests  # built once here, reused by submit_workload
+        system.submit_workload(workload)
     system.run()
     profiler.disable()
     total_calls = sum(entry.callcount for entry in profiler.getstats())
@@ -460,9 +467,11 @@ def run_profile(n_requests: int = 2000, top: int = 25) -> None:
     """
     import pstats
 
-    from ..traces.workload import spec_for_requests
+    from ..traces.workload import build_workload, spec_for_requests
 
-    profiler, total_calls, completed = profile_replay(spec_for_requests(n_requests))
+    profiler, total_calls, completed = profile_replay(
+        build_workload(spec_for_requests(n_requests))
+    )
     print(f"§V-A replay, {completed} requests completed — top {top} by cumulative time:")
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)

@@ -71,6 +71,9 @@ class ExperimentConfig:
     #: :data:`repro.chaos.FAULT_PROFILES`)
     fault_profile: str = "none"
 
+    def __post_init__(self) -> None:
+        self.system_config()  # a typo fails here, not in a sweep worker
+
     def label(self) -> str:
         base = (
             f"lalbo3(limit={self.o3_limit})" if self.policy == "lalbo3" else self.policy

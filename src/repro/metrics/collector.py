@@ -189,6 +189,8 @@ class MetricsCollector:
         self._models = _Interner()
         self._gpus = _Interner()
         self._archs = _Interner()
+        #: model_id -> (model code, architecture code), resolved once
+        self._model_codes: dict[str, tuple[int, int]] = {}
         self._n = 0
         #: completions the window holds before it closes (None = never)
         self.exact_cap = exact_cap
@@ -223,13 +225,19 @@ class MetricsCollector:
             self.miss_count += 1
         if request.false_miss:
             self.false_miss_count += 1
+        codes = self._model_codes.get(model_id)
+        if codes is None:
+            codes = self._model_codes[model_id] = (
+                self._models.code(model_id),
+                self._archs.code(request.model.architecture),
+            )
         row = (
             request.arrival_time,
             request.dispatched_at if request.dispatched_at is not None else np.nan,
             request.completed_at,
-            self._models.code(model_id),
+            codes[0],
             self._gpus.code(request.gpu_id or "?"),
-            self._archs.code(request.model.architecture),
+            codes[1],
             -1 if hit is None else (1 if hit else 0),
             request.false_miss,
             request.sla_s if request.sla_s is not None else np.nan,
@@ -265,11 +273,13 @@ class MetricsCollector:
         t = s + queue
         self._queue_sum_c += (s - t) + queue if abs(s) >= abs(queue) else (queue - t) + s
         self._queue_sum = t
-        self.lat_hist.record(lat)
+        # both histograms have the default geometry: one bucket lookup
+        bucket = self.lat_hist._bucket(lat)
+        self.lat_hist.record(lat, bucket)
         stats = self._arch_stats.get(arch)
         if stats is None:
             stats = self._arch_stats[arch] = _ArchStream()
-        stats.hist.record(lat)
+        stats.hist.record(lat, bucket)
         if hit == 0:
             stats.misses += 1
 

@@ -106,9 +106,12 @@ class LogHistogram:
         last = self._n_buckets - 1
         return last if i > last else i
 
-    def record(self, value: float) -> None:
-        """Fold one sample in (O(1), no allocation)."""
-        self.counts[self._bucket(value)] += 1
+    def record(self, value: float, bucket: int | None = None) -> None:
+        """Fold one sample in (O(1), no allocation); ``bucket``, when given,
+        is ``value``'s, as a histogram of the same geometry computed it."""
+        if bucket is None:
+            bucket = self._bucket(value)
+        self.counts[bucket] += 1
         self.count += 1
         if value < self.min:
             self.min = value

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from ..chaos.plan import FAULT_PROFILES, FaultPlan
 from ..cluster.topology import PAPER_TESTBED, ClusterSpec
 from ..core.policies import DEFAULT_O3_LIMIT
+from ..core.replacement import POLICY_NAMES as REPLACEMENT_NAMES
 from ..core.tenancy import TenantQuota
 
 __all__ = [
@@ -130,6 +131,8 @@ class SystemConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.o3_limit < 0:
             raise ValueError("o3_limit cannot be negative")
+        if self.replacement not in REPLACEMENT_NAMES:
+            raise ValueError(f"unknown replacement policy {self.replacement!r}")
         if self.kv_autocompact_keep is not None and self.kv_autocompact_keep < 1:
             raise ValueError("kv_autocompact_keep must be >= 1 when set")
         if self.latency_log_keep is not None and self.latency_log_keep < 1:

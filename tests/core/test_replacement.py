@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.replacement import (
+    POLICY_NAMES,
     BeladyPolicy,
     FIFOPolicy,
     LFUPolicy,
@@ -10,6 +11,8 @@ from repro.core.replacement import (
     SizeAwarePolicy,
     make_policy,
 )
+from repro.experiments.sweep import SweepSpec
+from repro.runtime import FaaSCluster, SystemConfig
 
 
 class TestLRU:
@@ -158,3 +161,22 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_policy("belady")  # needs its oracle, not creatable by name
+
+
+class TestSystemConfigReplacement:
+    """A replacement name ``make_policy`` cannot build fails at the config,
+    not later inside ``FaaSCluster`` (or a sweep worker)."""
+
+    @pytest.mark.parametrize("name", ["bogus", "LRU", "belady", ""])
+    def test_unknown_replacement_rejected(self, name):
+        with pytest.raises(ValueError, match="replacement"):
+            SystemConfig(replacement=name)
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_every_known_replacement_builds(self, name):
+        system = FaaSCluster(SystemConfig(replacement=name))
+        assert system.config.replacement == name
+
+    def test_sweep_typo_fails_at_expansion(self):
+        with pytest.raises(ValueError, match="replacement"):
+            SweepSpec(replacements=("lru", "lur")).cells()

@@ -3,15 +3,18 @@
 cProfile's call count over a replay is the same to the digit run to run
 under one hash seed and moves by < 0.01 calls/request under another, so
 one forwarding hop re-added on the per-request path reads as +1.00 here,
-where a wall-clock benchmark on a shared box cannot resolve 5 %.  Two
-shapes, because the global queue takes a different route on each: the 2k
-§V-A replay never queues more than a handful of requests (O3 skips are
-counted eagerly on the unattached tail), the over-capacity replay holds
-6,086 of its 8,000 requests in the global queue when arrivals stop at
-t = 240 s (skips are read off the bump counter).  The gate leaves 3 %
-(six calls per request) for interpreter differences; ``make profile``
-prints the shallow number with a per-subsystem breakdown to compare
-against ``ACHIEVED`` directly.
+where a wall-clock benchmark on a shared box cannot resolve 5 %.  Three
+shapes, because each takes a route the others skip: the 2k §V-A replay
+never queues more than a handful of requests (O3 skips are counted
+eagerly on the unattached tail), the over-capacity replay holds 6,086 of
+its 8,000 requests in the global queue when arrivals stop at t = 240 s
+(skips are read off the bump counter), and the streaming replay runs
+past all three of :func:`~repro.runtime.streaming_config`'s caps (closed
+metrics window folding into histograms, MVCC autocompaction, the
+latency-log window's per-completion delete).  The gate leaves 3 % (4.2
+calls per request shallow, 3.8 deep, 4.7 streaming) for interpreter
+differences; ``make profile`` prints the shallow number with a
+per-subsystem breakdown to compare against ``ACHIEVED`` directly.
 """
 
 import sys
@@ -19,14 +22,27 @@ import sys
 import pytest
 
 from repro.experiments.bench import profile_replay
-from repro.traces import WorkloadSpec, spec_for_requests
+from repro.runtime import streaming_config
+from repro.traces import (
+    WorkloadSpec,
+    build_workload,
+    build_workload_streaming,
+    spec_for_requests,
+)
 
 SHALLOW_2K = spec_for_requests(2000)
 DEEP_8K = WorkloadSpec(working_set=25, minutes=4, requests_per_minute=2000, seed=0)
+STREAM_4K = spec_for_requests(4000)
+#: every bounded-memory cap at 250, so ~80 % of the 3,900 completions run
+#: past all three
+STREAM_CONFIG = streaming_config(
+    metrics_exact_cap=250, kv_autocompact_keep=250, latency_log_keep=250
+)
 
 #: calls per request at this commit (± 0.01 across hash seeds); the parent
-#: commit read 176.33 shallow and 159.76 deep.  They may only go down.
-ACHIEVED = {"shallow": 176.27, "deep": 159.43}
+#: commit read 176.25 shallow, 159.43 deep and 205.91 streaming.  They may
+#: only go down.
+ACHIEVED = {"shallow": 138.58, "deep": 125.82, "stream": 156.70}
 #: headroom for interpreter-version differences in what counts as a call
 HEADROOM = 1.03
 
@@ -36,8 +52,8 @@ needs_the_profiler = pytest.mark.skipif(
 )
 
 
-def _assert_within_budget(shape, spec, requests):
-    _, total_calls, completed = profile_replay(spec)
+def _assert_within_budget(shape, requests, workload, config=None):
+    _, total_calls, completed = profile_replay(workload, config)
     assert completed == requests
     per_request = total_calls / completed
     budget = ACHIEVED[shape] * HEADROOM
@@ -50,9 +66,16 @@ def _assert_within_budget(shape, spec, requests):
 
 @needs_the_profiler
 def test_calls_per_request_within_budget():
-    _assert_within_budget("shallow", SHALLOW_2K, 1950)
+    _assert_within_budget("shallow", 1950, build_workload(SHALLOW_2K))
 
 
 @needs_the_profiler
 def test_deep_queue_calls_per_request_within_budget():
-    _assert_within_budget("deep", DEEP_8K, 8000)
+    _assert_within_budget("deep", 8000, build_workload(DEEP_8K))
+
+
+@needs_the_profiler
+def test_streaming_calls_per_request_within_budget():
+    _assert_within_budget(
+        "stream", 3900, build_workload_streaming(STREAM_4K), STREAM_CONFIG
+    )
