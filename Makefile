@@ -1,31 +1,14 @@
 # Convenience targets for the conf_ipps_ZhaoJH23 reproduction.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check parity profile figures sweep trace
+.PHONY: test parity profile figures sweep trace
 
 ## Tier-1 verification: the full unit/property/benchmark suite.
+## Replay-path performance (throughput, RSS, per-layer cost on the four
+## §V workloads) is measured separately:
+##   python benchmarks/e2e/run.py [--traced]      # BENCHMARK.json
 test:
 	python -m pytest -x -q
-
-## Micro ledger: runs benchmarks/test_scheduler_overhead.py under
-## pytest-benchmark (pass cost at queue depths 100/2k/20k + the index
-## micro-benches), measures the flight recorder's on/off overhead on the
-## 2k §V-A replay and the sweep orchestrator's grid scaling at 1/2/4
-## workers (+ resume-from-store), and writes BENCH_scheduler.json
-## (committed).  Replay-path performance — throughput, RSS, per-layer
-## cost on the four §V workloads — is not measured here:
-##   python benchmarks/e2e/run.py [--traced]      # BENCHMARK.json
-bench:
-	python -m repro.experiments bench
-
-## Gate the committed micro ledger: fails when the 20k/2k pass-cost ratio
-## exceeds 3x, the flight recorder costs > 5% over tracer-off, exports an
-## invalid trace or changes a decision (docs/observability.md), the
-## sharded sweep's merged payload drifts from the sequential one, resume
-## of a completed sweep stops being served from the store in <1 s, or (on
-## >=2-core machines) the 4-worker grid speedup drops below 1.5x.
-bench-check:
-	python -m repro.experiments bench-check
 
 ## Production vs the all-literal reference system: decisions + final KV
 ## state (quick hot-path sanity).
@@ -42,14 +25,14 @@ parity:
 ## total calls/request is exact run to run;
 ## tests/experiments/test_call_budget.py gates it on this shallow replay,
 ## on an over-capacity one whose global queue runs 6k deep and on a
-## streaming one past its caps (experiments.bench.profile_replay takes
+## streaming one past its caps (experiments.profile.profile_replay takes
 ## any Workload or StreamingWorkload plus a SystemConfig); CI runs this
 ## target with PYTHONHASHSEED=0 right before that gate.
 ##   make profile                          # 2k requests
 ##   make profile PROFILE_REQUESTS=20000   # deeper replay
 PROFILE_REQUESTS ?= 2000
 profile:
-	python -m repro.experiments profile --profile-requests $(PROFILE_REQUESTS)
+	python -m repro.experiments profile --requests $(PROFILE_REQUESTS)
 
 ## Flight-recorder replay: run the 2k §V-A workload with tracing on and
 ## write a Perfetto-loadable trace.json plus the run's counters as

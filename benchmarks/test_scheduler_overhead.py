@@ -10,6 +10,7 @@ as the queue grows, unlike a linear scan.
 """
 
 import os
+import sys
 import time
 
 import pytest
@@ -167,11 +168,7 @@ def _one_pass_best(depth: int, *, run_pass=_one_pass, rounds: int = 5) -> float:
 
 @pytest.mark.parametrize("depth", PASS_DEPTHS)
 def test_scheduling_scan_cost_at_depth(benchmark, depth):
-    """Index-driven first scan with the cache hit at the tail of the queue.
-
-    Exported to ``BENCH_scheduler.json`` by ``python -m repro.experiments
-    bench`` as the per-depth pass-cost trajectory.
-    """
+    """Index-driven first scan with the cache hit at the tail of the queue."""
 
     def setup():
         system = _system_with_hit_at_tail(depth)
@@ -179,6 +176,33 @@ def test_scheduling_scan_cost_at_depth(benchmark, depth):
 
     progress = benchmark.pedantic(_one_pass, setup=setup, rounds=5, iterations=1)
     assert progress is True
+
+
+def test_pass_call_count_is_depth_independent():
+    """§VI's bound as an exact count: one working pass makes the same
+    number of Python and builtin calls at every queue depth.
+
+    cProfile's count does not move with machine load, so this holds on
+    any box.  It sees every per-entry call (a method, property or builtin
+    per queued request); an inline loop that calls nothing is left to the
+    wall-clock ratio test below.
+    """
+    import cProfile
+
+    if sys.getprofile() is not None:
+        pytest.skip("another profiler is installed in this process")
+
+    def calls_at(depth: int) -> int:
+        system = _system_with_hit_at_tail(depth)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        progress = _one_pass(system)
+        profiler.disable()
+        assert progress is True
+        return sum(entry.callcount for entry in profiler.getstats())
+
+    calls = {depth: calls_at(depth) for depth in PASS_DEPTHS}
+    assert len(set(calls.values())) == 1, calls
 
 
 #: set REPRO_PERF_ASSERTS=0 to demote the wall-clock ratio assertions on

@@ -9,8 +9,6 @@ Usage::
     python -m repro.experiments fig7
     python -m repro.experiments all --workers 4 --store .sweep-results
     python -m repro.experiments sweep --workers 4 --store .sweep-results
-    python -m repro.experiments bench        # micro benches → BENCH_scheduler.json
-    python -m repro.experiments bench-check  # gate the committed trajectory
     python -m repro.experiments profile      # cProfile the 2k §V-A replay
     python -m repro.experiments trace        # traced 2k replay → trace.json (Perfetto) + trace.prom
     python -m repro.experiments explain 42   # why request #42 was scheduled the way it was
@@ -61,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
         "target",
         choices=[
             "table1", "fig4", "fig5", "fig6", "fig7", "ablations", "sweep",
-            "bench", "bench-check", "profile", "trace", "explain", "all",
+            "profile", "trace", "explain", "all",
         ],
     )
     parser.add_argument(
@@ -71,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--requests", type=int, default=2000,
-        help="replay size for the trace/explain targets (default 2000)",
+        help="replay size for the profile/trace/explain targets (default 2000)",
     )
     parser.add_argument(
         "--trace-out", default="trace.json",
@@ -80,13 +78,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace-spill", default=None, metavar="PATH",
         help="optional JSONL spill of decimated request records (trace target)",
-    )
-    parser.add_argument(
-        "--bench-output", default=None, help="path for the bench JSON report"
-    )
-    parser.add_argument(
-        "--profile-requests", type=int, default=2000,
-        help="replay size for the profile target (default: the 2k §V-A replay)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -168,30 +159,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    if args.target == "bench":
-        from .bench import run_bench
-
-        run_bench(args.bench_output)
-        return 0
-
     if args.target == "profile":
-        from .bench import run_profile
+        from .profile import run_profile
 
-        run_profile(n_requests=args.profile_requests)
-        return 0
-
-    if args.target == "bench-check":
-        from .bench import check_bench
-
-        problems = check_bench(args.bench_output)
-        if problems:
-            for problem in problems:
-                print(f"BENCH CHECK FAILED: {problem}", file=sys.stderr)
-            return 1
-        print(
-            "bench check ok: depth scaling, tracer overhead, and sweep "
-            "scaling/resume within gates"
-        )
+        run_profile(n_requests=args.requests, seed=args.seed)
         return 0
 
     if args.target == "table1":

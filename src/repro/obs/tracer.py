@@ -31,11 +31,11 @@ extra collections than the hooks themselves.  So instead:
 * wall-clock probes (``perf_counter_ns``) run only around the two spans
   whose duration is wall time (scheduler passes, KV commits), and only
   when a tracer is installed;
-* the two wall-span rings are **stride-sampled** (``span_stride``, from
-  ``SystemConfig.trace_span_stride``): every Nth span pays the clock
-  probes and the ring write, the rest only bump the exact ``totals``
-  counters.  Passes and commits outnumber request completions ~3:1 on
-  the §V-A replay and their per-span bodies are the µs-scale cost that
+* the two wall-span rings are **stride-sampled** (``span_stride``,
+  default 16): every Nth span pays the clock probes and the ring write,
+  the rest only bump the exact ``totals`` counters.  Passes and commits
+  outnumber request completions ~3:1 on the §V-A replay and their
+  per-span bodies are the µs-scale cost that
   would otherwise dominate tracer-on overhead — the same trade every
   sampling profiler makes.  The request-lifecycle and instant rings are
   never sampled: every completion and every chaos/cache event records.
@@ -131,14 +131,22 @@ class _Spill:
 
 
 class FlightRecorder:
-    """Slot-indexed flight recorder over fixed-capacity ring buffers."""
+    """Slot-indexed flight recorder over fixed-capacity ring buffers.
+
+    The defaults are what ``SystemConfig(tracer="flight")`` installs:
+    ``capacity`` 4096 per ring holds every span of the 2k-request §V-A
+    replay (~3.1k commits is its largest ring load) with a small cache
+    footprint; ``span_stride=1`` records every pass and commit span
+    instead of every 16th; ``spill_keep`` is the lines admitted per
+    decimation level of the JSONL spill.
+    """
 
     def __init__(
         self,
         sim,
         *,
-        capacity: int = 65536,
-        span_stride: int = 1,
+        capacity: int = 4096,
+        span_stride: int = 16,
         spill_path: str | None = None,
         spill_keep: int = 20_000,
     ) -> None:

@@ -99,20 +99,6 @@ class SystemConfig:
     #: request lifecycles, scheduler passes, KV commits, and chaos/cache
     #: instants for Chrome-trace export (see ``docs/observability.md``)
     tracer: str = "null"
-    #: per-ring capacity of the flight recorder (records past it
-    #: overwrite oldest-first; ``dropped`` counts what was lost).  The
-    #: default retains every span of the 2k-request §V-A replay (~3.1k
-    #: commits is its largest ring load) while keeping the rings' cache
-    #: footprint small enough to stay inside the bench overhead gate
-    tracer_capacity: int = 4096
-    #: wall-span sampling stride for the two high-rate rings (scheduler
-    #: passes, KV commits): every Nth span pays the clock probes and the
-    #: ring write, the rest only bump the exact ``totals`` counters.
-    #: The request-lifecycle and instant rings always record every
-    #: event.  Passes and commits outnumber requests ~3:1 on the §V-A
-    #: replay, and sampling them is what holds tracer-on overhead
-    #: inside the bench gate; ``1`` records every span (full fidelity)
-    trace_span_stride: int = 16
     #: scheduler explain mode: annotate every DecisionLog entry with a
     #: structured :class:`~repro.obs.Cause` — the pass that produced it,
     #: the dirty-signal state that armed the pass, and the policy's
@@ -121,10 +107,8 @@ class SystemConfig:
     trace_decisions: bool = False
     #: optional JSONL path: the flight recorder tees request records
     #: there with stride-doubling decimation (bounded like the streaming
-    #: tier: at most ``trace_spill_keep × (1 + log2(n/keep))`` lines)
+    #: tier: at most ``keep × (1 + log2(n/keep))`` lines)
     trace_spill_path: str | None = None
-    #: lines admitted per decimation level of the trace spill
-    trace_spill_keep: int = DEFAULT_STREAMING_COMPACT_KEEP
 
     def __post_init__(self) -> None:
         if self.policy not in ("lb", "locality", "lalb", "lalbo3"):
@@ -158,14 +142,8 @@ class SystemConfig:
             raise ValueError("metrics_exact_cap cannot be negative")
         if self.tracer not in ("null", "flight"):
             raise ValueError(f"unknown tracer {self.tracer!r} (known: null, flight)")
-        if self.tracer_capacity < 16:
-            raise ValueError("tracer_capacity must be >= 16")
-        if self.trace_span_stride < 1:
-            raise ValueError("trace_span_stride must be >= 1")
         if self.trace_spill_path is not None and self.tracer != "flight":
             raise ValueError('trace_spill_path requires tracer="flight"')
-        if self.trace_spill_keep < 1:
-            raise ValueError("trace_spill_keep must be >= 1")
 
 
 def streaming_config(**overrides) -> SystemConfig:

@@ -63,11 +63,7 @@ class FaaSCluster:
         self.tracer: FlightRecorder | None = None
         if self.config.tracer == "flight":
             self.tracer = FlightRecorder(
-                self.sim,
-                capacity=self.config.tracer_capacity,
-                span_stride=self.config.trace_span_stride,
-                spill_path=self.config.trace_spill_path,
-                spill_keep=self.config.trace_spill_keep,
+                self.sim, spill_path=self.config.trace_spill_path
             )
             self.metrics.tracer = self.tracer
             self.datastore.pending._tracer = self.tracer

@@ -106,7 +106,7 @@ class WorkloadSpec:
 def spec_for_requests(n_requests: int, *, seed: int = 0) -> WorkloadSpec:
     """The §V-A spec (working set 15, 325 req/min) sized in whole minutes
     to roughly ``n_requests`` — the replay the trace / explain / profile
-    targets and the observability bench share."""
+    targets share."""
     minutes = max(1, round(n_requests / PAPER_REQUESTS_PER_MINUTE))
     return WorkloadSpec(working_set=15, minutes=minutes, seed=seed)
 

@@ -1,9 +1,9 @@
 """FaultPlan construction: seeded determinism and validation.
 
 A plan is pure data; every guarantee downstream (byte-identical chaos
-replays, the bench gates, the sweep's fault axis) rests on
-``build_fault_plan`` being a pure function of (profile, seed, horizon,
-gpus).
+replays, the differential suite's fault arms, the sweep's fault axis)
+rests on ``build_fault_plan`` being a pure function of (profile, seed,
+horizon, gpus).
 """
 
 from dataclasses import dataclass, replace

@@ -15,14 +15,21 @@ latency-log window's per-completion delete).  The gate leaves 3 % (4.2
 calls per request shallow, 3.8 deep, 4.7 streaming) for interpreter
 differences; ``make profile`` prints the shallow number with a
 per-subsystem breakdown to compare against ``ACHIEVED`` directly.
+
+A fourth shape is the flight recorder's cost contract: the shallow
+replay under ``SystemConfig(tracer="flight")`` may cost at most one call
+per request more than the untraced one.  Its span sampling is what keeps
+it there — at ``span_stride=1`` the same replay reads ~8.9 calls/request
+above untraced, so a hook that stops being sampled fails by ~8 calls.
 """
 
 import sys
 
 import pytest
 
-from repro.experiments.bench import profile_replay
-from repro.runtime import streaming_config
+from repro.experiments.__main__ import main
+from repro.experiments.profile import profile_replay
+from repro.runtime import SystemConfig, streaming_config
 from repro.traces import (
     WorkloadSpec,
     build_workload,
@@ -39,12 +46,14 @@ STREAM_CONFIG = streaming_config(
     metrics_exact_cap=250, kv_autocompact_keep=250, latency_log_keep=250
 )
 
-#: calls per request at this commit (± 0.01 across hash seeds); the parent
-#: commit read 176.25 shallow, 159.43 deep and 205.91 streaming.  They may
-#: only go down.
-ACHIEVED = {"shallow": 138.58, "deep": 125.82, "stream": 156.70}
+#: calls per request at this commit (± 0.01 across hash seeds); the
+#: commit before the straight-line request lifecycle read 176.25 shallow,
+#: 159.43 deep and 205.91 streaming.  They may only go down.
+ACHIEVED = {"shallow": 138.58, "traced": 139.17, "deep": 125.82, "stream": 156.70}
 #: headroom for interpreter-version differences in what counts as a call
 HEADROOM = 1.03
+#: the flight recorder's whole per-request budget, traced − shallow
+TRACER_CALLS_PER_REQUEST = 1.0
 
 
 needs_the_profiler = pytest.mark.skipif(
@@ -52,7 +61,7 @@ needs_the_profiler = pytest.mark.skipif(
 )
 
 
-def _assert_within_budget(shape, requests, workload, config=None):
+def _assert_within_budget(shape, requests, workload, config=None) -> float:
     _, total_calls, completed = profile_replay(workload, config)
     assert completed == requests
     per_request = total_calls / completed
@@ -62,11 +71,26 @@ def _assert_within_budget(shape, requests, workload, config=None):
         f"replay, budget {budget:.2f} (achieved {ACHIEVED[shape]}): run `make profile` "
         "and look for the bucket that grew"
     )
+    return per_request
 
 
 @needs_the_profiler
 def test_calls_per_request_within_budget():
     _assert_within_budget("shallow", 1950, build_workload(SHALLOW_2K))
+
+
+@needs_the_profiler
+def test_traced_calls_per_request_within_budget():
+    traced = _assert_within_budget(
+        "traced", 1950, build_workload(SHALLOW_2K), SystemConfig(tracer="flight")
+    )
+    _, total_calls, completed = profile_replay(build_workload(SHALLOW_2K))
+    tracer_cost = traced - total_calls / completed
+    assert tracer_cost <= TRACER_CALLS_PER_REQUEST, (
+        f"the flight recorder costs {tracer_cost:.2f} calls per request on the "
+        f"shallow replay (budget {TRACER_CALLS_PER_REQUEST}): a hook on the "
+        "per-request path stopped being sampled or grew a frame"
+    )
 
 
 @needs_the_profiler
@@ -79,3 +103,18 @@ def test_streaming_calls_per_request_within_budget():
     _assert_within_budget(
         "stream", 3900, build_workload_streaming(STREAM_4K), STREAM_CONFIG
     )
+
+
+@needs_the_profiler
+def test_profile_target_reads_requests_and_seed(capsys):
+    assert main(["profile", "--requests", "300", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    _, total_calls, completed = profile_replay(
+        build_workload(spec_for_requests(300, seed=1))
+    )
+    assert out.startswith(f"§V-A replay, {completed} requests completed")
+    # the seed-0 workload of the same size reads ~18 calls/request more;
+    # a few calls of slack absorb run-to-run differences inside one process
+    total_line = out.rstrip().splitlines()[-1]
+    printed = int(total_line.split()[4].replace(",", ""))
+    assert abs(printed - total_calls) <= 0.001 * total_calls, total_line

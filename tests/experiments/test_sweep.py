@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import time
 from dataclasses import replace
 
 import pytest
@@ -236,6 +237,24 @@ class TestShardingDeterminism:
         again = run_cells(cells, workers=1, store=store, progress=False)
         assert again.stats.executed == 0
         assert again.stats.cache_hits == len(cells)
+
+    def test_pool_fans_cells_out_across_worker_processes(self, monkeypatch, tmp_path):
+        """``workers > 1`` runs cells in child processes, more than one of
+        them (a count of PIDs, not a wall-clock speedup)."""
+        if not HAVE_FORK:
+            pytest.skip("fault hook needs fork inheritance")
+        cells = _grid_cells()
+
+        def mark_pid(cell):
+            (tmp_path / f"pid-{os.getpid()}").touch()
+            time.sleep(0.2)  # hold the worker so its sibling takes the next cell
+
+        monkeypatch.setattr(sweep_mod, "_FAULT_HOOK", mark_pid)
+        result = run_cells(cells, workers=2, progress=False, mp_context="fork")
+        assert result.stats.executed == len(cells)
+        pids = {int(p.name.removeprefix("pid-")) for p in tmp_path.glob("pid-*")}
+        assert len(pids) >= 2, pids
+        assert os.getpid() not in pids
 
     def test_no_resume_reexecutes(self, tmp_path):
         cells = _grid_cells(working_sets=(4,), policies=("lb",))

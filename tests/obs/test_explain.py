@@ -3,10 +3,13 @@
 Explain mode (``SystemConfig(trace_decisions=True)``) annotates every
 recorded decision with a :class:`Cause` — pass context, the dirty-signal
 state that armed the pass, and the policy's candidate trail — without
-changing a single decision (asserted here against a plain replay).
+changing a single decision (asserted here against a plain replay, for
+explain, the flight recorder, and both together).
 """
 
 import hashlib
+
+import pytest
 
 from repro.obs import Cause, ExplainLog, format_request_causes, run_explain
 from repro.obs.explain import OUTSIDE_PASS
@@ -70,17 +73,22 @@ class TestExplainLog:
             t, signals = explain.last_elided[-1]
             assert t >= 0.0 and "queued=" in signals
 
-    def test_decisions_identical_with_explain_on(self):
-        with_explain = _replay(SystemConfig(trace_decisions=True))
+    @pytest.mark.parametrize(
+        "lens",
+        [
+            {"trace_decisions": True},
+            {"tracer": "flight"},
+            {"trace_decisions": True, "tracer": "flight"},
+        ],
+        ids=["explain", "tracer", "both"],
+    )
+    def test_decisions_identical_with_explain_on(self, lens):
+        """Neither lens, nor both together, changes a decision."""
+        observed = _replay(SystemConfig(**lens))
         plain = _replay(SystemConfig())
-        assert _decision_sha(with_explain) == _decision_sha(plain)
-
-    def test_explain_composes_with_tracer(self):
-        both = _replay(SystemConfig(tracer="flight", trace_decisions=True))
-        plain = _replay(SystemConfig())
-        assert both.scheduler.explain is not None
-        assert both.tracer is not None
-        assert _decision_sha(both) == _decision_sha(plain)
+        assert (observed.scheduler.explain is not None) == ("trace_decisions" in lens)
+        assert (observed.tracer is not None) == ("tracer" in lens)
+        assert _decision_sha(observed) == _decision_sha(plain)
 
 
 class TestFormatting:

@@ -5,15 +5,19 @@ every component keeps a ``None`` tracer attribute (nothing installed,
 nothing recorded); "on" means the four rings capture request lifecycles,
 sampled pass/commit wall spans, and instants with exact ``totals``
 counters, oldest-first overwrite past ``capacity``, and a decimated
-JSONL spill when configured.  The *overhead* gate lives in the bench
-(``make bench-check``); this module pins the semantics, filling the
-rings the way production does — through a traced replay.
+JSONL spill when configured.  The *overhead* gate is an exact count —
+the ``traced`` shape of ``tests/experiments/test_call_budget.py``; this
+module pins the semantics, filling the rings the way production does —
+through a traced replay.  Tests that need a small ring, stride 1 or a
+short spill swap a configured recorder class in for the runtime's.
 """
 
 import json
+from functools import partial
 
 import pytest
 
+import repro.runtime.system
 from repro.obs import FlightRecorder
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces.azure import SyntheticAzureTrace
@@ -29,6 +33,14 @@ def _replay(cfg, minutes=1):
     system.submit_workload(workload)
     system.run()
     return system
+
+
+def _install_recorder(monkeypatch, **recorder_kwargs):
+    """Make every ``FaaSCluster`` built next install a recorder with
+    ``recorder_kwargs`` instead of the class defaults."""
+    monkeypatch.setattr(
+        repro.runtime.system, "FlightRecorder", partial(FlightRecorder, **recorder_kwargs)
+    )
 
 
 class _FakeSim:
@@ -55,7 +67,8 @@ class TestRings:
         assert totals["passes"] == system.scheduler.passes_executed
         assert totals["commits"] > 0
         # unsampled spans still count; only every Nth is recorded
-        stride = system.config.trace_span_stride
+        stride = t.span_stride
+        assert stride == 16  # the class default the runtime installs
         assert len(t.pass_records()) == totals["passes"] // stride
         assert len(t.commit_records()) == totals["commits"] // stride
         assert len(t.request_records()) == totals["requests"]
@@ -71,10 +84,9 @@ class TestRings:
             assert hit in (0, 1)
             assert retries >= 0
 
-    def test_ring_wraps_oldest_first_and_counts_dropped(self):
-        system = _replay(
-            SystemConfig(tracer="flight", trace_span_stride=1, tracer_capacity=16)
-        )
+    def test_ring_wraps_oldest_first_and_counts_dropped(self, monkeypatch):
+        _install_recorder(monkeypatch, capacity=16, span_stride=1)
+        system = _replay(SystemConfig(tracer="flight"))
         t = system.tracer
         assert t.totals["requests"] > 16
         rows = t.request_records()
@@ -90,8 +102,9 @@ class TestRings:
             times = [sim_time for sim_time, _, _ in spans]
             assert times == sorted(times) and times[-1] > times[0]
 
-    def test_span_stride_one_records_every_span(self):
-        system = _replay(SystemConfig(tracer="flight", trace_span_stride=1))
+    def test_span_stride_one_records_every_span(self, monkeypatch):
+        _install_recorder(monkeypatch, span_stride=1)
+        system = _replay(SystemConfig(tracer="flight"))
         t = system.tracer
         assert len(t.pass_records()) == t.totals["passes"]
         assert len(t.commit_records()) == t.totals["commits"]
@@ -104,13 +117,10 @@ class TestRings:
 
 
 class TestSpill:
-    def test_spill_writes_decimated_request_records(self, tmp_path):
+    def test_spill_writes_decimated_request_records(self, monkeypatch, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        system = _replay(
-            SystemConfig(
-                tracer="flight", trace_spill_path=path, trace_spill_keep=50
-            )
-        )
+        _install_recorder(monkeypatch, spill_keep=50)
+        system = _replay(SystemConfig(tracer="flight", trace_spill_path=path))
         t = system.tracer
         t.close()
         lines = [json.loads(line) for line in open(path)]
@@ -135,9 +145,3 @@ class TestConfig:
     def test_spill_requires_flight_tracer(self):
         with pytest.raises(ValueError):
             SystemConfig(trace_spill_path="x.jsonl")
-
-    def test_stride_and_capacity_validated(self):
-        with pytest.raises(ValueError):
-            SystemConfig(trace_span_stride=0)
-        with pytest.raises(ValueError):
-            SystemConfig(tracer_capacity=1)

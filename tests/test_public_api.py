@@ -1,8 +1,6 @@
 """The package's public API surface must stay importable and coherent."""
 
 import dataclasses
-import json
-from pathlib import Path
 
 import pytest
 
@@ -63,8 +61,7 @@ def test_option_budget():
         "fault_profile", "fault_plan", "deadline_s", "max_retries",
         "retry_backoff_s", "health_heartbeat_s", "health_ttl_s",
         "metrics_exact_cap", "metrics_spill_path",
-        "tracer", "tracer_capacity", "trace_span_stride", "trace_decisions",
-        "trace_spill_path", "trace_spill_keep",
+        "tracer", "trace_decisions", "trace_spill_path",
     }
     with pytest.raises(TypeError):
         repro.SystemConfig(pass_elision=False)
@@ -146,20 +143,3 @@ def test_one_way_in():
         "Linear", "MaxPool2D", "ReLU", "Softmax", "im2col", "Network",
     }
 
-
-def test_bench_ledger_shape():
-    """``BENCH_scheduler.json`` holds only what ``benchmarks/e2e`` does not
-    measure (micro pass cost, tracer overhead, sweep scaling); a retired
-    replay-path section must show up as a diff here."""
-    from repro.experiments import bench
-
-    assert set(bench.__all__) == {
-        "run_bench", "check_bench", "measure_observability",
-        "measure_sweep_scaling", "DEFAULT_OUTPUT",
-    }
-    committed = Path(__file__).resolve().parents[1] / bench.DEFAULT_OUTPUT
-    assert list(json.loads(committed.read_text())) == [
-        "suite", "commit", "machine", "pass_cost_by_depth_s",
-        "observability", "sweep_scaling", "benchmarks",
-    ]
-    assert bench.check_bench(str(committed)) == []
