@@ -44,18 +44,20 @@ trace:
 	python -m repro.experiments trace --requests $(TRACE_REQUESTS)
 
 ## Regenerate the paper's tables and figures through the sweep
-## orchestrator (WORKERS processes).  Figures always re-execute unless a
-## store is named explicitly on the command line (`make figures
-## SWEEP_STORE=dir`): cell IDs hash config, not code, so resuming from a
-## store left over from an older checkout would serve stale figures.
+## orchestrator (WORKERS processes).  The whole grid takes a few seconds,
+## so figures re-execute unless a store is named explicitly on the
+## command line (`make figures SWEEP_STORE=dir`); a store written by
+## other sources is refused (its code fingerprint), never served.
 figures:
 	python -m repro.experiments all --workers $(WORKERS) $(if $(filter command line,$(origin SWEEP_STORE)),--store $(SWEEP_STORE))
 
-## Sharded §V sweep: expand the declarative policy x working-set grid and
-## run it on a multiprocess worker pool (repro/experiments/sweep.py).
-## Results persist under SWEEP_STORE (one JSON per cell, keyed by
-## content-hash cell ID; see repro/experiments/store.py for the layout),
-## so an interrupted sweep resumes with only the missing cells:
+## §V sweep: expand the declarative policy x working-set grid and run it
+## on a process pool (repro/experiments/sweep.py).  Results persist under
+## SWEEP_STORE as they land (one JSON per cell, keyed by content-hash cell
+## ID; see repro/experiments/store.py for the layout).  Nothing is
+## retried: an interrupted or failed sweep (its error names the
+## unfinished cells) is re-run with the same command, which executes
+## only the cells the store is missing:
 ##   make sweep                           # 4 workers, store .sweep-results
 ##   make sweep WORKERS=8                 # wider pool
 ##   make sweep SWEEP_STORE=/tmp/cells    # elsewhere

@@ -28,7 +28,6 @@ from .sweep import (
     execute_cell,
     run_cells,
     run_keyed_cells,
-    run_sweep,
 )
 from .table1 import format_table1, table1_from_paper, table1_wallclock
 
@@ -68,7 +67,6 @@ __all__ = [
     "execute_cell",
     "run_cells",
     "run_keyed_cells",
-    "run_sweep",
     "format_table1",
     "table1_from_paper",
     "table1_wallclock",

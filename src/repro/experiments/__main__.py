@@ -13,19 +13,20 @@ Usage::
     python -m repro.experiments trace        # traced 2k replay → trace.json (Perfetto) + trace.prom
     python -m repro.experiments explain 42   # why request #42 was scheduled the way it was
 
-Grid targets route through the sharded sweep orchestrator
+Grid targets route through the sweep orchestrator
 (:mod:`repro.experiments.sweep`): ``--workers N`` fans the §V cells out
 across a process pool, ``--store DIR`` persists each finished cell to an
 on-disk result store keyed by content-hash cell ID, and ``--resume``
 (default with a store) re-executes only the cells the store is missing —
-an interrupted sweep picks up where it left off, and unchanged cells are
-served from cache.  ``--workers 1`` with no store is exactly the
-sequential path; figure data is byte-identical either way.
+an interrupted or failed sweep picks up where it left off, and unchanged
+cells are served from cache.  ``--workers 1`` with no store is exactly
+the sequential path; figure data is byte-identical either way.
 
 The ``sweep`` target runs the declarative §V grid itself (axes:
 ``--policies --working-sets --o3-limits --replacements --seeds
---fault-profiles``) and prints one summary row per cell, in deterministic
-cell-ID merge order.  ``--fault-profiles recoverable`` replays the grid
+--fault-profiles``; scale: ``--minutes --requests-per-minute``) and prints
+one summary row per cell, in deterministic cell-ID merge order.  Any other
+target rejects these flags.  ``--fault-profiles recoverable`` replays the grid
 under the seeded chaos plan (see :mod:`repro.chaos` and
 ``docs/robustness.md``).
 """
@@ -40,6 +41,13 @@ from .fig5 import format_fig5
 from .fig6 import format_fig6
 from .fig7 import format_fig7, run_fig7
 from .table1 import format_table1, table1_from_paper
+
+
+#: the sweep target's axis flags (argparse dests, named as SweepSpec fields)
+_SWEEP_AXES = (
+    "policies", "working_sets", "o3_limits", "replacements", "seeds",
+    "fault_profiles", "minutes", "requests_per_minute",
+)
 
 
 def _sweep_kwargs(args) -> dict:
@@ -96,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         "--no-resume", dest="resume", action="store_false",
         help="re-execute every cell even when the store already has it",
     )
-    # sweep-target axes (ignored by other targets)
+    # sweep-target axes (an error on any other target)
     parser.add_argument("--policies", nargs="+", default=None, metavar="P")
     parser.add_argument("--working-sets", nargs="+", type=int, default=None, metavar="WS")
     parser.add_argument("--o3-limits", nargs="+", type=int, default=None, metavar="L")
@@ -109,6 +117,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--minutes", type=int, default=None)
     parser.add_argument("--requests-per-minute", type=int, default=None)
     args = parser.parse_args(argv)
+    if args.target != "sweep":
+        for name in _SWEEP_AXES:
+            if getattr(args, name) is not None:
+                parser.error(
+                    f"--{name.replace('_', '-')} applies only to the sweep target"
+                )
 
     if args.target == "trace":
         from pathlib import Path
@@ -171,29 +185,17 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.target == "sweep":
         from .report import format_table
-        from .sweep import SweepSpec, run_sweep
+        from .sweep import SweepSpec, run_cells
 
-        overrides = {}
-        if args.policies is not None:
-            overrides["policies"] = tuple(args.policies)
-        if args.working_sets is not None:
-            overrides["working_sets"] = tuple(args.working_sets)
-        if args.o3_limits is not None:
-            overrides["o3_limits"] = tuple(args.o3_limits)
-        if args.replacements is not None:
-            overrides["replacements"] = tuple(args.replacements)
-        if args.seeds is not None:
-            overrides["seeds"] = tuple(args.seeds)
-        elif args.seed:
+        overrides = {
+            name: tuple(value) if isinstance(value, list) else value
+            for name in _SWEEP_AXES
+            if (value := getattr(args, name)) is not None
+        }
+        if args.seeds is None and args.seed:
             overrides["seeds"] = (args.seed,)
-        if args.fault_profiles is not None:
-            overrides["fault_profiles"] = tuple(args.fault_profiles)
-        if args.minutes is not None:
-            overrides["minutes"] = args.minutes
-        if args.requests_per_minute is not None:
-            overrides["requests_per_minute"] = args.requests_per_minute
         spec = SweepSpec(**overrides)
-        result = run_sweep(spec, **_sweep_kwargs(args))
+        result = run_cells(spec.cells(), **_sweep_kwargs(args))
         rows = []
         for cell_id, cell in result.cells.items():
             row = cell.summary.row()
@@ -208,9 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         s = result.stats
         print(
-            f"\n{s.total} cells: {s.executed} executed, {s.cache_hits} cached, "
-            f"{s.retries} retried, {s.failed} failed "
-            f"({s.wall_s:.2f} s, {s.as_dict()['cells_per_s']} cells/s, "
+            f"\n{s.total} cells: {s.executed} executed, {s.cache_hits} cached "
+            f"({s.wall_s:.2f} s, {s.total / s.wall_s:.2f} cells/s, "
             f"workers={s.workers})"
         )
         return 0

@@ -103,7 +103,6 @@ def run_cache_policy_ablation(
     workers: int = 1,
     store=None,
     resume: bool = True,
-    progress=None,
 ) -> dict[str, RunSummary]:
     """LALBO3 under each pluggable replacement policy (§VI)."""
     from .sweep import SweepCell, run_keyed_cells
@@ -118,10 +117,7 @@ def run_cache_policy_ablation(
         )
         for rp in replacements
     }
-    return run_keyed_cells(
-        cells, trace=trace, workers=workers, store=store, resume=resume,
-        progress=progress,
-    )
+    return run_keyed_cells(cells, workers=workers, store=store, resume=resume)
 
 
 def run_batch_size_sweep(
@@ -157,7 +153,6 @@ def run_gpu_scaling(
     workers: int = 1,
     store=None,
     resume: bool = True,
-    progress=None,
 ) -> dict[int, RunSummary]:
     """Fixed 325 req/min load against growing clusters; keyed by GPU count.
 
@@ -179,7 +174,4 @@ def run_gpu_scaling(
         )
         for nodes, per_node in sizes
     }
-    return run_keyed_cells(
-        cells, trace=trace, workers=workers, store=store, resume=resume,
-        progress=progress,
-    )
+    return run_keyed_cells(cells, workers=workers, store=store, resume=resume)

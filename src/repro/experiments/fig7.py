@@ -29,7 +29,6 @@ def run_fig7(
     workers: int = 1,
     store=None,
     resume: bool = True,
-    progress=None,
 ) -> dict[int, RunSummary]:
     """The O3-limit axis through the sweep orchestrator (workers/store as
     in :func:`~repro.experiments.runner.run_policy_grid`)."""
@@ -46,10 +45,7 @@ def run_fig7(
         )
         for limit in limits
     }
-    return run_keyed_cells(
-        cells, trace=trace, workers=workers, store=store, resume=resume,
-        progress=progress,
-    )
+    return run_keyed_cells(cells, workers=workers, store=store, resume=resume)
 
 
 def format_fig7(results: dict[int, RunSummary]) -> str:

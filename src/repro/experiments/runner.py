@@ -123,7 +123,6 @@ def run_policy_grid(
     workers: int = 1,
     store=None,
     resume: bool = True,
-    progress=None,
 ) -> dict[tuple[str, int], RunSummary]:
     """The §V sweep behind Figs. 4, 5, and 6: policies × working sets.
 
@@ -144,7 +143,4 @@ def run_policy_grid(
         for ws in working_sets
         for policy in policies
     }
-    return run_keyed_cells(
-        cells, trace=trace, workers=workers, store=store, resume=resume,
-        progress=progress,
-    )
+    return run_keyed_cells(cells, workers=workers, store=store, resume=resume)

@@ -3,23 +3,22 @@
 Layout (everything under one *store root* directory)::
 
     <root>/
-      store.meta.json          # {"store": ..., "version": 1, "code_fingerprint": ...}
+      store.meta.json          # {"store": ..., "code_fingerprint": ...}
       cells/<cell_id>.json     # one finished cell per file
 
-Opening a store whose recorded ``code_fingerprint`` does not match the
-running sources raises :class:`StoreVersionError`: cell IDs hash
-configuration only, so without the fingerprint a store left over from an
-older checkout would silently serve stale results.
+Opening a directory whose ``store.meta.json`` is not a sweep store's, or
+whose recorded ``code_fingerprint`` does not match the running sources,
+raises :class:`StoreVersionError` and creates nothing: cell IDs hash
+configuration only, so without the fingerprint a store left over from
+other code would silently serve stale results.
 
 Each cell file is self-describing: the cell's canonical configuration
 payload (the same dict its content-hash ID was derived from), the full
-:class:`~repro.metrics.summary.RunSummary`, the per-architecture breakdown,
-and the timeline matrix sampled by the passive
-:class:`~repro.metrics.timeline.TimelineProbe`.  Files are written to a
-temporary name and atomically renamed into place, so a sweep killed
-mid-write never leaves a torn cell behind — whatever is in ``cells/`` is
-complete and trustworthy, which is what makes ``--resume`` a pure
-set-difference over cell IDs.
+:class:`~repro.metrics.summary.RunSummary` and the per-architecture
+breakdown.  Files are written to a temporary name and atomically renamed
+into place, so a sweep killed mid-write never leaves a torn cell behind —
+whatever is in ``cells/`` is complete and trustworthy, which is what makes
+``--resume`` a pure set-difference over cell IDs.
 
 Serialization is deterministic (``sort_keys=True``, ``repr``-faithful
 floats), so re-serializing an unchanged result is byte-identical — the
@@ -42,12 +41,8 @@ __all__ = [
     "CellResult",
     "ResultStore",
     "StoreVersionError",
-    "STORE_VERSION",
     "source_fingerprint",
 ]
-
-#: bump when the cell-file layout changes incompatibly
-STORE_VERSION = 1
 
 _META_NAME = "store.meta.json"
 _CELLS_DIR = "cells"
@@ -55,8 +50,8 @@ _STORE_KIND = "repro-sweep-results"
 
 
 class StoreVersionError(RuntimeError):
-    """The store on disk was written by an incompatible layout version
-    (or by a different version of the *code* — see
+    """The directory is not a sweep result store, or its results were
+    written by a different version of the code (see
     :func:`source_fingerprint`)."""
 
 
@@ -91,15 +86,11 @@ class CellResult:
 
     cell_id: str
     #: canonical configuration payload the cell ID hashes (experiment +
-    #: trace + timeline period + schema version) — self-describing on disk
+    #: trace configs) — self-describing on disk
     config: dict
     summary: RunSummary
     #: :func:`~repro.metrics.summary.per_architecture_breakdown` output
     per_architecture: dict
-    #: :data:`~repro.metrics.timeline.TIMELINE_FIELDS` column names
-    timeline_fields: tuple
-    #: one row per sampled period boundary (empty when sampling is off)
-    timeline: tuple
     #: wall-clock seconds the cell took to execute (provenance only; it is
     #: excluded from merged figure data so cached and fresh runs merge
     #: byte-identically)
@@ -108,33 +99,20 @@ class CellResult:
     def to_payload(self) -> dict:
         """JSON-ready dict (the exact on-disk cell-file content)."""
         return {
-            "version": STORE_VERSION,
             "cell_id": self.cell_id,
             "config": self.config,
             "summary": asdict(self.summary),
             "per_architecture": self.per_architecture,
-            "timeline": {
-                "fields": list(self.timeline_fields),
-                "rows": [list(row) for row in self.timeline],
-            },
             "wall_s": self.wall_s,
         }
 
     @staticmethod
     def from_payload(payload: dict) -> "CellResult":
-        version = payload.get("version")
-        if version != STORE_VERSION:
-            raise StoreVersionError(
-                f"cell file version {version!r} != supported {STORE_VERSION}"
-            )
-        timeline = payload.get("timeline") or {"fields": [], "rows": []}
         return CellResult(
             cell_id=payload["cell_id"],
             config=payload["config"],
             summary=RunSummary(**payload["summary"]),
             per_architecture=payload["per_architecture"],
-            timeline_fields=tuple(timeline["fields"]),
-            timeline=tuple(tuple(row) for row in timeline["rows"]),
             wall_s=float(payload.get("wall_s", 0.0)),
         )
 
@@ -149,37 +127,28 @@ class ResultStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self._cells = self.root / _CELLS_DIR
-        self._cells.mkdir(parents=True, exist_ok=True)
         meta_path = self.root / _META_NAME
         fingerprint = source_fingerprint()
         if meta_path.exists():
+            # validate before creating anything: a rejected directory is
+            # left exactly as it was found
             meta = json.loads(meta_path.read_text())
             if meta.get("store") != _STORE_KIND:
                 raise StoreVersionError(f"{self.root} is not a sweep result store")
-            if meta.get("version") != STORE_VERSION:
-                raise StoreVersionError(
-                    f"store version {meta.get('version')!r} != supported "
-                    f"{STORE_VERSION}; use a fresh --store directory"
-                )
             if meta.get("code_fingerprint") != fingerprint:
-                # cell IDs hash config, not code: results from an older
-                # checkout would be silently reused otherwise
+                # cell IDs hash config, not code: results from other
+                # sources would be silently reused otherwise
                 raise StoreVersionError(
                     f"{self.root} was written by a different code version "
                     f"(fingerprint {meta.get('code_fingerprint')!r} != current "
                     f"{fingerprint!r}); sweep results are functions of the "
                     "code too — use a fresh --store directory"
                 )
-        else:
+        self._cells.mkdir(parents=True, exist_ok=True)
+        if not meta_path.exists():
             self._atomic_write(
                 meta_path,
-                _dumps(
-                    {
-                        "store": _STORE_KIND,
-                        "version": STORE_VERSION,
-                        "code_fingerprint": fingerprint,
-                    }
-                ),
+                _dumps({"store": _STORE_KIND, "code_fingerprint": fingerprint}),
             )
 
     # ------------------------------------------------------------------

@@ -1,46 +1,36 @@
-"""Sharded sweep orchestrator: the multiprocess §V grid runner.
+"""Sweep orchestrator: the §V grid runner.
 
 Every figure and table in §V is a sweep of one experiment cell —
 :class:`~repro.experiments.runner.ExperimentConfig` against a trace — over
-axes like policy × working set × O3 limit × seed.  After the columnar
-replay work the wall-clock bottleneck for regenerating the paper is the
-*grid*, which previously ran strictly sequentially.  The grid is
-embarrassingly parallel; this module turns it into a subsystem:
+axes like policy × working set × O3 limit × seed.
 
 1. **Declarative expansion** — :class:`SweepSpec` names the axes; its
    :meth:`~SweepSpec.cells` expansion produces frozen :class:`SweepCell`
-   descriptors, each with a stable content-hash **cell ID** derived from
-   the canonical JSON of its experiment config, trace config, timeline
-   period, and schema version.  Identical cells hash identically across
-   processes, machines, and sessions.
+   descriptors, each with a stable content-hash **cell ID** over the
+   canonical JSON of its experiment and trace configs.  Identical cells
+   hash identically across processes, machines, and sessions.
 
-2. **Sharded execution** — :func:`run_cells` executes cells across a
-   ``multiprocessing`` worker pool (module-level, spawn-safe entry point;
-   ``fork`` is preferred where available for its near-zero startup cost).
-   The submission queue is bounded (≤ 2 tasks in flight per worker), each
-   worker reuses one :class:`~repro.traces.azure.SyntheticAzureTrace` per
-   trace config and one extracted workload per
-   :class:`~repro.traces.workload.WorkloadSpec` (request objects are
-   re-materialized from the shared columns per run, because the simulator
-   mutates them in place), and a crashed worker process is retried
-   per-cell (bounded) instead of killing the sweep.  Progress streams to
-   the TTY when stderr is one.  ``workers=1`` runs in-process with no pool
-   and preserves the sequential path's exact behavior.
+2. **Execution** — :func:`run_cells` runs cells in-process at
+   ``workers=1`` (a raising cell's exception propagates) or on one
+   process pool at ``workers>1`` (``fork`` where available; the entry
+   point is spawn-safe).  A cell builds its workload from the
+   process-shared trace for its trace config.  Nothing is retried: a cell
+   is a deterministic function of its config and would fail again.  If a
+   pool cell raises or the pool breaks, the finished cells are stored
+   first and one :class:`SweepError` then names every unfinished cell.
+   Progress streams to stderr when it is a TTY.
 
-3. **Result store** — every finished cell is persisted to a
-   :class:`~repro.experiments.store.ResultStore` keyed by cell ID
-   (atomic writes).  An interrupted sweep resumed against the same store
-   re-executes only the missing cells; unchanged cells are served from
-   cache.  Config drift changes the hash, so a stale *configuration* can
-   never be served — but the hash covers configuration only, not code:
-   results are assumed to be deterministic functions of their config, so
-   after a change to the simulator/scheduler either start a fresh store
-   directory or bump :data:`CELL_SCHEMA` (which re-keys every cell).
+3. **Result store** — the recovery path.  Every finished cell is
+   persisted to a :class:`~repro.experiments.store.ResultStore` keyed by
+   cell ID as it lands, so a sweep re-run against the same store (after a
+   failure or a kill) executes only the cells the store is missing.  The
+   store rejects results written by different sources (its code
+   fingerprint), so a stored cell is always what this code would compute.
 
 4. **Deterministic merge** — results merge in sorted cell-ID order and a
    cell's merged payload is independent of where/when it ran, so
-   sequential and sharded sweeps produce **byte-identical** figure
-   inputs (asserted by ``tests/experiments/test_sweep.py``).
+   sequential and pooled sweeps produce **byte-identical** figure inputs
+   (asserted by ``tests/experiments/test_sweep.py``).
 
 The §V consumers (``run_policy_grid``, ``run_fig7``, the grid-shaped
 ablations) all route through :func:`run_cells`; the CLI exposes the
@@ -52,19 +42,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
-from collections import OrderedDict, deque
-from dataclasses import asdict, dataclass, field, replace
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable
 
 from ..cluster.topology import PAPER_TESTBED, ClusterSpec
 from ..metrics.summary import per_architecture_breakdown
-from ..metrics.timeline import TIMELINE_FIELDS, TimelineProbe
-from ..traces.azure import AzureTraceConfig, SyntheticAzureTrace
-from ..traces.workload import Workload, WorkloadSpec, build_workload
+from ..traces.azure import AzureTraceConfig
+from ..traces.workload import build_workload
 from .replay import replay
 from .runner import PAPER_POLICIES, ExperimentConfig, shared_trace
 from .store import CellResult, ResultStore
@@ -78,31 +70,18 @@ __all__ = [
     "execute_cell",
     "run_cells",
     "run_keyed_cells",
-    "run_sweep",
-    "DEFAULT_TIMELINE_PERIOD_S",
 ]
 
-#: schema version folded into every cell ID: bump when the execution
-#: semantics change in a way that invalidates stored results
-#: (2: fault_profile joined ExperimentConfig / the chaos axis landed)
-CELL_SCHEMA = 2
-
-#: timeline sampling period (simulated seconds) persisted per cell
-DEFAULT_TIMELINE_PERIOD_S = 5.0
-
-#: per-worker workload cache bound (extracted column sets kept hot)
-_WORKLOAD_CACHE_CAP = 8
-
-#: outstanding tasks per worker (the bounded submission queue)
-_QUEUE_FACTOR = 2
-
-#: consecutive pool breaks with no completed cell before the sweep aborts
-#: (covers environments whose workers die at startup, OOM storms, etc.)
-_MAX_CONSECUTIVE_POOL_BREAKS = 8
+#: pool start method: ``fork`` where available (near-zero startup, and the
+#: parent's shared traces come along), else ``spawn``
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 class SweepError(RuntimeError):
-    """A sweep finished with cells that failed after all retries."""
+    """A pooled sweep ended with unfinished cells (the finished ones are
+    stored; re-running against the store executes only the rest)."""
 
 
 # ----------------------------------------------------------------------
@@ -112,14 +91,13 @@ class SweepError(RuntimeError):
 class SweepCell:
     """One frozen grid cell: an experiment config against a trace config.
 
-    ``trace`` is the *config*, not a trace object — workers rebuild (and
-    cache) the deterministic :class:`SyntheticAzureTrace` from it, so a
+    ``trace`` is the *config*, not a trace object — each process uses its
+    shared :class:`~repro.traces.azure.SyntheticAzureTrace` for it, so a
     cell is fully picklable and its identity is pure data.
     """
 
     config: ExperimentConfig
     trace: AzureTraceConfig = AzureTraceConfig()
-    timeline_period_s: float | None = DEFAULT_TIMELINE_PERIOD_S
 
     def canonical_payload(self) -> dict:
         """The dict whose canonical JSON the cell ID hashes.
@@ -127,19 +105,13 @@ class SweepCell:
         Normalized through a JSON round-trip (tuples become lists), so the
         payload equals its own on-disk form byte for byte.
         """
-        raw = {
-            "schema": CELL_SCHEMA,
-            "experiment": asdict(self.config),
-            "trace": asdict(self.trace),
-            "timeline_period_s": self.timeline_period_s,
-        }
+        raw = {"experiment": asdict(self.config), "trace": asdict(self.trace)}
         return json.loads(json.dumps(raw))
 
     @cached_property
     def cell_id(self) -> str:
         """Stable content hash: 16 hex chars of SHA-256 over the canonical
-        JSON payload.  Any config drift yields a different ID, so a result
-        store can never serve a stale cell."""
+        JSON payload.  Any config drift yields a different ID."""
         blob = json.dumps(self.canonical_payload(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -174,7 +146,6 @@ class SweepSpec:
     requests_per_minute: int = 325
     cluster: ClusterSpec = PAPER_TESTBED
     trace: AzureTraceConfig = AzureTraceConfig()
-    timeline_period_s: float | None = DEFAULT_TIMELINE_PERIOD_S
 
     def __post_init__(self) -> None:
         for name in (
@@ -186,136 +157,68 @@ class SweepSpec:
 
     def cells(self) -> tuple[SweepCell, ...]:
         """Expand the cross product into frozen cells (duplicates folded:
-        non-lalbo3 policies ignore the O3 axis, so their cells collapse to
-        one per remaining key)."""
-        out: list[SweepCell] = []
-        seen: set[str] = set()
-        for seed in self.seeds:
-            for fault_profile in self.fault_profiles:
-                for sla in self.slas:
-                    for replacement in self.replacements:
-                        for ws in self.working_sets:
-                            for o3 in self.o3_limits:
-                                for policy in self.policies:
-                                    cfg = ExperimentConfig(
-                                        policy=policy,
-                                        working_set=ws,
-                                        minutes=self.minutes,
-                                        requests_per_minute=self.requests_per_minute,
-                                        o3_limit=o3,
-                                        replacement=replacement,
-                                        cluster=self.cluster,
-                                        sla_s=sla,
-                                        seed=seed,
-                                        fault_profile=fault_profile,
-                                    )
-                                    if policy != "lalbo3" and len(self.o3_limits) > 1:
-                                        # the O3 axis only matters to lalbo3;
-                                        # collapse the duplicates it would mint
-                                        cfg = replace(cfg, o3_limit=self.o3_limits[0])
-                                    cell = SweepCell(
-                                        config=cfg,
-                                        trace=self.trace,
-                                        timeline_period_s=self.timeline_period_s,
-                                    )
-                                    if cell.cell_id not in seen:
-                                        seen.add(cell.cell_id)
-                                        out.append(cell)
-        return tuple(out)
+        non-lalbo3 policies ignore the O3 axis and always take its first
+        limit, so their cells collapse to one per remaining key)."""
+        out: dict[str, SweepCell] = {}
+        for seed, fault_profile, sla, replacement, ws, o3, policy in product(
+            self.seeds, self.fault_profiles, self.slas, self.replacements,
+            self.working_sets, self.o3_limits, self.policies,
+        ):
+            cell = SweepCell(
+                config=ExperimentConfig(
+                    policy=policy,
+                    working_set=ws,
+                    minutes=self.minutes,
+                    requests_per_minute=self.requests_per_minute,
+                    o3_limit=o3 if policy == "lalbo3" else self.o3_limits[0],
+                    replacement=replacement,
+                    cluster=self.cluster,
+                    sla_s=sla,
+                    seed=seed,
+                    fault_profile=fault_profile,
+                ),
+                trace=self.trace,
+            )
+            out.setdefault(cell.cell_id, cell)
+        return tuple(out.values())
 
 
 # ----------------------------------------------------------------------
 # Per-process execution (shared by workers and the in-process path)
 # ----------------------------------------------------------------------
-_WORKLOADS: "OrderedDict[tuple[WorkloadSpec, AzureTraceConfig], Workload]" = OrderedDict()
-
 #: test seam: when set, called with the cell before worker execution
-#: (inherited by forked workers; used to exercise crash isolation)
+#: (inherited by forked workers; used to exercise pool failures)
 _FAULT_HOOK: Callable[[SweepCell], None] | None = None
 
 
-def _workload_for(spec: WorkloadSpec, trace: SyntheticAzureTrace) -> Workload:
-    """A ready-to-submit workload for ``spec``, sharing extracted columns.
-
-    The expensive half of a workload — trace counts, normalization, RNG
-    draws — depends only on ``(spec, trace.config)`` and is cached.  The
-    returned handle is a *fresh view* over the shared columns and model
-    instances with no materialized requests: the simulator mutates request
-    objects in place, so each run must materialize its own.
-    """
-    key = (spec, trace.config)
-    cached = _WORKLOADS.get(key)
-    if cached is None:
-        cached = build_workload(spec, trace=trace)
-        _WORKLOADS[key] = cached
-        if len(_WORKLOADS) > _WORKLOAD_CACHE_CAP:
-            _WORKLOADS.popitem(last=False)
-    else:
-        _WORKLOADS.move_to_end(key)
-    return Workload(
-        spec=cached.spec,
-        instances=cached.instances,
-        counts=cached.counts,
-        function_ids=cached.function_ids,
-        arrival_times=cached.arrival_times,
-        function_index=cached.function_index,
-        tenant=cached.tenant,
-    )
-
-
-def execute_cell(
-    cell: SweepCell,
-    *,
-    trace: SyntheticAzureTrace | None = None,
-    timeline: bool = True,
-) -> CellResult:
+def execute_cell(cell: SweepCell) -> CellResult:
     """Run one cell to completion and package everything the store keeps.
 
     :func:`~repro.experiments.runner.run_experiment`'s run — the same
     :func:`~repro.experiments.replay.replay` call — plus the
-    per-architecture breakdown and the passive timeline matrix.
-    ``timeline=False`` skips the probe (its per-event callback) without
-    affecting the summary — :func:`run_cells` passes it for storeless
-    sweeps, whose consumers read only summaries.
+    per-architecture breakdown.
     """
     t0 = time.perf_counter()
-    if trace is None or trace.config != cell.trace:
-        trace = shared_trace(cell.trace)  # per-process cache; workers reuse
     config = cell.config
-    probe: TimelineProbe | None = None
-
-    def attach_probe(system) -> None:
-        nonlocal probe
-        probe = TimelineProbe(system, period_s=cell.timeline_period_s)
-
     summary, system = replay(
         config.system_config(),
-        _workload_for(config.workload_spec(), trace),
+        build_workload(config.workload_spec(), trace=shared_trace(cell.trace)),
         label=config.label(),
-        prepare=(
-            attach_probe
-            if timeline and cell.timeline_period_s is not None
-            else None
-        ),
     )
-    if probe is not None:
-        probe.stop()
     return CellResult(
         cell_id=cell.cell_id,
         config=cell.canonical_payload(),
         summary=summary,
         per_architecture=per_architecture_breakdown(system.metrics),
-        timeline_fields=TIMELINE_FIELDS,
-        timeline=tuple(tuple(row) for row in probe.matrix()) if probe else (),
         wall_s=round(time.perf_counter() - t0, 4),
     )
 
 
-def _worker_execute(cell: SweepCell, timeline: bool = True) -> CellResult:
+def _worker_execute(cell: SweepCell) -> CellResult:
     """Module-level pool entry point (spawn-safe: importable by path)."""
     if _FAULT_HOOK is not None:
         _FAULT_HOOK(cell)
-    return execute_cell(cell, timeline=timeline)
+    return execute_cell(cell)
 
 
 # ----------------------------------------------------------------------
@@ -328,22 +231,8 @@ class SweepStats:
     total: int = 0
     executed: int = 0
     cache_hits: int = 0
-    retries: int = 0
-    failed: int = 0
     workers: int = 1
     wall_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "retries": self.retries,
-            "failed": self.failed,
-            "workers": self.workers,
-            "wall_s": round(self.wall_s, 4),
-            "cells_per_s": round(self.total / self.wall_s, 2) if self.wall_s else 0.0,
-        }
 
 
 @dataclass
@@ -352,312 +241,118 @@ class SweepResult:
 
     cells: "OrderedDict[str, CellResult]"
     stats: SweepStats
-    failures: dict[str, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def for_cell(self, cell: SweepCell) -> CellResult:
-        """Result for one descriptor (KeyError if it failed / never ran)."""
-        try:
-            return self.cells[cell.cell_id]
-        except KeyError:
-            detail = self.failures.get(cell.cell_id, "cell was not part of this sweep")
-            raise KeyError(f"no result for {cell.label()} [{cell.cell_id}]: {detail}")
 
     def summary_for(self, cell: SweepCell):
-        return self.for_cell(cell).summary
-
-    def merged_payload(self) -> dict:
-        """Deterministic figure-input payload, keyed by cell ID in sorted
-        order.  Excludes ``wall_s`` (provenance), so the payload for a
-        given cell set is byte-identical no matter how — or whether — the
-        cells were (re-)executed."""
-        out: dict = {}
-        for cell_id, result in self.cells.items():
-            payload = result.to_payload()
-            payload.pop("wall_s", None)
-            out[cell_id] = payload
-        return out
+        return self.cells[cell.cell_id].summary
 
     def merged_json(self) -> str:
-        """Canonical JSON of :meth:`merged_payload` (the byte-identity
-        surface the determinism tests compare)."""
-        return json.dumps(self.merged_payload(), sort_keys=True, indent=2) + "\n"
-
-
-def _progress_writer(progress) -> Callable[[SweepStats, int, str], None] | None:
-    """Resolve the ``progress`` argument to a callback (or None)."""
-    if callable(progress):
-        return progress
-    if progress is None:
-        progress = sys.stderr.isatty()
-    if not progress:
-        return None
-    stream = sys.stderr
-
-    def emit(stats: SweepStats, done: int, label: str) -> None:
-        line = (
-            f"\rsweep: {done}/{stats.total} cells"
-            f" ({stats.cache_hits} cached, {stats.retries} retried,"
-            f" {stats.failed} failed) {label:<32.32}"
-        )
-        stream.write(line)
-        if done == stats.total:
-            stream.write("\n")
-        stream.flush()
-
-    return emit
-
-
-def _resolve_cells(cells: Iterable[SweepCell]) -> list[SweepCell]:
-    """De-duplicate by cell ID, preserving first-seen order."""
-    seen: set[str] = set()
-    out: list[SweepCell] = []
-    for cell in cells:
-        if cell.cell_id not in seen:
-            seen.add(cell.cell_id)
-            out.append(cell)
-    return out
-
-
-def _mp_context(name: str | None):
-    """The pool context: ``fork`` where available (near-zero startup; the
-    entry point is spawn-safe regardless), else ``spawn``."""
-    import multiprocessing
-
-    if name is None:
-        name = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    return multiprocessing.get_context(name)
+        """Canonical JSON of every cell's payload, keyed by cell ID in
+        sorted order — the byte-identity surface the determinism tests
+        compare.  Excludes ``wall_s`` (provenance), so a given cell set
+        merges byte-identically no matter how — or whether — the cells
+        were (re-)executed."""
+        merged = {}
+        for cell_id, result in self.cells.items():
+            payload = result.to_payload()
+            del payload["wall_s"]
+            merged[cell_id] = payload
+        return json.dumps(merged, sort_keys=True, indent=2) + "\n"
 
 
 def run_cells(
-    cells: Sequence[SweepCell],
+    cells: Iterable[SweepCell],
     *,
     workers: int = 1,
     store: ResultStore | str | os.PathLike | None = None,
     resume: bool = True,
-    retries: int = 1,
-    progress=None,
-    trace: SyntheticAzureTrace | None = None,
-    mp_context: str | None = None,
-    strict: bool = True,
 ) -> SweepResult:
     """Execute a cell set and merge the results deterministically.
 
-    Parameters
-    ----------
-    workers:
-        ``1`` (default) runs in-process — no pool, exceptions propagate,
-        exactly the sequential path.  ``> 1`` runs a multiprocessing pool
-        with a bounded submission queue and per-cell crash retry.
-    store / resume:
-        With a store, finished cells are persisted as they land and —
-        when ``resume`` is true — cells already present are served from
-        cache without executing.  ``resume=False`` re-executes everything
-        (and overwrites the stored cells).
-    retries:
-        Per-cell retry budget for worker crashes/errors (pool mode only).
-    progress:
-        ``None`` = auto (TTY only), ``False`` = off, or a callback
-        ``fn(stats, done, label)``.
-    trace:
-        Optional pre-built trace for the in-process path; its config must
-        match the cells' (workers rebuild from config regardless).
-    strict:
-        Raise :class:`SweepError` if any cell still fails after retries
-        (otherwise the failures are reported in the result).
+    ``workers=1`` runs the cells in-process, and a raising cell's
+    exception propagates.  ``workers > 1`` submits every pending cell to
+    one process pool; if any of them raised or the pool broke, the
+    finished cells are kept (and stored) and one :class:`SweepError` then
+    names every unfinished cell.
+
+    With a ``store``, each finished cell is persisted as it lands and —
+    when ``resume`` is true — cells already stored are served without
+    executing, so re-running a failed sweep against its store executes
+    only what is missing.  ``resume=False`` re-executes (and overwrites)
+    every cell.
     """
     t0 = time.perf_counter()
-    ordered = _resolve_cells(cells)
-    stats = SweepStats(total=len(ordered), workers=max(1, workers))
+    by_id = {cell.cell_id: cell for cell in cells}
+    stats = SweepStats(total=len(by_id), workers=max(1, workers))
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
-    emit = _progress_writer(progress)
 
     results: dict[str, CellResult] = {}
-    failures: dict[str, str] = {}
     pending: list[SweepCell] = []
-    for cell in ordered:
-        cached = store.get(cell.cell_id) if (store is not None and resume) else None
-        if cached is not None:
-            results[cell.cell_id] = cached
-            stats.cache_hits += 1
-        else:
+    for cell_id, cell in by_id.items():
+        cached = store.get(cell_id) if store is not None and resume else None
+        if cached is None:
             pending.append(cell)
+        else:
+            results[cell_id] = cached
+    stats.cache_hits = len(results)
+    tty = bool(pending) and sys.stderr.isatty()
 
-    done = stats.cache_hits
-    if emit and (done or not pending):
-        emit(stats, done, "resume" if done else "")
+    def land(result: CellResult) -> None:
+        results[result.cell_id] = result
+        stats.executed += 1
+        if store is not None:
+            store.put(result)
+        if tty:
+            sys.stderr.write(
+                f"\rsweep: {len(results)}/{stats.total} cells"
+                f" ({stats.cache_hits} cached)"
+            )
+            sys.stderr.flush()
 
-    # the timeline matrix is only worth sampling when a store keeps it —
-    # storeless consumers (the fig grids) read summaries exclusively
-    timeline = store is not None
-    if pending:
+    unfinished: list[tuple[str, Exception]] = []
+    try:
         if workers <= 1:
             for cell in pending:
-                result = execute_cell(cell, trace=trace, timeline=timeline)
-                results[cell.cell_id] = result
-                stats.executed += 1
-                if store is not None:
-                    store.put(result)
-                done += 1
-                if emit:
-                    emit(stats, done, cell.label())
-        else:
-            done = _run_pool(
-                pending, results, failures, stats, store=store, workers=workers,
-                retries=retries, emit=emit, done=done, mp_context=mp_context,
-                timeline=timeline,
-            )
-
-    stats.failed = len(failures)
-    stats.wall_s = time.perf_counter() - t0
-    merged: "OrderedDict[str, CellResult]" = OrderedDict(
-        (cid, results[cid]) for cid in sorted(results)
-    )
-    if failures and strict:
-        detail = "; ".join(f"{cid}: {err}" for cid, err in sorted(failures.items()))
-        raise SweepError(
-            f"{len(failures)} of {stats.total} cells failed after retries: {detail}"
-        )
-    return SweepResult(cells=merged, stats=stats, failures=failures)
-
-
-def _run_pool(
-    pending: list[SweepCell],
-    results: dict[str, CellResult],
-    failures: dict[str, str],
-    stats: SweepStats,
-    *,
-    store: ResultStore | None,
-    workers: int,
-    retries: int,
-    emit,
-    done: int,
-    mp_context: str | None,
-    timeline: bool = True,
-) -> int:
-    """Pool execution: bounded queue, crash isolation, per-cell retry.
-
-    A worker *exception* is attributable — the raising cell alone is
-    charged against its retry budget.  A worker *crash* (segfault, OOM
-    kill, ``os._exit``) breaks the whole pool — every in-flight future
-    (and any concurrent ``submit``) reports :class:`BrokenProcessPool` —
-    so the culprit is unknown; charging everyone would let one poison cell
-    exhaust innocent cells' budgets.  Instead breaks are counted globally,
-    everything in flight requeues uncharged, and once the breaks exceed
-    the retry budget the sweep drops to **solo mode** (one cell in flight
-    at a time): the next crash names its cell unambiguously and that cell
-    alone is charged.  Solo mode ends as soon as it resolves something —
-    the isolated cell succeeds, or the culprit is charged out of its
-    budget and failed — restoring parallelism for the healthy remainder.
-    A run of consecutive breaks that completes nothing (e.g. workers dying
-    at startup) aborts with :class:`SweepError` instead of looping.
-    """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    ctx = _mp_context(mp_context)
-    queue: deque[SweepCell] = deque(pending)
-    attempts: dict[str, int] = {}      # attributable (exception/solo-crash)
-    pool_breaks = 0                    # unattributed crashes since last resolution
-    consecutive_breaks = 0             # breaks with no completed cell between
-    solo = False                       # one-in-flight isolation mode
-
-    def new_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-
-    pool = new_pool()
-    inflight: dict = {}
-    try:
-        while queue or inflight:
-            max_inflight = 1 if solo else workers * _QUEUE_FACTOR
-            broken = False
-            while queue and len(inflight) < max_inflight:
-                cell = queue.popleft()
-                try:
-                    inflight[pool.submit(_worker_execute, cell, timeline)] = cell
-                except BrokenProcessPool:
-                    # pool died between wait() and submit(): unattributed
-                    queue.appendleft(cell)
-                    broken = True
-                    break
-            if not broken and inflight:
-                ready, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in ready:
-                    cell = inflight.pop(future)
+                land(execute_cell(cell))
+        elif pending:
+            with ProcessPoolExecutor(min(workers, len(pending)), _POOL_CONTEXT) as pool:
+                futures = {pool.submit(_worker_execute, cell): cell for cell in pending}
+                for future in as_completed(futures):
+                    cell = futures[future]
                     try:
                         result = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        if solo:
-                            # exactly one cell was running: the culprit
-                            attempts[cell.cell_id] = attempts.get(cell.cell_id, 0) + 1
-                            if attempts[cell.cell_id] > retries:
-                                failures[cell.cell_id] = "worker process crashed"
-                                done += 1
-                                solo = False    # resolved: culprit removed
-                                pool_breaks = 0
-                                consecutive_breaks = 0
-                            else:
-                                queue.appendleft(cell)  # rerun alone
-                        else:
-                            queue.appendleft(cell)  # uncharged: culprit unknown
-                    except Exception as exc:  # worker raised: retry bounded
-                        attempts[cell.cell_id] = attempts.get(cell.cell_id, 0) + 1
-                        if attempts[cell.cell_id] > retries:
-                            failures[cell.cell_id] = f"{type(exc).__name__}: {exc}"
-                            done += 1
-                        else:
-                            stats.retries += 1
-                            queue.append(cell)
+                    except Exception as exc:  # the cell raised, or the pool broke
+                        unfinished.append((
+                            f"{cell.label()} [{cell.cell_id}]: "
+                            f"{type(exc).__name__}: {exc}",
+                            exc,
+                        ))
                     else:
-                        results[cell.cell_id] = result
-                        stats.executed += 1
-                        consecutive_breaks = 0
-                        if solo:
-                            solo = False        # resolved: isolated cell ran
-                            pool_breaks = 0
-                        if store is not None:
-                            store.put(result)
-                        done += 1
-                        if emit:
-                            emit(stats, done, cell.label())
-            if broken:
-                # one break event, however many futures reported it
-                stats.retries += 1
-                consecutive_breaks += 1
-                if consecutive_breaks > _MAX_CONSECUTIVE_POOL_BREAKS:
-                    raise SweepError(
-                        f"worker pool crashed {consecutive_breaks} times in a "
-                        "row without completing a cell; giving up"
-                    )
-                if not solo:
-                    pool_breaks += 1
-                    if pool_breaks > retries:
-                        solo = True
-                # the pool is dead; everything in flight must requeue
-                for future, cell in inflight.items():
-                    queue.append(cell)
-                inflight.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = new_pool()
+                        land(result)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    if emit:
-        emit(stats, done, "done")
-    return done
+        if tty:
+            sys.stderr.write("\n")
+    stats.wall_s = time.perf_counter() - t0
+
+    if unfinished:
+        # chained to one failure so its (worker-side) traceback is kept
+        raise SweepError(
+            f"{len(unfinished)} of {stats.total} cells did not finish (re-run "
+            "against the same store to execute only these cells):\n  "
+            + "\n  ".join(sorted(line for line, _ in unfinished))
+        ) from unfinished[0][1]
+    return SweepResult(
+        cells=OrderedDict((cid, results[cid]) for cid in sorted(results)),
+        stats=stats,
+    )
 
 
 def run_keyed_cells(
     cells_by_key: dict,
     *,
-    trace: SyntheticAzureTrace | None = None,
     workers: int = 1,
     store: ResultStore | str | os.PathLike | None = None,
     resume: bool = True,
-    progress=None,
 ) -> dict:
     """Execute ``{key: SweepCell}`` and return ``{key: RunSummary}``.
 
@@ -666,33 +361,6 @@ def run_keyed_cells(
     executor, map the merged results back onto the keys.
     """
     result = run_cells(
-        list(cells_by_key.values()),
-        workers=workers,
-        store=store,
-        resume=resume,
-        progress=progress,
-        trace=trace,
+        cells_by_key.values(), workers=workers, store=store, resume=resume
     )
     return {key: result.summary_for(cell) for key, cell in cells_by_key.items()}
-
-
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    workers: int = 1,
-    store: ResultStore | str | os.PathLike | None = None,
-    resume: bool = True,
-    retries: int = 1,
-    progress=None,
-    mp_context: str | None = None,
-) -> SweepResult:
-    """Expand a :class:`SweepSpec` and execute it (see :func:`run_cells`)."""
-    return run_cells(
-        spec.cells(),
-        workers=workers,
-        store=store,
-        resume=resume,
-        retries=retries,
-        progress=progress,
-        mp_context=mp_context,
-    )

@@ -1,13 +1,14 @@
-"""Sweep orchestrator: determinism, resume, crash isolation, store round-trip.
+"""Sweep orchestrator: determinism, resume, failure recovery, store round-trip.
 
-The contract under test (ISSUE 4 / ROADMAP "sharded replay driver"):
+The contract under test:
 
-* sharded execution is invisible in the results — workers=1 and workers=4
+* pooled execution is invisible in the results — workers=1 and workers=4
   produce **byte-identical** merged payloads and figure data;
 * the result store makes sweeps resumable — an interrupted sweep re-executes
   only the missing cells and completes with identical output;
-* a crashing worker process is retried per-cell instead of killing the
-  sweep;
+* a failed pool sweep stores its finished cells and raises one
+  :class:`SweepError` naming the rest; re-running against the store
+  executes only those;
 * routing the §V consumers through the executor changed nothing: the
   workers=1 grid equals a direct ``run_experiment`` loop, summary for
   summary.
@@ -33,12 +34,13 @@ from repro.experiments import (
     run_experiment,
     run_policy_grid,
 )
+from repro.experiments.__main__ import main
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import SweepError
 from repro.traces import AzureTraceConfig, SyntheticAzureTrace
 
-#: small but non-trivial: enough requests to produce hits, misses, and a
-#: multi-row timeline in well under a second per cell
+#: small but non-trivial: enough requests to produce hits and misses in
+#: well under a second per cell
 TRACE_CFG = AzureTraceConfig(num_functions=200, mean_rate_per_minute=1500, seed=17)
 TRACE = SyntheticAzureTrace(TRACE_CFG)
 BASE = ExperimentConfig(
@@ -69,38 +71,42 @@ class TestCellIdentity:
         base = SweepCell(config=BASE, trace=TRACE_CFG)
         assert SweepCell(config=replace(BASE, seed=1), trace=TRACE_CFG).cell_id != base.cell_id
         assert SweepCell(config=BASE, trace=AzureTraceConfig(seed=1)).cell_id != base.cell_id
-        assert (
-            SweepCell(config=BASE, trace=TRACE_CFG, timeline_period_s=1.0).cell_id
-            != base.cell_id
-        )
 
-    def test_spec_expansion_folds_o3_duplicates(self):
-        spec = SweepSpec(
-            policies=("lb", "lalbo3"), working_sets=(15,), o3_limits=(5, 25)
-        )
+    @pytest.mark.parametrize(
+        "policies",
+        [("lb", "lalbo3"), ("lalbo3", "lb", "lalb")],
+        ids=["lb-first", "lalbo3-first"],
+    )
+    def test_spec_expansion_folds_o3_duplicates(self, policies):
+        spec = SweepSpec(policies=policies, working_sets=(15,), o3_limits=(5, 25))
         cells = spec.cells()
-        # lb ignores the O3 axis: 1 lb cell + 2 lalbo3 cells
-        assert len(cells) == 3
-        assert len({c.cell_id for c in cells}) == 3
+        # only lalbo3 reads the O3 axis: one cell per other policy, pinned
+        # to the first limit, and one lalbo3 cell per limit — whatever
+        # position lalbo3 takes in its row
+        assert len(cells) == len(policies) - 1 + 2
+        assert len({c.cell_id for c in cells}) == len(cells)
+        limits = sorted(c.config.o3_limit for c in cells if c.config.policy == "lalbo3")
+        assert limits == [5, 25]
+        assert all(
+            c.config.o3_limit == 5 for c in cells if c.config.policy != "lalbo3"
+        )
 
 
 class TestStore:
     def test_cell_result_roundtrip(self, tmp_path):
         cell = SweepCell(config=replace(BASE, working_set=4), trace=TRACE_CFG)
-        result = execute_cell(cell, trace=TRACE)
+        result = execute_cell(cell)
         store = ResultStore(tmp_path / "store")
         store.put(result)
         loaded = store.get(cell.cell_id)
         assert loaded is not None
         assert loaded.summary == result.summary
         assert loaded.per_architecture == result.per_architecture
-        assert loaded.timeline_fields == result.timeline_fields
-        assert loaded.timeline == result.timeline
         assert loaded.config == cell.canonical_payload()
 
     def test_reserialization_is_byte_identical(self, tmp_path):
         cell = SweepCell(config=replace(BASE, working_set=4), trace=TRACE_CFG)
-        result = execute_cell(cell, trace=TRACE)
+        result = execute_cell(cell)
         store = ResultStore(tmp_path / "store")
         path = store.put(result)
         first = path.read_bytes()
@@ -116,6 +122,29 @@ class TestStore:
 
         with pytest.raises(StoreVersionError):
             ResultStore(root)
+
+    @pytest.mark.parametrize(
+        "meta, reason",
+        [
+            ({"store": "something-else"}, "not a sweep result store"),
+            (
+                {"store": "repro-sweep-results", "code_fingerprint": "0123456789abcdef"},
+                "code version",
+            ),
+        ],
+        ids=["foreign-store", "stale-fingerprint"],
+    )
+    def test_rejected_directory_is_left_untouched(self, tmp_path, meta, reason):
+        """The meta file is validated before anything is created."""
+        from repro.experiments.store import StoreVersionError
+
+        root = tmp_path / "other"
+        root.mkdir()
+        (root / "store.meta.json").write_text(json.dumps(meta))
+        before = sorted(p.name for p in root.iterdir())
+        with pytest.raises(StoreVersionError, match=reason):
+            ResultStore(root)
+        assert sorted(p.name for p in root.iterdir()) == before
 
     def test_stale_code_fingerprint_is_detected(self, tmp_path):
         """Cell IDs hash config, not code: a store written by a different
@@ -145,33 +174,17 @@ class TestStore:
         assert a == source_fingerprint()
         assert len(a) == 16 and int(a, 16) >= 0
 
-    def test_timeline_matrix_shape(self):
-        cell = SweepCell(
-            config=replace(BASE, working_set=4), trace=TRACE_CFG, timeline_period_s=10.0
-        )
-        result = execute_cell(cell, trace=TRACE)
-        # boundaries are only recorded when an event crosses them, so the
-        # count is (last event time // period), not a fixed number
-        assert len(result.timeline) >= 4  # ~60 s of activity / 10 s period
-        assert all(len(row) == len(result.timeline_fields) for row in result.timeline)
-        times = [row[0] for row in result.timeline]
-        assert times == sorted(times)
-        completed = [row[result.timeline_fields.index("completed_requests")]
-                     for row in result.timeline]
-        assert completed == sorted(completed)
-        assert completed[-1] <= result.summary.completed_requests
-
 
 class TestExecutorParity:
     def test_execute_cell_matches_run_experiment(self):
         cfg = replace(BASE, policy="lalbo3", working_set=6)
         direct = run_experiment(cfg, trace=TRACE)
-        via_cell = execute_cell(SweepCell(config=cfg, trace=TRACE_CFG), trace=TRACE)
+        via_cell = execute_cell(SweepCell(config=cfg, trace=TRACE_CFG))
         assert via_cell.summary == direct
 
     def test_policy_grid_matches_direct_loop(self):
         grid = run_policy_grid(
-            (4, 6), ("lb", "lalb"), base=BASE, trace=TRACE, progress=False
+            (4, 6), ("lb", "lalb"), base=BASE, trace=TRACE
         )
         for (policy, ws), summary in grid.items():
             direct = run_experiment(
@@ -183,8 +196,8 @@ class TestExecutorParity:
 class TestShardingDeterminism:
     def test_workers_1_vs_4_byte_identical(self, tmp_path):
         cells = _grid_cells()
-        seq = run_cells(cells, workers=1, store=tmp_path / "seq", progress=False)
-        par = run_cells(cells, workers=4, store=tmp_path / "par", progress=False)
+        seq = run_cells(cells, workers=1, store=tmp_path / "seq")
+        par = run_cells(cells, workers=4, store=tmp_path / "par")
         assert seq.merged_json() == par.merged_json()
         assert list(seq.cells) == sorted(c.cell_id for c in cells)
         # figure data (the summaries the fig tables read) identical too
@@ -195,7 +208,7 @@ class TestShardingDeterminism:
     def test_interrupted_sweep_resumes_with_identical_output(self, tmp_path):
         cells = _grid_cells()
         full_store = tmp_path / "full"
-        reference = run_cells(cells, workers=1, store=full_store, progress=False)
+        reference = run_cells(cells, workers=1, store=full_store)
 
         # an interrupted sweep == a store holding only the cells that
         # finished before the kill (writes are atomic, so nothing torn)
@@ -206,7 +219,7 @@ class TestShardingDeterminism:
             shutil.copy(
                 ResultStore(full_store).path(cid), ResultStore(partial_store).path(cid)
             )
-        resumed = run_cells(cells, workers=2, store=partial_store, progress=False)
+        resumed = run_cells(cells, workers=2, store=partial_store)
         assert resumed.stats.cache_hits == len(survivors)
         assert resumed.stats.executed == len(cells) - len(survivors)
         assert resumed.merged_json() == reference.merged_json()
@@ -218,8 +231,8 @@ class TestShardingDeterminism:
         from repro.experiments import format_fig5
         from repro.experiments.fig5 import run_fig5
 
-        g1 = run_fig5(workers=1, store=tmp_path / "seq", progress=False)
-        g4 = run_fig5(workers=4, store=tmp_path / "par", progress=False)
+        g1 = run_fig5(workers=1, store=tmp_path / "seq")
+        g4 = run_fig5(workers=4, store=tmp_path / "par")
         assert g1 == g4
         assert format_fig5(g1) == format_fig5(g4)
         # the stored cells agree byte-for-byte modulo execution provenance
@@ -233,8 +246,8 @@ class TestShardingDeterminism:
     def test_completed_sweep_resumes_without_executing(self, tmp_path):
         cells = _grid_cells(working_sets=(4,))
         store = tmp_path / "store"
-        run_cells(cells, workers=1, store=store, progress=False)
-        again = run_cells(cells, workers=1, store=store, progress=False)
+        run_cells(cells, workers=1, store=store)
+        again = run_cells(cells, workers=1, store=store)
         assert again.stats.executed == 0
         assert again.stats.cache_hits == len(cells)
 
@@ -250,7 +263,7 @@ class TestShardingDeterminism:
             time.sleep(0.2)  # hold the worker so its sibling takes the next cell
 
         monkeypatch.setattr(sweep_mod, "_FAULT_HOOK", mark_pid)
-        result = run_cells(cells, workers=2, progress=False, mp_context="fork")
+        result = run_cells(cells, workers=2)
         assert result.stats.executed == len(cells)
         pids = {int(p.name.removeprefix("pid-")) for p in tmp_path.glob("pid-*")}
         assert len(pids) >= 2, pids
@@ -259,12 +272,12 @@ class TestShardingDeterminism:
     def test_no_resume_reexecutes(self, tmp_path):
         cells = _grid_cells(working_sets=(4,), policies=("lb",))
         store = tmp_path / "store"
-        run_cells(cells, workers=1, store=store, progress=False)
-        again = run_cells(cells, workers=1, store=store, resume=False, progress=False)
+        run_cells(cells, workers=1, store=store)
+        again = run_cells(cells, workers=1, store=store, resume=False)
         assert again.stats.executed == len(cells)
 
 
-class TestCrashIsolation:
+class TestFailureRecovery:
     def test_failing_cell_raises_sweep_error_with_detail(self, monkeypatch, tmp_path):
         cells = _grid_cells(working_sets=(4,))
 
@@ -276,92 +289,93 @@ class TestCrashIsolation:
         if not HAVE_FORK:
             pytest.skip("fault hook needs fork inheritance")
         with pytest.raises(SweepError, match="injected failure"):
-            run_cells(
-                cells, workers=2, store=tmp_path / "s", retries=0,
-                progress=False, mp_context="fork",
-            )
+            run_cells(cells, workers=2, store=tmp_path / "s")
         # the healthy cells still landed in the store
         assert len(ResultStore(tmp_path / "s")) == len(cells) - 1
 
-    def test_transient_failure_is_retried(self, monkeypatch, tmp_path):
-        if not HAVE_FORK:
-            pytest.skip("fault hook needs fork inheritance")
+    def test_in_process_failure_propagates_unwrapped(self, monkeypatch, tmp_path):
+        """workers=1 raises the cell's own exception (no SweepError), and
+        the cells finished before it are already stored."""
         cells = _grid_cells(working_sets=(4,))
-        flag = tmp_path / "fail-once"
-        flag.touch()
+        real = sweep_mod.execute_cell
 
-        def fail_once(cell):
-            try:
-                os.unlink(flag)  # atomic: only one worker wins the failure
-            except FileNotFoundError:
-                return
-            raise RuntimeError("transient")
+        def explode_on_last(cell):
+            if cell is cells[-1]:
+                raise ValueError("injected in-process failure")
+            return real(cell)
 
-        monkeypatch.setattr(sweep_mod, "_FAULT_HOOK", fail_once)
-        result = run_cells(
-            cells, workers=2, store=tmp_path / "s", retries=1,
-            progress=False, mp_context="fork",
+        monkeypatch.setattr(sweep_mod, "execute_cell", explode_on_last)
+        with pytest.raises(ValueError, match="injected in-process failure"):
+            run_cells(cells, workers=1, store=tmp_path / "s")
+        assert ResultStore(tmp_path / "s").cell_ids() == sorted(
+            c.cell_id for c in cells[:-1]
         )
-        assert len(result.cells) == len(cells)
-        assert result.stats.retries == 1
 
-    def test_worker_process_crash_is_survived(self, monkeypatch, tmp_path):
+    def test_crashed_pool_is_recovered_by_rerunning_against_the_store(
+        self, monkeypatch, tmp_path
+    ):
+        """A worker killed mid-sweep breaks the pool: nothing is retried,
+        the finished cells are stored, and one SweepError names the rest.
+        Re-running against the store executes exactly those and merges
+        byte-identically with a clean sequential run."""
         if not HAVE_FORK:
             pytest.skip("fault hook needs fork inheritance")
         cells = _grid_cells(working_sets=(4,))
+        store = tmp_path / "s"
         flag = tmp_path / "crash-once"
         flag.touch()
 
         def crash_once(cell):
             try:
-                os.unlink(flag)
+                os.unlink(flag)  # atomic: only one worker wins the crash
             except FileNotFoundError:
                 return
-            os._exit(13)  # hard kill: exercises BrokenProcessPool recovery
+            os._exit(13)
 
         monkeypatch.setattr(sweep_mod, "_FAULT_HOOK", crash_once)
-        result = run_cells(
-            cells, workers=2, store=tmp_path / "s", retries=2,
-            progress=False, mp_context="fork",
-        )
-        assert len(result.cells) == len(cells)
-        assert result.stats.retries >= 1
+        with pytest.raises(SweepError, match="re-run against the same store") as err:
+            run_cells(cells, workers=2, store=store)
+        stored = ResultStore(store).cell_ids()
+        assert len(stored) < len(cells)
+        for cell in cells:
+            if cell.cell_id not in stored:
+                assert f"{cell.label()} [{cell.cell_id}]" in str(err.value)
+
+        rerun = run_cells(cells, workers=2, store=store)
+        assert rerun.stats.cache_hits == len(stored)
+        assert rerun.stats.executed == len(cells) - rerun.stats.cache_hits
+        assert rerun.merged_json() == run_cells(cells, workers=1).merged_json()
 
 
-    def test_poison_cell_fails_alone_without_charging_healthy_cells(
-        self, monkeypatch, tmp_path
-    ):
-        """A cell that crashes its worker *every* time must eventually be
-        failed in isolation (solo mode) — while every healthy cell that
-        shared the pool with it completes, uncharged."""
-        if not HAVE_FORK:
-            pytest.skip("fault hook needs fork inheritance")
-        cells = _grid_cells(working_sets=(4,))
-
-        def always_crash(cell):
-            if cell.config.policy == "lalb":
-                os._exit(13)
-
-        monkeypatch.setattr(sweep_mod, "_FAULT_HOOK", always_crash)
-        result = run_cells(
-            cells, workers=2, store=tmp_path / "s", retries=1,
-            progress=False, mp_context="fork", strict=False,
-        )
-        poison = [c for c in cells if c.config.policy == "lalb"]
-        assert len(poison) == 1
-        assert list(result.failures) == [poison[0].cell_id]
-        assert result.failures[poison[0].cell_id] == "worker process crashed"
-        assert len(result.cells) == len(cells) - 1
-        assert len(ResultStore(tmp_path / "s")) == len(cells) - 1
-
-
-class TestWorkloadSharing:
-    def test_cached_workload_views_are_independent(self):
-        """Two runs off one cached column set must not share request
-        objects (the simulator mutates them in place)."""
+class TestRepeatExecution:
+    def test_repeated_execution_is_identical(self):
+        """A cell is a deterministic function of its config: executing it
+        twice in one process (shared trace, fresh workload) gives the same
+        result."""
         cell = SweepCell(config=replace(BASE, working_set=4), trace=TRACE_CFG)
-        first = execute_cell(cell, trace=TRACE)
-        second = execute_cell(cell, trace=TRACE)
+        first = execute_cell(cell)
+        second = execute_cell(cell)
         assert first.summary == second.summary
         assert first.per_architecture == second.per_architecture
-        assert first.timeline == second.timeline
+
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--policies", "lb"),
+            ("--working-sets", "15"),
+            ("--o3-limits", "5"),
+            ("--replacements", "lru"),
+            ("--seeds", "1"),
+            ("--fault-profiles", "none"),
+            ("--minutes", "1"),
+            ("--requests-per-minute", "40"),
+        ],
+    )
+    def test_sweep_axis_flag_on_another_target_is_an_error(self, capsys, flag, value):
+        # rejected at parse time, before fig7 runs a single cell
+        with pytest.raises(SystemExit) as exc:
+            main(["fig7", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

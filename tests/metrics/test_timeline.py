@@ -14,14 +14,14 @@ def system():
     return FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(1, 2), policy="lalbo3"))
 
 
-def run_small_workload(system, period_s=5.0, max_samples=None):
+def run_small_workload(system, period_s=5.0):
     trace = SyntheticAzureTrace(
         AzureTraceConfig(num_functions=100, mean_rate_per_minute=500, seed=4)
     )
     wl = build_workload(
         WorkloadSpec(working_set=4, minutes=2, requests_per_minute=30), trace=trace
     )
-    probe = TimelineProbe(system, period_s=period_s, max_samples=max_samples)
+    probe = TimelineProbe(system, period_s=period_s)
     system.submit_workload(wl)
     system.run()  # the probe injects nothing, so a plain drain terminates
     probe.stop()
@@ -82,53 +82,6 @@ class TestSampling:
         assert len(probe.samples) == 3
 
 
-class TestDecimation:
-    """max_samples: drop every other row, double the period, stay on
-    boundaries — the run holds between max/2 and max rows at any length."""
-
-    def test_sampler_decimates_onto_doubled_boundaries(self, system):
-        probe, _ = run_small_workload(system, period_s=10.0, max_samples=8)
-        # 120 s at period 10 crosses the budget of 8 once, at t=80, after
-        # which sampling continues at period 20
-        assert probe.period_s == 20.0
-        times = series(probe, "time_s")
-        np.testing.assert_allclose(times[:5], [20, 40, 60, 80, 100])
-        np.testing.assert_allclose(np.diff(times), 20.0)
-        assert len(probe.samples) == len(probe) <= probe.max_samples
-
-    def test_probe_decimates_onto_doubled_boundaries(self, system):
-        trace = SyntheticAzureTrace(
-            AzureTraceConfig(num_functions=100, mean_rate_per_minute=500, seed=4)
-        )
-        wl = build_workload(
-            WorkloadSpec(working_set=4, minutes=2, requests_per_minute=30), trace=trace
-        )
-        probe = TimelineProbe(system, period_s=5.0, max_samples=8)
-        for r in wl.requests:
-            system.submit_at(r)
-        system.run(until=wl.duration_s)
-        probe.stop()
-        system.run()
-        # the raw period-5 boundaries cross the budget twice: 5→10→20 s.
-        # (being passive, the probe records a boundary only once a later
-        # event crosses it, so the final 120 s boundary never lands)
-        assert probe.period_s == 20.0
-        times = probe.to_numpy()[:, 0]
-        np.testing.assert_allclose(times, [20, 40, 60, 80, 100])
-        assert len(probe) == 5 <= probe.max_samples
-
-    def test_decimated_counters_still_monotone(self, system):
-        probe, _ = run_small_workload(system, period_s=5.0, max_samples=8)
-        assert probe.period_s > 5.0  # the budget really forced a decimation
-        done = series(probe, "completed_requests")
-        assert np.all(np.diff(done) >= 0)
-
-    @pytest.mark.parametrize("bad", [0, 1, 3, 7])
-    def test_rejects_odd_or_tiny_budget(self, system, bad):
-        with pytest.raises(ValueError):
-            TimelineProbe(system, max_samples=bad)
-
-
 class TestAccessors:
     def test_unknown_field_rejected(self, system):
         probe, _ = run_small_workload(system)
@@ -148,9 +101,9 @@ class TestAccessors:
     def test_to_rows(self, system):
         probe, _ = run_small_workload(system)
         samples = probe.samples
-        assert len(samples) == len(probe) == len(probe.matrix())
+        assert len(samples) == len(probe) == len(probe.to_numpy())
         first = samples[0]
-        assert [getattr(first, name) for name in TIMELINE_FIELDS] == probe.matrix()[0]
+        assert [getattr(first, name) for name in TIMELINE_FIELDS] == list(probe.to_numpy()[0])
         assert isinstance(first.global_queue_depth, int)
 
     def test_invalid_period(self, system):

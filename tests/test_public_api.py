@@ -128,7 +128,7 @@ def test_one_way_in():
         "PAPER_POLICIES", "ExperimentConfig", "run_experiment",
         "run_policy_grid", "shared_trace", "CellResult", "ResultStore",
         "SweepCell", "SweepResult", "SweepSpec", "execute_cell", "run_cells",
-        "run_keyed_cells", "run_sweep",
+        "run_keyed_cells",
         "format_table1", "table1_from_paper", "table1_wallclock",
     }
     assert set(repro.faas.__all__) == {
