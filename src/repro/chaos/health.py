@@ -32,27 +32,19 @@ __all__ = ["HealthWatchdog"]
 
 #: Datastore key prefix for per-GPU liveness keys
 HEALTH_PREFIX = "gpu/health/"
+#: heartbeat cadence: every live lease is refreshed this often
+HEARTBEAT_S = 1.0
+#: lease TTL: a GPU is escalated after this long without a heartbeat
+#: (longer than the cadence, or every beat would expire)
+TTL_S = 3.0
 
 
 class HealthWatchdog:
     """Per-GPU lease liveness with automatic offline escalation."""
 
-    def __init__(
-        self,
-        system: "FaaSCluster",
-        *,
-        heartbeat_s: float = 1.0,
-        ttl_s: float = 3.0,
-        horizon_s: float = 0.0,
-    ) -> None:
-        if heartbeat_s <= 0:
-            raise ValueError("heartbeat_s must be positive")
-        if ttl_s <= heartbeat_s:
-            raise ValueError("ttl_s must exceed heartbeat_s (or every beat expires)")
+    def __init__(self, system: "FaaSCluster", *, horizon_s: float = 0.0) -> None:
         self.system = system
         self.sim = system.sim
-        self.heartbeat_s = heartbeat_s
-        self.ttl_s = ttl_s
         self.horizon_s = horizon_s
         self._client = system.datastore.client()
         self._leases: dict[str, object] = {}
@@ -73,7 +65,7 @@ class HealthWatchdog:
         self._started = True
         for gpu in self.system.cluster.gpus:
             self._grant(gpu.gpu_id)
-        self.sim.schedule(self.heartbeat_s, self._beat)
+        self.sim.schedule(HEARTBEAT_S, self._beat)
 
     def suppress(self, gpu_id: str, duration_s: float) -> None:
         """Stop refreshing ``gpu_id``'s lease for ``duration_s`` (the
@@ -85,7 +77,7 @@ class HealthWatchdog:
 
     # ------------------------------------------------------------------
     def _grant(self, gpu_id: str) -> None:
-        lease = self._client.lease(self.ttl_s)
+        lease = self._client.lease(TTL_S)
         self._client.put(f"{HEALTH_PREFIX}{gpu_id}", "ok", lease=lease)
         lease.on_expire(lambda _lease, gpu_id=gpu_id: self._expired(gpu_id))
         self._leases[gpu_id] = lease
@@ -104,8 +96,8 @@ class HealthWatchdog:
     def _beat(self) -> None:
         # reschedule first: handlers below may run nested simulator logic,
         # and a fixed cadence keeps the replay's event sequence stable
-        if self.sim.now + self.heartbeat_s <= self.horizon_s:
-            self.sim.schedule(self.heartbeat_s, self._beat)
+        if self.sim.now + HEARTBEAT_S <= self.horizon_s:
+            self.sim.schedule(HEARTBEAT_S, self._beat)
         else:
             self._retire()
             return

@@ -84,10 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output path for the trace target's Chrome trace-event file",
     )
     parser.add_argument(
-        "--trace-spill", default=None, metavar="PATH",
-        help="optional JSONL spill of decimated request records (trace target)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1,
         help="sweep worker processes (1 = sequential, in-process)",
     )
@@ -135,9 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         from .replay import replay
 
         _, system = replay(
-            SystemConfig(
-                tracer="flight", trace_spill_path=args.trace_spill, seed=args.seed
-            ),
+            SystemConfig(tracer="flight", seed=args.seed),
             build_workload(
                 spec_for_requests(args.requests, seed=args.seed),
                 trace=SyntheticAzureTrace(),

@@ -75,9 +75,10 @@ def run_belady_bound(
     shared workload.
     """
     trace = trace or shared_trace()
+    workload = build_workload(WorkloadSpec(working_set=working_set, seed=seed), trace=trace)
 
     def install_oracle(system) -> None:
-        oracle = build_belady_oracle(workload)  # this iteration's workload
+        oracle = build_belady_oracle(workload)
         # swap every GPU's policy list for the clairvoyant one
         system.cache._policies = {
             gpu_id: BeladyPolicy(oracle) for gpu_id in system.cache._policies
@@ -85,7 +86,6 @@ def run_belady_bound(
 
     out: dict[str, RunSummary] = {}
     for name, prepare in (("lru", None), ("belady", install_oracle)):
-        workload = build_workload(WorkloadSpec(working_set=working_set, seed=seed), trace=trace)
         out[name], _ = replay(
             SystemConfig(policy=policy, replacement="lru", seed=seed),
             workload,

@@ -57,8 +57,7 @@ def replay(
     :func:`~repro.runtime.config.streaming_config` for flat RSS), a
     :class:`~repro.traces.Workload` in one bulk injection.  ``prepare``
     runs on the built system before anything is injected (attach a probe,
-    swap a policy); ``label`` overrides the summary's policy name.  Both
-    spill files, when configured, are complete and closed on return.
+    swap a policy); ``label`` overrides the summary's policy name.
 
     Returns the run summary plus the drained system for drill-down.
     """
@@ -77,9 +76,6 @@ def replay(
         working_set=workload.spec.working_set,
         top_model=workload.top_model_id,
     )
-    system.metrics.close_spill()
-    if system.tracer is not None:
-        system.tracer.close()
     return summary, system
 
 

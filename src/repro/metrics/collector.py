@@ -34,10 +34,8 @@ folds directly.  Because the replay is in order, the fold state is the
 same whatever the cap was.  Summaries are exact while the window is open;
 once closed, counts, rates and ratios stay exact and quantiles come from
 the histograms within their documented ~1 % relative bound.
-``exact_cap=None`` (the default) never closes the window.
-
-``spill_to`` optionally tees every completion row to a CSV on disk for
-drill-down past the close.
+``exact_cap=None`` (the default) never closes the window; the runtime
+passes ``SystemConfig.retention``.
 """
 
 from __future__ import annotations
@@ -96,40 +94,6 @@ class _ArchStream:
         self.misses = 0
 
 
-class _RowSpill:
-    """Lazily-opened CSV tee of completion rows (drill-down)."""
-
-    __slots__ = ("path", "_fh")
-
-    _HEADER = "arrival,dispatched,completed,model,gpu,architecture,cache_hit,false_miss,sla_s\n"
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._fh = None
-
-    def write(self, request: InferenceRequest) -> None:
-        fh = self._fh
-        if fh is None:
-            fh = self._fh = open(self.path, "w", buffering=1 << 16)
-            fh.write(self._HEADER)
-        hit = request.cache_hit
-        fh.write(
-            f"{request.arrival_time!r},"
-            f"{'' if request.dispatched_at is None else repr(request.dispatched_at)},"
-            f"{request.completed_at!r},"
-            f"{request.model_id},{request.gpu_id or '?'},"
-            f"{request.model.architecture},"
-            f"{-1 if hit is None else int(hit)},"
-            f"{int(request.false_miss)},"
-            f"{'' if request.sla_s is None else repr(request.sla_s)}\n"
-        )
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 class _Interner:
     """String → dense int32 code, with the reverse table public."""
 
@@ -151,13 +115,7 @@ class _Interner:
 class MetricsCollector:
     """Accumulates per-request and cache-residency statistics."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        *,
-        exact_cap: int | None = None,
-        spill_to: str | None = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, *, exact_cap: int | None = None) -> None:
         self.sim = sim
         #: request objects of the open window, for drill-down ([] once closed)
         self.completed: list[InferenceRequest] = []
@@ -201,7 +159,6 @@ class MetricsCollector:
         #: columns().  None once the window has closed.
         self._rows: list[tuple] | None = []
         self._columns_cache: CompletionColumns | None = None
-        self._spill = _RowSpill(spill_to) if spill_to else None
         # fold state: empty while the window is open, filled by _fold
         self.lat_hist = LogHistogram()
         self._arch_stats: dict[int, _ArchStream] = {}
@@ -251,8 +208,6 @@ class MetricsCollector:
             self.completed.append(request)
             if self.exact_cap is not None and self._n > self.exact_cap:
                 self._close_window()
-        if self._spill is not None:
-            self._spill.write(request)
 
     def _fold(self, row: tuple) -> None:
         """Fold one completion row into the fixed-size state.
@@ -314,15 +269,6 @@ class MetricsCollector:
         hist = LogHistogram()
         hist.record_many(row[2] - row[0] for row in self._rows)
         return hist
-
-    def close_spill(self) -> None:
-        """Flush and close the row-spill CSV, if one was configured."""
-        if self._spill is not None:
-            self._spill.close()
-
-    @property
-    def spill_path(self) -> str | None:
-        return self._spill.path if self._spill is not None else None
 
     def on_cache_event(self, kind: str, gpu_id: str, model_id: str, now: float) -> None:
         self.cache_events += 1

@@ -55,16 +55,12 @@ instants   point events: chaos faults/repairs, skipped (overlapping)
 ========== =========================================================
 
 Rings overwrite oldest-first past ``capacity`` (``dropped`` counts per
-ring), so tracing any replay size holds a fixed memory ceiling.  An
-optional JSONL spill tees request records to disk with stride-doubling
-decimation — total spilled lines are bounded by
-``keep × (1 + log2(n / keep))``, the same budget shape as the streaming
-metrics tier's compaction windows.
+ring), so tracing any replay size holds a fixed memory ceiling; past it
+the exact ``totals`` counters are the run's long-run record.
 """
 
 from __future__ import annotations
 
-import json
 from array import array
 
 __all__ = ["FlightRecorder"]
@@ -88,48 +84,6 @@ class _Interner:
         return c
 
 
-class _Spill:
-    """Lazily-opened JSONL tee with stride-doubling decimation.
-
-    Writes every record while under ``keep`` lines, then keeps every
-    2nd, then every 4th, ... — each doubling admits at most ``keep``
-    more lines, so a spill over n records holds at most
-    ``keep × (1 + log2(n / keep))`` lines.
-    """
-
-    __slots__ = ("path", "keep", "stride", "_at_level", "written", "seen", "_fh")
-
-    def __init__(self, path: str, keep: int) -> None:
-        self.path = path
-        self.keep = max(1, int(keep))
-        self.stride = 1
-        self._at_level = 0
-        self.written = 0
-        self.seen = 0
-        self._fh = None
-
-    def offer(self, obj: dict) -> None:
-        seen = self.seen
-        self.seen = seen + 1
-        if seen % self.stride:
-            return
-        fh = self._fh
-        if fh is None:
-            fh = self._fh = open(self.path, "w", buffering=1 << 16)
-        fh.write(json.dumps(obj, separators=(",", ":")))
-        fh.write("\n")
-        self.written += 1
-        self._at_level += 1
-        if self._at_level >= self.keep:
-            self.stride *= 2
-            self._at_level = 0
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 class FlightRecorder:
     """Slot-indexed flight recorder over fixed-capacity ring buffers.
 
@@ -137,8 +91,7 @@ class FlightRecorder:
     ``capacity`` 4096 per ring holds every span of the 2k-request §V-A
     replay (~3.1k commits is its largest ring load) with a small cache
     footprint; ``span_stride=1`` records every pass and commit span
-    instead of every 16th; ``spill_keep`` is the lines admitted per
-    decimation level of the JSONL spill.
+    instead of every 16th.
     """
 
     def __init__(
@@ -147,8 +100,6 @@ class FlightRecorder:
         *,
         capacity: int = 4096,
         span_stride: int = 16,
-        spill_path: str | None = None,
-        spill_keep: int = 20_000,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -174,9 +125,8 @@ class FlightRecorder:
         # instants ring: sim time (stride 1), name/detail (stride 2)
         self._i_time = array("d", bytes(capacity * 8))
         self._i_str: list[str | None] = [None] * (capacity * 2)
-        self._spill = _Spill(spill_path, spill_keep) if spill_path else None
         # per-ring [cursor, stored] (+ [2] = spans *seen* for the two
-        # sampled rings), shared between the recording closures, the
+        # sampled rings), shared between the instant closure, the
         # runtime's inline ring-write sites, and the snapshot readers
         self._r_state = [0, 0]
         self._p_state = [0, 0, 0]
@@ -190,43 +140,18 @@ class FlightRecorder:
     # object, so tracing adds no cyclic-GC pressure)
     # ------------------------------------------------------------------
     def _bind_hooks(self) -> None:
-        """Compile ``request_complete`` and ``instant`` as closures over
-        their ring buffers.
+        """Compile ``instant`` as a closure over its ring buffers.
 
-        Instance-attribute closures turn the half-dozen ``self.``
-        attribute loads each hook would pay into cell loads.  The pass
-        and commit rings have no hook here: their only writers
-        (``Scheduler._run_policy``, ``WriteBatch.flush``) store into
-        ``_p_buf`` / ``_c_buf`` in place, stride check before the clock
-        probes, and ``FaaSCluster._on_request_complete`` does the same
-        for the request ring unless a spill is configured.
+        An instance-attribute closure turns the half-dozen ``self.``
+        attribute loads the hook would pay into cell loads.  The other
+        three rings have no hook here: their only writers
+        (``FaaSCluster._on_request_complete``, ``Scheduler._run_policy``,
+        ``WriteBatch.flush``) store into ``_r_objs`` / ``_p_buf`` /
+        ``_c_buf`` in place, the span sites checking the stride before
+        their clock probes.
         """
         capacity = self.capacity
         sim = self._sim
-        spill = self._spill
-
-        r_objs = self._r_objs
-        r_state = self._r_state
-
-        def request_complete(request) -> None:
-            i = r_state[0]
-            r_objs[i] = request
-            r_state[1] += 1
-            i += 1
-            r_state[0] = 0 if i == capacity else i
-            if spill is not None:
-                spill.offer({
-                    "id": request.request_id,
-                    "arrival": request.arrival_time,
-                    "dispatched": request.dispatched_at,
-                    "exec_start": request.exec_start_at,
-                    "completed": request.completed_at,
-                    "model": request.model.instance_id,
-                    "gpu": request.gpu_id,
-                    "hit": request.cache_hit,
-                    "retries": request.retries,
-                })
-
         i_time, i_str = self._i_time, self._i_str
         i_state = self._i_state
 
@@ -240,7 +165,6 @@ class FlightRecorder:
             i += 1
             i_state[0] = 0 if i == capacity else i
 
-        self.request_complete = request_complete
         self.instant = instant
 
     # -- instant conveniences (shared spellings, so exporters can route) --
@@ -367,16 +291,3 @@ class FlightRecorder:
             "commits": max(0, self._c_state[1] - cap),
             "instants": max(0, self._i_state[1] - cap),
         }
-
-    @property
-    def spill_path(self) -> str | None:
-        return self._spill.path if self._spill is not None else None
-
-    @property
-    def spill_written(self) -> int:
-        return self._spill.written if self._spill is not None else 0
-
-    def close(self) -> None:
-        """Flush and close the JSONL spill, if one was configured."""
-        if self._spill is not None:
-            self._spill.close()

@@ -11,6 +11,7 @@ directly.
 from __future__ import annotations
 
 from ..chaos import ChaosInjector, HealthWatchdog, build_fault_plan
+from ..chaos.health import HEARTBEAT_S, TTL_S
 from ..cluster.topology import Cluster, GPUTypeSpec, build_cluster
 from ..core.cache_manager import CacheManager
 from ..core.estimator import FinishTimeEstimator
@@ -44,27 +45,21 @@ class FaaSCluster:
             self.sim,
             batched=True,
             ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES,
-            autocompact_keep=self.config.kv_autocompact_keep,
+            autocompact_keep=self.config.retention,
         )
 
         # model profiles for every GPU type present (§VI heterogeneity)
         type_specs: list[GPUTypeSpec] = [spec for _, spec in self.config.cluster.nodes]
         self.registry = ProfileRegistry.from_table1(type_specs)
 
-        self.metrics = MetricsCollector(
-            self.sim,
-            exact_cap=self.config.metrics_exact_cap,
-            spill_to=self.config.metrics_spill_path,
-        )
+        self.metrics = MetricsCollector(self.sim, exact_cap=self.config.retention)
         # ---- observability: flight recorder + explain log -------------
         # "Off" is the attribute staying None, not a no-op object:
         # every hook site in the hot path is one attribute load and one
         # identity test, nothing else.
         self.tracer: FlightRecorder | None = None
         if self.config.tracer == "flight":
-            self.tracer = FlightRecorder(
-                self.sim, spill_path=self.config.trace_spill_path
-            )
+            self.tracer = FlightRecorder(self.sim)
             self.metrics.tracer = self.tracer
             self.datastore.pending._tracer = self.tracer
         self._completion_listeners: list = []
@@ -103,7 +98,7 @@ class FaaSCluster:
                 self.registry,
                 self.estimator,
                 datastore=self.datastore.client(),
-                latency_keep=self.config.latency_log_keep,
+                latency_keep=self.config.retention,
                 on_complete=self._on_request_complete,
                 # only tenancy observes dispatches
                 on_dispatch=(
@@ -157,14 +152,10 @@ class FaaSCluster:
         if self.fault_plan is not None:
             self.health = HealthWatchdog(
                 self,
-                heartbeat_s=self.config.health_heartbeat_s,
-                ttl_s=self.config.health_ttl_s,
                 # heartbeats retire once every fault has played out (plus
                 # one TTL of slack for a trailing expiry to self-heal), so
                 # the replay still drains to a fixed event horizon
-                horizon_s=self.fault_plan.end_s
-                + self.config.health_ttl_s
-                + 2 * self.config.health_heartbeat_s,
+                horizon_s=self.fault_plan.end_s + TTL_S + 2 * HEARTBEAT_S,
             )
             self.health.start()
             self.chaos = ChaosInjector(self, self.fault_plan)
@@ -182,23 +173,17 @@ class FaaSCluster:
         self.metrics.on_complete(request)
         tracer = self.tracer
         if tracer is not None:
-            if tracer._spill is None:
-                # write the request ring in place (same trade as the
-                # scheduler-pass and commit sites: the tracer here is
-                # always the runtime's FlightRecorder, and one closure
-                # call per completion is measurable at replay rates);
-                # the ring holds a borrowed reference — the request's
-                # stamps are final once complete, and fields are read
-                # at snapshot time.  The spill-configured path calls
-                # the recorder's hook, which also builds the JSONL record
-                state = tracer._r_state
-                i = state[0]
-                tracer._r_objs[i] = request
-                state[1] += 1
-                i += 1
-                state[0] = 0 if i == tracer.capacity else i
-            else:
-                tracer.request_complete(request)
+            # write the request ring in place (same trade as the
+            # scheduler-pass and commit sites: one hook call per
+            # completion is measurable at replay rates); the ring holds
+            # a borrowed reference — the request's stamps are final once
+            # complete, and fields are read at snapshot time
+            state = tracer._r_state
+            i = state[0]
+            tracer._r_objs[i] = request
+            state[1] += 1
+            i += 1
+            state[0] = 0 if i == tracer.capacity else i
         if self.tenancy is not None:
             self.tenancy.on_request_complete(request)
         if self._completion_listeners:  # skip the defensive copy when empty
@@ -240,8 +225,17 @@ class FaaSCluster:
         object, heap entry or sift per request.  Accepts a
         :class:`~repro.traces.Workload` (materializing its columns once)
         or any iterable of requests.
+
+        A replay mutates the request objects it runs (state, stamps,
+        retries, O3 visits), so a workload's cached objects are handed to
+        this replay and detached from it: replaying the same workload
+        again builds fresh ones and makes the same decisions.
         """
-        requests = workload.requests if hasattr(workload, "requests") else list(workload)
+        if hasattr(workload, "requests"):
+            requests = workload.requests
+            workload._requests = None
+        else:
+            requests = list(workload)
         self.sim.schedule_many(
             [r.arrival_time for r in requests],
             self.scheduler.submit,

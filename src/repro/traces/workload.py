@@ -149,7 +149,9 @@ class Workload:
 
     @property
     def requests(self) -> list[InferenceRequest]:
-        """The request stream as objects (built on first access, cached)."""
+        """The request stream as objects (built on first access, cached
+        until :meth:`~repro.runtime.FaaSCluster.submit_workload` takes
+        them for a replay — the next access builds fresh ones)."""
         if self._requests is None:
             spec = self.spec
             fids = self.function_ids

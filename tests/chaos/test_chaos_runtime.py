@@ -196,10 +196,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(max_retries=-1)
 
-    def test_ttl_must_exceed_heartbeat(self):
-        with pytest.raises(ValueError):
-            SystemConfig(health_heartbeat_s=2.0, health_ttl_s=1.0)
-
 
 class TestAvailabilityUnderChaos:
     def test_recoverable_replay_loses_nothing(self, make_request):

@@ -238,12 +238,15 @@ class TestProductionVsSpec:
         assert max(literal) > 0  # the workload does skip requests
         assert (sum(fast), max(fast)) == (sum(literal), max(literal))
 
-    def test_bounded_retention(self):
-        """Autocompaction plus the latency-record sliding window: same
-        decisions and final values while the production store retains
-        (near) zero history."""
+    @pytest.mark.parametrize("retention", [1, 300])
+    def test_bounded_retention(self, retention):
+        """Autocompaction, the latency-record sliding window and the
+        closed metrics window: same decisions and final values while the
+        production store retains (near) zero history.  At 1 every bound
+        is at its tightest — one revision, one latency record per node,
+        a window that closes at the second completion."""
         spec = _workload(SEED + 3, 1500)
-        kwargs = dict(kv_autocompact_keep=300, latency_log_keep=300)
+        kwargs = dict(retention=retention)
         production = _run(spec, **kwargs)
         reference = _run(spec, ALL_LITERAL, **kwargs)
         _assert_matches(production, reference)
@@ -403,7 +406,7 @@ class TestWritePath:
 class TestProductionPath:
     def test_latency_window_stays_bounded_without_history_growth(self):
         keep = 100
-        system = _run(_workload(SEED + 4, 1500), latency_log_keep=keep).system
+        system = _run(_workload(SEED + 4, 1500), retention=keep).system
         kv = system.datastore.kv
         latency_keys = [k for k in kv.keys() if k.startswith("fn/latency/")]
         # one window per GPU manager node; each bounded by `keep`

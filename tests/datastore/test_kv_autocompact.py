@@ -1,11 +1,13 @@
-"""KV history windowing: ``SystemConfig(kv_autocompact_keep=N)``.
+"""KV history windowing: ``Datastore(autocompact_keep=N)``.
 
 The etcd ``--auto-compaction`` analogue: a long replay normally retains
 every historical KeyValue.  With the sliding
 horizon enabled, history below ``revision - keep`` is compacted away after
 each event (with 2×keep hysteresis), bounding datastore memory — and,
 because compaction never touches live keys, the scheduling decisions must
-be bit-for-bit unchanged.
+be bit-for-bit unchanged.  ``SystemConfig(retention=N)`` sets the horizon
+along with the latency-record and metrics windows; the store is swapped
+under the runtime here so only compaction varies.
 """
 
 import random
@@ -39,20 +41,15 @@ def _workload(seed: int):
     return spec
 
 
-def _write_through(sim, **kwargs):
-    return Datastore(sim, **{**kwargs, "batched": False})
-
-
 def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True):
+    def store(sim, **kwargs):
+        # the runtime always batches; the write-through arm swaps that too
+        return Datastore(sim, **{**kwargs, "batched": batched, "autocompact_keep": keep})
+
     with pytest.MonkeyPatch.context() as patch:
-        if not batched:  # the runtime always batches; swap the store under it
-            patch.setattr(system_module, "Datastore", _write_through)
+        patch.setattr(system_module, "Datastore", store)
         system = FaaSCluster(
-            SystemConfig(
-                cluster=ClusterSpec.homogeneous(1, 3),
-                policy="lalbo3",
-                kv_autocompact_keep=keep,
-            )
+            SystemConfig(cluster=ClusterSpec.homogeneous(1, 3), policy="lalbo3")
         )
     assert system.datastore.batched is batched
     peak = {"history": 0}
@@ -135,10 +132,11 @@ def test_live_state_survives_compaction():
     assert n_latency_b == n_latency_c
 
 
-def test_autocompact_is_off_by_default():
-    assert SystemConfig().kv_autocompact_keep is None
+def test_retention_is_off_by_default():
+    assert SystemConfig().retention is None
+    assert FaaSCluster().datastore.autocompact_keep is None
 
 
-def test_keep_validation():
+def test_retention_validation():
     with pytest.raises(ValueError):
-        SystemConfig(kv_autocompact_keep=0)
+        SystemConfig(retention=0)

@@ -9,7 +9,7 @@ never queues more than a handful of requests (O3 skips are counted
 eagerly on the unattached tail), the over-capacity replay holds 6,086 of
 its 8,000 requests in the global queue when arrivals stop at t = 240 s
 (skips are read off the bump counter), and the streaming replay runs
-past all three of :func:`~repro.runtime.streaming_config`'s caps (closed
+past all three of :func:`~repro.runtime.streaming_config`'s bounds (closed
 metrics window folding into histograms, MVCC autocompaction, the
 latency-log window's per-completion delete).  The gate leaves 3 % (4.2
 calls per request shallow, 3.8 deep, 4.7 streaming) for interpreter
@@ -42,9 +42,7 @@ DEEP_8K = WorkloadSpec(working_set=25, minutes=4, requests_per_minute=2000, seed
 STREAM_4K = spec_for_requests(4000)
 #: every bounded-memory cap at 250, so ~80 % of the 3,900 completions run
 #: past all three
-STREAM_CONFIG = streaming_config(
-    metrics_exact_cap=250, kv_autocompact_keep=250, latency_log_keep=250
-)
+STREAM_CONFIG = streaming_config(retention=250)
 
 #: calls per request at this commit (± 0.01 across hash seeds); the
 #: commit before the straight-line request lifecycle read 176.25 shallow,

@@ -91,7 +91,7 @@ class TestFlatMemoryState:
         """Retained per-request state is bounded by the cap: nothing once
         the run has outgrown it, at most ``cap`` rows before."""
         cap = 500
-        _, system = replay_streaming(SPEC, config=streaming_config(metrics_exact_cap=cap))
+        _, system = replay_streaming(SPEC, config=streaming_config(retention=cap))
         m = system.metrics
         assert m.completed_count > cap and not m.window_open
         assert m.completed == [] and m.lost == []
@@ -104,13 +104,15 @@ class TestFlatMemoryState:
         assert len(m.completed) == len(m._rows) == m.completed_count <= m.exact_cap
 
     def test_streaming_config_defaults(self):
-        cfg = streaming_config()
-        assert cfg.metrics_exact_cap == DEFAULT_STREAMING_COMPACT_KEEP
-        assert cfg.kv_autocompact_keep == DEFAULT_STREAMING_COMPACT_KEEP
-        assert streaming_config(kv_autocompact_keep=7).kv_autocompact_keep == 7
+        system = FaaSCluster(streaming_config())
+        keep = DEFAULT_STREAMING_COMPACT_KEEP
+        assert system.config.retention == keep
+        assert system.metrics.exact_cap == system.datastore.autocompact_keep == keep
+        assert all(m._latency_keep == keep for m in system.gpu_managers().values())
+        assert streaming_config(retention=7).retention == 7
 
     def test_autocompaction_engages(self):
-        cfg = streaming_config(kv_autocompact_keep=200)
+        cfg = streaming_config(retention=200)
         _, system = replay_streaming(SPEC, config=cfg)
         kv = system.datastore.kv
         assert kv.compacted_revision > 0
@@ -122,7 +124,7 @@ class TestFlatMemoryState:
         collection re-scans) — is set by the configured windows, not by
         how many requests were replayed: the per-action keys are
         history-free, so only the live key set (fixed keys + nodes ×
-        ``latency_log_keep``) and the durable keys' windowed history
+        ``retention``) and the durable keys' windowed history
         survive."""
         keep = 200
 
@@ -132,7 +134,7 @@ class TestFlatMemoryState:
 
         def retained(minutes: int) -> tuple[int, int, int]:
             before = tracked_keyvalues()
-            cfg = streaming_config(kv_autocompact_keep=keep, latency_log_keep=keep)
+            cfg = streaming_config(retention=keep)
             spec = WorkloadSpec(working_set=15, minutes=minutes, seed=0)
             summary, system = replay_streaming(spec, config=cfg)
             kv = system.datastore.kv
@@ -159,7 +161,7 @@ class TestFlatMemoryState:
         reaches MVCC history, the history-free lane
         takes the writes, only the durable keys' windowed history
         survives, and a historical read of a hot key is a typed error."""
-        system = FaaSCluster(SystemConfig(kv_autocompact_keep=500, latency_log_keep=500))
+        system = FaaSCluster(SystemConfig(retention=500))
         system.submit_workload(build_workload(SPEC))
         system.run()
         kv = system.datastore.kv
@@ -168,17 +170,6 @@ class TestFlatMemoryState:
         assert kv.history_entry_count() / system.scheduler.actions <= 0.05
         with pytest.raises(EphemeralKeyError):
             kv.get("gpu/status/" + system.cluster.gpus[0].gpu_id, revision=1)
-
-    def test_spill_under_default_cap_tees_every_completion(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        spec = WorkloadSpec(working_set=15, minutes=1, seed=0)
-        summary, system = replay_streaming(
-            spec, config=SystemConfig(metrics_spill_path=str(path))
-        )
-        assert system.metrics.window_open
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) - 1 == summary.completed_requests > 0  # minus header
 
 
 class TestIdleMinutes:

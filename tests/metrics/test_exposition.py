@@ -66,12 +66,12 @@ def test_no_tracer_metrics_without_tracer():
 
 @pytest.mark.parametrize(
     "cfg",
-    [SystemConfig(), SystemConfig(metrics_exact_cap=0)],
+    [SystemConfig(), SystemConfig(retention=1)],
     ids=["window-open", "window-closed"],
 )
 def test_latency_histogram_rendered_in_every_configuration(cfg):
     system = _replay(cfg)
-    assert system.metrics.window_open == (cfg.metrics_exact_cap is None)
+    assert system.metrics.window_open == (cfg.retention is None)
     text = prometheus_exposition(system)
     assert "# TYPE repro_request_latency_seconds histogram" in text
     n = system.metrics.completed_count
@@ -87,5 +87,5 @@ def test_histogram_is_the_same_on_either_side_of_the_close():
         return [ln for ln in text.splitlines() if "request_latency_seconds" in ln]
 
     assert histogram_lines(SystemConfig()) == histogram_lines(
-        SystemConfig(metrics_exact_cap=0)
+        SystemConfig(retention=1)
     )

@@ -9,8 +9,6 @@ The fold state reached by closing is the state reached by folding from
 the first completion.
 """
 
-import csv
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,7 +62,7 @@ class TestClosedWindow:
     @pytest.fixture(scope="class")
     def capped(self):
         system, shadows, workload = _run_with_shadows(
-            SPEC_2K, SystemConfig(metrics_exact_cap=500), uncapped={}
+            SPEC_2K, SystemConfig(retention=500), uncapped={}
         )
         kwargs = dict(policy="lalbo3", working_set=15, top_model=workload.top_model_id)
         got = summarize(system.metrics, system.cluster, **kwargs)
@@ -256,25 +254,3 @@ class TestWindowLifecycle:
         assert collector.exact_cap is None
         assert not hasattr(collector, "streaming")
 
-
-class TestSpill:
-    def test_rows_teed_to_csv(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        spec = WorkloadSpec(working_set=15, minutes=1, sla_s=2.0, seed=0)
-        system, shadows, _ = _run_with_shadows(
-            spec,
-            SystemConfig(metrics_exact_cap=10, metrics_spill_path=str(path)),
-            uncapped={},
-        )
-        capped = system.metrics
-        capped.close_spill()
-        assert capped.spill_path == str(path)
-        assert not capped.window_open
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        # the spill holds full-fidelity rows, cap notwithstanding
-        assert len(rows) == capped.completed_count
-        ref = shadows["uncapped"].columns()
-        assert float(rows[0]["arrival"]) == ref.arrival[0]
-        assert float(rows[-1]["completed"]) == ref.completed[-1]
-        assert rows[0]["architecture"] in capped.architectures

@@ -1,18 +1,17 @@
-"""Flight-recorder semantics: rings, sampling, spill, and zero-cost-off.
+"""Flight-recorder semantics: rings, sampling, and zero-cost-off.
 
 The tracer layer's contract is behavioural, not statistical: "off" means
 every component keeps a ``None`` tracer attribute (nothing installed,
 nothing recorded); "on" means the four rings capture request lifecycles,
 sampled pass/commit wall spans, and instants with exact ``totals``
-counters, oldest-first overwrite past ``capacity``, and a decimated
-JSONL spill when configured.  The *overhead* gate is an exact count —
+counters and oldest-first overwrite past ``capacity``.  The *overhead*
+gate is an exact count —
 the ``traced`` shape of ``tests/experiments/test_call_budget.py``; this
 module pins the semantics, filling the rings the way production does —
-through a traced replay.  Tests that need a small ring, stride 1 or a
-short spill swap a configured recorder class in for the runtime's.
+through a traced replay.  Tests that need a small ring or stride 1 swap
+a configured recorder class in for the runtime's.
 """
 
-import json
 from functools import partial
 
 import pytest
@@ -116,32 +115,7 @@ class TestRings:
             FlightRecorder(_FakeSim(), span_stride=0)
 
 
-class TestSpill:
-    def test_spill_writes_decimated_request_records(self, monkeypatch, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        _install_recorder(monkeypatch, spill_keep=50)
-        system = _replay(SystemConfig(tracer="flight", trace_spill_path=path))
-        t = system.tracer
-        t.close()
-        lines = [json.loads(line) for line in open(path)]
-        n = t.totals["requests"]
-        assert t.spill_written == len(lines)
-        # stride-doubling bound: keep * (1 + log2(n / keep)) — loose check
-        assert 50 <= len(lines) < n
-        assert {"id", "arrival", "completed", "model", "gpu"} <= set(lines[0])
-
-    def test_no_spill_configured_reports_none(self):
-        system = _replay(SystemConfig(tracer="flight"))
-        assert system.tracer.spill_path is None
-        assert system.tracer.spill_written == 0
-        system.tracer.close()  # close without a spill is a no-op
-
-
 class TestConfig:
     def test_unknown_tracer_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(tracer="jaeger")
-
-    def test_spill_requires_flight_tracer(self):
-        with pytest.raises(ValueError):
-            SystemConfig(trace_spill_path="x.jsonl")

@@ -56,12 +56,9 @@ def test_option_budget():
     benches must cover, so a new knob has to show up as a diff here —
     and the engine selectors that were removed must stay removed."""
     assert {f.name for f in dataclasses.fields(repro.SystemConfig)} == {
-        "cluster", "policy", "o3_limit", "replacement",
-        "kv_autocompact_keep", "latency_log_keep", "quotas", "seed",
-        "fault_profile", "fault_plan", "deadline_s", "max_retries",
-        "retry_backoff_s", "health_heartbeat_s", "health_ttl_s",
-        "metrics_exact_cap", "metrics_spill_path",
-        "tracer", "trace_decisions", "trace_spill_path",
+        "cluster", "policy", "o3_limit", "replacement", "retention",
+        "quotas", "seed", "fault_profile", "fault_plan", "deadline_s",
+        "max_retries", "retry_backoff_s", "tracer", "trace_decisions",
     }
     with pytest.raises(TypeError):
         repro.SystemConfig(pass_elision=False)
@@ -84,6 +81,26 @@ def test_option_budget():
         "quantile_error_bound", "summarize", "TIMELINE_FIELDS",
         "TimelineProbe", "TimelineSample",
     }
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("kv_autocompact_keep", 100),
+        ("latency_log_keep", 100),
+        ("metrics_exact_cap", 100),
+        ("health_heartbeat_s", 1.0),
+        ("health_ttl_s", 3.0),
+        ("metrics_spill_path", "rows.csv"),
+        ("trace_spill_path", "requests.jsonl"),
+    ],
+)
+def test_folded_and_deleted_options_stay_gone(name, value):
+    """The three memory caps are one ``retention`` bound, the health
+    cadence is a pair of constants in ``repro.chaos.health``, and the two
+    per-request disk tees are gone."""
+    with pytest.raises(TypeError):
+        repro.SystemConfig(**{name: value})
 
 
 def test_reference_engines_stay_out_of_src():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.request import InferenceRequest
+from repro.runtime import FaaSCluster
 from repro.traces import (
     AzureTraceConfig,
     SyntheticAzureTrace,
@@ -125,3 +126,20 @@ class TestLazyMaterialization:
         via_iter = list(w)
         assert via_iter == w.requests
         assert via_iter[0] is w.requests[0]
+
+    def test_submit_takes_the_cached_objects(self, trace):
+        """``submit_workload`` replays the objects built before it (so
+        materialize → submit builds them once) and detaches them from the
+        workload: a replay mutates them, and the next access builds fresh
+        ones."""
+        w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
+        built = w.requests
+        system = FaaSCluster()
+        system.submit_workload(w)
+        assert not w.materialized
+        system.run()
+        assert sorted(map(id, system.completed)) == sorted(map(id, built))
+        fresh = w.requests
+        assert fresh is not built and fresh[0] is not built[0]
+        assert [r.arrival_time for r in fresh] == [r.arrival_time for r in built]
+        assert all(r.completed_at is None for r in fresh)
