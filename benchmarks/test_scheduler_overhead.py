@@ -77,11 +77,12 @@ def test_cache_locations_index(benchmark):
     """Cache Manager's model→GPUs index lookup (bounded by #copies)."""
     from repro.cluster import ClusterSpec, build_cluster
     from repro.core.cache_manager import CacheManager
+    from repro.datastore import Datastore
     from repro.sim import Simulator
 
     sim = Simulator()
     cluster = build_cluster(sim, ClusterSpec.homogeneous(4, 4))
-    cache = CacheManager(sim, cluster.gpus)
+    cache = CacheManager(sim, cluster.gpus, datastore=Datastore(sim))
     hot = ModelInstance("hot", get_profile("resnet50"))
     for gpu in cluster.gpus[:8]:
         gpu.admit("hot", hot.occupied_mb).mark_ready(0.0)

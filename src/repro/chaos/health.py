@@ -46,7 +46,7 @@ class HealthWatchdog:
         self.system = system
         self.sim = system.sim
         self.horizon_s = horizon_s
-        self._client = system.datastore.client()
+        self._datastore = system.datastore
         self._leases: dict[str, object] = {}
         #: heartbeat suppression windows (simulated daemon death), gpu_id → until
         self._suppressed_until: dict[str, float] = {}
@@ -77,8 +77,8 @@ class HealthWatchdog:
 
     # ------------------------------------------------------------------
     def _grant(self, gpu_id: str) -> None:
-        lease = self._client.lease(TTL_S)
-        self._client.put(f"{HEALTH_PREFIX}{gpu_id}", "ok", lease=lease)
+        lease = self._datastore.leases.grant(TTL_S)
+        self._datastore.put(f"{HEALTH_PREFIX}{gpu_id}", "ok", lease=lease)
         lease.on_expire(lambda _lease, gpu_id=gpu_id: self._expired(gpu_id))
         self._leases[gpu_id] = lease
 

@@ -12,11 +12,11 @@ Treats the models uploaded to each GPU's memory as cache items:
   cached, and shares this information with the Scheduler through the
   Datastore"),
 * mirrors each GPU's LRU list and every model's locations into the
-  Datastore — as *dirty keys*: each cache event marks the touched GPU's
-  LRU key and the model's location key via ``put_lazy``, and the eviction
-  order is serialized once per write-batch flush rather than once per
-  touch (against a batched Datastore, ten LRU touches within one
-  scheduling action commit as one transaction carrying one list).
+  Datastore (§III-E): each cache event puts the touched GPU's eviction
+  order and, on a load or eviction, the model's locations (or deletes the
+  key once no GPU holds the model).  Against a batched Datastore the
+  puts of one scheduling action coalesce per key, so ten LRU touches
+  commit as one transaction carrying the last list.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 from typing import Callable, Protocol
 
 from ..cluster.gpu import GPUDevice
-from ..datastore.batch import DELETE
-from ..datastore.client import DatastoreClient
+from ..datastore.client import Datastore
 from ..models.profiles import ModelInstance
 from ..sim import Simulator
 from .replacement import EvictionPolicy, LRUPolicy
@@ -50,7 +49,7 @@ class CacheManager:
         sim: Simulator,
         gpus: list[GPUDevice],
         *,
-        datastore: DatastoreClient | None = None,
+        datastore: Datastore,
         policy_factory: Callable[[], EvictionPolicy] = LRUPolicy,
     ) -> None:
         self.sim = sim
@@ -66,22 +65,13 @@ class CacheManager:
         #: is on); load/evict only — ``on_used`` runs on every dispatch and
         #: stays uninstrumented
         self.tracer = None
-        # dirty-key names and thunks, built once per GPU / lazily per model:
-        # _publish runs on every cache touch, so no f-strings or closures
-        # are allocated on that path.  Published values are tuples — an
-        # immutable snapshot per commit; the store's history retains one
-        # per flush, and immutable tuples drop out of cyclic-GC tracking,
-        # which matters over 100k+-request replays.
-        self._lru_marks = {
-            g.gpu_id: (
-                f"gpu/lru/{g.gpu_id}",
-                # late-bound through _policies: ablations swap the policy
-                # objects after construction (Belady oracle)
-                lambda gid=g.gpu_id: self._policies[gid].eviction_order_tuple(),
-            )
-            for g in gpus
-        }
-        self._location_marks: dict[str, tuple[str, Callable[[], object]]] = {}
+        # key strings interned once per GPU / lazily per model: the
+        # publishes run on every cache touch.  Published values are tuples
+        # — an immutable snapshot per commit; the store's history retains
+        # one per flush, and immutable tuples drop out of cyclic-GC
+        # tracking, which matters over 100k+-request replays.
+        self._lru_key = {g.gpu_id: f"gpu/lru/{g.gpu_id}" for g in gpus}
+        self._location_key: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Lookups (used by GPU Managers and the Scheduler)
@@ -177,13 +167,14 @@ class CacheManager:
         list, so the no-op halves of the mirror write are elided: the
         locations key is never re-put on a use, and the LRU key only when
         the replacement policy reports the order actually changed.  Each
-        skipped mark was one committed key, one ``KeyValue``, and one
+        skipped put was one committed key, one ``KeyValue``, and one
         history entry per completion that said nothing — etcd clients do
         not re-put values they know are unchanged either.
         """
         now = self.sim._now
-        if self._policies[gpu_id].on_access(model_id, now):
-            self._publish(gpu_id, model_id, locations_changed=False)
+        policy = self._policies[gpu_id]
+        if policy.on_access(model_id, now):
+            self._datastore.put(self._lru_key[gpu_id], policy.eviction_order_tuple())
         for fn in self._observers:
             fn("use", gpu_id, model_id, now)
 
@@ -194,31 +185,21 @@ class CacheManager:
         """Register a cache-event observer (the metrics collector)."""
         self._observers.append(fn)
 
-    def _publish(
-        self, gpu_id: str, model_id: str, *, locations_changed: bool = True
-    ) -> None:
-        """Mark the GPU's LRU list and the model's locations dirty (§III-E).
+    def _publish(self, gpu_id: str, model_id: str) -> None:
+        """Put the GPU's eviction order and the model's locations (§III-E).
 
-        The values are supplied lazily: a batched Datastore evaluates the
-        thunks once at flush time (dirty-key semantics — repeated touches
-        between flushes serialize the eviction order once), an unbatched
-        one immediately, preserving the literal per-put path.  An empty
-        location list deletes the key, exactly like the eager path did.
-        ``locations_changed=False`` (cache *uses*) skips the locations
-        mark: residency did not move, so the write would commit an
-        unchanged value.
+        The policy is read at publish time, so a swapped-in policy object
+        (the Belady ablation's) is what gets published.  An empty location
+        list deletes the key.
         """
-        if self._datastore is None:
-            return
-        lru_key, lru_thunk = self._lru_marks[gpu_id]
-        self._datastore.put_lazy(lru_key, lru_thunk)
-        if not locations_changed:
-            return
-        mark = self._location_marks.get(model_id)
-        if mark is None:
-            mark = (
-                f"cache/locations/{model_id}",
-                lambda model_id=model_id: tuple(self.locations(model_id)) or DELETE,
-            )
-            self._location_marks[model_id] = mark
-        self._datastore.put_lazy(mark[0], mark[1])
+        datastore = self._datastore
+        policy = self._policies[gpu_id]
+        datastore.put(self._lru_key[gpu_id], policy.eviction_order_tuple())
+        key = self._location_key.get(model_id)
+        if key is None:
+            key = self._location_key[model_id] = f"cache/locations/{model_id}"
+        locations = self.locations(model_id)
+        if locations:
+            datastore.put(key, tuple(locations))
+        else:
+            datastore.delete(key)

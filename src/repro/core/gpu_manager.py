@@ -14,12 +14,12 @@ node.  For each dispatched request it:
 Execution is event-driven: upload and inference durations come from the
 profiled model latencies and elapse on the simulated clock.
 
-Datastore writes (status, finish time, latency records) go through the
-manager's :class:`~repro.datastore.client.DatastoreClient`; against a
-batched Datastore every write a single step issues — e.g. a completion's
-LRU touch + status flip + latency record — accumulates and commits as one
-transaction at the action boundary (the Scheduler's flush or the
-simulator's post-event hook), one revision.
+Datastore writes (status, finish time, latency records) are ``put`` /
+``delete`` calls on the system's :class:`~repro.datastore.client.Datastore`;
+against a batched one every write a single step issues — e.g. a
+completion's LRU touch + status flip + latency record — accumulates and
+commits as one transaction at the action boundary (the Scheduler's flush
+or the simulator's post-event hook), one revision.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 from ..cluster.gpu import GPUDevice, GPUState
 from ..cluster.node import GPUNode
 from ..cluster.process import GPUProcess
-from ..datastore.client import DatastoreClient
+from ..datastore.client import Datastore
 from ..models.profiler import ProfileRegistry
 from ..sim import Simulator
 from .cache_manager import CacheManager
@@ -38,10 +38,6 @@ from .estimator import FinishTimeEstimator
 from .request import InferenceRequest, RequestState
 
 __all__ = ["GPUManager", "LatencyRecord"]
-
-
-def _discard(key: str, value: object) -> None:
-    """Where reports go when there is no Datastore to mirror them."""
 
 
 class LatencyRecord(NamedTuple):
@@ -73,7 +69,7 @@ class GPUManager:
         registry: ProfileRegistry,
         estimator: FinishTimeEstimator,
         *,
-        datastore: DatastoreClient | None = None,
+        datastore: Datastore,
         latency_keep: int | None = None,
         on_idle: Callable[[GPUDevice], None] | None = None,
         on_complete: Callable[[InferenceRequest], None] | None = None,
@@ -90,9 +86,8 @@ class GPUManager:
         #: in the past, which every reader clamps to now
         self._busy_until = estimator._busy_until
         self.datastore = datastore
-        #: every report below goes through this one bound callable (a
-        #: manager built without a Datastore discards them)
-        self._put = datastore.put if datastore is not None else _discard
+        #: every report below goes through this one bound callable
+        self._put = datastore.put
         self.on_idle = on_idle or (lambda gpu: None)
         self.on_complete = on_complete or (lambda req: None)
         #: observer of dispatches (tenancy accounting); None = nobody
@@ -347,8 +342,6 @@ class GPUManager:
         return self._executing[self._slot_of[gpu_id]]
 
     def _record_latency(self, request: InferenceRequest, model_id: str) -> None:
-        if self.datastore is None:
-            return
         arrival = request.arrival_time
         # bare tuple in LatencyRecord order + inlined latency/queueing
         # properties: _finished just stamped both timestamps (no validation)
@@ -369,4 +362,4 @@ class GPUManager:
             log = self._latency_log
             log.append(key)
             if len(log) > self._latency_keep:
-                self.datastore.discard(log.popleft())
+                self.datastore.delete(log.popleft())

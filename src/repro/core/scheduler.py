@@ -31,7 +31,7 @@ from time import perf_counter_ns
 
 from ..cluster.gpu import GPUDevice
 from ..cluster.topology import Cluster
-from ..datastore.client import DatastoreClient
+from ..datastore.client import Datastore
 from ..sim import Simulator
 from .cache_manager import CacheManager
 from .decisions import DecisionKind, DecisionLog
@@ -58,7 +58,7 @@ class Scheduler:
         estimator: FinishTimeEstimator,
         gpu_managers: dict[str, GPUManager],
         *,
-        datastore: DatastoreClient | None = None,
+        datastore: Datastore,
         tenancy: TenancyController | None = None,
         deadline_s: float | None = None,
     ) -> None:
@@ -147,15 +147,20 @@ class Scheduler:
             )
         self.actions += 1
         self._run_policy()
+        # Outside a simulator event this entry point is the action
+        # boundary and commits the action's Datastore writes as one
+        # transaction.  Inside one the post-event hook flushes, so a
+        # handler that calls several entry points (a failure resubmitting
+        # many requests) still commits once.
         if not self.sim._running:
-            self._flush_writes()
+            self.datastore.flush()
 
     def on_gpu_idle(self, gpu: GPUDevice) -> None:
         """GPU Manager callback: a GPU finished its request."""
         self.actions += 1
         self._run_policy()
         if not self.sim._running:
-            self._flush_writes()
+            self.datastore.flush()
 
     def drain_local(self, gpu_id: str) -> list[InferenceRequest]:
         """Empty a GPU's local queue (failure handling): the locality that
@@ -173,7 +178,7 @@ class Scheduler:
         self.actions += 1
         self._run_policy()
         if not self.sim._running:
-            self._flush_writes()
+            self.datastore.flush()
 
     def give_up(self, request: InferenceRequest, reason: str) -> None:
         """Drop a request whose retry budget is exhausted (bounded-retry
@@ -204,23 +209,6 @@ class Scheduler:
         self.lost_count += 1
         if self.on_lost is not None:
             self.on_lost(request, reason)
-
-    def _flush_writes(self) -> None:
-        """Commit the scheduling action's accumulated Datastore writes.
-
-        The batched write path accumulates every put this action caused —
-        cache touches, status flips, finish-time estimates, latency
-        records — in the Datastore's shared WriteBatch; committing here
-        turns the whole action into one transaction and one revision.
-        The entry points call this only outside a simulator event: inside
-        one the flush belongs to the post-event hook, so a handler that
-        calls several scheduler entry points (e.g. a failure resubmitting
-        many requests) still commits as a single action.  With no
-        Datastore (or a write-through one, whose batch is always empty)
-        this is a no-op.
-        """
-        if self.datastore is not None:
-            self.datastore.flush()
 
     def _pass_work_remaining(self) -> bool:
         """The narrowing probe policies consult mid-pass.

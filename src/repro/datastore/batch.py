@@ -6,25 +6,13 @@ estimated finish time, a latency record.  Issued as individual ``put``
 calls each one bumps the MVCC revision; real etcd clients instead batch
 related mutations into one transaction.
 
-A :class:`WriteBatch` accumulates those dirty keys and commits them as
-**one atomic transaction → one revision**, last-write-wins per key.  Two
-kinds of entry exist:
+A :class:`WriteBatch` accumulates those ``put(key, value)`` /
+``delete(key)`` calls and commits them as **one atomic transaction → one
+revision**, last-write-wins per key: the value is captured at call time
+and repeated writes to one key keep only the last.
 
-* ``put(key, value)`` / ``delete(key)`` — eager: the value is captured at
-  call time (repeated writes to one key keep only the last);
-* ``put_lazy(key, thunk)`` — a *dirty-key* entry: only the key is marked
-  dirty and ``thunk()`` is evaluated once at flush time.  This is how the
-  Cache Manager mirrors LRU lists — ten touches between flushes serialize
-  the eviction order once, not ten times.  A thunk may return
-  :data:`DELETE` to turn the entry into a delete (e.g. a model's location
-  list becoming empty).
-
-The batch also answers overlay reads (:meth:`peek`) so a batched
-:class:`~repro.datastore.client.DatastoreClient` keeps read-your-writes
-semantics between flushes.
-
-Ephemeral keys accumulate, coalesce and overlay exactly like durable keys.
-They differ at the commit: :meth:`WriteBatch.flush` applies them to the
+Ephemeral keys accumulate and coalesce exactly like durable keys.  They
+differ at the commit: :meth:`WriteBatch.flush` applies them to the
 store's live view in line, storing (or dropping) one exact-tuple row per
 ephemeral key and nothing else (no history, no snapshot of the batch);
 durable keys go through ``KVStore._apply_put`` / ``_apply_delete``.  A
@@ -36,27 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any
 
 from .kv import BatchCommit, KVStore, _tuple_new
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .lease import Lease
 
-__all__ = ["DELETE", "WriteBatch", "WriteStats"]
-
-
-class _Delete:
-    """Sentinel a lazy thunk returns to request deletion of its key."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<DELETE>"
-
-
-DELETE = _Delete()
+__all__ = ["WriteBatch", "WriteStats"]
 
 _PUT = "put"
-_LAZY = "lazy"
 _DEL = "delete"
 #: shared singleton delete op — one commit may carry many deletes and the
 #: coalesced map needs no per-entry state for them
@@ -67,8 +44,8 @@ _DELETE_OP = (_DEL,)
 class WriteStats:
     """Write-amplification counters for the control-plane write path.
 
-    ``logical_writes`` counts every ``put``/``put_lazy``/``delete`` — what
-    the components *asked* for.  ``flushes``, ``committed_keys``, and
+    ``logical_writes`` counts every ``put``/``delete`` — what the
+    components *asked* for.  ``flushes``, ``committed_keys``, and
     ``coalesced_writes`` describe the batched path only (they stay 0 on a
     write-through ``Datastore()``, where every logical write commits
     individually and the revision counter tracks the logical stream).
@@ -81,14 +58,6 @@ class WriteStats:
     committed_keys: int = 0
     coalesced_writes: int = 0  # logical writes absorbed by LWW
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "logical_writes": self.logical_writes,
-            "flushes": self.flushes,
-            "committed_keys": self.committed_keys,
-            "coalesced_writes": self.coalesced_writes,
-        }
-
 
 class WriteBatch:
     """Accumulates puts/deletes; :meth:`flush` commits them as one txn."""
@@ -100,67 +69,38 @@ class WriteBatch:
 
     def __init__(self, store: KVStore) -> None:
         self._store = store
-        # key -> ("put", value, fresh) | ("lazy", thunk, fresh) | ("delete",)
-        # in first-touch order.  ``fresh`` marks a put that landed over a
-        # pending delete: the store recreates the key (version 1), just as
-        # the sequential delete-then-put would have.  It is filled in at
-        # flush time from ``_deleted``, so a write never reads the entry
-        # it replaces.
+        # key -> ("put", value, fresh) | ("delete",) in first-touch order.
+        # ``fresh`` marks a put that landed over a pending delete: the
+        # store recreates the key (version 1), just as the sequential
+        # delete-then-put would have.  It is filled in at flush time from
+        # ``_deleted``, so a write never reads the entry it replaces.
         #
         # The dict object is stable for the batch's lifetime (flush drains
         # it in place): the Datastore's per-event safety-net hook closes
         # over it so the no-op path is a single truthiness test.
         self._pending: dict[str, tuple] = {}
-        #: keys deleted since the last flush (rare: function CRUD and the
-        #: latency-log window)
+        #: keys deleted since the last flush (rare: function CRUD, the
+        #: latency-log window and a model's last copy leaving the cache)
         self._deleted: set[str] = set()
-        #: keys whose latest put/put_lazy carried a lease (rare: only lease
-        #: users pay for it; the empty-dict truthiness test on the lease-less
+        #: keys whose latest put carried a lease (rare: only lease users
+        #: pay for it; the empty-dict truthiness test on the lease-less
         #: path is one attribute load)
         self._leases: dict[str, "Lease"] = {}
-        #: whether anything was marked lazy since the last flush, so a
-        #: flush with none skips the thunk-resolution pass entirely
-        self._lazy = False
         #: what was asked for and what was committed; a Datastore shares
         #: this object as its ``stats``
         self.stats = WriteStats()
         #: ``stats.logical_writes`` as of the last flush
         self._flushed_writes = 0
 
-    @property
-    def pending_map(self) -> dict:
-        """The live pending dict (stable identity; treat as read-only)."""
-        return self._pending
-
-    @property
-    def overwritten(self) -> int:
-        """Writes of the open batch absorbed by last-write-wins so far —
-        each one is a revision bump the batch removed."""
-        return self.stats.logical_writes - self._flushed_writes - len(self._pending)
-
     # ------------------------------------------------------------------
     # Accumulation: a store into the pending map and a count, nothing read
-    # back — these run several times per scheduling action, and a root
-    # client of a batched Datastore binds them as its own ``put`` /
-    # ``put_lazy``
+    # back — these run several times per scheduling action, and a batched
+    # Datastore binds them as its own ``put`` / ``delete``
     # ------------------------------------------------------------------
     def put(self, key: str, value: Any, *, lease: "Lease | None" = None) -> None:
         """Record a put; overwrites any pending entry for ``key``."""
         self.stats.logical_writes += 1
         self._pending[key] = (_PUT, value, False)
-        if lease is not None:
-            self._leases[key] = lease
-        elif self._leases:
-            self._leases.pop(key, None)
-
-    def put_lazy(
-        self, key: str, thunk: Callable[[], Any], *, lease: "Lease | None" = None
-    ) -> None:
-        """Mark ``key`` dirty; ``thunk()`` supplies the value at flush time
-        (or :data:`DELETE` to delete the key instead)."""
-        self.stats.logical_writes += 1
-        self._lazy = True
-        self._pending[key] = (_LAZY, thunk, False)
         if lease is not None:
             self._leases[key] = lease
         elif self._leases:
@@ -175,52 +115,14 @@ class WriteBatch:
             self._leases.pop(key, None)
 
     # ------------------------------------------------------------------
-    # Overlay reads (read-your-writes between flushes)
-    # ------------------------------------------------------------------
-    def peek(self, key: str) -> tuple[str, Any] | None:
-        """Pending state of ``key``: ``("put", value)``, ``("delete",
-        None)``, or None when the batch does not touch it.  Lazy thunks are
-        evaluated fresh — they reflect the live component state that would
-        be committed if the flush happened now."""
-        entry = self._pending.get(key)
-        if entry is None:
-            return None
-        kind = entry[0]
-        if kind is _LAZY:
-            value = entry[1]()
-            return (_DEL, None) if value is DELETE else (_PUT, value)
-        if kind is _PUT:
-            return (_PUT, entry[1])
-        return (_DEL, None)
-
-    def pending_items(self) -> Iterator[tuple[str, str, Any]]:
-        """Iterate ``(key, kind, value)`` of every pending entry (lazy
-        thunks evaluated), for range-overlay reads."""
-        for key in list(self._pending):
-            resolved = self.peek(key)
-            if resolved is not None:
-                yield key, resolved[0], resolved[1]
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def __bool__(self) -> bool:
-        return bool(self._pending)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._pending
-
-    # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
     def flush(self) -> BatchCommit:
         """Commit every pending entry as one atomic transaction.
 
-        Lazy thunks are resolved now, the entries are applied to the
-        store's live view right here, and leases attach to their
-        committed keys before the pending set is cleared.  (Thunks are
-        value *serializers*: they must not write back into the batch —
-        they run while the pending map is being drained in place.)
+        The entries are applied to the store's live view right here, and
+        leases attach to their committed keys before the pending set is
+        cleared.
         """
         pending = self._pending
         if not pending:
@@ -238,24 +140,12 @@ class WriteBatch:
         stats = self.stats
         stats.coalesced_writes += stats.logical_writes - self._flushed_writes - len(pending)
         self._flushed_writes = stats.logical_writes
-        # after the two passes below every entry has the coalesced
-        # {key: op} shape the store consumes (value reassignment on an
-        # existing key never resizes the dict, so iterating while storing
-        # is safe)
         if self._deleted:
             for key in self._deleted:
                 entry = pending[key]
                 if entry is not _DELETE_OP:  # written again after the delete
-                    pending[key] = (entry[0], entry[1], True)
+                    pending[key] = (_PUT, entry[1], True)
             self._deleted.clear()
-        if self._lazy:
-            for key, entry in pending.items():
-                if entry[0] is _LAZY:
-                    value = entry[1]()
-                    pending[key] = (
-                        _DELETE_OP if value is DELETE else (_PUT, value, entry[2])
-                    )
-            self._lazy = False
         # nothing can run between these stores, so the revision is claimed
         # up front and handed back if no entry turns out to be effective
         # (deletes of missing keys)
@@ -293,9 +183,7 @@ class WriteBatch:
         if leases:
             if revision is not None:
                 for key, lease in leases.items():
-                    # a lazy entry whose thunk returned DELETE keeps its lease
-                    # recorded but commits as a delete — never attach for those
-                    if lease.alive and pending[key][0] is _PUT:
+                    if lease.alive:
                         lease.attach(key)
             leases.clear()
         pending.clear()

@@ -1,61 +1,75 @@
-"""Datastore facade and the key schema shared by the FaaS components.
+"""The Datastore and the key schema shared by the FaaS components.
 
 :class:`Datastore` bundles the MVCC store, the lease manager, and —
 when built with ``batched=True`` — the control plane's shared
-:class:`~repro.datastore.batch.WriteBatch`.  :class:`DatastoreClient` adds
-a key-prefix namespace per component.
+:class:`~repro.datastore.batch.WriteBatch`.  It is the one write API:
+``put(key, value, *, lease=None)``, ``delete(key)`` and ``flush()``.
 
 Key schema (paper §III-E: "The Datastore stores the estimated latency of
 each inference request, the LRU list of each GPU, and the status of each
-GPU"):
+GPU"; §II-A adds the Watchdog's per-invocation metrics):
 
-==============================  =======  ====================================
-key                             history  value
-==============================  =======  ====================================
-``gpu/status/<gpu_id>``         none     ``"busy"`` | ``"idle"``
-``gpu/finish_time/<gpu_id>``    none     float, absolute estimated finish time
-``gpu/lru/<gpu_id>``            none     tuple[str, ...], LRU order (head = coldest)
-``cache/locations/<model>``     MVCC     tuple[str, ...], GPUs where the model is resident
-``fn/meta/<fn_name>``           MVCC     dict, registered-function metadata
-``fn/latency/<request_id>``     none     exact 7-tuple in ``LatencyRecord`` field order (``LatencyRecord(*value)`` names it)
-``fn/scale/<fn_name>``          MVCC     int, current replica count
-==============================  =======  ====================================
+================================  =======  ==================================
+key                               history  value (writer)
+================================  =======  ==================================
+``gpu/status/<gpu_id>``           none     ``"idle"`` | ``"busy"`` |
+                                           ``"draining"`` | ``"offline"``
+                                           (GPU Manager)
+``gpu/finish_time/<gpu_id>``      none     float, absolute estimated finish
+                                           time (GPU Manager)
+``gpu/lru/<gpu_id>``              none     tuple[str, ...], eviction order,
+                                           head = coldest (Cache Manager)
+``gpu/health/<gpu_id>``           MVCC     ``"ok"``, bound to a TTL lease
+                                           (health watchdog)
+``cache/locations/<model>``       MVCC     tuple[str, ...], GPUs where the
+                                           model is resident; deleted when
+                                           none (Cache Manager)
+``fn/meta/<fn_name>``             MVCC     dict, registered-function
+                                           metadata (Gateway)
+``fn/invocations/<fn_name>``      MVCC     int, invocations so far (Gateway)
+``fn/metrics/<fn_name>/<id>``     MVCC     dict, one invocation's status,
+                                           latency, container and error
+                                           (Watchdog)
+``fn/latency/<request_id>``       none     exact 7-tuple in ``LatencyRecord``
+                                           field order (GPU Manager;
+                                           ``LatencyRecord(*value)`` names it)
+================================  =======  ==================================
 
 *history* says which tier a key commits through.  ``MVCC`` keys keep full
 etcd semantics (per-key history, historical reads, compaction).  ``none``
 keys — the prefixes in :data:`EPHEMERAL_HOT_PREFIXES` — are the
-blackboard the Scheduler only ever reads live: identical live reads and
-read-your-writes, but no MVCC history, so historical reads of them raise
+blackboard's hot rows: identical live reads, but no MVCC history, so
+historical reads of them raise
 :class:`~repro.datastore.kv.EphemeralKeyError` (see :mod:`.kv`).
 
 Batched write path
 ------------------
-With ``batched=True`` every client ``put``/``delete``/``put_lazy`` lands in
-the Datastore's single pending :class:`WriteBatch` instead of committing
-immediately.  All writes of one scheduling action — a cache touch, the GPU
-status flip, the finish-time estimate, the latency record — then flush as
-**one atomic transaction → one revision** (last-write-wins per key).
-Flushing happens at the control plane's action boundaries: the
-Scheduler's entry points, the Gateway's CRUD/invoke calls, and (as the
-safety net covering every other event handler) a simulator post-event
-hook.  Client reads overlay the pending batch, so components
-keep read-your-writes semantics between flushes.
-:class:`~repro.runtime.FaaSCluster` always builds its Datastore batched;
-a bare ``Datastore()`` writes through — one revision per put — and is
-the write-path specification ``tests/core/test_differential.py`` puts
-under the same system.
+With ``batched=True`` every ``put``/``delete`` lands in the Datastore's
+single pending :class:`WriteBatch` instead of committing immediately; the
+value is captured at the call.  All writes of one scheduling action — a
+cache touch, the GPU status flip, the finish-time estimate, the latency
+record — then flush as **one atomic transaction → one revision**
+(last-write-wins per key).  Flushing happens at the control plane's
+action boundaries: the Scheduler's entry points, the Gateway's
+CRUD/invoke calls, and (as the safety net covering every other event
+handler) a simulator post-event hook.  Reads go to ``kv`` and see
+committed state only; no component reads between its writes and the
+flush.  :class:`~repro.runtime.FaaSCluster` always builds its Datastore
+batched; a bare ``Datastore()`` writes through — one revision per put —
+and is the write-path specification ``tests/core/test_differential.py``
+puts under the same system.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from ..sim import Simulator
-from .batch import DELETE, WriteBatch, WriteStats
-from .kv import KeyValue, KVStore
+from .batch import WriteBatch, WriteStats
+from .kv import KVStore
 from .lease import Lease, LeaseManager
 
-__all__ = ["Datastore", "DatastoreClient", "WriteStats", "EPHEMERAL_HOT_PREFIXES"]
+__all__ = ["Datastore", "WriteStats", "EPHEMERAL_HOT_PREFIXES"]
 
 #: the schema's history-free keys (the ``none`` rows above): written on
 #: every dispatch and completion, never read at a historical revision.
@@ -93,12 +107,16 @@ class Datastore:
         #: event.
         self.autocompact_keep = autocompact_keep
         if batched:
+            # the batch's own methods are the write path (same signatures,
+            # one frame per put below the component)
+            self.put = self.pending.put
+            self.delete = self.pending.delete
             # The action boundary: whatever writes a simulator event handler
             # issued commit as one transaction once the handler returns.
             # The hook closes over the batch's stable pending dict so the
             # no-op path — most events write nothing — is one truthiness
             # test instead of a flush call that discovers it has no work.
-            pending_map = self.pending.pending_map
+            pending_map = self.pending._pending
             flush = self.flush
 
             def _post_event_flush() -> None:
@@ -109,9 +127,23 @@ class Datastore:
         elif autocompact_keep is not None:
             sim.subscribe_post_event(self._autocompact)
 
-    def client(self, namespace: str = "") -> "DatastoreClient":
-        """A client view under ``namespace`` (empty = root)."""
-        return DatastoreClient(self, namespace)
+    def put(self, key: str, value: Any, *, lease: Lease | None = None) -> None:
+        """Write ``key``, optionally bound to ``lease``.
+
+        This body is the write-through path: one revision per put.  A
+        batched Datastore replaces it with :meth:`WriteBatch.put`, which
+        defers the write (and the lease binding) to the next flush.
+        """
+        self.stats.logical_writes += 1
+        self.kv.put(key, value)
+        if lease is not None:
+            lease.attach(key)
+
+    def delete(self, key: str) -> None:
+        """Delete ``key`` (a missing key is a no-op); batched: at the next
+        flush, through :meth:`WriteBatch.delete`."""
+        self.stats.logical_writes += 1
+        self.kv.delete(key)
 
     def flush(self) -> int:
         """Commit the pending write batch; returns keys committed.
@@ -139,124 +171,3 @@ class Datastore:
         keep = self.autocompact_keep
         if kv.revision - kv.compacted_revision > 2 * keep:
             kv.compact(kv.revision - keep)
-
-
-class DatastoreClient:
-    """A view of the Datastore under a key prefix (etcd namespacing).
-
-    In batched mode writes accumulate in the shared
-    :class:`~repro.datastore.batch.WriteBatch` and reads overlay it
-    (read-your-writes); :meth:`flush` commits at an action boundary.
-    """
-
-    def __init__(self, store: Datastore, namespace: str = "") -> None:
-        if namespace and not namespace.endswith("/"):
-            namespace += "/"
-        self._store = store
-        self.namespace = namespace
-        if store.batched and not namespace:
-            # nothing to prefix and nothing to commit yet: the batch's own
-            # methods are this client's write path (same signatures, one
-            # frame per put below the component)
-            self.put = store.pending.put
-            self.put_lazy = store.pending.put_lazy
-            self.discard = store.pending.delete
-
-    # ------------------------------------------------------------------
-    def _k(self, key: str) -> str:
-        return self.namespace + key
-
-    def put(self, key: str, value: Any, *, lease: Lease | None = None) -> KeyValue | None:
-        """Write a namespaced key (optionally bound to a lease).
-
-        Batched mode defers the write to the next flush and returns None
-        (no :class:`KeyValue` exists until the transaction commits).
-        """
-        store = self._store
-        if store.batched:
-            store.pending.put(self.namespace + key, value, lease=lease)
-            return None
-        store.stats.logical_writes += 1
-        kv = store.kv.put(self._k(key), value)
-        if lease is not None:
-            lease.attach(self._k(key))
-        return kv
-
-    def put_lazy(
-        self, key: str, thunk: Callable[[], Any], *, lease: Lease | None = None
-    ) -> None:
-        """Mark a namespaced key dirty; ``thunk()`` supplies the value at
-        flush time (:data:`~repro.datastore.batch.DELETE` → delete it).
-
-        This is the dirty-key write path: between flushes any number of
-        marks serialize the value once.  Unbatched it degenerates to an
-        immediate ``put`` (or ``delete``) of ``thunk()``'s result.
-        """
-        store = self._store
-        if store.batched:
-            store.pending.put_lazy(self.namespace + key, thunk, lease=lease)
-            return
-        store.stats.logical_writes += 1
-        value = thunk()
-        if value is DELETE:
-            self._store.kv.delete(self._k(key))
-            return
-        self._store.kv.put(self._k(key), value)
-        if lease is not None:
-            lease.attach(self._k(key))
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Latest value of a namespaced key, or ``default``.
-
-        Batched mode overlays the pending batch (read-your-writes).
-        """
-        full = self._k(key)
-        if self._store.batched:
-            pending = self._store.pending.peek(full)
-            if pending is not None:
-                kind, value = pending
-                return default if kind == "delete" else value
-        return self._store.kv.get_value(full, default)
-
-    def delete(self, key: str) -> bool:
-        """Delete a namespaced key; True if it (visibly) existed."""
-        full = self._k(key)
-        if self._store.batched:
-            pending = self._store.pending.peek(full)
-            existed = (
-                pending[0] == "put" if pending is not None else full in self._store.kv
-            )
-            self._store.pending.delete(full)
-            return existed
-        self._store.stats.logical_writes += 1
-        return self._store.kv.delete(full)
-
-    def discard(self, key: str) -> None:
-        """:meth:`delete`, minus the existence check (overlay read)."""
-        self.delete(key)
-
-    def range(self, prefix: str) -> dict[str, Any]:
-        """Live key→value pairs under ``prefix`` (namespace stripped).
-
-        Batched mode merges the pending batch over the committed range.
-        """
-        full = self._k(prefix)
-        n = len(self.namespace)
-        out = {kv.key[n:]: kv.value for kv in self._store.kv.range(full)}
-        if self._store.batched:
-            for key, kind, value in self._store.pending.pending_items():
-                if not key.startswith(full):
-                    continue
-                if kind == "delete":
-                    out.pop(key[n:], None)
-                else:
-                    out[key[n:]] = value
-        return out
-
-    def lease(self, ttl: float) -> Lease:
-        """Grant a TTL lease from the shared lease manager."""
-        return self._store.leases.grant(ttl)
-
-    def flush(self) -> int:
-        """Commit the Datastore's pending write batch (action boundary)."""
-        return self._store.flush()

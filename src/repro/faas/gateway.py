@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..datastore.client import DatastoreClient
 from ..runtime.system import FaaSCluster
 from .container import ContainerPool
 from .interceptor import GPUModelHandle, InterceptedMLAPI
@@ -48,10 +47,10 @@ class RegisteredFunction:
 class Gateway:
     """Function CRUD + invocation routing."""
 
-    def __init__(self, system: FaaSCluster, *, datastore: DatastoreClient | None = None) -> None:
+    def __init__(self, system: FaaSCluster) -> None:
         self.system = system
         self.sim = system.sim
-        self.datastore = datastore if datastore is not None else system.datastore.client()
+        self.datastore = system.datastore
         self._functions: dict[str, RegisteredFunction] = {}
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..chaos.health import HealthWatchdog
-from ..datastore.client import DatastoreClient
+from ..datastore.client import Datastore
 from ..sim import Simulator
 from .container import Container
 from .interceptor import GPUModelHandle
@@ -89,7 +89,7 @@ class Watchdog:
         sim: Simulator,
         spec: FunctionSpec,
         *,
-        datastore: DatastoreClient | None = None,
+        datastore: Datastore,
         model_handle: GPUModelHandle | None = None,
     ) -> None:
         if spec.is_inference and model_handle is None:
@@ -187,8 +187,6 @@ class Watchdog:
     def _record(self, invocation: Invocation, container: Container) -> None:
         # runs inside a simulator event: against a batched Datastore this
         # put rides the invocation-completion action's single transaction
-        if self.datastore is None:
-            return
         self.datastore.put(
             f"fn/metrics/{self.spec.name}/{invocation.invocation_id}",
             {

@@ -66,7 +66,7 @@ class FaaSCluster:
         self.cache = CacheManager(
             self.sim,
             self.cluster.gpus,
-            datastore=self.datastore.client(),
+            datastore=self.datastore,
             policy_factory=lambda: make_policy(self.config.replacement),
         )
         self.cache.subscribe(self.metrics.on_cache_event)
@@ -97,7 +97,7 @@ class FaaSCluster:
                 self.cache,
                 self.registry,
                 self.estimator,
-                datastore=self.datastore.client(),
+                datastore=self.datastore,
                 latency_keep=self.config.retention,
                 on_complete=self._on_request_complete,
                 # only tenancy observes dispatches
@@ -115,7 +115,7 @@ class FaaSCluster:
             self.cache,
             self.estimator,
             self._managers,
-            datastore=self.datastore.client(),
+            datastore=self.datastore,
             tenancy=self.tenancy,
             deadline_s=self.config.deadline_s,
         )

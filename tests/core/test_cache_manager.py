@@ -26,7 +26,7 @@ def ds(sim):
 
 @pytest.fixture
 def cache(sim, cluster, ds):
-    return CacheManager(sim, cluster.gpus, datastore=ds.client())
+    return CacheManager(sim, cluster.gpus, datastore=ds)
 
 
 def g(cluster, i):
@@ -86,7 +86,7 @@ class TestVictims:
         assert cache.choose_victims(gpu.gpu_id, make_instance("x", "vgg19")) == []
 
     def test_custom_policy_factory(self, sim, cluster, ds):
-        cache = CacheManager(sim, cluster.gpus, policy_factory=LFUPolicy)
+        cache = CacheManager(sim, cluster.gpus, datastore=ds, policy_factory=LFUPolicy)
         assert isinstance(cache._policies[g(cluster, 0)], LFUPolicy)
 
 
@@ -96,15 +96,15 @@ class TestDatastoreMirror:
         cache.on_loaded(gpu0, make_instance("a"))
         cache.on_loaded(gpu0, make_instance("b", "alexnet"))
         cache.on_used(gpu0, "a")
-        assert ds.client().get(f"gpu/lru/{gpu0}") == ("b", "a")
+        assert ds.kv.get_value(f"gpu/lru/{gpu0}") == ("b", "a")
 
     def test_locations_published_and_cleared(self, cache, cluster, ds, make_instance):
         gpu0 = g(cluster, 0)
         inst = make_instance("m")
         cache.on_loaded(gpu0, inst)
-        assert ds.client().get("cache/locations/m") == (gpu0,)
+        assert ds.kv.get_value("cache/locations/m") == (gpu0,)
         cache.on_evicted(gpu0, "m")
-        assert ds.client().get("cache/locations/m") is None
+        assert ds.kv.get_value("cache/locations/m") is None
 
 
 class TestObservers:

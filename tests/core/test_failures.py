@@ -75,7 +75,7 @@ class TestFailureDuringExecution:
     def test_datastore_status_offline(self, system, make_request):
         gpu0 = system.cluster.gpus[0]
         system.fail_gpu(gpu0.gpu_id)
-        assert system.datastore.client().get(f"gpu/status/{gpu0.gpu_id}") == "offline"
+        assert system.datastore.kv.get_value(f"gpu/status/{gpu0.gpu_id}") == "offline"
 
 
 class TestRecovery:
@@ -214,7 +214,7 @@ class TestGracefulDrain:
         assert not gpu0.is_online
         assert not system.cache.cached_anywhere(r.model_id)
         assert gpu0.resident_models() == []
-        assert system.datastore.client().get(f"gpu/status/{gpu0.gpu_id}") == "offline"
+        assert system.datastore.kv.get_value(f"gpu/status/{gpu0.gpu_id}") == "offline"
 
     def test_drain_busy_gpu_finishes_running_work(self, system, make_request):
         """The drain contract vs. fail_gpu: in-flight work is NOT aborted —

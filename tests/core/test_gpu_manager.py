@@ -121,15 +121,15 @@ class TestStateAndReporting:
         gpu0, gpu1 = system.cluster.gpus
         gpu1.begin_inference()
         submit(system, make_request())
-        client = system.datastore.client()
-        assert client.get(f"gpu/status/{gpu0.gpu_id}") == "busy"
+        kv = system.datastore.kv
+        assert kv.get_value(f"gpu/status/{gpu0.gpu_id}") == "busy"
         system.run()
-        assert client.get(f"gpu/status/{gpu0.gpu_id}") == "idle"
+        assert kv.get_value(f"gpu/status/{gpu0.gpu_id}") == "idle"
 
     def test_latency_record_written(self, system, make_request):
         r = submit(system, make_request("fn-z", "alexnet"))
         system.run()
-        value = system.datastore.client().get(f"fn/latency/{r.request_id}")
+        value = system.datastore.kv.get_value(f"fn/latency/{r.request_id}")
         assert type(value) is tuple  # stored bare (GC-untracked); named on read
         rec = LatencyRecord(*value)
         assert rec.function == "fn-z"

@@ -140,24 +140,21 @@ class TestDeletePrefix:
         assert s.revision == before
 
 
-class TestWriteBatchOverlay:
-    def test_read_your_writes_for_ephemeral_keys(self):
+class TestBatchedEphemeralWrites:
+    def test_ephemeral_put_commits_at_flush(self):
         sim = Simulator()
         ds = Datastore(sim, batched=True, ephemeral_prefixes=EPH)
-        c = ds.client()
-        c.put("gpu/status/g0", "busy")
+        ds.put("gpu/status/g0", "busy")
         assert ds.kv.revision == 0  # not committed yet
-        assert c.get("gpu/status/g0") == "busy"  # overlay answers
         ds.flush()
         assert ds.kv.revision == 1
-        assert c.get("gpu/status/g0") == "busy"
+        assert ds.kv.get_value("gpu/status/g0") == "busy"
 
     def test_flush_count_matches_committed_keys(self):
         sim = Simulator()
         ds = Datastore(sim, batched=True, ephemeral_prefixes=EPH)
-        c = ds.client()
-        c.put("gpu/status/g0", "busy")
-        c.put("durable", 1)
+        ds.put("gpu/status/g0", "busy")
+        ds.put("durable", 1)
         assert ds.flush() == 2
         assert ds.stats.committed_keys == 2
 

@@ -8,7 +8,7 @@ batched flush.
 
 import pytest
 
-from repro.datastore import DELETE, Datastore
+from repro.datastore import Datastore
 from repro.sim import Simulator
 
 
@@ -30,7 +30,7 @@ def batched(sim):
 class TestExpiry:
     def test_callbacks_run_after_the_keys_are_reaped(self, sim, ds):
         lease = ds.leases.grant(2.0)
-        ds.client().put("hb/g0", "alive", lease=lease)
+        ds.put("hb/g0", "alive", lease=lease)
         seen = []
         lease.on_expire(lambda l: seen.append((sim.now, l.lease_id, "hb/g0" in ds.kv)))
         sim.run()
@@ -61,7 +61,7 @@ class TestExpiry:
 
     def test_revoke_twice_is_a_no_op(self, ds):
         lease = ds.leases.grant(1.0)
-        ds.client().put("k", 1, lease=lease)
+        ds.put("k", 1, lease=lease)
         lease.revoke()
         revision = ds.kv.revision
         lease.revoke()
@@ -77,9 +77,8 @@ class TestExpiry:
 class TestReaping:
     def test_each_attached_key_is_deleted_in_key_order(self, sim, ds):
         lease = ds.leases.grant(1.0)
-        c = ds.client()
         for key in ("k/c", "k/a", "k/b"):
-            c.put(key, 0, lease=lease)
+            ds.put(key, 0, lease=lease)
         start = ds.kv.revision
         sim.run()
         # one delete revision per key, sorted: a, b, c
@@ -91,9 +90,8 @@ class TestReaping:
 
     def test_a_key_deleted_before_expiry_costs_no_revision(self, sim, ds):
         lease = ds.leases.grant(1.0)
-        c = ds.client()
-        c.put("k", 1, lease=lease)
-        c.delete("k")
+        ds.put("k", 1, lease=lease)
+        ds.delete("k")
         revision = ds.kv.revision
         sim.run()
         assert ds.kv.revision == revision
@@ -125,38 +123,26 @@ class TestReaping:
 class TestBatchedLeases:
     def test_lease_binds_only_after_the_commit(self, batched):
         lease = batched.leases.grant(10.0)
-        batched.client().put("hb", "alive", lease=lease)
+        batched.put("hb", "alive", lease=lease)
         assert lease.keys == set()
         batched.flush()
         assert lease.keys == {"hb"}
 
     def test_a_later_unleased_put_drops_the_binding(self, batched):
         lease = batched.leases.grant(10.0)
-        c = batched.client()
-        c.put("hb", "alive", lease=lease)
-        c.put("hb", "plain")
+        batched.put("hb", "alive", lease=lease)
+        batched.put("hb", "plain")
         batched.flush()
         assert lease.keys == set()
         assert batched.kv.get_value("hb") == "plain"
 
     def test_a_later_delete_drops_the_binding(self, batched):
         lease = batched.leases.grant(10.0)
-        c = batched.client()
-        c.put("hb", "alive", lease=lease)
-        c.delete("hb")
+        batched.put("hb", "alive", lease=lease)
+        batched.delete("hb")
         batched.flush()
         assert lease.keys == set()
         assert "hb" not in batched.kv
-
-    def test_lazy_put_resolving_to_delete_is_not_bound(self, batched):
-        lease = batched.leases.grant(10.0)
-        c = batched.client()
-        c.put("loc", ("g0",))
-        batched.flush()
-        c.put_lazy("loc", lambda: DELETE, lease=lease)
-        assert batched.pending.flush().revision is not None
-        assert lease.keys == set()
-        assert "loc" not in batched.kv
 
     def test_lease_dead_by_flush_time_commits_unbound(self, sim, batched):
         lease = batched.leases.grant(10.0)
@@ -168,8 +154,7 @@ class TestBatchedLeases:
 
     def test_expiry_of_a_batched_key_reaps_the_committed_row(self, sim, batched):
         lease = batched.leases.grant(5.0)
-        c = batched.client()
-        sim.schedule(1.0, lambda: c.put("hb", "alive", lease=lease))
+        sim.schedule(1.0, lambda: batched.put("hb", "alive", lease=lease))
         sim.run(until=2.0)
         assert batched.kv.get_value("hb") == "alive"
         sim.run()

@@ -1,10 +1,10 @@
 """Batch semantics: atomic multi-key commits, last-write-wins coalescing,
-WriteBatch accumulation, and the batched Datastore client's
-read-your-writes overlay."""
+WriteBatch accumulation, and the batched Datastore's action-boundary
+commits."""
 
 import pytest
 
-from repro.datastore import DELETE, CompactedError, Datastore, KVStore, WriteBatch
+from repro.datastore import CompactedError, Datastore, KVStore, WriteBatch
 from repro.sim import Simulator
 
 
@@ -135,40 +135,13 @@ class TestWriteBatch:
         wb.put("a", 1)
         wb.put("b", 2)
         wb.delete("missing")
-        assert len(wb) == 3
         commit = wb.flush()
-        assert commit.revision == 1
-        assert not wb
+        assert (commit.revision, commit.count) == (1, 2)
         assert wb.flush().revision is None  # nothing pending
 
-    def test_lazy_value_evaluated_once_at_flush(self):
-        s = KVStore()
-        wb = WriteBatch(s)
-        calls = []
-        state = {"order": ["m1"]}
-
-        def serialize():
-            calls.append(1)
-            return list(state["order"])
-
-        for _ in range(10):  # ten touches, one serialization
-            wb.put_lazy("gpu/lru/g0", serialize)
-        state["order"] = ["m1", "m2"]
-        wb.flush()
-        assert calls == [1]
-        assert s.get_value("gpu/lru/g0") == ["m1", "m2"]  # flush-time state
-
-    def test_lazy_delete_sentinel(self):
-        s = KVStore()
-        s.put("cache/locations/m", ["g0"])
-        wb = WriteBatch(s)
-        wb.put_lazy("cache/locations/m", lambda: DELETE)
-        wb.flush()
-        assert "cache/locations/m" not in s
-
     def test_delete_then_put_through_writebatch_recreates(self):
-        """The gateway-update pattern: client deletes fn/meta then re-puts
-        it within one batch — the flush must recreate the key."""
+        """The gateway-update pattern: delete fn/meta then re-put it
+        within one batch — the flush must recreate the key."""
         s = KVStore()
         s.put("fn/meta/f", {"v": 1})
         s.put("fn/meta/f", {"v": 2})
@@ -180,51 +153,32 @@ class TestWriteBatch:
         assert kv.value == {"v": 3}
         assert kv.version == 1  # recreated, like sequential delete+put
 
-    def test_overwritten_counts_lww_absorption(self):
+    def test_coalesced_writes_count_lww_absorption(self):
         wb = WriteBatch(KVStore())
         wb.put("k", 1)
         wb.put("k", 2)
         wb.delete("k")
-        assert wb.overwritten == 2
-
-    def test_peek_resolves_pending_state(self):
-        s = KVStore()
-        s.put("committed", "old")
-        wb = WriteBatch(s)
-        wb.put("committed", "new")
-        wb.put_lazy("lazy", lambda: 7)
-        wb.delete("committed2")
-        assert wb.peek("committed") == ("put", "new")
-        assert wb.peek("lazy") == ("put", 7)
-        assert wb.peek("committed2") == ("delete", None)
-        assert wb.peek("untouched") is None
+        wb.flush()
+        assert wb.stats.coalesced_writes == 2
 
 
-class TestBatchedClient:
-    def test_read_your_writes_before_flush(self, sim):
+class TestBatchedDatastore:
+    def test_writes_commit_only_at_flush(self, sim):
         ds = Datastore(sim, batched=True)
-        c = ds.client()
-        c.put("k", 1)
+        ds.put("k", 1)
+        ds.put("gone", 0)
+        ds.delete("gone")
         assert ds.kv.revision == 0  # nothing committed yet
-        assert c.get("k") == 1  # but the client sees its own write
-        c.delete("k")
-        assert c.get("k", "gone") == "gone"
-
-    def test_range_overlays_pending_batch(self, sim):
-        ds = Datastore(sim, batched=True)
-        c = ds.client("ns")
-        c.put("gpu/0", "idle")
+        assert "k" not in ds.kv
         ds.flush()
-        c.put("gpu/1", "busy")  # pending
-        c.delete("gpu/0")  # pending
-        assert c.range("gpu/") == {"gpu/1": "busy"}
+        assert ds.kv.get_value("k") == 1
+        assert "gone" not in ds.kv
 
     def test_flush_commits_one_revision_per_action(self, sim):
         ds = Datastore(sim, batched=True)
-        c = ds.client()
-        c.put("gpu/status/g0", "busy")
-        c.put("gpu/finish_time/g0", 3.5)
-        c.put("gpu/lru/g0", ["m1"])
+        ds.put("gpu/status/g0", "busy")
+        ds.put("gpu/finish_time/g0", 3.5)
+        ds.put("gpu/lru/g0", ["m1"])
         assert ds.flush() == 3
         assert ds.kv.revision == 1
         assert ds.stats.flushes == 1
@@ -232,9 +186,8 @@ class TestBatchedClient:
 
     def test_post_event_hook_flushes_at_action_boundary(self, sim):
         ds = Datastore(sim, batched=True)
-        c = ds.client()
-        sim.schedule(1.0, lambda: (c.put("a", 1), c.put("b", 2)))
-        sim.schedule(2.0, lambda: c.put("a", 3))
+        sim.schedule(1.0, lambda: (ds.put("a", 1), ds.put("b", 2)))
+        sim.schedule(2.0, lambda: ds.put("a", 3))
         sim.run()
         assert ds.kv.revision == 2  # one revision per event, not per put
         assert ds.kv.get("a", revision=1).value == 1
@@ -243,18 +196,17 @@ class TestBatchedClient:
 
     def test_lease_attaches_at_flush(self, sim):
         ds = Datastore(sim, batched=True)
-        c = ds.client()
-        lease = c.lease(ttl=5.0)
-        c.put("gpu/status/g0", "idle", lease=lease)
+        lease = ds.leases.grant(ttl=5.0)
+        ds.put("gpu/status/g0", "idle", lease=lease)
         ds.flush()
-        assert c.get("gpu/status/g0") == "idle"
+        assert ds.kv.get_value("gpu/status/g0") == "idle"
         sim.run(until=5.0)
-        assert c.get("gpu/status/g0") is None  # lease expiry deleted it
+        assert ds.kv.get_value("gpu/status/g0") is None  # lease expiry deleted it
 
-    def test_unbatched_put_lazy_writes_through(self, sim):
+    def test_unbatched_writes_go_through(self, sim):
         ds = Datastore(sim)  # batched=False
-        c = ds.client()
-        c.put_lazy("k", lambda: 42)
+        ds.put("k", 42)
         assert ds.kv.revision == 1
-        c.put_lazy("k", lambda: DELETE)
+        ds.delete("k")
         assert "k" not in ds.kv
+        assert ds.kv.revision == 2

@@ -34,7 +34,7 @@ class TestCRUD:
 
     def test_register_writes_meta_to_datastore(self, system, gateway):
         gateway.register(FunctionSpec(name="classify", model_architecture="vgg16"))
-        meta = system.datastore.client().get("fn/meta/classify")
+        meta = system.datastore.kv.get_value("fn/meta/classify")
         assert meta["model"] == "vgg16"
         assert meta["gpu_enabled"] is True
 
@@ -60,12 +60,12 @@ class TestCRUD:
         gateway.register(FunctionSpec(name="f", model_architecture="alexnet"))
         gateway.delete("f")
         assert gateway.list_functions() == []
-        assert system.datastore.client().get("fn/meta/f") is None
+        assert system.datastore.kv.get_value("fn/meta/f") is None
 
     def test_update_replaces_spec(self, system, gateway):
         gateway.register(FunctionSpec(name="f", model_architecture="alexnet"))
         gateway.update(FunctionSpec(name="f", model_architecture="vgg19"))
-        assert system.datastore.client().get("fn/meta/f")["model"] == "vgg19"
+        assert system.datastore.kv.get_value("fn/meta/f")["model"] == "vgg19"
 
     def test_update_unknown_raises(self, gateway):
         with pytest.raises(FunctionNotFound):
@@ -177,7 +177,7 @@ class TestInvocationPath:
         gateway.register(FunctionSpec(name="classify", model_architecture="alexnet"))
         inv = gateway.invoke("classify")
         system.run()
-        rec = system.datastore.client().get(f"fn/metrics/classify/{inv.invocation_id}")
+        rec = system.datastore.kv.get_value(f"fn/metrics/classify/{inv.invocation_id}")
         assert rec["status"] == "succeeded"
         assert rec["latency_s"] > 0
 

@@ -109,4 +109,4 @@ class TestDatastoreMirror:
         system.run()
         assert len(system.completed) == 120
         for gpu in system.cluster.gpus:
-            assert system.datastore.client().get(f"gpu/status/{gpu.gpu_id}") == "idle"
+            assert system.datastore.kv.get_value(f"gpu/status/{gpu.gpu_id}") == "idle"

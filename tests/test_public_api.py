@@ -7,6 +7,7 @@ import pytest
 import repro
 import repro.metrics
 from repro.core.scheduler import Scheduler
+from repro.datastore import Datastore, WriteBatch, WriteStats
 from repro.metrics import MetricsCollector
 
 
@@ -71,7 +72,8 @@ def test_option_budget():
     s = repro.FaaSCluster().scheduler
     with pytest.raises(TypeError):
         Scheduler(
-            s.sim, s.cluster, s.policy, s.cache, s.estimator, {}, pass_elision=False
+            s.sim, s.cluster, s.policy, s.cache, s.estimator, {},
+            datastore=s.datastore, pass_elision=False,
         )
     with pytest.raises(TypeError):
         MetricsCollector(s.sim, streaming=True)
@@ -103,10 +105,60 @@ def test_folded_and_deleted_options_stay_gone(name, value):
         repro.SystemConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "cls, public",
+    [
+        pytest.param(Datastore, {"put", "delete", "flush"}, id="Datastore"),
+        pytest.param(WriteBatch, {"put", "delete", "flush"}, id="WriteBatch"),
+        pytest.param(
+            WriteStats,
+            {"logical_writes", "flushes", "committed_keys", "coalesced_writes"},
+            id="WriteStats",
+        ),
+    ],
+)
+def test_one_datastore_write_api(cls, public):
+    """``put`` / ``delete`` / ``flush`` is the whole write path: no client
+    layer, no read-your-writes overlay and no lazy thunk mode beside it
+    (reads go to ``Datastore.kv``)."""
+    assert {name for name in vars(cls) if not name.startswith("_")} == public
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        "repro.core.cache_manager.CacheManager",
+        "repro.core.gpu_manager.GPUManager",
+        "repro.core.scheduler.Scheduler",
+        "repro.faas.watchdog.Watchdog",
+    ],
+)
+def test_components_require_a_datastore(component):
+    """Every component that mirrors state takes the system's Datastore;
+    there is no Datastore-less mode to keep in step."""
+    import importlib
+    import inspect
+
+    module, _, cls = component.rpartition(".")
+    param = inspect.signature(getattr(importlib.import_module(module), cls)).parameters[
+        "datastore"
+    ]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY
+    assert param.default is inspect.Parameter.empty
+
+
+def test_gateway_uses_the_system_datastore():
+    system = repro.FaaSCluster()
+    assert repro.Gateway(system).datastore is system.datastore
+    with pytest.raises(TypeError, match="datastore"):
+        repro.Gateway(system, datastore=system.datastore)
+
+
 def test_reference_engines_stay_out_of_src():
     """The per-request workload builder and the no-op tracer protocol are
     test oracles / dead twins now; pinning the export lists keeps them
     from growing back."""
+    import repro.datastore
     import repro.obs
     import repro.traces
 
@@ -117,6 +169,11 @@ def test_reference_engines_stay_out_of_src():
         "StreamingWorkload", "Workload", "WorkloadChunk", "WorkloadSpec",
         "assign_architectures", "build_workload", "build_workload_streaming",
         "spec_for_requests",
+    }
+    assert set(repro.datastore.__all__) == {
+        "Datastore", "WriteStats", "EPHEMERAL_HOT_PREFIXES", "BatchCommit",
+        "CompactedError", "EphemeralKeyError", "KeyValue", "KVStore",
+        "WriteBatch", "Lease", "LeaseManager",
     }
     assert set(repro.obs.__all__) == {
         "Cause", "ExplainLog", "FlightRecorder", "chrome_trace_events",
