@@ -9,6 +9,7 @@ from .policies import (
     DEFAULT_O3_LIMIT,
     LALBPolicy,
     LoadBalancingPolicy,
+    SCHEDULING_POLICY_NAMES,
     LocalityOnlyPolicy,
     SchedulingPolicy,
     make_scheduling_policy,
@@ -41,6 +42,7 @@ __all__ = [
     "LoadBalancingPolicy",
     "LocalityOnlyPolicy",
     "SchedulingPolicy",
+    "SCHEDULING_POLICY_NAMES",
     "make_scheduling_policy",
     "GlobalQueue",
     "LocalQueues",

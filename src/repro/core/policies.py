@@ -13,9 +13,8 @@ Scheduler, so they are pure decision logic and unit-testable against fakes.
 Fast path (§VI scalability)
 ---------------------------
 LB and LALB carry two implementations of their queue scan, and each
-per-GPU scan picks its route from an observable property of the system —
-whether a tenant quota can bind during this pass (see below) — never
-from a setting:
+per-GPU scan picks its route from one observable property of the
+system — whether a tenant quota is installed — never from a setting:
 
 * the **index-driven fast path** — Alg. 1's first scan asks the
   Cache Manager for the GPU's resident models and the GlobalQueue's
@@ -29,7 +28,7 @@ from a setting:
 * the **reference scan** — the literal O(GPUs × queue) loop transcribed
   from Algorithms 1/2, whose per-request ``may_dispatch`` probes handle
   quota refusals exactly.  It is the production route whenever a quota
-  binds, and the executable specification the fast path must match:
+  is installed, and the executable specification the fast path must match:
   ``tests/core/test_differential.py`` sends every scan down it and
   requires byte-identical ``DecisionLog`` sequences.
 
@@ -47,15 +46,8 @@ probe unbound and requires byte-identical ``DecisionLog``s.  (The
 ``fast_scans``/``reference_scans`` counters may legitimately differ
 between the two — an elided pass performs no scans at all.)
 
-The fast path assumes the admission check is trivially true.  With a
-:class:`~repro.core.tenancy.TenancyController` installed the policies no
-longer fall back to the reference scans wholesale: at a pass's first
-per-GPU scan they ask the controller to *certify the pass* from the
-GlobalQueue's tenant index (``pass_admission_trivial`` — every queued
-tenant has enough quota headroom to absorb the pass's worst case, so no
-``may_dispatch`` probe can refuse).  Only when a quota is actually binding
-do the pass's scans drop to the literal reference loops, whose
-per-request probes handle refusals exactly.  ``fast_scans`` /
+The route rule: no :class:`~repro.core.tenancy.TenancyController`, fast
+scans; any controller, reference scans.  ``fast_scans`` /
 ``reference_scans`` count which route each per-GPU scan took.
 """
 
@@ -78,6 +70,7 @@ __all__ = [
     "LocalityOnlyPolicy",
     "LALBPolicy",
     "make_scheduling_policy",
+    "SCHEDULING_POLICY_NAMES",
     "DEFAULT_O3_LIMIT",
 ]
 
@@ -123,30 +116,9 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
 
 
 def _admission_is_trivial(s: SchedulerOps) -> bool:
-    """True when no ``may_dispatch`` probe can refuse for the rest of this
-    scheduling pass, so an index-driven scan that skips the probes is
-    decision-identical to the reference loop.
-
-    A pass asks once, at its first queue scan: idle GPUs only leave
-    mid-pass, so the worst case certified then bounds every later scan.
-
-    Three cases:
-
-    * no tenancy controller — trivially true (the PR-1 fast-path gate);
-    * a controller exposing ``pass_admission_trivial`` — certified from
-      the GlobalQueue's tenant index against the pass's worst case (at
-      most one new model load per currently idle GPU), O(quota'd tenants)
-      instead of a queue scan;
-    * a ``tenancy`` object without the probe — fail safe: the reference
-      scans run and probe ``may_dispatch`` per request.
-    """
-    tenancy = s.tenancy
-    if tenancy is None:
-        return True
-    probe = getattr(tenancy, "pass_admission_trivial", None)
-    if probe is None:
-        return False
-    return probe(s.global_queue, len(s.idle_gpus()))
+    """True when no ``may_dispatch`` probe can refuse, so an index-driven
+    scan that skips the probes is decision-identical to the reference loop."""
+    return s.tenancy is None
 
 
 class SchedulingPolicy(ABC):
@@ -183,28 +155,20 @@ class LoadBalancingPolicy(SchedulingPolicy):
     def schedule_pass(self, s: SchedulerOps) -> bool:
         work = s.pass_work_remaining
         progress = False
-        trivial = None  # the pass's admission certificate, read at its first scan
+        trivial = _admission_is_trivial(s)
         for gpu in s.idle_gpus():
             if not gpu.is_idle:  # may have changed earlier in this pass
                 continue
-            # LB never populates local queues, but drain defensively so a
-            # policy switch mid-experiment cannot strand requests.
-            if s.local_queues.peek(gpu.gpu_id) is not None:
-                s.dispatch_local_head(gpu)
-                progress = True
+            if trivial:
+                self.fast_scans += 1
+                request = s.global_queue.head()  # O(1): admission cannot refuse it
             else:
-                if trivial is None:
-                    trivial = _admission_is_trivial(s)
-                if trivial:
-                    self.fast_scans += 1
-                    request = s.global_queue.head()  # O(1): admission cannot refuse it
-                else:
-                    self.reference_scans += 1
-                    request = self._head_reference(s, gpu)
-                if request is None:
-                    continue
-                s.dispatch(request, gpu)
-                progress = True
+                self.reference_scans += 1
+                request = self._head_reference(s, gpu)
+            if request is None:
+                continue
+            s.dispatch(request, gpu)
+            progress = True
             # narrowing: state changed; if no remaining idle GPU can act,
             # the rest of the walk is provably a no-op
             if work is not None and not work():
@@ -308,8 +272,8 @@ class LALBPolicy(SchedulingPolicy):
        in arrival order until some request lands on this GPU.
 
     Each per-GPU scan takes the §VI index-driven fast path unless a tenant
-    quota can bind during the pass, in which case it runs the literal
-    scan (see the module docstring).
+    quota is installed, in which case it runs the literal scan (see the
+    module docstring).
     """
 
     guard = DispatchableWorkGuard()
@@ -340,10 +304,7 @@ class LALBPolicy(SchedulingPolicy):
                 continue
             else:
                 if fast is None:
-                    # the queue's lazy starvation tracking must assume
-                    # *this* policy's limit (guards against policy swaps
-                    # mid-experiment)
-                    fast = queue._o3_limit == self.limit and _admission_is_trivial(s)
+                    fast = _admission_is_trivial(s)
                 if fast:
                     self.fast_scans += 1
                     acted = self._schedule_gpu_fast(s, gpu)
@@ -499,8 +460,8 @@ class LALBPolicy(SchedulingPolicy):
         locations = s.cache.locations(request.model_id)
         # Lines 1–3: not cached anywhere → allow the miss on GPUi
         # (subject to the tenant's quota on new GPU processes, §VI).
-        # ``admission_trivial`` is the fast path's per-pass certificate
-        # that no probe can refuse, so the probes themselves are elided.
+        # ``admission_trivial``: the fast path runs only when no probe can
+        # refuse, so the probes themselves are elided.
         if not locations:
             if not admission_trivial and not s.may_dispatch(request, gpu_i):
                 if exp is not None:
@@ -557,16 +518,21 @@ class LALBPolicy(SchedulingPolicy):
         return "to_this_gpu"
 
 
+#: name -> builder taking the O3 limit: the paper's three schedulers plus
+#: the ``"locality"`` strawman of §I
+_POLICY_BUILDERS: dict[str, Callable[[int], SchedulingPolicy]] = {
+    "lb": lambda o3_limit: LoadBalancingPolicy(),
+    "locality": lambda o3_limit: LocalityOnlyPolicy(),
+    "lalb": lambda o3_limit: LALBPolicy(limit=0),
+    "lalbo3": lambda o3_limit: LALBPolicy(limit=o3_limit),
+}
+SCHEDULING_POLICY_NAMES = tuple(_POLICY_BUILDERS)
+
+
 def make_scheduling_policy(name: str, *, o3_limit: int = DEFAULT_O3_LIMIT) -> SchedulingPolicy:
-    """Factory: the paper's three schedulers (``"lb"``, ``"lalb"``,
-    ``"lalbo3"``) plus the ``"locality"`` strawman of §I."""
-    key = name.lower()
-    if key == "lb":
-        return LoadBalancingPolicy()
-    if key == "locality":
-        return LocalityOnlyPolicy()
-    if key == "lalb":
-        return LALBPolicy(limit=0)
-    if key == "lalbo3":
-        return LALBPolicy(limit=o3_limit)
-    raise KeyError(f"unknown policy {name!r}; known: lb, locality, lalb, lalbo3")
+    """Build the policy named exactly ``name`` (see ``SCHEDULING_POLICY_NAMES``)."""
+    builder = _POLICY_BUILDERS.get(name)
+    if builder is None:
+        known = ", ".join(SCHEDULING_POLICY_NAMES)
+        raise KeyError(f"unknown policy {name!r}; known: {known}")
+    return builder(o3_limit)

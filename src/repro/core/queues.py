@@ -130,10 +130,12 @@ class GlobalQueue:
     ``o3_limit`` enables lazy O3-visit tracking for the LALB/LALBO3 fast
     path; the Scheduler wires it from the policy.  Queues built without a
     limit (LB, locality, bare unit-test queues) skip that machinery
-    entirely and behave like a plain indexed FIFO.
+    entirely and behave like a plain indexed FIFO.  The queue keeps no
+    per-tenant state: under a tenant quota the policies take the literal
+    scans, which probe admission per request.
     """
 
-    def __init__(self, o3_limit: int | None = None, *, track_tenants: bool = False) -> None:
+    def __init__(self, o3_limit: int | None = None) -> None:
         self._o3_limit = o3_limit
         self._entries: list[_Entry | None] = []  # slot-ordered; None = removed
         self._keys: list[tuple[float, int]] = []  # parallel keys (kept for holes)
@@ -161,14 +163,6 @@ class GlobalQueue:
         #: the common state, lets the LALB fast scan skip the line-11 sweep
         self.starved_count = 0
         self._version = 0  # bumped whenever slots are renumbered
-        # tenant-admissibility index (§VI isolation fast path): live entry
-        # count and queued model-size histogram per tenant, so a
-        # TenancyController can answer "can any admission check refuse a
-        # queued request this pass?" without scanning the queue.  Off by
-        # default — the Scheduler enables it when a controller is installed.
-        self._track_tenants = track_tenants
-        self._tenant_live: dict[str, int] = {}
-        self._tenant_sizes: dict[str, dict[float, int]] = {}  # tenant -> {mb: count}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -243,8 +237,6 @@ class GlobalQueue:
         bucket.append(entry)
         self._model_live[model_id] = self._model_live.get(model_id, 0) + 1
         self._live += 1
-        if self._track_tenants:
-            self._tenant_add(request)
         if self._o3_limit is not None:
             self._attach_visits(entry)
 
@@ -282,8 +274,6 @@ class GlobalQueue:
         model_id = entry.model_id
         self._model_live[model_id] = self._model_live.get(model_id, 0) + 1
         self._live += 1
-        if self._track_tenants:
-            self._tenant_add(request)
         self._head = min(self._head, pos)
         if self._o3_limit is not None:
             entry.regular = False  # entries behind it may have fewer visits
@@ -332,8 +322,6 @@ class GlobalQueue:
         else:
             del self._model_live[model_id]
             del self._buckets[model_id]
-        if self._track_tenants:
-            self._tenant_remove(request)
 
     # ------------------------------------------------------------------
     # Lookups
@@ -378,53 +366,6 @@ class GlobalQueue:
 
     def queued_models(self) -> set[str]:
         return set(self._model_live)
-
-    # ------------------------------------------------------------------
-    # Tenant-admissibility index (§VI isolation fast path)
-    # ------------------------------------------------------------------
-    def _tenant_add(self, request: InferenceRequest) -> None:
-        tenant = request.tenant
-        self._tenant_live[tenant] = self._tenant_live.get(tenant, 0) + 1
-        sizes = self._tenant_sizes.setdefault(tenant, {})
-        mb = request.model.occupied_mb
-        sizes[mb] = sizes.get(mb, 0) + 1
-
-    def _tenant_remove(self, request: InferenceRequest) -> None:
-        tenant = request.tenant
-        remaining = self._tenant_live[tenant] - 1
-        if remaining:
-            self._tenant_live[tenant] = remaining
-        else:
-            del self._tenant_live[tenant]
-        sizes = self._tenant_sizes[tenant]
-        mb = request.model.occupied_mb
-        count = sizes[mb] - 1
-        if count:
-            sizes[mb] = count
-        else:
-            del sizes[mb]
-            if not sizes:
-                del self._tenant_sizes[tenant]
-
-    def queued_tenants(self):
-        """Tenants with live queued requests, or None when untracked.
-
-        ``None`` (tracking disabled) makes admission probes fail safe: a
-        policy that cannot see the tenant mix must use the reference scans.
-        """
-        if not self._track_tenants:
-            return None
-        return self._tenant_live.keys()
-
-    def max_queued_model_mb(self, tenant: str) -> float:
-        """Largest model size any of ``tenant``'s queued requests needs.
-
-        The conservative per-pass admission probe multiplies this by the
-        number of possible dispatches to bound the tenant's worst-case
-        memory growth within one scheduling pass.
-        """
-        sizes = self._tenant_sizes.get(tenant)
-        return max(sizes) if sizes else 0.0
 
     # ------------------------------------------------------------------
     # O3 visit accounting (Alg. 1 lines 11/15, done lazily)

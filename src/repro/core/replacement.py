@@ -275,17 +275,18 @@ class BeladyPolicy(EvictionPolicy):
         return self._compute_eviction_order()
 
 
-POLICY_NAMES = ("lru", "fifo", "lfu", "size")
+#: name -> policy class (Belady is absent: it needs its oracle)
+_POLICY_CLASSES: dict[str, type[EvictionPolicy]] = {
+    "lru": LRUPolicy,
+    "fifo": FIFOPolicy,
+    "lfu": LFUPolicy,
+    "size": SizeAwarePolicy,
+}
+POLICY_NAMES = tuple(_POLICY_CLASSES)
 
 
 def make_policy(name: str) -> EvictionPolicy:
     """Instantiate a replacement policy by name (Belady needs its oracle)."""
-    table: dict[str, type[EvictionPolicy]] = {
-        "lru": LRUPolicy,
-        "fifo": FIFOPolicy,
-        "lfu": LFUPolicy,
-        "size": SizeAwarePolicy,
-    }
-    if name not in table:
-        raise KeyError(f"unknown replacement policy {name!r}; known: {sorted(table)}")
-    return table[name]()
+    if name not in _POLICY_CLASSES:
+        raise KeyError(f"unknown replacement policy {name!r}; known: {sorted(POLICY_NAMES)}")
+    return _POLICY_CLASSES[name]()

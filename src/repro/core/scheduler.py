@@ -77,13 +77,8 @@ class Scheduler:
         self.estimator = estimator
         self.local_queues = estimator.local_queues
         # LALB policies carry an O3 limit: hand it to the queue so it can
-        # run the lazy visit accounting the index-driven fast path needs;
-        # with a tenancy controller installed the queue also maintains the
-        # tenant-admissibility index the per-pass fast-path probe consults
-        self.global_queue = GlobalQueue(
-            o3_limit=getattr(policy, "limit", None),
-            track_tenants=tenancy is not None,
-        )
+        # run the lazy visit accounting the index-driven fast path needs
+        self.global_queue = GlobalQueue(o3_limit=getattr(policy, "limit", None))
         self.datastore = datastore
         self.tenancy = tenancy
         # per-GPU dispatch plumbing, precomputed once and array-backed:

@@ -9,6 +9,8 @@ The paper sketches three isolation levers against bad actors:
 :class:`TenancyController` implements all three as admission checks the
 Scheduler consults before dispatching a request.  A request whose tenant is
 over quota simply stays in the global queue until the tenant's usage drops.
+With a controller installed every scheduling pass takes the literal
+Algorithm 1/2 scans, which probe these checks request by request.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ class TenancyController:
         self._processes: dict[str, int] = {}      # tenant -> resident process count
         self._memory_mb: dict[str, float] = {}    # tenant -> resident MB
         self._gpu_time_s: dict[str, float] = {}   # tenant -> cumulative busy seconds
-        #: models reserved at dispatch time but not yet reported loaded —
-        #: closes the window where concurrent dispatches could overshoot a
-        #: quota before their "load" cache events arrive
-        self._pending_loads: set[str] = set()
+        #: (gpu, model) loads reserved at dispatch time but not yet reported
+        #: loaded — closes the window where concurrent dispatches could
+        #: overshoot a quota before their "load" cache events arrive
+        self._pending_loads: set[tuple[str, str]] = set()
 
     # ------------------------------------------------------------------
     # Registration and accounting hooks
@@ -82,25 +84,28 @@ class TenancyController:
 
     def on_dispatch(self, request: InferenceRequest) -> None:
         """GPU Manager hook: a dispatch that will load a model reserves the
-        tenant's process/memory budget immediately."""
+        tenant's process/memory budget immediately.  A model's first miss
+        registers it, so quotas bind on every entry point, not only on
+        models deployed through ``FaaSCluster.register_model``."""
         if request.cache_hit is not False:
             return
         model_id = request.model_id
         tenant = self._tenant_of_model.get(model_id)
-        if tenant is None or model_id in self._pending_loads:
-            return
-        self._pending_loads.add(model_id)
+        if tenant is None:
+            self.register_instance(request.model)
+            tenant = request.model.tenant
+        self._pending_loads.add((request.gpu_id, model_id))
         self._processes[tenant] = self._processes.get(tenant, 0) + 1
         self._memory_mb[tenant] = (
             self._memory_mb.get(tenant, 0.0) + self._model_size[model_id]
         )
 
-    def on_load_aborted(self, model_id: str) -> None:
+    def on_load_aborted(self, gpu_id: str, model_id: str) -> None:
         """Release a dispatch-time reservation whose load never completed
         (the target GPU failed mid-upload)."""
-        if model_id not in self._pending_loads:
+        if (gpu_id, model_id) not in self._pending_loads:
             return
-        self._pending_loads.discard(model_id)
+        self._pending_loads.discard((gpu_id, model_id))
         tenant = self._tenant_of_model.get(model_id)
         if tenant is None:
             return
@@ -116,8 +121,8 @@ class TenancyController:
             return
         size = self._model_size[model_id]
         if kind == "load":
-            if model_id in self._pending_loads:
-                self._pending_loads.discard(model_id)  # reserved at dispatch
+            if (gpu_id, model_id) in self._pending_loads:
+                self._pending_loads.discard((gpu_id, model_id))  # reserved at dispatch
                 return
             self._processes[tenant] = self._processes.get(tenant, 0) + 1
             self._memory_mb[tenant] = self._memory_mb.get(tenant, 0.0) + size
@@ -130,54 +135,6 @@ class TenancyController:
         self._gpu_time_s[request.tenant] = (
             self._gpu_time_s.get(request.tenant, 0.0) + request.service_time
         )
-
-    # ------------------------------------------------------------------
-    # Per-pass fast-path probe (§VI scalability with isolation installed)
-    # ------------------------------------------------------------------
-    def pass_admission_trivial(self, queue, max_new_loads: int) -> bool:
-        """True when no admission check can refuse a queued request for the
-        remainder of the current scheduling pass.
-
-        The index-driven scheduling fast paths skip the per-request
-        ``may_dispatch`` probes, so they are only sound while every probe
-        would answer yes.  This method certifies that *for one pass* from
-        the queue's tenant index, conservatively:
-
-        * ``max_new_loads`` bounds how many model loads the pass can still
-          start (at most one per idle GPU — GPUs never become idle
-          mid-pass, completions arrive as separate simulator events);
-        * each load charges at most the tenant's largest queued model;
-        * GPU-time usage is constant within a pass (it only advances on
-          completion events) so the time-share check is evaluated once.
-
-        Quota'd tenants whose headroom cannot absorb that worst case — and
-        queues without a tenant index (``queued_tenants() is None``) — make
-        the probe fail, sending the policy to the reference scans whose
-        per-request checks handle refusals exactly.
-        """
-        if not self.quotas:
-            return True
-        tenants = queue.queued_tenants()
-        if tenants is None:
-            return False  # untracked queue: cannot certify, fail safe
-        now = self.sim.now
-        for tenant in self.quotas.keys() & tenants:
-            quota = self.quotas[tenant]
-            if quota.max_processes is not None:
-                if self._processes.get(tenant, 0) + max_new_loads > quota.max_processes:
-                    return False
-            if quota.max_memory_fraction is not None:
-                projected = (
-                    self._memory_mb.get(tenant, 0.0)
-                    + max_new_loads * queue.max_queued_model_mb(tenant)
-                )
-                if projected / self.total_memory_mb > quota.max_memory_fraction:
-                    return False
-            if quota.max_time_fraction is not None and now > 0:
-                capacity = self.num_gpus * now
-                if self._gpu_time_s.get(tenant, 0.0) / capacity > quota.max_time_fraction:
-                    return False
-        return True
 
     # ------------------------------------------------------------------
     # Admission check (consulted by the Scheduler)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from ..chaos.plan import FAULT_PROFILES, FaultPlan
 from ..cluster.topology import PAPER_TESTBED, ClusterSpec
-from ..core.policies import DEFAULT_O3_LIMIT
+from ..core.policies import DEFAULT_O3_LIMIT, SCHEDULING_POLICY_NAMES
 from ..core.replacement import POLICY_NAMES as REPLACEMENT_NAMES
 from ..core.tenancy import TenantQuota
 
@@ -86,8 +86,9 @@ class SystemConfig:
     trace_decisions: bool = False
 
     def __post_init__(self) -> None:
-        if self.policy not in ("lb", "locality", "lalb", "lalbo3"):
-            raise ValueError(f"unknown policy {self.policy!r}")
+        if self.policy not in SCHEDULING_POLICY_NAMES:
+            known = ", ".join(SCHEDULING_POLICY_NAMES)
+            raise ValueError(f"unknown policy {self.policy!r} (known: {known})")
         if self.o3_limit < 0:
             raise ValueError("o3_limit cannot be negative")
         if self.replacement not in REPLACEMENT_NAMES:

@@ -300,7 +300,7 @@ class FaaSCluster:
         stranded = self.scheduler.drain_local(gpu_id)
         if inflight is not None:
             if self.tenancy is not None and inflight.cache_hit is False:
-                self.tenancy.on_load_aborted(inflight.model_id)
+                self.tenancy.on_load_aborted(gpu_id, inflight.model_id)
             stranded.insert(0, inflight)
         for request in stranded:
             self._requeue(request)

@@ -14,7 +14,7 @@ passes     the base ``PassGuard()`` (the engine's historical run/stop
            conditions) with the mid-pass probe unbound
 scans      ``_admission_is_trivial`` answers False, so every per-GPU
            scan takes the Algorithm-1/2 transcription — the route
-           production takes whenever a tenant quota binds
+           production takes whenever a tenant quota is installed
 writes     a write-through ``Datastore(batched=False)``: one revision
            per put
 history    ``EPHEMERAL_HOT_PREFIXES = ()``: full MVCC for every key
@@ -38,7 +38,11 @@ import repro.runtime.system as system_module
 from repro.chaos import FaultPlan
 from repro.chaos.plan import GPUCrash, Straggler
 from repro.cluster import PAPER_TESTBED, ClusterSpec
-from repro.core.policies import SchedulingPolicy, make_scheduling_policy
+from repro.core.policies import (
+    SCHEDULING_POLICY_NAMES,
+    SchedulingPolicy,
+    make_scheduling_policy,
+)
 from repro.core.request import InferenceRequest
 from repro.core.signals import DispatchableWorkGuard, PassGuard
 from repro.core.tenancy import TenantQuota
@@ -49,7 +53,7 @@ from repro.traces import WorkloadSpec, build_workload
 
 SEED = 20230517  # arbitrary but frozen: parity must hold for any seed
 N_FUNCTIONS = 30
-POLICIES = ["lb", "lalb", "lalbo3", "locality"]
+POLICIES = list(SCHEDULING_POLICY_NAMES)
 AXES = ("passes", "scans", "writes", "history")
 ALL_LITERAL = frozenset(AXES)
 #: the five reference arms (not 2⁴): each layer alone, then all together
@@ -257,18 +261,33 @@ class TestProductionVsSpec:
 
 
 class TestTenancy:
-    """§VI isolation: with a TenancyController installed the scans keep
-    the O(models-on-GPU) bound whenever no quota binds, drop to the
-    literal loops when one does, and match the spec either way."""
+    """§VI isolation: the scan route is one observable — no quota, the
+    index scans; any quota, binding or not, the literal loops — and
+    production matches the spec either way."""
 
-    def test_non_binding_quota_keeps_the_index_scans(self):
+    @pytest.mark.parametrize(
+        "quota",
+        [
+            TenantQuota(max_processes=100),
+            TenantQuota(max_memory_fraction=1.0),
+            TenantQuota(max_time_fraction=1.0),
+        ],
+        ids=["processes", "memory", "time"],
+    )
+    def test_any_quota_takes_the_literal_scans(self, quota):
         spec = _workload(SEED + 3, 1200)
-        kwargs = dict(policy="lalbo3", quotas={"capped": TenantQuota(max_processes=100)})
+        kwargs = dict(policy="lalbo3", quotas={"capped": quota})
         production = _run(spec, **kwargs)
         _assert_matches(production, _run(spec, ALL_LITERAL, **kwargs))
         assert len(production.system.completed) == len(spec)
         policy = production.system.scheduler.policy
-        assert policy.fast_scans > 0 and policy.reference_scans == 0
+        assert policy.fast_scans == 0 < policy.reference_scans
+
+    @pytest.mark.parametrize("policy", ["lb", "lalb", "lalbo3"])
+    def test_no_quota_takes_the_index_scans(self, policy):
+        production = _run(_workload(SEED + 3, 400), policy=policy)
+        scans = production.system.scheduler.policy
+        assert scans.reference_scans == 0 < scans.fast_scans
 
     def test_binding_quota_takes_the_literal_scans(self):
         spec = _workload(SEED + 4, 800)

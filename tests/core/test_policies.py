@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core.policies import (
+    SCHEDULING_POLICY_NAMES,
     LALBPolicy,
     LoadBalancingPolicy,
     make_scheduling_policy,
@@ -45,6 +46,19 @@ class TestFactory:
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
             make_scheduling_policy("fifo")
+
+    @pytest.mark.parametrize("name", SCHEDULING_POLICY_NAMES)
+    def test_one_names_table(self, name):
+        """The factory and ``SystemConfig`` read the same table."""
+        assert make_scheduling_policy(name).name == name
+        assert SystemConfig(policy=name).policy == name
+
+    @pytest.mark.parametrize("name", ["LALB", "Lb", "lalbo3 "])
+    def test_names_match_exactly(self, name):
+        with pytest.raises(KeyError, match="known: lb, locality, lalb, lalbo3"):
+            make_scheduling_policy(name)
+        with pytest.raises(ValueError, match="known: lb, locality, lalb, lalbo3"):
+            SystemConfig(policy=name)
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):

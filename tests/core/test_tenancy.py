@@ -4,9 +4,11 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core.tenancy import TenancyController, TenantQuota
+from repro.experiments.replay import replay
 from repro.models import ModelInstance, get_profile
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.sim import Simulator
+from repro.traces import build_workload, spec_for_requests
 
 
 class TestQuotaValidation:
@@ -119,6 +121,43 @@ class TestEndToEndIsolation:
         assert r4.exec_start_at < r2.exec_start_at
         # and greedy-2 only ran after greedy-1 was evicted
         assert not system.cache.cached_anywhere(g1.instance_id)
+
+
+class TestReplayQuotas:
+    """A quota binds on ``replay()``, whose models reach the runtime only
+    through their requests (no ``register_model`` call)."""
+
+    @staticmethod
+    def _replay(workload, quotas=None):
+        """Decision log plus the peak number of resident model processes."""
+        resident = [0, 0]  # now, peak
+
+        def count(kind, gpu_id, model_id, now):
+            if kind in ("load", "evict"):
+                resident[0] += 1 if kind == "load" else -1
+                resident[1] = max(resident)
+
+        _, system = replay(
+            SystemConfig(quotas=quotas),
+            workload,
+            prepare=lambda system: system.cache.subscribe(count),
+        )
+        log = [(d.time_s, d.kind, d.model_id, d.gpu_id) for d in system.scheduler.decisions]
+        return log, resident[1], system
+
+    @pytest.mark.parametrize("max_processes", [3, 6])
+    def test_process_quota_binds_on_replay(self, max_processes):
+        workload = build_workload(spec_for_requests(300))
+        free_log, free_peak, _ = self._replay(workload)
+        assert max_processes < free_peak
+        log, peak, system = self._replay(
+            workload, {"default": TenantQuota(max_processes=max_processes)}
+        )
+        # 6 also covers one model loading on two GPUs at once: each load
+        # holds its own reservation until its "load" event
+        assert peak <= max_processes
+        assert 0 < system.tenancy.usage("default")["processes"] <= max_processes
+        assert log != free_log
 
 
 class TestNoBusyLoop:

@@ -21,12 +21,18 @@ replay under ``SystemConfig(tracer="flight")`` may cost at most one call
 per request more than the untraced one.  Its span sampling is what keeps
 it there — at ``span_stride=1`` the same replay reads ~8.9 calls/request
 above untraced, so a hook that stops being sampled fails by ~8 calls.
+
+A fifth, ``quota``, is the route every quota'd replay takes: the shallow
+replay under a process quota it never reaches, so each per-GPU scan is the
+literal Algorithm 1/2 loop with its per-request admission probes, and
+every miss runs the tenancy controller's accounting.
 """
 
 import sys
 
 import pytest
 
+from repro.core.tenancy import TenantQuota
 from repro.experiments.__main__ import main
 from repro.experiments.profile import profile_replay
 from repro.runtime import SystemConfig, streaming_config
@@ -43,11 +49,15 @@ STREAM_4K = spec_for_requests(4000)
 #: every bounded-memory cap at 250, so ~80 % of the 3,900 completions run
 #: past all three
 STREAM_CONFIG = streaming_config(retention=250)
+#: more GPU processes than the cluster can hold: the quota never refuses
+QUOTA_CONFIG = SystemConfig(quotas={"default": TenantQuota(max_processes=1000)})
 
 #: calls per request at this commit (± 0.01 across hash seeds); the
 #: commit before the straight-line request lifecycle read 176.25 shallow,
 #: 159.43 deep and 205.91 streaming.  They may only go down.
-ACHIEVED = {"shallow": 137.31, "traced": 137.90, "deep": 124.50, "stream": 155.42}
+ACHIEVED = {
+    "shallow": 137.31, "traced": 137.90, "deep": 124.50, "stream": 155.42, "quota": 152.96,
+}
 #: headroom for interpreter-version differences in what counts as a call
 HEADROOM = 1.03
 #: the flight recorder's whole per-request budget, traced − shallow
@@ -101,6 +111,11 @@ def test_streaming_calls_per_request_within_budget():
     _assert_within_budget(
         "stream", 3900, build_workload_streaming(STREAM_4K), STREAM_CONFIG
     )
+
+
+@needs_the_profiler
+def test_quota_calls_per_request_within_budget():
+    _assert_within_budget("quota", 1950, build_workload(SHALLOW_2K), QUOTA_CONFIG)
 
 
 @needs_the_profiler

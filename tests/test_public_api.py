@@ -154,6 +154,16 @@ def test_gateway_uses_the_system_datastore():
         repro.Gateway(system, datastore=system.datastore)
 
 
+def test_tenant_admission_certificate_stays_gone():
+    """One scan-route rule: any tenant quota takes the literal scans, so
+    neither the per-pass certificate nor the queue's tenant index exists."""
+    from repro.core import GlobalQueue, TenancyController
+
+    with pytest.raises(TypeError):
+        GlobalQueue(track_tenants=True)
+    assert not hasattr(TenancyController, "pass_admission_trivial")
+
+
 def test_reference_engines_stay_out_of_src():
     """The per-request workload builder and the no-op tracer protocol are
     test oracles / dead twins now; pinning the export lists keeps them
