@@ -26,7 +26,7 @@ def _filled_queue(n_requests: int, n_models: int = 50):
     for i in range(n_requests):
         q.push(
             InferenceRequest(
-                f"fn{i % n_models}", instances[i % n_models], arrival_time=float(i)
+                f"fn{i % n_models}", instances[i % n_models], float(i), i + 1
             )
         )
     return q, instances
@@ -102,7 +102,7 @@ def test_scheduling_pass_cost_at_depth(benchmark):
         gpu.begin_inference()  # everything busy → pure queueing cost
     for i in range(2_000):
         system.scheduler.global_queue.push(
-            InferenceRequest(f"fn{i % 30}", instances[i % 30], arrival_time=float(i))
+            InferenceRequest(f"fn{i % 30}", instances[i % 30], float(i), i + 1)
         )
 
     def one_pass():
@@ -140,9 +140,9 @@ def _system_with_hit_at_tail(depth: int):
     queue = system.scheduler.global_queue
     for i in range(depth - 1):
         queue.push(
-            InferenceRequest(f"fn{i % 30}", instances[i % 30], arrival_time=float(i))
+            InferenceRequest(f"fn{i % 30}", instances[i % 30], float(i), i + 1)
         )
-    queue.push(InferenceRequest("hot", hot, arrival_time=float(depth)))
+    queue.push(InferenceRequest("hot", hot, float(depth), depth))
     return system
 
 

@@ -9,16 +9,13 @@ GPU Manager kills the process.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .gpu import GPUDevice
 
 __all__ = ["ProcessState", "GPUProcess"]
-
-_pid_counter = itertools.count(1)
 
 
 class ProcessState(enum.Enum):
@@ -48,7 +45,6 @@ class GPUProcess:
     model_instance: str
     occupied_mb: float
     gpu_id: str
-    pid: int = field(default_factory=lambda: next(_pid_counter))
     state: ProcessState = ProcessState.STARTING
     started_at: float = 0.0
     ready_at: float | None = None
@@ -57,18 +53,18 @@ class GPUProcess:
 
     def mark_ready(self, now: float) -> None:
         if self.state is not ProcessState.STARTING:
-            raise RuntimeError(f"process {self.pid} cannot become ready from {self.state}")
+            raise RuntimeError(f"{self.model_instance} on {self.gpu_id} cannot become ready from {self.state}")
         self.state = ProcessState.READY
         self.ready_at = now
 
     def mark_running(self) -> None:
         if self.state is not ProcessState.READY:
-            raise RuntimeError(f"process {self.pid} cannot run from {self.state}")
+            raise RuntimeError(f"{self.model_instance} on {self.gpu_id} cannot run from {self.state}")
         self.state = ProcessState.RUNNING
 
     def mark_done(self) -> None:
         if self.state is not ProcessState.RUNNING:
-            raise RuntimeError(f"process {self.pid} is not running")
+            raise RuntimeError(f"{self.model_instance} on {self.gpu_id} is not running")
         self.state = ProcessState.READY
         self.served_requests += 1
 

@@ -11,15 +11,12 @@ from completed requests.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..models.profiles import PAPER_BATCH_SIZE, ModelInstance
 
 __all__ = ["RequestState", "InferenceRequest"]
-
-_request_ids = itertools.count(1)
 
 
 class RequestState(enum.Enum):
@@ -41,6 +38,9 @@ class InferenceRequest:
     function_name: str
     model: ModelInstance
     arrival_time: float
+    #: minted by the code that builds it: a workload numbers its rows 1..n,
+    #: a gateway model handle draws from its system's ``request_ids``
+    request_id: int
     batch_size: int = PAPER_BATCH_SIZE
     payload: Any = None
     tenant: str = "default"
@@ -48,7 +48,6 @@ class InferenceRequest:
     #: of arrival (None = best effort).  §I: production inference "have
     #: stringent latency requirements".
     sla_s: float | None = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
 
     # -- lifecycle stamps (filled by the runtime) -----------------------
     state: RequestState = RequestState.QUEUED

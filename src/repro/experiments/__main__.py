@@ -48,6 +48,13 @@ _SWEEP_AXES = (
     "policies", "working_sets", "o3_limits", "replacements", "seeds",
     "fault_profiles", "minutes", "requests_per_minute",
 )
+#: argparse dest -> the only targets that read it (an error on any other)
+_TARGET_ONLY = {
+    "request_id": ("explain",),
+    "requests": ("profile", "trace", "explain"),
+    "trace_out": ("trace",),
+    **dict.fromkeys(_SWEEP_AXES, ("sweep",)),
+}
 
 
 def _sweep_kwargs(args) -> dict:
@@ -72,16 +79,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "request_id", nargs="?", type=int, default=None,
-        help="1-based request ordinal for the explain target",
+        help="the explain target's request: the replay numbers them 1..n",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--requests", type=int, default=2000,
+        "--requests", type=int, default=None,
         help="replay size for the profile/trace/explain targets (default 2000)",
     )
     parser.add_argument(
-        "--trace-out", default="trace.json",
-        help="output path for the trace target's Chrome trace-event file",
+        "--trace-out", default=None,
+        help="the trace target's Chrome trace-event file (default trace.json)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -113,12 +120,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--minutes", type=int, default=None)
     parser.add_argument("--requests-per-minute", type=int, default=None)
     args = parser.parse_args(argv)
-    if args.target != "sweep":
-        for name in _SWEEP_AXES:
-            if getattr(args, name) is not None:
-                parser.error(
-                    f"--{name.replace('_', '-')} applies only to the sweep target"
-                )
+    for name, targets in _TARGET_ONLY.items():
+        if getattr(args, name) is not None and args.target not in targets:
+            flag = "a request ID" if name == "request_id" else "--" + name.replace("_", "-")
+            parser.error(f"{flag} applies only to {' / '.join(targets)}")
+    n_requests = 2000 if args.requests is None else args.requests
 
     if args.target == "trace":
         from pathlib import Path
@@ -133,12 +139,12 @@ def main(argv: list[str] | None = None) -> int:
         _, system = replay(
             SystemConfig(tracer="flight", seed=args.seed),
             build_workload(
-                spec_for_requests(args.requests, seed=args.seed),
+                spec_for_requests(n_requests, seed=args.seed),
                 trace=SyntheticAzureTrace(),
             ),
         )
-        path = write_chrome_trace(system.tracer, args.trace_out)
-        prom = Path(args.trace_out).with_suffix(".prom")
+        path = write_chrome_trace(system.tracer, args.trace_out or "trace.json")
+        prom = Path(path).with_suffix(".prom")
         prom.write_text(prometheus_exposition(system))
         totals = system.tracer.totals
         print(
@@ -154,23 +160,17 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.explain import run_explain
 
         if args.request_id is None:
-            print(
-                "explain needs a request ordinal: "
-                "python -m repro.experiments explain 42",
-                file=sys.stderr,
-            )
-            return 2
-        print(
-            run_explain(
-                args.request_id, n_requests=args.requests, seed=args.seed
-            )
-        )
+            parser.error("explain needs a request ID: python -m repro.experiments explain 42")
+        try:
+            print(run_explain(args.request_id, n_requests=n_requests, seed=args.seed))
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog}: {exc}\n")
         return 0
 
     if args.target == "profile":
         from .profile import run_profile
 
-        run_profile(n_requests=args.requests, seed=args.seed)
+        run_profile(n_requests=n_requests, seed=args.seed)
         return 0
 
     if args.target == "table1":

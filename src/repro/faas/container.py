@@ -9,8 +9,7 @@ grows and shrinks the warm replica pool.
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..sim import Simulator
 from .spec import FunctionSpec
@@ -21,8 +20,6 @@ __all__ = ["ContainerState", "Container", "ContainerPool", "DEFAULT_COLD_START_S
 DEFAULT_COLD_START_S = 0.5
 #: one-time image build latency at registration
 DEFAULT_BUILD_S = 2.0
-
-_container_ids = itertools.count(1)
 
 
 class ContainerState(enum.Enum):
@@ -35,10 +32,10 @@ class ContainerState(enum.Enum):
 class Container:
     """One replica of a function's container."""
 
-    def __init__(self, sim: Simulator, spec: FunctionSpec) -> None:
+    def __init__(self, sim: Simulator, spec: FunctionSpec, container_id: str) -> None:
         self.sim = sim
         self.spec = spec
-        self.container_id = f"{spec.name}-{next(_container_ids)}"
+        self.container_id = container_id
         self.state = ContainerState.STARTING
         self.started_at = sim.now
         self.handled = 0
@@ -70,6 +67,7 @@ class ContainerPool:
         self,
         sim: Simulator,
         spec: FunctionSpec,
+        container_ids: Iterator[int],
         *,
         cold_start_s: float = DEFAULT_COLD_START_S,
         build_s: float = DEFAULT_BUILD_S,
@@ -78,9 +76,9 @@ class ContainerPool:
         self.spec = spec
         self.cold_start_s = cold_start_s
         self.build_s = build_s
+        self._container_ids = container_ids  # the Gateway's: unique across update()
         self.containers: list[Container] = []
         self.built = False
-        self._build_done_at: float | None = None
         self._waiters: list[Callable[[Container], None]] = []
 
     # ------------------------------------------------------------------
@@ -93,7 +91,6 @@ class ContainerPool:
 
         def _done() -> None:
             self.built = True
-            self._build_done_at = self.sim.now
             if on_done:
                 on_done()
 
@@ -120,7 +117,7 @@ class ContainerPool:
                     alive.remove(c)
 
     def _start_one(self) -> Container:
-        c = Container(self.sim, self.spec)
+        c = Container(self.sim, self.spec, f"{self.spec.name}-{next(self._container_ids)}")
         self.containers.append(c)
 
         def _ready() -> None:

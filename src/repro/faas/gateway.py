@@ -12,6 +12,7 @@ loading and inference to the GPU Managers through the Scheduler.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable
 
 from ..runtime.system import FaaSCluster
@@ -45,13 +46,15 @@ class RegisteredFunction:
 
 
 class Gateway:
-    """Function CRUD + invocation routing."""
+    """Function CRUD + invocation routing; mints invocation and container IDs."""
 
     def __init__(self, system: FaaSCluster) -> None:
         self.system = system
         self.sim = system.sim
         self.datastore = system.datastore
         self._functions: dict[str, RegisteredFunction] = {}
+        self._invocation_ids = itertools.count(1)
+        self._container_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # CRUD (§II-A)
@@ -73,7 +76,7 @@ class Gateway:
         watchdog = Watchdog(
             self.sim, spec, datastore=self.datastore, model_handle=model_handle
         )
-        pool = ContainerPool(self.sim, spec)
+        pool = ContainerPool(self.sim, spec, self._container_ids)
         pool.build(on_done=lambda: pool.scale_to(spec.min_replicas))
         fn = RegisteredFunction(spec, pool, watchdog, model_handle)
         self._functions[spec.name] = fn
@@ -128,6 +131,7 @@ class Gateway:
             function=name,
             payload=payload,
             submitted_at=self.sim.now,
+            invocation_id=next(self._invocation_ids),
             on_response=on_response,
         )
         fn.invocations += 1

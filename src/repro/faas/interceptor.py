@@ -27,8 +27,6 @@ from ..runtime.system import FaaSCluster
 
 __all__ = ["GPUModelHandle", "InterceptedMLAPI"]
 
-_instance_counter = itertools.count(1)
-
 
 class GPUModelHandle:
     """Stands in for a loaded model object inside the function container.
@@ -56,6 +54,7 @@ class GPUModelHandle:
             function_name=self.function_name,
             model=self.instance,
             arrival_time=self._system.sim.now,
+            request_id=next(self._system.request_ids),
             batch_size=batch_size,
             payload=batch,
             tenant=tenant,
@@ -78,6 +77,7 @@ class InterceptedMLAPI:
         self._system = system
         self._function_name = function_name
         self._tenant = tenant
+        self._instance_ids = itertools.count(1)
 
     def load(
         self,
@@ -95,7 +95,7 @@ class InterceptedMLAPI:
         contain genuine class probabilities in ``request.result``.
         """
         instance = ModelInstance(
-            instance_id or f"{self._function_name}#m{next(_instance_counter)}",
+            instance_id or f"{self._function_name}#m{next(self._instance_ids)}",
             get_profile(architecture),
             tenant=self._tenant,
         )

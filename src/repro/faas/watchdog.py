@@ -30,9 +30,8 @@ active (``SystemConfig(fault_profile=...)``).
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..chaos.health import HealthWatchdog
@@ -43,8 +42,6 @@ from .interceptor import GPUModelHandle
 from .spec import FunctionSpec
 
 __all__ = ["Invocation", "InvocationStatus", "Watchdog", "HealthWatchdog"]
-
-_invocation_ids = itertools.count(1)
 
 
 class InvocationStatus(enum.Enum):
@@ -61,7 +58,8 @@ class Invocation:
     function: str
     payload: Any
     submitted_at: float
-    invocation_id: int = field(default_factory=lambda: next(_invocation_ids))
+    #: minted by the Gateway that accepted the call
+    invocation_id: int
     status: InvocationStatus = InvocationStatus.PENDING
     response: Any = None
     error: str | None = None

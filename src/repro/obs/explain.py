@@ -148,13 +148,8 @@ def run_explain(
     seed: int = 0,
     config=None,
 ) -> str:
-    """Re-run the deterministic §V-A replay and explain one request.
-
-    ``request_id`` is the 1-based ordinal within the replay's request
-    stream.  Request ids are minted by a process-global counter, so the
-    ordinal is rebased onto the ids this run actually drew — in a fresh
-    CLI process the two coincide (ids run 1..n).
-    """
+    """Re-run the deterministic §V-A replay and explain one request
+    (``ValueError`` when the replay has no request ``request_id``)."""
     # local imports: repro.runtime imports this module for ExplainLog,
     # so the heavy runtime imports must not run at module import time
     from ..experiments.replay import replay
@@ -167,21 +162,19 @@ def run_explain(
     )
     requests = workload.requests
     if not 1 <= request_id <= len(requests):
-        return (
+        raise ValueError(
             f"request {request_id} out of range: this replay has "
             f"{len(requests)} requests (1..{len(requests)})"
         )
     _, system = replay(config or SystemConfig(trace_decisions=True), workload)
-    explain = system.scheduler.explain
-    target = requests[request_id - 1]
+    target = requests[request_id - 1]  # a workload's row r is request r + 1
     header = (
         f"replay: {len(requests)} requests, policy={system.config.policy}, "
-        f"seed={seed} — explaining ordinal {request_id} "
-        f"(request_id {target.request_id})\n"
+        f"seed={seed} — explaining request {request_id}\n"
         f"function={target.function_name} model={target.model_id} "
         f"arrival={target.arrival_time:.6f}s state={target.state.value}"
     )
-    body = format_request_causes(explain, target.request_id)
+    body = format_request_causes(system.scheduler.explain, request_id)
     footer = ""
     if target.completed_at is not None:
         footer = (

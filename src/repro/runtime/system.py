@@ -10,6 +10,8 @@ directly.
 
 from __future__ import annotations
 
+import itertools
+
 from ..chaos import ChaosInjector, HealthWatchdog, build_fault_plan
 from ..chaos.health import HEARTBEAT_S, TTL_S
 from ..cluster.topology import Cluster, GPUTypeSpec, build_cluster
@@ -63,6 +65,7 @@ class FaaSCluster:
             self.metrics.tracer = self.tracer
             self.datastore.pending._tracer = self.tracer
         self._completion_listeners: list = []
+        self.request_ids = itertools.count(1)  # for gateway model handles' requests
         self.cache = CacheManager(
             self.sim,
             self.cluster.gpus,

@@ -149,22 +149,28 @@ class Workload:
 
     @property
     def requests(self) -> list[InferenceRequest]:
-        """The request stream as objects (built on first access, cached
-        until :meth:`~repro.runtime.FaaSCluster.submit_workload` takes
-        them for a replay — the next access builds fresh ones)."""
+        """The request stream as objects, row ``i`` as ``request_id``
+        ``i + 1`` (built on first access, cached until
+        :meth:`~repro.runtime.FaaSCluster.submit_workload` takes them for
+        a replay — the next access builds fresh ones)."""
         if self._requests is None:
             spec = self.spec
             fids = self.function_ids
             instances = self.instances
             batch, tenant, sla = spec.batch_size, self.tenant, spec.sla_s
             # positional construction: this builds every request of a
-            # replay inside the measured window, and CPython binds seven
-            # keyword arguments measurably slower than positionals
+            # replay inside the measured window, and CPython binds eight
+            # keyword arguments measurably slower than positionals; one flat
+            # zip, because enumerate(zip(...)) allocates a tuple per row
             self._requests = [
                 InferenceRequest(
-                    (fid := fids[fi]), instances[fid], t, batch, None, tenant, sla
+                    (fid := fids[fi]), instances[fid], t, rid, batch, None, tenant, sla
                 )
-                for t, fi in zip(self.arrival_times.tolist(), self.function_index.tolist())
+                for rid, t, fi in zip(
+                    range(1, len(self) + 1),
+                    self.arrival_times.tolist(),
+                    self.function_index.tolist(),
+                )
             ]
         return self._requests
 
@@ -348,6 +354,7 @@ class WorkloadChunk:
 
     start_minute: int
     minutes: int
+    start_row: int  # stream row of the chunk's first request
     arrival_times: np.ndarray
     function_index: np.ndarray
 
@@ -423,6 +430,7 @@ class StreamingWorkload:
             yield WorkloadChunk(
                 start_minute=start,
                 minutes=stop - start,
+                start_row=int(normalized[:, :start].sum()),
                 arrival_times=np.concatenate(arrival_parts),
                 function_index=np.concatenate(fn_parts),
             )
@@ -431,8 +439,8 @@ class StreamingWorkload:
         """Build one chunk's request objects (the only ones alive at once).
 
         Field-identical to the corresponding slice of
-        :attr:`Workload.requests` (``request_id`` excepted — ids are a
-        process-global counter either way).
+        :attr:`Workload.requests`, ``request_id`` (the stream row + 1)
+        included.
         """
         spec = self.spec
         fids = self.function_ids
@@ -440,10 +448,12 @@ class StreamingWorkload:
         batch, tenant, sla = spec.batch_size, self.tenant, spec.sla_s
         return [
             InferenceRequest(
-                (fid := fids[fi]), instances[fid], t, batch, None, tenant, sla
+                (fid := fids[fi]), instances[fid], t, rid, batch, None, tenant, sla
             )
-            for t, fi in zip(
-                chunk.arrival_times.tolist(), chunk.function_index.tolist()
+            for rid, t, fi in zip(
+                range(chunk.start_row + 1, chunk.start_row + len(chunk) + 1),
+                chunk.arrival_times.tolist(),
+                chunk.function_index.tolist(),
             )
         ]
 

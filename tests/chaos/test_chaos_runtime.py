@@ -229,20 +229,14 @@ class TestAvailabilityUnderChaos:
         """The shipped ``recoverable`` profile over the default 2k §V-A
         replay on the paper testbed: every request completes, none lost,
         retries stay bounded, and two runs of the same plan + seed produce
-        the identical decision log (request ids are process-global, so
-        they are compared as submission ranks)."""
+        the identical decision log."""
 
         def replay():
             requests = build_workload(WorkloadSpec(working_set=15, minutes=6)).requests
-            rank = {r.request_id: i for i, r in enumerate(requests)}
             system = FaaSCluster(SystemConfig(fault_profile="recoverable"))
             system.submit_workload(requests)
             system.run()
-            decisions = [
-                (d.time_s, d.kind, rank[d.request_id], d.model_id, d.gpu_id, d.visits)
-                for d in system.scheduler.decisions
-            ]
-            return system, requests, decisions
+            return system, requests, list(system.scheduler.decisions)
 
         system, requests, decisions = replay()
         m = system.metrics

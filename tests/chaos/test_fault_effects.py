@@ -27,18 +27,16 @@ def _decisions(plan, make_instance, make_request):
         )
     )
     models = [make_instance(f"fn-{i}", "resnet50") for i in range(4)]
+    # both arms number their requests alike: only the fault may differ
     requests = [
-        make_request(model=models[i % 4], arrival=i * 0.15) for i in range(80)
+        make_request(model=models[i % 4], arrival=i * 0.15, request_id=i + 1)
+        for i in range(80)
     ]
-    rank = {r.request_id: i for i, r in enumerate(requests)}
     for r in requests:
         system.submit_at(r)
     system.run()
     assert all(r.completed_at is not None for r in requests)
-    return [
-        (d.time_s, d.kind, rank[d.request_id], d.model_id, d.gpu_id, d.visits)
-        for d in system.scheduler.decisions
-    ]
+    return list(system.scheduler.decisions)
 
 
 @pytest.mark.parametrize("kind", sorted(FAULTS))

@@ -9,10 +9,6 @@ def make_proc():
     return GPUProcess(model_instance="fn-3", occupied_mb=1500.0, gpu_id="n/cuda:0", started_at=1.0)
 
 
-def test_pids_are_unique():
-    assert make_proc().pid != make_proc().pid
-
-
 def test_lifecycle_happy_path():
     p = make_proc()
     assert p.state is ProcessState.STARTING
@@ -33,7 +29,8 @@ def test_lifecycle_happy_path():
 def test_ready_only_from_starting():
     p = make_proc()
     p.mark_ready(1.0)
-    with pytest.raises(RuntimeError):
+    # a process is named by what it hosts and where: its model on its GPU
+    with pytest.raises(RuntimeError, match="fn-3 on n/cuda:0"):
         p.mark_ready(2.0)
 
 

@@ -1,5 +1,7 @@
 """Shared fixtures for core tests."""
 
+import itertools
+
 import pytest
 
 from repro.core.request import InferenceRequest
@@ -16,6 +18,8 @@ def make_instance():
 
 @pytest.fixture
 def make_request(make_instance):
+    ids = itertools.count(1)  # per test: request IDs run 1, 2, ... in build order
+
     def _make(
         instance_id="fn-1",
         architecture="resnet50",
@@ -24,6 +28,7 @@ def make_request(make_instance):
         tenant="default",
         batch_size=32,
         model=None,
+        request_id=None,
     ):
         """``model`` shares one deployed instance between requests (same
         cache item); by default each request deploys its own."""
@@ -31,6 +36,7 @@ def make_request(make_instance):
             function_name=function or instance_id,
             model=model or make_instance(instance_id, architecture, tenant),
             arrival_time=arrival,
+            request_id=next(ids) if request_id is None else request_id,
             tenant=tenant,
             batch_size=batch_size,
         )

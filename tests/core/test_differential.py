@@ -23,8 +23,8 @@ history    ``EPHEMERAL_HOT_PREFIXES = ()``: full MVCC for every key
 Production is compared against the all-literal system on decisions **and**
 normalized final KV state; the four single-axis arms run too, so a failure
 names the layer.  Decisions are compared field for field (timestamps,
-kinds, targets, O3 ``visits``).  Request IDs come from a process-global
-counter, so both are compared after mapping IDs onto submission indices.
+kinds, targets, O3 ``visits``); both arms build their requests with the
+same IDs, so decisions and ``fn/latency/<request_id>`` keys compare raw.
 """
 
 import random
@@ -120,9 +120,9 @@ def _requests(spec, tenants: bool) -> list[InferenceRequest]:
     ]
     return [
         InferenceRequest(
-            f"fn{fn}", instances[fn], arrival_time=t, tenant=instances[fn].tenant
+            f"fn{fn}", instances[fn], t, row + 1, tenant=instances[fn].tenant
         )
-        for fn, t in spec
+        for row, (fn, t) in enumerate(spec)
     ]
 
 
@@ -135,10 +135,9 @@ def _run(
     **config,
 ) -> Replay:
     """Replay ``spec`` on the production system, or on the reference with
-    ``axes`` literal; return the system, its decision log keyed by
-    submission index, and its normalized final KV state."""
+    ``axes`` literal; return the system, its decision log and its
+    normalized final KV state."""
     requests = _requests(spec, tenants="quotas" in config)
-    index_of = {r.request_id: i for i, r in enumerate(requests)}
     with literal_system(SystemConfig(cluster=cluster, **config), axes) as system:
         for model in {r.model.instance_id: r.model for r in requests}.values():
             system.register_model(model)
@@ -149,21 +148,12 @@ def _run(
             system.sim.schedule_at(fail_gpu_at, system.fail_gpu, gpu_id)
             system.sim.schedule_at(fail_gpu_at + 5.0, system.recover_gpu, gpu_id)
         system.run()
-    decisions = [
-        (d.time_s, d.kind, index_of[d.request_id], d.model_id, d.gpu_id, d.visits)
-        for d in system.scheduler.decisions
-    ]
     # normalize on *values*: history-free KeyValues are lineage-free by
     # design (create_revision == mod_revision, version pinned at 1), so
     # revision metadata may differ — which keys are live and what they
     # hold may not
-    state = {}
-    for kv in system.datastore.kv.items():
-        key = kv.key
-        if key.startswith("fn/latency/"):
-            key = f"fn/latency/#{index_of[int(key.rsplit('/', 1)[1])]}"
-        state[key] = kv.value
-    return Replay(system, frozenset(axes), decisions, state)
+    state = {kv.key: kv.value for kv in system.datastore.kv.items()}
+    return Replay(system, frozenset(axes), list(system.scheduler.decisions), state)
 
 
 def _assert_matches(production: Replay, reference: Replay) -> None:
@@ -537,7 +527,7 @@ class TestGuards:
         # idle cluster, empty queues: provably nothing to do
         assert guard.may_act(sched) is False
         inst = ModelInstance("m0", get_profile(model_names()[0]))
-        system.submit(InferenceRequest("fn0", inst, arrival_time=0.0))
+        system.submit(InferenceRequest("fn0", inst, arrival_time=0.0, request_id=1))
         # the submit dispatched immediately (idle GPU): back at rest
         assert guard.may_act(sched) is False
         # make every GPU busy, then queue a request: no idle GPU → no pass
@@ -545,7 +535,7 @@ class TestGuards:
         for gpu in system.cluster.gpus:
             if gpu.is_idle:
                 gpu.begin_inference()
-        r = InferenceRequest("fn1", inst, arrival_time=0.0)
+        r = InferenceRequest("fn1", inst, arrival_time=0.0, request_id=2)
         sched.global_queue.push(r)
         assert guard.may_act(sched) is False
         for gpu in system.cluster.gpus:
@@ -563,7 +553,9 @@ class TestGuards:
 
         assert not sched.idle_local_work
         gpu.begin_inference()  # busy GPU with local work → not dispatchable
-        sched.local_queues.push(gpu.gpu_id, InferenceRequest("fn0", inst, arrival_time=0.0))
+        sched.local_queues.push(
+            gpu.gpu_id, InferenceRequest("fn0", inst, arrival_time=0.0, request_id=1)
+        )
         assert not sched.idle_local_work
         gpu.become_idle()  # now idle with local work → dispatchable
         assert sched.idle_local_work

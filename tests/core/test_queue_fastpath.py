@@ -178,7 +178,7 @@ def _backlog_system(n, n_models=25):
     ]
     for i in range(n):
         system.submit_at(
-            InferenceRequest(f"fn{i % n_models}", instances[i % n_models], arrival_time=i * 1e-6)
+            InferenceRequest(f"fn{i % n_models}", instances[i % n_models], i * 1e-6, i + 1)
         )
     return system
 
@@ -252,7 +252,7 @@ class TestRouteSelection:
             queue.push_sorted(request)
         # the re-inserted entries are handed over with the next full tail
         for i in range(_MAX_PENDING_LEAVES):
-            queue.push(InferenceRequest("fn-pad", victims[0].model, arrival_time=1.0 + i))
+            queue.push(InferenceRequest("fn-pad", victims[0].model, 1.0 + i, 2201 + i))
         assert [e.request for e in queue._irregular] == victims
 
         def reads_per_scan(stop_slot):

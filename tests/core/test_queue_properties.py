@@ -28,11 +28,11 @@ def _run_ops(ops):
     reference: OrderedDict[int, InferenceRequest] = OrderedDict()
     instances = {i: ModelInstance(f"m{i}", _PROFILE) for i in range(5)}
     arrival_clock = 0.0
-    for op in ops:
+    for step, op in enumerate(ops, 1):
         if op[0] == "push":
             _, idx, extra = op
             arrival_clock += extra  # arrivals non-decreasing, like real submissions
-            r = InferenceRequest(f"fn{idx}", instances[idx], arrival_time=arrival_clock)
+            r = InferenceRequest(f"fn{idx}", instances[idx], arrival_clock, step)
             q.push(r)
             reference[r.request_id] = r
         elif op[0] == "pop_head":
@@ -174,7 +174,7 @@ def test_o3_accounting_matches_literal_model(limit, backlog, ops):
         for _ in range(n):
             pushed += 1
             r = InferenceRequest(
-                f"fn{pushed}", ModelInstance(f"m{pushed}", _PROFILE), arrival_time=float(pushed)
+                f"fn{pushed}", ModelInstance(f"m{pushed}", _PROFILE), float(pushed), pushed
             )
             q.push(r)
             spec.insert(r, 0)

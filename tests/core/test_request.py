@@ -5,8 +5,10 @@ import pytest
 from repro.core.request import InferenceRequest, RequestState
 
 
-def test_request_ids_unique(make_request):
-    assert make_request().request_id != make_request().request_id
+def test_request_id_is_required(make_instance):
+    """IDs are minted by the code that builds the request; there is no default."""
+    with pytest.raises(TypeError, match="request_id"):
+        InferenceRequest("f", make_instance(), arrival_time=0.0)
 
 
 def test_model_id_is_instance_identity(make_request):
@@ -35,9 +37,9 @@ def test_latency_before_completion_raises(make_request):
 def test_invalid_construction(make_instance):
     inst = make_instance()
     with pytest.raises(ValueError):
-        InferenceRequest("f", inst, arrival_time=-1.0)
+        InferenceRequest("f", inst, arrival_time=-1.0, request_id=1)
     with pytest.raises(ValueError):
-        InferenceRequest("f", inst, arrival_time=0.0, batch_size=0)
+        InferenceRequest("f", inst, arrival_time=0.0, request_id=1, batch_size=0)
 
 
 def test_initial_state(make_request):
@@ -52,7 +54,7 @@ def test_sla_tracking(make_instance):
     from repro.core.request import InferenceRequest
 
     inst = make_instance()
-    r = InferenceRequest("f", inst, arrival_time=0.0, sla_s=5.0)
+    r = InferenceRequest("f", inst, arrival_time=0.0, request_id=1, sla_s=5.0)
     r.completed_at = 4.0
     assert r.met_sla is True
     r.completed_at = 6.0
@@ -70,4 +72,4 @@ def test_invalid_sla_rejected(make_instance):
     from repro.core.request import InferenceRequest
 
     with pytest.raises(ValueError):
-        InferenceRequest("f", make_instance(), arrival_time=0.0, sla_s=0.0)
+        InferenceRequest("f", make_instance(), arrival_time=0.0, request_id=1, sla_s=0.0)

@@ -47,11 +47,12 @@ def _run(workload, policy, gpus, replacement="lru"):
         for i in range(8)
     }
     requests = []
-    for fn_idx, arrival in sorted(workload, key=lambda x: x[1]):
+    for row, (fn_idx, arrival) in enumerate(sorted(workload, key=lambda x: x[1])):
         r = InferenceRequest(
             function_name=f"fn-{fn_idx}",
             model=instances[fn_idx],
             arrival_time=arrival,
+            request_id=row + 1,
         )
         requests.append(r)
         system.submit_at(r)

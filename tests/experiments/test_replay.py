@@ -4,6 +4,7 @@ must agree with the scheduler-level runs."""
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core.policies import SCHEDULING_POLICY_NAMES
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.replay import replay, replay_through_gateway
 from repro.runtime import SystemConfig
@@ -83,12 +84,27 @@ class TestReplayDriver:
         runs = [replay(SystemConfig(), workload) for _ in range(2)]
         (first, first_system), (second, second_system) = runs
         assert first == second
+        assert list(first_system.scheduler.decisions) == list(
+            second_system.scheduler.decisions
+        )
 
-        def decisions(system):
-            base = min(r.request_id for r in system.completed)
-            return [
-                (d.time_s, d.kind, d.request_id - base, d.model_id, d.gpu_id, d.visits)
-                for d in system.scheduler.decisions
-            ]
+    @pytest.mark.parametrize("fault_profile", ["none", "recoverable"])
+    @pytest.mark.parametrize("policy", SCHEDULING_POLICY_NAMES)
+    def test_an_unrelated_replay_in_between_changes_nothing(self, policy, fault_profile):
+        """No replay leaves state behind for the next: a workload replayed
+        before and after an unrelated one makes the same decisions and
+        leaves the same KV state, request IDs and the
+        ``fn/latency/<request_id>`` keys included, compared raw."""
+        config = SystemConfig(policy=policy, fault_profile=fault_profile)
+        workload = build_workload(WorkloadSpec(working_set=15, minutes=2))
 
-        assert decisions(first_system) == decisions(second_system)
+        def observed():
+            _, system = replay(config, workload)
+            return list(system.scheduler.decisions), list(system.datastore.kv.items())
+
+        first = observed()
+        replay(config, build_workload(WorkloadSpec(working_set=25, minutes=1, seed=3)))
+        assert observed() == first
+        decisions, kv = first
+        assert {d.request_id for d in decisions} == set(range(1, len(workload) + 1))
+        assert any(item.key.startswith("fn/latency/") for item in kv)

@@ -379,3 +379,22 @@ class TestCli:
             main(["fig7", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table1", "42"], "a request ID applies only to explain"),
+            (["fig4", "--requests", "50"], "--requests applies only to"),
+            (["table1", "--trace-out", "t.json"], "--trace-out applies only to trace"),
+            (["profile", "--trace-out", "t.json"], "--trace-out applies only to trace"),
+            (["explain"], "explain needs a request ID"),
+            (["explain", "0", "--requests", "300"], "request 0 out of range"),
+        ],
+        ids=["request-id", "requests", "trace-out", "trace-out-profile", "no-id", "out-of-range"],
+    )
+    def test_an_argument_its_target_never_reads_is_an_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert message in err and out == ""

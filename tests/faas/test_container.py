@@ -1,5 +1,7 @@
 """Unit tests for container lifecycle and pools."""
 
+import itertools
+
 import pytest
 
 from repro.faas import ContainerPool, ContainerState, FunctionSpec
@@ -19,7 +21,7 @@ def spec():
 
 class TestContainer:
     def test_lifecycle(self, sim, spec):
-        c = Container(sim, spec)
+        c = Container(sim, spec, "fn-1")
         assert c.state is ContainerState.STARTING
         c.mark_ready()
         c.acquire()
@@ -31,23 +33,21 @@ class TestContainer:
         assert c.state is ContainerState.STOPPED
 
     def test_acquire_requires_idle(self, sim, spec):
-        c = Container(sim, spec)
+        c = Container(sim, spec, "fn-1")
         with pytest.raises(RuntimeError):
             c.acquire()
 
     def test_release_requires_busy(self, sim, spec):
-        c = Container(sim, spec)
+        c = Container(sim, spec, "fn-1")
         c.mark_ready()
         with pytest.raises(RuntimeError):
             c.release()
 
-    def test_unique_ids(self, sim, spec):
-        assert Container(sim, spec).container_id != Container(sim, spec).container_id
 
 
 class TestContainerPool:
     def test_build_then_scale(self, sim, spec):
-        pool = ContainerPool(sim, spec, cold_start_s=0.5, build_s=2.0)
+        pool = ContainerPool(sim, spec, itertools.count(1), cold_start_s=0.5, build_s=2.0)
         done = []
         pool.build(on_done=lambda: done.append(sim.now))
         sim.run()
@@ -58,20 +58,27 @@ class TestContainerPool:
         sim.run()
         assert pool.idle_count() == 2
 
+    def test_replicas_are_named_from_the_ids_given(self, sim, spec):
+        pool = ContainerPool(sim, spec, itertools.count(7))
+        pool.build()
+        sim.run()
+        pool.scale_to(2)
+        assert [c.container_id for c in pool.containers] == ["fn-7", "fn-8"]
+
     def test_scale_before_build_rejected(self, sim, spec):
-        pool = ContainerPool(sim, spec)
+        pool = ContainerPool(sim, spec, itertools.count(1))
         with pytest.raises(RuntimeError):
             pool.scale_to(1)
 
     def test_scale_respects_max_replicas(self, sim, spec):
-        pool = ContainerPool(sim, spec)
+        pool = ContainerPool(sim, spec, itertools.count(1))
         pool.build()
         sim.run()
         pool.scale_to(100)
         assert pool.replica_count() == spec.max_replicas
 
     def test_scale_down_stops_idle_only(self, sim, spec):
-        pool = ContainerPool(sim, spec)
+        pool = ContainerPool(sim, spec, itertools.count(1))
         pool.build()
         sim.run()
         pool.scale_to(3)
@@ -83,14 +90,14 @@ class TestContainerPool:
         assert pool.replica_count() >= 1
 
     def test_negative_scale_rejected(self, sim, spec):
-        pool = ContainerPool(sim, spec)
+        pool = ContainerPool(sim, spec, itertools.count(1))
         pool.build()
         sim.run()
         with pytest.raises(ValueError):
             pool.scale_to(-1)
 
     def test_acquire_uses_warm_replica(self, sim, spec):
-        pool = ContainerPool(sim, spec)
+        pool = ContainerPool(sim, spec, itertools.count(1))
         pool.build()
         sim.run()
         pool.scale_to(1)
@@ -101,7 +108,7 @@ class TestContainerPool:
         assert got[0].state is ContainerState.IDLE
 
     def test_acquire_cold_starts_when_empty(self, sim, spec):
-        pool = ContainerPool(sim, spec, cold_start_s=0.5, build_s=0.1)
+        pool = ContainerPool(sim, spec, itertools.count(1), cold_start_s=0.5, build_s=0.1)
         pool.build()
         sim.run()
         got = []
@@ -111,7 +118,7 @@ class TestContainerPool:
         assert got and got[0] >= 0.5
 
     def test_waiters_served_in_order(self, sim, spec):
-        pool = ContainerPool(sim, spec, cold_start_s=0.5, build_s=0.1)
+        pool = ContainerPool(sim, spec, itertools.count(1), cold_start_s=0.5, build_s=0.1)
         pool.build()
         sim.run()
         order = []

@@ -230,3 +230,52 @@ class TestAutoscaler:
     def test_invalid_parameters(self, system, gateway):
         with pytest.raises(ValueError):
             Autoscaler(system.sim, gateway, target_per_replica=0)
+
+
+class TestOwnedIds:
+    """The Gateway mints invocation and container IDs, and its system the
+    model handles' request IDs: nothing carries over between gateways."""
+
+    @staticmethod
+    def _drive():
+        system = FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(1, 2)))
+        gateway = Gateway(system)
+        gateway.register(FunctionSpec(name="classify", model_architecture="alexnet"))
+        gateway.register(
+            FunctionSpec(
+                name="echo", dockerfile=default_template(gpu=False), handler=lambda x: x
+            )
+        )
+        system.run(until=3.0)  # images built, first replicas warm
+        # a burst: more concurrent calls than warm replicas, so both pools
+        # cold-start extra containers
+        names = ["classify", "echo"] * 6
+        invocations = [gateway.invoke(name, i) for i, name in enumerate(names)]
+        system.run()
+        pools = [gateway.get(name).pool for name in ("classify", "echo")]
+        kv = system.datastore.kv
+        return (
+            [inv.invocation_id for inv in invocations],
+            [c.container_id for pool in pools for c in pool.containers],
+            {k.key: k.value for k in kv.items() if k.key.startswith("fn/metrics/")},
+            sorted(r.request_id for r in system.completed),
+        )
+
+    def test_two_fresh_gateways_mint_the_same_ids(self):
+        first = self._drive()
+        assert self._drive() == first
+        invocation_ids, container_ids, metrics, request_ids = first
+        assert invocation_ids == list(range(1, 13))
+        assert len(container_ids) > 2 and len(set(container_ids)) == len(container_ids)
+        assert len(metrics) == 12
+        assert request_ids == list(range(1, 7))
+
+    def test_container_ids_stay_unique_across_update(self, system, gateway):
+        gateway.register(FunctionSpec(name="f", model_architecture="alexnet", min_replicas=2))
+        system.run()
+        before = [c.container_id for c in gateway.get("f").pool.containers]
+        gateway.update(FunctionSpec(name="f", model_architecture="vgg19", min_replicas=2))
+        system.run()
+        after = [c.container_id for c in gateway.get("f").pool.containers]
+        assert before == ["f-1", "f-2"]
+        assert after == ["f-3", "f-4"]

@@ -160,7 +160,8 @@ _completion = st.tuples(
 
 
 def _completed_request(arrival, latency, queue_share, arch, hit, sla):
-    r = InferenceRequest(f"fn-{arch}", _INSTANCES[arch], arrival_time=arrival, sla_s=sla)
+    # callers arrive request i at t = i, so it is request i + 1
+    r = InferenceRequest(f"fn-{arch}", _INSTANCES[arch], arrival, int(arrival) + 1, sla_s=sla)
     r.dispatched_at = arrival + latency * queue_share
     r.completed_at = arrival + latency
     r.cache_hit = hit
@@ -221,7 +222,7 @@ class TestWindowLifecycle:
             _completed_request(float(i), 1.0, 0.5, "alexnet", True, None)
             for i in range(5)
         ]
-        lost = InferenceRequest("f", _INSTANCES["alexnet"], arrival_time=0.0)
+        lost = InferenceRequest("f", _INSTANCES["alexnet"], arrival_time=0.0, request_id=6)
         collector.on_lost(lost, "deadline")
         for r in requests[:3]:
             collector.on_complete(r)

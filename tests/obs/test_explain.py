@@ -30,13 +30,9 @@ def _replay(cfg):
 
 
 def _decision_sha(system):
-    decisions = system.scheduler.decisions
-    ids = sorted({d.request_id for d in decisions})
-    rank = {rid: i for i, rid in enumerate(ids)}
     h = hashlib.sha256()
-    for d in decisions:
-        h.update(repr((d.time_s, d.kind.value, rank[d.request_id],
-                       d.model_id, d.gpu_id, d.visits)).encode())
+    for d in system.scheduler.decisions:
+        h.update(repr(tuple(d)).encode())
     return h.hexdigest()
 
 
@@ -112,9 +108,10 @@ class TestFormatting:
 class TestRunExplain:
     def test_small_replay_explains_one_request(self):
         text = run_explain(3, n_requests=300)
-        assert "explaining ordinal 3" in text
-        assert "decision(s)" in text
+        assert "explaining request 3\n" in text
+        assert "\nrequest 3: " in text and "decision(s)" in text
 
-    def test_out_of_range_ordinal_reports_the_range(self):
-        text = run_explain(10**9, n_requests=300)
-        assert "out of range" in text
+    @pytest.mark.parametrize("request_id", [0, 326])
+    def test_out_of_range_request_raises_with_the_range(self, request_id):
+        with pytest.raises(ValueError, match=r"out of range: .* \(1\.\.325\)"):
+            run_explain(request_id, n_requests=300)

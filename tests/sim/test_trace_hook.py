@@ -58,7 +58,7 @@ def test_full_system_runs_with_tracing():
     names = []
     system.sim.set_trace(lambda t, name: names.append(name))
     r = InferenceRequest(
-        "fn", ModelInstance("fn", get_profile("alexnet")), arrival_time=0.0
+        "fn", ModelInstance("fn", get_profile("alexnet")), arrival_time=0.0, request_id=1
     )
     system.submit(r)
     system.run()

@@ -164,6 +164,18 @@ def test_tenant_admission_certificate_stays_gone():
     assert not hasattr(TenancyController, "pass_admission_trivial")
 
 
+def test_ids_are_minted_by_their_owners():
+    """No ID has a default drawn from a module-level counter: a request
+    takes its ID from whoever builds it, and a GPU process is named by its
+    model and GPU, with no pid."""
+    from repro.cluster import GPUProcess
+
+    assert "pid" not in {f.name for f in dataclasses.fields(GPUProcess)}
+    fields = {f.name: f for f in dataclasses.fields(repro.InferenceRequest)}
+    assert fields["request_id"].default is dataclasses.MISSING
+    assert fields["request_id"].default_factory is dataclasses.MISSING
+
+
 def test_reference_engines_stay_out_of_src():
     """The per-request workload builder and the no-op tracer protocol are
     test oracles / dead twins now; pinning the export lists keeps them

@@ -72,6 +72,9 @@ class TestMaterialize:
         for chunk in stream.chunks(minutes_per_chunk=2):
             streamed.extend(stream.materialize(chunk))
         assert len(streamed) == len(whole.requests) == stream.total_requests
+        # a workload numbers its rows 1..n, however it is chunked
+        assert [r.request_id for r in whole.requests] == list(range(1, len(whole) + 1))
+        assert [r.request_id for r in streamed] == [r.request_id for r in whole.requests]
         for got, want in zip(streamed, whole.requests):
             assert got.function_name == want.function_name
             assert got.arrival_time == want.arrival_time

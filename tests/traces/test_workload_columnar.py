@@ -46,6 +46,7 @@ def build_workload_reference(spec, *, trace, tenant="default"):
                     function_name=fid,
                     model=instances[fid],
                     arrival_time=float(t),
+                    request_id=len(requests) + 1,
                     batch_size=spec.batch_size,
                     tenant=tenant,
                     sla_s=spec.sla_s,
@@ -87,9 +88,6 @@ class TestStreamParity:
         columnar = build_workload(spec, trace=trace).requests
         reference = build_workload_reference(spec, trace=trace).requests
         assert len(columnar) == len(reference)
-        # ids come from a process-global counter: compare as per-build
-        # offsets so the streams prove identical construction order
-        base_c, base_r = columnar[0].request_id, reference[0].request_id
         for c, r in zip(columnar, reference):
             assert c.function_name == r.function_name
             assert c.arrival_time == r.arrival_time
@@ -97,7 +95,7 @@ class TestStreamParity:
             assert c.batch_size == r.batch_size
             assert c.tenant == r.tenant
             assert c.sla_s == r.sla_s
-            assert c.request_id - base_c == r.request_id - base_r
+            assert c.request_id == r.request_id
 
 
 class TestLazyMaterialization:
