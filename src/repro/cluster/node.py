@@ -23,7 +23,7 @@ class GPUNode:
         sim: Simulator,
         node_id: str,
         *,
-        ip: str | None = None,
+        ip: str,
         num_gpus: int = 4,
         memory_mb: float = 7800.0,
         gpu_type: str = "rtx2080",
@@ -33,7 +33,7 @@ class GPUNode:
             raise ValueError("num_gpus must be positive")
         self.sim = sim
         self.node_id = node_id
-        self.ip = ip or f"10.0.0.{abs(hash(node_id)) % 200 + 10}"
+        self.ip = ip
         self.gpus: list[GPUDevice] = [
             GPUDevice(
                 sim,

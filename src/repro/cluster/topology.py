@@ -159,13 +159,15 @@ class Cluster:
 
 
 def build_cluster(sim: Simulator, spec: ClusterSpec = PAPER_TESTBED) -> Cluster:
-    """Instantiate the nodes and devices described by ``spec``."""
+    """Instantiate the nodes and devices described by ``spec``; node *i*
+    is ``node{i}`` at IP ``10.0.0.{10 + i}``."""
     nodes = []
     for i, (num_gpus, t) in enumerate(spec.nodes):
         nodes.append(
             GPUNode(
                 sim,
                 f"node{i}",
+                ip=f"10.0.0.{10 + i}",
                 num_gpus=num_gpus,
                 memory_mb=t.memory_mb,
                 gpu_type=t.name,

@@ -12,25 +12,26 @@ Scheduler, so they are pure decision logic and unit-testable against fakes.
 
 Fast path (§VI scalability)
 ---------------------------
-LB and LALB carry two implementations of their queue scan, and each
-per-GPU scan picks its route from one observable property of the
-system — whether a tenant quota is installed — never from a setting:
+LB and LALB carry two implementations of their queue scan; the route is
+fixed for the run (``SchedulerOps.index_scans``) by one observable
+property of the system — whether a tenant quota is installed:
 
 * the **index-driven fast path** — Alg. 1's first scan asks the
   Cache Manager for the GPU's resident models and the GlobalQueue's
   model index for each model's oldest request, so its cost is bounded by
   the number of models cached on the GPU, exactly as §VI argues; the O3
-  ``visits`` bookkeeping collapses into one O(log n) prefix update; the
+  ``visits`` bookkeeping collapses into one O(log n) prefix update in
+  the GlobalQueue, which owns the counts; the
   starvation guard walks the queue's ordered starved set instead of
   rediscovering starved requests by rescanning; the second scan walks
   queue heads (every Algorithm-2 outcome removes the head, so the cost is
   proportional to decisions made, not queue length);
 * the **reference scan** — the literal O(GPUs × queue) loop transcribed
   from Algorithms 1/2, whose per-request ``may_dispatch`` probes handle
-  quota refusals exactly.  It is the production route whenever a quota
-  is installed, and the executable specification the fast path must match:
-  ``tests/core/test_differential.py`` sends every scan down it and
-  requires byte-identical ``DecisionLog`` sequences.
+  quota refusals exactly, counting visits on the request itself.  It is
+  the production route whenever a quota is installed, and the executable
+  specification the fast path must match: ``tests/core/test_differential.py``
+  builds a system on it and requires byte-identical ``DecisionLog``s.
 
 Pass elision (dirty signals)
 ----------------------------
@@ -41,14 +42,12 @@ guard proves are no-ops; inside a pass, policies that support it consult
 the same predicate (``SchedulerOps.pass_work_remaining``) to stop
 walking idle GPUs once no remaining GPU can act.  Elision changes *which
 provably-empty scans run*, never a decision: the differential suite
-replays identical workloads under the conservative base guard with the
-probe unbound and requires byte-identical ``DecisionLog``s.  (The
+replays identical workloads under the conservative base guard with an
+always-True probe and requires byte-identical ``DecisionLog``s.  (The
 ``fast_scans``/``reference_scans`` counters may legitimately differ
 between the two — an elided pass performs no scans at all.)
 
-The route rule: no :class:`~repro.core.tenancy.TenancyController`, fast
-scans; any controller, reference scans.  ``fast_scans`` /
-``reference_scans`` count which route each per-GPU scan took.
+``fast_scans`` / ``reference_scans`` count the per-GPU scans taken.
 """
 
 from __future__ import annotations
@@ -84,22 +83,22 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     ``pass_work_remaining`` is the mid-pass narrowing probe: the
     Scheduler binds it to the policy's :class:`PassGuard` so a pass can
     stop walking idle GPUs the moment no remaining GPU can possibly act
-    (the same provable-no-op predicate that elides whole passes).  None
-    (the differential suite's literal arm) runs the full walk.
+    (the same provable-no-op predicate that elides whole passes).
     """
 
     global_queue: GlobalQueue
     local_queues: LocalQueues
     cache: CacheManager
     estimator: FinishTimeEstimator
-    #: admission controller, or None when may_dispatch is trivially true.
-    #: Implementations whose may_dispatch can refuse requests MUST expose a
-    #: non-None value here, or the fast paths will skip the admission probes.
+    #: admission controller, or None when may_dispatch is trivially true
     tenancy: object | None
+    #: the scan route, fixed for the run: the index scans (no admission
+    #: controller; ``global_queue`` tracks O3 visits) or the literal ones
+    index_scans: bool
     #: every GPU in Alg. 1's use-frequency order (busy ones included); the
     #: order does not change within a pass
     gpus_by_frequency: list[GPUDevice]
-    pass_work_remaining: Callable[[], bool] | None
+    pass_work_remaining: Callable[[], bool]
     #: explain-mode cause log, or None
     explain: object | None
 
@@ -115,16 +114,12 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     ) -> bool: ...
 
 
-def _admission_is_trivial(s: SchedulerOps) -> bool:
-    """True when no ``may_dispatch`` probe can refuse, so an index-driven
-    scan that skips the probes is decision-identical to the reference loop."""
-    return s.tenancy is None
-
-
 class SchedulingPolicy(ABC):
     """One pass of scheduling decisions over the current system state."""
 
     name: str = "abstract"
+    #: Alg. 1's O3 skip limit (None: the policy counts no visits)
+    limit: int | None = None
     #: preconditions for a pass to act; the Scheduler consults this
     #: before every would-be pass.  The base guard is the conservative
     #: fail-safe (exactly the historical run conditions), so subclasses
@@ -155,11 +150,11 @@ class LoadBalancingPolicy(SchedulingPolicy):
     def schedule_pass(self, s: SchedulerOps) -> bool:
         work = s.pass_work_remaining
         progress = False
-        trivial = _admission_is_trivial(s)
+        index_scans = s.index_scans
         for gpu in s.idle_gpus():
             if not gpu.is_idle:  # may have changed earlier in this pass
                 continue
-            if trivial:
+            if index_scans:
                 self.fast_scans += 1
                 request = s.global_queue.head()  # O(1): admission cannot refuse it
             else:
@@ -171,7 +166,7 @@ class LoadBalancingPolicy(SchedulingPolicy):
             progress = True
             # narrowing: state changed; if no remaining idle GPU can act,
             # the rest of the walk is provably a no-op
-            if work is not None and not work():
+            if not work():
                 return True
         return progress
 
@@ -291,7 +286,7 @@ class LALBPolicy(SchedulingPolicy):
         peek = s.local_queues.peek
         queue = s.global_queue
         progress = False
-        fast = None  # the pass's scan route, picked at its first scan
+        index_scans = s.index_scans
         for gpu in s.gpus_by_frequency:  # Alg. 1's order, stable within a pass
             if not gpu.is_idle:  # busy, or dispatched to earlier in this pass
                 continue
@@ -303,9 +298,7 @@ class LALBPolicy(SchedulingPolicy):
             elif queue._live == 0:
                 continue
             else:
-                if fast is None:
-                    fast = _admission_is_trivial(s)
-                if fast:
+                if index_scans:
                     self.fast_scans += 1
                     acted = self._schedule_gpu_fast(s, gpu)
                 else:
@@ -317,7 +310,7 @@ class LALBPolicy(SchedulingPolicy):
             # narrowing: a dispatch just changed cluster/queue state; when
             # no remaining idle GPU can possibly act (queue drained, no
             # idle local work), the rest of the walk is provably a no-op
-            if work is not None and not work():
+            if not work():
                 return True
         return progress
 
@@ -366,7 +359,7 @@ class LALBPolicy(SchedulingPolicy):
                     exp.note(
                         "alg1:starved_promotion",
                         f"request={entry.request.request_id}",
-                        f"visits={entry.request.visits}>limit={self.limit}",
+                        f"visits={entry.visits_at_entry}>limit={self.limit}",
                     )
                 outcome = self._locality_load_balance(
                     s, gpu, entry.request, admission_trivial=True

@@ -127,12 +127,10 @@ class _Entry:
 class GlobalQueue:
     """Arrival-ordered queue with a model-instance index.
 
-    ``o3_limit`` enables lazy O3-visit tracking for the LALB/LALBO3 fast
-    path; the Scheduler wires it from the policy.  Queues built without a
-    limit (LB, locality, bare unit-test queues) skip that machinery
-    entirely and behave like a plain indexed FIFO.  The queue keeps no
-    per-tenant state: under a tenant quota the policies take the literal
-    scans, which probe admission per request.
+    ``o3_limit`` enables lazy O3-visit tracking for the LALB/LALBO3 index
+    scans; the queue then owns every held request's count.  Queues built
+    without a limit (LB, locality, any tenant quota, bare unit-test
+    queues) skip that machinery and behave like a plain indexed FIFO.
     """
 
     def __init__(self, o3_limit: int | None = None) -> None:
@@ -167,11 +165,6 @@ class GlobalQueue:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def o3_limit(self) -> int | None:
-        """The starvation limit this queue's lazy visit tracking assumes."""
-        return self._o3_limit
-
     @property
     def tracks_visits(self) -> bool:
         """Whether lazy O3-visit accounting is active (LALB fast path)."""
@@ -295,7 +288,7 @@ class GlobalQueue:
         if entry is None:
             raise KeyError(f"request {request.request_id} is not in the global queue")
         if self._o3_limit is not None:
-            # fold the skip count into the request's eager ``visits``
+            # hand the skip count back to the request
             visits = entry.visits_at_entry
             if entry.starved:
                 self.starved_count -= 1
@@ -305,10 +298,7 @@ class GlobalQueue:
                 self._attached -= 1
             else:
                 self._pending_leaves.remove(entry)
-            request._visits = visits
-            probe = request._queue_probe
-            if probe is not None and probe[1] is entry:
-                request._queue_probe = None
+            request.visits = visits
         entry.alive = False
         self._entries[entry.slot] = None
         self._live -= 1
@@ -463,7 +453,7 @@ class GlobalQueue:
 
     def _attach_visits(self, entry: _Entry) -> None:
         request = entry.request
-        visits = entry.visits_at_entry = request._visits
+        visits = entry.visits_at_entry = request.visits
         if visits > self._o3_limit:  # type: ignore[operator]
             # re-queued with its starvation already earned (fairness:
             # resubmit preserves visits) — surface it immediately
@@ -488,32 +478,18 @@ class GlobalQueue:
                 self._irregular.sort(key=_entry_slot)
                 self._attached += len(pending)
                 self._pending_leaves = []
-        # the request reads/writes its live visit count through this pair
-        request._queue_probe = (self, entry)
+
+    def visits(self, request: InferenceRequest) -> int:
+        """``request``'s live skip count while it waits here (a tracking
+        queue writes it to ``request.visits`` only on :meth:`remove`)."""
+        if self._o3_limit is None:
+            return request.visits
+        return self._entry_visits(self._by_id[request.request_id])
 
     def _entry_visits(self, entry: _Entry) -> int:
         if entry.starved or not entry.attached:
             return entry.visits_at_entry
         return entry.visits_at_entry + self._counter.cover(entry.slot) - entry.cov0
-
-    def _entry_set_visits(self, entry: _Entry, value: int) -> None:
-        # Direct writes (the reference scan's `request.visits += 1`) re-base
-        # the accounting: the baseline takes the new value, and the entry's
-        # count stops following from its position, so a later fast scan
-        # sees exactly the state an all-lazy history would have produced
-        # (including crossing into the starved set).
-        entry.visits_at_entry = value
-        if entry.starved:
-            return
-        if value > self._o3_limit:  # type: ignore[operator]
-            if not entry.attached:
-                self._pending_leaves.remove(entry)
-            self._starve(entry)
-        elif entry.attached:
-            entry.cov0 = self._counter.cover(entry.slot)
-            if entry.regular:
-                insort(self._irregular, entry, key=_entry_slot)
-        entry.regular = False
 
     # ------------------------------------------------------------------
     # Re-indexing (hole compaction / counter growth / positional insert)

@@ -73,12 +73,10 @@ class InferenceRequest:
     model_id: str = field(init=False, repr=False, compare=False)
 
     # -- O3 visit accounting (Alg. 1 line 15) ---------------------------
-    #: eager skip count; authoritative whenever the request is not sitting
-    #: in a visit-tracking GlobalQueue (see the ``visits`` property)
-    _visits: int = field(default=0, init=False, repr=False, compare=False)
-    #: live (queue, entry) probe installed while the request is queued
-    #: under lazy O3 accounting, so reads see the up-to-date skip count
-    _queue_probe: Any = field(default=None, init=False, repr=False, compare=False)
+    #: times the O3 dispatch skipped this request; a visit-tracking
+    #: GlobalQueue owns the count while holding it and writes it back here
+    #: on removal (``GlobalQueue.visits`` reads it live)
+    visits: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.model_id = self.model.instance_id
@@ -88,30 +86,6 @@ class InferenceRequest:
             raise ValueError("arrival_time cannot be negative")
         if self.sla_s is not None and self.sla_s <= 0:
             raise ValueError("sla_s must be positive when set")
-
-    @property
-    def visits(self) -> int:
-        """Times this request was skipped by the O3 dispatch (Alg. 1 line 15).
-
-        While the request sits in a visit-tracking :class:`GlobalQueue`
-        the count lives in its queue entry (and, once a backlog has
-        built, in one O(log n) prefix update per scheduling scan instead
-        of a touch per queued request); the probe resolves the live value
-        on read.
-        """
-        probe = self._queue_probe
-        if probe is not None:
-            queue, entry = probe
-            return queue._entry_visits(entry)
-        return self._visits
-
-    @visits.setter
-    def visits(self, value: int) -> None:
-        probe = self._queue_probe
-        if probe is not None:
-            queue, entry = probe
-            queue._entry_set_visits(entry, value)
-        self._visits = value
 
     @property
     def met_sla(self) -> bool | None:

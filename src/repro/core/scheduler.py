@@ -21,7 +21,7 @@ are no-ops, reacting to the dirty signals the components publish
 count every considered pass into exactly one of the two bins, so
 benchmarks can gate that elision actually engages.  The literal
 always-pass engine is this same loop under the base ``PassGuard()`` with
-the mid-pass probe unbound (``pass_work_remaining = None``); that is how
+a mid-pass probe that always answers True; that is how
 ``tests/core/test_differential.py`` builds its reference arm.
 """
 
@@ -44,6 +44,12 @@ from .signals import IdleLocalWorkIndex
 from .tenancy import TenancyController
 
 __all__ = ["Scheduler"]
+
+
+def _admission_is_trivial(s: Scheduler) -> bool:
+    """True when no ``may_dispatch`` probe can refuse, so an index-driven
+    scan that skips the probes is decision-identical to the literal loop."""
+    return s.tenancy is None
 
 
 class Scheduler:
@@ -76,11 +82,12 @@ class Scheduler:
         self.cache = cache
         self.estimator = estimator
         self.local_queues = estimator.local_queues
-        # LALB policies carry an O3 limit: hand it to the queue so it can
-        # run the lazy visit accounting the index-driven fast path needs
-        self.global_queue = GlobalQueue(o3_limit=getattr(policy, "limit", None))
         self.datastore = datastore
         self.tenancy = tenancy
+        #: the scan route, fixed for the run (see SchedulerOps.index_scans);
+        #: only the index scans hand the queue the policy's O3 limit
+        self.index_scans = _admission_is_trivial(self)
+        self.global_queue = GlobalQueue(o3_limit=policy.limit if self.index_scans else None)
         # per-GPU dispatch plumbing, precomputed once and array-backed:
         # each device is stamped with a dense cluster-wide slot, and the
         # "GPU address" (server IP + device name, §III-B) plus the owning
@@ -122,7 +129,6 @@ class Scheduler:
         #: passes proven no-ops by the guard and skipped
         self.passes_elided = 0
         #: the mid-pass narrowing probe the policies read once per pass
-        #: (None keeps them on the full walk of every idle GPU)
         self.pass_work_remaining = self._pass_work_remaining
         #: flight recorder, installed by the runtime when tracing is on
         self._tracer = None
@@ -355,7 +361,7 @@ class Scheduler:
             request.request_id,
             model_id,
             gpu_id,
-            request._visits,
+            request.visits,
         )
         if self.explain is not None:
             self.explain.attach(self.decisions.last(1)[0])
@@ -383,9 +389,9 @@ class Scheduler:
     def _record(self, kind: DecisionKind, request: InferenceRequest, gpu_id: str | None) -> None:
         # cached bound method + direct _now read: one row is appended per
         # scheduling action, and only explain mode mints the named view.
-        # The request sits in no global queue here: ``_visits`` is exact.
+        # The request sits in no global queue here: ``visits`` is exact.
         self._append_decision(
-            self.sim._now, kind, request.request_id, request.model_id, gpu_id, request._visits
+            self.sim._now, kind, request.request_id, request.model_id, gpu_id, request.visits
         )
         explain = self.explain
         if explain is not None:

@@ -3,7 +3,7 @@
 The tracing layer is **zero-cost when off**: components hold a tracer
 attribute that defaults to ``None`` and guard every hook with a single
 ``is not None`` test — the same conditional-binding idiom the runtime
-already uses for ``on_dispatch`` and ``pass_work_remaining``.  With
+already uses for ``on_dispatch`` and ``explain``.  With
 ``SystemConfig(tracer="flight")`` the runtime installs one
 :class:`FlightRecorder` and the hooks start appending records.
 

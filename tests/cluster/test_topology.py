@@ -21,7 +21,7 @@ def sim():
 
 class TestGPUNode:
     def test_node_creates_named_gpus(self, sim):
-        node = GPUNode(sim, "node7", num_gpus=3)
+        node = GPUNode(sim, "node7", ip="10.0.0.17", num_gpus=3)
         assert len(node) == 3
         assert [g.gpu_id for g in node] == [
             "node7/cuda:0",
@@ -36,14 +36,14 @@ class TestGPUNode:
         assert dev == "cuda:1"
 
     def test_gpu_address_rejects_foreign_gpu(self, sim):
-        a = GPUNode(sim, "a", num_gpus=1)
-        b = GPUNode(sim, "b", num_gpus=1)
+        a = GPUNode(sim, "a", ip="10.0.0.10", num_gpus=1)
+        b = GPUNode(sim, "b", ip="10.0.0.11", num_gpus=1)
         with pytest.raises(ValueError):
             a.gpu_address(b.gpus[0])
 
     def test_zero_gpus_rejected(self, sim):
         with pytest.raises(ValueError):
-            GPUNode(sim, "n", num_gpus=0)
+            GPUNode(sim, "n", ip="10.0.0.10", num_gpus=0)
 
 
 class TestClusterSpec:
@@ -68,6 +68,10 @@ class TestBuildCluster:
         assert len(cluster.nodes) == 3
         assert all(g.gpu_type == "rtx2080" for g in cluster)
         assert all(g.memory_mb == 7800.0 for g in cluster)
+
+    def test_paper_testbed_ips_follow_the_node_index(self, sim):
+        cluster = build_cluster(sim, PAPER_TESTBED)
+        assert [n.ip for n in cluster.nodes] == ["10.0.0.10", "10.0.0.11", "10.0.0.12"]
 
     def test_idle_and_busy_views(self, sim):
         cluster = build_cluster(sim, ClusterSpec.homogeneous(1, 3))

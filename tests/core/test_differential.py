@@ -11,10 +11,11 @@ from those counterparts:
 axis       literal arm
 =========  ==========================================================
 passes     the base ``PassGuard()`` (the engine's historical run/stop
-           conditions) with the mid-pass probe unbound
-scans      ``_admission_is_trivial`` answers False, so every per-GPU
-           scan takes the Algorithm-1/2 transcription — the route
-           production takes whenever a tenant quota is installed
+           conditions) with a mid-pass probe that always answers True
+scans      ``_admission_is_trivial`` answers False, so the Scheduler
+           is built on the Algorithm-1/2 transcription over a queue
+           that tracks no visits — the route production takes
+           whenever a tenant quota is installed
 writes     a write-through ``Datastore(batched=False)``: one revision
            per put
 history    ``EPHEMERAL_HOT_PREFIXES = ()``: full MVCC for every key
@@ -33,7 +34,7 @@ from contextlib import contextmanager
 
 import pytest
 
-import repro.core.policies as policies_module
+import repro.core.scheduler as scheduler_module
 import repro.runtime.system as system_module
 from repro.chaos import FaultPlan
 from repro.chaos.plan import GPUCrash, Straggler
@@ -85,13 +86,13 @@ def _write_through(sim, **kwargs):
 @contextmanager
 def literal_system(config: SystemConfig, axes=ALL_LITERAL):
     """A :class:`FaaSCluster` whose ``axes`` layers are the literal ones
-    (``axes=()`` is the production system).  The patches must outlive the
-    replay — the scan route is chosen per pass — so run inside the block."""
+    (``axes=()`` is the production system); run the replay inside the
+    block."""
     unknown = set(axes) - ALL_LITERAL
     assert not unknown, unknown
     with pytest.MonkeyPatch.context() as patch:
         if "scans" in axes:
-            patch.setattr(policies_module, "_admission_is_trivial", lambda s: False)
+            patch.setattr(scheduler_module, "_admission_is_trivial", lambda s: False)
         if "writes" in axes:
             patch.setattr(system_module, "Datastore", _write_through)
         if "history" in axes:
@@ -99,7 +100,7 @@ def literal_system(config: SystemConfig, axes=ALL_LITERAL):
         system = FaaSCluster(config)
         if "passes" in axes:
             system.scheduler.policy.guard = PassGuard()
-            system.scheduler.pass_work_remaining = None
+            system.scheduler.pass_work_remaining = lambda: True
         yield system
 
 
@@ -169,6 +170,7 @@ def _assert_matches(production: Replay, reference: Replay) -> None:
         assert reference.system.datastore.stats.flushes == 0
     if "scans" in axes:
         assert reference.system.scheduler.policy.fast_scans == 0
+        assert not reference.system.scheduler.global_queue.tracks_visits
     if "passes" in axes:
         assert (  # strictly more for every policy that uses local queues
             reference.system.scheduler.passes_executed
@@ -278,6 +280,47 @@ class TestTenancy:
         production = _run(_workload(SEED + 3, 400), policy=policy)
         scans = production.system.scheduler.policy
         assert scans.reference_scans == 0 < scans.fast_scans
+
+    @pytest.mark.parametrize(
+        "quota", [None, TenantQuota(max_processes=100)], ids=["no_quota", "quota"]
+    )
+    def test_visit_counts_have_one_owner(self, quota):
+        """The route picks who counts O3 visits.  Under a quota the queue
+        tracks none: the literal scan counts on the request, and the value
+        a request carries as it leaves the global queue is the one its
+        decision row records.  Without one the lalbo3 queue owns the
+        count and hands it over on removal."""
+        quotas = {} if quota is None else {"capped": quota}
+        system = FaaSCluster(
+            SystemConfig(cluster=ClusterSpec.homogeneous(2, 4), policy="lalbo3", quotas=quotas)
+        )
+        scheduler = system.scheduler
+        queue = scheduler.global_queue
+        assert scheduler.index_scans is queue.tracks_visits is (quota is None)
+        requests = _requests(_workload(SEED + 2, 800), tenants=quota is not None)
+        for model in {r.model.instance_id: r.model for r in requests}.values():
+            system.register_model(model)
+        for request in requests:
+            system.submit_at(request)
+        leaving = []  # (request_id, visits) at each removal from the queue
+        remove = queue.remove
+
+        def spy(request):
+            live = queue.visits(request)
+            if quota is not None:
+                assert live == request.visits  # the request's own count
+            remove(request)
+            assert request.visits == live  # handed over (or untouched)
+            leaving.append((request.request_id, live))
+
+        queue.remove = spy
+        system.run()
+        removals = {"dispatch_hit", "dispatch_miss", "move_to_local", "timeout"}
+        rows = [
+            (d.request_id, d.visits) for d in scheduler.decisions if d.kind.value in removals
+        ]
+        assert rows == leaving
+        assert max(v for _, v in leaving) > 0  # the scans did skip requests
 
     def test_binding_quota_takes_the_literal_scans(self):
         spec = _workload(SEED + 4, 800)

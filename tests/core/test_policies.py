@@ -202,7 +202,7 @@ class TestOutOfOrderDispatch:
         assert hot2.gpu_id == gpu1b.gpu_id  # promoted past cold2
         assert hot2.cache_hit is True
         assert cold2.gpu_id is None  # still waiting (gpu0 parked busy)
-        assert cold2.visits == 1
+        assert system2.scheduler.global_queue.visits(cold2) == 1
 
     def test_starvation_limit_forces_dispatch(self, make_request):
         """Once visits exceed the limit the cold request must be served."""
@@ -243,7 +243,7 @@ class TestOutOfOrderDispatch:
         system.scheduler.on_gpu_idle(gpu1)
         # limit 0: cold skipped once (visits=1), hot promoted
         assert hot.gpu_id == gpu1.gpu_id
-        assert cold.visits == 1
+        assert q.visits(cold) == 1
         system.run()
         # next opportunity: visits(1) > 0 → forced through Alg. 2
         system.scheduler.on_gpu_idle(gpu1)

@@ -32,29 +32,21 @@ class TestLazyVisits:
         assert stop.request is reqs[3]  # each request deploys its own instance
         assert stop.slot == 3
         q.bump_visits_before(stop.slot)
-        assert [r.visits for r in reqs] == [1, 1, 1, 0, 0]
+        assert [q.visits(r) for r in reqs] == [1, 1, 1, 0, 0]
         q.bump_visits_before(None)  # whole queue
-        assert [r.visits for r in reqs] == [2, 2, 2, 1, 1]
+        assert [q.visits(r) for r in reqs] == [2, 2, 2, 1, 1]
 
     def test_visits_materialized_on_remove(self, make_request):
         q = GlobalQueue(o3_limit=25)
         reqs = _push_n(q, make_request, 3)
         q.bump_visits_before(None)
         q.bump_visits_before(None)
+        assert reqs[1].visits == 0  # the queue owns the count while queued
         q.remove(reqs[1])
-        assert reqs[1].visits == 2  # frozen at removal
+        assert reqs[1].visits == 2  # written to the request at removal
         q.bump_visits_before(None)
         assert reqs[1].visits == 2  # no longer tracked
-        assert reqs[0].visits == 3
-
-    def test_direct_writes_stay_consistent(self, make_request):
-        """The reference scan's `visits += 1` and lazy bumps may interleave."""
-        q = GlobalQueue(o3_limit=25)
-        (r,) = _push_n(q, make_request, 1)
-        q.bump_visits_before(None)
-        r.visits += 1
-        q.bump_visits_before(None)
-        assert r.visits == 3
+        assert q.visits(reqs[0]) == 3
 
     def test_untracked_queue_rejects_bumps(self, make_request):
         q = GlobalQueue()
@@ -72,7 +64,7 @@ class TestStarvedSet:
         q.bump_visits_before(2)  # slots 0..1 cross the limit
         starved = q.starved_entries_before(None)
         assert [e.request for e in starved] == reqs[:2]
-        assert all(e.request.visits == 2 for e in starved)  # frozen at limit+1
+        assert all(q.visits(e.request) == 2 for e in starved)  # frozen at limit+1
 
     def test_starved_never_bumped_again(self, make_request):
         q = GlobalQueue(o3_limit=0)
@@ -80,7 +72,7 @@ class TestStarvedSet:
         q.bump_visits_before(None)
         q.bump_visits_before(None)
         q.bump_visits_before(None)
-        assert [r.visits for r in reqs] == [1, 1]  # starved counts freeze
+        assert [q.visits(r) for r in reqs] == [1, 1]  # starved counts freeze
 
     def test_stop_slot_filters_starved(self, make_request):
         q = GlobalQueue(o3_limit=0)
@@ -125,9 +117,9 @@ class TestPushSortedIncremental:
         q.bump_visits_before(None)
         q.remove(reqs[1])
         q.push_sorted(reqs[1])  # forces a full re-index
-        assert [r.visits for r in reqs] == [1, 1, 1, 1]
+        assert [q.visits(r) for r in reqs] == [1, 1, 1, 1]
         q.bump_visits_before(None)
-        assert [r.visits for r in reqs] == [2, 2, 2, 2]
+        assert [q.visits(r) for r in reqs] == [2, 2, 2, 2]
 
 
 class TestLiveIteration:
@@ -162,10 +154,10 @@ class TestLiveIteration:
         extra = make_request("fn-extra", arrival=500.0)
         q.push(extra)
         assert list(q) == reqs[150:] + [extra]
-        assert [r.visits for r in reqs[150:]] == [1] * 50
+        assert [q.visits(r) for r in reqs[150:]] == [1] * 50
         q.bump_visits_before(None)
-        assert [r.visits for r in reqs[150:]] == [2] * 50
-        assert extra.visits == 1
+        assert [q.visits(r) for r in reqs[150:]] == [2] * 50
+        assert q.visits(extra) == 1
 
 
 def _backlog_system(n, n_models=25):

@@ -1,4 +1,4 @@
-"""No module-level ID source under ``src/repro``.
+"""No module-level ID source and no salted hash under ``src/repro``.
 
 A decision is a pure function of (config, workload, fault plan) only if
 nothing one run draws carries into the next.  The classic leak is an ID
@@ -11,6 +11,11 @@ requests); this scan keeps it that way.  It flags, per counter:
 * a module-level assignment of ``itertools.count(...)``;
 * a dataclass ``default_factory`` that calls ``next`` (it can only draw
   from a counter that outlives the instance).
+
+The other leak is the builtin ``hash``: a ``str`` hashes differently in
+every process (``PYTHONHASHSEED``), so anything derived from one — a
+node's IP, say — changes between two runs of the same replay.  A second
+scan flags every call to it.
 """
 
 import ast
@@ -48,12 +53,31 @@ def global_id_sources(tree: ast.Module, module: str) -> set[str]:
     return hits
 
 
-def test_src_has_no_module_level_id_source():
+def builtin_hash_calls(tree: ast.Module, module: str) -> set[str]:
+    """``module:line`` for every call to the builtin ``hash`` in ``tree``."""
+    return {
+        f"{module}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "hash"
+    }
+
+
+def _scan_src(scan) -> list[str]:
     hits = set()
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC.parent).with_suffix("").as_posix()
-        hits |= global_id_sources(ast.parse(path.read_text()), module)
-    assert sorted(hits) == []
+        hits |= scan(ast.parse(path.read_text()), module)
+    return sorted(hits)
+
+
+def test_src_has_no_module_level_id_source():
+    assert _scan_src(global_id_sources) == []
+
+
+def test_src_calls_no_builtin_hash():
+    assert _scan_src(builtin_hash_calls) == []
 
 
 def test_the_scan_sees_each_form():
@@ -77,3 +101,18 @@ def test_the_scan_sees_each_form():
         """
     )
     assert global_id_sources(ast.parse(source), "m") == {"m:_ids", "m:_other", "m:_shared"}
+
+
+def test_the_hash_scan_sees_calls_only():
+    source = textwrap.dedent(
+        """
+        ip = f"10.0.0.{abs(hash(node_id)) % 200}"
+
+        class Key:
+            def __hash__(self):
+                return hash((self.a, self.b))
+
+        digest = hashlib.sha256(b"x")  # a named hash function: fine
+        """
+    )
+    assert builtin_hash_calls(ast.parse(source), "m") == {"m:2", "m:6"}
