@@ -7,15 +7,16 @@ node.  For each dispatched request it:
 2. on a miss, evicts the victim models the Cache Manager selects (killing
    their processes), starts a new GPU process, and uploads the model,
 3. runs the inference (one request at a time per GPU),
-4. reports the latency to the Datastore, updates the LRU list through the
-   Cache Manager, flips the GPU's status busy↔idle in the Datastore, and
-   notifies the Scheduler when the GPU becomes idle.
+4. reports the latency to the Datastore (one ``fn/latency/<function>``
+   record per function, overwritten by each completion), updates the LRU
+   list through the Cache Manager, flips the GPU's status busy↔idle in
+   the Datastore, and notifies the Scheduler when the GPU becomes idle.
 
 Execution is event-driven: upload and inference durations come from the
 profiled model latencies and elapse on the simulated clock.
 
-Datastore writes (status, finish time, latency records) are ``put`` /
-``delete`` calls on the system's :class:`~repro.datastore.client.Datastore`;
+Datastore writes (status, finish time, latency records) are ``put``
+calls on the system's :class:`~repro.datastore.client.Datastore`;
 against a batched one every write a single step issues — e.g. a
 completion's LRU touch + status flip + latency record — accumulates and
 commits as one transaction at the action boundary (the Scheduler's flush
@@ -24,7 +25,6 @@ or the simulator's post-event hook), one revision.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, NamedTuple
 
 from ..cluster.gpu import GPUDevice, GPUState
@@ -41,12 +41,12 @@ __all__ = ["GPUManager", "LatencyRecord"]
 
 
 class LatencyRecord(NamedTuple):
-    """The names of a ``fn/latency/<request_id>`` value's fields.
+    """The names of a ``fn/latency/<function>`` value's fields.
 
-    The store holds the *exact* 7-tuple in this order, one per completed
-    request; ``LatencyRecord(*value)`` names it on read.  Only exact tuples
-    of atoms leave the cyclic collector's tracked set (a NamedTuple never
-    does) — at 100k requests, a full-heap pass over 100k fewer containers.
+    The store holds the *exact* 7-tuple in this order: the function's
+    latest completion (the last write wins); ``LatencyRecord(*value)``
+    names it on read.  Only exact tuples of atoms leave the cyclic
+    collector's tracked set (a NamedTuple never does).
     """
 
     function: str
@@ -70,7 +70,6 @@ class GPUManager:
         estimator: FinishTimeEstimator,
         *,
         datastore: Datastore,
-        latency_keep: int | None = None,
         on_idle: Callable[[GPUDevice], None] | None = None,
         on_complete: Callable[[InferenceRequest], None] | None = None,
         on_dispatch: Callable[[InferenceRequest], None] | None = None,
@@ -85,7 +84,6 @@ class GPUManager:
         #: and never cleared on completion: a finished request's time is
         #: in the past, which every reader clamps to now
         self._busy_until = estimator._busy_until
-        self.datastore = datastore
         #: every report below goes through this one bound callable
         self._put = datastore.put
         self.on_idle = on_idle or (lambda gpu: None)
@@ -113,14 +111,6 @@ class GPUManager:
         #: straggler injection: slot -> multiplicative slowdown on the
         #: *actual* load/inference durations (None = healthy)
         self._slowdown: list[float | None] = [None] * n
-        # sliding window over this manager's fn/latency/* keys: when
-        # latency_keep is set, writing record N deletes record N-keep in
-        # the same batched transaction, so the store's live set (and the
-        # row and value tuples it pins) stays bounded on
-        # million-request replays.  Nothing reads these keys mid-run, so
-        # scheduling is untouched either way.
-        self._latency_keep = latency_keep
-        self._latency_log: deque[str] = deque()
         # per-GPU key strings interned once, slot-indexed: status and
         # finish-time puts happen on every dispatch and completion
         self._status_key = [f"gpu/status/{g.gpu_id}" for g in node.gpus]
@@ -343,11 +333,12 @@ class GPUManager:
 
     def _record_latency(self, request: InferenceRequest, model_id: str) -> None:
         arrival = request.arrival_time
-        # bare tuple in LatencyRecord order + inlined latency/queueing
-        # properties: _finished just stamped both timestamps (no validation)
-        key = f"fn/latency/{request.request_id}"
+        # keyed by function, not request: the live key set is bounded by
+        # the functions deployed, not by the trace.  Bare tuple in
+        # LatencyRecord order + inlined latency/queueing properties:
+        # _finished just stamped both timestamps (no validation)
         self._put(
-            key,
+            f"fn/latency/{request.function_name}",
             (
                 request.function_name,
                 model_id,
@@ -358,8 +349,3 @@ class GPUManager:
                 request.false_miss,
             ),
         )
-        if self._latency_keep is not None:
-            log = self._latency_log
-            log.append(key)
-            if len(log) > self._latency_keep:
-                self.datastore.delete(log.popleft())

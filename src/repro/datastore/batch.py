@@ -79,8 +79,8 @@ class WriteBatch:
         # it in place): the Datastore's per-event safety-net hook closes
         # over it so the no-op path is a single truthiness test.
         self._pending: dict[str, tuple] = {}
-        #: keys deleted since the last flush (rare: function CRUD, the
-        #: latency-log window and a model's last copy leaving the cache)
+        #: keys deleted since the last flush (rare: function CRUD and a
+        #: model's last copy leaving the cache)
         self._deleted: set[str] = set()
         #: keys whose latest put carried a lease (rare: only lease users
         #: pay for it; the empty-dict truthiness test on the lease-less

@@ -30,8 +30,9 @@ key                               history  value (writer)
 ``fn/metrics/<fn_name>/<id>``     MVCC     dict, one invocation's status,
                                            latency, container and error
                                            (Watchdog)
-``fn/latency/<request_id>``       none     exact 7-tuple in ``LatencyRecord``
-                                           field order (GPU Manager;
+``fn/latency/<fn_name>``          none     exact 7-tuple in ``LatencyRecord``
+                                           field order, the function's latest
+                                           completion (GPU Manager;
                                            ``LatencyRecord(*value)`` names it)
 ================================  =======  ==================================
 

@@ -73,7 +73,7 @@ class KeyValue(NamedTuple):
     an ephemeral key holds the *exact* 5-tuple of these fields,
     named on read — CPython's cyclic collector never untracks a tuple
     subclass, so one minted per hot key would stay on its books while the
-    key lives (80k ``fn/latency/*`` entries on a batch replay).
+    key lives.
     """
 
     key: str
@@ -221,9 +221,8 @@ class KVStore:
         del self._live[key]
         self._sorted_keys = None
         if self._ephemeral and key.startswith(self._ephemeral):
-            # ephemeral fast lane: no tombstone — the latency-log
-            # window's per-completion delete costs only the live-map
-            # removal
+            # ephemeral fast lane: no tombstone — a delete costs only
+            # the live-map removal
             self.ephemeral_writes += 1
             return
         self._record(key, _TOMBSTONE)

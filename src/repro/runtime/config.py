@@ -40,14 +40,12 @@ class SystemConfig:
     #: set; None, the default, keeps everything).  It is the Datastore's
     #: MVCC autocompaction horizon (etcd's ``--auto-compaction``
     #: analogue: history below ``revision - retention`` is compacted
-    #: away), the ``fn/latency/<request_id>`` records each node's GPU
-    #: Manager keeps live (the oldest is deleted in the transaction that
-    #: writes the newest, so the live set is nodes × retention), and the
-    #: completions the metrics collector holds as exact rows (a run past
-    #: it folds them into fixed-size histograms — counts and rates stay
-    #: exact, quantiles hold a ~1 % relative bound).  None of the three
-    #: is read to schedule, so decisions are the same at any value; the
-    #: paper's figures need the exact rows, hence the default.
+    #: away) and the completions the metrics collector holds as exact
+    #: rows (a run past it folds them into fixed-size histograms —
+    #: counts and rates stay exact, quantiles hold a ~1 % relative
+    #: bound).  Neither is read to schedule, so decisions are the same
+    #: at any value; the paper's figures need the exact rows, hence the
+    #: default.
     retention: int | None = None
     #: per-tenant quotas (empty = no isolation limits)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
@@ -117,10 +115,10 @@ def streaming_config(**overrides) -> SystemConfig:
 
     The flat-RSS replay preset: ``retention`` at
     :data:`DEFAULT_STREAMING_COMPACT_KEEP` caps the metrics window (rows
-    fold into histograms once the run outgrows it), the MVCC history
-    (autocompaction) and the live latency records — the three
-    linear-memory consumers a million-request replay cannot afford.  Any
-    field can still be overridden, ``retention`` included.
+    fold into histograms once the run outgrows it) and the MVCC history
+    (autocompaction) — the two linear-memory consumers a million-request
+    replay cannot afford.  Any field can still be overridden,
+    ``retention`` included.
 
     >>> cfg = streaming_config(policy="lalb")
     >>> cfg.retention, cfg.policy

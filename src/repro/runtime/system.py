@@ -101,7 +101,6 @@ class FaaSCluster:
                 self.registry,
                 self.estimator,
                 datastore=self.datastore,
-                latency_keep=self.config.retention,
                 on_complete=self._on_request_complete,
                 # only tenancy observes dispatches
                 on_dispatch=(

@@ -25,7 +25,7 @@ Production is compared against the all-literal system on decisions **and**
 normalized final KV state; the four single-axis arms run too, so a failure
 names the layer.  Decisions are compared field for field (timestamps,
 kinds, targets, O3 ``visits``); both arms build their requests with the
-same IDs, so decisions and ``fn/latency/<request_id>`` keys compare raw.
+same IDs, so decisions and KV state compare raw.
 """
 
 import random
@@ -461,7 +461,7 @@ class TestProductionPath:
         system = _run(_workload(SEED + 4, 1500), retention=keep).system
         kv = system.datastore.kv
         latency_keys = [k for k in kv.keys() if k.startswith("fn/latency/")]
-        # one window per GPU manager node; each bounded by `keep`
+        # one record per function, far inside `keep` per node
         assert latency_keys
         assert len(latency_keys) <= keep * len(system.cluster.nodes)
         assert not any(k.startswith("fn/latency/") for k in kv._history)

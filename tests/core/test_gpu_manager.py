@@ -127,14 +127,23 @@ class TestStateAndReporting:
         assert kv.get_value(f"gpu/status/{gpu0.gpu_id}") == "idle"
 
     def test_latency_record_written(self, system, make_request):
-        r = submit(system, make_request("fn-z", "alexnet"))
+        first = submit(system, make_request("fn-z", "alexnet"))
         system.run()
-        value = system.datastore.kv.get_value(f"fn/latency/{r.request_id}")
+        kv = system.datastore.kv
+        value = kv.get_value("fn/latency/fn-z")
         assert type(value) is tuple  # stored bare (GC-untracked); named on read
         rec = LatencyRecord(*value)
         assert rec.function == "fn-z"
         assert rec.cache_hit is False
         assert rec.latency_s == pytest.approx(2.81 + 1.25)
+        # a second completion of the function overwrites its one record
+        second = make_request("fn-z", arrival=system.sim.now, model=first.model)
+        submit(system, second)
+        system.run()
+        assert [k for k in kv.keys() if k.startswith("fn/latency/")] == ["fn/latency/fn-z"]
+        rec = LatencyRecord(*kv.get_value("fn/latency/fn-z"))
+        assert rec.cache_hit is True
+        assert rec.latency_s == second.latency == pytest.approx(1.25)
 
     def test_busy_until_maintained(self, system, make_request):
         gpu0, gpu1 = system.cluster.gpus

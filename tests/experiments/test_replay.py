@@ -4,6 +4,7 @@ must agree with the scheduler-level runs."""
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core.gpu_manager import LatencyRecord
 from repro.core.policies import SCHEDULING_POLICY_NAMES
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.replay import replay, replay_through_gateway
@@ -13,6 +14,7 @@ from repro.traces import (
     SyntheticAzureTrace,
     WorkloadSpec,
     build_workload,
+    spec_for_requests,
 )
 
 SMALL_TRACE = SyntheticAzureTrace(
@@ -94,7 +96,7 @@ class TestReplayDriver:
         """No replay leaves state behind for the next: a workload replayed
         before and after an unrelated one makes the same decisions and
         leaves the same KV state, request IDs and the
-        ``fn/latency/<request_id>`` keys included, compared raw."""
+        ``fn/latency/<function>`` records included, compared raw."""
         config = SystemConfig(policy=policy, fault_profile=fault_profile)
         workload = build_workload(WorkloadSpec(working_set=15, minutes=2))
 
@@ -108,3 +110,21 @@ class TestReplayDriver:
         decisions, kv = first
         assert {d.request_id for d in decisions} == set(range(1, len(workload) + 1))
         assert any(item.key.startswith("fn/latency/") for item in kv)
+
+    def test_live_latency_records_are_one_per_function_flat_in_n(self):
+        """The §III-C latency report keeps one record per function, its
+        latest completion: a 2k and a 4k §V-A replay leave exactly one
+        live ``fn/latency/*`` key per distinct completed function."""
+        live = []
+        for n in (2000, 4000):
+            _, system = replay(SystemConfig(), build_workload(spec_for_requests(n)))
+            kv = system.datastore.kv
+            keys = {k for k in kv.keys() if k.startswith("fn/latency/")}
+            functions = {r.function_name for r in system.completed}
+            assert keys == {f"fn/latency/{f}" for f in functions}
+            assert all(
+                LatencyRecord(*kv.get_value(k)).function == k[len("fn/latency/"):]
+                for k in keys
+            )
+            live.append(len(keys))
+        assert live[0] == live[1]
