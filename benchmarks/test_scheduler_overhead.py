@@ -17,7 +17,9 @@ import pytest
 
 from repro.core.queues import GlobalQueue
 from repro.core.request import InferenceRequest
+from repro.core.tenancy import TenantQuota
 from repro.models import ModelInstance, get_profile
+from tests.spec.policies import SpecLALBPolicy
 
 
 def _filled_queue(n_requests: int, n_models: int = 50):
@@ -124,13 +126,27 @@ def test_scheduling_pass_cost_at_depth(benchmark):
 PASS_DEPTHS = (100, 2_000, 20_000)
 
 
-def _system_with_hit_at_tail(depth: int):
+#: a tenant quota that never binds: more GPU processes than the cluster holds
+NON_BINDING = {"default": TenantQuota(max_processes=1000)}
+#: a binding one: tenant "capped" owns every third model and may start no
+#: process, so every scan passes its queued requests over
+BINDING = {"capped": TenantQuota(max_processes=0)}
+
+
+def _system_with_hit_at_tail(depth: int, quotas=None):
     """LALBO3 system: 11 busy GPUs, 1 idle GPU caching only the tail request's model."""
     from repro.cluster import ClusterSpec
     from repro.runtime import FaaSCluster, SystemConfig
 
-    system = FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(3, 4)))
-    instances = [ModelInstance(f"m{i}", get_profile("alexnet")) for i in range(30)]
+    system = FaaSCluster(
+        SystemConfig(cluster=ClusterSpec.homogeneous(3, 4), quotas=quotas or {})
+    )
+    instances = [
+        ModelInstance(
+            f"m{i}", get_profile("alexnet"), tenant="capped" if i % 3 == 0 else "default"
+        )
+        for i in range(30)
+    ]
     hot = ModelInstance("hot", get_profile("alexnet"))
     idle = system.cluster.gpus[0]
     idle.admit(hot.instance_id, hot.occupied_mb).mark_ready(0.0)
@@ -179,31 +195,42 @@ def test_scheduling_scan_cost_at_depth(benchmark, depth):
     assert progress is True
 
 
-def test_pass_call_count_is_depth_independent():
-    """§VI's bound as an exact count: one working pass makes the same
-    number of Python and builtin calls at every queue depth.
-
-    cProfile's count does not move with machine load, so this holds on
-    any box.  It sees every per-entry call (a method, property or builtin
-    per queued request); an inline loop that calls nothing is left to the
-    wall-clock ratio test below.
-    """
+def _pass_calls(depth: int, quotas=None) -> int:
+    """Python and builtin calls one working pass makes (cProfile's count
+    does not move with machine load, so this holds on any box)."""
     import cProfile
 
     if sys.getprofile() is not None:
         pytest.skip("another profiler is installed in this process")
+    system = _system_with_hit_at_tail(depth, quotas)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    progress = _one_pass(system)
+    profiler.disable()
+    assert progress is True
+    return sum(entry.callcount for entry in profiler.getstats())
 
-    def calls_at(depth: int) -> int:
-        system = _system_with_hit_at_tail(depth)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        progress = _one_pass(system)
-        profiler.disable()
-        assert progress is True
-        return sum(entry.callcount for entry in profiler.getstats())
 
-    calls = {depth: calls_at(depth) for depth in PASS_DEPTHS}
+@pytest.mark.parametrize("quotas", [None, NON_BINDING], ids=["no_quota", "non_binding_quota"])
+def test_pass_call_count_is_depth_independent(quotas):
+    """§VI's bound as an exact count: one working pass makes the same
+    number of Python and builtin calls at every queue depth, with or
+    without a tenant quota that never binds.
+
+    The count sees every per-entry call (a method, property or builtin
+    per queued request); an inline loop that calls nothing is left to the
+    wall-clock ratio test below.
+    """
+    calls = {depth: _pass_calls(depth, quotas) for depth in PASS_DEPTHS}
     assert len(set(calls.values())) == 1, calls
+
+
+def test_binding_quota_pass_costs_under_one_call_per_queued_request():
+    """A binding quota keeps one walk per scan over the refused models'
+    queued requests (they are passed over without a visit); the literal
+    scan made ~5 calls per queued request."""
+    depth = 20_000
+    assert _pass_calls(depth, BINDING) <= depth
 
 
 #: set REPRO_PERF_ASSERTS=0 to demote the wall-clock ratio assertions on
@@ -242,16 +269,17 @@ def test_scheduling_pass_cost_grows_sublinearly():
 
 
 def test_fast_scan_beats_reference_scan():
-    """The index-driven scan must dominate the reference O(queue) scan.
+    """The index-driven scan must dominate the literal O(queue) scan of
+    the spec (``tests/spec/policies.py``).
 
-    Guards the fast path against regressions that would quietly fall back
-    to (or underperform) the literal Algorithm-1 loop — the scan a pass
-    runs for the one idle GPU when a tenant quota binds.
+    Guards the index scan against regressions that would quietly
+    underperform the literal Algorithm-1 loop it replaces.
     """
 
     def literal_scan(system):
         scheduler = system.scheduler
-        return scheduler.policy._schedule_gpu_reference(scheduler, system.cluster.gpus[0])
+        spec = SpecLALBPolicy(limit=scheduler.policy.limit)
+        return spec._schedule_gpu_reference(scheduler, system.cluster.gpus[0])
 
     def ratio(rounds):
         t_ref = _one_pass_best(2_000, run_pass=literal_scan, rounds=rounds)

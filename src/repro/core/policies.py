@@ -10,28 +10,19 @@
 Policies act through the :class:`SchedulerOps` interface exposed by the
 Scheduler, so they are pure decision logic and unit-testable against fakes.
 
-Fast path (§VI scalability)
----------------------------
-LB and LALB carry two implementations of their queue scan; the route is
-fixed for the run (``SchedulerOps.index_scans``) by one observable
-property of the system — whether a tenant quota is installed:
-
-* the **index-driven fast path** — Alg. 1's first scan asks the
-  Cache Manager for the GPU's resident models and the GlobalQueue's
-  model index for each model's oldest request, so its cost is bounded by
-  the number of models cached on the GPU, exactly as §VI argues; the O3
-  ``visits`` bookkeeping collapses into one O(log n) prefix update in
-  the GlobalQueue, which owns the counts; the
-  starvation guard walks the queue's ordered starved set instead of
-  rediscovering starved requests by rescanning; the second scan walks
-  queue heads (every Algorithm-2 outcome removes the head, so the cost is
-  proportional to decisions made, not queue length);
-* the **reference scan** — the literal O(GPUs × queue) loop transcribed
-  from Algorithms 1/2, whose per-request ``may_dispatch`` probes handle
-  quota refusals exactly, counting visits on the request itself.  It is
-  the production route whenever a quota is installed, and the executable
-  specification the fast path must match: ``tests/core/test_differential.py``
-  builds a system on it and requires byte-identical ``DecisionLog``s.
+Index scans (§VI scalability)
+-----------------------------
+LB and LALB have one queue scan each, quota or not.  Alg. 1's first scan
+probes the GlobalQueue's model index once per model resident on the GPU
+(§VI's bound); the O3 ``visits`` bookkeeping is one O(log n) prefix update
+in the queue, which owns the counts; starved requests come from the
+queue's ordered starved set; the second scan walks queue heads, so its
+cost is proportional to decisions made.  A tenant quota answers alike for
+every queued request of a model within one per-GPU scan, so a scan asks
+it once per queued model, and only while ``may_refuse`` is set.  The
+literal O(GPUs × queue) transcription is the executable spec in
+``tests/spec/policies.py``; ``tests/core/test_differential.py`` requires
+byte-identical ``DecisionLog``s from both.
 
 Pass elision (dirty signals)
 ----------------------------
@@ -43,11 +34,7 @@ the same predicate (``SchedulerOps.pass_work_remaining``) to stop
 walking idle GPUs once no remaining GPU can act.  Elision changes *which
 provably-empty scans run*, never a decision: the differential suite
 replays identical workloads under the conservative base guard with an
-always-True probe and requires byte-identical ``DecisionLog``s.  (The
-``fast_scans``/``reference_scans`` counters may legitimately differ
-between the two — an elided pass performs no scans at all.)
-
-``fast_scans`` / ``reference_scans`` count the per-GPU scans taken.
+always-True probe and requires byte-identical ``DecisionLog``s.
 """
 
 from __future__ import annotations
@@ -61,6 +48,7 @@ from .estimator import FinishTimeEstimator
 from .queues import GlobalQueue, LocalQueues
 from .request import InferenceRequest
 from .signals import DispatchableWorkGuard, PassGuard
+from .tenancy import TenancyController
 
 __all__ = [
     "SchedulerOps",
@@ -91,10 +79,7 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     cache: CacheManager
     estimator: FinishTimeEstimator
     #: admission controller, or None when may_dispatch is trivially true
-    tenancy: object | None
-    #: the scan route, fixed for the run: the index scans (no admission
-    #: controller; ``global_queue`` tracks O3 visits) or the literal ones
-    index_scans: bool
+    tenancy: TenancyController | None
     #: every GPU in Alg. 1's use-frequency order (busy ones included); the
     #: order does not change within a pass
     gpus_by_frequency: list[GPUDevice]
@@ -114,6 +99,16 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     ) -> bool: ...
 
 
+_NO_MODELS: frozenset[str] = frozenset()
+
+
+def _refused_models(s: SchedulerOps, gpu: GPUDevice | None = None) -> set[str]:
+    """Queued models whose requests ``s.may_dispatch`` refuses (on ``gpu``):
+    the check reads only the model, so one probe per queued model."""
+    may_dispatch = s.may_dispatch
+    return {r.model_id for r in s.global_queue.model_heads() if not may_dispatch(r, gpu)}
+
+
 class SchedulingPolicy(ABC):
     """One pass of scheduling decisions over the current system state."""
 
@@ -125,12 +120,6 @@ class SchedulingPolicy(ABC):
     #: fail-safe (exactly the historical run conditions), so subclasses
     #: that declare nothing are never over-elided.
     guard: PassGuard = PassGuard()
-
-    def __init__(self) -> None:
-        #: per-GPU scans served by the index-driven fast path
-        self.fast_scans = 0
-        #: per-GPU scans that dropped to the literal reference loops
-        self.reference_scans = 0
 
     @abstractmethod
     def schedule_pass(self, s: SchedulerOps) -> bool:
@@ -149,19 +138,20 @@ class LoadBalancingPolicy(SchedulingPolicy):
 
     def schedule_pass(self, s: SchedulerOps) -> bool:
         work = s.pass_work_remaining
+        queue = s.global_queue
+        tenancy = s.tenancy
         progress = False
-        index_scans = s.index_scans
         for gpu in s.idle_gpus():
             if not gpu.is_idle:  # may have changed earlier in this pass
                 continue
-            if index_scans:
-                self.fast_scans += 1
-                request = s.global_queue.head()  # O(1): admission cannot refuse it
-            else:
-                self.reference_scans += 1
-                request = self._head_reference(s, gpu)
+            request = queue.head()
             if request is None:
                 continue
+            if tenancy is not None and tenancy.may_refuse and not s.may_dispatch(request, gpu):
+                # refused here: the oldest request of a model admitted here
+                request = queue.head(_refused_models(s, gpu))
+                if request is None:
+                    continue
             s.dispatch(request, gpu)
             progress = True
             # narrowing: state changed; if no remaining idle GPU can act,
@@ -169,13 +159,6 @@ class LoadBalancingPolicy(SchedulingPolicy):
             if not work():
                 return True
         return progress
-
-    @staticmethod
-    def _head_reference(s: SchedulerOps, gpu: GPUDevice) -> InferenceRequest | None:
-        for request in s.global_queue:
-            if s.may_dispatch(request, gpu):
-                return request
-        return None
 
 
 class LocalityOnlyPolicy(SchedulingPolicy):
@@ -266,15 +249,13 @@ class LALBPolicy(SchedulingPolicy):
     3. if no queued request is cached here, run Algorithm 2 over the queue
        in arrival order until some request lands on this GPU.
 
-    Each per-GPU scan takes the §VI index-driven fast path unless a tenant
-    quota is installed, in which case it runs the literal scan (see the
-    module docstring).
+    Each per-GPU scan is the §VI index-driven one (see the module
+    docstring).
     """
 
     guard = DispatchableWorkGuard()
 
     def __init__(self, limit: int = DEFAULT_O3_LIMIT) -> None:
-        super().__init__()
         if limit < 0:
             raise ValueError("O3 limit cannot be negative")
         self.limit = limit
@@ -286,7 +267,6 @@ class LALBPolicy(SchedulingPolicy):
         peek = s.local_queues.peek
         queue = s.global_queue
         progress = False
-        index_scans = s.index_scans
         for gpu in s.gpus_by_frequency:  # Alg. 1's order, stable within a pass
             if not gpu.is_idle:  # busy, or dispatched to earlier in this pass
                 continue
@@ -295,17 +275,8 @@ class LALBPolicy(SchedulingPolicy):
                 if exp is not None:
                     exp.note("alg1:local_queue_priority", gpu.gpu_id)
                 s.dispatch_local_head(gpu)
-            elif queue._live == 0:
+            elif queue._live == 0 or not self._schedule_gpu(s, gpu):
                 continue
-            else:
-                if index_scans:
-                    self.fast_scans += 1
-                    acted = self._schedule_gpu_fast(s, gpu)
-                else:
-                    self.reference_scans += 1
-                    acted = self._schedule_gpu_reference(s, gpu)
-                if not acted:
-                    continue
             progress = True
             # narrowing: a dispatch just changed cluster/queue state; when
             # no remaining idle GPU can possibly act (queue drained, no
@@ -315,23 +286,19 @@ class LALBPolicy(SchedulingPolicy):
         return progress
 
     # ------------------------------------------------------------------
-    def _schedule_gpu_fast(self, s: SchedulerOps, gpu: GPUDevice) -> bool:
-        """Index-driven Algorithm 1 for one idle GPU.
+    def _schedule_gpu(self, s: SchedulerOps, gpu: GPUDevice) -> bool:
+        """Algorithm 1 lines 6–22 for one idle GPU; True if anything changed.
 
-        Produces exactly the decision sequence of
-        :meth:`_schedule_gpu_reference` (asserted by the parity tests)
-        while never iterating the queue:
-
-        * the first scan's cache hit is the oldest queued request of any
-          model resident on ``gpu`` — an index lookup per resident model;
-        * starved requests positioned before that hit are exactly the
-          queue's starved-set entries with smaller slots;
-        * every request the reference scan would have skipped (those before
-          the stop position) receives its Alg. 1 line-15 visit via one
-          lazy prefix update.
+        The literal scan's decisions without iterating the queue: the hit
+        is the oldest admitted request of a model resident on ``gpu``; the
+        starved entries before it come off the starved set; every admitted
+        request before the stop gets its line-15 visit in one prefix bump.
         """
         queue = s.global_queue
         exp = s.explain
+        tenancy = s.tenancy
+        # models whose queued requests the quota refuses for this whole scan
+        refused = _refused_models(s) if tenancy is not None and tenancy.may_refuse else _NO_MODELS
         acted = False
         # -- first scan (lines 6–16) --------------------------------------
         # strategy pick off two O(1) signals: when the queue (including
@@ -341,6 +308,8 @@ class LALBPolicy(SchedulingPolicy):
         # oldest-hit entry.
         hit = None  # oldest queued entry whose model is cached on `gpu`
         resident = s.cache.models_on(gpu.gpu_id)
+        if refused:
+            resident = resident - refused
         if len(queue._entries) - queue._head <= len(resident):
             hit = queue.first_entry_matching(resident)
         else:
@@ -350,85 +319,46 @@ class LALBPolicy(SchedulingPolicy):
                     hit = entry
         stop_slot = hit.slot if hit is not None else None
         # line 11: requests already skipped past the limit, in queue order,
-        # that the reference scan would reach before the hit.  The O(1)
+        # that the literal scan would reach before the hit.  The O(1)
         # starved counter elides the sweep outright in the common
         # nothing-starved state.
         if queue.starved_count:
             for entry in queue.starved_entries_before(stop_slot):
+                if entry.model_id in refused:
+                    continue
                 if exp is not None:
                     exp.note(
                         "alg1:starved_promotion",
                         f"request={entry.request.request_id}",
                         f"visits={entry.visits_at_entry}>limit={self.limit}",
                     )
-                outcome = self._locality_load_balance(
-                    s, gpu, entry.request, admission_trivial=True
-                )
+                outcome = self._locality_load_balance(s, gpu, entry.request)
                 if outcome == "to_this_gpu":
                     # line 13: GPUi consumed; everything scanned before this
                     # request was skipped once more (line 15)
-                    queue.bump_visits_before(entry.slot)
+                    queue.bump_visits_before(entry.slot, refused)
                     return True
-                acted = True  # "handled" (admission is trivial, never "blocked")
+                if outcome == "handled":
+                    acted = True
         if hit is not None:
-            queue.bump_visits_before(stop_slot)  # skips strictly before the hit
+            queue.bump_visits_before(stop_slot, refused)  # skips before the hit
             if exp is not None:
                 exp.note("alg1:cached_here", hit.request.model_id, gpu.gpu_id)
             s.dispatch(hit.request, gpu)  # line 8
             return True
-        queue.bump_visits_before(None)  # no hit: the whole queue was skipped
+        queue.bump_visits_before(None, refused)  # no hit: all was skipped
         # -- second scan (lines 17–21) ------------------------------------
-        # Algorithm 2 either dispatches the head here, dispatches it to
-        # another idle GPU, or binds it to a busy GPU's local queue — the
-        # head always leaves the queue, so walking heads costs O(decisions).
-        while (head := queue.head()) is not None:
-            outcome = self._locality_load_balance(s, gpu, head, admission_trivial=True)
+        # each Algorithm-2 outcome removes the head, except "blocked": a
+        # model it blocks stays blocked for the rest of the scan (idle
+        # candidates only shrink, queued costs only grow, nothing loads)
+        blocked = refused
+        while (head := queue.head(blocked)) is not None:
+            outcome = self._locality_load_balance(s, gpu, head)
             if outcome == "to_this_gpu":
                 return True
-            if outcome == "blocked":  # pragma: no cover - impossible w/o tenancy
-                break
-            acted = True
-        return acted
-
-    def _schedule_gpu_reference(self, s: SchedulerOps, gpu: GPUDevice) -> bool:
-        """Algorithm 1 lines 6–22 for one idle GPU; True if anything changed.
-
-        The literal O(queue) transcription of the paper's pseudocode; the
-        fast path above must match it decision for decision.
-        """
-        exp = s.explain
-        acted = False
-        # -- first scan (lines 6–16): look for a cache hit on this GPU ----
-        for request in s.global_queue:
-            if not s.may_dispatch(request):
-                continue
-            if s.cache.is_cached_on(request.model_id, gpu.gpu_id):
-                if exp is not None:
-                    exp.note("alg1:cached_here", request.model_id, gpu.gpu_id)
-                s.dispatch(request, gpu)  # line 8
-                return True
-            if request.visits > self.limit:  # line 11: starvation guard
-                if exp is not None:
-                    exp.note(
-                        "alg1:starved_promotion",
-                        f"request={request.request_id}",
-                        f"visits={request.visits}>limit={self.limit}",
-                    )
-                outcome = self._locality_load_balance(s, gpu, request)
-                if outcome == "to_this_gpu":
-                    return True  # line 13: GPUi consumed → next GPU
-                if outcome == "handled":
-                    acted = True
-                continue  # blocked or handled elsewhere; keep scanning
-            request.visits += 1  # line 15: skipped once more
-        # -- second scan (lines 17–21): no cached request for this GPU ----
-        for request in s.global_queue:
-            if not s.may_dispatch(request):
-                continue
-            outcome = self._locality_load_balance(s, gpu, request)
-            if outcome == "to_this_gpu":
-                return True
-            if outcome == "handled":
+            if outcome == "blocked":
+                blocked = blocked | {head.model_id}
+            else:
                 acted = True
         return acted
 
@@ -437,8 +367,6 @@ class LALBPolicy(SchedulingPolicy):
         s: SchedulerOps,
         gpu_i: GPUDevice,
         request: InferenceRequest,
-        *,
-        admission_trivial: bool = False,
     ) -> str:
         """Algorithm 2.  Outcomes:
 
@@ -453,12 +381,10 @@ class LALBPolicy(SchedulingPolicy):
         locations = s.cache.locations(request.model_id)
         # Lines 1–3: not cached anywhere → allow the miss on GPUi
         # (subject to the tenant's quota on new GPU processes, §VI).
-        # ``admission_trivial``: the fast path runs only when no probe can
-        # refuse, so the probes themselves are elided.
         if not locations:
-            if not admission_trivial and not s.may_dispatch(request, gpu_i):
+            if s.tenancy is not None and not s.may_dispatch(request, gpu_i):
                 if exp is not None:
-                    exp.note("alg2:blocked_by_quota", request.tenant, gpu_i.gpu_id)
+                    exp.note("alg2:blocked_by_quota", request.model.tenant, gpu_i.gpu_id)
                 return "blocked"  # stays queued until the tenant's usage drops
             if exp is not None:
                 exp.note("alg2:not_cached_anywhere", "miss on", gpu_i.gpu_id)
@@ -501,9 +427,9 @@ class LALBPolicy(SchedulingPolicy):
                 exp.note("alg2:load_beats_wait", busy.gpu_id)
         # Lines 16–18: no busy GPU wins → allow the cache miss on GPUi
         # (again subject to the tenant's new-process quota).
-        if not admission_trivial and not s.may_dispatch(request, gpu_i):
+        if s.tenancy is not None and not s.may_dispatch(request, gpu_i):
             if exp is not None:
-                exp.note("alg2:blocked_by_quota", request.tenant, gpu_i.gpu_id)
+                exp.note("alg2:blocked_by_quota", request.model.tenant, gpu_i.gpu_id)
             return "blocked"
         if exp is not None:
             exp.note("alg2:miss_on_idle_wins", gpu_i.gpu_id)

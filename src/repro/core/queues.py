@@ -129,8 +129,8 @@ class GlobalQueue:
 
     ``o3_limit`` enables lazy O3-visit tracking for the LALB/LALBO3 index
     scans; the queue then owns every held request's count.  Queues built
-    without a limit (LB, locality, any tenant quota, bare unit-test
-    queues) skip that machinery and behave like a plain indexed FIFO.
+    without a limit (LB, locality, bare unit-test queues) skip that
+    machinery and behave like a plain indexed FIFO.
     """
 
     def __init__(self, o3_limit: int | None = None) -> None:
@@ -316,7 +316,17 @@ class GlobalQueue:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def head(self) -> InferenceRequest | None:
+    def head(self, excluding=()) -> InferenceRequest | None:
+        """Oldest queued request, or the oldest whose model is not in
+        ``excluding`` (then one index probe per queued model)."""
+        if excluding:
+            best = None
+            for model_id in self._buckets:
+                if model_id not in excluding:
+                    entry = self.first_entry_for_model(model_id)
+                    if best is None or entry.slot < best.slot:
+                        best = entry
+            return None if best is None else best.request
         entries = self._entries
         i, n = self._head, len(entries)
         while i < n and entries[i] is None:
@@ -357,6 +367,11 @@ class GlobalQueue:
     def queued_models(self) -> set[str]:
         return set(self._model_live)
 
+    def model_heads(self) -> list[InferenceRequest]:
+        """The oldest queued request of every queued model."""
+        first = self.first_entry_for_model
+        return [first(model_id).request for model_id in self._buckets]
+
     # ------------------------------------------------------------------
     # O3 visit accounting (Alg. 1 lines 11/15, done lazily)
     # ------------------------------------------------------------------
@@ -377,8 +392,10 @@ class GlobalQueue:
                 out.append(entry)
         return out
 
-    def bump_visits_before(self, stop_slot: int | None) -> None:
-        """Count one more skip for every live request before ``stop_slot``.
+    def bump_visits_before(self, stop_slot: int | None, exempt=()) -> None:
+        """Count one more skip for every live request before ``stop_slot``
+        whose model is not in ``exempt`` (models the scan passed over
+        without a visit: the tenant quota refused them).
 
         This is Alg. 1 line 15 for a whole first scan, in O(log n + cap)
         instead of touching every queued request: the unattached tail is
@@ -393,7 +410,9 @@ class GlobalQueue:
         non-increasing in slot order and only the first live one can have
         just crossed the limit: one ``cover`` at ``_chain_from``, plus one
         per *live irregular* entry before the stop slot (dead and starved
-        ones are dropped the first time a scan passes them).
+        ones are dropped the first time a scan passes them).  An exempt
+        entry now trails the entries behind it, so it loses ``regular``
+        (see :meth:`_exempt_before` for attached ones).
         """
         limit = self._o3_limit
         if limit is None:
@@ -405,6 +424,9 @@ class GlobalQueue:
         for entry in self._pending_leaves:
             if entry.slot >= r:
                 break
+            if entry.model_id in exempt:
+                entry.regular = False
+                continue
             entry.visits_at_entry += 1
             if entry.visits_at_entry > limit:
                 self._starve(entry)
@@ -415,6 +437,8 @@ class GlobalQueue:
             return
         counter = self._counter
         counter.add(r)
+        if exempt:
+            self._exempt_before(r, exempt)
         irregular = self._irregular
         if irregular and irregular[0].slot < r:
             dropped = False
@@ -423,6 +447,8 @@ class GlobalQueue:
                     break
                 if not entry.alive or entry.starved:
                     dropped = True
+                elif entry.model_id in exempt:
+                    continue  # not skipped by this scan: its count stands
                 elif (visits := self._entry_visits(entry)) > limit:
                     entry.visits_at_entry = visits  # frozen from here on
                     self._starve(entry)
@@ -443,6 +469,25 @@ class GlobalQueue:
                 self._starve(entry)
             i += 1
         self._chain_from = i
+
+    def _exempt_before(self, r: int, exempt) -> None:
+        """Take the scan just recorded back out of the attached entries of
+        ``exempt`` models before slot ``r`` and move them to the irregular
+        list."""
+        joined = []
+        for model_id in exempt:
+            for entry in self._buckets.get(model_id, ()):
+                if entry.slot >= r:
+                    break
+                if entry.attached and entry.alive and not entry.starved:
+                    entry.cov0 += 1
+                    if entry.regular:
+                        entry.regular = False
+                        joined.append(entry)
+        if joined:
+            joined += self._irregular
+            joined.sort(key=_entry_slot)
+            self._irregular = joined
 
     def _starve(self, entry: _Entry) -> None:
         if entry.attached:

@@ -46,12 +46,6 @@ from .tenancy import TenancyController
 __all__ = ["Scheduler"]
 
 
-def _admission_is_trivial(s: Scheduler) -> bool:
-    """True when no ``may_dispatch`` probe can refuse, so an index-driven
-    scan that skips the probes is decision-identical to the literal loop."""
-    return s.tenancy is None
-
-
 class Scheduler:
     """Global scheduler: one per FaaS system."""
 
@@ -84,10 +78,7 @@ class Scheduler:
         self.local_queues = estimator.local_queues
         self.datastore = datastore
         self.tenancy = tenancy
-        #: the scan route, fixed for the run (see SchedulerOps.index_scans);
-        #: only the index scans hand the queue the policy's O3 limit
-        self.index_scans = _admission_is_trivial(self)
-        self.global_queue = GlobalQueue(o3_limit=policy.limit if self.index_scans else None)
+        self.global_queue = GlobalQueue(o3_limit=policy.limit)
         # per-GPU dispatch plumbing, precomputed once and array-backed:
         # each device is stamped with a dense cluster-wide slot, and the
         # "GPU address" (server IP + device name, §III-B) plus the owning

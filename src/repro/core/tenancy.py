@@ -7,10 +7,9 @@ The paper sketches three isolation levers against bad actors:
 * "limiting the ... memory space share that a tenant can use".
 
 :class:`TenancyController` implements all three as admission checks the
-Scheduler consults before dispatching a request.  A request whose tenant is
-over quota simply stays in the global queue until the tenant's usage drops.
-With a controller installed every scheduling pass takes the literal
-Algorithm 1/2 scans, which probe these checks request by request.
+Scheduler consults before dispatching a request, charged to the model's
+tenant.  A request whose tenant is over quota simply stays in the global
+queue until the tenant's usage drops.
 """
 
 from __future__ import annotations
@@ -73,6 +72,15 @@ class TenancyController:
         #: loaded — closes the window where concurrent dispatches could
         #: overshoot a quota before their "load" cache events arrive
         self._pending_loads: set[tuple[str, str]] = set()
+        #: quota'd tenants whose process count has reached their cap
+        self._at_cap = {t for t, q in self.quotas.items() if q.max_processes == 0}
+        self._shares = any(
+            q.max_memory_fraction is not None or q.max_time_fraction is not None
+            for q in self.quotas.values()
+        )
+        #: whether any check can refuse: a share is set, or a tenant sits
+        #: at its process cap (kept current by ``_charge``)
+        self.may_refuse = self._shares or bool(self._at_cap)
 
     # ------------------------------------------------------------------
     # Registration and accounting hooks
@@ -95,10 +103,7 @@ class TenancyController:
             self.register_instance(request.model)
             tenant = request.model.tenant
         self._pending_loads.add((request.gpu_id, model_id))
-        self._processes[tenant] = self._processes.get(tenant, 0) + 1
-        self._memory_mb[tenant] = (
-            self._memory_mb.get(tenant, 0.0) + self._model_size[model_id]
-        )
+        self._charge(tenant, 1, self._model_size[model_id])
 
     def on_load_aborted(self, gpu_id: str, model_id: str) -> None:
         """Release a dispatch-time reservation whose load never completed
@@ -109,10 +114,7 @@ class TenancyController:
         tenant = self._tenant_of_model.get(model_id)
         if tenant is None:
             return
-        self._processes[tenant] = max(0, self._processes.get(tenant, 0) - 1)
-        self._memory_mb[tenant] = max(
-            0.0, self._memory_mb.get(tenant, 0.0) - self._model_size[model_id]
-        )
+        self._charge(tenant, -1, -self._model_size[model_id])
 
     def on_cache_event(self, kind: str, gpu_id: str, model_id: str, now: float) -> None:
         """CacheManager observer: track per-tenant processes and memory."""
@@ -124,17 +126,28 @@ class TenancyController:
             if (gpu_id, model_id) in self._pending_loads:
                 self._pending_loads.discard((gpu_id, model_id))  # reserved at dispatch
                 return
-            self._processes[tenant] = self._processes.get(tenant, 0) + 1
-            self._memory_mb[tenant] = self._memory_mb.get(tenant, 0.0) + size
+            self._charge(tenant, 1, size)
         elif kind == "evict":
-            self._processes[tenant] = max(0, self._processes.get(tenant, 0) - 1)
-            self._memory_mb[tenant] = max(0.0, self._memory_mb.get(tenant, 0.0) - size)
+            self._charge(tenant, -1, -size)
+
+    def _charge(self, tenant: str, processes: int, memory_mb: float) -> None:
+        """Move ``tenant``'s process count and resident memory (neither
+        below zero) and keep :attr:`may_refuse` current."""
+        count = self._processes[tenant] = max(0, self._processes.get(tenant, 0) + processes)
+        self._memory_mb[tenant] = max(0.0, self._memory_mb.get(tenant, 0.0) + memory_mb)
+        quota = self.quotas.get(tenant)
+        if quota is None or quota.max_processes is None:
+            return
+        if count >= quota.max_processes:
+            self._at_cap.add(tenant)
+        else:
+            self._at_cap.discard(tenant)
+        self.may_refuse = self._shares or bool(self._at_cap)
 
     def on_request_complete(self, request: InferenceRequest) -> None:
-        """Charge the request's service time against its tenant."""
-        self._gpu_time_s[request.tenant] = (
-            self._gpu_time_s.get(request.tenant, 0.0) + request.service_time
-        )
+        """Charge the request's service time against its model's tenant."""
+        tenant = request.model.tenant
+        self._gpu_time_s[tenant] = self._gpu_time_s.get(tenant, 0.0) + request.service_time
 
     # ------------------------------------------------------------------
     # Admission check (consulted by the Scheduler)
@@ -148,10 +161,10 @@ class TenancyController:
         conservative heuristic: a new process is assumed unless the model
         is known to be resident somewhere.
         """
-        quota = self.quotas.get(request.tenant)
+        tenant = request.model.tenant
+        quota = self.quotas.get(tenant)
         if quota is None:
             return True
-        tenant = request.tenant
         if will_load is not None:
             may_start_process = will_load
         else:

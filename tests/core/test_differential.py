@@ -12,10 +12,9 @@ axis       literal arm
 =========  ==========================================================
 passes     the base ``PassGuard()`` (the engine's historical run/stop
            conditions) with a mid-pass probe that always answers True
-scans      ``_admission_is_trivial`` answers False, so the Scheduler
-           is built on the Algorithm-1/2 transcription over a queue
-           that tracks no visits — the route production takes
-           whenever a tenant quota is installed
+scans      ``install_spec_scans``: the literal Algorithm-1/2
+           transcription of ``tests/spec/policies.py`` over a queue
+           that tracks no visits, with a probe per queued request
 writes     a write-through ``Datastore(batched=False)``: one revision
            per put
 history    ``EPHEMERAL_HOT_PREFIXES = ()``: full MVCC for every key
@@ -33,8 +32,9 @@ from collections import namedtuple
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repro.core.scheduler as scheduler_module
 import repro.runtime.system as system_module
 from repro.chaos import FaultPlan
 from repro.chaos.plan import GPUCrash, Straggler
@@ -51,6 +51,7 @@ from repro.datastore import EPHEMERAL_HOT_PREFIXES, Datastore, EphemeralKeyError
 from repro.models import ModelInstance, get_profile, model_names
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces import WorkloadSpec, build_workload
+from tests.spec.policies import SpecLALBPolicy, SpecLoadBalancingPolicy, install_spec_scans
 
 SEED = 20230517  # arbitrary but frozen: parity must hold for any seed
 N_FUNCTIONS = 30
@@ -91,13 +92,13 @@ def literal_system(config: SystemConfig, axes=ALL_LITERAL):
     unknown = set(axes) - ALL_LITERAL
     assert not unknown, unknown
     with pytest.MonkeyPatch.context() as patch:
-        if "scans" in axes:
-            patch.setattr(scheduler_module, "_admission_is_trivial", lambda s: False)
         if "writes" in axes:
             patch.setattr(system_module, "Datastore", _write_through)
         if "history" in axes:
             patch.setattr(system_module, "EPHEMERAL_HOT_PREFIXES", ())
         system = FaaSCluster(config)
+        if "scans" in axes:
+            install_spec_scans(system)
         if "passes" in axes:
             system.scheduler.policy.guard = PassGuard()
             system.scheduler.pass_work_remaining = lambda: True
@@ -169,7 +170,10 @@ def _assert_matches(production: Replay, reference: Replay) -> None:
     if "writes" in axes:
         assert reference.system.datastore.stats.flushes == 0
     if "scans" in axes:
-        assert reference.system.scheduler.policy.fast_scans == 0
+        policy = reference.system.scheduler.policy
+        assert isinstance(policy, (SpecLALBPolicy, SpecLoadBalancingPolicy)) or (
+            policy.name == "locality"  # literal already
+        )
         assert not reference.system.scheduler.global_queue.tracks_visits
     if "passes" in axes:
         assert (  # strictly more for every policy that uses local queues
@@ -253,9 +257,9 @@ class TestProductionVsSpec:
 
 
 class TestTenancy:
-    """§VI isolation: the scan route is one observable — no quota, the
-    index scans; any quota, binding or not, the literal loops — and
-    production matches the spec either way."""
+    """§VI isolation: one scan route with or without a quota — the index
+    scans, with the queue owning O3 visit counts — matching the spec's
+    per-request probes whether the quota binds or not."""
 
     @pytest.mark.parametrize(
         "quota",
@@ -266,37 +270,29 @@ class TestTenancy:
         ],
         ids=["processes", "memory", "time"],
     )
-    def test_any_quota_takes_the_literal_scans(self, quota):
+    def test_any_quota_matches_the_spec(self, quota):
         spec = _workload(SEED + 3, 1200)
         kwargs = dict(policy="lalbo3", quotas={"capped": quota})
         production = _run(spec, **kwargs)
         _assert_matches(production, _run(spec, ALL_LITERAL, **kwargs))
         assert len(production.system.completed) == len(spec)
-        policy = production.system.scheduler.policy
-        assert policy.fast_scans == 0 < policy.reference_scans
-
-    @pytest.mark.parametrize("policy", ["lb", "lalb", "lalbo3"])
-    def test_no_quota_takes_the_index_scans(self, policy):
-        production = _run(_workload(SEED + 3, 400), policy=policy)
-        scans = production.system.scheduler.policy
-        assert scans.reference_scans == 0 < scans.fast_scans
+        assert production.system.scheduler.global_queue.tracks_visits
 
     @pytest.mark.parametrize(
         "quota", [None, TenantQuota(max_processes=100)], ids=["no_quota", "quota"]
     )
     def test_visit_counts_have_one_owner(self, quota):
-        """The route picks who counts O3 visits.  Under a quota the queue
-        tracks none: the literal scan counts on the request, and the value
-        a request carries as it leaves the global queue is the one its
-        decision row records.  Without one the lalbo3 queue owns the
-        count and hands it over on removal."""
+        """The lalbo3 queue owns a queued request's O3 count, quota or
+        not, and hands it to the request on removal: the value a request
+        carries as it leaves the global queue is the one its decision row
+        records."""
         quotas = {} if quota is None else {"capped": quota}
         system = FaaSCluster(
             SystemConfig(cluster=ClusterSpec.homogeneous(2, 4), policy="lalbo3", quotas=quotas)
         )
         scheduler = system.scheduler
         queue = scheduler.global_queue
-        assert scheduler.index_scans is queue.tracks_visits is (quota is None)
+        assert queue.tracks_visits
         requests = _requests(_workload(SEED + 2, 800), tenants=quota is not None)
         for model in {r.model.instance_id: r.model for r in requests}.values():
             system.register_model(model)
@@ -307,10 +303,8 @@ class TestTenancy:
 
         def spy(request):
             live = queue.visits(request)
-            if quota is not None:
-                assert live == request.visits  # the request's own count
             remove(request)
-            assert request.visits == live  # handed over (or untouched)
+            assert request.visits == live  # handed over
             leaving.append((request.request_id, live))
 
         queue.remove = spy
@@ -322,7 +316,7 @@ class TestTenancy:
         assert rows == leaving
         assert max(v for _, v in leaving) > 0  # the scans did skip requests
 
-    def test_binding_quota_takes_the_literal_scans(self):
+    def test_binding_quota_matches_the_spec(self):
         spec = _workload(SEED + 4, 800)
         kwargs = dict(policy="lalbo3", quotas={"capped": TenantQuota(max_processes=2)})
         production = _run(spec, **kwargs)
@@ -332,9 +326,8 @@ class TestTenancy:
         # queued until the tenant's usage drops): both must strand the
         # same ones
         assert len(production.system.completed) == len(reference.system.completed)
-        # ... and it sends production's scans to the literal loops, whose
-        # per-request probes implement the refusals
-        assert production.system.scheduler.policy.reference_scans > 0
+        # ... and it does bind: the decisions differ from a quota-free run
+        assert production.decisions != _run(spec, policy="lalbo3").decisions
 
     @pytest.mark.parametrize("max_processes", [3, 64])
     def test_lb_under_quota(self, max_processes):
@@ -346,6 +339,32 @@ class TestTenancy:
         reference = _run(spec, ALL_LITERAL, **kwargs)
         _assert_matches(production, reference)
         assert len(production.system.completed) == len(reference.system.completed)
+
+    @given(
+        policy=st.sampled_from(["lb", "lalb", "lalbo3"]),
+        o3_limit=st.sampled_from([1, 3, 25]),
+        max_processes=st.none() | st.integers(0, 4),
+        memory=st.none() | st.sampled_from([0.05, 0.2, 1.0]),
+        time_share=st.none() | st.sampled_from([0.05, 0.3, 1.0]),
+        fail=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_generated_quotas_match_the_spec(
+        self, policy, o3_limit, max_processes, memory, time_share, fail, seed
+    ):
+        """Generated quotas, O3 limits and an optional GPU failure: the
+        index scans make the spec's decisions and leave its final KV."""
+        quota = TenantQuota(max_processes, memory, time_share)
+        spec = _workload(seed, 300)
+        kwargs = dict(
+            policy=policy,
+            o3_limit=o3_limit,
+            quotas={"capped": quota},
+            cluster=ClusterSpec.homogeneous(2, 3),
+            fail_gpu_at=spec[120][1] if fail else None,
+        )
+        _assert_matches(_run(spec, **kwargs), _run(spec, {"scans"}, **kwargs))
 
 
 # ----------------------------------------------------------------------

@@ -114,9 +114,9 @@ class _LiteralO3Queue:
         at = sum(row[0].arrival_time <= request.arrival_time for row in self.rows)
         self.rows.insert(at, [request, visits, visits > self.limit])
 
-    def bump(self, stop):
+    def bump(self, stop, exempt=()):
         for row in self.rows[:stop]:
-            if not row[2]:
+            if not row[2] and row[0].model_id not in exempt:
                 row[1] += 1
                 row[2] = row[1] > self.limit
 
@@ -149,6 +149,19 @@ _REINDEX_MID_BACKLOG = [
 #: (d) the chain reaches the unattached tail, which is handed over later
 #: and must still be found
 _CHAIN_MEETS_THE_TAIL = [_BUMP, _BUMP, ("push", 8), _BUMP, ("push", 24), _BUMP, _BUMP]
+#: (e) an exempt attached entry at the head trails the entries behind it:
+#: they cross the limit on the third scan, it crosses one scan later
+_EXEMPT_AHEAD_OF_CROSSERS = [("bump", None, (0,)), _BUMP, _BUMP, _BUMP]
+#: (f) exempt entries in the middle of the attached backlog, then in the
+#: unattached tail, which is handed over with the next full tail
+_EXEMPT_MID_BACKLOG_AND_TAIL = [
+    ("bump", None, (5, 6)), ("bump", None, (35, 36)), ("push", 24), _BUMP, _BUMP, _BUMP,
+]
+#: (g) exempt before a partial stop, then removed and re-queued
+_EXEMPT_BEFORE_A_PARTIAL_STOP = [
+    ("bump", 20, (3, 30)), ("bump", 10, (3,)), _BUMP, ("remove", 3, 1), _BUMP,
+    ("push_sorted", 0), _BUMP,
+]
 
 
 @given(st.sampled_from([0, 2, 25]), st.integers(0, 80), _o3_ops)
@@ -157,6 +170,10 @@ _CHAIN_MEETS_THE_TAIL = [_BUMP, _BUMP, ("push", 8), _BUMP, ("push", 24), _BUMP, 
 @example(2, 40, _REINDEX_MID_BACKLOG)
 @example(25, 40, _REINDEX_MID_BACKLOG)
 @example(2, 32, _CHAIN_MEETS_THE_TAIL)
+@example(2, 40, _EXEMPT_AHEAD_OF_CROSSERS)
+@example(2, 40, _EXEMPT_MID_BACKLOG_AND_TAIL)
+@example(0, 40, _EXEMPT_MID_BACKLOG_AND_TAIL)
+@example(2, 40, _EXEMPT_BEFORE_A_PARTIAL_STOP)
 @settings(max_examples=120, deadline=None)
 def test_o3_accounting_matches_literal_model(limit, backlog, ops):
     q = GlobalQueue(o3_limit=limit)
@@ -183,6 +200,13 @@ def test_o3_accounting_matches_literal_model(limit, backlog, ops):
         ]
         assert q.starved_count == sum(row[2] for row in spec.rows)
         assert [r.visits for r, _ in removed] == [v for _, v in removed]
+        excluded = {row[0].model_id for row in spec.rows[::2]}
+        for excluding in (excluded, exempt):
+            assert q.head(excluding) is next(
+                (row[0] for row in spec.rows if row[0].model_id not in excluding), None
+            )
+
+    exempt = set()  # the last bump's exempt models
 
     push(backlog)
     check()
@@ -199,12 +223,15 @@ def test_o3_accounting_matches_literal_model(limit, backlog, ops):
             q.push_sorted(request)  # visits preserved, maybe already past the limit
             spec.insert(request, visits)
         elif op[0] == "bump" and spec.rows:
+            exempt = {
+                spec.rows[i % len(spec.rows)][0].model_id for i in (op[2] if len(op) > 2 else ())
+            }
             if op[1] is None:
-                q.bump_visits_before(None)
-                spec.bump(len(spec.rows))
+                q.bump_visits_before(None, exempt)
+                spec.bump(len(spec.rows), exempt)
             else:
                 stop = op[1] % len(spec.rows)
                 entry = q.first_entry_for_model(spec.rows[stop][0].model_id)
-                q.bump_visits_before(entry.slot)
-                spec.bump(stop)
+                q.bump_visits_before(entry.slot, exempt)
+                spec.bump(stop, exempt)
         check()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core.request import InferenceRequest
 from repro.core.tenancy import TenancyController, TenantQuota
 from repro.experiments.replay import replay
 from repro.models import ModelInstance, get_profile
@@ -121,6 +122,65 @@ class TestEndToEndIsolation:
         assert r4.exec_start_at < r2.exec_start_at
         # and greedy-2 only ran after greedy-1 was evicted
         assert not system.cache.cached_anywhere(g1.instance_id)
+
+
+class TestOneTenantPerRequest:
+    def test_the_models_tenant_is_checked_and_charged(self):
+        """A request's own ``tenant`` field does not pick its quota: the
+        check, the process charge and the GPU-time charge all go to its
+        model's tenant.  Two ``acme`` models behind requests left at the
+        default tenant: the 1-process cap lets only the first one load."""
+        system = FaaSCluster(
+            SystemConfig(
+                cluster=ClusterSpec.homogeneous(1, 2),
+                policy="lb",
+                quotas={"acme": TenantQuota(max_processes=1)},
+            )
+        )
+        models = [
+            ModelInstance(f"acme-{i}", get_profile("alexnet"), tenant="acme") for i in (1, 2)
+        ]
+        for rid, model in enumerate(models, 1):
+            system.register_model(model)
+            request = InferenceRequest(model.instance_id, model, 0.0, rid)
+            assert request.tenant == "default"
+            system.submit(request)
+        system.run()
+        assert system.tenancy.usage("acme")["processes"] == 1
+        assert len(system.scheduler.global_queue) == 1  # the second waits
+        assert system.tenancy.usage("acme")["gpu_time_s"] > 0
+        assert system.tenancy.usage("default")["gpu_time_s"] == 0
+
+
+class TestMayRefuse:
+    """``may_refuse`` is derived: a share, or a tenant at its process cap."""
+
+    def make_controller(self, quotas):
+        return TenancyController(
+            Simulator(), quotas=quotas, total_memory_mb=10000.0, num_gpus=2
+        )
+
+    @pytest.mark.parametrize(
+        "quota, expected",
+        [
+            (TenantQuota(max_processes=1000), False),
+            (TenantQuota(max_processes=0), True),  # starts at its cap
+            (TenantQuota(max_memory_fraction=1.0), True),
+            (TenantQuota(max_time_fraction=1.0), True),
+        ],
+    )
+    def test_initial_state(self, quota, expected):
+        assert self.make_controller({"acme": quota}).may_refuse is expected
+        assert self.make_controller({}).may_refuse is False
+
+    def test_follows_the_process_count(self):
+        tc = self.make_controller({"acme": TenantQuota(max_processes=1)})
+        tc.register_instance(ModelInstance("fn-1", get_profile("alexnet"), tenant="acme"))
+        assert not tc.may_refuse
+        tc.on_cache_event("load", "g0", "fn-1", 0.0)
+        assert tc.may_refuse
+        tc.on_cache_event("evict", "g0", "fn-1", 1.0)
+        assert not tc.may_refuse
 
 
 class TestReplayQuotas:

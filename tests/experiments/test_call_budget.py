@@ -21,10 +21,11 @@ per request more than the untraced one.  Its span sampling is what keeps
 it there — at ``span_stride=1`` the same replay reads ~8.9 calls/request
 above untraced, so a hook that stops being sampled fails by ~8 calls.
 
-A fifth, ``quota``, is the route every quota'd replay takes: the shallow
-replay under a process quota it never reaches, so each per-GPU scan is the
-literal Algorithm 1/2 loop with its per-request admission probes, and
-every miss runs the tenancy controller's accounting.
+Two more, ``quota`` and ``deep_quota``, are the shallow and the
+over-capacity replays under a process quota they never reach.  The scans
+are the same index scans (the controller's ``may_refuse`` stays False, so
+no scan asks the quota anything); what they add is the tenancy
+controller's accounting on every miss and its probe in Algorithm 2.
 """
 
 import sys
@@ -61,9 +62,12 @@ QUOTA_CONFIG = SystemConfig(quotas={"default": TenantQuota(max_processes=1000)})
 #: 135.27 / 135.87 / 122.39 / 153.40 / 150.92, and the one before the
 #: latency record was keyed by function (a per-node window of
 #: per-request keys, one delete per completion past it) read 152.40
-#: streaming.  They may only go down.
+#: streaming, and the one before quota admission moved onto the index
+#: scans (every quota'd scan the literal Algorithm 1/2 loop) read 141.65
+#: quota and 250.94 deep_quota.  They may only go down.
 ACHIEVED = {
-    "shallow": 134.28, "traced": 134.87, "deep": 121.62, "stream": 146.36, "quota": 141.65,
+    "shallow": 134.28, "traced": 134.87, "deep": 121.62, "stream": 146.36,
+    "quota": 140.68, "deep_quota": 129.11,
 }
 #: headroom for interpreter-version differences in what counts as a call
 HEADROOM = 1.03
@@ -123,6 +127,11 @@ def test_streaming_calls_per_request_within_budget():
 @needs_the_profiler
 def test_quota_calls_per_request_within_budget():
     _assert_within_budget("quota", 1950, build_workload(SHALLOW_2K), QUOTA_CONFIG)
+
+
+@needs_the_profiler
+def test_deep_quota_calls_per_request_within_budget():
+    _assert_within_budget("deep_quota", 8000, build_workload(DEEP_8K), QUOTA_CONFIG)
 
 
 @needs_the_profiler

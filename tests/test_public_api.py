@@ -155,13 +155,18 @@ def test_gateway_uses_the_system_datastore():
 
 
 def test_tenant_admission_certificate_stays_gone():
-    """One scan-route rule: any tenant quota takes the literal scans, so
-    neither the per-pass certificate nor the queue's tenant index exists."""
-    from repro.core import GlobalQueue, TenancyController
+    """One scan route, quota or not: no per-pass certificate, no tenant
+    index in the queue, and no switch between index and literal scans
+    (the literal ones live in ``tests/spec/``)."""
+    import repro.core.scheduler
+    from repro.core import GlobalQueue, LALBPolicy, Scheduler, TenancyController
 
     with pytest.raises(TypeError):
         GlobalQueue(track_tenants=True)
     assert not hasattr(TenancyController, "pass_admission_trivial")
+    assert not hasattr(repro.core.scheduler, "_admission_is_trivial")
+    assert not hasattr(Scheduler, "index_scans")
+    assert not hasattr(LALBPolicy, "_schedule_gpu_reference")
 
 
 def test_ids_are_minted_by_their_owners():
