@@ -87,7 +87,7 @@ def test_cache_locations_index(benchmark):
     cache = CacheManager(sim, cluster.gpus, datastore=Datastore(sim))
     hot = ModelInstance("hot", get_profile("resnet50"))
     for gpu in cluster.gpus[:8]:
-        gpu.admit("hot", hot.occupied_mb).mark_ready(0.0)
+        gpu.admit("hot", hot.occupied_mb)
         cache.on_loaded(gpu.gpu_id, hot)
     locations = benchmark(cache.locations, "hot")
     assert len(locations) == 8
@@ -149,7 +149,7 @@ def _system_with_hit_at_tail(depth: int, quotas=None):
     ]
     hot = ModelInstance("hot", get_profile("alexnet"))
     idle = system.cluster.gpus[0]
-    idle.admit(hot.instance_id, hot.occupied_mb).mark_ready(0.0)
+    idle.admit(hot.instance_id, hot.occupied_mb)
     system.cache.on_loaded(idle.gpu_id, hot)
     for gpu in system.cluster.gpus[1:]:
         gpu.begin_inference()

@@ -1,12 +1,15 @@
 """GPU device model: memory residency, busy/idle state, SM accounting.
 
 A :class:`GPUDevice` is the mechanical substrate under the paper's GPU
-Manager.  It tracks exactly the state the scheduler and Cache Manager need:
+Manager, and the one owner of a GPU's state:
 
-* which model instances are resident (and how much memory they hold),
+* which model instances are resident and how much memory each holds —
+  the paper runs one GPU process per cached model (§III-C), so a resident
+  model *is* its process: admitting one starts it, evicting one kills it,
 * whether the GPU is idle, uploading a model (PCIe busy, SM idle) or
   executing inference (SM busy) — the paper's GPU Managers enforce one
-  request at a time per GPU (§III-C),
+  request at a time per GPU (§III-C), so the device's state is also the
+  state of whichever process it is serving,
 * cumulative time per state, from which §V-C's SM utilization is computed.
 
 The device itself never makes policy decisions; eviction and dispatch
@@ -16,11 +19,8 @@ belong to the Cache Manager and Scheduler.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
-from ..sim import IntervalAccumulator, Simulator
-from .pcie import PCIeModel
-from .process import GPUProcess, ProcessState
+from ..sim import Simulator
 
 __all__ = ["GPUState", "GPUDevice", "GPUMemoryError"]
 
@@ -60,7 +60,6 @@ class GPUDevice:
         memory_mb: float = 7800.0,
         gpu_type: str = "rtx2080",
         node_id: str = "node0",
-        pcie: PCIeModel | None = None,
     ) -> None:
         if memory_mb <= 0:
             raise ValueError("memory_mb must be positive")
@@ -69,7 +68,6 @@ class GPUDevice:
         self.node_id = node_id
         self.gpu_type = gpu_type
         self.memory_mb = float(memory_mb)
-        self.pcie = pcie or PCIeModel()
         self.state = GPUState.IDLE
         # state flags as plain attributes: the scheduling passes probe
         # is_idle tens of times per pass, so a property call would be a
@@ -77,16 +75,16 @@ class GPUDevice:
         self.is_idle = True
         self.is_busy = False
         self.is_online = True
-        self._processes: dict[str, GPUProcess] = {}  # model_instance -> process
+        self._resident: dict[str, float] = {}  # model_instance -> occupied MB
         self._used_mb = 0.0
-        # keyed by the state value strings, read via the enum's _value_
-        # slot: interned-string hashing is C-level, while both Enum.value
-        # (a DynamicClassAttribute) and Enum.__hash__ are Python-level —
-        # this runs on every busy/idle transition.  Every state starts
-        # with a total, so _set_state closes an interval with one add.
-        self._intervals = IntervalAccumulator(sim)
-        self._intervals.start(GPUState.IDLE._value_)
-        self._intervals.totals.update(dict.fromkeys([s._value_ for s in GPUState], 0.0))
+        # seconds per state, closed up to _since.  Keyed by the state value
+        # strings, read via the enum's _value_ slot: interned-string
+        # hashing is C-level, while both Enum.value (a
+        # DynamicClassAttribute) and Enum.__hash__ are Python-level — this
+        # runs on every busy/idle transition.  Every state starts with a
+        # total, so _set_state closes an interval with one add.
+        self._seconds = dict.fromkeys([s._value_ for s in GPUState], 0.0)
+        self._since = sim.now
         self._completed_requests = 0
         #: the owning Cluster, whose views _set_state keeps exact in line,
         #: and this GPU's index in its use-frequency order
@@ -126,22 +124,19 @@ class GPUDevice:
 
     def resident_models(self) -> list[str]:
         """Model instances currently occupying device memory."""
-        return list(self._processes)
+        return list(self._resident)
 
     def has_model(self, model_instance: str) -> bool:
-        return model_instance in self._processes
+        return model_instance in self._resident
 
-    def process_for(self, model_instance: str) -> GPUProcess:
-        return self._processes[model_instance]
-
-    def admit(self, model_instance: str, occupied_mb: float) -> GPUProcess:
-        """Reserve memory and register a new (STARTING) GPU process.
+    def admit(self, model_instance: str, occupied_mb: float) -> None:
+        """Reserve memory for ``model_instance`` (start its GPU process).
 
         Raises :class:`GPUMemoryError` if the model does not fit — callers
         (the Cache Manager) must evict victims first; the device never
         silently oversubscribes, mirroring the OOM-avoidance guarantee.
         """
-        if model_instance in self._processes:
+        if model_instance in self._resident:
             raise ValueError(f"{model_instance} already resident on {self.gpu_id}")
         if occupied_mb > self.memory_mb:
             raise GPUMemoryError(
@@ -153,38 +148,25 @@ class GPUDevice:
                 f"{model_instance} needs {occupied_mb} MB but {self.gpu_id} "
                 f"has only {self.free_mb:.0f} MB free"
             )
-        proc = GPUProcess(
-            model_instance=model_instance,
-            occupied_mb=float(occupied_mb),
-            gpu_id=self.gpu_id,
-            started_at=self.sim.now,
-        )
-        self._processes[model_instance] = proc
-        self._used_mb += occupied_mb
-        return proc
+        mb = self._resident[model_instance] = float(occupied_mb)
+        self._used_mb += mb
 
-    def evict(self, model_instance: str, *, force: bool = False) -> GPUProcess:
+    def evict(self, model_instance: str, *, force: bool = False) -> None:
         """Kill the process hosting ``model_instance`` and release its memory.
 
-        ``force=True`` allows killing a RUNNING process — only failure
-        handling does this (the in-flight request is re-queued elsewhere).
+        Refused while the GPU is loading or inferring unless ``force`` —
+        only failure handling forces (the in-flight request is re-queued
+        elsewhere).
         """
-        proc = self._processes.pop(model_instance, None)
-        if proc is None:
+        if model_instance not in self._resident:
             raise KeyError(f"{model_instance} is not resident on {self.gpu_id}")
-        if proc.state is ProcessState.RUNNING and not force:
-            self._processes[model_instance] = proc
+        if not force and (self.state is GPUState.LOADING or self.state is GPUState.INFERRING):
             raise RuntimeError(
-                f"cannot evict {model_instance} on {self.gpu_id}: inference in flight"
+                f"cannot evict {model_instance} on {self.gpu_id}: {self.state.value} in flight"
             )
-        proc.kill(self.sim.now)
-        self._used_mb -= proc.occupied_mb
+        self._used_mb -= self._resident.pop(model_instance)
         if self._used_mb < 1e-9:
             self._used_mb = 0.0
-        return proc
-
-    def evict_many(self, model_instances: Iterable[str]) -> list[GPUProcess]:
-        return [self.evict(m) for m in model_instances]
 
     # ------------------------------------------------------------------
     # Busy / idle state machine
@@ -217,13 +199,11 @@ class GPUDevice:
         self._set_state(to)
 
     def _set_state(self, to: GPUState) -> None:
-        # IntervalAccumulator.switch and the owning cluster's views, in
-        # line: two of these run per request
-        iv = self._intervals
+        # close the current state's interval, then update the owning
+        # cluster's views in line: two of these run per request
         now = self.sim._now
-        iv.totals[iv.state] += now - iv._since
-        iv.state = to._value_
-        iv._since = now
+        self._seconds[self.state._value_] += now - self._since
+        self._since = now
         was_idle = self.is_idle
         self.state = to
         idle = self.is_idle = to is GPUState.IDLE
@@ -240,7 +220,11 @@ class GPUDevice:
     # SM-utilization accounting (paper §V-C)
     # ------------------------------------------------------------------
     def time_in(self, state: GPUState) -> float:
-        return self._intervals.total(state._value_)
+        """Seconds spent in ``state``, the open interval included."""
+        seconds = self._seconds[state._value_]
+        if state is self.state:
+            seconds += self.sim.now - self._since
+        return seconds
 
     def sm_utilization(self, horizon: float | None = None) -> float:
         """Fraction of elapsed time the SMs were executing inference.
@@ -249,11 +233,14 @@ class GPUDevice:
         remains zero until the victim model becomes evicted and the new
         model is uploaded" (§V-C).
         """
-        return self._intervals.fraction(GPUState.INFERRING._value_, horizon)
+        elapsed = horizon if horizon is not None else self.sim.now
+        if elapsed <= 0:
+            return 0.0
+        return self.time_in(GPUState.INFERRING) / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<GPUDevice {self.gpu_id} {self.state.value} "
             f"{self._used_mb:.0f}/{self.memory_mb:.0f} MB "
-            f"models={sorted(self._processes)}>"
+            f"models={sorted(self._resident)}>"
         )

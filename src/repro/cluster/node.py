@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ..sim import Simulator
 from .gpu import GPUDevice
-from .pcie import PCIeModel
 
 __all__ = ["GPUNode"]
 
@@ -27,7 +26,6 @@ class GPUNode:
         num_gpus: int = 4,
         memory_mb: float = 7800.0,
         gpu_type: str = "rtx2080",
-        pcie: PCIeModel | None = None,
     ) -> None:
         if num_gpus <= 0:
             raise ValueError("num_gpus must be positive")
@@ -41,7 +39,6 @@ class GPUNode:
                 memory_mb=memory_mb,
                 gpu_type=gpu_type,
                 node_id=node_id,
-                pcie=pcie,
             )
             for i in range(num_gpus)
         ]

@@ -171,7 +171,6 @@ def build_cluster(sim: Simulator, spec: ClusterSpec = PAPER_TESTBED) -> Cluster:
                 num_gpus=num_gpus,
                 memory_mb=t.memory_mb,
                 gpu_type=t.name,
-                pcie=t.pcie,
             )
         )
     return Cluster(sim, nodes)

@@ -30,7 +30,7 @@ class DecisionKind(enum.Enum):
     MOVE_TO_LOCAL = "move_to_local"        # Alg. 2 line 12: wait beats load
     RESUBMIT = "resubmit"                  # failure handling: back to global queue
     TIMEOUT = "timeout"                    # per-request deadline expired while queued
-    LOST = "lost"                          # retry budget exhausted; request dropped
+    LOST = "lost"                          # retry budget exhausted, or stranded at drain
 
 
 class Decision(NamedTuple):

@@ -1,11 +1,14 @@
 """GPU Managers (paper §III-C).
 
 One GPU Manager runs per GPU node and manages the GPU processes on that
-node.  For each dispatched request it:
+node — one per resident model, kept by the device as its residency
+(:class:`~repro.cluster.gpu.GPUDevice` owns all of a GPU's state).  For
+each dispatched request it:
 
 1. asks the Cache Manager whether the model is resident (hit) or not (miss),
 2. on a miss, evicts the victim models the Cache Manager selects (killing
-   their processes), starts a new GPU process, and uploads the model,
+   their processes), admits the new model (starting its process), and
+   uploads it,
 3. runs the inference (one request at a time per GPU),
 4. reports the latency to the Datastore (one ``fn/latency/<function>``
    record per function, overwritten by each completion), updates the LRU
@@ -29,7 +32,6 @@ from typing import Callable, NamedTuple
 
 from ..cluster.gpu import GPUDevice, GPUState
 from ..cluster.node import GPUNode
-from ..cluster.process import GPUProcess
 from ..datastore.client import Datastore
 from ..models.profiler import ProfileRegistry
 from ..sim import Simulator
@@ -146,7 +148,7 @@ class GPUManager:
         if self.on_dispatch is not None:
             self.on_dispatch(request)
         if hit:
-            self._start_inference(gpu, gpu.process_for(model_id), request)
+            self._start_inference(gpu, request)
         else:
             self._start_miss(gpu, request)
 
@@ -158,7 +160,7 @@ class GPUManager:
         for victim in victims:
             gpu.evict(victim)
             self.cache.on_evicted(gpu.gpu_id, victim)
-        proc = gpu.admit(request.model_id, request.model.occupied_mb)
+        gpu.admit(request.model_id, request.model.occupied_mb)
         gpu.begin_loading()
         load_t = self.estimator.load_time(request, gpu)
         infer_t = self.estimator.infer_time(request, gpu)
@@ -172,19 +174,17 @@ class GPUManager:
         self._busy_until[gpu.gpu_id] = busy_until
         self._put(self._finish_key[slot], busy_until)
         self._pending_event[slot] = self.sim.schedule_at(
-            now + load_t, self._loaded, gpu, proc, request
+            now + load_t, self._loaded, gpu, request
         )
 
-    def _loaded(self, gpu: GPUDevice, proc: GPUProcess, request: InferenceRequest) -> None:
-        proc.mark_ready(self.sim.now)
+    def _loaded(self, gpu: GPUDevice, request: InferenceRequest) -> None:
         self.cache.on_loaded(gpu.gpu_id, request.model)
-        self._start_inference(gpu, proc, request)
+        self._start_inference(gpu, request)
 
     # ------------------------------------------------------------------
     # Hit path / common inference execution
     # ------------------------------------------------------------------
-    def _start_inference(self, gpu: GPUDevice, proc: GPUProcess, request: InferenceRequest) -> None:
-        proc.mark_running()
+    def _start_inference(self, gpu: GPUDevice, request: InferenceRequest) -> None:
         gpu.begin_inference()
         now = request.exec_start_at = self.sim._now
         infer_t = self.estimator.infer_time(request, gpu)
@@ -197,13 +197,12 @@ class GPUManager:
         self._put(self._finish_key[slot], busy_until)
         # the completion fires at exactly the published finish time
         self._pending_event[slot] = self.sim.schedule_at(
-            busy_until, self._finished, gpu, proc, request
+            busy_until, self._finished, gpu, request
         )
 
-    def _finished(self, gpu: GPUDevice, proc: GPUProcess, request: InferenceRequest) -> None:
+    def _finished(self, gpu: GPUDevice, request: InferenceRequest) -> None:
         slot = gpu._mgr_slot
         draining = self._draining[slot]
-        proc.mark_done()
         if draining:
             gpu.completed_requests += 1  # the setter re-files: it goes offline next
         else:

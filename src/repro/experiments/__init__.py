@@ -8,7 +8,7 @@ from .ablations import (
     run_gpu_scaling,
 )
 from .fig4 import format_fig4, headline_reductions, run_fig4
-from .replay import GatewayReplay, replay, replay_through_gateway
+from .replay import replay
 from .fig5 import false_per_miss, format_fig5, run_fig5
 from .fig6 import format_fig6, run_fig6
 from .fig7 import PAPER_O3_LIMITS, format_fig7, run_fig7
@@ -37,9 +37,7 @@ __all__ = [
     "run_belady_bound",
     "run_cache_policy_ablation",
     "run_gpu_scaling",
-    "GatewayReplay",
     "replay",
-    "replay_through_gateway",
     "format_fig4",
     "headline_reductions",
     "run_fig4",

@@ -40,7 +40,7 @@ class Container:
         self.started_at = sim.now
         self.handled = 0
 
-    def mark_ready(self) -> None:
+    def become_ready(self) -> None:
         if self.state is not ContainerState.STARTING:
             raise RuntimeError(f"{self.container_id} cannot become ready from {self.state}")
         self.state = ContainerState.IDLE
@@ -121,7 +121,7 @@ class ContainerPool:
         self.containers.append(c)
 
         def _ready() -> None:
-            c.mark_ready()
+            c.become_ready()
             # serve any invocation that was waiting for a warm replica
             while self._waiters and c.state is ContainerState.IDLE:
                 waiter = self._waiters.pop(0)

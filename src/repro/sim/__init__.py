@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel (clock, events, timers)."""
 
 from .engine import Event, SimError, Simulator
-from .resources import IntervalAccumulator, PeriodicTimer
+from .resources import PeriodicTimer
 
-__all__ = ["Event", "SimError", "Simulator", "IntervalAccumulator", "PeriodicTimer"]
+__all__ = ["Event", "SimError", "Simulator", "PeriodicTimer"]

@@ -6,14 +6,16 @@ use-frequency order on its way back to idle.  Random sequences of device
 transitions, completions and completion-count writes on a small cluster
 check, after every step, every view the scheduler reads against a
 recount from the devices, and each device's per-state time against a
-reference :class:`~repro.sim.IntervalAccumulator` switched alongside it.
+reference :class:`~tests.spec.intervals.IntervalAccumulator` switched
+alongside it.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, GPUState, GPUTypeSpec, build_cluster
-from repro.sim import IntervalAccumulator, Simulator
+from repro.sim import Simulator
+from tests.spec.intervals import IntervalAccumulator
 
 N_GPUS = 5  # two nodes: 3 + 2
 

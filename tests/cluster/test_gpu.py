@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import GPUDevice, GPUMemoryError, GPUState, ProcessState
+from repro.cluster import GPUDevice, GPUMemoryError, GPUState
 from repro.sim import Simulator
 
 
@@ -24,12 +24,11 @@ class TestMemoryAndResidency:
         assert gpu.resident_models() == []
 
     def test_admit_reserves_memory(self, gpu):
-        proc = gpu.admit("m1", 3000.0)
+        gpu.admit("m1", 3000.0)
         assert gpu.used_mb == 3000.0
         assert gpu.free_mb == 5000.0
         assert gpu.has_model("m1")
-        assert proc.state is ProcessState.STARTING
-        assert gpu.process_for("m1") is proc
+        assert gpu.resident_models() == ["m1"]
 
     def test_admit_duplicate_rejected(self, gpu):
         gpu.admit("m1", 1000.0)
@@ -47,40 +46,47 @@ class TestMemoryAndResidency:
         with pytest.raises(GPUMemoryError):
             gpu.admit("huge", 9000.0)
 
-    def test_evict_releases_memory_and_kills_process(self, sim, gpu):
-        proc = gpu.admit("m1", 3000.0)
-        proc.mark_ready(sim.now)
-        evicted = gpu.evict("m1")
-        assert evicted is proc
-        assert proc.state is ProcessState.KILLED
+    def test_evict_releases_memory_and_kills_process(self, gpu):
+        gpu.admit("m1", 3000.0)
+        gpu.evict("m1")
         assert gpu.used_mb == 0.0
         assert not gpu.has_model("m1")
+        gpu.admit("m1", 3000.0)  # a killed process can be started again
+        assert gpu.has_model("m1")
 
     def test_evict_unknown_model_raises(self, gpu):
         with pytest.raises(KeyError):
             gpu.evict("nope")
 
-    def test_evict_running_process_rejected(self, sim, gpu):
-        proc = gpu.admit("m1", 1000.0)
-        proc.mark_ready(sim.now)
-        proc.mark_running()
-        with pytest.raises(RuntimeError):
+    @pytest.mark.parametrize("busy", ["begin_loading", "begin_inference"])
+    def test_evict_rejected_while_busy(self, gpu, busy):
+        """Only failure handling kills a process while its GPU loads or
+        infers; a refused eviction leaves residency untouched."""
+        gpu.admit("m1", 1000.0)
+        getattr(gpu, busy)()
+        with pytest.raises(RuntimeError, match="m1 on node0/cuda:0"):
             gpu.evict("m1")
-
-    def test_evict_many(self, sim, gpu):
-        for m in ("a", "b", "c"):
-            gpu.admit(m, 1000.0).mark_ready(sim.now)
-        gpu.evict_many(["a", "c"])
-        assert gpu.resident_models() == ["b"]
+        assert gpu.has_model("m1")
         assert gpu.used_mb == 1000.0
+        gpu.become_idle()
+        gpu.evict("m1")
+        assert gpu.used_mb == 0.0
+
+    def test_evict_keeps_other_residents_in_admission_order(self, gpu):
+        for m in ("a", "b", "c", "d"):
+            gpu.admit(m, 1000.0)
+        gpu.evict("a")
+        gpu.evict("c")
+        assert gpu.resident_models() == ["b", "d"]
+        assert gpu.used_mb == 2000.0
 
     def test_exact_fit_admission(self, gpu):
         gpu.admit("m1", 8000.0)
         assert gpu.free_mb == 0.0
 
-    def test_memory_never_negative_after_evictions(self, sim, gpu):
+    def test_memory_never_negative_after_evictions(self, gpu):
         for i in range(5):
-            gpu.admit(f"m{i}", 1600.0).mark_ready(sim.now)
+            gpu.admit(f"m{i}", 1600.0)
         for i in range(5):
             gpu.evict(f"m{i}")
         assert gpu.used_mb == 0.0

@@ -54,9 +54,8 @@ def test_offline_time_not_counted_as_sm_busy(gpu):
 
 
 def test_force_evict_running_process(gpu):
-    proc = gpu.admit("m", 1000.0)
-    proc.mark_ready(0.0)
-    proc.mark_running()
+    gpu.admit("m", 1000.0)
+    gpu.begin_inference()
     with pytest.raises(RuntimeError):
         gpu.evict("m")
     assert gpu.has_model("m")  # failed evict must not corrupt residency

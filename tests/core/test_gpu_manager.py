@@ -92,16 +92,17 @@ class TestEvictionPath:
         assert not system.cache.cached_anywhere(a.model_id)
 
     def test_evicted_process_is_killed(self, system, make_request):
-        from repro.cluster import ProcessState
-
+        """Killing the victim's process releases all of its memory: only
+        the new model's occupation is left on the device."""
         gpu0, gpu1 = system.cluster.gpus
         gpu1.begin_inference()
         a = submit(system, make_request("fn-a", "vgg19"))
         system.run(until=system.sim.now + 10)
-        proc_a = gpu0.process_for(a.model_id)
-        submit(system, make_request("fn-b", "vgg16"))
+        assert gpu0.used_mb == a.model.occupied_mb
+        b = submit(system, make_request("fn-b", "vgg16"))
         system.run(until=system.sim.now + 10)
-        assert proc_a.state is ProcessState.KILLED
+        assert gpu0.resident_models() == [b.model_id]
+        assert gpu0.used_mb == b.model.occupied_mb
 
 
 class TestStateAndReporting:

@@ -15,7 +15,7 @@ def build(gpus=2):
 
 
 def warm(system, instance, gpu):
-    gpu.admit(instance.instance_id, instance.occupied_mb).mark_ready(system.sim.now)
+    gpu.admit(instance.instance_id, instance.occupied_mb)
     system.cache.on_loaded(gpu.gpu_id, instance)
 
 

@@ -25,7 +25,7 @@ def build(policy, gpus=2, o3_limit=25):
 
 def warm(system, instance, gpu):
     """Pre-load a model instance onto a GPU (bypassing a request)."""
-    gpu.admit(instance.instance_id, instance.occupied_mb).mark_ready(system.sim.now)
+    gpu.admit(instance.instance_id, instance.occupied_mb)
     system.cache.on_loaded(gpu.gpu_id, instance)
 
 

@@ -1,18 +1,31 @@
 """The replay driver, and the gateway-level replay: the full FaaS path
-must agree with the scheduler-level runs."""
+must agree with the scheduler-level runs.
 
+The gateway replay lives here, with its only consumer: it replays a
+workload through the *entire* FaaS front-end instead of submitting
+requests to the Scheduler — every workload function is registered via the
+Gateway (Dockerfile flag parsing, ML-API interception, container pools,
+Watchdog), and every trace invocation becomes a Gateway call.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core import DecisionKind, TenantQuota
 from repro.core.gpu_manager import LatencyRecord
 from repro.core.policies import SCHEDULING_POLICY_NAMES
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.experiments.replay import replay, replay_through_gateway
-from repro.runtime import SystemConfig
+from repro.experiments.replay import replay
+from repro.faas import FunctionSpec, Gateway, Invocation
+from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces import (
     AzureTraceConfig,
     SyntheticAzureTrace,
     WorkloadSpec,
+    assign_architectures,
     build_workload,
     spec_for_requests,
 )
@@ -22,15 +35,67 @@ SMALL_TRACE = SyntheticAzureTrace(
 )
 SMALL_SPEC = WorkloadSpec(working_set=6, minutes=2, requests_per_minute=60)
 SMALL_CLUSTER = ClusterSpec.homogeneous(1, 4)
+#: containers are pre-built during the warm-up (registration pays the image
+#: build once, as in a real deployment); invocations are shifted by it so
+#: the GPU-side workload keeps the trace's timing
+WARMUP_S = 5.0
+
+
+@dataclass
+class GatewayReplay:
+    """Results of a gateway-level replay."""
+
+    system: FaaSCluster
+    gateway: Gateway
+    invocations: list[Invocation] = field(default_factory=list)
+
+    @property
+    def completed_invocations(self) -> list[Invocation]:
+        return [inv for inv in self.invocations if inv.completed_at is not None]
+
+    def faas_overhead(self) -> float:
+        """Mean per-invocation overhead the FaaS layer adds on top of the
+        scheduler-visible latency (container / Watchdog handling)."""
+        invocation = np.mean([inv.latency for inv in self.completed_invocations])
+        return float(invocation - np.mean([r.latency for r in self.system.completed]))
+
+    def cache_miss_ratio(self) -> float:
+        reqs = self.system.completed
+        return sum(1 for r in reqs if r.cache_hit is False) / len(reqs)
 
 
 @pytest.fixture(scope="module", name="replay")
 def gateway_replay():
-    return replay_through_gateway(
-        SMALL_SPEC,
-        config=SystemConfig(cluster=SMALL_CLUSTER, policy="lalbo3"),
-        trace=SMALL_TRACE,
+    """Register the workload's functions and replay its invocations."""
+    workload = build_workload(SMALL_SPEC, trace=SMALL_TRACE)
+    system = FaaSCluster(SystemConfig(cluster=SMALL_CLUSTER, policy="lalbo3"))
+    gateway = Gateway(system)
+    arch_of = assign_architectures(workload.function_ids)
+    for fid in workload.function_ids:
+        fn = gateway.register(
+            FunctionSpec(name=fid, model_architecture=arch_of[fid], max_replicas=32)
+        )
+        # the gateway minted its own model instance; align the workload's
+        # cache-item identity with it so per-function caching matches
+        workload.instances[fid] = fn.model_handle.instance
+    system.run(until=WARMUP_S)  # image builds + first replicas
+
+    result = GatewayReplay(system=system, gateway=gateway)
+
+    def fire(fid: str) -> None:
+        result.invocations.append(gateway.invoke(fid))
+
+    # gateway invocations need only (time, function name): feed the
+    # workload's columns straight into the bulk scheduler — no
+    # InferenceRequest objects are materialized on this path at all
+    fids = workload.function_ids
+    system.sim.schedule_many(
+        (WARMUP_S + workload.arrival_times).tolist(),
+        fire,
+        ((fids[i],) for i in workload.function_index.tolist()),
     )
+    system.run()
+    return result
 
 
 class TestReplay:
@@ -128,3 +193,23 @@ class TestReplayDriver:
             )
             live.append(len(keys))
         assert live[0] == live[1]
+
+    @pytest.mark.parametrize("policy", SCHEDULING_POLICY_NAMES)
+    def test_a_binding_process_quota_strands_no_request_silently(self, policy):
+        """A tenant at its process cap never frees its own idle processes,
+        so a binding quota leaves requests queued with every GPU idle and
+        no event left to wake the Scheduler.  The replay still accounts
+        for every request: each one stranded at the drain leaves its queue
+        as LOST (reason ``"stranded"``), with a LOST decision row."""
+        workload = build_workload(WorkloadSpec(working_set=15, minutes=1))
+        config = SystemConfig(policy=policy, quotas={"default": TenantQuota(max_processes=6)})
+        summary, system = replay(config, workload)
+        scheduler = system.scheduler
+        assert 0 < summary.lost_requests < len(workload)  # the quota binds
+        assert len(system.completed) + summary.lost_requests == len(workload)
+        assert system.metrics.lost_reasons == {"stranded": summary.lost_requests}
+        assert len(scheduler.global_queue) == 0
+        assert scheduler.local_queues.total() == 0
+        assert all(gpu.is_idle for gpu in system.cluster.gpus)
+        lost = [d for d in scheduler.decisions if d.kind is DecisionKind.LOST]
+        assert len(lost) == summary.lost_requests

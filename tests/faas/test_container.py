@@ -23,7 +23,7 @@ class TestContainer:
     def test_lifecycle(self, sim, spec):
         c = Container(sim, spec, "fn-1")
         assert c.state is ContainerState.STARTING
-        c.mark_ready()
+        c.become_ready()
         c.acquire()
         assert c.state is ContainerState.BUSY
         c.release()
@@ -39,7 +39,7 @@ class TestContainer:
 
     def test_release_requires_busy(self, sim, spec):
         c = Container(sim, spec, "fn-1")
-        c.mark_ready()
+        c.become_ready()
         with pytest.raises(RuntimeError):
             c.release()
 

@@ -171,23 +171,29 @@ def test_tenant_admission_certificate_stays_gone():
 
 def test_ids_are_minted_by_their_owners():
     """No ID has a default drawn from a module-level counter: a request
-    takes its ID from whoever builds it, and a GPU process is named by its
-    model and GPU, with no pid."""
-    from repro.cluster import GPUProcess
-
-    assert "pid" not in {f.name for f in dataclasses.fields(GPUProcess)}
+    takes its ID from whoever builds it."""
     fields = {f.name: f for f in dataclasses.fields(repro.InferenceRequest)}
     assert fields["request_id"].default is dataclasses.MISSING
     assert fields["request_id"].default_factory is dataclasses.MISSING
 
 
 def test_reference_engines_stay_out_of_src():
-    """The per-request workload builder and the no-op tracer protocol are
-    test oracles / dead twins now; pinning the export lists keeps them
-    from growing back."""
+    """The per-request workload builder, the no-op tracer protocol and the
+    interval accumulator are test oracles / dead twins now, and a GPU's
+    state has one owner (the device, no process objects); pinning the
+    export lists keeps them from growing back."""
+    import repro.cluster
     import repro.datastore
     import repro.obs
+    import repro.sim
     import repro.traces
+
+    assert set(repro.cluster.__all__) == {
+        "GPUDevice", "GPUMemoryError", "GPUState", "GPUNode", "PCIeModel",
+        "fit_pcie_model", "PAPER_TESTBED", "Cluster", "ClusterSpec",
+        "GPUTypeSpec", "build_cluster",
+    }
+    assert set(repro.sim.__all__) == {"Event", "SimError", "Simulator", "PeriodicTimer"}
 
     assert set(repro.traces.__all__) == {
         "AzureTraceConfig", "SyntheticAzureTrace", "calibrate_zipf_exponent",
@@ -221,7 +227,7 @@ def test_one_way_in():
     assert set(repro.experiments.__all__) == {
         "build_belady_oracle", "run_batch_size_sweep", "run_belady_bound",
         "run_cache_policy_ablation", "run_gpu_scaling",
-        "GatewayReplay", "replay", "replay_through_gateway",
+        "replay",
         "format_fig4", "headline_reductions", "run_fig4",
         "false_per_miss", "format_fig5", "run_fig5", "format_fig6", "run_fig6",
         "PAPER_O3_LIMITS", "format_fig7", "run_fig7",
