@@ -84,11 +84,13 @@ def test_cache_locations_index(benchmark):
 
     sim = Simulator()
     cluster = build_cluster(sim, ClusterSpec.homogeneous(4, 4))
-    cache = CacheManager(sim, cluster.gpus, datastore=Datastore(sim))
+    datastore = Datastore(sim)
+    cache = CacheManager(sim, cluster.gpus, datastore=datastore)
     hot = ModelInstance("hot", get_profile("resnet50"))
     for gpu in cluster.gpus[:8]:
         gpu.admit("hot", hot.occupied_mb)
         cache.on_loaded(gpu.gpu_id, hot)
+        datastore.flush()
     locations = benchmark(cache.locations, "hot")
     assert len(locations) == 8
 

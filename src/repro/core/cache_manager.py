@@ -14,8 +14,8 @@ Treats the models uploaded to each GPU's memory as cache items:
 * mirrors each GPU's LRU list and every model's locations into the
   Datastore (§III-E): each cache event puts the touched GPU's eviction
   order and, on a load or eviction, the model's locations (or deletes the
-  key once no GPU holds the model).  Against a batched Datastore the
-  puts of one scheduling action coalesce per key, so ten LRU touches
+  key once no GPU holds the model).  The Datastore coalesces the
+  puts of one scheduling action per key, so ten LRU touches
   commit as one transaction carrying the last list.
 """
 

@@ -20,7 +20,7 @@ profiled model latencies and elapse on the simulated clock.
 
 Datastore writes (status, finish time, latency records) are ``put``
 calls on the system's :class:`~repro.datastore.client.Datastore`;
-against a batched one every write a single step issues — e.g. a
+every write a single step issues — e.g. a
 completion's LRU touch + status flip + latency record — accumulates and
 commits as one transaction at the action boundary (the Scheduler's flush
 or the simulator's post-event hook), one revision.

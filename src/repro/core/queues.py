@@ -249,7 +249,8 @@ class GlobalQueue:
         if request.request_id in self._by_id:
             raise ValueError(f"request {request.request_id} already queued")
         # settle: position == insertion index, and the bump counter is
-        # empty, so the slots past the insert may shift under it
+        # empty, so the slots past the insert may shift under it; its
+        # version bump sends a suspended ``iter_requests`` back to its key
         self._reindex()
         key = (request.arrival_time, next(self._seq))
         pos = bisect_left(self._keys, key)
@@ -261,7 +262,6 @@ class GlobalQueue:
         self._keys.insert(pos, key)
         for i in range(pos + 1, len(self._entries)):
             self._entries[i].slot = i  # type: ignore[union-attr]  # all alive post-reindex
-        self._version += 1
         self._by_id[request.request_id] = entry
         self._bucket_insert(entry)
         model_id = entry.model_id

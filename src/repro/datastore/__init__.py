@@ -1,15 +1,13 @@
 """etcd-like Datastore: MVCC KV store, leases, and the control plane's
-batched write path (:class:`WriteBatch`).
+batched write path.
 
 :class:`Datastore` is the one write API the components hold (``put`` /
-``delete`` / ``flush``).  Mutations commit either one-per-revision (a
-write-through ``Datastore()``, ``KVStore.put``/``delete``) or as atomic
-multi-key batches (``Datastore(batched=True)``'s :class:`WriteBatch`, and
-its reference ``KVStore.apply_batch`` — one revision, last-write-wins per
-key).
+``delete`` / ``flush``).  Its writes commit at action boundaries as
+atomic multi-key batches — one revision, last-write-wins per key — the
+commit ``KVStore.apply_batch`` specifies; ``KVStore.put`` / ``delete``
+commit one revision each.
 """
 
-from .batch import WriteBatch
 from .client import EPHEMERAL_HOT_PREFIXES, Datastore, WriteStats
 from .kv import BatchCommit, CompactedError, EphemeralKeyError, KeyValue, KVStore
 from .lease import Lease, LeaseManager
@@ -23,7 +21,6 @@ __all__ = [
     "EphemeralKeyError",
     "KeyValue",
     "KVStore",
-    "WriteBatch",
     "Lease",
     "LeaseManager",
 ]

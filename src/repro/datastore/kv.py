@@ -40,10 +40,10 @@ and typed: ``get(key, revision=...)`` raises :class:`EphemeralKeyError`
 for ephemeral keys, and compaction becomes near-free for them (there is
 nothing to discard).  Which keys are history-free is a property of the
 key schema
-(:data:`~repro.datastore.client.EPHEMERAL_HOT_PREFIXES`, which the
-runtime always passes); a bare ``KVStore()`` keeps full etcd semantics
-for every key, bit for bit — the reference the differential suite
-replays the production path against.
+(:data:`~repro.datastore.client.EPHEMERAL_HOT_PREFIXES`, which every
+``Datastore`` builds its store with); a bare ``KVStore()`` keeps full
+etcd semantics for every key, bit for bit — the full-history reference
+the tests hold the ephemeral lane to.
 """
 
 from __future__ import annotations
@@ -284,18 +284,6 @@ class KVStore:
                 continue
             count += 1
         return BatchCommit(self._revision, count)
-
-    def delete_prefix(self, prefix: str) -> int:
-        """Delete every key starting with ``prefix``; returns count deleted.
-
-        All victims commit as **one** :meth:`apply_batch` revision instead
-        of one revision per key, so namespace teardown and drain paths keep
-        the batched write path's one-commit-per-action shape.
-        """
-        victims = [k for k in self._live if k.startswith(prefix)]
-        if victims:
-            self.apply_batch([("delete", k) for k in victims])
-        return len(victims)
 
     # ------------------------------------------------------------------
     # Reads

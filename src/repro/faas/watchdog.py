@@ -183,8 +183,7 @@ class Watchdog:
         self._record(invocation, container)
 
     def _record(self, invocation: Invocation, container: Container) -> None:
-        # runs inside a simulator event: against a batched Datastore this
-        # put rides the invocation-completion action's single transaction
+        # runs inside a simulator event: this put rides the invocation-completion action's single transaction
         self.datastore.put(
             f"fn/metrics/{self.spec.name}/{invocation.invocation_id}",
             {

@@ -16,7 +16,7 @@ format's microsecond ``ts``.  Tracks:
   the pass's sim ``ts`` and its duration is the measured wall
   microseconds clamped to the gap before the next pass — long enough
   to eyeball relative cost, never overlapping.
-* **pid 3 — datastore**: one ``X`` slice per batched KV commit (same
+* **pid 3 — datastore**: one ``X`` slice per Datastore commit (same
   wall-clamping rule), args carrying the keys mutated.
 * **pid 4 — faults**: chaos fault / repair / skipped-overlap and lost-
   request ``i`` instants.

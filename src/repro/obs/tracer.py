@@ -48,7 +48,7 @@ requests   one record per *completed* request, written at completion
            (arrival → dispatch → exec start → complete)
 passes     one record per executed scheduling pass: sim time, wall
            nanoseconds inside ``schedule_pass``, decisions produced
-commits    one record per batched Datastore flush: sim time, wall
+commits    one record per Datastore flush: sim time, wall
            nanoseconds inside the commit, keys mutated
 instants   point events: chaos faults/repairs, skipped (overlapping)
            faults, lost requests, cache loads/evictions
@@ -146,7 +146,7 @@ class FlightRecorder:
         attribute loads the hook would pay into cell loads.  The other
         three rings have no hook here: their only writers
         (``FaaSCluster._on_request_complete``, ``Scheduler._run_policy``,
-        ``WriteBatch.flush``) store into ``_r_objs`` / ``_p_buf`` /
+        ``Datastore.flush``) store into ``_r_objs`` / ``_p_buf`` /
         ``_c_buf`` in place, the span sites checking the stride before
         their clock probes.
         """

@@ -24,7 +24,7 @@ from ..core.replacement import make_policy
 from ..core.request import InferenceRequest
 from ..core.scheduler import Scheduler
 from ..core.tenancy import TenancyController
-from ..datastore.client import EPHEMERAL_HOT_PREFIXES, Datastore
+from ..datastore.client import Datastore
 from ..metrics.collector import MetricsCollector
 from ..models.profiler import ProfileRegistry
 from ..models.profiles import ModelInstance
@@ -43,12 +43,7 @@ class FaaSCluster:
         self.config = config or SystemConfig()
         self.sim = Simulator()
         self.cluster: Cluster = build_cluster(self.sim, self.config.cluster)
-        self.datastore = Datastore(
-            self.sim,
-            batched=True,
-            ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES,
-            autocompact_keep=self.config.retention,
-        )
+        self.datastore = Datastore(self.sim, autocompact_keep=self.config.retention)
 
         # model profiles for every GPU type present (§VI heterogeneity)
         type_specs: list[GPUTypeSpec] = [spec for _, spec in self.config.cluster.nodes]
@@ -63,7 +58,7 @@ class FaaSCluster:
         if self.config.tracer == "flight":
             self.tracer = FlightRecorder(self.sim)
             self.metrics.tracer = self.tracer
-            self.datastore.pending._tracer = self.tracer
+            self.datastore._tracer = self.tracer
         self._completion_listeners: list = []
         self.request_ids = itertools.count(1)  # for gateway model handles' requests
         self.cache = CacheManager(

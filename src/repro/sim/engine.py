@@ -160,7 +160,7 @@ class Simulator:
     def subscribe_post_event(self, hook: Callable[[], Any]) -> Callable[[], None]:
         """Register a hook that runs after every event callback returns.
 
-        The batched Datastore uses this as its flush boundary: all writes a
+        The Datastore uses this as its flush boundary: all writes a
         single event handler issues (one scheduling action) commit as one
         transaction once the handler finishes.  Returns an unsubscribe
         callable.  Hooks run in registration order and may schedule new

@@ -96,14 +96,17 @@ class TestDatastoreMirror:
         cache.on_loaded(gpu0, make_instance("a"))
         cache.on_loaded(gpu0, make_instance("b", "alexnet"))
         cache.on_used(gpu0, "a")
+        ds.flush()
         assert ds.kv.get_value(f"gpu/lru/{gpu0}") == ("b", "a")
 
     def test_locations_published_and_cleared(self, cache, cluster, ds, make_instance):
         gpu0 = g(cluster, 0)
         inst = make_instance("m")
         cache.on_loaded(gpu0, inst)
+        ds.flush()
         assert ds.kv.get_value("cache/locations/m") == (gpu0,)
         cache.on_evicted(gpu0, "m")
+        ds.flush()
         assert ds.kv.get_value("cache/locations/m") is None
 
 

@@ -15,8 +15,8 @@ passes     the base ``PassGuard()`` (the engine's historical run/stop
 scans      ``install_spec_scans``: the literal Algorithm-1/2
            transcription of ``tests/spec/policies.py`` over a queue
            that tracks no visits, with a probe per queued request
-writes     a write-through ``Datastore(batched=False)``: one revision
-           per put
+writes     ``WriteThroughDatastore`` (``tests/spec/datastore.py``):
+           one revision per put
 history    ``EPHEMERAL_HOT_PREFIXES = ()``: full MVCC for every key
 =========  ==========================================================
 
@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.datastore.client as client_module
 import repro.runtime.system as system_module
 from repro.chaos import FaultPlan
 from repro.chaos.plan import GPUCrash, Straggler
@@ -47,10 +48,11 @@ from repro.core.policies import (
 from repro.core.request import InferenceRequest
 from repro.core.signals import DispatchableWorkGuard, PassGuard
 from repro.core.tenancy import TenantQuota
-from repro.datastore import EPHEMERAL_HOT_PREFIXES, Datastore, EphemeralKeyError
+from repro.datastore import EPHEMERAL_HOT_PREFIXES, EphemeralKeyError
 from repro.models import ModelInstance, get_profile, model_names
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces import WorkloadSpec, build_workload
+from tests.spec.datastore import WriteThroughDatastore
 from tests.spec.policies import SpecLALBPolicy, SpecLoadBalancingPolicy, install_spec_scans
 
 SEED = 20230517  # arbitrary but frozen: parity must hold for any seed
@@ -80,10 +82,6 @@ def _workload(seed: int, n_requests: int) -> list[tuple[int, float]]:
     return spec
 
 
-def _write_through(sim, **kwargs):
-    return Datastore(sim, **{**kwargs, "batched": False})
-
-
 @contextmanager
 def literal_system(config: SystemConfig, axes=ALL_LITERAL):
     """A :class:`FaaSCluster` whose ``axes`` layers are the literal ones
@@ -93,9 +91,9 @@ def literal_system(config: SystemConfig, axes=ALL_LITERAL):
     assert not unknown, unknown
     with pytest.MonkeyPatch.context() as patch:
         if "writes" in axes:
-            patch.setattr(system_module, "Datastore", _write_through)
+            patch.setattr(system_module, "Datastore", WriteThroughDatastore)
         if "history" in axes:
-            patch.setattr(system_module, "EPHEMERAL_HOT_PREFIXES", ())
+            patch.setattr(client_module, "EPHEMERAL_HOT_PREFIXES", ())
         system = FaaSCluster(config)
         if "scans" in axes:
             install_spec_scans(system)

@@ -133,16 +133,33 @@ class TestLiveIteration:
                 q.remove(reqs[2])
         assert seen == [reqs[0], reqs[1], reqs[3]]
 
-    def test_iter_requests_survives_reindex(self, make_request):
+    def test_iter_requests_survives_push_sorted_ahead_of_cursor(self, make_request):
+        """An insert before the cursor shifts every slot past it by one: a
+        walk that kept its index would yield request 2 a second time."""
         q = GlobalQueue()
         reqs = _push_n(q, make_request, 4)
-        late = make_request("fn-late", arrival=1.5)
+        early = make_request("fn-early", arrival=0.5)
         seen = []
         for r in q.iter_requests():
             seen.append(r)
-            if r is reqs[1]:
-                q.push_sorted(late)  # renumbers every slot mid-walk
-        assert seen == [reqs[0], reqs[1], late, reqs[2], reqs[3]]
+            if r is reqs[2]:
+                q.push_sorted(early)  # lands at slot 1, behind the walk
+        assert seen == reqs
+
+    def test_iter_requests_survives_hole_compaction(self, make_request):
+        """A push past the hole threshold compacts the entry array: a walk
+        that kept its index would run off the shorter array and stop."""
+        q = GlobalQueue()
+        reqs = _push_n(q, make_request, 200)
+        extra = make_request("fn-extra", arrival=500.0)
+        seen = []
+        for r in q.iter_requests():
+            seen.append(r)
+            if r is reqs[160]:
+                for gone in reqs[:150]:
+                    q.remove(gone)
+                q.push(extra)  # 50 live of 200 slots: renumbers 0..50
+        assert seen == reqs + [extra]
 
     def test_hole_compaction_preserves_order(self, make_request):
         q = GlobalQueue(o3_limit=25)

@@ -1,9 +1,10 @@
-"""The batched and the write-through Datastore commit the same writes.
+"""The batched Datastore and its write-through spec commit the same writes.
 
-``FaaSCluster`` always builds its Datastore batched; a bare ``Datastore()``
-writes through and is the specification the batched path is held to.
+The Datastore defers its writes to the action boundary;
+``tests/spec/datastore.py``'s ``WriteThroughDatastore`` commits each one
+as it comes and is the specification the batched path is held to.
 Each test below runs on both, for keys of both commit tiers (an MVCC
-prefix and a history-free hot one, as ``FaaSCluster`` configures them),
+prefix and a history-free hot one),
 and checks what lands in the committed store: values after ``put`` /
 ``delete``, recreated keys, ranges, lease-bound keys, revisions and the
 logical write count.  A batched Datastore commits at the action
@@ -14,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datastore import EPHEMERAL_HOT_PREFIXES, Datastore
+from repro.datastore import Datastore
 from repro.sim import Simulator
+from tests.spec.datastore import WriteThroughDatastore
 
 PATHS = [
-    pytest.param(False, id="write-through"),
-    pytest.param(True, id="batched"),
+    pytest.param(WriteThroughDatastore, id="write-through"),
+    pytest.param(Datastore, id="batched"),
 ]
 #: one key prefix per commit tier
 TIERS = [
@@ -28,30 +30,30 @@ TIERS = [
 ]
 
 
-def _store(batched: bool):
+def _store(cls):
     sim = Simulator()
-    return sim, Datastore(sim, batched=batched, ephemeral_prefixes=EPHEMERAL_HOT_PREFIXES)
+    return sim, cls(sim)
 
 
-@pytest.mark.parametrize("batched", PATHS)
+@pytest.mark.parametrize("cls", PATHS)
 @pytest.mark.parametrize("prefix", TIERS)
 class TestDatastoreParity:
-    def test_put_commits_the_value(self, batched, prefix):
-        _, ds = _store(batched)
+    def test_put_commits_the_value(self, cls, prefix):
+        _, ds = _store(cls)
         ds.put(prefix + "a", 1)
         ds.flush()
         assert ds.kv.get_value(prefix + "a") == 1
 
-    def test_put_captures_the_value_at_the_call(self, batched, prefix):
-        _, ds = _store(batched)
+    def test_put_captures_the_value_at_the_call(self, cls, prefix):
+        _, ds = _store(cls)
         order = ["m1"]
         ds.put(prefix + "g0", tuple(order))
         order.append("m2")
         ds.flush()
         assert ds.kv.get_value(prefix + "g0") == ("m1",)
 
-    def test_delete_removes_the_key(self, batched, prefix):
-        _, ds = _store(batched)
+    def test_delete_removes_the_key(self, cls, prefix):
+        _, ds = _store(cls)
         ds.put(prefix + "a", 1)
         ds.flush()
         assert ds.delete(prefix + "a") is None
@@ -59,8 +61,8 @@ class TestDatastoreParity:
         assert prefix + "a" not in ds.kv
         assert ds.kv.get_value(prefix + "a", "gone") == "gone"
 
-    def test_delete_of_a_missing_key_commits_nothing(self, batched, prefix):
-        _, ds = _store(batched)
+    def test_delete_of_a_missing_key_commits_nothing(self, cls, prefix):
+        _, ds = _store(cls)
         ds.put(prefix + "a", 1)
         ds.flush()
         revision = ds.kv.revision
@@ -69,8 +71,8 @@ class TestDatastoreParity:
         assert ds.kv.revision == revision
         assert ds.kv.get_value(prefix + "a") == 1
 
-    def test_delete_then_put_recreates_the_key(self, batched, prefix):
-        _, ds = _store(batched)
+    def test_delete_then_put_recreates_the_key(self, cls, prefix):
+        _, ds = _store(cls)
         ds.put(prefix + "a", 1)
         ds.put(prefix + "a", 2)
         ds.flush()
@@ -80,8 +82,8 @@ class TestDatastoreParity:
         row = ds.kv.get(prefix + "a")
         assert (row.value, row.version) == (3, 1)
 
-    def test_range_sees_the_live_keys(self, batched, prefix):
-        _, ds = _store(batched)
+    def test_range_sees_the_live_keys(self, cls, prefix):
+        _, ds = _store(cls)
         for name in ("c", "a", "b"):
             ds.put(prefix + name, name)
         ds.flush()
@@ -91,8 +93,8 @@ class TestDatastoreParity:
             (prefix + "a", "a"), (prefix + "c", "c"),
         ]
 
-    def test_leased_key_vanishes_on_expiry(self, batched, prefix):
-        sim, ds = _store(batched)
+    def test_leased_key_vanishes_on_expiry(self, cls, prefix):
+        sim, ds = _store(cls)
         lease = ds.leases.grant(5.0)
         ds.put(prefix + "hb", "alive", lease=lease)
         ds.flush()
@@ -102,8 +104,8 @@ class TestDatastoreParity:
         assert prefix + "hb" not in ds.kv
         assert lease.expired
 
-    def test_logical_writes_count_every_call(self, batched, prefix):
-        _, ds = _store(batched)
+    def test_logical_writes_count_every_call(self, cls, prefix):
+        _, ds = _store(cls)
         ds.put(prefix + "a", 1)
         ds.put(prefix + "a", 2)
         ds.put(prefix + "b", 3)
@@ -130,7 +132,7 @@ KEYS = ["cache/locations/a", "cache/locations/b", "gpu/lru/a", "gpu/lru/b"]
 def test_same_final_live_view_on_both_paths(ops):
     """Any interleaving of puts, deletes and action boundaries leaves the
     two paths with the same live keys and values."""
-    stores = [_store(batched)[1] for batched in (False, True)]
+    stores = [_store(cls)[1] for cls in (WriteThroughDatastore, Datastore)]
     for op in ops:
         for ds in stores:
             if op[0] == "put":

@@ -68,13 +68,6 @@ class TestRange:
         got = store.range("gpu/status/")
         assert [kv.key for kv in got] == ["gpu/status/g0", "gpu/status/g1"]
 
-    def test_delete_prefix(self, store):
-        for i in range(4):
-            store.put(f"x/{i}", i)
-        store.put("y/0", 0)
-        assert store.delete_prefix("x/") == 4
-        assert len(store) == 1
-
     def test_items_iterates_sorted(self, store):
         store.put("b", 2)
         store.put("a", 1)

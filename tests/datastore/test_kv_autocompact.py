@@ -3,7 +3,7 @@
 The etcd ``--auto-compaction`` analogue: a long replay normally retains
 every historical KeyValue.  With the sliding
 horizon enabled, history below ``revision - keep`` is compacted away after
-each event (with 2×keep hysteresis), bounding datastore memory — and,
+each flush (with 2×keep hysteresis), bounding datastore memory — and,
 because compaction never touches live keys, the scheduling decisions must
 be bit-for-bit unchanged.  ``SystemConfig(retention=N)`` sets the horizon
 along with the latency-record and metrics windows; the store is swapped
@@ -20,6 +20,7 @@ from repro.core.request import InferenceRequest
 from repro.datastore import Datastore
 from repro.models import ModelInstance, get_profile, model_names
 from repro.runtime import FaaSCluster, SystemConfig
+from tests.spec.datastore import WriteThroughDatastore
 
 SEED = 20230731
 N_REQUESTS = 1200
@@ -42,16 +43,18 @@ def _workload(seed: int):
 
 
 def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True):
+    # the runtime always batches; the write-through arm swaps in the spec
+    cls = Datastore if batched else WriteThroughDatastore
+
     def store(sim, **kwargs):
-        # the runtime always batches; the write-through arm swaps that too
-        return Datastore(sim, **{**kwargs, "batched": batched, "autocompact_keep": keep})
+        return cls(sim, **{**kwargs, "autocompact_keep": keep})
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(system_module, "Datastore", store)
         system = FaaSCluster(
             SystemConfig(cluster=ClusterSpec.homogeneous(1, 3), policy="lalbo3")
         )
-    assert system.datastore.batched is batched
+    assert type(system.datastore) is cls
     peak = {"history": 0}
     if track_peak:
         kv = system.datastore.kv
@@ -76,7 +79,7 @@ def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True)
 @pytest.mark.parametrize("batched", (True, False))
 def test_history_stays_bounded_and_decisions_unchanged(batched):
     """The horizon is checked after each flush on the batched path and
-    after each event on a write-through store (which never flushes)."""
+    after each event on the write-through spec (which never flushes)."""
     spec = _workload(SEED)
     baseline_system, baseline_decisions, _ = _run(None, spec, batched=batched)
     compacted_system, compacted_decisions, peak_history = _run(

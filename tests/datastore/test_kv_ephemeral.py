@@ -6,7 +6,8 @@ would depend on the missing history, must fail loudly with
 
 import pytest
 
-from repro.datastore import Datastore, EphemeralKeyError, KVStore, WriteBatch
+import repro.datastore.client as client_module
+from repro.datastore import EPHEMERAL_HOT_PREFIXES, Datastore, EphemeralKeyError, KVStore
 from repro.sim import Simulator
 
 EPH = ("gpu/status/", "fn/latency/")
@@ -121,29 +122,22 @@ class TestHistoricalReadsRaise:
         assert s.get("gpu/status/g0", revision=None).value == "busy"
 
 
-class TestDeletePrefix:
-    def test_single_revision_for_all_victims(self):
-        s = store()
-        for i in range(10):
-            s.put("fn/latency/%d" % i, i)
-        s.put("keep", 1)
-        before = s.revision
-        assert s.delete_prefix("fn/latency/") == 10
-        assert s.revision == before + 1  # exactly one revision consumed
-        assert s.get_value("keep") == 1
-        assert not [k for k in s.keys() if k.startswith("fn/latency/")]
-
-    def test_empty_prefix_consumes_no_revision(self):
-        s = store()
-        before = s.revision
-        assert s.delete_prefix("nothing/here/") == 0
-        assert s.revision == before
-
-
 class TestBatchedEphemeralWrites:
+    def test_datastore_reads_the_schema_prefixes_at_construction(self, monkeypatch):
+        """Every Datastore commits the hot prefixes history-free; patching
+        the schema constant (the differential suite's ``history`` arm)
+        builds a full-history store."""
+        assert Datastore(Simulator()).kv.ephemeral_prefixes == EPHEMERAL_HOT_PREFIXES
+        monkeypatch.setattr(client_module, "EPHEMERAL_HOT_PREFIXES", ())
+        ds = Datastore(Simulator())
+        ds.put("gpu/status/g0", "busy")
+        ds.flush()
+        assert ds.kv.ephemeral_writes == 0
+        assert ds.kv.get("gpu/status/g0", revision=1).value == "busy"
+
     def test_ephemeral_put_commits_at_flush(self):
         sim = Simulator()
-        ds = Datastore(sim, batched=True, ephemeral_prefixes=EPH)
+        ds = Datastore(sim)
         ds.put("gpu/status/g0", "busy")
         assert ds.kv.revision == 0  # not committed yet
         ds.flush()
@@ -152,22 +146,22 @@ class TestBatchedEphemeralWrites:
 
     def test_flush_count_matches_committed_keys(self):
         sim = Simulator()
-        ds = Datastore(sim, batched=True, ephemeral_prefixes=EPH)
+        ds = Datastore(sim)
         ds.put("gpu/status/g0", "busy")
         ds.put("durable", 1)
         assert ds.flush() == 2
         assert ds.stats.committed_keys == 2
+        assert ds.kv.ephemeral_writes == 1  # the status key took the lane
 
     def test_leased_flush_attaches_its_key(self):
         """A lease on an ephemeral put attaches once the flush commits;
         the commit itself counts the key as any flush does."""
         sim = Simulator()
-        ds = Datastore(sim, batched=True, ephemeral_prefixes=EPH)
-        wb = ds.pending
-        wb.put("gpu/status/g0", "busy")
-        assert wb.flush().count == 1
+        ds = Datastore(sim)
+        ds.put("gpu/status/g0", "busy")
+        assert ds.flush() == 1
         lease = ds.leases.grant(5.0)
-        wb.put("gpu/status/g0", "idle", lease=lease)
-        assert wb.flush().count == 1
+        ds.put("gpu/status/g0", "idle", lease=lease)
+        assert ds.flush() == 1
         assert lease.keys == {"gpu/status/g0"}
         assert ds.kv.get_value("gpu/status/g0") == "idle"

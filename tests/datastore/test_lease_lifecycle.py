@@ -3,7 +3,7 @@
 ``chaos/health.py`` binds each GPU's heartbeat key to a lease and turns
 an expiry into ``go_offline``; these tests pin the expiry/revoke
 contract (callback order, reaping, bookkeeping) and how a lease rides a
-batched flush.
+flush: a put commits, and its key binds, at the action boundary.
 """
 
 import pytest
@@ -22,15 +22,11 @@ def ds(sim):
     return Datastore(sim)
 
 
-@pytest.fixture
-def batched(sim):
-    return Datastore(sim, batched=True)
-
-
 class TestExpiry:
     def test_callbacks_run_after_the_keys_are_reaped(self, sim, ds):
         lease = ds.leases.grant(2.0)
         ds.put("hb/g0", "alive", lease=lease)
+        ds.flush()
         seen = []
         lease.on_expire(lambda l: seen.append((sim.now, l.lease_id, "hb/g0" in ds.kv)))
         sim.run()
@@ -62,6 +58,7 @@ class TestExpiry:
     def test_revoke_twice_is_a_no_op(self, ds):
         lease = ds.leases.grant(1.0)
         ds.put("k", 1, lease=lease)
+        ds.flush()
         lease.revoke()
         revision = ds.kv.revision
         lease.revoke()
@@ -79,6 +76,7 @@ class TestReaping:
         lease = ds.leases.grant(1.0)
         for key in ("k/c", "k/a", "k/b"):
             ds.put(key, 0, lease=lease)
+        ds.flush()
         start = ds.kv.revision
         sim.run()
         # one delete revision per key, sorted: a, b, c
@@ -91,7 +89,9 @@ class TestReaping:
     def test_a_key_deleted_before_expiry_costs_no_revision(self, sim, ds):
         lease = ds.leases.grant(1.0)
         ds.put("k", 1, lease=lease)
+        ds.flush()
         ds.delete("k")
+        ds.flush()
         revision = ds.kv.revision
         sim.run()
         assert ds.kv.revision == revision
@@ -121,41 +121,41 @@ class TestReaping:
 
 
 class TestBatchedLeases:
-    def test_lease_binds_only_after_the_commit(self, batched):
-        lease = batched.leases.grant(10.0)
-        batched.put("hb", "alive", lease=lease)
+    def test_lease_binds_only_after_the_commit(self, ds):
+        lease = ds.leases.grant(10.0)
+        ds.put("hb", "alive", lease=lease)
         assert lease.keys == set()
-        batched.flush()
+        ds.flush()
         assert lease.keys == {"hb"}
 
-    def test_a_later_unleased_put_drops_the_binding(self, batched):
-        lease = batched.leases.grant(10.0)
-        batched.put("hb", "alive", lease=lease)
-        batched.put("hb", "plain")
-        batched.flush()
+    def test_a_later_unleased_put_drops_the_binding(self, ds):
+        lease = ds.leases.grant(10.0)
+        ds.put("hb", "alive", lease=lease)
+        ds.put("hb", "plain")
+        ds.flush()
         assert lease.keys == set()
-        assert batched.kv.get_value("hb") == "plain"
+        assert ds.kv.get_value("hb") == "plain"
 
-    def test_a_later_delete_drops_the_binding(self, batched):
-        lease = batched.leases.grant(10.0)
-        batched.put("hb", "alive", lease=lease)
-        batched.delete("hb")
-        batched.flush()
+    def test_a_later_delete_drops_the_binding(self, ds):
+        lease = ds.leases.grant(10.0)
+        ds.put("hb", "alive", lease=lease)
+        ds.delete("hb")
+        ds.flush()
         assert lease.keys == set()
-        assert "hb" not in batched.kv
+        assert "hb" not in ds.kv
 
-    def test_lease_dead_by_flush_time_commits_unbound(self, sim, batched):
-        lease = batched.leases.grant(10.0)
-        batched.pending.put("hb", "alive", lease=lease)
+    def test_lease_dead_by_flush_time_commits_unbound(self, sim, ds):
+        lease = ds.leases.grant(10.0)
+        ds.put("hb", "alive", lease=lease)
         lease.revoke()
-        batched.pending.flush()
-        assert batched.kv.get_value("hb") == "alive"
+        ds.flush()
+        assert ds.kv.get_value("hb") == "alive"
         assert lease.keys == set()
 
-    def test_expiry_of_a_batched_key_reaps_the_committed_row(self, sim, batched):
-        lease = batched.leases.grant(5.0)
-        sim.schedule(1.0, lambda: batched.put("hb", "alive", lease=lease))
+    def test_expiry_of_a_batched_key_reaps_the_committed_row(self, sim, ds):
+        lease = ds.leases.grant(5.0)
+        sim.schedule(1.0, lambda: ds.put("hb", "alive", lease=lease))
         sim.run(until=2.0)
-        assert batched.kv.get_value("hb") == "alive"
+        assert ds.kv.get_value("hb") == "alive"
         sim.run()
-        assert "hb" not in batched.kv
+        assert "hb" not in ds.kv

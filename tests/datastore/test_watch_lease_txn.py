@@ -20,6 +20,7 @@ class TestLease:
     def test_keys_vanish_on_expiry(self, sim, ds):
         lease = ds.leases.grant(ttl=10.0)
         ds.put("gpu/status/g0", "idle", lease=lease)
+        ds.flush()
         sim.run(until=9.0)
         assert ds.kv.get_value("gpu/status/g0") == "idle"
         sim.run(until=10.0)
@@ -29,6 +30,7 @@ class TestLease:
     def test_refresh_extends_lifetime(self, sim, ds):
         lease = ds.leases.grant(ttl=10.0)
         ds.put("k", "v", lease=lease)
+        ds.flush()
         sim.schedule(8.0, lease.refresh)
         sim.run(until=17.0)
         assert ds.kv.get_value("k") == "v"
@@ -38,6 +40,7 @@ class TestLease:
     def test_revoke_deletes_immediately(self, sim, ds):
         lease = ds.leases.grant(ttl=100.0)
         ds.put("k", "v", lease=lease)
+        ds.flush()
         lease.revoke()
         assert ds.kv.get_value("k") is None
         assert not lease.alive

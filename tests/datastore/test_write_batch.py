@@ -1,10 +1,9 @@
 """Batch semantics: atomic multi-key commits, last-write-wins coalescing,
-WriteBatch accumulation, and the batched Datastore's action-boundary
-commits."""
+the Datastore's pending batch, and its action-boundary commits."""
 
 import pytest
 
-from repro.datastore import CompactedError, Datastore, KVStore, WriteBatch
+from repro.datastore import CompactedError, Datastore, KVStore
 from repro.sim import Simulator
 
 
@@ -119,52 +118,57 @@ class TestTxnSingleRevision:
         assert s.get("k").value == 41
         assert s.get("k", revision=commit.revision).value == 41
 
-    def test_ineffective_commits_keep_the_last_revision(self):
-        s = KVStore()
+    def test_ineffective_commits_keep_the_last_revision(self, sim):
+        ds = Datastore(sim)
+        s = ds.kv
         s.put("k", 1)
         s.apply_batch([("delete", "absent")])
-        assert WriteBatch(s).flush().revision is None
+        assert ds.flush() == 0  # nothing pending
+        ds.delete("absent")
+        assert ds.flush() == 0  # only a delete of a missing key
         assert s.revision == 1
         assert s.get("k").mod_revision == 1
+        assert ds.stats.flushes == 0
 
 
-class TestWriteBatch:
-    def test_flush_commits_once_and_clears(self):
-        s = KVStore()
-        wb = WriteBatch(s)
-        wb.put("a", 1)
-        wb.put("b", 2)
-        wb.delete("missing")
-        commit = wb.flush()
-        assert (commit.revision, commit.count) == (1, 2)
-        assert wb.flush().revision is None  # nothing pending
+class TestPendingBatch:
+    def test_flush_commits_once_and_clears(self, sim):
+        ds = Datastore(sim)
+        ds.put("a", 1)
+        ds.put("b", 2)
+        ds.delete("missing")
+        assert ds.flush() == 2
+        assert ds.kv.revision == 1
+        assert ds.flush() == 0  # nothing pending
+        assert ds.kv.revision == 1
 
-    def test_delete_then_put_through_writebatch_recreates(self):
+    def test_delete_then_put_in_one_batch_recreates(self, sim):
         """The gateway-update pattern: delete fn/meta then re-put it
         within one batch — the flush must recreate the key."""
-        s = KVStore()
-        s.put("fn/meta/f", {"v": 1})
-        s.put("fn/meta/f", {"v": 2})
-        wb = WriteBatch(s)
-        wb.delete("fn/meta/f")
-        wb.put("fn/meta/f", {"v": 3})
-        wb.flush()
-        kv = s.get("fn/meta/f")
+        ds = Datastore(sim)
+        ds.put("fn/meta/f", {"v": 1})
+        ds.flush()
+        ds.put("fn/meta/f", {"v": 2})
+        ds.flush()
+        ds.delete("fn/meta/f")
+        ds.put("fn/meta/f", {"v": 3})
+        ds.flush()
+        kv = ds.kv.get("fn/meta/f")
         assert kv.value == {"v": 3}
         assert kv.version == 1  # recreated, like sequential delete+put
 
-    def test_coalesced_writes_count_lww_absorption(self):
-        wb = WriteBatch(KVStore())
-        wb.put("k", 1)
-        wb.put("k", 2)
-        wb.delete("k")
-        wb.flush()
-        assert wb.stats.coalesced_writes == 2
+    def test_coalesced_writes_count_lww_absorption(self, sim):
+        ds = Datastore(sim)
+        ds.put("k", 1)
+        ds.put("k", 2)
+        ds.delete("k")
+        ds.flush()
+        assert ds.stats.coalesced_writes == 2
 
 
 class TestBatchedDatastore:
     def test_writes_commit_only_at_flush(self, sim):
-        ds = Datastore(sim, batched=True)
+        ds = Datastore(sim)
         ds.put("k", 1)
         ds.put("gone", 0)
         ds.delete("gone")
@@ -175,7 +179,7 @@ class TestBatchedDatastore:
         assert "gone" not in ds.kv
 
     def test_flush_commits_one_revision_per_action(self, sim):
-        ds = Datastore(sim, batched=True)
+        ds = Datastore(sim)
         ds.put("gpu/status/g0", "busy")
         ds.put("gpu/finish_time/g0", 3.5)
         ds.put("gpu/lru/g0", ["m1"])
@@ -185,7 +189,7 @@ class TestBatchedDatastore:
         assert ds.stats.logical_writes == 3
 
     def test_post_event_hook_flushes_at_action_boundary(self, sim):
-        ds = Datastore(sim, batched=True)
+        ds = Datastore(sim)
         sim.schedule(1.0, lambda: (ds.put("a", 1), ds.put("b", 2)))
         sim.schedule(2.0, lambda: ds.put("a", 3))
         sim.run()
@@ -195,7 +199,7 @@ class TestBatchedDatastore:
         assert ds.kv.get("a").mod_revision == 2
 
     def test_lease_attaches_at_flush(self, sim):
-        ds = Datastore(sim, batched=True)
+        ds = Datastore(sim)
         lease = ds.leases.grant(ttl=5.0)
         ds.put("gpu/status/g0", "idle", lease=lease)
         ds.flush()
@@ -203,10 +207,24 @@ class TestBatchedDatastore:
         sim.run(until=5.0)
         assert ds.kv.get_value("gpu/status/g0") is None  # lease expiry deleted it
 
-    def test_unbatched_writes_go_through(self, sim):
-        ds = Datastore(sim)  # batched=False
-        ds.put("k", 42)
-        assert ds.kv.revision == 1
-        ds.delete("k")
-        assert "k" not in ds.kv
-        assert ds.kv.revision == 2
+    def test_event_without_writes_commits_nothing(self, sim):
+        ds = Datastore(sim)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert ds.kv.revision == 0
+        assert ds.stats.flushes == 0
+
+    def test_flush_checks_the_autocompaction_horizon(self, sim):
+        """Past 2×keep revisions of history the flush that minted the
+        last one compacts everything below ``revision - keep``."""
+        ds = Datastore(sim, autocompact_keep=2)
+        for i in range(4):
+            ds.put("fn/meta/f", i)
+            ds.flush()
+        assert ds.kv.compacted_revision == 0  # 4 revisions: not past 2×2
+        ds.put("fn/meta/f", 4)
+        ds.flush()
+        assert ds.kv.compacted_revision == 3
+        with pytest.raises(CompactedError):
+            ds.kv.get("fn/meta/f", revision=2)
+        assert ds.kv.get("fn/meta/f", revision=3).value == 2

@@ -52,7 +52,7 @@ class TestOffIsNone:
         system = _replay(SystemConfig())
         assert system.tracer is None
         assert system.scheduler._tracer is None
-        assert system.datastore.pending._tracer is None
+        assert system.datastore._tracer is None
         assert system.metrics.tracer is None
         assert system.cache.tracer is None
 

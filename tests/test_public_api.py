@@ -7,8 +7,9 @@ import pytest
 import repro
 import repro.metrics
 from repro.core.scheduler import Scheduler
-from repro.datastore import Datastore, WriteBatch, WriteStats
+from repro.datastore import Datastore, WriteStats
 from repro.metrics import MetricsCollector
+from repro.sim import Simulator
 
 
 def test_version():
@@ -109,7 +110,6 @@ def test_folded_and_deleted_options_stay_gone(name, value):
     "cls, public",
     [
         pytest.param(Datastore, {"put", "delete", "flush"}, id="Datastore"),
-        pytest.param(WriteBatch, {"put", "delete", "flush"}, id="WriteBatch"),
         pytest.param(
             WriteStats,
             {"logical_writes", "flushes", "committed_keys", "coalesced_writes"},
@@ -122,6 +122,20 @@ def test_one_datastore_write_api(cls, public):
     layer, no read-your-writes overlay and no lazy thunk mode beside it
     (reads go to ``Datastore.kv``)."""
     assert {name for name in vars(cls) if not name.startswith("_")} == public
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        pytest.param({"batched": True}, id="batched"),
+        pytest.param({"ephemeral_prefixes": ()}, id="ephemeral_prefixes"),
+    ],
+)
+def test_datastore_write_mode_options_stay_gone(option):
+    """The Datastore has one write mode: it always batches and always
+    commits the schema's hot prefixes history-free."""
+    with pytest.raises(TypeError):
+        Datastore(Simulator(), **option)
 
 
 @pytest.mark.parametrize(
@@ -206,7 +220,7 @@ def test_reference_engines_stay_out_of_src():
     assert set(repro.datastore.__all__) == {
         "Datastore", "WriteStats", "EPHEMERAL_HOT_PREFIXES", "BatchCommit",
         "CompactedError", "EphemeralKeyError", "KeyValue", "KVStore",
-        "WriteBatch", "Lease", "LeaseManager",
+        "Lease", "LeaseManager",
     }
     assert set(repro.obs.__all__) == {
         "Cause", "ExplainLog", "FlightRecorder", "chrome_trace_events",
