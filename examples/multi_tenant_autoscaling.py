@@ -68,13 +68,14 @@ def main() -> None:
     print(f"burst replicas after cool-down   : "
           f"{[fn.pool.replica_count() for fn in burst_fns]}")
     print(f"autoscaler decisions             : {len(scaler.decisions)}")
-    usage = system.tenancy.usage("burst")
-    print(f"burst GPU processes (capped at 4): {usage['processes']:.0f}")
-    print(f"burst GPU time consumed          : {usage['gpu_time_s']:.0f} s")
+    processes = system.tenancy.processes("burst")
+    gpu_time_s = sum(r.service_time for r in system.completed if r.model.tenant == "burst")
+    print(f"burst GPU processes (capped at 4): {processes}")
+    print(f"burst GPU time consumed          : {gpu_time_s:.0f} s")
     print(f"steady p50 latency               : {np.median(steady_lat):.2f} s")
     print(f"steady worst latency             : {max(steady_lat):.2f} s")
 
-    assert usage["processes"] <= 4, "quota must cap burst's resident models"
+    assert processes <= 4, "quota must cap burst's resident models"
     assert len(steady_lat) == 12, "steady tenant must complete despite the noise"
     assert any(n > 1 for n in peak_replicas.values()), "autoscaler scaled up under load"
 

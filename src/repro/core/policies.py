@@ -94,19 +94,26 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     def dispatch(self, request: InferenceRequest, gpu: GPUDevice) -> None: ...
     def dispatch_local_head(self, gpu: GPUDevice) -> None: ...
     def move_to_local(self, request: InferenceRequest, gpu: GPUDevice) -> None: ...
-    def may_dispatch(
-        self, request: InferenceRequest, gpu: GPUDevice | None = None
-    ) -> bool: ...
+    def may_dispatch(self, request: InferenceRequest, gpu: GPUDevice) -> bool: ...
 
 
 _NO_MODELS: frozenset[str] = frozenset()
 
 
-def _refused_models(s: SchedulerOps, gpu: GPUDevice | None = None) -> set[str]:
-    """Queued models whose requests ``s.may_dispatch`` refuses (on ``gpu``):
-    the check reads only the model, so one probe per queued model."""
+def _refused_models(
+    s: SchedulerOps, gpu: GPUDevice, *, cached_nowhere: bool = False
+) -> set[str]:
+    """Queued models whose requests ``s.may_dispatch`` refuses on ``gpu``:
+    the check reads only the model, so one probe per queued model.
+    ``cached_nowhere`` keeps only models resident on no GPU (Algorithm 2
+    may still place any other as a hit or a local-queue move)."""
     may_dispatch = s.may_dispatch
-    return {r.model_id for r in s.global_queue.model_heads() if not may_dispatch(r, gpu)}
+    cached_anywhere = s.cache.cached_anywhere
+    return {
+        r.model_id
+        for r in s.global_queue.model_heads()
+        if not (cached_nowhere and cached_anywhere(r.model_id)) and not may_dispatch(r, gpu)
+    }
 
 
 class SchedulingPolicy(ABC):
@@ -200,8 +207,6 @@ class LocalityOnlyPolicy(SchedulingPolicy):
         # either left in place or removed, so the walk sees the same
         # sequence a snapshot would
         for request in s.global_queue.iter_requests():
-            if not s.may_dispatch(request):
-                continue
             locations = s.cache.locations(request.model_id)
             if locations:
                 handled = self._bind_to_cached_gpu(s, request, locations)
@@ -297,8 +302,13 @@ class LALBPolicy(SchedulingPolicy):
         queue = s.global_queue
         exp = s.explain
         tenancy = s.tenancy
-        # models whose queued requests the quota refuses for this whole scan
-        refused = _refused_models(s) if tenancy is not None and tenancy.may_refuse else _NO_MODELS
+        # models cached nowhere whose queued requests the quota refuses
+        # on this GPU, for this whole scan
+        refused = (
+            _refused_models(s, gpu, cached_nowhere=True)
+            if tenancy is not None and tenancy.may_refuse
+            else _NO_MODELS
+        )
         acted = False
         # -- first scan (lines 6–16) --------------------------------------
         # strategy pick off two O(1) signals: when the queue (including
@@ -321,10 +331,13 @@ class LALBPolicy(SchedulingPolicy):
         # line 11: requests already skipped past the limit, in queue order,
         # that the literal scan would reach before the hit.  The O(1)
         # starved counter elides the sweep outright in the common
-        # nothing-starved state.
+        # nothing-starved state.  A model Algorithm 2 blocks stays blocked
+        # for the rest of the scan (idle candidates only shrink, queued
+        # costs only grow, nothing loads), here and in the second scan.
+        blocked = refused
         if queue.starved_count:
             for entry in queue.starved_entries_before(stop_slot):
-                if entry.model_id in refused:
+                if entry.model_id in blocked:
                     continue
                 if exp is not None:
                     exp.note(
@@ -338,7 +351,9 @@ class LALBPolicy(SchedulingPolicy):
                     # request was skipped once more (line 15)
                     queue.bump_visits_before(entry.slot, refused)
                     return True
-                if outcome == "handled":
+                if outcome == "blocked":
+                    blocked = blocked | {entry.model_id}
+                else:
                     acted = True
         if hit is not None:
             queue.bump_visits_before(stop_slot, refused)  # skips before the hit
@@ -348,10 +363,7 @@ class LALBPolicy(SchedulingPolicy):
             return True
         queue.bump_visits_before(None, refused)  # no hit: all was skipped
         # -- second scan (lines 17–21) ------------------------------------
-        # each Algorithm-2 outcome removes the head, except "blocked": a
-        # model it blocks stays blocked for the rest of the scan (idle
-        # candidates only shrink, queued costs only grow, nothing loads)
-        blocked = refused
+        # each Algorithm-2 outcome removes the head, except "blocked"
         while (head := queue.head(blocked)) is not None:
             outcome = self._locality_load_balance(s, gpu, head)
             if outcome == "to_this_gpu":
@@ -385,7 +397,7 @@ class LALBPolicy(SchedulingPolicy):
             if s.tenancy is not None and not s.may_dispatch(request, gpu_i):
                 if exp is not None:
                     exp.note("alg2:blocked_by_quota", request.model.tenant, gpu_i.gpu_id)
-                return "blocked"  # stays queued until the tenant's usage drops
+                return "blocked"  # stays queued for a GPU where the tenant may load
             if exp is not None:
                 exp.note("alg2:not_cached_anywhere", "miss on", gpu_i.gpu_id)
             s.dispatch(request, gpu_i)

@@ -43,7 +43,6 @@ class InferenceRequest:
     request_id: int
     batch_size: int = PAPER_BATCH_SIZE
     payload: Any = None
-    tenant: str = "default"
     #: relative SLA: the function should respond within this many seconds
     #: of arrival (None = best effort).  §I: production inference "have
     #: stringent latency requirements".

@@ -317,19 +317,12 @@ class Scheduler:
     # SchedulerOps: observations (the GPU views are the Cluster's own
     # methods, bound in __init__)
     # ------------------------------------------------------------------
-    def may_dispatch(self, request: InferenceRequest, gpu: GPUDevice | None = None) -> bool:
-        """Tenancy admission check (§VI isolation).
-
-        With a concrete target ``gpu`` the check is exact: dispatching a
-        model not cached there starts a new GPU process and counts against
-        the tenant's process/memory quota; a cache hit does not.
-        """
-        if self.tenancy is None:
-            return True
-        will_load = None
-        if gpu is not None:
-            will_load = not self.cache.is_cached_on(request.model_id, gpu.gpu_id)
-        return self.tenancy.allows(request, will_load=will_load)
+    def may_dispatch(self, request: InferenceRequest, gpu: GPUDevice) -> bool:
+        """Tenancy admission check (§VI isolation) of ``request`` on ``gpu``:
+        a model not cached there starts a new GPU process, which counts
+        against the tenant's process quota; a cache hit does not."""
+        tenancy = self.tenancy
+        return tenancy is None or tenancy.allows(request, gpu.gpu_id)
 
     # ------------------------------------------------------------------
     # SchedulerOps: actions
@@ -344,11 +337,10 @@ class Scheduler:
         self.global_queue.remove(request)
         gpu_id = gpu.gpu_id
         model_id = request.model_id
+        hit = self.cache.is_cached_on(model_id, gpu_id)
         self._append_decision(
             self.sim._now,
-            DecisionKind.DISPATCH_HIT
-            if self.cache.is_cached_on(model_id, gpu_id)
-            else DecisionKind.DISPATCH_MISS,
+            DecisionKind.DISPATCH_HIT if hit else DecisionKind.DISPATCH_MISS,
             request.request_id,
             model_id,
             gpu_id,
@@ -356,6 +348,14 @@ class Scheduler:
         )
         if self.explain is not None:
             self.explain.attach(self.decisions.last(1)[0])
+        tenancy = self.tenancy
+        if not hit and tenancy is not None and tenancy.may_refuse:
+            # a tenant at its cap replaces its own coldest process here,
+            # an ordinary eviction for the cache, its mirror and the count
+            victim = tenancy.victim_for(request, gpu_id)
+            if victim is not None:
+                gpu.evict(victim)
+                self.cache.on_evicted(gpu_id, victim)
         slot = gpu._sched_slot
         request.gpu_address = self._address_by_slot[slot]
         self._manager_by_slot[slot].execute(request, gpu)

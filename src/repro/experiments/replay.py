@@ -36,10 +36,10 @@ def replay(
     runs on the built system before anything is injected (attach a probe,
     swap a policy); ``label`` overrides the summary's policy name.
 
-    A request still queued once the run drains — a binding tenant quota
-    can refuse it on every idle GPU with nothing left to wake the
-    scheduler — leaves as LOST (reason ``"stranded"``), so every request
-    of the workload is either completed or lost.
+    A request still queued once the run drains — a ``max_processes=0``
+    quota refuses its tenant on every idle GPU with nothing left to wake
+    the scheduler — leaves as LOST (reason ``"stranded"``), so every
+    request of the workload is either completed or lost.
 
     Returns the run summary plus the drained system for drill-down.
     """

@@ -47,7 +47,6 @@ class GPUModelHandle:
         batch: Any,
         *,
         batch_size: int = 32,
-        tenant: str = "default",
         on_result: Callable[[InferenceRequest], None] | None = None,
     ) -> InferenceRequest:
         request = InferenceRequest(
@@ -57,7 +56,6 @@ class GPUModelHandle:
             request_id=next(self._system.request_ids),
             batch_size=batch_size,
             payload=batch,
-            tenant=tenant,
         )
         if on_result is not None:
             self._pending[request.request_id] = on_result

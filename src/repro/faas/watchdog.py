@@ -147,7 +147,6 @@ class Watchdog:
         self.model_handle(
             batch,
             batch_size=self.spec.batch_size,
-            tenant=self.spec.tenant,
             on_result=_on_result,
         )
 

@@ -78,13 +78,7 @@ class FaaSCluster:
 
         self.tenancy: TenancyController | None = None
         if self.config.quotas:
-            self.tenancy = TenancyController(
-                self.sim,
-                quotas=self.config.quotas,
-                total_memory_mb=sum(g.memory_mb for g in self.cluster.gpus),
-                num_gpus=len(self.cluster.gpus),
-                cache=self.cache,
-            )
+            self.tenancy = TenancyController(quotas=self.config.quotas, cache=self.cache)
             self.cache.subscribe(self.tenancy.on_cache_event)
 
         self._managers: dict[str, GPUManager] = {}
@@ -181,8 +175,6 @@ class FaaSCluster:
             state[1] += 1
             i += 1
             state[0] = 0 if i == tracer.capacity else i
-        if self.tenancy is not None:
-            self.tenancy.on_request_complete(request)
         if self._completion_listeners:  # skip the defensive copy when empty
             for listener in list(self._completion_listeners):
                 listener(request)

@@ -131,7 +131,6 @@ class Workload:
     arrival_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: per-request index into ``function_ids``
     function_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    tenant: str = "default"
     _requests: list[InferenceRequest] | None = field(
         default=None, repr=False, compare=False
     )
@@ -157,14 +156,14 @@ class Workload:
             spec = self.spec
             fids = self.function_ids
             instances = self.instances
-            batch, tenant, sla = spec.batch_size, self.tenant, spec.sla_s
+            batch, sla = spec.batch_size, spec.sla_s
             # positional construction: this builds every request of a
-            # replay inside the measured window, and CPython binds eight
+            # replay inside the measured window, and CPython binds seven
             # keyword arguments measurably slower than positionals; one flat
             # zip, because enumerate(zip(...)) allocates a tuple per row
             self._requests = [
                 InferenceRequest(
-                    (fid := fids[fi]), instances[fid], t, rid, batch, None, tenant, sla
+                    (fid := fids[fi]), instances[fid], t, rid, batch, None, sla
                 )
                 for rid, t, fi in zip(
                     range(1, len(self) + 1),
@@ -336,7 +335,6 @@ def build_workload(
         function_ids=function_ids,
         arrival_times=arrival_col,
         function_index=fn_col,
-        tenant=tenant,
     )
 
 
@@ -378,7 +376,6 @@ class StreamingWorkload:
     instances: dict[str, ModelInstance]
     counts: np.ndarray                           # (working_set, minutes), normalized
     function_ids: list[str] = field(default_factory=list)
-    tenant: str = "default"
 
     def __len__(self) -> int:
         return self.total_requests
@@ -445,10 +442,10 @@ class StreamingWorkload:
         spec = self.spec
         fids = self.function_ids
         instances = self.instances
-        batch, tenant, sla = spec.batch_size, self.tenant, spec.sla_s
+        batch, sla = spec.batch_size, spec.sla_s
         return [
             InferenceRequest(
-                (fid := fids[fi]), instances[fid], t, rid, batch, None, tenant, sla
+                (fid := fids[fi]), instances[fid], t, rid, batch, None, sla
             )
             for rid, t, fi in zip(
                 range(chunk.start_row + 1, chunk.start_row + len(chunk) + 1),
@@ -478,5 +475,4 @@ def build_workload_streaming(
         instances=instances,
         counts=normalized,
         function_ids=function_ids,
-        tenant=tenant,
     )

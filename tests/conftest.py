@@ -31,13 +31,13 @@ def make_request(make_instance):
         request_id=None,
     ):
         """``model`` shares one deployed instance between requests (same
-        cache item); by default each request deploys its own."""
+        cache item); by default each request deploys its own, owned by
+        ``tenant``."""
         return InferenceRequest(
             function_name=function or instance_id,
             model=model or make_instance(instance_id, architecture, tenant),
             arrival_time=arrival,
             request_id=next(ids) if request_id is None else request_id,
-            tenant=tenant,
             batch_size=batch_size,
         )
 

@@ -119,9 +119,7 @@ def _requests(spec, tenants: bool) -> list[InferenceRequest]:
         for i in range(N_FUNCTIONS)
     ]
     return [
-        InferenceRequest(
-            f"fn{fn}", instances[fn], t, row + 1, tenant=instances[fn].tenant
-        )
+        InferenceRequest(f"fn{fn}", instances[fn], t, row + 1)
         for row, (fn, t) in enumerate(spec)
     ]
 
@@ -257,24 +255,20 @@ class TestProductionVsSpec:
 class TestTenancy:
     """§VI isolation: one scan route with or without a quota — the index
     scans, with the queue owning O3 visit counts — matching the spec's
-    per-request probes whether the quota binds or not."""
+    per-request probes whether the quota binds or not, and a binding
+    process cap that completes every request (a capped tenant replaces
+    its own process)."""
 
-    @pytest.mark.parametrize(
-        "quota",
-        [
-            TenantQuota(max_processes=100),
-            TenantQuota(max_memory_fraction=1.0),
-            TenantQuota(max_time_fraction=1.0),
-        ],
-        ids=["processes", "memory", "time"],
-    )
-    def test_any_quota_matches_the_spec(self, quota):
+    @pytest.mark.parametrize("max_processes", [100, 1, 2], ids=["loose", "cap1", "cap2"])
+    def test_any_quota_matches_the_spec(self, max_processes):
         spec = _workload(SEED + 3, 1200)
-        kwargs = dict(policy="lalbo3", quotas={"capped": quota})
+        kwargs = dict(policy="lalbo3", quotas={"capped": TenantQuota(max_processes)})
         production = _run(spec, **kwargs)
         _assert_matches(production, _run(spec, ALL_LITERAL, **kwargs))
         assert len(production.system.completed) == len(spec)
         assert production.system.scheduler.global_queue.tracks_visits
+        binds = production.decisions != _run(spec, policy="lalbo3").decisions
+        assert binds == (max_processes < 100)
 
     @pytest.mark.parametrize(
         "quota", [None, TenantQuota(max_processes=100)], ids=["no_quota", "quota"]
@@ -320,10 +314,7 @@ class TestTenancy:
         production = _run(spec, **kwargs)
         reference = _run(spec, ALL_LITERAL, **kwargs)
         _assert_matches(production, reference)
-        # a binding quota may legitimately strand requests (they stay
-        # queued until the tenant's usage drops): both must strand the
-        # same ones
-        assert len(production.system.completed) == len(reference.system.completed)
+        assert len(production.system.completed) == len(spec)  # strands none
         # ... and it does bind: the decisions differ from a quota-free run
         assert production.decisions != _run(spec, policy="lalbo3").decisions
 
@@ -336,24 +327,20 @@ class TestTenancy:
         production = _run(spec, **kwargs)
         reference = _run(spec, ALL_LITERAL, **kwargs)
         _assert_matches(production, reference)
-        assert len(production.system.completed) == len(reference.system.completed)
+        assert len(production.system.completed) == len(spec)  # strands none
 
     @given(
         policy=st.sampled_from(["lb", "lalb", "lalbo3"]),
         o3_limit=st.sampled_from([1, 3, 25]),
         max_processes=st.none() | st.integers(0, 4),
-        memory=st.none() | st.sampled_from([0.05, 0.2, 1.0]),
-        time_share=st.none() | st.sampled_from([0.05, 0.3, 1.0]),
         fail=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=12, deadline=None)
-    def test_generated_quotas_match_the_spec(
-        self, policy, o3_limit, max_processes, memory, time_share, fail, seed
-    ):
+    def test_generated_quotas_match_the_spec(self, policy, o3_limit, max_processes, fail, seed):
         """Generated quotas, O3 limits and an optional GPU failure: the
         index scans make the spec's decisions and leave its final KV."""
-        quota = TenantQuota(max_processes, memory, time_share)
+        quota = TenantQuota(max_processes)
         spec = _workload(seed, 300)
         kwargs = dict(
             policy=policy,

@@ -328,12 +328,12 @@ class TestTenancyCleanup:
         r = make_request("fn-t", "resnet50", tenant="t", model=inst)
         system.submit(r)
         system.run(until=1.0)  # mid-load: reservation held
-        assert system.tenancy.usage("t")["processes"] == 1
+        assert system.tenancy.processes("t") == 1
         system.fail_gpu(r.gpu_id)
         # the aborted load's reservation is gone, then the retry re-reserves
         system.run()
         assert r.completed_at is not None
-        assert system.tenancy.usage("t")["processes"] == 1  # one real process
+        assert system.tenancy.processes("t") == 1  # one real process
 
 
 class TestQueueResorting:

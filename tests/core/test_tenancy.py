@@ -8,8 +8,21 @@ from repro.core.tenancy import TenancyController, TenantQuota
 from repro.experiments.replay import replay
 from repro.models import ModelInstance, get_profile
 from repro.runtime import FaaSCluster, SystemConfig
-from repro.sim import Simulator
 from repro.traces import build_workload, spec_for_requests
+
+
+class _Cache:
+    """The two CacheManager reads the controller makes: residency and a
+    GPU's replacement order (coldest first)."""
+
+    def __init__(self, **lru):
+        self.lru = lru  # gpu_id -> [model_id, ...]
+
+    def is_cached_on(self, model_id, gpu_id):
+        return model_id in self.lru.get(gpu_id, ())
+
+    def lru_list(self, gpu_id):
+        return self.lru.get(gpu_id, [])
 
 
 class TestQuotaValidation:
@@ -17,86 +30,94 @@ class TestQuotaValidation:
         with pytest.raises(ValueError):
             TenantQuota(max_processes=-1)
 
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            TenantQuota(max_memory_fraction=1.5)
-        with pytest.raises(ValueError):
-            TenantQuota(max_time_fraction=-0.1)
-
     def test_none_disables_dimension(self):
         q = TenantQuota()
         assert q.max_processes is None
 
 
 class TestController:
-    def make_controller(self, quotas):
-        sim = Simulator()
-        return sim, TenancyController(
-            sim, quotas=quotas, total_memory_mb=10000.0, num_gpus=2
-        )
+    @staticmethod
+    def make_controller(quotas, cache=None):
+        tc = TenancyController(quotas=quotas, cache=cache or _Cache())
+        for i in (1, 2, 3):
+            tc.register_instance(ModelInstance(f"fn-{i}", get_profile("alexnet"), tenant="acme"))
+        tc.register_instance(ModelInstance("other", get_profile("alexnet"), tenant="polite"))
+        return tc
+
+    @staticmethod
+    def request(make_request, model_id):
+        return make_request(model_id, "alexnet", tenant="acme")
 
     def test_unknown_tenant_always_allowed(self, make_request):
-        sim, tc = self.make_controller({})
-        assert tc.allows(make_request(tenant="anyone"))
+        tc = self.make_controller({})
+        assert tc.allows(make_request(tenant="anyone"), "g0")
 
     def test_process_limit_blocks(self, make_request):
-        sim, tc = self.make_controller({"acme": TenantQuota(max_processes=1)})
-        inst = ModelInstance("fn-1", get_profile("alexnet"), tenant="acme")
-        tc.register_instance(inst)
-        r = make_request("fn-1", "alexnet", tenant="acme")
-        assert tc.allows(r)
+        """At the cap, a miss on a GPU where the tenant holds no process
+        waits for the count to drop."""
+        cache = _Cache(g0=["fn-1"])
+        tc = self.make_controller({"acme": TenantQuota(max_processes=1)}, cache)
+        r = self.request(make_request, "fn-2")
+        assert tc.allows(r, "g1")
         tc.on_cache_event("load", "g0", "fn-1", 0.0)
-        assert not tc.allows(r)
+        assert not tc.allows(r, "g1")
         tc.on_cache_event("evict", "g0", "fn-1", 1.0)
-        assert tc.allows(r)
+        assert tc.allows(r, "g1")
 
-    def test_memory_share_blocks(self, make_request):
-        sim, tc = self.make_controller(
-            {"acme": TenantQuota(max_memory_fraction=0.2)}  # 2000 MB of 10000
-        )
-        inst = ModelInstance("fn-1", get_profile("alexnet"), tenant="acme")  # 1437 MB
-        tc.register_instance(inst)
-        r = make_request("fn-1", "alexnet", tenant="acme")
-        assert tc.allows(r)  # 1437 < 2000
+    def test_a_capped_tenant_replaces_its_own_coldest_process(self, make_request):
+        """At the cap, a miss on a GPU holding the tenant's models is
+        admitted, and replaces the coldest of them (another tenant's
+        colder model is not a candidate)."""
+        cache = _Cache(g0=["other", "fn-2", "fn-1"])
+        tc = self.make_controller({"acme": TenantQuota(max_processes=2)}, cache)
+        for model_id in ("fn-1", "fn-2"):
+            tc.on_cache_event("load", "g0", model_id, 0.0)
+        r = self.request(make_request, "fn-3")
+        assert tc.allows(r, "g0") and not tc.allows(r, "g1")
+        assert tc.victim_for(r, "g0") == "fn-2"
+        assert tc.victim_for(r, "g1") is None
+
+    def test_below_the_cap_nothing_is_replaced(self, make_request):
+        cache = _Cache(g0=["fn-1"])
+        tc = self.make_controller({"acme": TenantQuota(max_processes=2)}, cache)
         tc.on_cache_event("load", "g0", "fn-1", 0.0)
-        # second copy would be 2874 > 2000
-        assert not tc.allows(r)
+        assert tc.victim_for(self.request(make_request, "fn-2"), "g0") is None
 
-    def test_time_share_blocks(self, make_request):
-        sim, tc = self.make_controller({"acme": TenantQuota(max_time_fraction=0.25)})
-        r = make_request("fn-1", "alexnet", tenant="acme", arrival=0.0)
-        r.dispatched_at = 0.0
-        r.completed_at = 6.0  # 6s of 2 GPUs * 10s = 30% > 25%
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        tc.on_request_complete(r)
-        assert not tc.allows(make_request("fn-2", "alexnet", tenant="acme", arrival=10.0))
+    def test_a_tenant_over_its_cap_is_refused(self, make_request):
+        """Replacing one process keeps the count where it is, so a tenant
+        above its cap is refused even where it holds a model."""
+        cache = _Cache(g0=["fn-1", "fn-2"])
+        tc = self.make_controller({"acme": TenantQuota(max_processes=1)}, cache)
+        for model_id in ("fn-1", "fn-2"):
+            tc.on_cache_event("load", "g0", model_id, 0.0)
+        assert not tc.allows(self.request(make_request, "fn-3"), "g0")
 
-    def test_usage_introspection(self, make_request):
-        sim, tc = self.make_controller({})
-        inst = ModelInstance("fn-1", get_profile("alexnet"), tenant="t")
-        tc.register_instance(inst)
+    def test_a_hit_is_always_admitted(self, make_request):
+        cache = _Cache(g0=["fn-1"])
+        tc = self.make_controller({"acme": TenantQuota(max_processes=0)}, cache)
+        assert tc.allows(self.request(make_request, "fn-1"), "g0")
+        assert not tc.allows(self.request(make_request, "fn-1"), "g1")
+
+    def test_process_count_introspection(self):
+        tc = self.make_controller({})
         tc.on_cache_event("load", "g0", "fn-1", 0.0)
-        u = tc.usage("t")
-        assert u["processes"] == 1
-        assert u["memory_mb"] == pytest.approx(1437)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            TenancyController(Simulator(), total_memory_mb=0, num_gpus=1)
+        assert tc.processes("acme") == 1
+        assert tc.processes("polite") == 0
 
 
 class TestEndToEndIsolation:
-    def test_over_quota_tenant_waits_while_others_proceed(self, make_request):
-        """A tenant at its process limit is bypassed until eviction frees it.
+    def test_capped_tenant_replaces_its_own_process(self, make_request):
+        """A tenant at its process cap waits only where it holds no
+        process, then replaces its own.
 
-        Single GPU (7800 MB): greedy-1 (resnet50, 1701) loads; greedy-2 is
-        blocked by the 1-process quota, so polite's requests overtake it.
-        polite-2 (vgg16, 3907) forces the eviction of greedy-1 (the LRU
-        victim), after which greedy-2 finally runs.
+        Two GPUs: greedy-1 loads on the first and puts ``greedy`` at its
+        1-process cap.  greedy-2 may not start a second process on the
+        idle second GPU, so polite-1 overtakes it there; once the first
+        GPU turns idle, greedy-2 replaces greedy-1 on it (both fit in its
+        memory: no memory victim is involved).
         """
         config = SystemConfig(
-            cluster=ClusterSpec.homogeneous(1, 1),
+            cluster=ClusterSpec.homogeneous(1, 2),
             policy="lb",
             quotas={"greedy": TenantQuota(max_processes=1)},
         )
@@ -109,27 +130,27 @@ class TestEndToEndIsolation:
             system.register_model(inst)
 
         def req(inst):
-            r = make_request(inst.instance_id, inst.architecture, tenant=inst.tenant, model=inst)
-            return r
+            return make_request(inst.instance_id, inst.architecture, model=inst)
 
         r1, r2, r3, r4 = req(g1), req(g2), req(p1), req(p2)
         for r in (r1, r2, r3, r4):
             system.submit(r)
         system.run()
         assert all(r.completed_at is not None for r in (r1, r2, r3, r4))
-        # polite's requests both overtook the quota-blocked greedy-2
+        # polite-1 overtook greedy-2, which held no process on its GPU
         assert r3.exec_start_at < r2.exec_start_at
-        assert r4.exec_start_at < r2.exec_start_at
-        # and greedy-2 only ran after greedy-1 was evicted
+        assert r3.gpu_id != r1.gpu_id
+        # greedy-2 then replaced greedy-1 on greedy-1's GPU
+        assert r2.gpu_id == r1.gpu_id
         assert not system.cache.cached_anywhere(g1.instance_id)
+        assert system.tenancy.processes("greedy") == 1
 
 
 class TestOneTenantPerRequest:
     def test_the_models_tenant_is_checked_and_charged(self):
-        """A request's own ``tenant`` field does not pick its quota: the
-        check, the process charge and the GPU-time charge all go to its
-        model's tenant.  Two ``acme`` models behind requests left at the
-        default tenant: the 1-process cap lets only the first one load."""
+        """A request's quota is its model's tenant's.  Two ``acme`` models
+        under a 1-process cap on two GPUs: the second may not load on the
+        other, idle GPU, and runs once it can replace the first."""
         system = FaaSCluster(
             SystemConfig(
                 cluster=ClusterSpec.homogeneous(1, 2),
@@ -140,33 +161,33 @@ class TestOneTenantPerRequest:
         models = [
             ModelInstance(f"acme-{i}", get_profile("alexnet"), tenant="acme") for i in (1, 2)
         ]
+        requests = []
         for rid, model in enumerate(models, 1):
             system.register_model(model)
-            request = InferenceRequest(model.instance_id, model, 0.0, rid)
-            assert request.tenant == "default"
-            system.submit(request)
+            requests.append(InferenceRequest(model.instance_id, model, 0.0, rid))
+            system.submit(requests[-1])
         system.run()
-        assert system.tenancy.usage("acme")["processes"] == 1
-        assert len(system.scheduler.global_queue) == 1  # the second waits
-        assert system.tenancy.usage("acme")["gpu_time_s"] > 0
-        assert system.tenancy.usage("default")["gpu_time_s"] == 0
+        first, second = requests
+        assert first.completed_at is not None and second.completed_at is not None
+        assert second.gpu_id == first.gpu_id
+        assert second.exec_start_at > first.completed_at
+        assert system.tenancy.processes("acme") == 1
+        assert system.tenancy.processes("default") == 0
 
 
 class TestMayRefuse:
-    """``may_refuse`` is derived: a share, or a tenant at its process cap."""
+    """``may_refuse`` is derived: some tenant sits at its process cap."""
 
-    def make_controller(self, quotas):
-        return TenancyController(
-            Simulator(), quotas=quotas, total_memory_mb=10000.0, num_gpus=2
-        )
+    @staticmethod
+    def make_controller(quotas):
+        return TenancyController(quotas=quotas, cache=_Cache())
 
     @pytest.mark.parametrize(
         "quota, expected",
         [
             (TenantQuota(max_processes=1000), False),
             (TenantQuota(max_processes=0), True),  # starts at its cap
-            (TenantQuota(max_memory_fraction=1.0), True),
-            (TenantQuota(max_time_fraction=1.0), True),
+            (TenantQuota(), False),
         ],
     )
     def test_initial_state(self, quota, expected):
@@ -216,7 +237,7 @@ class TestReplayQuotas:
         # 6 also covers one model loading on two GPUs at once: each load
         # holds its own reservation until its "load" event
         assert peak <= max_processes
-        assert 0 < system.tenancy.usage("default")["processes"] <= max_processes
+        assert 0 < system.tenancy.processes("default") <= max_processes
         assert log != free_log
 
 

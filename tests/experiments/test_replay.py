@@ -8,10 +8,12 @@ Gateway (Dockerfile flag parsing, ML-API interception, container pools,
 Watchdog), and every trace invocation becomes a Gateway call.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.core import DecisionKind, TenantQuota
@@ -196,16 +198,33 @@ class TestReplayDriver:
 
     @pytest.mark.parametrize("policy", SCHEDULING_POLICY_NAMES)
     def test_a_binding_process_quota_strands_no_request_silently(self, policy):
-        """A tenant at its process cap never frees its own idle processes,
-        so a binding quota leaves requests queued with every GPU idle and
-        no event left to wake the Scheduler.  The replay still accounts
-        for every request: each one stranded at the drain leaves its queue
-        as LOST (reason ``"stranded"``), with a LOST decision row."""
+        """A tenant at its process cap replaces its own idle processes, so
+        a binding cap that admits a process completes every request."""
         workload = build_workload(WorkloadSpec(working_set=15, minutes=1))
         config = SystemConfig(policy=policy, quotas={"default": TenantQuota(max_processes=6)})
         summary, system = replay(config, workload)
+        assert summary.lost_requests == 0
+        assert len(system.completed) == len(workload)
+        assert system.tenancy.processes("default") <= 6
+
+    @pytest.mark.parametrize("policy", SCHEDULING_POLICY_NAMES)
+    def test_a_quota_that_admits_no_process_strands_every_request(self, policy):
+        """``max_processes=0`` leaves its tenant's requests queued with
+        every GPU idle and no event left to wake the Scheduler.  The replay
+        still accounts for every request: each one stranded at the drain
+        leaves its queue as LOST (reason ``"stranded"``), with a LOST
+        decision row.  Every third function belongs to the capped tenant."""
+        workload = build_workload(WorkloadSpec(working_set=15, minutes=1))
+        capped = workload.function_ids[::3]
+        instances = {
+            fid: replace(inst, tenant="capped") if fid in capped else inst
+            for fid, inst in workload.instances.items()
+        }
+        workload = replace(workload, instances=instances)
+        config = SystemConfig(policy=policy, quotas={"capped": TenantQuota(max_processes=0)})
+        summary, system = replay(config, workload)
         scheduler = system.scheduler
-        assert 0 < summary.lost_requests < len(workload)  # the quota binds
+        assert summary.lost_requests == sum(r.model.tenant == "capped" for r in workload)
         assert len(system.completed) + summary.lost_requests == len(workload)
         assert system.metrics.lost_reasons == {"stranded": summary.lost_requests}
         assert len(scheduler.global_queue) == 0
@@ -213,3 +232,23 @@ class TestReplayDriver:
         assert all(gpu.is_idle for gpu in system.cluster.gpus)
         lost = [d for d in scheduler.decisions if d.kind is DecisionKind.LOST]
         assert len(lost) == summary.lost_requests
+
+    @given(
+        policy=st.sampled_from(SCHEDULING_POLICY_NAMES),
+        working_set=st.sampled_from([15, 35]),
+        max_processes=st.integers(1, 13),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_every_request_completes_under_any_process_cap(
+        self, policy, working_set, max_processes, seed
+    ):
+        """Liveness: a cap that admits one process completes every request,
+        whatever the policy, working set and cap (12 GPUs)."""
+        workload = build_workload(WorkloadSpec(working_set=working_set, minutes=1, seed=seed))
+        config = SystemConfig(
+            policy=policy, quotas={"default": TenantQuota(max_processes=max_processes)}
+        )
+        summary, system = replay(config, workload)
+        assert summary.lost_requests == 0
+        assert len(system.completed) == len(workload)

@@ -63,7 +63,7 @@ class SpecLALBPolicy(LALBPolicy):
         acted = False
         # -- first scan (lines 6–16): look for a cache hit on this GPU ----
         for request in s.global_queue:
-            if not s.may_dispatch(request):
+            if self._refused(s, gpu, request):
                 continue
             if s.cache.is_cached_on(request.model_id, gpu.gpu_id):
                 if exp is not None:
@@ -86,7 +86,7 @@ class SpecLALBPolicy(LALBPolicy):
             request.visits += 1  # line 15: skipped once more
         # -- second scan (lines 17–21): no cached request for this GPU ----
         for request in s.global_queue:
-            if not s.may_dispatch(request):
+            if self._refused(s, gpu, request):
                 continue
             outcome = self._locality_load_balance(s, gpu, request)
             if outcome == "to_this_gpu":
@@ -96,6 +96,14 @@ class SpecLALBPolicy(LALBPolicy):
         return acted
 
     _schedule_gpu = _schedule_gpu_reference
+
+    @staticmethod
+    def _refused(s: SchedulerOps, gpu: GPUDevice, request: InferenceRequest) -> bool:
+        """The quota refuses ``request`` on ``gpu`` and Algorithm 2 has no
+        other place for it (its model is cached nowhere)."""
+        return not s.cache.cached_anywhere(request.model_id) and not s.may_dispatch(
+            request, gpu
+        )
 
 
 def spec_policy(policy: SchedulingPolicy) -> SchedulingPolicy:

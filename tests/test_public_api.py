@@ -183,6 +183,16 @@ def test_tenant_admission_certificate_stays_gone():
     assert not hasattr(LALBPolicy, "_schedule_gpu_reference")
 
 
+def test_tenant_quota_has_one_lever():
+    """§VI's process cap is the one isolation lever (the memory and time
+    shares are gone), and a request is charged to its model's tenant: it
+    carries no tenant of its own."""
+    from repro.core import TenantQuota
+
+    assert tuple(f.name for f in dataclasses.fields(TenantQuota)) == ("max_processes",)
+    assert "tenant" not in {f.name for f in dataclasses.fields(repro.InferenceRequest)}
+
+
 def test_ids_are_minted_by_their_owners():
     """No ID has a default drawn from a module-level counter: a request
     takes its ID from whoever builds it."""

@@ -81,7 +81,7 @@ class TestMaterialize:
             assert got.model.instance_id == want.model.instance_id
             assert got.batch_size == want.batch_size
             assert got.sla_s == want.sla_s
-            assert got.tenant == want.tenant
+            assert got.model.tenant == want.model.tenant
 
     def test_stream_metadata_matches(self):
         spec = WorkloadSpec(working_set=15, minutes=3, requests_per_minute=50, seed=9)

@@ -48,7 +48,6 @@ def build_workload_reference(spec, *, trace, tenant="default"):
                     arrival_time=float(t),
                     request_id=len(requests) + 1,
                     batch_size=spec.batch_size,
-                    tenant=tenant,
                     sla_s=spec.sla_s,
                 )
             )
@@ -93,7 +92,7 @@ class TestStreamParity:
             assert c.arrival_time == r.arrival_time
             assert c.model.instance_id == r.model.instance_id
             assert c.batch_size == r.batch_size
-            assert c.tenant == r.tenant
+            assert c.model.tenant == r.model.tenant
             assert c.sla_s == r.sla_s
             assert c.request_id == r.request_id
 
