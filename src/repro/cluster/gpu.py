@@ -108,7 +108,6 @@ class GPUDevice:
         self._completed_requests = value
         cluster = self._cluster
         if cluster is not None:
-            cluster.version += 1
             cluster._refile(self)
 
     # ------------------------------------------------------------------
@@ -211,7 +210,6 @@ class GPUDevice:
         self.is_online = to is not GPUState.OFFLINE
         cluster = self._cluster
         if cluster is not None:
-            cluster.version += 1
             cluster.idle_count += idle - was_idle  # +1, -1 or 0
             if idle:  # the one transition after a completion-count bump
                 cluster._refile(self)

@@ -52,15 +52,14 @@ class Cluster:
     """A set of GPU nodes plus flat views over their devices.
 
     The devices keep these views exact themselves: every state change
-    (``GPUDevice._set_state``) bumps :attr:`version` and adjusts
-    :attr:`idle_count` in line, and the device-ordered idle/busy lists
-    are rebuilt lazily only when :attr:`version` has moved.  Returned
-    lists are cache snapshots — callers must not mutate them.
+    (``GPUDevice._set_state``) adjusts :attr:`idle_count` in line and
+    re-files a GPU returning to idle.  :meth:`idle_gpus` and
+    :meth:`idle_gpus_by_frequency` are plain filters, a fresh list per
+    call.
 
     Dirty-signal layer (pass elision)
     --------------------------------
-    Beyond the lazily rebuilt views the cluster publishes its **idle-set
-    delta** directly:
+    The cluster publishes its **idle-set delta** directly:
 
     * :attr:`idle_count` is exact after every transition, so "is any GPU
       idle?" is one attribute load — the guard the scheduling engine
@@ -84,15 +83,8 @@ class Cluster:
         if len(self._by_id) != len(self.gpus):
             raise ValueError("duplicate GPU ids in cluster")
         self._node_of = {g.gpu_id: node for node in nodes for g in node.gpus}
-        #: monotone counter of GPU state/frequency changes; consumers key
-        #: their own cached views off it (see idle_gpus/busy_gpus below)
-        self.version = 0
         #: number of currently idle GPUs (exact, O(1) to read)
         self.idle_count = sum(1 for g in self.gpus if g.is_idle)
-        self._idle_version = -1
-        self._idle_cache: list[GPUDevice] = []
-        self._busy_version = -1
-        self._busy_cache: list[GPUDevice] = []
         #: every GPU, most-used first (ties on gpu_id); the list object is
         #: stable and re-ordered in place — do not mutate it
         self.by_frequency: list[GPUDevice] = sorted(
@@ -128,10 +120,8 @@ class Cluster:
         return self._node_of[gpu_id]
 
     def idle_gpus(self) -> list[GPUDevice]:
-        if self._idle_version != self.version:
-            self._idle_cache = [g for g in self.gpus if g.is_idle]
-            self._idle_version = self.version
-        return self._idle_cache
+        """Idle GPUs in device order (a fresh list each call)."""
+        return [g for g in self.gpus if g.is_idle]
 
     def idle_gpus_by_frequency(self) -> list[GPUDevice]:
         """Idle GPUs, most-used first (Alg. 1's "sorted by frequency").
@@ -141,12 +131,6 @@ class Cluster:
         from :attr:`by_frequency` (the LALB pass walks that order itself).
         """
         return [g for g in self.by_frequency if g.is_idle]
-
-    def busy_gpus(self) -> list[GPUDevice]:
-        if self._busy_version != self.version:
-            self._busy_cache = [g for g in self.gpus if g.is_busy]
-            self._busy_version = self.version
-        return self._busy_cache
 
     def gpu_types(self) -> set[str]:
         return {g.gpu_type for g in self.gpus}

@@ -27,7 +27,7 @@ from .replacement import (
 )
 from .request import InferenceRequest, RequestState
 from .scheduler import Scheduler
-from .signals import DispatchableWorkGuard, IdleLocalWorkIndex, PassGuard
+from .signals import PassGuard
 from .tenancy import TenancyController, TenantQuota
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "InferenceRequest",
     "RequestState",
     "Scheduler",
-    "DispatchableWorkGuard",
-    "IdleLocalWorkIndex",
     "PassGuard",
     "TenancyController",
     "TenantQuota",

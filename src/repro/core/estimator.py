@@ -16,7 +16,8 @@ instead of re-walking the GPU's local queue on every Alg. 2 comparison.
 The sum resets to exactly 0.0 whenever a queue empties (bounding
 floating-point drift).  The estimator is built with the cluster's devices
 while their local queues are still empty, so every mutation is costed as
-it happens.
+it happens; the queues are keyed by device, so the observer is handed the
+GPU it costs against.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ class FinishTimeEstimator:
         #: written by the GPU Managers on every dispatch.  A value in the
         #: past (a completed request's finish time) reads as "now".
         self._busy_until: dict[str, float] = {}
-        #: gpu_id -> device, for costing queue mutations as they happen
-        self._devices: dict[str, GPUDevice] = {g.gpu_id: g for g in gpus}
         #: gpu_id -> running sum of queued inference times
         self._queued_cost: dict[str, float] = {g.gpu_id: 0.0 for g in gpus}
         #: (model_id, gpu_type[, batch]) -> (model instance, latency): a hit
@@ -62,13 +61,14 @@ class FinishTimeEstimator:
     # ------------------------------------------------------------------
     # Maintained by GPU Managers
     # ------------------------------------------------------------------
-    def _on_queue_change(self, gpu_id: str, request: InferenceRequest, added: bool) -> None:
-        if self.local_queues.length(gpu_id) == 0:
+    def _on_queue_change(self, gpu: GPUDevice, request: InferenceRequest, added: bool) -> None:
+        gpu_id = gpu.gpu_id
+        if self.local_queues.length(gpu) == 0:
             # exact resync at every empty point: incremental float error
             # cannot accumulate across queue generations
             self._queued_cost[gpu_id] = 0.0
             return
-        cost = self.infer_time(request, self._devices[gpu_id])
+        cost = self.infer_time(request, gpu)
         if added:
             self._queued_cost[gpu_id] += cost
         else:
@@ -114,14 +114,6 @@ class FinishTimeEstimator:
         """Total inference time queued on ``gpu``'s local queue (O(1)),
         served from the running sum the local-queue observer maintains."""
         return self._queued_cost[gpu.gpu_id]
-
-    def reference_queued_cost(self, gpu: GPUDevice) -> float:
-        """The literal queue walk the running sum replaces: the oracle the
-        incremental-vs-reference tests compare against."""
-        cost = 0.0
-        for req in self.local_queues.requests(gpu.gpu_id):
-            cost += self.infer_time(req, gpu)
-        return cost
 
     def estimated_finish_time(self, gpu: GPUDevice) -> float:
         """Absolute time when ``gpu`` would finish everything already bound

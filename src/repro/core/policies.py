@@ -26,15 +26,18 @@ byte-identical ``DecisionLog``s from both.
 
 Pass elision (dirty signals)
 ----------------------------
-Every policy also declares a :class:`~repro.core.signals.PassGuard` — the
-preconditions under which one pass can produce any decision.  The
-Scheduler consults it before every would-be pass and skips passes the
-guard proves are no-ops; inside a pass, policies that support it consult
-the same predicate (``SchedulerOps.pass_work_remaining``) to stop
-walking idle GPUs once no remaining GPU can act.  Elision changes *which
-provably-empty scans run*, never a decision: the differential suite
-replays identical workloads under the conservative base guard with an
-always-True probe and requires byte-identical ``DecisionLog``s.
+A policy declares no guard.  The Scheduler's one
+:class:`~repro.core.signals.PassGuard` holds for any policy, because it
+reasons about the :class:`SchedulerOps` actions a pass can take, and the
+Scheduler consults it before every would-be pass.  Inside a pass,
+policies that support it consult the same predicate
+(``SchedulerOps.pass_work_remaining``) to stop walking idle GPUs once no
+remaining GPU can act.  Elision changes *which provably-empty scans
+run*, never a decision: the differential suite replays identical
+workloads under the spec's conservative guard with an always-True probe
+and requires byte-identical ``DecisionLog``s.
+
+Local queues are keyed by the :class:`~repro.cluster.gpu.GPUDevice`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .cache_manager import CacheManager
 from .estimator import FinishTimeEstimator
 from .queues import GlobalQueue, LocalQueues
 from .request import InferenceRequest
-from .signals import DispatchableWorkGuard, PassGuard
 from .tenancy import TenancyController
 
 __all__ = [
@@ -69,7 +71,7 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
     """What a policy may observe and do; implemented by the Scheduler.
 
     ``pass_work_remaining`` is the mid-pass narrowing probe: the
-    Scheduler binds it to the policy's :class:`PassGuard` so a pass can
+    Scheduler binds it to its :class:`PassGuard` so a pass can
     stop walking idle GPUs the moment no remaining GPU can possibly act
     (the same provable-no-op predicate that elides whole passes).
     """
@@ -89,7 +91,6 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
 
     def idle_gpus(self) -> list[GPUDevice]: ...
     def idle_gpus_by_frequency(self) -> list[GPUDevice]: ...
-    def busy_gpus(self) -> list[GPUDevice]: ...
     def gpu(self, gpu_id: str) -> GPUDevice: ...
     def dispatch(self, request: InferenceRequest, gpu: GPUDevice) -> None: ...
     def dispatch_local_head(self, gpu: GPUDevice) -> None: ...
@@ -122,11 +123,6 @@ class SchedulingPolicy(ABC):
     name: str = "abstract"
     #: Alg. 1's O3 skip limit (None: the policy counts no visits)
     limit: int | None = None
-    #: preconditions for a pass to act; the Scheduler consults this
-    #: before every would-be pass.  The base guard is the conservative
-    #: fail-safe (exactly the historical run conditions), so subclasses
-    #: that declare nothing are never over-elided.
-    guard: PassGuard = PassGuard()
 
     @abstractmethod
     def schedule_pass(self, s: SchedulerOps) -> bool:
@@ -141,7 +137,6 @@ class LoadBalancingPolicy(SchedulingPolicy):
     """Default load-balancing baseline (no locality awareness)."""
 
     name = "lb"
-    guard = DispatchableWorkGuard()
 
     def schedule_pass(self, s: SchedulerOps) -> bool:
         work = s.pass_work_remaining
@@ -180,21 +175,22 @@ class LocalityOnlyPolicy(SchedulingPolicy):
     requests whose model is cached nowhere may use an idle GPU.  Exists to
     quantify why LALB balances locality against load (see
     ``benchmarks/test_ablation_locality_only.py``).
+
+    The guard gates pass *entry* only: once running, the global-queue
+    walk may still bind requests to busy GPUs after the last idle GPU is
+    consumed, so this pass never narrows mid-walk.
     """
 
     name = "locality"
-    #: the guard gates pass *entry* only: once running, the global-queue
-    #: walk below may still bind requests to busy GPUs after the last
-    #: idle GPU is consumed, so this pass never narrows mid-walk
-    guard = DispatchableWorkGuard()
 
     def schedule_pass(self, s: SchedulerOps) -> bool:
+        peek = s.local_queues.peek
         progress = False
         # serve local queues first, like LALB
         for gpu in s.idle_gpus_by_frequency():
             if not gpu.is_idle:
                 continue
-            if s.local_queues.peek(gpu.gpu_id) is not None:
+            if peek(gpu) is not None:
                 s.dispatch_local_head(gpu)
                 progress = True
         # One pass-local idle view instead of re-probing per queue entry:
@@ -203,32 +199,49 @@ class LocalityOnlyPolicy(SchedulingPolicy):
         # so filtering the snapshot on ``is_idle`` yields exactly the
         # membership and frequency order a fresh probe would.
         idle_view = s.idle_gpus_by_frequency()
+        # model_id -> the first idle GPU that admits a miss of it (None:
+        # none does).  The answer reads only the model and the idle,
+        # local-queue, cache and quota state, which within a pass only a
+        # dispatch changes (a miss may evict its tenant's own process and
+        # so re-admit a refused model): one probe per model between
+        # dispatches.
+        first_admitting: dict[str, GPUDevice | None] = {}
         # the live iteration allocates no snapshot; each visited request is
         # either left in place or removed, so the walk sees the same
         # sequence a snapshot would
         for request in s.global_queue.iter_requests():
-            locations = s.cache.locations(request.model_id)
+            model_id = request.model_id
+            locations = s.cache.locations(model_id)
             if locations:
-                handled = self._bind_to_cached_gpu(s, request, locations)
-                progress = progress or handled
-            else:
-                idle = [
-                    g
-                    for g in idle_view
-                    if g.is_idle
-                    and s.local_queues.peek(g.gpu_id) is None
-                    and s.may_dispatch(request, g)
-                ]
-                if idle:
-                    s.dispatch(request, idle[0])
+                if self._bind_to_cached_gpu(s, request, locations):
                     progress = True
+                    first_admitting.clear()
+                continue
+            if model_id in first_admitting:
+                target = first_admitting[model_id]
+            else:
+                target = first_admitting[model_id] = self._first_admitting(
+                    s, request, idle_view
+                )
+            if target is not None:
+                s.dispatch(request, target)
+                progress = True
+                first_admitting.clear()
         return progress
+
+    @staticmethod
+    def _first_admitting(s: SchedulerOps, request, idle_view) -> GPUDevice | None:
+        peek = s.local_queues.peek
+        for gpu in idle_view:
+            if gpu.is_idle and peek(gpu) is None and s.may_dispatch(request, gpu):
+                return gpu
+        return None
 
     @staticmethod
     def _bind_to_cached_gpu(s: SchedulerOps, request, locations) -> bool:
         for gpu_id in locations:
             gpu = s.gpu(gpu_id)
-            if gpu.is_idle and s.local_queues.peek(gpu_id) is None:
+            if gpu.is_idle and s.local_queues.peek(gpu) is None:
                 s.dispatch(request, gpu)
                 return True
         # every caching GPU is busy → wait behind the least-loaded copy,
@@ -258,8 +271,6 @@ class LALBPolicy(SchedulingPolicy):
     docstring).
     """
 
-    guard = DispatchableWorkGuard()
-
     def __init__(self, limit: int = DEFAULT_O3_LIMIT) -> None:
         if limit < 0:
             raise ValueError("O3 limit cannot be negative")
@@ -276,7 +287,7 @@ class LALBPolicy(SchedulingPolicy):
             if not gpu.is_idle:  # busy, or dispatched to earlier in this pass
                 continue
             # Alg. 1 lines 2–5: local queue has absolute priority.
-            if peek(gpu.gpu_id) is not None:
+            if peek(gpu) is not None:
                 if exp is not None:
                     exp.note("alg1:local_queue_priority", gpu.gpu_id)
                 s.dispatch_local_head(gpu)
@@ -412,7 +423,7 @@ class LALBPolicy(SchedulingPolicy):
             if (
                 other.is_idle
                 and other.gpu_id != gpu_i.gpu_id
-                and s.local_queues.peek(other.gpu_id) is None
+                and s.local_queues.peek(other) is None
             ):
                 if exp is not None:
                     exp.note("alg2:cached_on_idle_gpu", other.gpu_id)

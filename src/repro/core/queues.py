@@ -568,6 +568,11 @@ class GlobalQueue:
 class LocalQueues:
     """Per-GPU FIFO queues of requests bound to busy GPUs (Alg. 2 line 12).
 
+    Keyed by whatever identifies a GPU to the caller; the Scheduler and the
+    runtime key them by the :class:`~repro.cluster.gpu.GPUDevice` itself,
+    so the guard reads a device's ``is_idle`` straight off the non-empty
+    set and the estimator costs a push without a gpu_id lookup.
+
     Observers (the finish-time estimator) subscribe to push/pop so they can
     maintain running per-GPU cost sums instead of re-walking a queue per
     estimate; hooks fire *after* the queue mutates, so an observer reading
@@ -575,64 +580,52 @@ class LocalQueues:
     """
 
     def __init__(self) -> None:
-        self._queues: dict[str, deque[InferenceRequest]] = {}
+        self._queues: dict[object, deque[InferenceRequest]] = {}
         self._total = 0
-        #: gpu_ids whose queue is non-empty (the local-work dirty signal:
+        #: GPUs whose queue is non-empty (the local-work dirty signal:
         #: maintained on the 0↔1 length transitions, read by the pass
-        #: guards without walking any queue)
-        self._nonempty: set[str] = set()
-        # fn(gpu_id, request, added): added=True on push, False on pop
-        self._observers: list[Callable[[str, InferenceRequest, bool], None]] = []
+        #: guard without walking any queue; do not mutate)
+        self._nonempty: set = set()
+        # fn(gpu, request, added): added=True on push, False on pop
+        self._observers: list[Callable[[object, InferenceRequest, bool], None]] = []
 
-    def subscribe(self, fn: Callable[[str, InferenceRequest, bool], None]) -> None:
-        """Register a push/pop observer: ``fn(gpu_id, request, added)``."""
+    def subscribe(self, fn: Callable[[object, InferenceRequest, bool], None]) -> None:
+        """Register a push/pop observer: ``fn(gpu, request, added)``."""
         self._observers.append(fn)
 
-    def push(self, gpu_id: str, request: InferenceRequest) -> None:
+    def push(self, gpu, request: InferenceRequest) -> None:
         request.state = RequestState.LOCAL_QUEUED
-        q = self._queues.get(gpu_id)
+        q = self._queues.get(gpu)
         if q is None:  # avoid minting a throwaway deque per push
-            q = self._queues[gpu_id] = deque()
+            q = self._queues[gpu] = deque()
         if not q:
-            self._nonempty.add(gpu_id)
+            self._nonempty.add(gpu)
         q.append(request)
         self._total += 1
         for fn in self._observers:
-            fn(gpu_id, request, True)
+            fn(gpu, request, True)
 
-    def pop(self, gpu_id: str) -> InferenceRequest:
-        q = self._queues.get(gpu_id)
+    def pop(self, gpu) -> InferenceRequest:
+        q = self._queues.get(gpu)
         if not q:
-            raise IndexError(f"local queue of {gpu_id} is empty")
+            raise IndexError(f"local queue of {gpu} is empty")
         self._total -= 1
         request = q.popleft()
         if not q:
-            self._nonempty.discard(gpu_id)
+            self._nonempty.discard(gpu)
         for fn in self._observers:
-            fn(gpu_id, request, False)
+            fn(gpu, request, False)
         return request
 
-    def peek(self, gpu_id: str) -> InferenceRequest | None:
-        q = self._queues.get(gpu_id)
+    def peek(self, gpu) -> InferenceRequest | None:
+        q = self._queues.get(gpu)
         return q[0] if q else None
 
-    def length(self, gpu_id: str) -> int:
-        return len(self._queues.get(gpu_id, ()))
+    def length(self, gpu) -> int:
+        return len(self._queues.get(gpu, ()))
 
-    def requests(self, gpu_id: str) -> list[InferenceRequest]:
-        return list(self._queues.get(gpu_id, ()))
+    def requests(self, gpu) -> list[InferenceRequest]:
+        return list(self._queues.get(gpu, ()))
 
     def total(self) -> int:
         return self._total
-
-    def nonempty_gpu_ids(self) -> set[str]:
-        """GPUs with queued local work (live set — do not mutate).
-
-        O(1): maintained on the 0↔1 length transitions.  This is the
-        local-queue dirty signal the pass guards join with the cluster's
-        idle flags.
-        """
-        return self._nonempty
-
-    def non_empty_gpus(self) -> list[str]:
-        return [g for g, q in self._queues.items() if q]

@@ -11,17 +11,18 @@ queues, invoking GPU Managers, shipping the GPU address with the dispatch).
 
 Pass elision
 ------------
-There is one engine.  Every entry point (``submit`` / ``on_gpu_idle`` /
-``resubmit``) consults the policy's :class:`~repro.core.signals.PassGuard`
-before every would-be pass — the initial pass of an action and every
-re-invocation after a productive one — and skips passes the guard proves
-are no-ops, reacting to the dirty signals the components publish
-(idle-set delta, queue length, idle local work) instead of re-deriving
-"nothing to do" from full state.  ``passes_executed`` / ``passes_elided``
-count every considered pass into exactly one of the two bins, so
-benchmarks can gate that elision actually engages.  The literal
-always-pass engine is this same loop under the base ``PassGuard()`` with
-a mid-pass probe that always answers True; that is how
+There is one engine and one guard, whose proof covers every policy (see
+``signals.py``).  Every entry point (``submit`` / ``on_gpu_idle`` /
+``resubmit``) consults :attr:`Scheduler.guard` before every would-be
+pass — the initial pass of an action and every re-invocation after a
+productive one — and skips passes the guard proves are no-ops, reacting
+to the dirty signals the components publish (idle-set delta, queue
+length, idle local work) instead of re-deriving "nothing to do" from
+full state.  ``passes_executed`` / ``passes_elided`` count every
+considered pass into exactly one of the two bins, so benchmarks can gate
+that elision actually engages.  The literal always-pass engine is this
+same loop under ``tests/spec/guard.py``'s conservative guard with a
+mid-pass probe that always answers True; that is how
 ``tests/core/test_differential.py`` builds its reference arm.
 """
 
@@ -40,7 +41,7 @@ from .gpu_manager import GPUManager
 from .policies import SchedulingPolicy
 from .queues import GlobalQueue, LocalQueues
 from .request import InferenceRequest, RequestState
-from .signals import IdleLocalWorkIndex
+from .signals import PassGuard
 from .tenancy import TenancyController
 
 __all__ = ["Scheduler"]
@@ -64,14 +65,12 @@ class Scheduler:
     ) -> None:
         self.sim = sim
         self.cluster = cluster
-        # SchedulerOps' GPU observations are the Cluster's incrementally
-        # maintained views, handed out without a forwarding frame; callers
-        # must not mutate the returned lists
+        # SchedulerOps' GPU observations are the Cluster's own, handed out
+        # without a forwarding frame; callers must not mutate by_frequency
         self.gpu = cluster.gpu
         self.idle_gpus = cluster.idle_gpus
         self.idle_gpus_by_frequency = cluster.idle_gpus_by_frequency
         self.gpus_by_frequency = cluster.by_frequency
-        self.busy_gpus = cluster.busy_gpus
         self.policy = policy
         self.cache = cache
         self.estimator = estimator
@@ -110,9 +109,9 @@ class Scheduler:
         self.on_lost = None
         self.decisions = DecisionLog()
         self._append_decision = self.decisions.append  # hot-path bound method
-        #: idle ∩ local-work dirty-signal join (see signals.py); consumed
-        #: by the pass guards and the mid-pass narrowing probe
-        self.idle_local_work = IdleLocalWorkIndex(cluster, self.local_queues)
+        #: the pass-elision predicate (signals.py), read before every
+        #: would-be pass and by the mid-pass narrowing probe
+        self.guard = PassGuard()
         #: scheduling actions seen (entry-point invocations)
         self.actions = 0
         #: passes actually run
@@ -154,12 +153,12 @@ class Scheduler:
         if not self.sim._running:
             self.datastore.flush()
 
-    def drain_local(self, gpu_id: str) -> list[InferenceRequest]:
+    def drain_local(self, gpu: GPUDevice) -> list[InferenceRequest]:
         """Empty a GPU's local queue (failure handling): the locality that
         bound these requests here is gone with the GPU's memory."""
         drained = []
-        while self.local_queues.peek(gpu_id) is not None:
-            drained.append(self.local_queues.pop(gpu_id))
+        while self.local_queues.peek(gpu) is not None:
+            drained.append(self.local_queues.pop(gpu))
         return drained
 
     def resubmit(self, request: InferenceRequest) -> None:
@@ -205,14 +204,14 @@ class Scheduler:
     def _pass_work_remaining(self) -> bool:
         """The narrowing probe policies consult mid-pass.
 
-        Same provable-no-op predicate the policy's guard applies between
-        passes, evaluated from the live dirty signals — so a pass stops
-        walking idle GPUs the moment nothing it visits can act.  A False
+        Same provable-no-op predicate the guard applies between passes,
+        evaluated from the live dirty signals — so a pass stops walking
+        idle GPUs the moment nothing it visits can act.  A False
         answer is remembered (``_work_exhausted``) so the engine can elide
         the post-pass guard re-evaluation: nothing changes between the
         probe and the pass returning.
         """
-        if self.policy.guard.may_act(self):
+        if self.guard.may_act(self):
             return True
         self._work_exhausted = True
         return False
@@ -225,7 +224,7 @@ class Scheduler:
         guard matters because dispatching can synchronously change GPU
         state, which policies observe mid-pass.
 
-        The policy's :class:`PassGuard` states those run/stop conditions:
+        The :class:`PassGuard` states those run/stop conditions:
         every would-be pass — the first of an action and each
         re-invocation after a productive one — is either executed or,
         when the guard proves it a no-op, elided and counted.
@@ -242,7 +241,7 @@ class Scheduler:
         """
         if self._scheduling:
             return
-        guard_may_act = self.policy.guard.may_act
+        guard_may_act = self.guard.may_act
         explain = self.explain
         if not guard_may_act(self):
             self.passes_elided += 1
@@ -310,7 +309,7 @@ class Scheduler:
             f"idle={self.cluster.idle_count} "
             f"queued={self.global_queue._live} "
             f"local={self.local_queues.total()} "
-            f"idle_local_work={bool(self.idle_local_work)}"
+            f"idle_local_work={any(g.is_idle for g in self.local_queues._nonempty)}"
         )
 
     # ------------------------------------------------------------------
@@ -363,7 +362,7 @@ class Scheduler:
 
     def dispatch_local_head(self, gpu: GPUDevice) -> None:
         """Serve the head of ``gpu``'s local queue (Alg. 1 lines 2–5)."""
-        request = self.local_queues.pop(gpu.gpu_id)
+        request = self.local_queues.pop(gpu)
         self._record(DecisionKind.DISPATCH_LOCAL, request, gpu.gpu_id)
         self._execute(request, gpu)
 
@@ -375,7 +374,7 @@ class Scheduler:
             )
         self.global_queue.remove(request)
         self._record(DecisionKind.MOVE_TO_LOCAL, request, gpu.gpu_id)
-        self.local_queues.push(gpu.gpu_id, request)
+        self.local_queues.push(gpu, request)
 
     def _record(self, kind: DecisionKind, request: InferenceRequest, gpu_id: str | None) -> None:
         # cached bound method + direct _now read: one row is appended per

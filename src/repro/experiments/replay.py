@@ -56,7 +56,7 @@ def replay(
         scheduler.global_queue.remove(request)
         scheduler.give_up(request, "stranded")
     for gpu in system.cluster.gpus:
-        for request in scheduler.drain_local(gpu.gpu_id):
+        for request in scheduler.drain_local(gpu):
             scheduler.give_up(request, "stranded")
     summary = summarize(
         system.metrics,

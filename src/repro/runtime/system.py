@@ -286,7 +286,7 @@ class FaaSCluster:
         gpu = self.cluster.gpu(gpu_id)
         manager = self._managers[gpu.node_id]
         inflight = manager.abort(gpu)
-        stranded = self.scheduler.drain_local(gpu_id)
+        stranded = self.scheduler.drain_local(gpu)
         if inflight is not None:
             if self.tenancy is not None and inflight.cache_hit is False:
                 self.tenancy.on_load_aborted(gpu_id, inflight.model_id)
@@ -314,7 +314,7 @@ class FaaSCluster:
         work is ever aborted.
         """
         gpu = self.cluster.gpu(gpu_id)
-        stranded = self.scheduler.drain_local(gpu_id)
+        stranded = self.scheduler.drain_local(gpu)
         self._managers[gpu.node_id].drain(gpu)
         for request in stranded:
             self._requeue(request)
@@ -324,7 +324,7 @@ class FaaSCluster:
     def _on_gpu_drained(self, gpu) -> None:
         """Drain completed mid-run: re-queue anything the policies bound to
         the (then busy, now offline) GPU's local queue during the window."""
-        for request in self.scheduler.drain_local(gpu.gpu_id):
+        for request in self.scheduler.drain_local(gpu):
             self._requeue(request)
 
     def _requeue(self, request: InferenceRequest) -> None:

@@ -77,8 +77,8 @@ class TestBuildCluster:
         cluster = build_cluster(sim, ClusterSpec.homogeneous(1, 3))
         assert len(cluster.idle_gpus()) == 3
         cluster.gpus[0].begin_inference()
-        assert len(cluster.idle_gpus()) == 2
-        assert cluster.busy_gpus() == [cluster.gpus[0]]
+        assert cluster.idle_gpus() == cluster.gpus[1:]
+        assert [g for g in cluster if g.is_busy] == [cluster.gpus[0]]
 
     def test_gpu_lookup_by_id(self, sim):
         cluster = build_cluster(sim, ClusterSpec.homogeneous(2, 2))

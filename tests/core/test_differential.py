@@ -10,11 +10,12 @@ from those counterparts:
 =========  ==========================================================
 axis       literal arm
 =========  ==========================================================
-passes     the base ``PassGuard()`` (the engine's historical run/stop
-           conditions) with a mid-pass probe that always answers True
-scans      ``install_spec_scans``: the literal Algorithm-1/2
-           transcription of ``tests/spec/policies.py`` over a queue
-           that tracks no visits, with a probe per queued request
+passes     ``SpecPassGuard`` (``tests/spec/guard.py``: the engine's
+           historical run/stop conditions) with a mid-pass probe that
+           always answers True
+scans      ``install_spec_scans``: every policy's literal scan from
+           ``tests/spec/policies.py`` over a queue that tracks no
+           visits, with a quota probe per queued request
 writes     ``WriteThroughDatastore`` (``tests/spec/datastore.py``):
            one revision per put
 history    ``EPHEMERAL_HOT_PREFIXES = ()``: full MVCC for every key
@@ -40,20 +41,23 @@ import repro.runtime.system as system_module
 from repro.chaos import FaultPlan
 from repro.chaos.plan import GPUCrash, Straggler
 from repro.cluster import PAPER_TESTBED, ClusterSpec
-from repro.core.policies import (
-    SCHEDULING_POLICY_NAMES,
-    SchedulingPolicy,
-    make_scheduling_policy,
-)
+from repro.core.policies import SCHEDULING_POLICY_NAMES
 from repro.core.request import InferenceRequest
-from repro.core.signals import DispatchableWorkGuard, PassGuard
+from repro.core.signals import PassGuard
 from repro.core.tenancy import TenantQuota
 from repro.datastore import EPHEMERAL_HOT_PREFIXES, EphemeralKeyError
 from repro.models import ModelInstance, get_profile, model_names
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces import WorkloadSpec, build_workload
 from tests.spec.datastore import WriteThroughDatastore
-from tests.spec.policies import SpecLALBPolicy, SpecLoadBalancingPolicy, install_spec_scans
+from tests.spec.estimator import reference_queued_cost
+from tests.spec.guard import SpecPassGuard
+from tests.spec.policies import (
+    SpecLALBPolicy,
+    SpecLoadBalancingPolicy,
+    SpecLocalityOnlyPolicy,
+    install_spec_scans,
+)
 
 SEED = 20230517  # arbitrary but frozen: parity must hold for any seed
 N_FUNCTIONS = 30
@@ -98,7 +102,7 @@ def literal_system(config: SystemConfig, axes=ALL_LITERAL):
         if "scans" in axes:
             install_spec_scans(system)
         if "passes" in axes:
-            system.scheduler.policy.guard = PassGuard()
+            system.scheduler.guard = SpecPassGuard()
             system.scheduler.pass_work_remaining = lambda: True
         yield system
 
@@ -167,11 +171,12 @@ def _assert_matches(production: Replay, reference: Replay) -> None:
         assert reference.system.datastore.stats.flushes == 0
     if "scans" in axes:
         policy = reference.system.scheduler.policy
-        assert isinstance(policy, (SpecLALBPolicy, SpecLoadBalancingPolicy)) or (
-            policy.name == "locality"  # literal already
+        assert isinstance(
+            policy, (SpecLALBPolicy, SpecLoadBalancingPolicy, SpecLocalityOnlyPolicy)
         )
         assert not reference.system.scheduler.global_queue.tracks_visits
     if "passes" in axes:
+        assert type(reference.system.scheduler.guard) is SpecPassGuard
         assert (  # strictly more for every policy that uses local queues
             reference.system.scheduler.passes_executed
             >= production.system.scheduler.passes_executed
@@ -552,25 +557,19 @@ class TestPassCounters:
 
 
 class TestGuards:
-    """PassGuard semantics against a live system."""
+    """The one PassGuard against a live system."""
 
-    def test_policies_declare_the_shared_guard(self):
+    def test_every_policy_runs_under_the_one_guard(self):
         for name in POLICIES:
-            assert isinstance(make_scheduling_policy(name).guard, DispatchableWorkGuard)
-
-    def test_base_guard_is_the_failsafe_default(self):
-        class Custom(SchedulingPolicy):
-            def schedule_pass(self, s):  # pragma: no cover - never runs
-                return False
-
-        assert type(Custom().guard) is PassGuard
+            system = FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(1, 2), policy=name))
+            assert type(system.scheduler.guard) is PassGuard
 
     def test_guard_refuses_only_provable_noops(self):
         system = FaaSCluster(
             SystemConfig(cluster=ClusterSpec.homogeneous(1, 2), policy="lalbo3")
         )
         sched = system.scheduler
-        guard = sched.policy.guard
+        guard = sched.guard
         # idle cluster, empty queues: provably nothing to do
         assert guard.may_act(sched) is False
         inst = ModelInstance("m0", get_profile(model_names()[0]))
@@ -590,24 +589,29 @@ class TestGuards:
                 gpu.become_idle()
         assert guard.may_act(sched) is True
 
-    def test_idle_local_work_index_tracks_the_join(self):
+    def test_guard_joins_local_work_with_idle_flags(self):
+        """Local work counts only on an idle GPU; the spec guard admits
+        any local work, so it runs the passes production elides."""
         system = FaaSCluster(
             SystemConfig(cluster=ClusterSpec.homogeneous(1, 2), policy="lalbo3")
         )
         sched = system.scheduler
         gpu = system.cluster.gpus[0]
         inst = ModelInstance("m0", get_profile(model_names()[0]))
+        spec = SpecPassGuard()
 
-        assert not sched.idle_local_work
+        assert not sched.guard.may_act(sched)
         gpu.begin_inference()  # busy GPU with local work → not dispatchable
         sched.local_queues.push(
-            gpu.gpu_id, InferenceRequest("fn0", inst, arrival_time=0.0, request_id=1)
+            gpu, InferenceRequest("fn0", inst, arrival_time=0.0, request_id=1)
         )
-        assert not sched.idle_local_work
+        assert not sched.guard.may_act(sched)
+        assert spec.may_act(sched)
         gpu.become_idle()  # now idle with local work → dispatchable
-        assert sched.idle_local_work
-        sched.local_queues.pop(gpu.gpu_id)
-        assert not sched.idle_local_work
+        assert sched.guard.may_act(sched)
+        sched.local_queues.pop(gpu)
+        assert not sched.guard.may_act(sched)
+        assert not spec.may_act(sched)
 
 
 class TestIncrementalEstimatorParity:
@@ -623,7 +627,7 @@ class TestIncrementalEstimatorParity:
         def check(_request):
             for gpu in system.cluster.gpus:
                 incremental = system.estimator.queued_cost(gpu)
-                reference = system.estimator.reference_queued_cost(gpu)
+                reference = reference_queued_cost(system.estimator, gpu)
                 checks.append(incremental == pytest.approx(reference, abs=1e-9))
 
         system.subscribe_completion(check)

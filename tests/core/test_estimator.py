@@ -7,6 +7,7 @@ from repro.core.estimator import FinishTimeEstimator
 from repro.core.queues import LocalQueues
 from repro.models import ProfileRegistry
 from repro.sim import Simulator
+from tests.spec.estimator import reference_queued_cost
 
 
 @pytest.fixture
@@ -49,8 +50,8 @@ def test_local_queue_requests_add_inference_time(env, make_request):
     sim, cluster, lq, est = env
     gpu = cluster.gpus[0]
     est.set_busy_until(gpu.gpu_id, 2.0)
-    lq.push(gpu.gpu_id, make_request("fn-a", "resnet50"))  # 1.28 s
-    lq.push(gpu.gpu_id, make_request("fn-b", "alexnet"))  # 1.25 s
+    lq.push(gpu, make_request("fn-a", "resnet50"))  # 1.28 s
+    lq.push(gpu, make_request("fn-b", "alexnet"))  # 1.25 s
     assert est.estimated_finish_time(gpu) == pytest.approx(2.0 + 1.28 + 1.25)
 
 
@@ -81,32 +82,34 @@ class TestIncrementalQueuedCost:
             for i, arch in enumerate(["resnet50", "alexnet", "vgg19", "vgg16"])
         ]
         for r in rng_ops:
-            lq.push(gpu.gpu_id, r)
-            assert est.queued_cost(gpu) == pytest.approx(est.reference_queued_cost(gpu))
-        while lq.length(gpu.gpu_id):
-            lq.pop(gpu.gpu_id)
-            assert est.queued_cost(gpu) == pytest.approx(est.reference_queued_cost(gpu))
+            lq.push(gpu, r)
+            assert est.queued_cost(gpu) == pytest.approx(reference_queued_cost(est, gpu))
+        while lq.length(gpu):
+            lq.pop(gpu)
+            assert est.queued_cost(gpu) == pytest.approx(reference_queued_cost(est, gpu))
 
     def test_sum_resets_exactly_at_empty(self, env, make_request):
         sim, cluster, lq, est = env
         gpu = cluster.gpus[0]
         for _ in range(3):
-            lq.push(gpu.gpu_id, make_request("fn", "resnet50"))
-        while lq.length(gpu.gpu_id):
-            lq.pop(gpu.gpu_id)
+            lq.push(gpu, make_request("fn", "resnet50"))
+        while lq.length(gpu):
+            lq.pop(gpu)
         assert est.queued_cost(gpu) == 0.0  # exact zero, not accumulated drift
 
     def test_queue_mutation_for_unknown_gpu_raises(self, env, make_request):
         sim, cluster, lq, est = env
         # devices are fixed at construction: there is no lazy fallback
+        foreign = build_cluster(sim, ClusterSpec.homogeneous(2, 1)).gpus[-1]
+        assert foreign.gpu_id not in {g.gpu_id for g in cluster.gpus}
         with pytest.raises(KeyError):
-            lq.push("no-such-gpu", make_request("fn", "alexnet"))
+            lq.push(foreign, make_request("fn", "alexnet"))
 
     def test_estimated_finish_time_uses_running_sum(self, env, make_request):
         sim, cluster, lq, est = env
         gpu = cluster.gpus[0]
         est.set_busy_until(gpu.gpu_id, 2.0)
-        lq.push(gpu.gpu_id, make_request("fn-a", "resnet50"))  # 1.28 s
+        lq.push(gpu, make_request("fn-a", "resnet50"))  # 1.28 s
         assert est.estimated_finish_time(gpu) == pytest.approx(2.0 + 1.28)
 
 
@@ -135,5 +138,5 @@ class TestHitVsMissDecision:
         r = make_request("fn", "resnet50")
         assert est.hit_on_busy_beats_miss_on_idle(r, busy, idle)
         # one queued hit (1.28s) tips it over: 3.28 > 2.67
-        lq.push(busy.gpu_id, make_request("other", "resnet50"))
+        lq.push(busy, make_request("other", "resnet50"))
         assert not est.hit_on_busy_beats_miss_on_idle(r, busy, idle)

@@ -124,7 +124,7 @@ class TestLocalQueueFailure:
         # ... so the next same-model request is bound to gpu0's local queue
         r1 = make_request("fn-hot1", "resnet50", arrival=system.sim.now, model=inst)
         submit(system, r1)
-        assert system.scheduler.local_queues.length(gpu0.gpu_id) == 1
+        assert system.scheduler.local_queues.length(gpu0) == 1
         system.fail_gpu(gpu0.gpu_id)
         system.run()
         # both the in-flight r0 and the local-queued r1 completed on gpu1
@@ -248,7 +248,7 @@ class TestGracefulDrain:
         gpu1.become_idle()
         r1 = make_request("fn-hot1", "resnet50", arrival=system.sim.now, model=inst)
         submit(system, r1)  # same model → bound to gpu0's local queue
-        assert system.scheduler.local_queues.length(gpu0.gpu_id) == 1
+        assert system.scheduler.local_queues.length(gpu0) == 1
         system.drain_gpu(gpu0.gpu_id)
         system.run()
         assert r0.completed_at is not None and r0.gpu_id == gpu0.gpu_id

@@ -122,7 +122,7 @@ class TestLALBLocality:
         r = make_request("fn-m", "resnet50", arrival=system.sim.now, model=inst)
         system.submit(r)
         # r should be in gpu1's local queue, not dispatched to gpu0
-        assert system.scheduler.local_queues.length(gpu1.gpu_id) == 1
+        assert system.scheduler.local_queues.length(gpu1) == 1
         system.run()
         assert r.gpu_id == gpu1.gpu_id
         assert r.cache_hit is True

@@ -48,6 +48,23 @@ class TestLazyVisits:
         assert reqs[1].visits == 2  # no longer tracked
         assert q.visits(reqs[0]) == 3
 
+    def test_no_counter_write_once_every_attached_entry_has_left(
+        self, make_request, counter_calls
+    ):
+        """Scans pay the bump counter only while attached entries wait:
+        after the last one leaves, a scan records nothing there (a stale
+        attached count keeps writing it for nobody)."""
+        q = GlobalQueue(o3_limit=25)
+        attached = _push_n(q, make_request, _MAX_PENDING_LEAVES)  # attach at the cap
+        assert q._attached == _MAX_PENDING_LEAVES
+        for r in attached:
+            q.remove(r)
+        tail = _push_n(q, make_request, 3, prefix="tail")
+        adds = counter_calls["add"]
+        q.bump_visits_before(None)
+        assert counter_calls["add"] == adds
+        assert [q.visits(r) for r in tail] == [1, 1, 1]
+
     def test_untracked_queue_rejects_bumps(self, make_request):
         q = GlobalQueue()
         assert not q.tracks_visits

@@ -109,12 +109,17 @@ class TestLocalQueues:
         lq.push("g0", r)
         assert r.state is RequestState.LOCAL_QUEUED
 
-    def test_non_empty_gpus(self, make_request):
+    def test_nonempty_set_follows_the_empty_transitions(self, make_request):
+        """The guard's local-work signal: a key is in ``_nonempty`` exactly
+        while its queue holds a request."""
         lq = LocalQueues()
         lq.push("g2", make_request())
-        assert lq.non_empty_gpus() == ["g2"]
+        lq.push("g2", make_request())
+        assert lq._nonempty == {"g2"}
         lq.pop("g2")
-        assert lq.non_empty_gpus() == []
+        assert lq._nonempty == {"g2"}
+        lq.pop("g2")
+        assert lq._nonempty == set()
 
     def test_requests_returns_copy(self, make_request):
         lq = LocalQueues()

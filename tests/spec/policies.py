@@ -2,9 +2,10 @@
 
 Production LB and LALB (``repro.core.policies``) never iterate the global
 queue: they read the GlobalQueue's model index, let the queue own the O3
-visit counts, and ask a tenant quota once per queued model.  The classes
-here are the paper's pseudocode transcribed line by line instead — an
-O(GPUs × queue) walk with one ``may_dispatch`` probe per queued request,
+visit counts, and ask a tenant quota once per queued model; the locality
+strawman asks it once per model between dispatches.  The classes here
+are the pseudocode transcribed line by line instead — an O(GPUs × queue)
+walk with one ``may_dispatch`` probe per queued request and idle GPU,
 counting visits on the request itself — and ``install_spec_scans`` puts
 them into a built system.  ``tests/core/test_differential.py`` replays
 workloads on both and requires byte-identical decisions and final KV.
@@ -14,13 +15,20 @@ from repro.cluster.gpu import GPUDevice
 from repro.core.policies import (
     LALBPolicy,
     LoadBalancingPolicy,
+    LocalityOnlyPolicy,
     SchedulerOps,
     SchedulingPolicy,
 )
 from repro.core.queues import GlobalQueue
 from repro.core.request import InferenceRequest
 
-__all__ = ["SpecLALBPolicy", "SpecLoadBalancingPolicy", "install_spec_scans", "spec_policy"]
+__all__ = [
+    "SpecLALBPolicy",
+    "SpecLoadBalancingPolicy",
+    "SpecLocalityOnlyPolicy",
+    "install_spec_scans",
+    "spec_policy",
+]
 
 
 class SpecLoadBalancingPolicy(LoadBalancingPolicy):
@@ -47,6 +55,38 @@ class SpecLoadBalancingPolicy(LoadBalancingPolicy):
             if s.may_dispatch(request, gpu):
                 return request
         return None
+
+
+class SpecLocalityOnlyPolicy(LocalityOnlyPolicy):
+    """The locality strawman probing every idle GPU for every queued
+    request whose model is cached nowhere."""
+
+    def schedule_pass(self, s: SchedulerOps) -> bool:
+        progress = False
+        for gpu in s.idle_gpus_by_frequency():
+            if not gpu.is_idle:
+                continue
+            if s.local_queues.peek(gpu) is not None:
+                s.dispatch_local_head(gpu)
+                progress = True
+        idle_view = s.idle_gpus_by_frequency()
+        for request in list(s.global_queue):
+            locations = s.cache.locations(request.model_id)
+            if locations:
+                handled = self._bind_to_cached_gpu(s, request, locations)
+                progress = progress or handled
+            else:
+                idle = [
+                    g
+                    for g in idle_view
+                    if g.is_idle
+                    and s.local_queues.peek(g) is None
+                    and s.may_dispatch(request, g)
+                ]
+                if idle:
+                    s.dispatch(request, idle[0])
+                    progress = True
+        return progress
 
 
 class SpecLALBPolicy(LALBPolicy):
@@ -107,13 +147,14 @@ class SpecLALBPolicy(LALBPolicy):
 
 
 def spec_policy(policy: SchedulingPolicy) -> SchedulingPolicy:
-    """The literal twin of ``policy`` (the locality strawman is literal
-    already and comes back as is)."""
+    """The literal twin of ``policy``."""
     if isinstance(policy, LALBPolicy):
         return SpecLALBPolicy(limit=policy.limit)
     if isinstance(policy, LoadBalancingPolicy):
         return SpecLoadBalancingPolicy()
-    return policy
+    if isinstance(policy, LocalityOnlyPolicy):
+        return SpecLocalityOnlyPolicy()
+    raise TypeError(f"no spec twin for {type(policy).__name__}")
 
 
 def install_spec_scans(system) -> None:

@@ -183,6 +183,31 @@ def test_tenant_admission_certificate_stays_gone():
     assert not hasattr(LALBPolicy, "_schedule_gpu_reference")
 
 
+def test_one_pass_guard_and_no_gpu_id_joins():
+    """One pass guard for every policy, held by the Scheduler: no
+    per-policy guard, no idle ∩ local-work join object.  Local queues are
+    keyed by device (no gpu_id views), and the Cluster keeps no
+    versioned view caches."""
+    import repro.core
+    import repro.core.signals
+    from repro.cluster import Cluster
+    from repro.core import FinishTimeEstimator, LocalQueues, SchedulingPolicy
+
+    for name in ("DispatchableWorkGuard", "IdleLocalWorkIndex"):
+        assert not hasattr(repro.core, name)
+        assert not hasattr(repro.core.signals, name)
+    assert repro.core.signals.__all__ == ["PassGuard"]
+    assert not hasattr(SchedulingPolicy, "guard")
+    assert not hasattr(Scheduler, "idle_local_work")
+    assert not hasattr(Cluster, "busy_gpus")
+    system = repro.FaaSCluster()
+    assert "version" not in vars(system.cluster)
+    assert not hasattr(LocalQueues, "nonempty_gpu_ids")
+    assert not hasattr(LocalQueues, "non_empty_gpus")
+    assert not hasattr(FinishTimeEstimator, "reference_queued_cost")
+    assert "_devices" not in vars(system.estimator)
+
+
 def test_tenant_quota_has_one_lever():
     """§VI's process cap is the one isolation lever (the memory and time
     shares are gone), and a request is charged to its model's tenant: it
