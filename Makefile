@@ -1,7 +1,7 @@
 # Convenience targets for the conf_ipps_ZhaoJH23 reproduction.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test parity profile figures sweep trace
+.PHONY: test parity golden profile figures sweep trace
 
 ## Tier-1 verification: the full unit/property/benchmark suite.
 ## Replay-path performance (throughput, RSS, per-layer cost on the four
@@ -14,6 +14,15 @@ test:
 ## state (quick hot-path sanity).
 parity:
 	python -m pytest tests/core/test_differential.py -q
+
+## Regenerate the golden decision ledger, tests/golden/decisions.json:
+## per cell (policy x working set x fault profile x quota, 6-minute §V-A
+## replays) the decision log's SHA-256 and hash chain, the final KV
+## image's SHA-256 and the run summary.  tests/golden checks every cell
+## against it; regenerate only for a change that moves decisions on
+## purpose, and let the diff show which cells moved.
+golden:
+	python tests/golden/test_decisions.py
 
 ## cProfile the 2k-request §V-A replay (materialize + inject + run, the
 ## window benchmarks/e2e times): the top-25 functions by cumulative time,
