@@ -85,14 +85,12 @@ class ChaosInjector:
         manager = self.system._managers[gpu.node_id]
         self.injected += 1
         self.system.metrics.on_fault("straggler", gpu.gpu_id)
-        manager.set_slowdown(gpu.gpu_id, fault.factor)
-        self.system.sim.schedule(
-            fault.duration_s, self._unstraggle, manager, gpu.gpu_id
-        )
+        manager.set_slowdown(gpu, fault.factor)
+        self.system.sim.schedule(fault.duration_s, self._unstraggle, manager, gpu)
 
-    def _unstraggle(self, manager, gpu_id: str) -> None:
-        manager.set_slowdown(gpu_id, 1.0)
-        self.system.metrics.on_fault_cleared("straggler", gpu_id)
+    def _unstraggle(self, manager, gpu) -> None:
+        manager.set_slowdown(gpu, 1.0)
+        self.system.metrics.on_fault_cleared("straggler", gpu.gpu_id)
 
     def _lease_expiry(self, fault: LeaseExpiry) -> None:
         health = self.system.health

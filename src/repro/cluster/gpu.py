@@ -10,7 +10,14 @@ Manager, and the one owner of a GPU's state:
   executing inference (SM busy) — the paper's GPU Managers enforce one
   request at a time per GPU (§III-C), so the device's state is also the
   state of whichever process it is serving,
-* cumulative time per state, from which §V-C's SM utilization is computed.
+* cumulative time per state, from which §V-C's SM utilization is computed,
+* when its in-flight request finishes (:attr:`GPUDevice.busy_until`), the
+  time the finish-time estimator reads.
+
+Inside one process the device is a GPU's only handle: the Scheduler, the
+Cache Manager, the GPU Managers, the estimator and the tenancy lookups
+key their per-GPU tables by it.  Its ``gpu_id`` string is data — the
+Datastore's keys and values, decision rows, request stamps, metrics.
 
 The device itself never makes policy decisions; eviction and dispatch
 belong to the Cache Manager and Scheduler.
@@ -90,13 +97,11 @@ class GPUDevice:
         #: and this GPU's index in its use-frequency order
         self._cluster = None
         self._rank = 0
-        # array-backed lifecycle slots, stamped at construction by the
-        # owning GPUManager (node-local) and Scheduler (cluster-wide): the
-        # hot execute → _loaded → _start_inference → _finished chain and
-        # the dispatch plumbing index preallocated lists with these instead
-        # of hashing gpu_id strings into per-manager dicts on every event
-        self._mgr_slot = 0
-        self._sched_slot = 0
+        #: absolute time the in-flight request finishes, written by the
+        #: GPU Manager on every dispatch and read by the finish-time
+        #: estimator.  A time in the past (a finished request's, or 0.0 for
+        #: none) reads as "now".
+        self.busy_until = 0.0
 
     @property
     def completed_requests(self) -> int:

@@ -82,7 +82,6 @@ class Cluster:
         self._by_id = {g.gpu_id: g for g in self.gpus}
         if len(self._by_id) != len(self.gpus):
             raise ValueError("duplicate GPU ids in cluster")
-        self._node_of = {g.gpu_id: node for node in nodes for g in node.gpus}
         #: number of currently idle GPUs (exact, O(1) to read)
         self.idle_count = sum(1 for g in self.gpus if g.is_idle)
         #: every GPU, most-used first (ties on gpu_id); the list object is
@@ -115,9 +114,6 @@ class Cluster:
 
     def gpu(self, gpu_id: str) -> GPUDevice:
         return self._by_id[gpu_id]
-
-    def node_of(self, gpu_id: str) -> GPUNode:
-        return self._node_of[gpu_id]
 
     def idle_gpus(self) -> list[GPUDevice]:
         """Idle GPUs in device order (a fresh list each call)."""

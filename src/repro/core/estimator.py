@@ -9,15 +9,15 @@ Estimates come from the profiled per-model load/inference latencies
 (Table I or the profiler) — the estimator never peeks at simulator
 internals beyond what a real deployment would know.
 
-The per-GPU queued-work term is maintained **incrementally**: the
-estimator subscribes to local-queue push/pop and keeps a running
-inference-time sum per GPU, so :meth:`estimated_finish_time` is O(1)
-instead of re-walking the GPU's local queue on every Alg. 2 comparison.
-The sum resets to exactly 0.0 whenever a queue empties (bounding
-floating-point drift).  The estimator is built with the cluster's devices
-while their local queues are still empty, so every mutation is costed as
-it happens; the queues are keyed by device, so the observer is handed the
-GPU it costs against.
+The in-flight term is the device's own :attr:`GPUDevice.busy_until`,
+which the GPU Manager writes on every dispatch.  The per-GPU
+queued-work term is maintained **incrementally**: the estimator
+subscribes to local-queue push/pop and keeps a running inference-time
+sum per device, so :meth:`estimated_finish_time` is O(1) instead of
+re-walking the GPU's local queue on every Alg. 2 comparison.  The sum
+resets to exactly 0.0 whenever a queue empties (bounding floating-point
+drift).  The estimator is built with the cluster's devices while their
+local queues are still empty, so every mutation is costed as it happens.
 """
 
 from __future__ import annotations
@@ -44,12 +44,8 @@ class FinishTimeEstimator:
         self.sim = sim
         self.registry = registry
         self.local_queues = local_queues
-        #: absolute time at which each GPU finishes its in-flight request;
-        #: written by the GPU Managers on every dispatch.  A value in the
-        #: past (a completed request's finish time) reads as "now".
-        self._busy_until: dict[str, float] = {}
-        #: gpu_id -> running sum of queued inference times
-        self._queued_cost: dict[str, float] = {g.gpu_id: 0.0 for g in gpus}
+        #: device -> running sum of queued inference times
+        self._queued_cost: dict[GPUDevice, float] = dict.fromkeys(gpus, 0.0)
         #: (model_id, gpu_type[, batch]) -> (model instance, latency): a hit
         #: reads no ``architecture`` property, and the stored instance
         #: guards against two instances sharing an id.  Profiles never
@@ -59,31 +55,24 @@ class FinishTimeEstimator:
         local_queues.subscribe(self._on_queue_change)
 
     # ------------------------------------------------------------------
-    # Maintained by GPU Managers
+    # In-flight and queued work
     # ------------------------------------------------------------------
     def _on_queue_change(self, gpu: GPUDevice, request: InferenceRequest, added: bool) -> None:
-        gpu_id = gpu.gpu_id
         if self.local_queues.length(gpu) == 0:
             # exact resync at every empty point: incremental float error
             # cannot accumulate across queue generations
-            self._queued_cost[gpu_id] = 0.0
+            self._queued_cost[gpu] = 0.0
             return
         cost = self.infer_time(request, gpu)
         if added:
-            self._queued_cost[gpu_id] += cost
+            self._queued_cost[gpu] += cost
         else:
-            self._queued_cost[gpu_id] -= cost
+            self._queued_cost[gpu] -= cost
 
-    def set_busy_until(self, gpu_id: str, t: float) -> None:
-        self._busy_until[gpu_id] = t
-
-    def clear_busy(self, gpu_id: str) -> None:
-        self._busy_until.pop(gpu_id, None)
-
-    def busy_until(self, gpu_id: str) -> float:
-        """When ``gpu_id`` finishes its in-flight work (now, if it has none)."""
+    def busy_until(self, gpu: GPUDevice) -> float:
+        """When ``gpu`` finishes its in-flight work (now, if it has none)."""
         now = self.sim.now
-        return max(self._busy_until.get(gpu_id, now), now)
+        return max(gpu.busy_until, now)
 
     # ------------------------------------------------------------------
     # Queries (used by the LALB policy)
@@ -113,7 +102,7 @@ class FinishTimeEstimator:
     def queued_cost(self, gpu: GPUDevice) -> float:
         """Total inference time queued on ``gpu``'s local queue (O(1)),
         served from the running sum the local-queue observer maintains."""
-        return self._queued_cost[gpu.gpu_id]
+        return self._queued_cost[gpu]
 
     def estimated_finish_time(self, gpu: GPUDevice) -> float:
         """Absolute time when ``gpu`` would finish everything already bound
@@ -122,7 +111,7 @@ class FinishTimeEstimator:
         Local-queue requests were bound there *because* their model is
         cached (Alg. 2), so they are costed as cache hits.
         """
-        return self.busy_until(gpu.gpu_id) + self.queued_cost(gpu)
+        return self.busy_until(gpu) + self.queued_cost(gpu)
 
     def wait_time(self, gpu: GPUDevice) -> float:
         """Seconds until ``gpu`` could start a newly bound request."""
@@ -141,9 +130,8 @@ class FinishTimeEstimator:
         chain (wait_time → estimated_finish_time → busy_until /
         queued_cost) was measurable.
         """
-        gpu_id = busy_gpu.gpu_id
         now = self.sim._now
-        busy = self._busy_until.get(gpu_id, now)
+        busy = busy_gpu.busy_until
         if busy < now:
             busy = now
-        return busy - now + self._queued_cost[gpu_id] < self.load_time(request, idle_gpu)
+        return busy - now + self._queued_cost[busy_gpu] < self.load_time(request, idle_gpu)

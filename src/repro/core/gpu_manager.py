@@ -82,10 +82,6 @@ class GPUManager:
         self.cache = cache
         self.registry = registry
         self.estimator = estimator
-        #: the estimator's finish times, written in line on every dispatch
-        #: and never cleared on completion: a finished request's time is
-        #: in the past, which every reader clamps to now
-        self._busy_until = estimator._busy_until
         #: every report below goes through this one bound callable
         self._put = datastore.put
         self.on_idle = on_idle or (lambda gpu: None)
@@ -93,31 +89,22 @@ class GPUManager:
         #: observer of dispatches (tenancy accounting); None = nobody
         self.on_dispatch = on_dispatch
         self.on_drained = on_drained or (lambda gpu: None)
-        # --- array-backed per-GPU lifecycle state -----------------------
-        # Each device gets a dense node-local slot at construction; the
-        # dispatch/completion chain then indexes preallocated lists instead
-        # of hashing gpu_id strings into dicts on every event.  The cold
-        # entry points that arrive with a bare gpu_id (set_slowdown,
-        # is_draining, in_flight) translate through _slot_of once.
-        n = len(node.gpus)
-        self._slot_of: dict[str, int] = {}
-        for slot, gpu in enumerate(node.gpus):
-            gpu._mgr_slot = slot
-            self._slot_of[gpu.gpu_id] = slot
-        #: slot -> in-flight request (None = nothing executing there)
-        self._executing: list[InferenceRequest | None] = [None] * n
-        #: slot -> scheduled load/inference completion sim Event
-        self._pending_event: list[object | None] = [None] * n
-        #: slot -> finishing its in-flight request before going offline
-        self._draining: list[bool] = [False] * n
-        #: straggler injection: slot -> multiplicative slowdown on the
+        # --- per-GPU lifecycle state, keyed by the node's devices -------
+        gpus = node.gpus
+        #: device -> in-flight request (None = nothing executing there)
+        self._executing: dict[GPUDevice, InferenceRequest | None] = dict.fromkeys(gpus)
+        #: device -> scheduled load/inference completion sim Event
+        self._pending_event: dict[GPUDevice, object | None] = dict.fromkeys(gpus)
+        #: device -> finishing its in-flight request before going offline
+        self._draining: dict[GPUDevice, bool] = dict.fromkeys(gpus, False)
+        #: straggler injection: device -> multiplicative slowdown on the
         #: *actual* load/inference durations (None = healthy)
-        self._slowdown: list[float | None] = [None] * n
-        # per-GPU key strings interned once, slot-indexed: status and
-        # finish-time puts happen on every dispatch and completion
-        self._status_key = [f"gpu/status/{g.gpu_id}" for g in node.gpus]
-        self._finish_key = [f"gpu/finish_time/{g.gpu_id}" for g in node.gpus]
-        for key in self._status_key:
+        self._slowdown: dict[GPUDevice, float | None] = dict.fromkeys(gpus)
+        # per-GPU key strings interned once: status and finish-time puts
+        # happen on every dispatch and completion
+        self._status_key = {g: f"gpu/status/{g.gpu_id}" for g in gpus}
+        self._finish_key = {g: f"gpu/finish_time/{g.gpu_id}" for g in gpus}
+        for key in self._status_key.values():
             self._put(key, "idle")
 
     # ------------------------------------------------------------------
@@ -129,18 +116,17 @@ class GPUManager:
             raise ValueError(f"{gpu.gpu_id} is not managed by node {self.node.node_id}")
         if not gpu.is_idle:
             raise RuntimeError(f"{gpu.gpu_id} is busy; the Scheduler must dispatch to idle GPUs")
-        slot = gpu._mgr_slot
-        if self._executing[slot] is not None:
+        if self._executing[gpu] is not None:
             raise RuntimeError(f"{gpu.gpu_id} already has an in-flight request")
 
         request.state = RequestState.DISPATCHED
         request.gpu_id = gpu.gpu_id
         request.dispatched_at = self.sim._now  # hot path: skip the property
-        self._executing[slot] = request
-        self._put(self._status_key[slot], "busy")
+        self._executing[gpu] = request
+        self._put(self._status_key[gpu], "busy")
 
         model_id = request.model_id
-        hit = request.cache_hit = self.cache.is_cached_on(model_id, gpu.gpu_id)
+        hit = request.cache_hit = self.cache.is_cached_on(model_id, gpu)
         if not hit:
             # §V-D "false miss": the model was resident on another GPU at
             # decision time, yet this dispatch re-uploads it here.
@@ -156,29 +142,29 @@ class GPUManager:
     # Miss path: evict victims, start a process, upload the model
     # ------------------------------------------------------------------
     def _start_miss(self, gpu: GPUDevice, request: InferenceRequest) -> None:
-        victims = self.cache.choose_victims(gpu.gpu_id, request.model)
+        victims = self.cache.choose_victims(gpu, request.model)
         for victim in victims:
             gpu.evict(victim)
-            self.cache.on_evicted(gpu.gpu_id, victim)
+            self.cache.on_evicted(gpu, victim)
         gpu.admit(request.model_id, request.model.occupied_mb)
         gpu.begin_loading()
         load_t = self.estimator.load_time(request, gpu)
         infer_t = self.estimator.infer_time(request, gpu)
-        slot = gpu._mgr_slot
-        slow = self._slowdown[slot]
+        slow = self._slowdown[gpu]
         if slow is not None:
             load_t *= slow
             infer_t *= slow
         now = self.sim._now
-        busy_until = now + load_t + infer_t
-        self._busy_until[gpu.gpu_id] = busy_until
-        self._put(self._finish_key[slot], busy_until)
-        self._pending_event[slot] = self.sim.schedule_at(
+        # the finish time is never cleared on completion: a finished
+        # request's time is in the past, which every reader clamps to now
+        busy_until = gpu.busy_until = now + load_t + infer_t
+        self._put(self._finish_key[gpu], busy_until)
+        self._pending_event[gpu] = self.sim.schedule_at(
             now + load_t, self._loaded, gpu, request
         )
 
     def _loaded(self, gpu: GPUDevice, request: InferenceRequest) -> None:
-        self.cache.on_loaded(gpu.gpu_id, request.model)
+        self.cache.on_loaded(gpu, request.model)
         self._start_inference(gpu, request)
 
     # ------------------------------------------------------------------
@@ -188,21 +174,18 @@ class GPUManager:
         gpu.begin_inference()
         now = request.exec_start_at = self.sim._now
         infer_t = self.estimator.infer_time(request, gpu)
-        slot = gpu._mgr_slot
-        slow = self._slowdown[slot]
+        slow = self._slowdown[gpu]
         if slow is not None:
             infer_t *= slow
-        busy_until = now + infer_t
-        self._busy_until[gpu.gpu_id] = busy_until
-        self._put(self._finish_key[slot], busy_until)
+        busy_until = gpu.busy_until = now + infer_t
+        self._put(self._finish_key[gpu], busy_until)
         # the completion fires at exactly the published finish time
-        self._pending_event[slot] = self.sim.schedule_at(
+        self._pending_event[gpu] = self.sim.schedule_at(
             busy_until, self._finished, gpu, request
         )
 
     def _finished(self, gpu: GPUDevice, request: InferenceRequest) -> None:
-        slot = gpu._mgr_slot
-        draining = self._draining[slot]
+        draining = self._draining[gpu]
         if draining:
             gpu.completed_requests += 1  # the setter re-files: it goes offline next
         else:
@@ -215,8 +198,8 @@ class GPUManager:
         network = request.model.metadata.get("network")
         if request.payload is not None and network is not None:
             request.result = network(request.payload)
-        self._executing[slot] = None
-        self._pending_event[slot] = None
+        self._executing[gpu] = None
+        self._pending_event[gpu] = None
         model_id = request.model_id
         if draining:
             # graceful drain completion: the request finished normally;
@@ -228,8 +211,8 @@ class GPUManager:
             self.on_complete(request)
             self.on_drained(gpu)
             return
-        self.cache.on_used(gpu.gpu_id, model_id)
-        self._put(self._status_key[slot], "idle")
+        self.cache.on_used(gpu, model_id)
+        self._put(self._status_key[gpu], "idle")
         self._record_latency(request, model_id)
         self.on_complete(request)
         self.on_idle(gpu)
@@ -249,13 +232,12 @@ class GPUManager:
         """
         if gpu.node_id != self.node.node_id:
             raise ValueError(f"{gpu.gpu_id} is not managed by node {self.node.node_id}")
-        slot = gpu._mgr_slot
-        event = self._pending_event[slot]
+        event = self._pending_event[gpu]
         if event is not None:
-            self._pending_event[slot] = None
+            self._pending_event[gpu] = None
             event.cancel()  # O(1): frees the event's slab slot immediately
-        inflight = self._executing[slot]
-        self._executing[slot] = None
+        inflight = self._executing[gpu]
+        self._executing[gpu] = None
         self._take_offline(gpu)
         return inflight
 
@@ -277,10 +259,9 @@ class GPUManager:
             raise ValueError(f"{gpu.gpu_id} is not managed by node {self.node.node_id}")
         if not gpu.is_online:
             return False
-        slot = gpu._mgr_slot
-        if self._executing[slot] is not None:
-            self._draining[slot] = True
-            self._put(self._status_key[slot], "draining")
+        if self._executing[gpu] is not None:
+            self._draining[gpu] = True
+            self._put(self._status_key[gpu], "draining")
             return True
         self._take_offline(gpu)
         return False
@@ -292,23 +273,23 @@ class GPUManager:
             gpu.evict(model_id, force=True)
             # a model that was still uploading when the GPU died was never
             # registered as a cache item — only withdraw known ones
-            if self.cache.is_cached_on(model_id, gpu.gpu_id):
-                self.cache.on_evicted(gpu.gpu_id, model_id)
+            if self.cache.is_cached_on(model_id, gpu):
+                self.cache.on_evicted(gpu, model_id)
         gpu.go_offline()
-        self.estimator.clear_busy(gpu.gpu_id)
-        self._put(self._status_key[gpu._mgr_slot], "offline")
-        self._draining[gpu._mgr_slot] = False
+        gpu.busy_until = 0.0  # nothing in flight: reads as now
+        self._put(self._status_key[gpu], "offline")
+        self._draining[gpu] = False
 
     def recover(self, gpu: GPUDevice) -> None:
         """Bring a failed GPU back, empty, and report it idle."""
         gpu.come_online()
-        self._put(self._status_key[gpu._mgr_slot], "idle")
+        self._put(self._status_key[gpu], "idle")
         self.on_idle(gpu)
 
-    def is_draining(self, gpu_id: str) -> bool:
-        return self._draining[self._slot_of[gpu_id]]
+    def is_draining(self, gpu: GPUDevice) -> bool:
+        return self._draining[gpu]
 
-    def set_slowdown(self, gpu_id: str, factor: float) -> None:
+    def set_slowdown(self, gpu: GPUDevice, factor: float) -> None:
         """Multiply this GPU's *actual* load/inference durations by
         ``factor`` (straggler injection; 1.0 restores full speed).
 
@@ -321,15 +302,11 @@ class GPUManager:
         """
         if factor < 1.0:
             raise ValueError("slowdown factor must be >= 1.0")
-        slot = self._slot_of[gpu_id]
-        self._slowdown[slot] = None if factor == 1.0 else factor
+        self._slowdown[gpu] = None if factor == 1.0 else factor
 
     # ------------------------------------------------------------------
     # Datastore reporting (§III-C, §III-E)
     # ------------------------------------------------------------------
-    def in_flight(self, gpu_id: str) -> InferenceRequest | None:
-        return self._executing[self._slot_of[gpu_id]]
-
     def _record_latency(self, request: InferenceRequest, model_id: str) -> None:
         arrival = request.arrival_time
         # keyed by function, not request: the live key set is bounded by

@@ -37,7 +37,10 @@ run*, never a decision: the differential suite replays identical
 workloads under the spec's conservative guard with an always-True probe
 and requires byte-identical ``DecisionLog``s.
 
-Local queues are keyed by the :class:`~repro.cluster.gpu.GPUDevice`.
+Every per-GPU table a policy reads — local queues, cache residency and
+locations, finish times, quota lookups — is keyed by the
+:class:`~repro.cluster.gpu.GPUDevice`, and ``CacheManager.locations``
+returns devices: a pass never turns a ``gpu_id`` back into a device.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ class SchedulerOps(Protocol):  # pragma: no cover - typing interface
 
     def idle_gpus(self) -> list[GPUDevice]: ...
     def idle_gpus_by_frequency(self) -> list[GPUDevice]: ...
-    def gpu(self, gpu_id: str) -> GPUDevice: ...
     def dispatch(self, request: InferenceRequest, gpu: GPUDevice) -> None: ...
     def dispatch_local_head(self, gpu: GPUDevice) -> None: ...
     def move_to_local(self, request: InferenceRequest, gpu: GPUDevice) -> None: ...
@@ -239,14 +241,13 @@ class LocalityOnlyPolicy(SchedulingPolicy):
 
     @staticmethod
     def _bind_to_cached_gpu(s: SchedulerOps, request, locations) -> bool:
-        for gpu_id in locations:
-            gpu = s.gpu(gpu_id)
+        for gpu in locations:
             if gpu.is_idle and s.local_queues.peek(gpu) is None:
                 s.dispatch(request, gpu)
                 return True
         # every caching GPU is busy → wait behind the least-loaded copy,
         # no matter how long (that is the point of the strawman)
-        busy = [s.gpu(g) for g in locations if not s.gpu(g).is_idle and s.gpu(g).is_online]
+        busy = [g for g in locations if not g.is_idle and g.is_online]
         if not busy:
             return False  # caching GPUs exist but are unusable right now
         target = min(busy, key=lambda g: (s.estimator.estimated_finish_time(g), g.gpu_id))
@@ -328,7 +329,7 @@ class LALBPolicy(SchedulingPolicy):
         # one index probe per resident model; both routes compute the same
         # oldest-hit entry.
         hit = None  # oldest queued entry whose model is cached on `gpu`
-        resident = s.cache.models_on(gpu.gpu_id)
+        resident = s.cache.models_on(gpu)
         if refused:
             resident = resident - refused
         if len(queue._entries) - queue._head <= len(resident):
@@ -414,31 +415,25 @@ class LALBPolicy(SchedulingPolicy):
             s.dispatch(request, gpu_i)
             return "to_this_gpu"
         if exp is not None:
-            exp.note("alg2:candidates", *locations)
+            exp.note("alg2:candidates", *[g.gpu_id for g in locations])
         # Lines 4–6: cached on another idle GPU → dispatch there instead.
         # (Skip idle GPUs whose local queue is pending — Alg. 1 gives local
         # queues absolute priority, so those GPUs are already spoken for.)
-        for gpu_id in locations:
-            other = s.gpu(gpu_id)
-            if (
-                other.is_idle
-                and other.gpu_id != gpu_i.gpu_id
-                and s.local_queues.peek(other) is None
-            ):
+        for other in locations:
+            if other.is_idle and other is not gpu_i and s.local_queues.peek(other) is None:
                 if exp is not None:
                     exp.note("alg2:cached_on_idle_gpu", other.gpu_id)
                 s.dispatch(request, other)
                 return "handled"
             elif exp is not None:
                 why = (
-                    "is_scanning_gpu" if other.gpu_id == gpu_i.gpu_id
+                    "is_scanning_gpu" if other is gpu_i
                     else ("busy" if not other.is_idle else "local_queue_pending")
                 )
                 exp.note("alg2:rejected", other.gpu_id, why)
         # Lines 8–15: cached on busy GPUs → queue behind the cached copy
         # when the wait beats the model-loading time on the idle GPU.
-        for gpu_id in locations:
-            busy = s.gpu(gpu_id)
+        for busy in locations:
             if busy.is_idle:
                 continue
             if s.estimator.hit_on_busy_beats_miss_on_idle(request, busy, gpu_i):

@@ -420,6 +420,7 @@ class GlobalQueue:
         r = len(self._entries) if stop_slot is None else stop_slot
         if r <= 0:
             return
+        # mutation-equivalent: True re-filters a tail that no starved entry joins outside this loop
         starved_now = False
         for entry in self._pending_leaves:
             if entry.slot >= r:
@@ -479,6 +480,7 @@ class GlobalQueue:
             for entry in self._buckets.get(model_id, ()):
                 if entry.slot >= r:
                     break
+                # mutation-equivalent (and→or): the extras (pending, dead, starved) never read cov0
                 if entry.attached and entry.alive and not entry.starved:
                     entry.cov0 += 1
                     if entry.regular:

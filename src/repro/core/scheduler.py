@@ -67,7 +67,6 @@ class Scheduler:
         self.cluster = cluster
         # SchedulerOps' GPU observations are the Cluster's own, handed out
         # without a forwarding frame; callers must not mutate by_frequency
-        self.gpu = cluster.gpu
         self.idle_gpus = cluster.idle_gpus
         self.idle_gpus_by_frequency = cluster.idle_gpus_by_frequency
         self.gpus_by_frequency = cluster.by_frequency
@@ -78,22 +77,16 @@ class Scheduler:
         self.datastore = datastore
         self.tenancy = tenancy
         self.global_queue = GlobalQueue(o3_limit=policy.limit)
-        # per-GPU dispatch plumbing, precomputed once and array-backed:
-        # each device is stamped with a dense cluster-wide slot, and the
-        # "GPU address" (server IP + device name, §III-B) plus the owning
-        # manager live in slot-indexed lists — _execute costs two list
-        # reads per dispatch instead of hashing the gpu_id string twice
-        # (and the historical node_of lookup / string split / tuple mint)
-        self._address_by_slot: list[tuple[str, str]] = []
-        self._manager_by_slot: list[GPUManager | None] = []
-        slot = 0
+        # per-GPU dispatch plumbing, keyed by device and precomputed once:
+        # the "GPU address" (server IP + device name, §III-B) shipped with
+        # every dispatch, and the node's manager that executes it
+        self._address: dict[GPUDevice, tuple[str, str]] = {}
+        self._manager: dict[GPUDevice, GPUManager | None] = {}
         for node in cluster.nodes:
             manager = gpu_managers.get(node.node_id)
             for g in node.gpus:
-                g._sched_slot = slot
-                slot += 1
-                self._address_by_slot.append(node.gpu_address(g))
-                self._manager_by_slot.append(manager)
+                self._address[g] = node.gpu_address(g)
+                self._manager[g] = manager
         self._scheduling = False
         self._work_exhausted = False
         self.dispatched_count = 0
@@ -321,7 +314,7 @@ class Scheduler:
         a model not cached there starts a new GPU process, which counts
         against the tenant's process quota; a cache hit does not."""
         tenancy = self.tenancy
-        return tenancy is None or tenancy.allows(request, gpu.gpu_id)
+        return tenancy is None or tenancy.allows(request, gpu)
 
     # ------------------------------------------------------------------
     # SchedulerOps: actions
@@ -334,15 +327,14 @@ class Scheduler:
         (:meth:`_record` and :meth:`_execute`, written out in line.)
         """
         self.global_queue.remove(request)
-        gpu_id = gpu.gpu_id
         model_id = request.model_id
-        hit = self.cache.is_cached_on(model_id, gpu_id)
+        hit = self.cache.is_cached_on(model_id, gpu)
         self._append_decision(
             self.sim._now,
             DecisionKind.DISPATCH_HIT if hit else DecisionKind.DISPATCH_MISS,
             request.request_id,
             model_id,
-            gpu_id,
+            gpu.gpu_id,
             request.visits,
         )
         if self.explain is not None:
@@ -351,13 +343,12 @@ class Scheduler:
         if not hit and tenancy is not None and tenancy.may_refuse:
             # a tenant at its cap replaces its own coldest process here,
             # an ordinary eviction for the cache, its mirror and the count
-            victim = tenancy.victim_for(request, gpu_id)
+            victim = tenancy.victim_for(request, gpu)
             if victim is not None:
                 gpu.evict(victim)
-                self.cache.on_evicted(gpu_id, victim)
-        slot = gpu._sched_slot
-        request.gpu_address = self._address_by_slot[slot]
-        self._manager_by_slot[slot].execute(request, gpu)
+                self.cache.on_evicted(gpu, victim)
+        request.gpu_address = self._address[gpu]
+        self._manager[gpu].execute(request, gpu)
         self.dispatched_count += 1
 
     def dispatch_local_head(self, gpu: GPUDevice) -> None:
@@ -390,7 +381,6 @@ class Scheduler:
     def _execute(self, request: InferenceRequest, gpu: GPUDevice) -> None:
         # the "GPU address" shipped with the function's container (§III-B);
         # the manager stamps RequestState.DISPATCHED as part of execute()
-        slot = gpu._sched_slot
-        request.gpu_address = self._address_by_slot[slot]
-        self._manager_by_slot[slot].execute(request, gpu)
+        request.gpu_address = self._address[gpu]
+        self._manager[gpu].execute(request, gpu)
         self.dispatched_count += 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..cluster.gpu import GPUDevice
 from ..models.profiles import ModelInstance
 from .request import InferenceRequest
 
@@ -117,12 +118,12 @@ class TenancyController:
     # ------------------------------------------------------------------
     # Admission check (consulted by the Scheduler)
     # ------------------------------------------------------------------
-    def allows(self, request: InferenceRequest, gpu_id: str) -> bool:
-        """Whether ``request`` may be dispatched to ``gpu_id``.
+    def allows(self, request: InferenceRequest, gpu: GPUDevice) -> bool:
+        """Whether ``request`` may be dispatched to ``gpu``.
 
         A cache hit starts no process and is always admitted.  A miss is
         admitted below the tenant's cap, and at the cap when the tenant
-        has a model on ``gpu_id`` for the dispatch to replace
+        has a model on ``gpu`` for the dispatch to replace
         (:meth:`own_victim`).
         """
         tenant = request.model.tenant
@@ -130,26 +131,26 @@ class TenancyController:
         if quota is None or quota.max_processes is None:
             return True
         count = self._processes.get(tenant, 0)
-        if count < quota.max_processes or self._cache.is_cached_on(request.model_id, gpu_id):
+        if count < quota.max_processes or self._cache.is_cached_on(request.model_id, gpu):
             return True
-        return count == quota.max_processes and self.own_victim(tenant, gpu_id) is not None
+        return count == quota.max_processes and self.own_victim(tenant, gpu) is not None
 
-    def own_victim(self, tenant: str, gpu_id: str) -> str | None:
-        """``tenant``'s coldest model on ``gpu_id`` in the GPU's
+    def own_victim(self, tenant: str, gpu: GPUDevice) -> str | None:
+        """``tenant``'s coldest model on ``gpu`` in the GPU's
         replacement order, or None when it has none there."""
         tenant_of = self._tenant_of_model
-        for model_id in self._cache.lru_list(gpu_id):
+        for model_id in self._cache.lru_list(gpu):
             if tenant_of.get(model_id) == tenant:
                 return model_id
         return None
 
-    def victim_for(self, request: InferenceRequest, gpu_id: str) -> str | None:
-        """The model a miss of ``request`` on ``gpu_id`` replaces to keep
+    def victim_for(self, request: InferenceRequest, gpu: GPUDevice) -> str | None:
+        """The model a miss of ``request`` on ``gpu`` replaces to keep
         its tenant within the cap: None unless the tenant is at its cap."""
         tenant = request.model.tenant
         if tenant not in self._at_cap:
             return None
-        return self.own_victim(tenant, gpu_id)
+        return self.own_victim(tenant, gpu)
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and reports)

@@ -81,7 +81,7 @@ def run_belady_bound(
         oracle = build_belady_oracle(workload)
         # swap every GPU's policy list for the clairvoyant one
         system.cache._policies = {
-            gpu_id: BeladyPolicy(oracle) for gpu_id in system.cache._policies
+            gpu: BeladyPolicy(oracle) for gpu in system.cache._policies
         }
 
     out: dict[str, RunSummary] = {}

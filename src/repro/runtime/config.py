@@ -49,7 +49,9 @@ class SystemConfig:
     retention: int | None = None
     #: per-tenant quotas (empty = no isolation limits)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
-    #: master seed for all stochastic elements
+    #: seed of the named fault profile's plan (``fault_profile``), the one
+    #: place it is read; the workload draws from its own
+    #: ``WorkloadSpec.seed``
     seed: int = 0
     #: named chaos profile ("none", "recoverable", "severe"): materialized
     #: into a seeded FaultPlan (using ``seed``) and compiled into simulator

@@ -84,7 +84,7 @@ class TestBuildCluster:
         cluster = build_cluster(sim, ClusterSpec.homogeneous(2, 2))
         g = cluster.gpu("node1/cuda:0")
         assert g.node_id == "node1"
-        assert cluster.node_of("node1/cuda:0").node_id == "node1"
+        assert g in cluster.nodes[1].gpus
 
     def test_heterogeneous_build_carries_type_attributes(self, sim):
         fast = GPUTypeSpec(

@@ -30,7 +30,7 @@ def cache(sim, cluster, ds):
 
 
 def g(cluster, i):
-    return cluster.gpus[i].gpu_id
+    return cluster.gpus[i]
 
 
 class TestLookups:
@@ -74,16 +74,16 @@ class TestVictims:
         c = make_instance("c", "vgg11")         # 2903
         for inst in (a, b, c):
             gpu.admit(inst.instance_id, inst.occupied_mb)
-            cache.on_loaded(gpu.gpu_id, inst)
+            cache.on_loaded(gpu, inst)
         # used: a most recent
-        cache.on_used(gpu.gpu_id, "a")
+        cache.on_used(gpu, "a")
         # 7800 - 6205 = 1595 free; need vgg19 (3947) → evict b (coldest), then c
-        victims = cache.choose_victims(gpu.gpu_id, make_instance("d", "vgg19"))
+        victims = cache.choose_victims(gpu, make_instance("d", "vgg19"))
         assert victims == ["b", "c"]
 
     def test_no_victims_when_fits(self, cache, cluster, make_instance):
         gpu = cluster.gpus[0]
-        assert cache.choose_victims(gpu.gpu_id, make_instance("x", "vgg19")) == []
+        assert cache.choose_victims(gpu, make_instance("x", "vgg19")) == []
 
     def test_custom_policy_factory(self, sim, cluster, ds):
         cache = CacheManager(sim, cluster.gpus, datastore=ds, policy_factory=LFUPolicy)
@@ -97,14 +97,14 @@ class TestDatastoreMirror:
         cache.on_loaded(gpu0, make_instance("b", "alexnet"))
         cache.on_used(gpu0, "a")
         ds.flush()
-        assert ds.kv.get_value(f"gpu/lru/{gpu0}") == ("b", "a")
+        assert ds.kv.get_value(f"gpu/lru/{gpu0.gpu_id}") == ("b", "a")
 
     def test_locations_published_and_cleared(self, cache, cluster, ds, make_instance):
         gpu0 = g(cluster, 0)
         inst = make_instance("m")
         cache.on_loaded(gpu0, inst)
         ds.flush()
-        assert ds.kv.get_value("cache/locations/m") == (gpu0,)
+        assert ds.kv.get_value("cache/locations/m") == (gpu0.gpu_id,)
         cache.on_evicted(gpu0, "m")
         ds.flush()
         assert ds.kv.get_value("cache/locations/m") is None
@@ -119,4 +119,5 @@ class TestObservers:
         cache.on_loaded(gpu0, inst)
         cache.on_used(gpu0, "m")
         cache.on_evicted(gpu0, "m")
-        assert events == [("load", gpu0, "m"), ("use", gpu0, "m"), ("evict", gpu0, "m")]
+        gid = gpu0.gpu_id  # observers are handed the GPU's id, as data
+        assert events == [("load", gid, "m"), ("use", gid, "m"), ("evict", gid, "m")]

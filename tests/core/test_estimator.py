@@ -29,9 +29,9 @@ def test_idle_gpu_finish_time_is_now(env):
 def test_busy_until_tracked(env):
     sim, cluster, lq, est = env
     gpu = cluster.gpus[0]
-    est.set_busy_until(gpu.gpu_id, 5.0)
+    gpu.busy_until = 5.0
     assert est.estimated_finish_time(gpu) == 5.0
-    est.clear_busy(gpu.gpu_id)
+    gpu.busy_until = 0.0  # nothing in flight
     assert est.estimated_finish_time(gpu) == sim.now
 
 
@@ -39,7 +39,7 @@ def test_stale_busy_until_clamped_to_now(env):
     """A busy_until in the past must not produce negative waits."""
     sim, cluster, lq, est = env
     gpu = cluster.gpus[0]
-    est.set_busy_until(gpu.gpu_id, 1.0)
+    gpu.busy_until = 1.0
     sim.schedule(5.0, lambda: None)
     sim.run()
     assert est.estimated_finish_time(gpu) == sim.now
@@ -49,7 +49,7 @@ def test_stale_busy_until_clamped_to_now(env):
 def test_local_queue_requests_add_inference_time(env, make_request):
     sim, cluster, lq, est = env
     gpu = cluster.gpus[0]
-    est.set_busy_until(gpu.gpu_id, 2.0)
+    gpu.busy_until = 2.0
     lq.push(gpu, make_request("fn-a", "resnet50"))  # 1.28 s
     lq.push(gpu, make_request("fn-b", "alexnet"))  # 1.25 s
     assert est.estimated_finish_time(gpu) == pytest.approx(2.0 + 1.28 + 1.25)
@@ -108,7 +108,7 @@ class TestIncrementalQueuedCost:
     def test_estimated_finish_time_uses_running_sum(self, env, make_request):
         sim, cluster, lq, est = env
         gpu = cluster.gpus[0]
-        est.set_busy_until(gpu.gpu_id, 2.0)
+        gpu.busy_until = 2.0
         lq.push(gpu, make_request("fn-a", "resnet50"))  # 1.28 s
         assert est.estimated_finish_time(gpu) == pytest.approx(2.0 + 1.28)
 
@@ -118,7 +118,7 @@ class TestHitVsMissDecision:
         sim, cluster, lq, est = env
         busy, idle = cluster.gpus
         busy.begin_inference()
-        est.set_busy_until(busy.gpu_id, 1.0)  # wait 1.0 < load 2.67
+        busy.busy_until = 1.0  # wait 1.0 < load 2.67
         r = make_request("fn", "resnet50")
         assert est.hit_on_busy_beats_miss_on_idle(r, busy, idle)
 
@@ -126,7 +126,7 @@ class TestHitVsMissDecision:
         sim, cluster, lq, est = env
         busy, idle = cluster.gpus
         busy.begin_inference()
-        est.set_busy_until(busy.gpu_id, 10.0)  # wait 10 > load 2.67
+        busy.busy_until = 10.0  # wait 10 > load 2.67
         r = make_request("fn", "resnet50")
         assert not est.hit_on_busy_beats_miss_on_idle(r, busy, idle)
 
@@ -134,7 +134,7 @@ class TestHitVsMissDecision:
         sim, cluster, lq, est = env
         busy, idle = cluster.gpus
         busy.begin_inference()
-        est.set_busy_until(busy.gpu_id, 2.0)  # wait 2.0 < 2.67 → would win
+        busy.busy_until = 2.0  # wait 2.0 < 2.67 → would win
         r = make_request("fn", "resnet50")
         assert est.hit_on_busy_beats_miss_on_idle(r, busy, idle)
         # one queued hit (1.28s) tips it over: 3.28 > 2.67

@@ -32,8 +32,8 @@ class TestMissPath:
     def test_model_resident_after_completion(self, system, make_request):
         r = submit(system, make_request("fn-1", "resnet50"))
         system.run()
-        assert system.cache.is_cached_on(r.model_id, r.gpu_id)
         gpu = system.cluster.gpu(r.gpu_id)
+        assert system.cache.is_cached_on(r.model_id, gpu)
         assert gpu.has_model(r.model_id)
         assert gpu.used_mb == pytest.approx(1701)
 
@@ -61,20 +61,20 @@ class TestHitPath:
         a = make_request("fn-a", "resnet50")
         submit(system, a)
         system.run()
-        gpu_id = a.gpu_id
+        gpu = system.cluster.gpu(a.gpu_id)
         b = make_request("fn-b", "alexnet")
         # force b onto the same GPU by making the other GPU busy via a dummy
         system.cluster.gpus[1].begin_inference()
         submit(system, b)
         system.run(until=system.sim.now + 10)
         system.cluster.gpus[1].become_idle()
-        assert system.cache.lru_list(gpu_id) == [a.model_id, b.model_id]
+        assert system.cache.lru_list(gpu) == [a.model_id, b.model_id]
         # reuse a → it becomes hottest
         r = make_request("fn-a", "resnet50", model=a.model)
         system.cluster.gpus[1].begin_inference()
         submit(system, r)
         system.run(until=system.sim.now + 10)
-        assert system.cache.lru_list(gpu_id) == [b.model_id, a.model_id]
+        assert system.cache.lru_list(gpu) == [b.model_id, a.model_id]
 
 
 class TestEvictionPath:
@@ -150,10 +150,11 @@ class TestStateAndReporting:
         gpu0, gpu1 = system.cluster.gpus
         gpu1.begin_inference()
         submit(system, make_request("fn-a", "resnet50"))
-        assert system.estimator.busy_until(gpu0.gpu_id) == pytest.approx(3.95)
+        assert gpu0.busy_until == pytest.approx(3.95)
+        assert system.estimator.busy_until(gpu0) == pytest.approx(3.95)
         system.run()
-        # cleared after completion
-        assert system.estimator.busy_until(gpu0.gpu_id) == system.sim.now
+        # a finished request's time is in the past: it reads as now
+        assert system.estimator.busy_until(gpu0) == system.sim.now
 
     def test_execute_on_busy_gpu_rejected(self, system, make_request):
         gpu0 = system.cluster.gpus[0]

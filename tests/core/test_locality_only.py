@@ -17,7 +17,7 @@ def build(gpus=2):
 
 def warm(system, instance, gpu):
     gpu.admit(instance.instance_id, instance.occupied_mb)
-    system.cache.on_loaded(gpu.gpu_id, instance)
+    system.cache.on_loaded(gpu, instance)
 
 
 def test_factory_knows_locality():
@@ -31,7 +31,7 @@ def test_waits_for_busy_cached_gpu_even_when_idle_exists(make_request):
     inst = ModelInstance("fn-m", get_profile("resnet50"))
     warm(system, inst, gpu1)
     gpu1.begin_inference()
-    system.estimator.set_busy_until(gpu1.gpu_id, 100.0)  # wait >> load time
+    gpu1.busy_until = 100.0  # wait >> load time
     r = make_request("fn-m", "resnet50", model=inst)
     system.submit(r)
     # LALB would miss on idle gpu0; locality-only queues behind gpu1

@@ -26,7 +26,7 @@ def build(policy, gpus=2, o3_limit=25):
 def warm(system, instance, gpu):
     """Pre-load a model instance onto a GPU (bypassing a request)."""
     gpu.admit(instance.instance_id, instance.occupied_mb)
-    system.cache.on_loaded(gpu.gpu_id, instance)
+    system.cache.on_loaded(gpu, instance)
 
 
 class TestFactory:
@@ -135,12 +135,12 @@ class TestLALBLocality:
         warm(system, inst, gpu1)
         gpu1.begin_inference()
         # make the estimated wait enormous
-        system.estimator.set_busy_until(gpu1.gpu_id, 100.0)
+        gpu1.busy_until = 100.0
         r = make_request("fn-m", "resnet50", model=inst)
         system.submit(r)
         assert r.gpu_id == gpu0.gpu_id  # dispatched immediately as a miss
         assert r.false_miss is True
-        system.estimator.clear_busy(gpu1.gpu_id)
+        gpu1.busy_until = 0.0  # nothing in flight
         gpu1.become_idle()
         system.run()
         assert r.cache_hit is False
@@ -184,7 +184,7 @@ class TestOutOfOrderDispatch:
         hot_inst = ModelInstance("hot", get_profile("resnet50"))
         warm(system, hot_inst, gpu1)
         gpu0.begin_inference()  # keep gpu0 out of the picture
-        system.estimator.set_busy_until(gpu0.gpu_id, 1000.0)
+        gpu0.busy_until = 1000.0
         cold = make_request("cold-1", "vgg19")
         hot = make_request("hot", "resnet50", model=hot_inst)
         return system, gpu1, cold, hot

@@ -194,6 +194,47 @@ class TestLiveIteration:
         assert q.visits(extra) == 1
 
 
+class TestReindexTriggers:
+    def test_holes_compact_once_they_outnumber_live_entries_past_64_slots(
+        self, make_request
+    ):
+        """A push compacts the entry array when it holds more than 64
+        slots and fewer than half of them are live — not at 64 slots, and
+        not at exactly half."""
+        q = GlobalQueue()
+        reqs = _push_n(q, make_request, 64)
+        for r in reqs[:40]:
+            q.remove(r)
+        late = [make_request(f"late-{i}", arrival=100.0 + i) for i in range(43)]
+        q.push(late[0])  # 64 slots, 24 live: not past 64
+        assert len(q._entries) == 65
+        q.push(late[1])  # 65 slots, 25 live: compacts, then appends
+        assert len(q._entries) == 26
+        for r in late[2:42]:
+            q.push(r)  # 66 slots, all live
+        for r in reqs[40:64] + late[:9]:
+            q.remove(r)  # 33 of 66 live: exactly half
+        q.push(late[42])
+        assert len(q._entries) == 67
+        assert list(q) == late[9:43]
+
+    def test_counter_grows_before_a_slot_past_its_stops(self, make_request):
+        """The bump counter records stops 1..size, so the push that would
+        file slot ``size`` re-indexes first.  One hole at slot 0 shifts the
+        second tail hand-over onto slot 64: a queue that filed it there
+        would hold an attached entry its next settle cannot read."""
+        q = GlobalQueue(o3_limit=25)
+        q.remove(_push_n(q, make_request, 1, prefix="gone")[0])
+        reqs = [make_request(f"fn-{i}", arrival=1.0 + i) for i in range(66)]
+        for r in reqs[:64]:
+            q.push(r)
+        q.bump_visits_before(None)
+        for r in reqs[64:]:
+            q.push(r)
+        q.bump_visits_before(None)
+        assert [q.visits(r) for r in reqs] == [2] * 64 + [1] * 2
+
+
 def _backlog_system(n, n_models=25):
     """``n`` requests over ``n_models`` instances submitted within a few
     milliseconds: the GPUs fill and the rest waits in the global queue."""

@@ -77,8 +77,8 @@ def test_memory_never_oversubscribed_and_residency_consistent(workload, policy, 
         assert gpu.used_mb <= gpu.memory_mb + 1e-6
         # device residency and cache-manager view agree
         for model_id in gpu.resident_models():
-            assert system.cache.is_cached_on(model_id, gpu.gpu_id)
-        for model_id in system.cache.lru_list(gpu.gpu_id):
+            assert system.cache.is_cached_on(model_id, gpu)
+        for model_id in system.cache.lru_list(gpu):
             assert gpu.has_model(model_id)
 
 

@@ -13,16 +13,18 @@ from repro.traces import build_workload, spec_for_requests
 
 class _Cache:
     """The two CacheManager reads the controller makes: residency and a
-    GPU's replacement order (coldest first)."""
+    GPU's replacement order (coldest first).  The controller hands the
+    GPU it is asked about straight through, so these tests name GPUs by
+    strings ("g0") both as that handle and as the cache events' gpu_id."""
 
     def __init__(self, **lru):
-        self.lru = lru  # gpu_id -> [model_id, ...]
+        self.lru = lru  # GPU -> [model_id, ...]
 
-    def is_cached_on(self, model_id, gpu_id):
-        return model_id in self.lru.get(gpu_id, ())
+    def is_cached_on(self, model_id, gpu):
+        return model_id in self.lru.get(gpu, ())
 
-    def lru_list(self, gpu_id):
-        return self.lru.get(gpu_id, [])
+    def lru_list(self, gpu):
+        return self.lru.get(gpu, [])
 
 
 class TestQuotaValidation:

@@ -43,12 +43,13 @@ QUOTAS = {"free": {}, "cap20": {"default": TenantQuota(max_processes=20)}}
 #: decisions per hash-chain link
 WINDOW = 256
 
-CELLS = [
-    f"{policy}/ws{ws}/{faults}/{quota}"
+#: cell name -> (policy, working set, fault profile, quota name)
+CELLS = {
+    f"{policy}/ws{ws}/{faults}/{quota}": (policy, ws, faults, quota)
     for policy, ws, faults, quota in itertools.product(
         POLICIES, WORKING_SETS, FAULT_PROFILES, QUOTAS
     )
-]
+}
 
 
 def _sha(rows) -> str:
@@ -58,11 +59,17 @@ def _sha(rows) -> str:
     return h.hexdigest()
 
 
-def derive(cell: str, workload) -> dict:
-    """Replay ``cell`` on ``workload`` and return its ledger entry."""
-    policy, _, faults, quota = cell.split("/")
+def build_workloads() -> dict:
+    """The §V-A workload of each working set, built once: a replay
+    detaches the request objects it ran, so one build serves every cell."""
+    return {ws: build_workload(WorkloadSpec(working_set=ws, seed=0)) for ws in WORKING_SETS}
+
+
+def derive(cell: str, workloads: dict) -> dict:
+    """Replay ``cell`` and return its ledger entry."""
+    policy, ws, faults, quota = CELLS[cell]
     config = SystemConfig(policy=policy, fault_profile=faults, quotas=QUOTAS[quota])
-    summary, system = replay(config, workload)
+    summary, system = replay(config, workloads[ws])
     rows = list(system.scheduler.decisions)
     chain, link = [], ""
     for start in range(0, len(rows), WINDOW):
@@ -77,19 +84,9 @@ def derive(cell: str, workload) -> dict:
     }
 
 
-_workloads: dict[int, object] = {}
-
-
-def _workload(ws: int):
-    """The cell's §V-A workload, built once per working set (a replay
-    detaches the request objects it ran, so one build serves every cell)."""
-    if ws not in _workloads:
-        _workloads[ws] = build_workload(WorkloadSpec(working_set=ws, seed=0))
-    return _workloads[ws]
-
-
-def _derive_cell(cell: str) -> dict:
-    return derive(cell, _workload(int(cell.split("/")[1][2:])))
+@pytest.fixture(scope="module")
+def workloads() -> dict:
+    return build_workloads()
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +99,8 @@ def test_ledger_names_every_cell(ledger):
 
 
 @pytest.mark.parametrize("cell", CELLS)
-def test_cell_decides_as_recorded(cell, ledger):
-    got, want = _derive_cell(cell), ledger[cell]
+def test_cell_decides_as_recorded(cell, workloads, ledger):
+    got, want = derive(cell, workloads), ledger[cell]
     if got["decisions"] != want["decisions"]:
         first = next(
             (i for i, (a, b) in enumerate(zip(got["chain"], want["chain"])) if a != b),
@@ -121,7 +118,8 @@ def test_cell_decides_as_recorded(cell, ledger):
 
 def write() -> None:
     """Regenerate the ledger (``make golden``)."""
-    ledger = {cell: _derive_cell(cell) for cell in CELLS}
+    workloads = build_workloads()
+    ledger = {cell: derive(cell, workloads) for cell in CELLS}
     LEDGER.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(ledger)} cells to {LEDGER}", file=sys.stderr)
 

@@ -8,12 +8,13 @@ event, not only once the replay drains:
 
 * ``gpu/status/<g>`` is the status the device state and the manager's
   draining flag imply (``offline`` / ``draining`` / ``idle`` / ``busy``);
-* ``gpu/lru/<g>`` is ``tuple(cache.lru_list(g))`` (a GPU that never held
-  a model has no key, read as ``()``);
+* ``gpu/lru/<g>`` is ``tuple(cache.lru_list(gpu))`` (a GPU that never
+  held a model has no key, read as ``()``);
 * the live ``cache/locations/*`` keys are exactly the models cached
-  somewhere, each holding ``tuple(cache.locations(m))``;
+  somewhere, each holding the ``gpu_id`` of every device in
+  ``cache.locations(m)``;
 * an online GPU's ``gpu/finish_time/<g>``, clamped to now, is
-  ``estimator.busy_until(g)`` (a missing key reads as now).
+  ``estimator.busy_until(gpu)`` (a missing key reads as now).
 """
 
 import pytest
@@ -29,7 +30,7 @@ LOCATIONS = "cache/locations/"
 def _status(gpu, manager) -> str:
     if not gpu.is_online:
         return "offline"
-    if manager.is_draining(gpu.gpu_id):
+    if manager.is_draining(gpu):
         return "draining"
     return "idle" if gpu.is_idle else "busy"
 
@@ -51,15 +52,15 @@ def audit_mirror(system: FaaSCluster) -> list[int]:
             assert kv.get_value(f"gpu/status/{g}") == _status(
                 gpu, managers[gpu.node_id]
             ), where
-            assert kv.get_value(f"gpu/lru/{g}", ()) == tuple(cache.lru_list(g)), where
+            assert kv.get_value(f"gpu/lru/{g}", ()) == tuple(cache.lru_list(gpu)), where
             if gpu.is_online:
                 finish = kv.get_value(f"gpu/finish_time/{g}", now)
-                assert max(finish, now) == estimator.busy_until(g), where
-        cached = set().union(*(cache.models_on(gpu.gpu_id) for gpu in gpus))
+                assert max(finish, now) == estimator.busy_until(gpu), where
+        cached = set().union(*(cache.models_on(gpu) for gpu in gpus))
         live = {row.key[len(LOCATIONS):]: row.value for row in kv.range(LOCATIONS)}
         assert set(live) == cached, now
         for model_id, value in live.items():
-            assert value == tuple(cache.locations(model_id)), (now, model_id)
+            assert value == tuple(g.gpu_id for g in cache.locations(model_id)), (now, model_id)
         checked[0] += 1
 
     sim.subscribe_post_event(audit)

@@ -105,7 +105,7 @@ class SpecLALBPolicy(LALBPolicy):
         for request in s.global_queue:
             if self._refused(s, gpu, request):
                 continue
-            if s.cache.is_cached_on(request.model_id, gpu.gpu_id):
+            if s.cache.is_cached_on(request.model_id, gpu):
                 if exp is not None:
                     exp.note("alg1:cached_here", request.model_id, gpu.gpu_id)
                 s.dispatch(request, gpu)  # line 8

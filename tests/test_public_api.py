@@ -208,6 +208,38 @@ def test_one_pass_guard_and_no_gpu_id_joins():
     assert "_devices" not in vars(system.estimator)
 
 
+def test_a_gpu_has_one_name_in_the_control_plane():
+    """Every per-GPU table is keyed by the device: no slot numbering
+    stamped onto it, no gpu_id → device join on the Scheduler, and the
+    in-flight finish time lives on the device."""
+    from repro.cluster import Cluster
+    from repro.core import CacheManager, FinishTimeEstimator, GPUManager
+    from repro.core.policies import SchedulerOps
+
+    system = repro.FaaSCluster()
+    gpu = system.cluster.gpus[0]
+    assert "_mgr_slot" not in vars(gpu) and "_sched_slot" not in vars(gpu)
+    assert gpu.busy_until == 0.0
+    for cls, names in (
+        (GPUManager, ("_slot_of", "in_flight")),
+        (Scheduler, ("_address_by_slot", "_manager_by_slot", "gpu")),
+        (SchedulerOps, ("gpu",)),
+        (CacheManager, ("_gpus",)),
+        (FinishTimeEstimator, ("_busy_until", "set_busy_until", "clear_busy")),
+        (Cluster, ("_node_of", "node_of")),
+    ):
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    manager = system.gpu_managers()[gpu.node_id]
+    for owner in (manager, system.scheduler, system.cache, system.estimator, system.cluster):
+        for name in ("_slot_of", "_address_by_slot", "_manager_by_slot", "gpu", "_gpus",
+                     "_busy_until", "_node_of"):
+            assert name not in vars(owner), f"{type(owner).__name__}.{name}"
+    assert set(system.cache._policies) == set(system.cluster.gpus)
+    assert set(system.estimator._queued_cost) == set(system.cluster.gpus)
+    assert set(manager._executing) == set(system.cluster.nodes[0].gpus)
+
+
 def test_tenant_quota_has_one_lever():
     """§VI's process cap is the one isolation lever (the memory and time
     shares are gone), and a request is charged to its model's tenant: it
