@@ -5,22 +5,28 @@ queue moves, O3 promotions — with the reason, so tests can assert the
 Algorithm-1/2 semantics directly and operators can audit why a request
 landed where it did.
 
-The log is bounded (ring buffer) so long experiments cannot grow it
-without limit.  An entry is stored as an exact 6-tuple of atoms in
-:class:`Decision` field order, the kind as its value string, and named on
-read: CPython's cyclic collector untracks only *exact* tuples of untracked
-items, so a NamedTuple — or a row holding the enum member, a GC object —
-would stay on its books for the whole replay, 100k of them.
+The log is a bounded ring stored as typed columns, one slot per field of
+:class:`Decision`: the time in an ``array('d')``, the request id and visits
+in ``array('q')``, the kind as a one-byte code, and the model and GPU id
+as references to the strings the requests and devices already hold.  A
+row costs ~49 bytes, where a 6-tuple plus its deque slot cost ~104, and
+nothing in it is an object the cyclic collector tracks.  The columns grow
+in blocks of :data:`BLOCK` rows up to ``maxlen`` (a small system never pays
+for the whole ring), a row is written by item assignment (no call per
+row), and :class:`Decision` views are minted only on read.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque
-from itertools import islice
+from array import array
+from itertools import chain, starmap
 from typing import Iterator, NamedTuple
 
 __all__ = ["DecisionKind", "Decision", "DecisionLog"]
+
+#: rows the columns grow by until the ring reaches ``maxlen``
+BLOCK = 1024
 
 
 class DecisionKind(enum.Enum):
@@ -45,8 +51,14 @@ class Decision(NamedTuple):
     visits: int = 0
 
 
-def _named(row: tuple) -> Decision:
-    return Decision(row[0], DecisionKind(row[1]), *row[2:])
+#: a kind's column code is its definition index; keyed by the value string
+#: because Enum.__hash__ is a Python-level call
+_KINDS = tuple(DecisionKind)
+_CODE = {kind._value_: code for code, kind in enumerate(_KINDS)}
+
+
+def _named(time_s, code, request_id, model_id, gpu_id, visits) -> Decision:
+    return Decision(time_s, _KINDS[code], request_id, model_id, gpu_id, visits)
 
 
 class DecisionLog:
@@ -56,44 +68,91 @@ class DecisionLog:
         if maxlen < 1:
             raise ValueError("maxlen must be positive")
         self._maxlen = maxlen
-        self._log: deque[tuple] = deque(maxlen=maxlen)  # exact-tuple rows
-        # keyed by the kind's value string, read via the enum's _value_
-        # slot: Enum.__hash__ is a Python-level call, twice per record
-        self._counts: Counter[str] = Counter()
+        #: rows appended since construction (monotonic; the ring holds the
+        #: newest ``min(appended, maxlen)`` of them)
+        self.appended = 0
+        self._capacity = 0
+        self._time = array("d")
+        self._kind = bytearray()
+        self._request = array("q")
+        self._model: list[str | None] = []
+        self._gpu: list[str | None] = []
+        self._visits = array("q")
+        self._counts = [0] * len(_KINDS)  # rows held, by kind code
+
+    def _grow(self) -> None:
+        block = min(BLOCK, self._maxlen - self._capacity)
+        self._capacity += block
+        zeros = bytes(8 * block)
+        self._time.frombytes(zeros)
+        self._kind += zeros[:block]
+        self._request.frombytes(zeros)
+        self._model += [None] * block
+        self._gpu += [None] * block
+        self._visits.frombytes(zeros)
 
     def append(self, time_s: float, kind: DecisionKind, request_id: int,
                model_id: str, gpu_id: str | None, visits: int = 0) -> None:
         """Record one action from its fields (the Scheduler's hot path)."""
-        log = self._log
-        value = kind._value_
-        if len(log) == self._maxlen:
-            self._counts[log[0][1]] -= 1  # about to be evicted
-        log.append((time_s, value, request_id, model_id, gpu_id, visits))
-        self._counts[value] += 1
+        n = self.appended
+        i = n % self._maxlen
+        if i == self._capacity:
+            self._grow()
+        elif n >= self._maxlen:
+            self._counts[self._kind[i]] -= 1  # the oldest row is overwritten
+        code = _CODE[kind._value_]
+        self._time[i] = time_s
+        self._kind[i] = code
+        self._request[i] = request_id
+        self._model[i] = model_id
+        self._gpu[i] = gpu_id
+        self._visits[i] = visits
+        self._counts[code] += 1
+        self.appended = n + 1
 
     def record(self, decision: Decision) -> None:
         self.append(*decision)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._log)
+        return min(self.appended, self._maxlen)
+
+    def _slots(self, start: int, stop: int):
+        """Raw rows of ring slots ``[start, stop)``, kind as its code."""
+        return zip(
+            self._time[start:stop], self._kind[start:stop], self._request[start:stop],
+            self._model[start:stop], self._gpu[start:stop], self._visits[start:stop],
+        )
+
+    def _newest(self, k: int):
+        """Raw rows of the newest ``k`` decisions (``0 <= k <= len``), oldest
+        first: O(k) whatever the ring holds."""
+        maxlen = self._maxlen
+        end = (self.appended - 1) % maxlen + 1 if self.appended else 0
+        start = end - k
+        if start >= 0:
+            return self._slots(start, end)
+        return chain(self._slots(maxlen + start, maxlen), self._slots(0, end))
 
     def __iter__(self) -> Iterator[Decision]:
-        return map(_named, self._log)
+        return starmap(_named, self._newest(len(self)))
 
     def count(self, kind: DecisionKind) -> int:
-        return self._counts[kind._value_]
+        return self._counts[_CODE[kind._value_]]
+
+    def counts(self) -> dict[str, int]:
+        """Rows held per kind value, for the kinds the log holds."""
+        return {kind._value_: n for kind, n in zip(_KINDS, self._counts) if n}
 
     def for_request(self, request_id: int) -> list[Decision]:
-        return [_named(row) for row in self._log if row[2] == request_id]
+        return [_named(*row) for row in self._newest(len(self)) if row[2] == request_id]
 
     def for_gpu(self, gpu_id: str) -> list[Decision]:
-        return [_named(row) for row in self._log if row[4] == gpu_id]
+        return [_named(*row) for row in self._newest(len(self)) if row[4] == gpu_id]
 
     def last(self, n: int = 10) -> list[Decision]:
         """The newest ``n`` decisions, oldest first (``[]`` for ``n <= 0``)."""
-        rows = list(islice(reversed(self._log), max(n, 0)))
-        return [_named(row) for row in reversed(rows)]
+        return list(starmap(_named, self._newest(max(0, min(n, len(self))))))
 
     def hit_rate(self) -> float:
         """Hit fraction among plain dispatches (local/moves are hits too)."""

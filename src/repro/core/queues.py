@@ -478,10 +478,12 @@ class GlobalQueue:
         joined = []
         for model_id in exempt:
             for entry in self._buckets.get(model_id, ()):
+                if not entry.alive:
+                    continue  # a dead entry keeps its slot from before a re-index
                 if entry.slot >= r:
                     break
-                # mutation-equivalent (and→or): the extras (pending, dead, starved) never read cov0
-                if entry.attached and entry.alive and not entry.starved:
+                # mutation-equivalent (and→or): the extras (pending, starved) never read cov0
+                if entry.attached and not entry.starved:
                     entry.cov0 += 1
                     if entry.regular:
                         entry.regular = False

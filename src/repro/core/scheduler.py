@@ -245,11 +245,10 @@ class Scheduler:
         if tracer is not None:
             # loop-invariant tracer state, bound once per armed action
             # (after the early-out: most actions elide, and the elided
-            # path should pay nothing extra).  decision_log is the
-            # underlying deque — len() on it is a C-level size read,
-            # where len(self.decisions) would dispatch a Python __len__
-            # twice per sampled pass
-            decision_log = self.decisions._log
+            # path should pay nothing extra).  The log's monotonic row
+            # count is read, not its length: a full ring's length stays
+            # at maxlen, so a pass would record 0 decisions
+            decisions = self.decisions
             p_state = tracer._p_state
             p_stride = tracer.span_stride
         schedule_pass = self.policy.schedule_pass
@@ -270,7 +269,7 @@ class Scheduler:
                     if n % p_stride:
                         progressed = schedule_pass(self)
                     else:
-                        d0 = len(decision_log)
+                        d0 = decisions.appended
                         t0 = perf_counter_ns()
                         progressed = schedule_pass(self)
                         wall = perf_counter_ns() - t0
@@ -279,7 +278,7 @@ class Scheduler:
                         b = i * 3
                         p_buf[b] = self.sim._now
                         p_buf[b + 1] = wall
-                        p_buf[b + 2] = len(decision_log) - d0
+                        p_buf[b + 2] = decisions.appended - d0
                         p_state[1] += 1
                         i += 1
                         p_state[0] = 0 if i == tracer.capacity else i

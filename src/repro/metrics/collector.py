@@ -10,17 +10,19 @@ The collector observes two event streams:
   top one model".
 
 Completions land in **an exact window that closes**.  While the window is
-open every completion appends one row of scalars (arrival / dispatch /
+open every completion extends one typed buffer, an ``array('d')`` of
+stride :data:`_STRIDE`, by its row of scalars (arrival / dispatch /
 completion stamps, interned model / GPU / architecture codes, hit and SLA
-outcomes) and its request object; :meth:`MetricsCollector.columns`
-materializes the rows into typed NumPy arrays lazily, and
-:mod:`~repro.metrics.summary` reduces those columns with vectorized NumPy.
+outcomes) — 72 bytes and no object per completion — and keeps its request
+object; :meth:`MetricsCollector.columns` copies the buffer's columns into
+typed NumPy arrays lazily, and :mod:`~repro.metrics.summary` reduces those
+columns with vectorized NumPy.
 The per-model / miss counters are maintained *running* on
 :meth:`MetricsCollector.on_complete`, so queries like
 :meth:`most_invoked_model` cost O(models) — never a rescan of the rows.
 
-Rows are linear in replay size, which turns a 10M-request replay into an
-OOM, so the completion that takes the run past ``exact_cap`` *closes* the
+The buffer is linear in replay size, which turns a 10M-request replay into
+an OOM, so the completion that takes the run past ``exact_cap`` *closes* the
 window: its rows are replayed, in completion order, through
 :meth:`MetricsCollector._fold` into
 
@@ -29,7 +31,7 @@ window: its rows are replayed, in completion order, through
 * exact running aggregates (SLA totals/violations, per-architecture
   misses, compensated queueing-delay sum),
 
-then rows and request objects are released and every later completion
+then the buffer and request objects are released and every later completion
 folds directly.  Because the replay is in order, the fold state is the
 same whatever the cap was.  Summaries are exact while the window is open;
 once closed, counts, rates and ratios stay exact and quantiles come from
@@ -40,6 +42,7 @@ passes ``SystemConfig.retention``.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -50,6 +53,10 @@ from ..sim import Simulator
 from .histogram import LogHistogram
 
 __all__ = ["MetricsCollector", "CompletionColumns"]
+
+#: fields per completion row in the open window's buffer, in
+#: :class:`CompletionColumns` order
+_STRIDE = 9
 
 
 @dataclass(frozen=True)
@@ -152,12 +159,11 @@ class MetricsCollector:
         self._n = 0
         #: completions the window holds before it closes (None = never)
         self.exact_cap = exact_cap
-        #: the open window: one 9-field row tuple per completion (a single
-        #: plain-list append beats nine per-column appends, and a NumPy
-        #: scalar store costs several times a list append — this runs once
-        #: per completion), split into typed arrays lazily, and cached, by
-        #: columns().  None once the window has closed.
-        self._rows: list[tuple] | None = []
+        #: the open window: one row of _STRIDE float64 fields per
+        #: completion (one extend per completion; a NumPy scalar store
+        #: costs several times that), split into typed arrays lazily, and
+        #: cached, by columns().  None once the window has closed.
+        self._window: array | None = array("d")
         self._columns_cache: CompletionColumns | None = None
         # fold state: empty while the window is open, filled by _fold
         self.lat_hist = LogHistogram()
@@ -188,35 +194,32 @@ class MetricsCollector:
                 self._models.code(model_id),
                 self._archs.code(request.model.architecture),
             )
-        row = (
-            request.arrival_time,
-            request.dispatched_at if request.dispatched_at is not None else np.nan,
-            request.completed_at,
-            codes[0],
-            self._gpus.code(request.gpu_id or "?"),
-            codes[1],
-            -1 if hit is None else (1 if hit else 0),
-            request.false_miss,
-            request.sla_s if request.sla_s is not None else np.nan,
-        )
+        dispatched = request.dispatched_at if request.dispatched_at is not None else np.nan
+        gpu = self._gpus.code(request.gpu_id or "?")
+        hit_code = -1 if hit is None else (1 if hit else 0)
+        sla = request.sla_s if request.sla_s is not None else np.nan
         self._n += 1
-        rows = self._rows
-        if rows is None:
-            self._fold(row)
+        window = self._window
+        if window is None:
+            self._fold(request.arrival_time, dispatched, request.completed_at,
+                       codes[1], hit_code, sla)
         else:
-            rows.append(row)
+            window.extend((
+                request.arrival_time, dispatched, request.completed_at, codes[0], gpu,
+                codes[1], hit_code, request.false_miss, sla,
+            ))
             self.completed.append(request)
             if self.exact_cap is not None and self._n > self.exact_cap:
                 self._close_window()
 
-    def _fold(self, row: tuple) -> None:
-        """Fold one completion row into the fixed-size state.
+    def _fold(self, arrival: float, dispatched: float, completed: float,
+              arch: int, hit: int, sla: float) -> None:
+        """Fold one completion into the fixed-size state.
 
         The scalar derivations (``completed - arrival`` etc.) are the same
         IEEE float64 operations :class:`CompletionColumns` performs
         elementwise, so the histograms see the values the columns held.
         """
-        arrival, dispatched, completed, _, _, arch, hit, _, sla = row
         lat = completed - arrival
         queue = dispatched - arrival  # NaN if never dispatched
         if sla == sla:  # NaN = best-effort
@@ -241,18 +244,22 @@ class MetricsCollector:
     def _close_window(self) -> None:
         """The run outgrew ``exact_cap``: replay the window through
         :meth:`_fold` in completion order and release it."""
-        rows = self._rows
-        self._rows = None
+        w = self._window
+        self._window = None
         self._columns_cache = None
         self.completed = []
         self.lost = []
-        for row in rows:
-            self._fold(row)
+        fold = self._fold
+        for arrival, dispatched, completed, arch, hit, sla in zip(
+            w[0::_STRIDE], w[1::_STRIDE], w[2::_STRIDE], w[5::_STRIDE],
+            w[6::_STRIDE], w[8::_STRIDE],
+        ):
+            fold(arrival, dispatched, completed, int(arch), int(hit), sla)
 
     @property
     def window_open(self) -> bool:
         """Whether every completion so far is still held as an exact row."""
-        return self._rows is not None
+        return self._window is not None
 
     @property
     def queueing_sum(self) -> float:
@@ -264,10 +271,11 @@ class MetricsCollector:
         """Latency histogram over every completion so far: the live fold
         target once the window has closed, else filled from the open
         window on demand."""
-        if self._rows is None:
+        w = self._window
+        if w is None:
             return self.lat_hist
         hist = LogHistogram()
-        hist.record_many(row[2] - row[0] for row in self._rows)
+        hist.record_many(map(float.__sub__, w[2::_STRIDE], w[0::_STRIDE]))
         return hist
 
     def on_cache_event(self, kind: str, gpu_id: str, model_id: str, now: float) -> None:
@@ -287,7 +295,7 @@ class MetricsCollector:
         """A request left the system without completing (deadline timeout
         or exhausted retry budget)."""
         self.lost_count += 1
-        if self._rows is not None:
+        if self._window is not None:
             self.lost.append(request)
         self.lost_reasons[reason] = self.lost_reasons.get(reason, 0) + 1
         if request.retries:
@@ -342,15 +350,15 @@ class MetricsCollector:
         return self._archs.names
 
     def columns(self) -> CompletionColumns:
-        """Typed array views of the open window's completion columns.
+        """Typed copies of the open window's completion columns.
 
         Materialized from the row buffer on demand and cached until the
         next completion, so the several summarize/breakdown consumers of
         one finished run convert each column exactly once.  Raises once
         the window has closed — the rows are gone.
         """
-        rows = self._rows
-        if rows is None:
+        window = self._window
+        if window is None:
             raise RuntimeError(
                 f"the exact window closed past {self.exact_cap} completions; "
                 "use latency_histogram() and the running counters instead"
@@ -358,23 +366,21 @@ class MetricsCollector:
         cached = self._columns_cache
         if cached is not None and len(cached) == self._n:
             return cached
-        if rows:
-            (arrival, dispatched, completed, model, gpu, arch,
-             cache_hit, false_miss, sla) = zip(*rows)
-        else:
-            arrival = dispatched = completed = model = gpu = arch = ()
-            cache_hit = false_miss = sla = ()
+        # a view over the buffer exports it, and an exporting array cannot
+        # grow: every column is a copy, and the view dies before the return
+        rows = np.frombuffer(window, dtype=np.float64).reshape(-1, _STRIDE)
         cols = CompletionColumns(
-            arrival=np.asarray(arrival, dtype=np.float64),
-            dispatched=np.asarray(dispatched, dtype=np.float64),
-            completed=np.asarray(completed, dtype=np.float64),
-            model=np.asarray(model, dtype=np.int32),
-            gpu=np.asarray(gpu, dtype=np.int32),
-            architecture=np.asarray(arch, dtype=np.int32),
-            cache_hit=np.asarray(cache_hit, dtype=np.int8),
-            false_miss=np.asarray(false_miss, dtype=bool),
-            sla_s=np.asarray(sla, dtype=np.float64),
+            arrival=rows[:, 0].copy(),
+            dispatched=rows[:, 1].copy(),
+            completed=rows[:, 2].copy(),
+            model=rows[:, 3].astype(np.int32),
+            gpu=rows[:, 4].astype(np.int32),
+            architecture=rows[:, 5].astype(np.int32),
+            cache_hit=rows[:, 6].astype(np.int8),
+            false_miss=rows[:, 7].astype(bool),
+            sla_s=rows[:, 8].copy(),
         )
+        del rows
         self._columns_cache = cols
         return cols
 

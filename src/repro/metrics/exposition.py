@@ -91,10 +91,8 @@ def prometheus_exposition(system) -> str:
     _sample(lines, "repro_dispatched_total", scheduler.dispatched_count)
     _metric(lines, "repro_decisions_total", "counter",
             "Scheduling decisions recorded, by kind")
-    decisions = scheduler.decisions
-    for kind in sorted(decisions._counts):
-        _sample(lines, "repro_decisions_total",
-                decisions._counts[kind], f'{{kind="{kind}"}}')
+    for kind, n in sorted(scheduler.decisions.counts().items()):
+        _sample(lines, "repro_decisions_total", n, f'{{kind="{kind}"}}')
 
     kv = system.datastore.kv
     _metric(lines, "repro_kv_revision", "gauge", "Datastore MVCC revision")

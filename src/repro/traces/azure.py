@@ -114,15 +114,18 @@ class SyntheticAzureTrace:
         ranks = np.arange(1, cfg.num_functions + 1, dtype=float)
         weights = ranks**-self.exponent
         self.weights = weights / weights.sum()
-        # function ids: "fnNNNNN" by popularity rank (rank 0 = hottest)
-        self.function_ids = [f"fn{i:05d}" for i in range(cfg.num_functions)]
 
     # ------------------------------------------------------------------
     def top_functions(self, k: int) -> list[str]:
-        """The k most popular functions (the paper's working set, §V-A.1)."""
+        """The k most popular functions (the paper's working set, §V-A.1).
+
+        Function ids are ``"fnNNNNN"`` by popularity rank (rank 0 =
+        hottest), named only when asked for: the trace has tens of
+        thousands, a working set reads a few dozen.
+        """
         if not 1 <= k <= self.config.num_functions:
             raise ValueError(f"k must be in [1, {self.config.num_functions}]")
-        return self.function_ids[:k]
+        return [f"fn{i:05d}" for i in range(k)]
 
     def share_of_top(self, k: int) -> float:
         """Fraction of all invocations going to the top-k functions."""

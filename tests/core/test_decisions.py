@@ -1,12 +1,18 @@
 """Unit + integration tests for the scheduling decision log."""
 
+import tracemalloc
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
-from repro.core import DecisionKind, DecisionLog
+from repro.core import DecisionKind, DecisionLog, decisions
 from repro.core.decisions import Decision
 from repro.models import ModelInstance, get_profile
 from repro.runtime import FaaSCluster, SystemConfig
+from tests.spec.decisions import SpecDecisionLog
 
 
 def mk(kind, req_id=1, t=0.0, gpu="g0"):
@@ -57,20 +63,86 @@ class TestDecisionLog:
         assert [d.request_id for d in log.last(99)] == [0, 1, 2, 3, 4]
 
     def test_reads_name_the_rows(self):
-        """Rows are stored as exact tuples (the kind as its value string);
-        every read hands back the ``Decision`` that was recorded."""
+        """Rows are stored as columns (the kind as a code); every read hands
+        back the ``Decision`` that was recorded, its fields plain atoms."""
         log = DecisionLog()
         d = Decision(1.5, DecisionKind.MOVE_TO_LOCAL, 7, "m", None, visits=3)
         log.record(d)
         log.append(2.5, DecisionKind.TIMEOUT, 8, "m", "g1")
-        assert log._log[0] == (1.5, "move_to_local", 7, "m", None, 3)
         assert list(log) == [d, Decision(2.5, DecisionKind.TIMEOUT, 8, "m", "g1")]
         assert all(type(x) is Decision for x in [*log, *log.last(2), *log.for_gpu("g1")])
+        assert [tuple(map(type, x)) for x in log.last(1)] == [
+            (float, DecisionKind, int, str, str, int)
+        ]
         assert log.for_request(7) == [d]
+        assert log.counts() == {"move_to_local": 1, "timeout": 1}
+
+    def test_appended_counts_past_a_full_ring(self):
+        """``appended`` is monotonic; the length stops at ``maxlen``."""
+        log = DecisionLog(maxlen=3)
+        for req_id in range(7):
+            log.record(mk(DecisionKind.DISPATCH_HIT, req_id=req_id))
+        assert len(log) == 3 and log.appended == 7
+        assert [d.request_id for d in log] == [4, 5, 6]
+        assert [d.request_id for d in log.last(1)] == [6]
+
+    def test_a_small_log_does_not_preallocate_its_ring(self):
+        """The columns grow a block at a time: ten rows in a default
+        100k-row log cost one block (~50 KB), not the whole ring (~5 MB)."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = DecisionLog()
+            for req_id in range(10):
+                log.record(mk(DecisionKind.DISPATCH_HIT, req_id=req_id))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 10
+        assert held < 2 * 49 * decisions.BLOCK
 
     def test_invalid_maxlen(self):
         with pytest.raises(ValueError):
             DecisionLog(maxlen=0)
+
+
+_rows = st.lists(
+    st.tuples(
+        st.floats(0, 1e6, allow_nan=False),
+        st.sampled_from(list(DecisionKind)),
+        st.integers(0, 5),
+        st.sampled_from(["m0", "m1"]),
+        st.sampled_from(["g0", "g1", None]),
+        st.integers(0, 3),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_rows, maxlen=st.integers(1, 9), block=st.integers(1, 4))
+def test_the_ring_reads_like_the_spec_deque(rows, maxlen, block):
+    """Any append sequence on the columnar ring (small ``maxlen``, blocks
+    of 1–4 rows, so growth, wrap and eviction all happen) reads exactly as
+    the literal deque log after every append."""
+    with mock.patch.object(decisions, "BLOCK", block):
+        log, spec = DecisionLog(maxlen=maxlen), SpecDecisionLog(maxlen=maxlen)
+        for row in rows:
+            log.append(*row)
+            spec.append(*row)
+            assert list(log) == list(spec)
+            assert log.last(1) == spec.last(1)
+        assert (len(log), log.appended) == (len(spec), spec.appended)
+        assert log.counts() == spec.counts()
+        assert log.hit_rate() == spec.hit_rate()
+        for kind in DecisionKind:
+            assert log.count(kind) == spec.count(kind)
+        for request_id in range(6):
+            assert log.for_request(request_id) == spec.for_request(request_id)
+        for gpu_id in ("g0", "g1", None):
+            assert log.for_gpu(gpu_id) == spec.for_gpu(gpu_id)
+        for n in range(-1, maxlen + 2):
+            assert log.last(n) == spec.last(n)
 
 
 class TestSchedulerIntegration:

@@ -262,6 +262,33 @@ def counter_calls(monkeypatch):
     return calls
 
 
+class TestExemptAfterReindex:
+    def test_dead_entry_with_a_stale_slot_does_not_end_the_exempt_walk(
+        self, make_request
+    ):
+        """A re-index renumbers live entries only; a dead entry left in the
+        middle of a model's bucket keeps its old slot.  The exempt walk
+        must pass over it: here the dead X sits at stale slot 20, the live
+        X behind it at slot 18, and a scan stopping at 19 that passed model
+        X over (quota refusal) must not count a skip for it."""
+        q = GlobalQueue(o3_limit=25)
+        shared = ModelInstance("X", get_profile("alexnet"))
+        reqs = [
+            make_request("X", arrival=float(i), model=shared) if i in (5, 20, 30)
+            else make_request(f"fn-{i}", "alexnet", arrival=float(i))
+            for i in range(40)
+        ]
+        for r in reqs:
+            q.push(r)
+        for r in [reqs[20], *reqs[6:18]]:
+            q.remove(r)  # X at 20 dies behind the live X at 5
+        q.push_sorted(make_request("late", "alexnet", arrival=4.5))  # re-index
+        assert [e.slot for e in q._buckets["X"]] == [6, 20, 18]
+        q.bump_visits_before(19, {"X"})
+        assert q.visits(reqs[5]) == q.visits(reqs[30]) == 0
+        assert q.visits(reqs[18]) == q.visits(reqs[4]) == 1
+
+
 class TestRouteSelection:
     """Both sides of the queue's one route choice — eager skip counts on
     the unattached tail vs the bump counter for entries that outlived the

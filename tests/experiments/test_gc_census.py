@@ -1,19 +1,28 @@
-"""What a replay leaves on the cyclic collector's books (a count, not a timing).
+"""What a replay leaves behind: the cyclic collector's books and the bytes
+(counts, not timings).
 
 Every full collection walks every GC-tracked container alive, so a record
 type that stays tracked costs wall time in proportion to the requests
 replayed so far.  CPython untracks only *exact* tuples whose items are all
 untracked — never a NamedTuple, never a tuple holding an enum member — so
-the per-request records (decision rows, ephemeral KV rows, latency values)
-are stored as exact tuples of atoms and named on read, and the arrival
+the per-request records are stored as atoms and named on read (decisions
+in typed columns, ephemeral KV rows and latency values as exact tuples),
+and the arrival
 column stays a column in the sim kernel instead of one ``Event`` per
 request.  This census is exact run to run: one record type going back on
 the books moves it by one or more objects per request.
+
+Beside it, a byte count: what tracemalloc sees a replay retain per extra
+completed request, also exact run to run and across hash seeds.  The open
+metrics window and the decision ring store typed columns, so either going
+back to a tuple per row moves it by ~50 bytes per request.
 """
 
 import gc
+import tracemalloc
 from collections import Counter
 
+from repro.core import decisions
 from repro.core.decisions import Decision
 from repro.core.gpu_manager import LatencyRecord
 from repro.datastore.kv import KeyValue
@@ -80,3 +89,45 @@ def test_tracked_objects_grow_by_one_request_per_request():
     assert extra == 1950
     growth = sum(drained_large.values()) - sum(drained_small.values())
     assert growth <= 1.05 * extra, (drained_large - drained_small).most_common(5)
+
+
+#: bytes retained per extra completed request between the 2k and the 4k
+#: §V-A replay: 414.2 measured (CPython 3.11), plus 4 % headroom for
+#: interpreter builds.  The commit before the metrics window and the
+#: decision log became typed columns read 525.0 (a 9-tuple row plus its
+#: list slot per completion, a 6-tuple row plus its deque slot per
+#: decision).  The decision ring grows in 1,024-row blocks, and both
+#: replays lie past its first block (2,737 and 5,360 decisions).
+RETAINED_BYTES_PER_REQUEST = 430.0
+
+
+def _retained(requests: int):
+    """Bytes one §V-A replay leaves allocated (system still alive)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        workload = build_workload(spec_for_requests(requests))
+        system = FaaSCluster(SystemConfig(policy="lalbo3"))
+        system.submit_workload(workload)
+        system.run()
+        del workload
+        gc.collect()
+        return system, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_retained_bytes_per_request():
+    """The per-request records of a replay are columns: between a 2k and a
+    4k replay the retained bytes grow by at most
+    :data:`RETAINED_BYTES_PER_REQUEST` per extra completed request (the
+    request object the open window keeps is most of it)."""
+    _retained(2000)  # first-use caches (profiles, trace tables) fill here
+    small, small_bytes = _retained(2000)
+    large, large_bytes = _retained(4000)
+    extra = large.metrics.completed_count - small.metrics.completed_count
+    assert extra == 1950
+    per_request = (large_bytes - small_bytes) / extra
+    assert per_request <= RETAINED_BYTES_PER_REQUEST, f"{per_request:.1f} B/request"
+    assert len(small.scheduler.decisions) > decisions.BLOCK

@@ -95,13 +95,12 @@ class TestFlatMemoryState:
         m = system.metrics
         assert m.completed_count > cap and not m.window_open
         assert m.completed == [] and m.lost == []
-        assert m._rows is None
         assert m.lat_hist.count == m.completed_count
         # the default preset's window still holds this 2k replay, whole
         _, system = replay_streaming(SPEC)
         m = system.metrics
         assert m.window_open
-        assert len(m.completed) == len(m._rows) == m.completed_count <= m.exact_cap
+        assert len(m.completed) == len(m.columns()) == m.completed_count <= m.exact_cap
 
     def test_streaming_config_defaults(self):
         system = FaaSCluster(streaming_config())

@@ -9,6 +9,7 @@ The fold state reached by closing is the state reached by folding from
 the first completion.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,7 +74,7 @@ class TestClosedWindow:
         system, reference, _, _ = capped
         assert system.metrics.completed_count > 500
         assert not system.metrics.window_open
-        assert system.metrics._rows is None
+        assert system.metrics.completed == []
         with pytest.raises(RuntimeError):
             system.metrics.columns()
         assert reference.window_open
@@ -241,6 +242,31 @@ class TestWindowLifecycle:
         assert (collector.completed_count, collector.lost_count) == (5, 2)
         assert collector.lost_reasons == {"deadline": 2}
         assert collector.lat_hist.count == 5
+
+    def test_columns_copy_the_buffer_and_it_keeps_growing(self):
+        """``columns()`` hands out copies of every field as recorded, and
+        the window still grows after a read (a live view over the buffer
+        would make the next completion raise ``BufferError``)."""
+        collector = MetricsCollector(Simulator())
+        requests = [
+            _completed_request(0.0, 12.0, 0.25, "alexnet", False, 2.0),
+            _completed_request(1.0, 1.5, 0.5, "resnet50", None, None),
+        ]
+        requests[1].dispatched_at = None
+        collector.on_complete(requests[0])
+        first = collector.columns()
+        collector.on_complete(requests[1])
+        cols = collector.columns()
+        assert len(first) == 1 and len(cols) == 2
+        assert cols.arrival.tolist() == [0.0, 1.0]
+        assert cols.completed.tolist() == [12.0, 2.5]
+        assert cols.dispatched[0] == 3.0 and np.isnan(cols.dispatched[1])
+        assert cols.cache_hit.tolist() == [0, -1] and cols.cache_hit.dtype == np.int8
+        assert cols.false_miss.tolist() == [True, False]
+        assert cols.sla_s[0] == 2.0 and np.isnan(cols.sla_s[1])
+        names = collector.architectures
+        assert [names[c] for c in cols.architecture] == ["alexnet", "resnet50"]
+        assert cols.model.dtype == cols.gpu.dtype == np.int32
 
     def test_cap_zero_folds_from_the_first_completion(self):
         collector = MetricsCollector(Simulator(), exact_cap=0)

@@ -16,7 +16,9 @@ from functools import partial
 
 import pytest
 
+import repro.core.scheduler
 import repro.runtime.system
+from repro.core import DecisionLog
 from repro.obs import FlightRecorder
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.traces.azure import SyntheticAzureTrace
@@ -107,6 +109,24 @@ class TestRings:
         t = system.tracer
         assert len(t.pass_records()) == t.totals["passes"]
         assert len(t.commit_records()) == t.totals["commits"]
+
+    def test_pass_records_count_decisions_past_a_full_decision_log(self, monkeypatch):
+        """A sampled pass records the decisions it appended, read off the
+        log's monotonic count: a full ring's length stays at ``maxlen``, so
+        reading the length would record 0 for every pass after the ring
+        filled."""
+        _install_recorder(monkeypatch, span_stride=1)
+        monkeypatch.setattr(
+            repro.core.scheduler, "DecisionLog", partial(DecisionLog, maxlen=8)
+        )
+        system = _replay(SystemConfig(tracer="flight"))
+        t = system.tracer
+        decisions = system.scheduler.decisions
+        assert len(decisions) == 8 and t.dropped["passes"] == 0
+        recorded = sum(n for _, _, n in t.pass_records())
+        # every decision of a fault-free replay is made inside a pass
+        assert recorded >= system.metrics.completed_count > 8
+        assert recorded == decisions.appended
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
