@@ -20,9 +20,12 @@ parity:
 ## replays) the decision log's SHA-256 and hash chain, the final KV
 ## image's SHA-256 and the run summary.  tests/golden checks every cell
 ## against it; regenerate only for a change that moves decisions on
-## purpose, and let the diff show which cells moved.
+## purpose, and let the diff show which cells moved.  tests/golden/stdout.json
+## holds the SHA-256 of the stdout of `all --workers 1` and of
+## `explain 42 --requests 2000` (PYTHONHASHSEED=0); it is rewritten too.
 golden:
 	python tests/golden/test_decisions.py
+	python tests/golden/test_stdout.py
 
 ## cProfile the 2k-request §V-A replay (materialize + inject + run, the
 ## window benchmarks/e2e times): the top-25 functions by cumulative time,

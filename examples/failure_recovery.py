@@ -43,12 +43,13 @@ def main() -> None:
         )
 
     retried = [r for r in workload.requests if r.retries > 0]
-    print(f"\ncompleted : {len(system.completed)}/{len(workload.requests)}")
+    completed = system.metrics.completed_count
+    print(f"\ncompleted : {completed}/{len(workload.requests)}")
     print(f"retried   : {len(retried)} requests survived the node failure")
-    avg = sum(r.latency for r in system.completed) / len(system.completed)
+    avg = sum(system.metrics.columns().latency.tolist()) / completed
     print(f"avg latency (with failure + recovery): {avg:.2f} s")
 
-    assert len(system.completed) == len(workload.requests), "no request lost"
+    assert completed == len(workload.requests), "no request lost"
     assert retried, "the failure really interrupted work"
 
 

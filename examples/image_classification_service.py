@@ -71,8 +71,8 @@ def main() -> None:
             labels = np.asarray(inv.response)
             print(f"{inv.function:9s} {phase:5s} {inv.latency:7.2f}s  {labels.tolist()}")
 
-    hits = sum(1 for r in system.completed if r.cache_hit)
-    print(f"\ncache hits: {hits}/{len(system.completed)} "
+    hits = int((system.metrics.columns().cache_hit == 1).sum())
+    print(f"\ncache hits: {hits}/{system.metrics.completed_count} "
           f"(warm-phase calls reused the GPU-resident models)")
     assert hits == len(warm)
     assert all(inv.response is not None for inv in cold + warm)

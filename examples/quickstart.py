@@ -24,6 +24,9 @@ def main() -> None:
     # 2. register an image-classification function backed by resnet50.
     #    The default Dockerfile template sets ENV GPU_ENABLE=1.
     gateway.register(FunctionSpec(name="classify", model_architecture="resnet50"))
+    # the runtime keeps no finished request: subscribe to see them
+    served = []
+    system.subscribe_completion(served.append)
 
     # 3a. first invocation: container cold start + model upload + inference
     first = gateway.invoke("classify", payload=None)
@@ -35,7 +38,7 @@ def main() -> None:
     system.run()
     print(f"warm invocation : {second.latency:6.2f} s  (cache hit: inference only)")
 
-    request = system.completed[-1]
+    request = served[-1]
     print(f"cache hit       : {request.cache_hit}")
     ip, device = request.gpu_address
     print(f"served by       : {device} on {ip}")

@@ -78,7 +78,7 @@ class DecisionLog:
         self._model: list[str | None] = []
         self._gpu: list[str | None] = []
         self._visits = array("q")
-        self._counts = [0] * len(_KINDS)  # rows held, by kind code
+        self._counts = [0] * len(_KINDS)  # rows appended, by kind code
 
     def _grow(self) -> None:
         block = min(BLOCK, self._maxlen - self._capacity)
@@ -98,8 +98,6 @@ class DecisionLog:
         i = n % self._maxlen
         if i == self._capacity:
             self._grow()
-        elif n >= self._maxlen:
-            self._counts[self._kind[i]] -= 1  # the oldest row is overwritten
         code = _CODE[kind._value_]
         self._time[i] = time_s
         self._kind[i] = code
@@ -141,7 +139,7 @@ class DecisionLog:
         return self._counts[_CODE[kind._value_]]
 
     def counts(self) -> dict[str, int]:
-        """Rows held per kind value, for the kinds the log holds."""
+        """Decisions ever appended per kind value (monotonic, like ``appended``)."""
         return {kind._value_: n for kind, n in zip(_KINDS, self._counts) if n}
 
     def for_request(self, request_id: int) -> list[Decision]:
@@ -155,7 +153,7 @@ class DecisionLog:
         return list(starmap(_named, self._newest(max(0, min(n, len(self))))))
 
     def hit_rate(self) -> float:
-        """Hit fraction among plain dispatches (local/moves are hits too)."""
+        """Hit fraction among every plain dispatch appended (local/moves hit too)."""
         hits = self.count(DecisionKind.DISPATCH_HIT)
         misses = self.count(DecisionKind.DISPATCH_MISS)
         total = hits + misses

@@ -139,6 +139,8 @@ class Datastore:
         #: pay for it; the empty-dict truthiness test on the lease-less
         #: path is one attribute load)
         self._leases: dict[str, Lease] = {}
+        #: key -> commits through the ephemeral lane (classified on first commit)
+        self._hot: dict[str, bool] = {}
         self.stats = WriteStats()
         #: ``stats.logical_writes`` as of the last flush
         self._flushed_writes = 0
@@ -221,11 +223,16 @@ class Datastore:
         kv = self.kv
         live = kv._live
         eph = kv._ephemeral
+        hot_of = self._hot
         revision = kv._revision = kv._revision + 1
         count = eph_count = 0
         for key, entry in pending.items():
+            try:
+                hot = hot_of[key]
+            except KeyError:
+                hot = hot_of[key] = key.startswith(eph)
             if entry[0] is _PUT:
-                if key.startswith(eph):
+                if hot:
                     # KVStore._apply_put's ephemeral lane, in line: the
                     # control plane commits 2-3 of these per action
                     if key not in live:
@@ -235,7 +242,7 @@ class Datastore:
                 else:
                     kv._apply_put(key, entry[1], fresh=entry[2])
             elif key in live:
-                if key.startswith(eph):  # _apply_delete's lane, in line
+                if hot:  # _apply_delete's lane, in line
                     del live[key]
                     kv._sorted_keys = None
                     eph_count += 1

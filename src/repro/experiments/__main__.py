@@ -148,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         prom.write_text(prometheus_exposition(system))
         totals = system.tracer.totals
         print(
-            f"traced replay: {len(system.completed)} requests, "
+            f"traced replay: {system.metrics.completed_count} requests, "
             f"{totals['passes']} passes, {totals['commits']} commits, "
             f"{totals['instants']} instants -> {path}"
         )

@@ -13,10 +13,10 @@ Completions land in **an exact window that closes**.  While the window is
 open every completion extends one typed buffer, an ``array('d')`` of
 stride :data:`_STRIDE`, by its row of scalars (arrival / dispatch /
 completion stamps, interned model / GPU / architecture codes, hit and SLA
-outcomes) — 72 bytes and no object per completion — and keeps its request
-object; :meth:`MetricsCollector.columns` copies the buffer's columns into
-typed NumPy arrays lazily, and :mod:`~repro.metrics.summary` reduces those
-columns with vectorized NumPy.
+outcomes) — 72 bytes and no object per completion, and the only record of
+it: the request itself is not kept.  :meth:`MetricsCollector.columns`
+copies the buffer's columns into typed NumPy arrays lazily, and
+:mod:`~repro.metrics.summary` reduces those columns with vectorized NumPy.
 The per-model / miss counters are maintained *running* on
 :meth:`MetricsCollector.on_complete`, so queries like
 :meth:`most_invoked_model` cost O(models) — never a rescan of the rows.
@@ -31,7 +31,7 @@ window: its rows are replayed, in completion order, through
 * exact running aggregates (SLA totals/violations, per-architecture
   misses, compensated queueing-delay sum),
 
-then the buffer and request objects are released and every later completion
+then the buffer is released and every later completion
 folds directly.  Because the replay is in order, the fold state is the
 same whatever the cap was.  Summaries are exact while the window is open;
 once closed, counts, rates and ratios stay exact and quantiles come from
@@ -124,8 +124,6 @@ class MetricsCollector:
 
     def __init__(self, sim: Simulator, *, exact_cap: int | None = None) -> None:
         self.sim = sim
-        #: request objects of the open window, for drill-down ([] once closed)
-        self.completed: list[InferenceRequest] = []
         self.started_at = sim.now
         # duplicates tracking: current residency count and its time integral
         self._dup_count: dict[str, int] = defaultdict(int)
@@ -133,7 +131,7 @@ class MetricsCollector:
         self._dup_since: dict[str, float] = {}
         self._dup_peak: dict[str, int] = defaultdict(int)
         self.cache_events: int = 0
-        # running per-completion counters (no rescans of `completed`)
+        # running per-completion counters (no rescans of the rows)
         self.miss_count = 0
         self.false_miss_count = 0
         self._invocations: dict[str, int] = {}  # model_id -> completions
@@ -208,7 +206,6 @@ class MetricsCollector:
                 request.arrival_time, dispatched, request.completed_at, codes[0], gpu,
                 codes[1], hit_code, request.false_miss, sla,
             ))
-            self.completed.append(request)
             if self.exact_cap is not None and self._n > self.exact_cap:
                 self._close_window()
 
@@ -247,7 +244,6 @@ class MetricsCollector:
         w = self._window
         self._window = None
         self._columns_cache = None
-        self.completed = []
         self.lost = []
         fold = self._fold
         for arrival, dispatched, completed, arch, hit, sla in zip(

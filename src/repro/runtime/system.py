@@ -218,7 +218,8 @@ class FaaSCluster:
         A replay mutates the request objects it runs (state, stamps,
         retries, O3 visits), so a workload's cached objects are handed to
         this replay and detached from it: replaying the same workload
-        again builds fresh ones and makes the same decisions.
+        again builds fresh ones and makes the same decisions.  Nothing keeps
+        a request past its completion unless the caller holds it.
         """
         if hasattr(workload, "requests"):
             requests = workload.requests
@@ -352,10 +353,6 @@ class FaaSCluster:
         self._managers[gpu.node_id].recover(gpu)
         if not self.sim.is_running:
             self.datastore.flush()
-
-    @property
-    def completed(self) -> list[InferenceRequest]:
-        return self.metrics.completed
 
     def gpu_managers(self) -> dict[str, GPUManager]:
         return dict(self._managers)

@@ -151,7 +151,8 @@ class Workload:
         """The request stream as objects, row ``i`` as ``request_id``
         ``i + 1`` (built on first access, cached until
         :meth:`~repro.runtime.FaaSCluster.submit_workload` takes them for
-        a replay — the next access builds fresh ones)."""
+        a replay — the next access builds fresh ones; the replay frees each
+        at its completion unless the caller keeps this list)."""
         if self._requests is None:
             spec = self.spec
             fids = self.function_ids

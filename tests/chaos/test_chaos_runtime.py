@@ -241,7 +241,7 @@ class TestAvailabilityUnderChaos:
         system, requests, decisions = replay()
         m = system.metrics
         assert m.lost_count == 0
-        assert len(m.completed) == len(requests)
+        assert m.completed_count == len(requests)
         assert m.faults_injected > 0
         assert m.retries_total > 0  # the faults actually hit loaded GPUs
         assert max(r.retries for r in requests) <= 8

@@ -32,14 +32,20 @@ class TestDecisionLog:
     def test_hit_rate_empty(self):
         assert DecisionLog().hit_rate() == 0.0
 
-    def test_ring_buffer_evicts_and_recounts(self):
+    def test_ring_evicts_rows_but_counts_every_append(self):
+        """Past a full ring the rows are the newest ``maxlen``, but
+        ``count`` / ``counts`` / ``hit_rate`` cover every decision ever
+        appended: the ``repro_decisions_total`` counter never falls."""
         log = DecisionLog(maxlen=2)
         log.record(mk(DecisionKind.DISPATCH_HIT, req_id=1))
         log.record(mk(DecisionKind.DISPATCH_MISS, req_id=2))
         log.record(mk(DecisionKind.DISPATCH_MISS, req_id=3))
         assert len(log) == 2
-        assert log.count(DecisionKind.DISPATCH_HIT) == 0
+        assert [d.request_id for d in log] == [2, 3]
+        assert log.count(DecisionKind.DISPATCH_HIT) == 1
         assert log.count(DecisionKind.DISPATCH_MISS) == 2
+        assert log.counts() == {"dispatch_hit": 1, "dispatch_miss": 2}
+        assert log.hit_rate() == pytest.approx(1 / 3)
 
     def test_queries(self):
         log = DecisionLog()
@@ -124,7 +130,8 @@ _rows = st.lists(
 def test_the_ring_reads_like_the_spec_deque(rows, maxlen, block):
     """Any append sequence on the columnar ring (small ``maxlen``, blocks
     of 1–4 rows, so growth, wrap and eviction all happen) reads exactly as
-    the literal deque log after every append."""
+    the literal deque log after every append, and its per-kind counts
+    cover every append (they never fall)."""
     with mock.patch.object(decisions, "BLOCK", block):
         log, spec = DecisionLog(maxlen=maxlen), SpecDecisionLog(maxlen=maxlen)
         for row in rows:
@@ -134,6 +141,7 @@ def test_the_ring_reads_like_the_spec_deque(rows, maxlen, block):
             assert log.last(1) == spec.last(1)
         assert (len(log), log.appended) == (len(spec), spec.appended)
         assert log.counts() == spec.counts()
+        assert sum(log.counts().values()) == log.appended == len(rows)
         assert log.hit_rate() == spec.hit_rate()
         for kind in DecisionKind:
             assert log.count(kind) == spec.count(kind)
@@ -198,9 +206,11 @@ class TestSchedulerIntegration:
         assert system.scheduler.decisions.count(DecisionKind.RESUBMIT) == 1
 
     def test_log_agrees_with_request_outcomes(self, system, make_request):
+        requests = []
         for i in range(6):
-            system.submit(make_request(f"fn-{i}", "alexnet", arrival=system.sim.now))
+            requests.append(make_request(f"fn-{i}", "alexnet", arrival=system.sim.now))
+            system.submit(requests[-1])
             system.run()
         log = system.scheduler.decisions
-        misses = sum(1 for r in system.completed if r.cache_hit is False)
+        misses = sum(1 for r in requests if r.cache_hit is False)
         assert log.count(DecisionKind.DISPATCH_MISS) == misses

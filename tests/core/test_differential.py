@@ -203,7 +203,7 @@ class TestProductionVsSpec:
         spec = _workload(seed, 400)
         kwargs = dict(policy=policy, cluster=ClusterSpec.homogeneous(2, 3))
         production = _run(spec, **kwargs)
-        assert len(production.system.completed) == len(spec)
+        assert production.system.metrics.completed_count == len(spec)
         _assert_matches(production, _run(spec, ALL_LITERAL, **kwargs))
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -217,7 +217,7 @@ class TestProductionVsSpec:
         kwargs = dict(policy=policy, fail_gpu_at=spec[250][1])
         production = _run(spec, **kwargs)
         assert _resubmits(production) > 0
-        assert len(production.system.completed) == len(spec)
+        assert production.system.metrics.completed_count == len(spec)
         _assert_matches(production, _run(spec, axes, **kwargs))
 
     def test_2k_requests_through_gpu_failure(self):
@@ -270,7 +270,7 @@ class TestTenancy:
         kwargs = dict(policy="lalbo3", quotas={"capped": TenantQuota(max_processes)})
         production = _run(spec, **kwargs)
         _assert_matches(production, _run(spec, ALL_LITERAL, **kwargs))
-        assert len(production.system.completed) == len(spec)
+        assert production.system.metrics.completed_count == len(spec)
         assert production.system.scheduler.global_queue.tracks_visits
         binds = production.decisions != _run(spec, policy="lalbo3").decisions
         assert binds == (max_processes < 100)
@@ -319,7 +319,7 @@ class TestTenancy:
         production = _run(spec, **kwargs)
         reference = _run(spec, ALL_LITERAL, **kwargs)
         _assert_matches(production, reference)
-        assert len(production.system.completed) == len(spec)  # strands none
+        assert production.system.metrics.completed_count == len(spec)  # strands none
         # ... and it does bind: the decisions differ from a quota-free run
         assert production.decisions != _run(spec, policy="lalbo3").decisions
 
@@ -332,7 +332,7 @@ class TestTenancy:
         production = _run(spec, **kwargs)
         reference = _run(spec, ALL_LITERAL, **kwargs)
         _assert_matches(production, reference)
-        assert len(production.system.completed) == len(spec)  # strands none
+        assert production.system.metrics.completed_count == len(spec)  # strands none
 
     @given(
         policy=st.sampled_from(["lb", "lalb", "lalbo3"]),
@@ -382,7 +382,7 @@ class TestChaos:
         kwargs = dict(policy=policy, fault_plan=CRASH_STRAGGLE_PLAN)
         production = _run(spec, **kwargs)
         assert _resubmits(production) > 0
-        assert len(production.system.completed) == len(spec)  # loses nothing
+        assert production.system.metrics.completed_count == len(spec)  # loses nothing
         _assert_matches(production, _run(spec, ALL_LITERAL, **kwargs))
 
     def test_chaos_replay_is_deterministic(self):
@@ -416,7 +416,7 @@ class TestChaos:
         system = production.system
         lost = system.scheduler.lost_count
         assert system.metrics.faults_injected > 0
-        assert len(system.completed) + lost == len(build_workload(spec))
+        assert system.metrics.completed_count + lost == len(build_workload(spec))
         assert (lost > 0) == (max_retries == 0)
         assert len(system.sim) == 0
         _assert_matches(production, _run(spec, ALL_LITERAL, **kwargs))
@@ -486,7 +486,7 @@ class TestProductionPath:
         assert kv.ephemeral_prefixes == EPHEMERAL_HOT_PREFIXES
         system.submit_workload(build_workload(WorkloadSpec(working_set=15, minutes=3)))
         system.run()
-        assert system.completed
+        assert system.metrics.completed_count
         _assert_no_hot_residue(system)
         gpu_id = system.cluster.gpus[0].gpu_id
         assert kv.get_value(f"gpu/status/{gpu_id}") == "idle"

@@ -72,7 +72,7 @@ def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True)
     for row, (fn, t) in enumerate(spec):
         system.submit_at(InferenceRequest(f"fn{fn}", instances[fn], t, row + 1))
     system.run()
-    assert len(system.completed) == N_REQUESTS
+    assert system.metrics.completed_count == N_REQUESTS
     return system, list(system.scheduler.decisions), peak["history"]
 
 

@@ -7,15 +7,17 @@ replayed so far.  CPython untracks only *exact* tuples whose items are all
 untracked — never a NamedTuple, never a tuple holding an enum member — so
 the per-request records are stored as atoms and named on read (decisions
 in typed columns, ephemeral KV rows and latency values as exact tuples),
-and the arrival
-column stays a column in the sim kernel instead of one ``Event`` per
-request.  This census is exact run to run: one record type going back on
-the books moves it by one or more objects per request.
+the arrival column stays a column in the sim kernel instead of one
+``Event`` per request, and a finished ``InferenceRequest`` is freed (the
+metrics window keeps its row, not the object).  This census is exact run
+to run: one record type going back on the books moves it by one or more
+objects per request.
 
 Beside it, a byte count: what tracemalloc sees a replay retain per extra
 completed request, also exact run to run and across hash seeds.  The open
 metrics window and the decision ring store typed columns, so either going
-back to a tuple per row moves it by ~50 bytes per request.
+back to a tuple per row moves it by ~50 bytes per request, and keeping the
+request objects again by ~270.
 """
 
 import gc
@@ -25,6 +27,7 @@ from collections import Counter
 from repro.core import decisions
 from repro.core.decisions import Decision
 from repro.core.gpu_manager import LatencyRecord
+from repro.core.request import InferenceRequest
 from repro.datastore.kv import KeyValue
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.sim import Event
@@ -61,10 +64,12 @@ def test_replay_records_are_off_the_collectors_books():
     # the arrival column was injected as a column: no Event per request
     assert injected[Event] == 0
     assert drained[Decision] == drained[LatencyRecord] == drained[Event] == 0
+    # ... and no request object outlives its completion
+    assert drained[InferenceRequest] == 0
     kv = system.datastore.kv
     # the hot keys are one row per GPU (status, finish time, LRU) plus one
     # latency record per function: bounded by the cluster, not the trace
-    functions = {r.function_name for r in system.completed}
+    functions = system.metrics.model_names  # one model instance per function
     ephemeral_keys = sum(kv.is_ephemeral(key) for key in kv.keys())
     assert 0 < ephemeral_keys <= 3 * len(system.cluster.gpus) + len(functions)
     # every tracked KeyValue the run left is a durable key's
@@ -78,27 +83,32 @@ def test_replay_records_are_off_the_collectors_books():
     assert all(type(item) is KeyValue for item in kv.items())
 
 
-def test_tracked_objects_grow_by_one_request_per_request():
-    """Between a 2k and a 4k replay the tracked set grows by the
-    ``InferenceRequest`` the open metrics window keeps, and nothing else
-    that scales (≤ 1.05 objects per extra completed request)."""
+def test_a_replay_keeps_no_tracked_object_per_request():
+    """Between a 2k and a 4k replay the tracked set grows by ≤ 0.05
+    objects per extra completed request: nothing a replay keeps scales with
+    it — no request object, decision row, KV row or event (1 object in
+    1,950 measured, one durable ``KeyValue``).  Nor does the Datastore's
+    per-key commit-lane memo, which holds the keys the cluster writes."""
     _replay(2000)  # first-use caches (profiles, trace tables) fill here
     small, _, drained_small = _replay(2000)
     large, _, drained_large = _replay(4000)
     extra = large.metrics.completed_count - small.metrics.completed_count
     assert extra == 1950
     growth = sum(drained_large.values()) - sum(drained_small.values())
-    assert growth <= 1.05 * extra, (drained_large - drained_small).most_common(5)
+    assert growth <= 0.05 * extra, (drained_large - drained_small).most_common(5)
+    assert len(large.datastore._hot) == len(small.datastore._hot) <= len(large.datastore.kv)
 
 
 #: bytes retained per extra completed request between the 2k and the 4k
-#: §V-A replay: 414.2 measured (CPython 3.11), plus 4 % headroom for
-#: interpreter builds.  The commit before the metrics window and the
-#: decision log became typed columns read 525.0 (a 9-tuple row plus its
-#: list slot per completion, a 6-tuple row plus its deque slot per
-#: decision).  The decision ring grows in 1,024-row blocks, and both
-#: replays lie past its first block (2,737 and 5,360 decisions).
-RETAINED_BYTES_PER_REQUEST = 430.0
+#: §V-A replay: 141.9 measured (CPython 3.11), plus 4 % headroom for
+#: interpreter builds.  The commit before a finished request was freed
+#: read 414.2 (the metrics window kept each ``InferenceRequest`` and its
+#: list slot), and the one before the metrics window and the decision log
+#: became typed columns 525.0 (a 9-tuple row plus its list slot per
+#: completion, a 6-tuple row plus its deque slot per decision).  The
+#: decision ring grows in 1,024-row blocks, and both replays lie past its
+#: first block (2,737 and 5,360 decisions).
+RETAINED_BYTES_PER_REQUEST = 148.0
 
 
 def _retained(requests: int):
@@ -122,7 +132,7 @@ def test_retained_bytes_per_request():
     """The per-request records of a replay are columns: between a 2k and a
     4k replay the retained bytes grow by at most
     :data:`RETAINED_BYTES_PER_REQUEST` per extra completed request (the
-    request object the open window keeps is most of it)."""
+    window's 72-byte row and the decision rows are most of it)."""
     _retained(2000)  # first-use caches (profiles, trace tables) fill here
     small, small_bytes = _retained(2000)
     large, large_bytes = _retained(4000)

@@ -59,11 +59,10 @@ class GatewayReplay:
         """Mean per-invocation overhead the FaaS layer adds on top of the
         scheduler-visible latency (container / Watchdog handling)."""
         invocation = np.mean([inv.latency for inv in self.completed_invocations])
-        return float(invocation - np.mean([r.latency for r in self.system.completed]))
+        return float(invocation - np.mean(self.system.metrics.columns().latency))
 
     def cache_miss_ratio(self) -> float:
-        reqs = self.system.completed
-        return sum(1 for r in reqs if r.cache_hit is False) / len(reqs)
+        return float(np.mean(self.system.metrics.columns().cache_hit == 0))
 
 
 @pytest.fixture(scope="module", name="replay")
@@ -104,7 +103,7 @@ class TestReplay:
     def test_every_invocation_completes(self, replay):
         assert len(replay.invocations) == 120
         assert len(replay.completed_invocations) == 120
-        assert len(replay.system.completed) == 120
+        assert replay.system.metrics.completed_count == 120
 
     def test_faas_overhead_is_positive_but_small(self, replay):
         """Container/Watchdog handling adds latency on top of the GPU path,
@@ -115,8 +114,8 @@ class TestReplay:
 
     def test_per_function_model_instances_are_cached(self, replay):
         """Repeated invocations of one function must hit its cached model."""
-        hits = sum(1 for r in replay.system.completed if r.cache_hit)
-        assert hits > len(replay.system.completed) * 0.5
+        hit = replay.system.metrics.columns().cache_hit
+        assert (hit == 1).sum() > len(hit) * 0.5
 
     def test_cache_behaviour_matches_scheduler_level_run(self, replay):
         """Gateway-level and scheduler-level replays of the same workload
@@ -184,10 +183,15 @@ class TestReplayDriver:
         live ``fn/latency/*`` key per distinct completed function."""
         live = []
         for n in (2000, 4000):
-            _, system = replay(SystemConfig(), build_workload(spec_for_requests(n)))
+            functions = set()
+            _, system = replay(
+                SystemConfig(), build_workload(spec_for_requests(n)),
+                prepare=lambda s: s.subscribe_completion(
+                    lambda r: functions.add(r.function_name)
+                ),
+            )
             kv = system.datastore.kv
             keys = {k for k in kv.keys() if k.startswith("fn/latency/")}
-            functions = {r.function_name for r in system.completed}
             assert keys == {f"fn/latency/{f}" for f in functions}
             assert all(
                 LatencyRecord(*kv.get_value(k)).function == k[len("fn/latency/"):]
@@ -204,7 +208,7 @@ class TestReplayDriver:
         config = SystemConfig(policy=policy, quotas={"default": TenantQuota(max_processes=6)})
         summary, system = replay(config, workload)
         assert summary.lost_requests == 0
-        assert len(system.completed) == len(workload)
+        assert system.metrics.completed_count == len(workload)
         assert system.tenancy.processes("default") <= 6
 
     @pytest.mark.parametrize("policy", SCHEDULING_POLICY_NAMES)
@@ -225,7 +229,7 @@ class TestReplayDriver:
         summary, system = replay(config, workload)
         scheduler = system.scheduler
         assert summary.lost_requests == sum(r.model.tenant == "capped" for r in workload)
-        assert len(system.completed) + summary.lost_requests == len(workload)
+        assert system.metrics.completed_count + summary.lost_requests == len(workload)
         assert system.metrics.lost_reasons == {"stranded": summary.lost_requests}
         assert len(scheduler.global_queue) == 0
         assert scheduler.local_queues.total() == 0
@@ -251,4 +255,4 @@ class TestReplayDriver:
         )
         summary, system = replay(config, workload)
         assert summary.lost_requests == 0
-        assert len(system.completed) == len(workload)
+        assert system.metrics.completed_count == len(workload)

@@ -94,10 +94,12 @@ class TestInvocationPath:
 
     def test_completed_request_recorded_by_runtime(self, system, gateway):
         gateway.register(FunctionSpec(name="classify", model_architecture="alexnet"))
+        done = []
+        system.subscribe_completion(done.append)
         gateway.invoke("classify")
         system.run()
-        assert len(system.completed) == 1
-        assert system.completed[0].function_name == "classify"
+        assert system.metrics.completed_count == 1
+        assert [r.function_name for r in done] == ["classify"]
 
     def test_plain_function_executes_handler(self, system, gateway):
         gateway.register(
@@ -159,7 +161,7 @@ class TestInvocationPath:
         inv = gateway.invoke("classify")
         system.run()
         assert inv.status is InvocationStatus.FAILED
-        assert len(system.completed) == 0  # never reached the scheduler
+        assert system.metrics.completed_count == 0  # never reached the scheduler
 
     def test_real_network_inference_through_gateway(self, system, gateway):
         """Wire a real NumPy network through the intercepted API."""
@@ -250,6 +252,8 @@ class TestOwnedIds:
         # a burst: more concurrent calls than warm replicas, so both pools
         # cold-start extra containers
         names = ["classify", "echo"] * 6
+        done = []
+        system.subscribe_completion(done.append)
         invocations = [gateway.invoke(name, i) for i, name in enumerate(names)]
         system.run()
         pools = [gateway.get(name).pool for name in ("classify", "echo")]
@@ -258,7 +262,7 @@ class TestOwnedIds:
             [inv.invocation_id for inv in invocations],
             [c.container_id for pool in pools for c in pool.containers],
             {k.key: k.value for k in kv.items() if k.key.startswith("fn/metrics/")},
-            sorted(r.request_id for r in system.completed),
+            sorted(r.request_id for r in done),
         )
 
     def test_two_fresh_gateways_mint_the_same_ids(self):

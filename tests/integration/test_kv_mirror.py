@@ -97,7 +97,7 @@ def _crash_and_recover(config: SystemConfig) -> None:
     system.sim.schedule_at(40.0, system.fail_gpu, gpu_id)
     system.sim.schedule_at(52.0, system.recover_gpu, gpu_id)
     system.run()
-    assert len(system.completed) == n
+    assert system.metrics.completed_count == n
     assert "evict" in kinds  # the LRU and location keys churn
     assert checked[0] == system.sim.processed_events
 
@@ -112,5 +112,5 @@ def test_mirror_holds_under_the_recoverable_profile():
     system.submit_workload(workload)
     system.run()
     assert system.metrics.faults_injected > 0
-    assert len(system.completed) == n
+    assert system.metrics.completed_count == n
     assert checked[0] == system.sim.processed_events

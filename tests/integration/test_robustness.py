@@ -55,7 +55,7 @@ class TestFailuresAtScale:
             system.sim.schedule_at(60.0 + 10.0 * i, system.fail_gpu, gpu_id)
             system.sim.schedule_at(150.0 + 10.0 * i, system.recover_gpu, gpu_id)
         system.run()
-        assert len(system.completed) == len(wl.requests)
+        assert system.metrics.completed_count == len(wl.requests)
         retried = [r for r in wl.requests if r.retries > 0]
         assert retried, "failures should have interrupted some requests"
         assert all(r.completed_at is not None for r in wl.requests)
@@ -83,9 +83,9 @@ class TestFailuresAtScale:
             degraded.fail_gpu(gpu.gpu_id)  # half the cluster gone for good
         healthy.run()
         degraded.run()
-        assert len(degraded.completed) == 200
-        h = sum(r.latency for r in healthy.completed) / 200
-        d = sum(r.latency for r in degraded.completed) / 200
+        assert degraded.metrics.completed_count == 200
+        h = healthy.metrics.columns().latency.mean()
+        d = degraded.metrics.columns().latency.mean()
         assert d >= h  # fewer GPUs can never be faster
 
 
@@ -107,6 +107,6 @@ class TestDatastoreMirror:
         for r in wl.requests:
             system.submit_at(r)
         system.run()
-        assert len(system.completed) == 120
+        assert system.metrics.completed_count == 120
         for gpu in system.cluster.gpus:
             assert system.datastore.kv.get_value(f"gpu/status/{gpu.gpu_id}") == "idle"

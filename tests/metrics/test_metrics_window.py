@@ -9,6 +9,8 @@ The fold state reached by closing is the state reached by folding from
 the first completion.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,7 +76,6 @@ class TestClosedWindow:
         system, reference, _, _ = capped
         assert system.metrics.completed_count > 500
         assert not system.metrics.window_open
-        assert system.metrics.completed == []
         with pytest.raises(RuntimeError):
             system.metrics.columns()
         assert reference.window_open
@@ -195,9 +196,10 @@ def test_open_window_is_the_uncapped_collector_and_close_keeps_counts(stream, ca
     if n <= cap:
         assert got == ref
         assert per_architecture_breakdown(capped) == per_architecture_breakdown(uncapped)
-        assert capped.completed == requests
+        cols = capped.columns()  # one row per completion, stamps as recorded
+        assert cols.arrival.tolist() == [r.arrival_time for r in requests]
+        assert cols.completed.tolist() == [r.completed_at for r in requests]
     else:
-        assert capped.completed == []
         with pytest.raises(RuntimeError):
             capped.columns()
         assert got.completed_requests == ref.completed_requests == n
@@ -216,7 +218,7 @@ def test_open_window_is_the_uncapped_collector_and_close_keeps_counts(stream, ca
 # What the window holds, and what survives the close
 # ----------------------------------------------------------------------
 class TestWindowLifecycle:
-    def test_requests_held_while_open_released_at_close(self):
+    def test_rows_held_while_open_lost_requests_released_at_close(self):
         sim = Simulator()
         collector = MetricsCollector(sim, exact_cap=3)
         requests = [
@@ -228,20 +230,31 @@ class TestWindowLifecycle:
         for r in requests[:3]:
             collector.on_complete(r)
         assert collector.window_open
-        assert collector.completed == requests[:3]
         assert collector.lost == [lost]
-        assert len(collector.columns()) == 3
+        assert collector.columns().arrival.tolist() == [0.0, 1.0, 2.0]
         collector.on_complete(requests[3])  # n = 4 > cap: closes
         assert not collector.window_open
-        assert collector.completed == [] and collector.lost == []
+        assert collector.lost == []
         assert collector.lost_count == 1
         assert collector.lat_hist.count == 4
         collector.on_complete(requests[4])  # folds directly
         collector.on_lost(lost, "deadline")  # counted, not retained
-        assert collector.completed == [] and collector.lost == []
+        assert collector.lost == []
         assert (collector.completed_count, collector.lost_count) == (5, 2)
         assert collector.lost_reasons == {"deadline": 2}
         assert collector.lat_hist.count == 5
+
+    def test_a_completed_request_is_not_retained(self):
+        """The row is the only per-completion record: ``on_complete``
+        keeps no reference to the request, whether it lands in the open
+        window or folds past the close."""
+        for cap in (None, 0):
+            collector = MetricsCollector(Simulator(), exact_cap=cap)
+            request = _completed_request(0.0, 1.0, 0.5, "alexnet", True, None)
+            before = sys.getrefcount(request)
+            collector.on_complete(request)
+            assert sys.getrefcount(request) == before
+            assert collector.completed_count == 1
 
     def test_columns_copy_the_buffer_and_it_keeps_growing(self):
         """``columns()`` hands out copies of every field as recorded, and
@@ -273,7 +286,6 @@ class TestWindowLifecycle:
         assert collector.window_open  # nothing has outgrown it yet
         collector.on_complete(_completed_request(0.0, 1.0, 0.5, "alexnet", True, None))
         assert not collector.window_open
-        assert collector.completed == []
         assert collector.lat_hist.count == 1
 
     def test_default_cap_never_closes(self):

@@ -68,7 +68,7 @@ def _replay(rho, seed, n, policy="lb"):
     system = FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(1, 1), policy=policy))
     system.submit_workload(requests)
     system.run()
-    assert len(system.completed) == n
+    assert system.metrics.completed_count == n
     return system, requests
 
 

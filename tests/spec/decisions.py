@@ -2,8 +2,9 @@
 
 :class:`~repro.core.decisions.DecisionLog` stores its rows as typed
 columns in a ring that grows in blocks.  This is the same log as one
-``deque(maxlen=...)`` of :class:`~repro.core.decisions.Decision` rows, the
-oracle the ring's property test compares every read against.
+``deque(maxlen=...)`` of :class:`~repro.core.decisions.Decision` rows plus
+a per-kind tally of every append, the oracle the ring's property test
+compares every read against.
 """
 
 from collections import Counter, deque
@@ -15,7 +16,7 @@ __all__ = ["SpecDecisionLog"]
 
 
 class SpecDecisionLog:
-    """Bounded deque of named rows with a per-kind count of the rows held."""
+    """Bounded deque of named rows with a per-kind count of every append."""
 
     def __init__(self, maxlen: int = 100_000) -> None:
         if maxlen < 1:
@@ -25,8 +26,6 @@ class SpecDecisionLog:
         self.appended = 0
 
     def append(self, time_s, kind, request_id, model_id, gpu_id, visits=0) -> None:
-        if len(self._log) == self._log.maxlen:
-            self._counts[self._log[0].kind] -= 1
         self._log.append(Decision(time_s, kind, request_id, model_id, gpu_id, visits))
         self._counts[kind] += 1
         self.appended += 1

@@ -250,6 +250,18 @@ def test_tenant_quota_has_one_lever():
     assert "tenant" not in {f.name for f in dataclasses.fields(repro.InferenceRequest)}
 
 
+def test_no_list_of_completed_requests():
+    """A finished request is freed: the metrics columns are the only
+    per-completion record, and a caller that wants the objects subscribes
+    through ``FaaSCluster.subscribe_completion``."""
+    system = repro.FaaSCluster()
+    assert not hasattr(repro.FaaSCluster, "completed")
+    assert not hasattr(system, "completed")
+    assert not hasattr(MetricsCollector, "completed")
+    assert not hasattr(system.metrics, "completed")
+    assert system.metrics.completed_count == 0
+
+
 def test_ids_are_minted_by_their_owners():
     """No ID has a default drawn from a module-level counter: a request
     takes its ID from whoever builds it."""

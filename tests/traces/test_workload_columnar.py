@@ -132,10 +132,12 @@ class TestLazyMaterialization:
         w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
         built = w.requests
         system = FaaSCluster()
+        done = []
+        system.subscribe_completion(done.append)
         system.submit_workload(w)
         assert not w.materialized
         system.run()
-        assert sorted(map(id, system.completed)) == sorted(map(id, built))
+        assert sorted(map(id, done)) == sorted(map(id, built))
         fresh = w.requests
         assert fresh is not built and fresh[0] is not built[0]
         assert [r.arrival_time for r in fresh] == [r.arrival_time for r in built]
