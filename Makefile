@@ -27,7 +27,7 @@ golden:
 	python tests/golden/test_decisions.py
 	python tests/golden/test_stdout.py
 
-## cProfile the 2k-request §V-A replay (materialize + inject + run, the
+## cProfile the 2k-request §V-A replay (inject + run, the
 ## window benchmarks/e2e times): the top-25 functions by cumulative time,
 ## then a per-subsystem rollup (commit path, dispatch, scheduling passes,
 ## global queue, cache manager, metrics, sim kernel) of exclusive time

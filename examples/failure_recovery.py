@@ -22,7 +22,8 @@ def main() -> None:
     )
     probe = TimelineProbe(system, period_s=10.0)
 
-    for request in workload.requests:
+    requests = workload.requests()  # held: the retry counts are read below
+    for request in requests:
         system.submit_at(request)
 
     node1 = system.cluster.nodes[1]
@@ -42,14 +43,14 @@ def main() -> None:
             f"{s.completed_requests:9d}{marker}"
         )
 
-    retried = [r for r in workload.requests if r.retries > 0]
+    retried = [r for r in requests if r.retries > 0]
     completed = system.metrics.completed_count
-    print(f"\ncompleted : {completed}/{len(workload.requests)}")
+    print(f"\ncompleted : {completed}/{len(workload)}")
     print(f"retried   : {len(retried)} requests survived the node failure")
     avg = sum(system.metrics.columns().latency.tolist()) / completed
     print(f"avg latency (with failure + recovery): {avg:.2f} s")
 
-    assert completed == len(workload.requests), "no request lost"
+    assert completed == len(workload), "no request lost"
     assert retried, "the failure really interrupted work"
 
 

@@ -26,9 +26,9 @@ key                               history  value (writer)
 ``fn/meta/<fn_name>``             MVCC     dict, registered-function
                                            metadata (Gateway)
 ``fn/invocations/<fn_name>``      MVCC     int, invocations so far (Gateway)
-``fn/metrics/<fn_name>/<id>``     MVCC     dict, one invocation's status,
-                                           latency, container and error
-                                           (Watchdog)
+``fn/metrics/<fn_name>``          MVCC     dict, the latest invocation's ID,
+                                           status, latency, container and
+                                           error (Watchdog)
 ``fn/latency/<fn_name>``          none     exact 7-tuple in ``LatencyRecord``
                                            field order, the function's latest
                                            completion (GPU Manager;

@@ -46,10 +46,9 @@ def build_belady_oracle(workload: Workload):
     model with the farthest next use.
     """
     arrivals: dict[str, list[float]] = defaultdict(list)
-    for request in workload.requests:
-        arrivals[request.model_id].append(request.arrival_time)
-    for times in arrivals.values():
-        times.sort()
+    models = [workload.instances[fid].instance_id for fid in workload.function_ids]
+    for t, fi in zip(workload.arrival_times.tolist(), workload.function_index.tolist()):
+        arrivals[models[fi]].append(t)  # the column is ascending: each list is sorted
 
     def next_use(model_id: str, now: float) -> float:
         times = arrivals.get(model_id)

@@ -78,8 +78,8 @@ def profile_replay(
     """cProfile the replay of ``workload`` under ``config`` (default
     ``SystemConfig()``); returns ``(profiler, total calls, completed)``.
 
-    The profiled window is the one ``benchmarks/e2e`` times: materialize
-    the request objects → ``submit_workload`` → ``run``, or for a
+    The profiled window is the one ``benchmarks/e2e`` times:
+    ``submit_workload`` → ``run`` (each request built at its arrival), or for a
     :class:`~repro.traces.StreamingWorkload` the chunked
     ``submit_workload_streaming`` → ``run`` (pair it with a
     :func:`~repro.runtime.streaming_config`).  The call count
@@ -101,7 +101,6 @@ def profile_replay(
     if isinstance(workload, StreamingWorkload):
         system.submit_workload_streaming(workload)
     else:
-        workload.requests  # built once here, reused by submit_workload
         system.submit_workload(workload)
     system.run()
     profiler.disable()

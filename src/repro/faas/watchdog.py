@@ -183,9 +183,11 @@ class Watchdog:
 
     def _record(self, invocation: Invocation, container: Container) -> None:
         # runs inside a simulator event: this put rides the invocation-completion action's single transaction
+        # (one live key per function, the latest invocation wins: MVCC history keeps the earlier ones)
         self.datastore.put(
-            f"fn/metrics/{self.spec.name}/{invocation.invocation_id}",
+            f"fn/metrics/{self.spec.name}",
             {
+                "invocation": invocation.invocation_id,
                 "status": invocation.status.value,
                 "latency_s": invocation.latency,
                 "container": container.container_id,

@@ -160,16 +160,23 @@ def run_explain(
     workload = build_workload(
         spec_for_requests(n_requests, seed=seed), trace=SyntheticAzureTrace()
     )
-    requests = workload.requests
-    if not 1 <= request_id <= len(requests):
+    n = len(workload)
+    if not 1 <= request_id <= n:
         raise ValueError(
             f"request {request_id} out of range: this replay has "
-            f"{len(requests)} requests (1..{len(requests)})"
+            f"{n} requests (1..{n})"
         )
-    _, system = replay(config or SystemConfig(trace_decisions=True), workload)
-    target = requests[request_id - 1]  # a workload's row r is request r + 1
+    done: list = []
+    _, system = replay(
+        config or SystemConfig(trace_decisions=True),
+        workload,
+        prepare=lambda system: system.subscribe_completion(done.append),
+    )
+    # every request completes or is lost (and stays listed while the
+    # metrics window is open, as it always is by default)
+    target = next(r for r in done + system.metrics.lost if r.request_id == request_id)
     header = (
-        f"replay: {len(requests)} requests, policy={system.config.policy}, "
+        f"replay: {n} requests, policy={system.config.policy}, "
         f"seed={seed} — explaining request {request_id}\n"
         f"function={target.function_name} model={target.model_id} "
         f"arrival={target.arrival_time:.6f}s state={target.state.value}"

@@ -31,6 +31,7 @@ from ..models.profiles import ModelInstance
 from ..obs.explain import ExplainLog
 from ..obs.tracer import FlightRecorder
 from ..sim import Simulator
+from ..traces.workload import Workload
 from .config import SystemConfig
 
 __all__ = ["FaaSCluster"]
@@ -211,21 +212,20 @@ class FaaSCluster:
         ordering, bit-identical run) but the arrivals enter the simulator
         through :meth:`~repro.sim.Simulator.schedule_many`: the presorted
         column stays a column in the kernel's arrival lane — no event
-        object, heap entry or sift per request.  Accepts a
-        :class:`~repro.traces.Workload` (materializing its columns once)
-        or any iterable of requests.
+        object, heap entry or sift per request.
 
-        A replay mutates the request objects it runs (state, stamps,
-        retries, O3 visits), so a workload's cached objects are handed to
-        this replay and detached from it: replaying the same workload
-        again builds fresh ones and makes the same decisions.  Nothing keeps
-        a request past its completion unless the caller holds it.
+        A :class:`~repro.traces.Workload` injects its arrival column with
+        one callback (:meth:`~repro.traces.Workload.arrivals`): each request
+        is built when its arrival fires, so none exists before its arrival
+        and none is kept past its completion, and replaying the workload
+        again builds fresh ones.  Any other iterable of requests is
+        injected as given — the way to hold the objects a replay mutates
+        (``submit_workload(workload.requests())``).
         """
-        if hasattr(workload, "requests"):
-            requests = workload.requests
-            workload._requests = None
-        else:
-            requests = list(workload)
+        if isinstance(workload, Workload):
+            self.sim.schedule_many(*workload.arrivals(self.scheduler.submit))
+            return
+        requests = list(workload)
         self.sim.schedule_many(
             [r.arrival_time for r in requests],
             self.scheduler.submit,

@@ -27,13 +27,15 @@ them into two flat columns:
 * ``Workload.function_index`` — int64 index into ``function_ids``.
 
 No :class:`~repro.core.request.InferenceRequest` objects are built during
-extraction.  ``Workload.requests`` **materializes them lazily** — the full
-object list is constructed once, on first access, and cached; column-only
-consumers (``describe``, ``counts`` reductions, workload-build
-timings, CSV export of arrival columns) never pay for object construction
-at all.  At 100k+ requests that turns extraction from the dominant cost
-into a rounding error and lets :meth:`~repro.runtime.system.FaaSCluster.
-submit_workload` hand the arrival column to the sim kernel as a column.
+extraction, and a ``Workload`` holds none: it is immutable columns.
+:meth:`Workload.arrivals` is what a replay injects — the arrival column
+plus one callback whose k-th call builds row k's request, so
+:meth:`~repro.runtime.system.FaaSCluster.submit_workload` creates each
+request when its arrival fires and a replay never holds the stream as
+objects.  :meth:`Workload.requests` builds the same objects eagerly, fresh
+on every call, for a caller that wants to hold (or inspect) what a replay
+mutates; column-only consumers (``describe``, ``counts`` reductions, the
+Belady oracle) never build one.
 
 The seed's literal per-request loop is the oracle in
 ``tests/traces/test_workload_columnar.py``, which proves the columns
@@ -51,13 +53,14 @@ per minute against a fresh ``default_rng(seed)`` — and yields the columns
 in :class:`WorkloadChunk` blocks of a few minutes each.  Concatenating
 every chunk reproduces ``build_workload``'s columns byte for byte (proven
 by ``tests/traces/test_workload_chunks.py``), but a million-request replay
-only ever holds one chunk's columns and request objects at a time.
+only ever holds one chunk's columns (and its request objects, built by
+:meth:`StreamingWorkload.materialize`) at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -111,68 +114,69 @@ def spec_for_requests(n_requests: int, *, seed: int = 0) -> WorkloadSpec:
     return WorkloadSpec(working_set=15, minutes=minutes, seed=seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Workload:
     """A ready-to-submit request stream plus its provenance.
 
-    The stream itself lives in two parallel columns (``arrival_times``,
-    ``function_index``); request *objects* are materialized lazily via
-    :attr:`requests` and cached, so purely columnar consumers never build
-    them.  ``len(workload)`` and iteration are provided for convenience —
-    iteration materializes (once) because the simulator mutates request
-    objects in place and every consumer must observe the same instances.
+    The stream is two parallel columns (``arrival_times``,
+    ``function_index``), ascending in time; a ``Workload`` holds no
+    request objects.  A replay builds each at its arrival
+    (:meth:`arrivals`); :meth:`requests` builds the whole list.
     """
 
     spec: WorkloadSpec
     instances: dict[str, ModelInstance]          # function id -> model instance
     counts: np.ndarray                           # (working_set, minutes), normalized
     function_ids: list[str] = field(default_factory=list)
-    #: per-request arrival column, seconds from window start, minute-sorted
+    #: per-request arrival column, seconds from window start, ascending
     arrival_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: per-request index into ``function_ids``
     function_index: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    _requests: list[InferenceRequest] | None = field(
-        default=None, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        if np.any(self.arrival_times[1:] < self.arrival_times[:-1]):
+            raise ValueError("arrival_times must be ascending")
 
     def __len__(self) -> int:
         return int(self.arrival_times.shape[0])
 
-    def __iter__(self):
-        return iter(self.requests)
+    def arrivals(
+        self, submit: Callable[[InferenceRequest], None]
+    ) -> tuple[list[float], Callable[[], None]]:
+        """``(times, arrive)``: the arrival column as floats, and one
+        callback whose k-th call builds row k's request (``request_id``
+        k + 1) and passes it to ``submit``.
 
-    @property
-    def materialized(self) -> bool:
-        """Whether the request objects have been built yet."""
-        return self._requests is not None
+        Scheduled once per row at ``times`` — an ascending column fires in
+        row order, so a cursor names the row and no entry carries
+        arguments.  ``arrive`` makes no builtin call: it is one frame per
+        request on the replay's hot path.
+        """
+        times = self.arrival_times.tolist()
+        rows = self.function_index.tolist()
+        functions = [(fid, self.instances[fid]) for fid in self.function_ids]
+        batch, sla = self.spec.batch_size, self.spec.sla_s
+        row = 0
 
-    @property
+        def arrive() -> None:
+            nonlocal row
+            fid, model = functions[rows[row]]
+            t = times[row]
+            row += 1
+            # positional: CPython binds keyword arguments measurably slower
+            submit(InferenceRequest(fid, model, t, row, batch, None, sla))
+
+        return times, arrive
+
     def requests(self) -> list[InferenceRequest]:
-        """The request stream as objects, row ``i`` as ``request_id``
-        ``i + 1`` (built on first access, cached until
-        :meth:`~repro.runtime.FaaSCluster.submit_workload` takes them for
-        a replay — the next access builds fresh ones; the replay frees each
-        at its completion unless the caller keeps this list)."""
-        if self._requests is None:
-            spec = self.spec
-            fids = self.function_ids
-            instances = self.instances
-            batch, sla = spec.batch_size, spec.sla_s
-            # positional construction: this builds every request of a
-            # replay inside the measured window, and CPython binds seven
-            # keyword arguments measurably slower than positionals; one flat
-            # zip, because enumerate(zip(...)) allocates a tuple per row
-            self._requests = [
-                InferenceRequest(
-                    (fid := fids[fi]), instances[fid], t, rid, batch, None, sla
-                )
-                for rid, t, fi in zip(
-                    range(1, len(self) + 1),
-                    self.arrival_times.tolist(),
-                    self.function_index.tolist(),
-                )
-            ]
-        return self._requests
+        """The stream as request objects, row ``i`` as ``request_id``
+        ``i + 1`` — built fresh on every call, so two calls share nothing
+        and a replay of one mutates only those."""
+        built: list[InferenceRequest] = []
+        _, arrive = self.arrivals(built.append)
+        for _ in range(len(self)):
+            arrive()
+        return built
 
     @property
     def duration_s(self) -> float:
@@ -194,7 +198,7 @@ class Workload:
         plus the resulting skew and the aggregate model footprint — the
         ratio of footprint to cluster memory is what drives the
         working-set trends in Figs. 4–6.  Computed entirely from the
-        columns; no request objects are materialized.
+        columns; no request objects are built.
         """
         return _describe_columns(self.spec, self.counts, self.instances)
 
@@ -437,7 +441,7 @@ class StreamingWorkload:
         """Build one chunk's request objects (the only ones alive at once).
 
         Field-identical to the corresponding slice of
-        :attr:`Workload.requests`, ``request_id`` (the stream row + 1)
+        :meth:`Workload.requests`, ``request_id`` (the stream row + 1)
         included.
         """
         spec = self.spec

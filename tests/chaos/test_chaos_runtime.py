@@ -232,7 +232,7 @@ class TestAvailabilityUnderChaos:
         the identical decision log."""
 
         def replay():
-            requests = build_workload(WorkloadSpec(working_set=15, minutes=6)).requests
+            requests = build_workload(WorkloadSpec(working_set=15, minutes=6)).requests()
             system = FaaSCluster(SystemConfig(fault_profile="recoverable"))
             system.submit_workload(requests)
             system.run()

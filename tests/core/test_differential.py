@@ -112,7 +112,7 @@ def _requests(spec, tenants: bool) -> list[InferenceRequest]:
     seeded ``(function, arrival)`` tuples — with every third function
     owned by tenant ``"capped"`` when ``tenants``."""
     if isinstance(spec, WorkloadSpec):
-        return build_workload(spec).requests
+        return build_workload(spec).requests()
     names = model_names()
     instances = [
         ModelInstance(

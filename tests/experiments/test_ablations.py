@@ -25,19 +25,19 @@ class TestBeladyOracle:
 
     def test_next_use_is_future_arrival(self, workload):
         oracle = build_belady_oracle(workload)
-        req = workload.requests[0]
+        req = workload.requests()[0]
         t = oracle(req.model_id, 0.0)
         assert t == req.arrival_time or t <= req.arrival_time  # first arrival of that model
 
     def test_next_use_at_exact_time_is_inclusive(self, workload):
         oracle = build_belady_oracle(workload)
-        req = workload.requests[-1]
+        req = workload.requests()[-1]
         assert oracle(req.model_id, req.arrival_time) == req.arrival_time
 
     def test_never_used_again_is_inf(self, workload):
         oracle = build_belady_oracle(workload)
-        last = max(r.arrival_time for r in workload.requests)
-        assert oracle(workload.requests[0].model_id, last + 1.0) == float("inf")
+        last = max(r.arrival_time for r in workload.requests())
+        assert oracle(workload.requests()[0].model_id, last + 1.0) == float("inf")
 
     def test_unknown_model_is_inf(self, workload):
         oracle = build_belady_oracle(workload)

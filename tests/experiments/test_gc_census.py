@@ -8,8 +8,9 @@ untracked — never a NamedTuple, never a tuple holding an enum member — so
 the per-request records are stored as atoms and named on read (decisions
 in typed columns, ephemeral KV rows and latency values as exact tuples),
 the arrival column stays a column in the sim kernel instead of one
-``Event`` per request, and a finished ``InferenceRequest`` is freed (the
-metrics window keeps its row, not the object).  This census is exact run
+``Event`` per request, an ``InferenceRequest`` is built at its arrival
+and freed at its completion (the metrics window keeps its row, not the
+object).  This census is exact run
 to run: one record type going back on the books moves it by one or more
 objects per request.
 
@@ -17,7 +18,9 @@ Beside it, a byte count: what tracemalloc sees a replay retain per extra
 completed request, also exact run to run and across hash seeds.  The open
 metrics window and the decision ring store typed columns, so either going
 back to a tuple per row moves it by ~50 bytes per request, and keeping the
-request objects again by ~270.
+request objects again by ~270.  And the peak: what tracemalloc's high-water
+mark grows by per extra request, which building every request before the
+first event (rather than at its arrival) raises by ~130 bytes.
 """
 
 import gc
@@ -61,8 +64,9 @@ def test_replay_records_are_off_the_collectors_books():
     completed = system.metrics.completed_count
     assert completed == 1950 and len(system.scheduler.decisions) >= completed
     assert len(system.sim) == 0
-    # the arrival column was injected as a column: no Event per request
-    assert injected[Event] == 0
+    # the arrival column was injected as a column: no Event per request,
+    # and no request exists before its arrival
+    assert injected[Event] == injected[InferenceRequest] == 0
     assert drained[Decision] == drained[LatencyRecord] == drained[Event] == 0
     # ... and no request object outlives its completion
     assert drained[InferenceRequest] == 0
@@ -111,8 +115,9 @@ def test_a_replay_keeps_no_tracked_object_per_request():
 RETAINED_BYTES_PER_REQUEST = 148.0
 
 
-def _retained(requests: int):
-    """Bytes one §V-A replay leaves allocated (system still alive)."""
+def _traced(requests: int):
+    """Bytes one §V-A replay leaves allocated (system still alive), and its
+    high-water mark, both from before the workload is built."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -123,7 +128,8 @@ def _retained(requests: int):
         system.run()
         del workload
         gc.collect()
-        return system, tracemalloc.get_traced_memory()[0] - before
+        retained, peak = tracemalloc.get_traced_memory()
+        return system, retained - before, peak - before
     finally:
         tracemalloc.stop()
 
@@ -133,11 +139,36 @@ def test_retained_bytes_per_request():
     4k replay the retained bytes grow by at most
     :data:`RETAINED_BYTES_PER_REQUEST` per extra completed request (the
     window's 72-byte row and the decision rows are most of it)."""
-    _retained(2000)  # first-use caches (profiles, trace tables) fill here
-    small, small_bytes = _retained(2000)
-    large, large_bytes = _retained(4000)
+    _traced(2000)  # first-use caches (profiles, trace tables) fill here
+    small, small_bytes, _ = _traced(2000)
+    large, large_bytes, _ = _traced(4000)
     extra = large.metrics.completed_count - small.metrics.completed_count
     assert extra == 1950
     per_request = (large_bytes - small_bytes) / extra
     assert per_request <= RETAINED_BYTES_PER_REQUEST, f"{per_request:.1f} B/request"
     assert len(small.scheduler.decisions) > decisions.BLOCK
+
+
+#: tracemalloc's peak traced bytes per extra completed request between an
+#: 8k and a 16k §V-A replay: 201.0 measured (CPython 3.11, the same to the
+#: digit under hash seeds 0, 1 and 2), plus 4 % headroom for interpreter
+#: builds.  The commit before a replay built each request at its arrival
+#: read 328.0: ``Workload.requests`` built every ``InferenceRequest``
+#: before the first event, so the peak held the whole stream as objects.
+#: What remains is columns: the workload's two, the kernel lane's time and
+#: args lists, the arrival callback's row lists, the metrics window's row
+#: and the decision ring.
+PEAK_BYTES_PER_REQUEST = 209.0
+
+
+def test_peak_bytes_per_request():
+    """A replay never holds its stream as objects: between an 8k and a 16k
+    replay the peak grows by at most :data:`PEAK_BYTES_PER_REQUEST` per
+    extra completed request."""
+    _traced(2000)  # first-use caches (profiles, trace tables) fill here
+    small, _, small_peak = _traced(8000)
+    large, _, large_peak = _traced(16000)
+    extra = large.metrics.completed_count - small.metrics.completed_count
+    assert extra == 7800
+    per_request = (large_peak - small_peak) / extra
+    assert per_request <= PEAK_BYTES_PER_REQUEST, f"{per_request:.1f} B/request"

@@ -88,7 +88,7 @@ def gateway_replay():
 
     # gateway invocations need only (time, function name): feed the
     # workload's columns straight into the bulk scheduler — no
-    # InferenceRequest objects are materialized on this path at all
+    # InferenceRequest objects are built on this path at all
     fids = workload.function_ids
     system.sim.schedule_many(
         (WARMUP_S + workload.arrival_times).tolist(),
@@ -228,7 +228,7 @@ class TestReplayDriver:
         config = SystemConfig(policy=policy, quotas={"capped": TenantQuota(max_processes=0)})
         summary, system = replay(config, workload)
         scheduler = system.scheduler
-        assert summary.lost_requests == sum(r.model.tenant == "capped" for r in workload)
+        assert summary.lost_requests == sum(r.model.tenant == "capped" for r in workload.requests())
         assert system.metrics.completed_count + summary.lost_requests == len(workload)
         assert system.metrics.lost_reasons == {"stranded": summary.lost_requests}
         assert len(scheduler.global_queue) == 0

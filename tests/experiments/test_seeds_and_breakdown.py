@@ -18,7 +18,7 @@ class TestPerArchitectureBreakdown:
             trace=SMALL_TRACE,
         )
         system = FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(1, 3)))
-        for r in wl.requests:
+        for r in wl.requests():
             system.submit_at(r)
         system.run()
         breakdown = per_architecture_breakdown(system.metrics)

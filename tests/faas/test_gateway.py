@@ -179,9 +179,24 @@ class TestInvocationPath:
         gateway.register(FunctionSpec(name="classify", model_architecture="alexnet"))
         inv = gateway.invoke("classify")
         system.run()
-        rec = system.datastore.kv.get_value(f"fn/metrics/classify/{inv.invocation_id}")
+        rec = system.datastore.kv.get_value("fn/metrics/classify")
+        assert rec["invocation"] == inv.invocation_id
         assert rec["status"] == "succeeded"
         assert rec["latency_s"] > 0
+
+    def test_live_keys_are_flat_in_invocations(self, system, gateway):
+        """The Watchdog keeps one live ``fn/metrics/<function>`` key,
+        overwritten per invocation: after 100 and after 200 invocations the
+        live keys, and the Datastore's per-key lane memo, are as many."""
+        gateway.register(FunctionSpec(name="classify", model_architecture="alexnet"))
+        sizes = []
+        for _ in range(2):
+            for _ in range(100):
+                gateway.invoke("classify")
+            system.run()
+            sizes.append((len(system.datastore.kv), len(system.datastore._hot)))
+        assert sizes[0] == sizes[1]
+        assert system.datastore.kv.get("fn/metrics/classify").version == 200
 
 
 class TestAutoscaler:
@@ -261,7 +276,7 @@ class TestOwnedIds:
         return (
             [inv.invocation_id for inv in invocations],
             [c.container_id for pool in pools for c in pool.containers],
-            {k.key: k.value for k in kv.items() if k.key.startswith("fn/metrics/")},
+            {k.key: (k.value, k.version) for k in kv.items() if k.key.startswith("fn/metrics/")},
             sorted(r.request_id for r in done),
         )
 
@@ -271,7 +286,8 @@ class TestOwnedIds:
         invocation_ids, container_ids, metrics, request_ids = first
         assert invocation_ids == list(range(1, 13))
         assert len(container_ids) > 2 and len(set(container_ids)) == len(container_ids)
-        assert len(metrics) == 12
+        assert sorted(metrics) == ["fn/metrics/classify", "fn/metrics/echo"]
+        assert sum(version for _, version in metrics.values()) == 12
         assert request_ids == list(range(1, 7))
 
     def test_container_ids_stay_unique_across_update(self, system, gateway):

@@ -48,17 +48,18 @@ class TestFailuresAtScale:
         )
         wl = build_workload(WorkloadSpec(working_set=15, minutes=4), trace=trace)
         system = FaaSCluster(SystemConfig(policy="lalbo3"))
-        for r in wl.requests:
+        requests = wl.requests()  # held: their retry stamps are read below
+        for r in requests:
             system.submit_at(r)
         victims = [g.gpu_id for g in system.cluster.gpus[:3]]
         for i, gpu_id in enumerate(victims):
             system.sim.schedule_at(60.0 + 10.0 * i, system.fail_gpu, gpu_id)
             system.sim.schedule_at(150.0 + 10.0 * i, system.recover_gpu, gpu_id)
         system.run()
-        assert system.metrics.completed_count == len(wl.requests)
-        retried = [r for r in wl.requests if r.retries > 0]
+        assert system.metrics.completed_count == len(wl)
+        retried = [r for r in requests if r.retries > 0]
         assert retried, "failures should have interrupted some requests"
-        assert all(r.completed_at is not None for r in wl.requests)
+        assert all(r.completed_at is not None for r in requests)
         # memory accounting still sane everywhere
         for gpu in system.cluster.gpus:
             assert 0.0 <= gpu.used_mb <= gpu.memory_mb
@@ -77,7 +78,7 @@ class TestFailuresAtScale:
                 WorkloadSpec(working_set=10, minutes=2, requests_per_minute=100),
                 trace=trace,
             )
-            for r in wl_run.requests:
+            for r in wl_run.requests():
                 system.submit_at(r)
         for gpu in list(degraded.cluster.gpus[:6]):
             degraded.fail_gpu(gpu.gpu_id)  # half the cluster gone for good
@@ -104,7 +105,7 @@ class TestDatastoreMirror:
         system = FaaSCluster(
             SystemConfig(cluster=ClusterSpec.homogeneous(1, 4), policy="lalbo3")
         )
-        for r in wl.requests:
+        for r in wl.requests():
             system.submit_at(r)
         system.run()
         assert system.metrics.completed_count == 120

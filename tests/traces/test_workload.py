@@ -31,13 +31,13 @@ class TestNormalization:
         assert list(totals) == [325] * 6
 
     def test_total_request_count(self, workload):
-        assert len(workload.requests) == 325 * 6
+        assert len(workload.requests()) == 325 * 6
 
     def test_custom_rate(self, small_trace):
         w = build_workload(
             WorkloadSpec(working_set=5, minutes=2, requests_per_minute=50), trace=small_trace
         )
-        assert len(w.requests) == 100
+        assert len(w.requests()) == 100
 
     def test_skew_preserved_after_normalization(self, workload):
         """The hottest function must dominate, as in the raw trace."""
@@ -74,37 +74,37 @@ class TestArchitectureAssignment:
 
 class TestRequestStream:
     def test_arrivals_sorted_and_within_window(self, workload):
-        times = [r.arrival_time for r in workload.requests]
+        times = [r.arrival_time for r in workload.requests()]
         assert times == sorted(times)
         assert 0.0 <= times[0] and times[-1] < 6 * 60.0
 
     def test_per_minute_request_counts_match_matrix(self, workload):
         for m in range(6):
             in_minute = [
-                r for r in workload.requests if 60 * m <= r.arrival_time < 60 * (m + 1)
+                r for r in workload.requests() if 60 * m <= r.arrival_time < 60 * (m + 1)
             ]
             assert len(in_minute) == 325
 
     def test_requests_reference_shared_instances(self, workload):
         """All requests of a function share one ModelInstance (one cache item)."""
         by_fn = {}
-        for r in workload.requests:
+        for r in workload.requests():
             by_fn.setdefault(r.function_name, set()).add(id(r.model))
         assert all(len(s) == 1 for s in by_fn.values())
 
     def test_batch_size_paper_default(self, workload):
-        assert all(r.batch_size == 32 for r in workload.requests)
+        assert all(r.batch_size == 32 for r in workload.requests())
 
     def test_deterministic_in_seed(self, small_trace):
         a = build_workload(WorkloadSpec(working_set=5, minutes=2, seed=9), trace=small_trace)
         b = build_workload(WorkloadSpec(working_set=5, minutes=2, seed=9), trace=small_trace)
-        assert [r.function_name for r in a.requests] == [r.function_name for r in b.requests]
-        assert [r.arrival_time for r in a.requests] == [r.arrival_time for r in b.requests]
+        assert [r.function_name for r in a.requests()] == [r.function_name for r in b.requests()]
+        assert [r.arrival_time for r in a.requests()] == [r.arrival_time for r in b.requests()]
 
     def test_different_seeds_differ(self, small_trace):
         a = build_workload(WorkloadSpec(working_set=5, minutes=2, seed=1), trace=small_trace)
         b = build_workload(WorkloadSpec(working_set=5, minutes=2, seed=2), trace=small_trace)
-        assert [r.arrival_time for r in a.requests] != [r.arrival_time for r in b.requests]
+        assert [r.arrival_time for r in a.requests()] != [r.arrival_time for r in b.requests()]
 
     def test_top_function_properties(self, workload):
         assert workload.top_function == workload.function_ids[0]

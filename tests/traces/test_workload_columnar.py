@@ -3,10 +3,12 @@
 The columnar :func:`build_workload` must encode the byte-identical request
 stream the seed's per-request loop produced — same function sequence, same
 arrival instants, same model assignment — for every working set and seed,
-while building no request objects until asked.  The loop lives here, as
+while holding no request objects: a replay builds each at its arrival.  The loop lives here, as
 the oracle (:func:`build_workload_reference`); nothing in ``src/`` runs it.
 """
 
+import gc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,7 +86,7 @@ class TestStreamParity:
     @pytest.mark.parametrize("working_set", [15, 25, 35])
     def test_materialized_requests_identical(self, trace, working_set):
         spec = WorkloadSpec(working_set=working_set, minutes=2, seed=11)
-        columnar = build_workload(spec, trace=trace).requests
+        columnar = build_workload(spec, trace=trace).requests()
         reference = build_workload_reference(spec, trace=trace).requests
         assert len(columnar) == len(reference)
         for c, r in zip(columnar, reference):
@@ -97,48 +99,81 @@ class TestStreamParity:
             assert c.request_id == r.request_id
 
 
-class TestLazyMaterialization:
+def _live_requests() -> int:
+    gc.collect()
+    return sum(type(obj) is InferenceRequest for obj in gc.get_objects())
+
+
+class TestRequestsAtArrival:
     def test_build_makes_no_request_objects(self, trace):
+        before = _live_requests()
         w = build_workload(WorkloadSpec(working_set=5, minutes=2), trace=trace)
-        assert not w.materialized
         assert len(w) == 2 * 325
         assert len(w.arrival_times) == len(w.function_index) == len(w)
-        assert not w.materialized  # column access does not materialize
+        assert w.describe()["total_requests"] == len(w)
+        assert _live_requests() == before  # columns and describe build none
 
-    def test_describe_is_column_only(self, trace):
-        w = build_workload(WorkloadSpec(working_set=5, minutes=2), trace=trace)
-        stats = w.describe()
-        assert stats["total_requests"] == len(w)
-        assert not w.materialized
-
-    def test_requests_cached_single_materialization(self, trace):
+    def test_requests_are_fresh_on_every_call(self, trace):
         w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
-        first = w.requests
-        assert w.materialized
-        assert w.requests is first  # same list object: built exactly once
+        first, second = w.requests(), w.requests()
+        assert first is not second and first[0] is not second[0]
         assert [r.arrival_time for r in first] == w.arrival_times.tolist()
+        assert [r.request_id for r in first] == list(range(1, len(w) + 1))
+        assert [(r.function_name, r.arrival_time) for r in second] == [
+            (r.function_name, r.arrival_time) for r in first
+        ]
 
-    def test_iteration_sees_the_cached_objects(self, trace):
+    def test_a_workload_is_columns_not_objects(self, trace):
         w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
-        via_iter = list(w)
-        assert via_iter == w.requests
-        assert via_iter[0] is w.requests[0]
+        with pytest.raises(TypeError):
+            iter(w)
+        with pytest.raises(AttributeError):
+            w.arrival_times = w.arrival_times[::-1]  # frozen
 
-    def test_submit_takes_the_cached_objects(self, trace):
-        """``submit_workload`` replays the objects built before it (so
-        materialize → submit builds them once) and detaches them from the
-        workload: a replay mutates them, and the next access builds fresh
-        ones."""
+    def test_arrival_times_must_ascend(self, trace):
         w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
-        built = w.requests
+        with pytest.raises(ValueError, match="ascending"):
+            replace(w, arrival_times=w.arrival_times[::-1].copy())
+
+    def test_submit_builds_each_request_at_its_arrival(self, trace):
+        """``submit_workload`` injects the arrival column alone: no request
+        exists before the run, and each completes with the fields and the
+        ``request_id`` its row gives it."""
+        w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
         system = FaaSCluster()
         done = []
         system.subscribe_completion(done.append)
+        before = _live_requests()
         system.submit_workload(w)
-        assert not w.materialized
+        assert _live_requests() == before
+        system.run()
+        done.sort(key=lambda r: r.request_id)
+        assert [(r.request_id, r.function_name, r.model, r.arrival_time) for r in done] == [
+            (r.request_id, r.function_name, r.model, r.arrival_time) for r in w.requests()
+        ]
+
+    def test_a_column_behind_the_lane_tail_keeps_its_rows(self, trace):
+        """A column that starts before the arrival lane's tail takes the
+        kernel's per-entry heap path; its entries still fire in row order,
+        so each request gets its own row's fields."""
+        w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
+        system = FaaSCluster()
+        system.sim.schedule_many([1e6], lambda: None)  # the lane's tail
+        done = []
+        system.subscribe_completion(done.append)
+        system.submit_workload(w)
+        system.run()
+        assert sorted(r.request_id for r in done) == list(range(1, len(w) + 1))
+        assert all(r.arrival_time == w.arrival_times[r.request_id - 1] for r in done)
+
+    def test_submit_takes_the_callers_objects(self, trace):
+        """A caller who holds the objects submits them itself."""
+        w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
+        built = w.requests()
+        system = FaaSCluster()
+        done = []
+        system.subscribe_completion(done.append)
+        system.submit_workload(built)
         system.run()
         assert sorted(map(id, done)) == sorted(map(id, built))
-        fresh = w.requests
-        assert fresh is not built and fresh[0] is not built[0]
-        assert [r.arrival_time for r in fresh] == [r.arrival_time for r in built]
-        assert all(r.completed_at is None for r in fresh)
+        assert all(r.completed_at is not None for r in built)
