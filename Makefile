@@ -21,7 +21,7 @@ parity:
 ## image's SHA-256 and the run summary.  tests/golden checks every cell
 ## against it; regenerate only for a change that moves decisions on
 ## purpose, and let the diff show which cells moved.  tests/golden/stdout.json
-## holds the SHA-256 of the stdout of `all --workers 1` and of
+## holds the SHA-256 of the stdout of `all` and of
 ## `explain 42 --requests 2000` (PYTHONHASHSEED=0); it is rewritten too.
 golden:
 	python tests/golden/test_decisions.py
@@ -55,27 +55,16 @@ TRACE_REQUESTS ?= 2000
 trace:
 	python -m repro.experiments trace --requests $(TRACE_REQUESTS)
 
-## Regenerate the paper's tables and figures through the sweep
-## orchestrator (WORKERS processes).  The whole grid takes a few seconds,
-## so figures re-execute unless a store is named explicitly on the
-## command line (`make figures SWEEP_STORE=dir`); a store written by
-## other sources is refused (its code fingerprint), never served.
+## Regenerate the paper's tables and figures (the whole §V grid, in
+## process; a few seconds).
 figures:
-	python -m repro.experiments all --workers $(WORKERS) $(if $(filter command line,$(origin SWEEP_STORE)),--store $(SWEEP_STORE))
+	python -m repro.experiments all
 
-## §V sweep: expand the declarative policy x working-set grid and run it
-## on a process pool (repro/experiments/sweep.py).  Results persist under
-## SWEEP_STORE as they land (one JSON per cell, keyed by content-hash cell
-## ID; see repro/experiments/store.py for the layout).  Nothing is
-## retried: an interrupted or failed sweep (its error names the
-## unfinished cells) is re-run with the same command, which executes
-## only the cells the store is missing:
-##   make sweep                           # 4 workers, store .sweep-results
-##   make sweep WORKERS=8                 # wider pool
-##   make sweep SWEEP_STORE=/tmp/cells    # elsewhere
+## §V sweep: expand the declarative policy x working-set grid
+## (repro/experiments/runner.py's SweepSpec) and print one summary row per
+## distinct config:
+##   make sweep                           # the §V-A grid
 ##   make sweep FAULTS="none recoverable" # add the chaos axis (docs/robustness.md)
-WORKERS ?= 4
-SWEEP_STORE ?= .sweep-results
 FAULTS ?=
 sweep:
-	python -m repro.experiments sweep --workers $(WORKERS) --store $(SWEEP_STORE) --resume $(if $(FAULTS),--fault-profiles $(FAULTS))
+	python -m repro.experiments sweep $(if $(FAULTS),--fault-profiles $(FAULTS))

@@ -16,18 +16,10 @@ from .report import format_reduction, format_table, reduction_pct
 from .runner import (
     PAPER_POLICIES,
     ExperimentConfig,
+    SweepSpec,
     run_experiment,
     run_policy_grid,
     shared_trace,
-)
-from .store import CellResult, ResultStore
-from .sweep import (
-    SweepCell,
-    SweepResult,
-    SweepSpec,
-    execute_cell,
-    run_cells,
-    run_keyed_cells,
 )
 from .table1 import format_table1, table1_from_paper, table1_wallclock
 
@@ -57,14 +49,7 @@ __all__ = [
     "run_experiment",
     "run_policy_grid",
     "shared_trace",
-    "CellResult",
-    "ResultStore",
-    "SweepCell",
-    "SweepResult",
     "SweepSpec",
-    "execute_cell",
-    "run_cells",
-    "run_keyed_cells",
     "format_table1",
     "table1_from_paper",
     "table1_wallclock",

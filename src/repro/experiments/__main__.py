@@ -3,32 +3,26 @@
 Usage::
 
     python -m repro.experiments table1
-    python -m repro.experiments fig4 [--workers N] [--store DIR]
+    python -m repro.experiments fig4
     python -m repro.experiments fig5
     python -m repro.experiments fig6
     python -m repro.experiments fig7
-    python -m repro.experiments all --workers 4 --store .sweep-results
-    python -m repro.experiments sweep --workers 4 --store .sweep-results
+    python -m repro.experiments all
+    python -m repro.experiments sweep --policies lb lalbo3 --o3-limits 5 25
     python -m repro.experiments profile      # cProfile the 2k §V-A replay
     python -m repro.experiments trace        # traced 2k replay → trace.json (Perfetto) + trace.prom
     python -m repro.experiments explain 42   # why request #42 was scheduled the way it was
 
-Grid targets route through the sweep orchestrator
-(:mod:`repro.experiments.sweep`): ``--workers N`` fans the §V cells out
-across a process pool, ``--store DIR`` persists each finished cell to an
-on-disk result store keyed by content-hash cell ID, and ``--resume``
-(default with a store) re-executes only the cells the store is missing —
-an interrupted or failed sweep picks up where it left off, and unchanged
-cells are served from cache.  ``--workers 1`` with no store is exactly
-the sequential path; figure data is byte-identical either way.
+Grid targets loop :func:`~repro.experiments.runner.run_experiment` in
+process over one shared trace; the whole §V grid takes seconds.
 
-The ``sweep`` target runs the declarative §V grid itself (axes:
-``--policies --working-sets --o3-limits --replacements --seeds
---fault-profiles``; scale: ``--minutes --requests-per-minute``) and prints
-one summary row per cell, in deterministic cell-ID merge order.  Any other
-target rejects these flags.  ``--fault-profiles recoverable`` replays the grid
-under the seeded chaos plan (see :mod:`repro.chaos` and
-``docs/robustness.md``).
+The ``sweep`` target runs the declarative §V grid itself
+(:class:`~repro.experiments.runner.SweepSpec`; axes: ``--policies
+--working-sets --o3-limits --replacements --seeds --fault-profiles``;
+scale: ``--minutes --requests-per-minute``) and prints one summary row per
+distinct config, in expansion order.  Any other target rejects these
+flags.  ``--fault-profiles recoverable`` replays the grid under the seeded
+chaos plan (see :mod:`repro.chaos` and ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -57,15 +51,6 @@ _TARGET_ONLY = {
 }
 
 
-def _sweep_kwargs(args) -> dict:
-    """The orchestrator knobs shared by every grid target."""
-    return {
-        "workers": args.workers,
-        "store": args.store,
-        "resume": args.resume,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.experiments", description="Regenerate the paper's tables and figures"
@@ -89,23 +74,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace-out", default=None,
         help="the trace target's Chrome trace-event file (default trace.json)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="sweep worker processes (1 = sequential, in-process)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result-store directory: finished cells persist here and are "
-        "reused on the next run",
-    )
-    parser.add_argument(
-        "--resume", dest="resume", action="store_true", default=True,
-        help="serve cells already in the store from cache (default)",
-    )
-    parser.add_argument(
-        "--no-resume", dest="resume", action="store_false",
-        help="re-execute every cell even when the store already has it",
     )
     # sweep-target axes (an error on any other target)
     parser.add_argument("--policies", nargs="+", default=None, metavar="P")
@@ -178,8 +146,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.target == "sweep":
+        import time
+
         from .report import format_table
-        from .sweep import SweepSpec, run_cells
+        from .runner import SweepSpec, run_experiment, shared_trace
 
         overrides = {
             name: tuple(value) if isinstance(value, list) else value
@@ -189,35 +159,23 @@ def main(argv: list[str] | None = None) -> int:
         if args.seeds is None and args.seed:
             overrides["seeds"] = (args.seed,)
         spec = SweepSpec(**overrides)
-        result = run_cells(spec.cells(), **_sweep_kwargs(args))
+        t0 = time.perf_counter()
         rows = []
-        for cell_id, cell in result.cells.items():
-            row = cell.summary.row()
-            rows.append(
-                [cell_id, row["policy"], row["working_set"], cell.config["experiment"]["seed"],
-                 row["avg_latency_s"], row["miss_ratio"], row["sm_util"]]
-            )
-        print(
-            format_table(
-                ["cell", "policy", "ws", "seed", "avg_lat_s", "miss", "sm_util"], rows
-            )
-        )
-        s = result.stats
-        print(
-            f"\n{s.total} cells: {s.executed} executed, {s.cache_hits} cached "
-            f"({s.wall_s:.2f} s, {s.total / s.wall_s:.2f} cells/s, "
-            f"workers={s.workers})"
-        )
+        for c in spec.cells():
+            row = run_experiment(c, trace=shared_trace(spec.trace)).row()
+            label = f"{c.label()}/{c.replacement}/ws{c.working_set}/seed{c.seed}"
+            rows.append([label, row["avg_latency_s"], row["miss_ratio"], row["sm_util"]])
+        print(format_table(["cell", "avg_lat_s", "miss", "sm_util"], rows))
+        print(f"\n{len(rows)} cells ({time.perf_counter() - t0:.2f} s)")
         return 0
 
-    sweep_kwargs = _sweep_kwargs(args)
     if args.target in ("fig4", "fig5", "fig6", "all"):
         from dataclasses import replace
 
         from .runner import ExperimentConfig
 
         base = replace(ExperimentConfig(), seed=args.seed)
-        grid = run_fig4(base=base, **sweep_kwargs)
+        grid = run_fig4(base=base)
         if args.target in ("fig4", "all"):
             print(format_fig4(grid))
             print()
@@ -231,18 +189,18 @@ def main(argv: list[str] | None = None) -> int:
             print(format_fig6(grid))
             print()
     if args.target in ("fig7", "all"):
-        print(format_fig7(run_fig7(**sweep_kwargs)))
+        print(format_fig7(run_fig7()))
     if args.target == "ablations":
         from .ablations import run_belady_bound, run_cache_policy_ablation, run_gpu_scaling
 
         print("Cache replacement policies under LALBO3 (WS 35):")
-        for rp, s in run_cache_policy_ablation(**sweep_kwargs).items():
+        for rp, s in run_cache_policy_ablation().items():
             print(f"  {rp:5s} latency={s.avg_latency_s:.3f}s miss={s.cache_miss_ratio:.4f}")
         print("\nLRU vs offline-optimal (Belady) bound (WS 35):")
         for name, s in run_belady_bound().items():
             print(f"  {name:6s} latency={s.avg_latency_s:.3f}s miss={s.cache_miss_ratio:.4f}")
         print("\nCluster-size scaling (WS 25, 325 req/min):")
-        for gpus, s in sorted(run_gpu_scaling(**sweep_kwargs).items()):
+        for gpus, s in sorted(run_gpu_scaling().items()):
             print(f"  {gpus:2d} GPUs latency={s.avg_latency_s:8.3f}s miss={s.cache_miss_ratio:.4f}")
     if args.target == "all":
         print()

@@ -9,10 +9,10 @@
 
 All runs share the deterministic trace/workload machinery of the main
 experiments.  The grid-shaped ablations (:func:`run_cache_policy_ablation`
-and :func:`run_gpu_scaling`) route through the sweep orchestrator and
-accept its ``workers``/``store``/``resume`` knobs; the Belady bound and
-batch-size sweep need what a cell cannot name (a clairvoyant policy swap,
-non-default batch sizes) and call the replay driver directly.
+and :func:`run_gpu_scaling`) loop ``run_experiment``; the Belady bound
+and batch-size sweep need what an ``ExperimentConfig`` cannot name (a
+clairvoyant policy swap, non-default batch sizes) and call the replay
+driver directly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..runtime.config import SystemConfig
 from ..traces.azure import SyntheticAzureTrace
 from ..traces.workload import Workload, WorkloadSpec, build_workload
 from .replay import replay
-from .runner import ExperimentConfig, shared_trace
+from .runner import ExperimentConfig, run_experiment, shared_trace
 
 __all__ = [
     "build_belady_oracle",
@@ -99,24 +99,16 @@ def run_cache_policy_ablation(
     *,
     working_set: int = 35,
     trace: SyntheticAzureTrace | None = None,
-    workers: int = 1,
-    store=None,
-    resume: bool = True,
 ) -> dict[str, RunSummary]:
     """LALBO3 under each pluggable replacement policy (§VI)."""
-    from .sweep import SweepCell, run_keyed_cells
-
     trace = trace or shared_trace()
-    cells = {
-        rp: SweepCell(
-            config=ExperimentConfig(
-                policy="lalbo3", working_set=working_set, replacement=rp
-            ),
-            trace=trace.config,
+    return {
+        rp: run_experiment(
+            ExperimentConfig(policy="lalbo3", working_set=working_set, replacement=rp),
+            trace=trace,
         )
         for rp in replacements
     }
-    return run_keyed_cells(cells, workers=workers, store=store, resume=resume)
 
 
 def run_batch_size_sweep(
@@ -149,28 +141,17 @@ def run_gpu_scaling(
     *,
     working_set: int = 25,
     trace: SyntheticAzureTrace | None = None,
-    workers: int = 1,
-    store=None,
-    resume: bool = True,
 ) -> dict[int, RunSummary]:
-    """Fixed 325 req/min load against growing clusters; keyed by GPU count.
-
-    The cluster topology is not a :class:`~repro.experiments.sweep.
-    SweepSpec` axis, but cells are arbitrary configs — the executor
-    shards any cell set.
-    """
-    from .sweep import SweepCell, run_keyed_cells
-
+    """Fixed 325 req/min load against growing clusters; keyed by GPU count."""
     trace = trace or shared_trace()
-    cells = {
-        nodes * per_node: SweepCell(
-            config=ExperimentConfig(
+    return {
+        nodes * per_node: run_experiment(
+            ExperimentConfig(
                 policy="lalbo3",
                 working_set=working_set,
                 cluster=ClusterSpec.homogeneous(nodes, per_node),
             ),
-            trace=trace.config,
+            trace=trace,
         )
         for nodes, per_node in sizes
     }
-    return run_keyed_cells(cells, workers=workers, store=store, resume=resume)

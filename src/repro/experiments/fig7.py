@@ -13,7 +13,7 @@ from dataclasses import replace
 from ..metrics.summary import RunSummary
 from ..traces.azure import SyntheticAzureTrace
 from .report import format_table
-from .runner import ExperimentConfig, shared_trace
+from .runner import ExperimentConfig, run_experiment, shared_trace
 
 __all__ = ["PAPER_O3_LIMITS", "run_fig7", "format_fig7"]
 
@@ -26,26 +26,17 @@ def run_fig7(
     working_set: int = 35,
     base: ExperimentConfig | None = None,
     trace: SyntheticAzureTrace | None = None,
-    workers: int = 1,
-    store=None,
-    resume: bool = True,
 ) -> dict[int, RunSummary]:
-    """The O3-limit axis through the sweep orchestrator (workers/store as
-    in :func:`~repro.experiments.runner.run_policy_grid`)."""
-    from .sweep import SweepCell, run_keyed_cells
-
+    """The O3-limit axis: one LALBO3 run per limit, keyed by limit."""
     base = base or ExperimentConfig(policy="lalbo3", working_set=working_set)
     trace = trace or shared_trace()
-    cells = {
-        limit: SweepCell(
-            config=replace(
-                base, policy="lalbo3", working_set=working_set, o3_limit=limit
-            ),
-            trace=trace.config,
+    return {
+        limit: run_experiment(
+            replace(base, policy="lalbo3", working_set=working_set, o3_limit=limit),
+            trace=trace,
         )
         for limit in limits
     }
-    return run_keyed_cells(cells, workers=workers, store=store, resume=resume)
 
 
 def format_fig7(results: dict[int, RunSummary]) -> str:

@@ -1,11 +1,11 @@
 """The replay driver: one trace-driven run of the full system.
 
 :func:`replay` is the single spelling of build → inject → run → summarize
-behind every scheduler-level consumer — ``run_experiment``, the sweep's
-``execute_cell``, the ablations, and the CLI's ``trace`` / ``explain``
-targets.  It submits :class:`InferenceRequest` objects straight to the
-Scheduler — that is what the paper measures (function latency excludes
-container management, which both schedulers share).
+behind every scheduler-level consumer — ``run_experiment`` (and so every
+§V grid), the ablations, and the CLI's ``trace`` / ``explain`` targets.
+It submits :class:`InferenceRequest` objects straight to the Scheduler —
+that is what the paper measures (function latency excludes container
+management, which both schedulers share).
 """
 
 from __future__ import annotations

@@ -1,20 +1,16 @@
 """Experiment runner: one trace-driven run of the full system.
 
-Every figure in §V is regenerated by sweeping :func:`run_experiment` over
-policies / working sets / O3 limits.  Runs are deterministic in their
-seeds; results carry the full :class:`~repro.metrics.RunSummary`.
-
-Grid sweeps (:func:`run_policy_grid` and the figure/ablation wrappers on
-top of it) route through the sharded sweep orchestrator
-(:mod:`repro.experiments.sweep`): pass ``workers=N`` to fan cells out
-across a process pool and ``store=<dir>`` to persist/resume results.  The
-defaults (``workers=1``, no store) preserve the sequential path's exact
-behavior and byte-identical summaries.
+Every figure in §V is regenerated by looping :func:`run_experiment` over
+policies / working sets / O3 limits, in process, over one shared trace.
+Runs are deterministic in their seeds; results carry the full
+:class:`~repro.metrics.RunSummary`.  :class:`SweepSpec` names a grid's
+axes and expands them into the configs to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 from ..cluster.topology import PAPER_TESTBED, ClusterSpec
 from ..metrics.summary import RunSummary
@@ -28,6 +24,7 @@ __all__ = [
     "run_experiment",
     "run_policy_grid",
     "shared_trace",
+    "SweepSpec",
     "PAPER_POLICIES",
 ]
 
@@ -72,7 +69,7 @@ class ExperimentConfig:
     fault_profile: str = "none"
 
     def __post_init__(self) -> None:
-        self.system_config()  # a typo fails here, not in a sweep worker
+        self.system_config()  # a typo fails here, not mid-sweep
 
     def label(self) -> str:
         base = (
@@ -120,27 +117,67 @@ def run_policy_grid(
     *,
     base: ExperimentConfig | None = None,
     trace: SyntheticAzureTrace | None = None,
-    workers: int = 1,
-    store=None,
-    resume: bool = True,
 ) -> dict[tuple[str, int], RunSummary]:
-    """The §V sweep behind Figs. 4, 5, and 6: policies × working sets.
-
-    Cells execute through the sweep orchestrator: ``workers=1`` (default)
-    runs them sequentially in-process, ``workers=N`` shards them across a
-    process pool, and ``store``/``resume`` persist and reuse finished
-    cells (see :mod:`repro.experiments.sweep`).
-    """
-    from .sweep import SweepCell, run_keyed_cells
-
+    """The §V sweep behind Figs. 4, 5, and 6: policies × working sets."""
     base = base or ExperimentConfig()
     trace = trace or shared_trace()
-    cells = {
-        (policy, ws): SweepCell(
-            config=replace(base, policy=policy, working_set=ws),
-            trace=trace.config,
+    return {
+        (policy, ws): run_experiment(
+            replace(base, policy=policy, working_set=ws), trace=trace
         )
         for ws in working_sets
         for policy in policies
     }
-    return run_keyed_cells(cells, workers=workers, store=store, resume=resume)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Declarative §V grid: the cross product of the named axes."""
+
+    policies: tuple[str, ...] = PAPER_POLICIES
+    working_sets: tuple[int, ...] = (15, 25, 35)
+    o3_limits: tuple[int, ...] = (25,)
+    replacements: tuple[str, ...] = ("lru",)
+    seeds: tuple[int, ...] = (0,)
+    slas: tuple[float | None, ...] = (None,)
+    #: chaos axis: named fault profiles from
+    #: :data:`repro.chaos.FAULT_PROFILES` (``"none"`` = healthy runs)
+    fault_profiles: tuple[str, ...] = ("none",)
+    #: workload scale (§V-A.1 defaults)
+    minutes: int = 6
+    requests_per_minute: int = 325
+    cluster: ClusterSpec = PAPER_TESTBED
+    trace: AzureTraceConfig = AzureTraceConfig()
+
+    def __post_init__(self) -> None:
+        for name in (
+            "policies", "working_sets", "o3_limits", "replacements", "seeds",
+            "slas", "fault_profiles",
+        ):
+            if not getattr(self, name):
+                raise ValueError(f"sweep axis {name!r} is empty")
+
+    def cells(self) -> tuple[ExperimentConfig, ...]:
+        """The cross product as configs, seed outermost and policy
+        innermost, duplicates folded: non-lalbo3 policies ignore the O3
+        axis and always take its first limit, so they collapse to one
+        config per remaining key."""
+        configs = (
+            ExperimentConfig(
+                policy=policy,
+                working_set=ws,
+                minutes=self.minutes,
+                requests_per_minute=self.requests_per_minute,
+                o3_limit=o3 if policy == "lalbo3" else self.o3_limits[0],
+                replacement=replacement,
+                cluster=self.cluster,
+                sla_s=sla,
+                seed=seed,
+                fault_profile=fault_profile,
+            )
+            for seed, fault_profile, sla, replacement, ws, o3, policy in product(
+                self.seeds, self.fault_profiles, self.slas, self.replacements,
+                self.working_sets, self.o3_limits, self.policies,
+            )
+        )
+        return tuple(dict.fromkeys(configs))

@@ -11,7 +11,7 @@ from repro.core.replacement import (
     SizeAwarePolicy,
     make_policy,
 )
-from repro.experiments.sweep import SweepSpec
+from repro.experiments import SweepSpec
 from repro.runtime import FaaSCluster, SystemConfig
 
 
@@ -165,7 +165,7 @@ class TestFactory:
 
 class TestSystemConfigReplacement:
     """A replacement name ``make_policy`` cannot build fails at the config,
-    not later inside ``FaaSCluster`` (or a sweep worker)."""
+    not later inside ``FaaSCluster`` (or mid-sweep)."""
 
     @pytest.mark.parametrize("name", ["bogus", "LRU", "belady", ""])
     def test_unknown_replacement_rejected(self, name):

@@ -3,8 +3,7 @@
 ``stdout.json`` beside this file maps each command below to the digest of
 its standard output, run as a subprocess under ``PYTHONHASHSEED=0``:
 
-- ``all --workers 1``: every paper table and figure through the
-  sequential sweep path;
+- ``all``: every paper table and figure;
 - ``explain 42 --requests 2000``: one request's decision chain.
 
 Together with ``decisions.json`` this makes "decisions unchanged" one
@@ -27,7 +26,7 @@ LEDGER = Path(__file__).with_name("stdout.json")
 SRC = Path(__file__).resolve().parents[2] / "src"
 #: ledger key -> argv after ``python -m repro.experiments``
 COMMANDS = {
-    "all --workers 1": ["all", "--workers", "1"],
+    "all": ["all"],
     "explain 42 --requests 2000": ["explain", "42", "--requests", "2000"],
 }
 
