@@ -16,6 +16,11 @@ The other leak is the builtin ``hash``: a ``str`` hashes differently in
 every process (``PYTHONHASHSEED``), so anything derived from one — a
 node's IP, say — changes between two runs of the same replay.  A second
 scan flags every call to it.
+
+A third scan flags every import of ``multiprocessing`` or
+``concurrent.futures``: every replay and every §V grid runs in the
+calling process, so nothing a run decides can depend on which worker ran
+it.
 """
 
 import ast
@@ -62,6 +67,24 @@ def builtin_hash_calls(tree: ast.Module, module: str) -> set[str]:
         and isinstance(node.func, ast.Name)
         and node.func.id == "hash"
     }
+
+
+def process_pool_imports(tree: ast.Module, module: str) -> set[str]:
+    """``module:line`` for every import of a process or thread pool."""
+    pools = ("multiprocessing", "concurrent.futures")
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+            if node.module == "concurrent":
+                names += [f"concurrent.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == p or n.startswith(p + ".") for n in names for p in pools):
+            hits.add(f"{module}:{node.lineno}")
+    return hits
 
 
 def _scan_src(scan) -> list[str]:
@@ -116,3 +139,25 @@ def test_the_hash_scan_sees_calls_only():
         """
     )
     assert builtin_hash_calls(ast.parse(source), "m") == {"m:2", "m:6"}
+
+
+def test_src_imports_no_process_pool():
+    assert _scan_src(process_pool_imports) == []
+
+
+def test_the_pool_scan_sees_each_form():
+    source = textwrap.dedent(
+        """
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent import futures
+        import multiprocessing.pool as mpool
+        from multiprocessing import get_context
+
+        import concurrency_tools  # a different package: fine
+        from .multiprocessing import helper  # a relative import: fine
+        """
+    )
+    assert process_pool_imports(ast.parse(source), "m") == {
+        "m:2", "m:3", "m:4", "m:5", "m:6",
+    }
