@@ -235,7 +235,7 @@ class GPUManager:
         event = self._pending_event[gpu]
         if event is not None:
             self._pending_event[gpu] = None
-            event.cancel()  # O(1): frees the event's slab slot immediately
+            event.cancel()  # O(1): releases the event's args immediately
         inflight = self._executing[gpu]
         self._executing[gpu] = None
         self._take_offline(gpu)

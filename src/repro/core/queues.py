@@ -31,8 +31,9 @@ scheduling fast path needs to honour that bound:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from .request import InferenceRequest, RequestState
@@ -136,7 +137,6 @@ class GlobalQueue:
     def __init__(self, o3_limit: int | None = None) -> None:
         self._o3_limit = o3_limit
         self._entries: list[_Entry | None] = []  # slot-ordered; None = removed
-        self._keys: list[tuple[float, int]] = []  # parallel keys (kept for holes)
         self._by_id: dict[int, _Entry] = {}
         self._buckets: dict[str, deque[_Entry]] = {}  # model -> entries, oldest first
         self._model_live: dict[str, int] = {}  # model -> live entry count
@@ -185,26 +185,22 @@ class GlobalQueue:
 
         Unlike ``__iter__`` this takes no snapshot: requests removed ahead
         of the cursor are skipped and requests appended behind the tail are
-        visited.  Safe against concurrent removals (the scheduling passes
-        remove the request they just visited); survives a re-index by
-        re-finding its position from the last yielded key.
+        visited, so a scheduling pass may remove the request it just
+        visited.  A walk whose slots are renumbered underneath it (a
+        ``push_sorted``, or a ``push`` that compacts holes) raises
+        :class:`RuntimeError`: no pass pushes.
         """
         i = self._head
         version = self._version
-        last_key: tuple[float, int] | None = None
         while True:
-            if version != self._version:  # slots were renumbered underneath us
-                version = self._version
-                i = 0 if last_key is None else bisect_right(self._keys, last_key)
-                continue
+            if version != self._version:
+                raise RuntimeError("global queue re-indexed during iter_requests")
             if i >= len(self._entries):
                 return
             entry = self._entries[i]
             i += 1
-            if entry is None:
-                continue
-            last_key = entry.key
-            yield entry.request
+            if entry is not None:
+                yield entry.request
 
     # ------------------------------------------------------------------
     # Mutation
@@ -221,7 +217,6 @@ class GlobalQueue:
             slot = len(self._entries)
         entry = _Entry(request, (request.arrival_time, next(self._seq)), slot)
         self._entries.append(entry)
-        self._keys.append(entry.key)
         self._by_id[request.request_id] = entry
         model_id = entry.model_id
         bucket = self._buckets.get(model_id)
@@ -240,26 +235,24 @@ class GlobalQueue:
         queue sorted; a request returned to the queue (GPU failure, §VI
         fault handling) is older than the tail, so it is re-inserted at its
         arrival-time position to preserve the paper's "sorted by arrival
-        times" invariant.  The position is found by O(log n) bisection and
-        the model index is updated with a single positional insert rather
-        than the old clear-and-rebuild of every index.  The entry array is
-        still compacted and the skip counts settled on this path — an O(n)
-        splice with small constants, acceptable because failures are rare.
+        times" invariant.  The entry array is compacted and the skip counts
+        settled first, so the entries hold no holes and the position is an
+        O(log n) bisection of their keys; the model index is updated with
+        a single positional insert.  The compaction and the splice are
+        O(n) with small constants, acceptable because failures are rare.
         """
         if request.request_id in self._by_id:
             raise ValueError(f"request {request.request_id} already queued")
-        # settle: position == insertion index, and the bump counter is
-        # empty, so the slots past the insert may shift under it; its
-        # version bump sends a suspended ``iter_requests`` back to its key
+        # settle: no holes, so position == insertion index, and the bump
+        # counter is empty, so the slots past the insert may shift under it
         self._reindex()
         key = (request.arrival_time, next(self._seq))
-        pos = bisect_left(self._keys, key)
+        pos = bisect_left(self._entries, key, key=attrgetter("key"))
         if pos == len(self._entries):
             self.push(request)  # newest arrival after all queued ones
             return
         entry = _Entry(request, key, pos)
         self._entries.insert(pos, entry)
-        self._keys.insert(pos, key)
         for i in range(pos + 1, len(self._entries)):
             self._entries[i].slot = i  # type: ignore[union-attr]  # all alive post-reindex
         self._by_id[request.request_id] = entry
@@ -544,8 +537,8 @@ class GlobalQueue:
     # Re-indexing (hole compaction / counter growth / positional insert)
     # ------------------------------------------------------------------
     def _reindex(self) -> None:
-        """Drop holes, renumber slots 0..live-1, rebuild keys; the skip
-        counts settle into the entries and the bump counter starts empty."""
+        """Drop holes and renumber slots 0..live-1; the skip counts settle
+        into the entries and the bump counter starts empty."""
         if self._attached:
             covers = self._counter.covers()
             for entry in self._entries:
@@ -556,7 +549,6 @@ class GlobalQueue:
         for i, entry in enumerate(alive):
             entry.slot = i
         self._entries = alive  # type: ignore[assignment]
-        self._keys = [e.key for e in alive]
         self._head = 0
         self._version += 1
         if len(self._starved) != self.starved_count:
@@ -585,7 +577,6 @@ class LocalQueues:
 
     def __init__(self) -> None:
         self._queues: dict[object, deque[InferenceRequest]] = {}
-        self._total = 0
         #: GPUs whose queue is non-empty (the local-work dirty signal:
         #: maintained on the 0↔1 length transitions, read by the pass
         #: guard without walking any queue; do not mutate)
@@ -605,7 +596,6 @@ class LocalQueues:
         if not q:
             self._nonempty.add(gpu)
         q.append(request)
-        self._total += 1
         for fn in self._observers:
             fn(gpu, request, True)
 
@@ -613,7 +603,6 @@ class LocalQueues:
         q = self._queues.get(gpu)
         if not q:
             raise IndexError(f"local queue of {gpu} is empty")
-        self._total -= 1
         request = q.popleft()
         if not q:
             self._nonempty.discard(gpu)
@@ -632,4 +621,4 @@ class LocalQueues:
         return list(self._queues.get(gpu, ()))
 
     def total(self) -> int:
-        return self._total
+        return sum(map(len, self._queues.values()))

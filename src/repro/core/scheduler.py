@@ -95,8 +95,6 @@ class Scheduler:
         #: None (default) schedules no timeout events at all — the
         #: historical zero-overhead behaviour, byte for byte.
         self.deadline_s = deadline_s
-        #: requests dropped (deadline timeout or exhausted retry budget)
-        self.lost_count = 0
         #: callback(request, reason) fired when a request is dropped; the
         #: runtime wires this to MetricsCollector.on_lost
         self.on_lost = None
@@ -190,7 +188,6 @@ class Scheduler:
 
     def _lose(self, request: InferenceRequest, reason: str) -> None:
         request.state = RequestState.LOST
-        self.lost_count += 1
         if self.on_lost is not None:
             self.on_lost(request, reason)
 

@@ -63,25 +63,9 @@ from __future__ import annotations
 
 from array import array
 
+from ..metrics.collector import _Interner
+
 __all__ = ["FlightRecorder"]
-
-
-class _Interner:
-    """String → dense int code, with the reverse table public."""
-
-    __slots__ = ("codes", "names")
-
-    def __init__(self) -> None:
-        self.codes: dict[str, int] = {}
-        self.names: list[str] = []
-
-    def code(self, name: str) -> int:
-        c = self.codes.get(name)
-        if c is None:
-            c = len(self.names)
-            self.codes[name] = c
-            self.names.append(name)
-        return c
 
 
 class FlightRecorder:

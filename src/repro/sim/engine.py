@@ -7,17 +7,16 @@ float number of seconds.
 
 Design notes
 ------------
-* The heap stores bare ``(time, priority, seq, slot)`` tuples — ``seq`` is
+* The heap stores ``(time, priority, seq, event)`` tuples — ``seq`` is
   a monotonically increasing counter, so events scheduled for the same
   instant fire in the order they were scheduled and every run is
-  bit-for-bit deterministic.  Tuple keys keep every heap comparison inside
-  the C tuple-compare loop instead of a Python ``__lt__``.
-* Event payloads (callback, args, bookkeeping flags) live in a parallel
-  **slab**: a flat list indexed by ``slot``, with a free-list so slots
-  recycle.  Cancellation is O(1) and releases the payload immediately —
-  the cancelled entry's heap tuple stays behind (lazy deletion) and is
-  recognised as stale when popped because the slot is empty or holds a
-  younger ``seq``.
+  bit-for-bit deterministic.  ``seq`` is unique, so every heap comparison
+  ends inside the C tuple-compare loop and never reaches the
+  :class:`Event`.
+* Cancellation is O(1) and releases the payload immediately: ``cancel()``
+  drops the event's ``args`` and the live count at once, and its heap
+  tuple stays behind (lazy deletion) until it surfaces and is skipped as
+  ``cancelled``.
 * **Two stores, one key.**  A presorted arrival column handed to
   :meth:`Simulator.schedule_many` stays a column: a :class:`_LaneSegment`
   (the ``times`` and ``args`` lists, one callback, one priority, the
@@ -53,10 +52,11 @@ class Event:
     """A scheduled callback handle.
 
     Ordering is ``(time, priority, seq)`` — kept on the instance for
-    introspection; the heap itself orders bare tuples and never compares
-    :class:`Event` objects.  ``_sim`` is the store holding the entry (the
-    :class:`Simulator`'s slab or a :class:`_LaneSegment`), ``_slot`` its
-    place there.
+    introspection; the heap orders tuples that end in the event and never
+    compares :class:`Event` objects.  ``_sim`` is the store holding the
+    entry: the :class:`Simulator` while the event waits in its heap (None
+    once it fired or was drained), or a :class:`_LaneSegment`, where
+    ``_slot`` is its index.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "_sim", "_slot")
@@ -83,8 +83,8 @@ class Event:
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent.
 
-        O(1): the payload slot is released to the free-list right away;
-        the heap tuple is dropped lazily when it surfaces.
+        O(1): the args are released right away; the heap tuple is dropped
+        lazily when it surfaces.
         """
         if not self.cancelled:
             self.cancelled = True
@@ -146,15 +146,12 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[tuple[float, int, int, int]] = []  # (time, priority, seq, slot)
-        self._slab: list[Event | None] = []  # slot -> payload (None = vacant)
-        self._free: list[int] = []  # recycled slots
+        self._heap: list[tuple[float, int, int, Event]] = []  # (time, priority, seq, event)
         self._lane: deque[_LaneSegment] = deque()  # presorted columns, keys ascending
         self._seq = 0  # next event's tie-break number (both stores draw from it)
         self._running = False
         self._processed = 0
         self._live = 0  # pending non-cancelled events (O(1) __len__)
-        self._trace_hook: Callable[[float, str], Any] | None = None
         self._post_event_hooks: tuple[Callable[[], Any], ...] = ()
 
     def subscribe_post_event(self, hook: Callable[[], Any]) -> Callable[[], None]:
@@ -174,12 +171,6 @@ class Simulator:
             )
 
         return unsubscribe
-
-    def set_trace(self, hook: Callable[[float, str], Any] | None) -> None:
-        """Install a debug hook called ``hook(time, callback_name)`` before
-        each event fires (None disables).  For tests and debugging only —
-        it adds per-event overhead."""
-        self._trace_hook = hook
 
     # ------------------------------------------------------------------
     # Clock
@@ -212,12 +203,10 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def _release(self, ev: Event) -> None:
-        """Vacate a still-pending event's slot (cancellation path); the
-        live count stays exact without scanning the heap."""
-        if self._slab[ev._slot] is ev:
-            self._slab[ev._slot] = None
-            self._free.append(ev._slot)
-            self._live -= 1
+        """Cancel a pending heap event: its args go now, so does its share
+        of the live count (exact without scanning the heap)."""
+        ev.args = ()
+        self._live -= 1
 
     def schedule(
         self, delay: float, fn: Callable[..., Any], *args: Any, priority: int = 0
@@ -235,17 +224,11 @@ class Simulator:
             raise SimError("event time is NaN")
         if time < self._now:
             raise SimError(f"cannot schedule in the past: {time} < {self._now}")
-        slab = self._slab
-        if self._free:
-            slot = self._free.pop()  # recycle a fired or cancelled event's slot
-        else:
-            slot = len(slab)
-            slab.append(None)
         seq = self._seq
         self._seq = seq + 1
-        ev = slab[slot] = Event(float(time), priority, seq, fn, args, self, slot)
+        ev = Event(float(time), priority, seq, fn, args, self)
         self._live += 1
-        heapq.heappush(self._heap, (ev.time, priority, seq, slot))
+        heapq.heappush(self._heap, (ev.time, priority, seq, ev))
         return ev
 
     def schedule_many(
@@ -352,8 +335,6 @@ class Simulator:
         self._running = True
         fired = 0
         heap = self._heap
-        slab = self._slab
-        free = self._free
         lane = self._lane
         pop = heapq.heappop
         try:
@@ -389,19 +370,16 @@ class Simulator:
                         seg.pos = i
                     fn = seg.fn
                 else:
-                    ev = slab[head[3]]
+                    ev = head[3]
                     pop(heap)
-                    if ev is None or ev.seq != head[2]:
-                        continue  # stale tuple left behind by a cancellation
-                    slab[head[3]] = None
-                    free.append(head[3])
+                    if ev.cancelled:
+                        continue  # tuple left behind by a cancellation
+                    ev._sim = None  # a later cancel() leaves the live count alone
                     fn = ev.fn
                     args = ev.args
                 self._live -= 1
                 self._now = t
                 self._processed += 1
-                if self._trace_hook is not None:
-                    self._trace_hook(t, getattr(fn, "__qualname__", repr(fn)))
                 fn(*args)
                 for hook in self._post_event_hooks:
                     hook()
@@ -426,22 +404,15 @@ class Simulator:
                 ev = seg[seg.pos]
                 self._lane_advance(seg)
             else:
-                slot = heapq.heappop(heap)[3]
-                ev = self._slab[slot]
-                self._slab[slot] = None
-                self._free.append(slot)
+                ev = heapq.heappop(heap)[3]
+                ev._sim = None
             self._live -= 1
             yield ev
 
     def _drop_cancelled(self) -> None:
         # cancelled events already left the live count at cancel() time
         heap = self._heap
-        slab = self._slab
-        while heap:
-            head = heap[0]
-            ev = slab[head[3]]
-            if ev is not None and ev.seq == head[2]:
-                break
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
         lane = self._lane
         while lane and lane[0].args[lane[0].pos] is None:

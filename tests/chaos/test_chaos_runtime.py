@@ -144,7 +144,7 @@ class TestDeadlines:
         assert r.completed_at is None
         assert r.state is RequestState.LOST
         assert len(system.scheduler.global_queue) == 0  # removed, not stuck
-        assert system.scheduler.lost_count == 1
+        assert system.metrics.lost_count == 1
         assert system.metrics.lost_reasons == {"deadline": 1}
         kinds = [d.kind for d in system.scheduler.decisions]
         assert DecisionKind.TIMEOUT in kinds
@@ -161,7 +161,7 @@ class TestDeadlines:
         system.submit(r)
         system.run()
         assert r.completed_at is not None
-        assert system.scheduler.lost_count == 0
+        assert system.metrics.lost_count == 0
         assert DecisionKind.TIMEOUT not in [d.kind for d in system.scheduler.decisions]
         assert len(system.sim) == 0
 

@@ -414,7 +414,7 @@ class TestChaos:
         )
         production = _run(spec, **kwargs)
         system = production.system
-        lost = system.scheduler.lost_count
+        lost = system.metrics.lost_count
         assert system.metrics.faults_injected > 0
         assert system.metrics.completed_count + lost == len(build_workload(spec))
         assert (lost > 0) == (max_retries == 0)

@@ -135,13 +135,13 @@ class TestLocalQueueFailure:
 
 class TestKillAudit:
     """Audit of the ``GPU.kill(force=True)`` / ``go_offline`` paths: the
-    event slab must free the killed process's pending completion events,
+    kernel must cancel the killed process's pending completion events,
     and the cluster's incremental idle accounting must stay consistent
     through crash → recover at every GPU state."""
 
     def test_fail_mid_load_leaks_no_events(self, make_request):
         # single GPU: the killed load's completion event must be cancelled
-        # (freeing its slab slot); after recovery the request completes and
+        # (leaving the live count); after recovery the request completes and
         # the simulator drains to zero live events
         system = FaaSCluster(
             SystemConfig(cluster=ClusterSpec.homogeneous(1, 1), policy="lalb")
@@ -156,7 +156,7 @@ class TestKillAudit:
         system.recover_gpu(gpu.gpu_id)
         system.run()
         assert r.completed_at is not None and r.retries == 1
-        assert len(system.sim) == 0  # no cancelled-but-leaked slab slots
+        assert len(system.sim) == 0  # no cancelled-but-counted events
 
     def test_fail_mid_inference_leaks_no_events(self, make_request):
         system = FaaSCluster(
@@ -288,7 +288,7 @@ class TestRetryBudget:
         system.run()
         assert r.completed_at is None
         assert r.state is RequestState.LOST
-        assert system.scheduler.lost_count == 1
+        assert system.metrics.lost_count == 1
         assert system.metrics.lost_reasons == {"retries_exhausted": 1}
         assert len(system.sim) == 0
 

@@ -150,33 +150,24 @@ class TestLiveIteration:
                 q.remove(reqs[2])
         assert seen == [reqs[0], reqs[1], reqs[3]]
 
-    def test_iter_requests_survives_push_sorted_ahead_of_cursor(self, make_request):
-        """An insert before the cursor shifts every slot past it by one: a
-        walk that kept its index would yield request 2 a second time."""
-        q = GlobalQueue()
-        reqs = _push_n(q, make_request, 4)
-        early = make_request("fn-early", arrival=0.5)
-        seen = []
-        for r in q.iter_requests():
-            seen.append(r)
-            if r is reqs[2]:
-                q.push_sorted(early)  # lands at slot 1, behind the walk
-        assert seen == reqs
-
-    def test_iter_requests_survives_hole_compaction(self, make_request):
-        """A push past the hole threshold compacts the entry array: a walk
-        that kept its index would run off the shorter array and stop."""
+    @pytest.mark.parametrize("reindex", ["push_sorted", "hole_compaction"])
+    def test_a_reindex_mid_walk_raises(self, make_request, reindex):
+        """Renumbered slots would make a walk that kept its index repeat or
+        skip requests; no scheduling pass pushes, so the walk refuses."""
         q = GlobalQueue()
         reqs = _push_n(q, make_request, 200)
-        extra = make_request("fn-extra", arrival=500.0)
         seen = []
-        for r in q.iter_requests():
-            seen.append(r)
-            if r is reqs[160]:
-                for gone in reqs[:150]:
-                    q.remove(gone)
-                q.push(extra)  # 50 live of 200 slots: renumbers 0..50
-        assert seen == reqs + [extra]
+        with pytest.raises(RuntimeError, match="re-indexed"):
+            for r in q.iter_requests():
+                seen.append(r)
+                if r is reqs[160]:
+                    if reindex == "push_sorted":
+                        q.push_sorted(make_request("fn-early", arrival=0.5))
+                    else:
+                        for gone in reqs[:150]:
+                            q.remove(gone)
+                        q.push(make_request("fn-extra", arrival=500.0))  # 51 of 201 live
+        assert seen == reqs[:161]
 
     def test_hole_compaction_preserves_order(self, make_request):
         q = GlobalQueue(o3_limit=25)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -325,26 +326,94 @@ class TestScheduleMany:
         assert fired == [0, 1] and len(sim) == 0 and not sim._lane
 
 
-class TestSlabRecycling:
-    def test_cancelled_slot_recycles_without_misfire(self):
+class TestCancellation:
+    def test_cancelled_event_stays_dead_behind_a_fresh_one(self):
         sim = Simulator()
         fired = []
         ev = sim.schedule(5.0, fired.append, "stale")
         ev.cancel()
-        # the recycled slot is taken by a fresh event; the stale heap tuple
-        # must not resurrect it
+        # the cancelled event's heap tuple stays behind; a fresh event
+        # scheduled after it must not resurrect it
         sim.schedule(1.0, fired.append, "fresh")
         sim.run()
         assert fired == ["fresh"]
         assert sim.processed_events == 1
 
-    def test_cancel_releases_payload_slot_immediately(self):
+    def test_cancel_releases_the_payload_immediately(self):
+        class Payload:
+            pass
+
+        sim = Simulator()
+        payload = Payload()
+        ref = weakref.ref(payload)
+        ev = sim.schedule(1.0, lambda p: None, payload)
+        ev.cancel()  # its heap tuple stays behind until it surfaces
+        del ev, payload
+        assert ref() is None
+        assert len(sim) == 0
+
+    @pytest.mark.parametrize("settle", ["fire", "drain"])
+    def test_cancel_after_fire_or_drain_leaves_the_live_count(self, settle):
         sim = Simulator()
         ev = sim.schedule(1.0, lambda: None)
-        slot = ev._slot
+        sim.schedule(2.0, lambda: None)
+        if settle == "fire":
+            sim.step()
+        else:
+            assert next(sim.drain()) is ev
+        assert len(sim) == 1
         ev.cancel()
-        assert sim._slab[slot] is None
-        assert slot in sim._free
+        assert len(sim) == 1
+        assert sim.peek() == 2.0
+
+
+class TestPostEventHooks:
+    @pytest.mark.parametrize("store", ["heap", "lane"])
+    def test_a_hook_sees_every_fired_event(self, store):
+        sim = Simulator()
+        seen = []
+        sim.subscribe_post_event(lambda: seen.append(sim.now))
+        if store == "heap":
+            for t in (1.0, 2.0, 3.0):
+                sim.schedule_at(t, lambda: None)
+        else:
+            sim.schedule_many([1.0, 2.0, 3.0], lambda: None)
+        assert sim.step() is True
+        assert seen == [1.0]
+        sim.run()
+        assert seen == [1.0, 2.0, 3.0]
+
+    def test_a_hook_never_sees_a_cancelled_event(self):
+        sim = Simulator()
+        seen = []
+        sim.subscribe_post_event(lambda: seen.append(sim.now))
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(2.0, lambda: None)
+        sim.schedule_many([3.0, 4.0], lambda: None)[0].cancel()
+        sim.run()
+        assert seen == [2.0, 4.0]
+
+    def test_hooks_run_after_the_callback_in_registration_order(self):
+        sim = Simulator()
+        calls = []
+        sim.subscribe_post_event(lambda: calls.append("first"))
+        sim.subscribe_post_event(lambda: calls.append("second"))
+        sim.schedule(1.0, calls.append, "event")
+        sim.run()
+        assert calls == ["event", "first", "second"]
+
+    def test_unsubscribing_stops_the_hook(self):
+        sim = Simulator()
+        kept, dropped = [], []
+        sim.subscribe_post_event(lambda: kept.append(sim.now))
+        unsubscribe = sim.subscribe_post_event(lambda: dropped.append(sim.now))
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.step()
+        unsubscribe()
+        sim.run()
+        assert kept == [1.0, 2.0]
+        assert dropped == [1.0]
 
 
 # ---------------------------------------------------------------------------
