@@ -79,9 +79,8 @@ def profile_replay(
     ``SystemConfig()``); returns ``(profiler, total calls, completed)``.
 
     The profiled window is the one ``benchmarks/e2e`` times:
-    ``submit_workload`` → ``run`` (each request built at its arrival), or for a
-    :class:`~repro.traces.StreamingWorkload` the chunked
-    ``submit_workload_streaming`` → ``run`` (pair it with a
+    the chunked ``submit_workload`` → ``run`` (pair a
+    :class:`~repro.traces.StreamingWorkload` with a
     :func:`~repro.runtime.streaming_config`).  The call count
     is exact — the same to the digit run to run under one
     ``PYTHONHASHSEED`` and within 0.01 calls/request under another — so
@@ -93,15 +92,11 @@ def profile_replay(
     import cProfile
 
     from ..runtime import FaaSCluster, SystemConfig
-    from ..traces.workload import StreamingWorkload
 
     system = FaaSCluster(config or SystemConfig())
     profiler = cProfile.Profile()
     profiler.enable()
-    if isinstance(workload, StreamingWorkload):
-        system.submit_workload_streaming(workload)
-    else:
-        system.submit_workload(workload)
+    system.submit_workload(workload)
     system.run()
     profiler.disable()
     total_calls = sum(entry.callcount for entry in profiler.getstats())

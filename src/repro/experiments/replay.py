@@ -29,10 +29,10 @@ def replay(
 ) -> tuple[RunSummary, FaaSCluster]:
     """Build the system, inject ``workload``, run to drain, summarize.
 
-    A :class:`~repro.traces.StreamingWorkload` is fed chunk by chunk
-    (:meth:`FaaSCluster.submit_workload_streaming` — pair it with
-    :func:`~repro.runtime.config.streaming_config` for flat RSS), a
-    :class:`~repro.traces.Workload` in one bulk injection.  ``prepare``
+    Either workload kind is fed chunk by chunk
+    (:meth:`FaaSCluster.submit_workload`; pair a
+    :class:`~repro.traces.StreamingWorkload` with
+    :func:`~repro.runtime.config.streaming_config` for flat RSS).  ``prepare``
     runs on the built system before anything is injected (attach a probe,
     swap a policy); ``label`` overrides the summary's policy name.
 
@@ -46,10 +46,7 @@ def replay(
     system = FaaSCluster(config)
     if prepare is not None:
         prepare(system)
-    if isinstance(workload, StreamingWorkload):
-        system.submit_workload_streaming(workload)
-    else:
-        system.submit_workload(workload)
+    system.submit_workload(workload)
     system.run()
     scheduler = system.scheduler
     for request in scheduler.global_queue:

@@ -14,9 +14,10 @@ open every completion extends one typed buffer, an ``array('d')`` of
 stride :data:`_STRIDE`, by its row of scalars (arrival / dispatch /
 completion stamps, interned model / GPU / architecture codes, hit and SLA
 outcomes) — 72 bytes and no object per completion, and the only record of
-it: the request itself is not kept.  :meth:`MetricsCollector.columns`
-copies the buffer's columns into typed NumPy arrays lazily, and
-:mod:`~repro.metrics.summary` reduces those columns with vectorized NumPy.
+it: the request itself is not kept.  :mod:`~repro.metrics.summary`
+reduces a NumPy view of the buffer in place, and
+:meth:`MetricsCollector.columns` copies its columns out into typed arrays
+for a caller that keeps them.
 The per-model / miss counters are maintained *running* on
 :meth:`MetricsCollector.on_complete`, so queries like
 :meth:`most_invoked_model` cost O(models) — never a rescan of the rows.
@@ -159,10 +160,9 @@ class MetricsCollector:
         self.exact_cap = exact_cap
         #: the open window: one row of _STRIDE float64 fields per
         #: completion (one extend per completion; a NumPy scalar store
-        #: costs several times that), split into typed arrays lazily, and
-        #: cached, by columns().  None once the window has closed.
+        #: costs several times that), read in place through _rows().
+        #: None once the window has closed.
         self._window: array | None = array("d")
-        self._columns_cache: CompletionColumns | None = None
         # fold state: empty while the window is open, filled by _fold
         self.lat_hist = LogHistogram()
         self._arch_stats: dict[int, _ArchStream] = {}
@@ -243,7 +243,6 @@ class MetricsCollector:
         :meth:`_fold` in completion order and release it."""
         w = self._window
         self._window = None
-        self._columns_cache = None
         self.lost = []
         fold = self._fold
         for arrival, dispatched, completed, arch, hit, sla in zip(
@@ -345,26 +344,24 @@ class MetricsCollector:
     def architectures(self) -> list[str]:
         return self._archs.names
 
-    def columns(self) -> CompletionColumns:
-        """Typed copies of the open window's completion columns.
+    def _rows(self) -> np.ndarray:
+        """The open window as a ``(completions, _STRIDE)`` float64 view, no
+        copy, columns in :class:`CompletionColumns` order.  The view
+        exports the buffer, and an exporting array cannot grow: the caller
+        drops it, and every view of it, before the next completion."""
+        return np.frombuffer(self._window, dtype=np.float64).reshape(-1, _STRIDE)
 
-        Materialized from the row buffer on demand and cached until the
-        next completion, so the several summarize/breakdown consumers of
-        one finished run convert each column exactly once.  Raises once
-        the window has closed — the rows are gone.
+    def columns(self) -> CompletionColumns:
+        """Typed copies of the open window's completion columns, fresh on
+        every call (the summaries read the window in place instead).
+        Raises once the window has closed — the rows are gone.
         """
-        window = self._window
-        if window is None:
+        if self._window is None:
             raise RuntimeError(
                 f"the exact window closed past {self.exact_cap} completions; "
                 "use latency_histogram() and the running counters instead"
             )
-        cached = self._columns_cache
-        if cached is not None and len(cached) == self._n:
-            return cached
-        # a view over the buffer exports it, and an exporting array cannot
-        # grow: every column is a copy, and the view dies before the return
-        rows = np.frombuffer(window, dtype=np.float64).reshape(-1, _STRIDE)
+        rows = self._rows()
         cols = CompletionColumns(
             arrival=rows[:, 0].copy(),
             dispatched=rows[:, 1].copy(),
@@ -376,8 +373,7 @@ class MetricsCollector:
             false_miss=rows[:, 7].astype(bool),
             sla_s=rows[:, 8].copy(),
         )
-        del rows
-        self._columns_cache = cols
+        del rows  # every column is a copy: the view dies before the return
         return cols
 
     # ------------------------------------------------------------------

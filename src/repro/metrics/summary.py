@@ -7,9 +7,9 @@ examined in the O3 sensitivity study (§V-E).
 
 Request-level quantities come from one of two sources, chosen by what the
 collector still holds: while its exact window is open, NumPy reductions
-over the completion *columns* (means, percentiles, masked SLA counts);
-once the window has closed, the log histograms and running sums the rows
-were folded into.  Counts, rates and ratios are exact either way.
+over the completion rows, read in place (means, percentiles, masked SLA
+counts); once the window has closed, the log histograms and running sums
+the rows were folded into.  Counts, rates and ratios are exact either way.
 """
 
 from __future__ import annotations
@@ -89,11 +89,12 @@ def per_architecture_breakdown(collector: MetricsCollector) -> dict[str, dict[st
     #: architecture code -> (count, mean latency, p99 latency, misses)
     cells: dict[int, tuple[int, float, float, float]] = {}
     if collector.window_open:
-        cols = collector.columns()
-        lat = cols.latency
-        misses = cols.cache_hit == 0
+        rows = collector._rows()
+        lat = rows[:, 2] - rows[:, 0]  # completed - arrival
+        misses = rows[:, 6] == 0  # cache_hit
+        architecture = rows[:, 5]
         for code in range(len(names)):
-            mask = cols.architecture == code
+            mask = architecture == code
             sel = lat[mask]
             cells[code] = (
                 int(mask.sum()),
@@ -101,6 +102,7 @@ def per_architecture_breakdown(collector: MetricsCollector) -> dict[str, dict[st
                 float(np.percentile(sel, 99)),
                 float(misses[mask].sum()),
             )
+        del rows, architecture  # the window must stay free to grow
     else:
         for code, stats in collector._arch_stats.items():
             hist = stats.hist
@@ -145,16 +147,20 @@ def summarize(
     if not n:
         raise ValueError("no completed requests to summarize")
     if collector.window_open:
-        cols = collector.columns()
-        lat = cols.latency
+        # the rows in place: each difference is a fresh contiguous array,
+        # so every reduction sees the values and layout a column copy had
+        rows = collector._rows()
+        queueing_mean = float(np.mean(rows[:, 1] - rows[:, 0]))  # dispatched - arrival
+        lat = rows[:, 2] - rows[:, 0]  # completed - arrival
+        sla = rows[:, 8]
+        with_sla = ~np.isnan(sla)
+        n_sla = int(with_sla.sum())
+        n_violations = int(np.sum(lat[with_sla] > sla[with_sla]))
+        del rows, sla  # the window must stay free to grow
         avg_latency = float(lat.mean())
         latency_var = float(lat.var(ddof=0))
         p50 = float(np.percentile(lat, 50))
         p99 = float(np.percentile(lat, 99))
-        queueing_mean = float(np.mean(cols.queueing))
-        with_sla = ~np.isnan(cols.sla_s)
-        n_sla = int(with_sla.sum())
-        n_violations = int(np.sum(lat[with_sla] > cols.sla_s[with_sla]))
     else:
         hist = collector.lat_hist
         avg_latency = hist.mean()

@@ -31,7 +31,7 @@ from ..models.profiles import ModelInstance
 from ..obs.explain import ExplainLog
 from ..obs.tracer import FlightRecorder
 from ..sim import Simulator
-from ..traces.workload import Workload
+from ..traces.workload import StreamingWorkload, Workload
 from .config import SystemConfig
 
 __all__ = ["FaaSCluster"]
@@ -205,73 +205,74 @@ class FaaSCluster:
         """Schedule the request's arrival at ``request.arrival_time``."""
         self.sim.schedule_at(request.arrival_time, self.scheduler.submit, request)
 
-    def submit_workload(self, workload) -> None:
-        """Bulk-inject a whole request stream at its arrival times.
-
-        Equivalent to calling :meth:`submit_at` per request (same event
-        ordering, bit-identical run) but the arrivals enter the simulator
-        through :meth:`~repro.sim.Simulator.schedule_many`: the presorted
-        column stays a column in the kernel's arrival lane — no event
-        object, heap entry or sift per request.
-
-        A :class:`~repro.traces.Workload` injects its arrival column with
-        one callback (:meth:`~repro.traces.Workload.arrivals`): each request
-        is built when its arrival fires, so none exists before its arrival
-        and none is kept past its completion, and replaying the workload
-        again builds fresh ones.  Any other iterable of requests is
-        injected as given — the way to hold the objects a replay mutates
-        (``submit_workload(workload.requests())``).
-        """
-        if isinstance(workload, Workload):
-            self.sim.schedule_many(*workload.arrivals(self.scheduler.submit))
-            return
-        requests = list(workload)
-        self.sim.schedule_many(
-            [r.arrival_time for r in requests],
-            self.scheduler.submit,
-            ((r,) for r in requests),
-        )
-
-    def submit_workload_streaming(
+    def submit_workload(
         self,
         workload,
         *,
         minutes_per_chunk: int = 8,
         low_water: int = 64,
     ) -> None:
-        """Feed a :class:`~repro.traces.StreamingWorkload` chunk by chunk.
+        """Inject a request stream at its arrival times, chunk by chunk.
 
-        Injects one column chunk of arrivals through ``schedule_many``,
-        then arms a refill: when the arrival ``low_water`` requests from
-        the chunk's tail fires, the *next* chunk is drawn (its RNG state
-        picks up exactly where the previous chunk left off) and injected
-        — so the arrival lane and live request objects stay bounded by one
-        chunk plus in-flight work instead of the whole trace.
+        A :class:`~repro.traces.Workload` or
+        :class:`~repro.traces.StreamingWorkload` is fed in blocks of
+        ``minutes_per_chunk`` minutes (:meth:`~repro.traces.Workload.chunks`):
+        each block's arrival column enters the kernel's arrival lane through
+        :meth:`~repro.sim.Simulator.schedule_many` — no event object, heap
+        entry or sift per request — and a refill is armed at the arrival
+        ``low_water`` rows from the block's tail, which injects the next
+        block (the last block arms none).  So the lane holds at most one
+        block plus that tail, never the stream.  A ``Workload`` builds each
+        request when its arrival fires
+        (:meth:`~repro.traces.Workload.arrivals`): none exists before its
+        arrival, none is kept past its completion, and replaying the
+        workload again builds fresh ones.  A ``StreamingWorkload`` draws
+        each block and builds its requests
+        (:meth:`~repro.traces.StreamingWorkload.materialize`) at the refill.
 
         The refill event carries ``priority=-1``: it beats the same-time
         arrival in the tie-break, so the lane never runs dry mid-stream.
-        Scheduling is deterministic — chunk boundaries and refill times
-        are pure functions of the workload spec.
+        Chunk boundaries and refill times are pure functions of the
+        workload; the chunking changes how much of the stream is in
+        memory, not what the run decides
+        (``tests/experiments/test_streaming_replay.py`` replays every
+        chunking against a one-block injection).
+
+        Any other iterable of requests is injected whole, as given — the
+        way to hold the objects a replay mutates
+        (``submit_workload(workload.requests())``).
         """
+        if not isinstance(workload, (Workload, StreamingWorkload)):
+            requests = list(workload)
+            self.sim.schedule_many(
+                [r.arrival_time for r in requests],
+                self.scheduler.submit,
+                ((r,) for r in requests),
+            )
+            return
         if low_water < 1:
             raise ValueError("low_water must be >= 1")
-        chunk_iter = workload.chunks(minutes_per_chunk=minutes_per_chunk)
+        chunk_iter = workload.chunks(minutes_per_chunk)
+        submit = self.scheduler.submit
+        minutes = workload.spec.minutes
 
         def inject_next() -> None:
             for chunk in chunk_iter:
                 n = len(chunk)
                 if not n:  # idle minutes: nothing to schedule, keep pulling
                     continue
-                requests = workload.materialize(chunk)
-                times = chunk.arrival_times.tolist()
-                self.sim.schedule_many(
-                    times, self.scheduler.submit, ((r,) for r in requests)
-                )
-                refill_at = times[max(0, n - low_water)]
-                self.sim.schedule_at(refill_at, inject_next, priority=-1)
+                times, fn, args = workload.arrivals(chunk, submit)
+                self.sim.schedule_many(times, fn, args)
+                if chunk.start_minute + chunk.minutes < minutes:  # more to come
+                    self.sim.schedule_at(
+                        times[max(0, n - low_water)], inject_next, priority=-1
+                    )
                 return
 
         inject_next()
+
+    #: the same injector, under the name streaming callers use
+    submit_workload_streaming = submit_workload
 
     def run(self, until: float | None = None) -> None:
         """Advance the simulation (drains all work when ``until`` is None)."""

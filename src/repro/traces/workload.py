@@ -28,14 +28,17 @@ them into two flat columns:
 
 No :class:`~repro.core.request.InferenceRequest` objects are built during
 extraction, and a ``Workload`` holds none: it is immutable columns.
-:meth:`Workload.arrivals` is what a replay injects — the arrival column
-plus one callback whose k-th call builds row k's request, so
+:meth:`Workload.chunks` slices them into :class:`WorkloadChunk` views of a
+few minutes each (no copy, no draw), and :meth:`Workload.arrivals` is what
+a replay injects per chunk — the chunk's arrival column plus one callback
+whose k-th call builds the chunk's row k, so
 :meth:`~repro.runtime.system.FaaSCluster.submit_workload` creates each
-request when its arrival fires and a replay never holds the stream as
-objects.  :meth:`Workload.requests` builds the same objects eagerly, fresh
-on every call, for a caller that wants to hold (or inspect) what a replay
-mutates; column-only consumers (``describe``, ``counts`` reductions, the
-Belady oracle) never build one.
+request when its arrival fires and a replay holds neither the stream as
+objects nor more than one chunk of it as Python lists.
+:meth:`Workload.requests` builds the same objects eagerly, fresh on every
+call, for a caller that wants to hold (or inspect) what a replay mutates;
+column-only consumers (``describe``, ``counts`` reductions, the Belady
+oracle) never build one.
 
 The seed's literal per-request loop is the oracle in
 ``tests/traces/test_workload_columnar.py``, which proves the columns
@@ -54,7 +57,9 @@ in :class:`WorkloadChunk` blocks of a few minutes each.  Concatenating
 every chunk reproduces ``build_workload``'s columns byte for byte (proven
 by ``tests/traces/test_workload_chunks.py``), but a million-request replay
 only ever holds one chunk's columns (and its request objects, built by
-:meth:`StreamingWorkload.materialize`) at a time.
+:meth:`StreamingWorkload.materialize`) at a time.  Both kinds answer
+``chunks`` and ``arrivals(chunk, submit)``, so the runtime has one
+chunked injector for either.
 """
 
 from __future__ import annotations
@@ -115,6 +120,26 @@ def spec_for_requests(n_requests: int, *, seed: int = 0) -> WorkloadSpec:
 
 
 @dataclass(frozen=True)
+class WorkloadChunk:
+    """A contiguous block of the request stream, as columns.
+
+    ``arrival_times`` is ascending within each minute (and minutes are
+    emitted in order, so across a chunk too);  ``function_index`` indexes
+    the owning workload's ``function_ids``.  A :class:`Workload`'s chunks
+    are views of its columns; a :class:`StreamingWorkload` draws each.
+    """
+
+    start_minute: int
+    minutes: int
+    start_row: int  # stream row of the chunk's first request
+    arrival_times: np.ndarray
+    function_index: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.arrival_times.shape[0])
+
+
+@dataclass(frozen=True)
 class Workload:
     """A ready-to-submit request stream plus its provenance.
 
@@ -136,46 +161,75 @@ class Workload:
     def __post_init__(self) -> None:
         if np.any(self.arrival_times[1:] < self.arrival_times[:-1]):
             raise ValueError("arrival_times must be ascending")
+        if int(self.counts.sum()) != len(self):
+            raise ValueError("counts must sum to the number of rows")
 
     def __len__(self) -> int:
         return int(self.arrival_times.shape[0])
 
+    def chunks(self, minutes_per_chunk: int = 8) -> Iterator[WorkloadChunk]:
+        """The held columns as :class:`WorkloadChunk` views of
+        ``minutes_per_chunk`` minutes each, row bounds from ``counts``:
+        slices, not copies, and no RNG draw (the same blocks
+        :meth:`StreamingWorkload.chunks` draws for the same spec)."""
+        if minutes_per_chunk < 1:
+            raise ValueError("minutes_per_chunk must be >= 1")
+        minutes = self.spec.minutes
+        per_minute = self.counts.sum(axis=0).tolist()
+        lo = 0
+        for start in range(0, minutes, minutes_per_chunk):
+            stop = min(start + minutes_per_chunk, minutes)
+            hi = lo + sum(per_minute[start:stop])
+            yield WorkloadChunk(
+                start_minute=start,
+                minutes=stop - start,
+                start_row=lo,
+                arrival_times=self.arrival_times[lo:hi],
+                function_index=self.function_index[lo:hi],
+            )
+            lo = hi
+
     def arrivals(
-        self, submit: Callable[[InferenceRequest], None]
-    ) -> tuple[list[float], Callable[[], None]]:
-        """``(times, arrive)``: the arrival column as floats, and one
-        callback whose k-th call builds row k's request (``request_id``
-        k + 1) and passes it to ``submit``.
+        self, chunk: WorkloadChunk, submit: Callable[[InferenceRequest], None]
+    ) -> tuple[list[float], Callable[[], None], None]:
+        """``(times, arrive, None)``, the arguments of
+        :meth:`~repro.sim.Simulator.schedule_many` for one chunk: its
+        arrival column as floats, and one callback whose k-th call builds
+        the chunk's row k (``request_id`` ``chunk.start_row + k + 1``) and
+        passes it to ``submit``.
 
         Scheduled once per row at ``times`` — an ascending column fires in
         row order, so a cursor names the row and no entry carries
         arguments.  ``arrive`` makes no builtin call: it is one frame per
         request on the replay's hot path.
         """
-        times = self.arrival_times.tolist()
-        rows = self.function_index.tolist()
+        times = chunk.arrival_times.tolist()
+        rows = chunk.function_index.tolist()
         functions = [(fid, self.instances[fid]) for fid in self.function_ids]
         batch, sla = self.spec.batch_size, self.spec.sla_s
         row = 0
+        first_id = chunk.start_row + 1
 
         def arrive() -> None:
             nonlocal row
             fid, model = functions[rows[row]]
             t = times[row]
+            rid = first_id + row
             row += 1
             # positional: CPython binds keyword arguments measurably slower
-            submit(InferenceRequest(fid, model, t, row, batch, None, sla))
+            submit(InferenceRequest(fid, model, t, rid, batch, None, sla))
 
-        return times, arrive
+        return times, arrive, None
 
     def requests(self) -> list[InferenceRequest]:
         """The stream as request objects, row ``i`` as ``request_id``
         ``i + 1`` — built fresh on every call, so two calls share nothing
         and a replay of one mutates only those."""
         built: list[InferenceRequest] = []
-        _, arrive = self.arrivals(built.append)
-        for _ in range(len(self)):
-            arrive()
+        for chunk in self.chunks(self.spec.minutes):
+            _, arrive, _ = self.arrivals(chunk, built.append)
+            for _ in range(len(chunk)):
+                arrive()
         return built
 
     @property
@@ -346,25 +400,6 @@ def build_workload(
 # ----------------------------------------------------------------------
 # Streaming (chunked) pipeline
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkloadChunk:
-    """A contiguous block of the request stream, as columns.
-
-    ``arrival_times`` is ascending within each minute (and minutes are
-    emitted in order, so across a chunk too);  ``function_index`` indexes
-    the owning :class:`StreamingWorkload`'s ``function_ids``.
-    """
-
-    start_minute: int
-    minutes: int
-    start_row: int  # stream row of the chunk's first request
-    arrival_times: np.ndarray
-    function_index: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.arrival_times.shape[0])
-
-
 @dataclass
 class StreamingWorkload:
     """The §V-A request stream as a re-iterable sequence of column chunks.
@@ -436,6 +471,16 @@ class StreamingWorkload:
                 arrival_times=np.concatenate(arrival_parts),
                 function_index=np.concatenate(fn_parts),
             )
+
+    def arrivals(
+        self, chunk: WorkloadChunk, submit: Callable[[InferenceRequest], None]
+    ) -> tuple[list[float], Callable[[InferenceRequest], None], Iterator[tuple]]:
+        """``(times, submit, args)``, the arguments of
+        :meth:`~repro.sim.Simulator.schedule_many` for one chunk: its
+        arrival column as floats and one ``(request,)`` per row, the
+        chunk's requests built up front by :meth:`materialize`."""
+        requests = self.materialize(chunk)
+        return chunk.arrival_times.tolist(), submit, ((r,) for r in requests)
 
     def materialize(self, chunk: WorkloadChunk) -> list[InferenceRequest]:
         """Build one chunk's request objects (the only ones alive at once).

@@ -32,6 +32,7 @@ from repro.core.decisions import Decision
 from repro.core.gpu_manager import LatencyRecord
 from repro.core.request import InferenceRequest
 from repro.datastore.kv import KeyValue
+from repro.metrics.summary import per_architecture_breakdown, summarize
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.sim import Event
 from repro.traces import build_workload, spec_for_requests
@@ -150,15 +151,17 @@ def test_retained_bytes_per_request():
 
 
 #: tracemalloc's peak traced bytes per extra completed request between an
-#: 8k and a 16k §V-A replay: 201.0 measured (CPython 3.11, the same to the
+#: 8k and a 16k §V-A replay: 147.8 measured (CPython 3.11, the same to the
 #: digit under hash seeds 0, 1 and 2), plus 4 % headroom for interpreter
 #: builds.  The commit before a replay built each request at its arrival
 #: read 328.0: ``Workload.requests`` built every ``InferenceRequest``
 #: before the first event, so the peak held the whole stream as objects.
-#: What remains is columns: the workload's two, the kernel lane's time and
-#: args lists, the arrival callback's row lists, the metrics window's row
-#: and the decision ring.
-PEAK_BYTES_PER_REQUEST = 209.0
+#: The one before a flat workload was injected in 8-minute chunks read
+#: 201.1: the kernel lane's time and args lists and the arrival callback's
+#: row lists covered the whole stream until its last arrival.  What remains
+#: is columns: the workload's two, the metrics window's row and the
+#: decision ring; those lists now hold one chunk.
+PEAK_BYTES_PER_REQUEST = 154.0
 
 
 def test_peak_bytes_per_request():
@@ -172,3 +175,50 @@ def test_peak_bytes_per_request():
     assert extra == 7800
     per_request = (large_peak - small_peak) / extra
     assert per_request <= PEAK_BYTES_PER_REQUEST, f"{per_request:.1f} B/request"
+
+
+#: tracemalloc bytes per completed row that ``summarize`` and
+#: ``per_architecture_breakdown`` may allocate at their peak, and keep,
+#: on the 16k replay: 17.4 and 0.2 measured (two float64 temporaries: the
+#: latency column and one copy of it).  The commit before they read the
+#: metrics window in place read 62.5 and 46.2 for ``summarize``: it copied
+#: all nine columns out of the window and cached the copies.
+SUMMARIZE_PEAK_BYTES_PER_ROW = 24.0
+SUMMARIZE_RETAINED_BYTES_PER_ROW = 1.0
+
+
+def test_summarize_reads_the_window_in_place():
+    """The summaries reduce the metrics window where it lies: no column
+    copy, none cached, and the window still grows afterwards."""
+    warm = FaaSCluster(SystemConfig(policy="lalbo3"))
+    warm.submit_workload(build_workload(spec_for_requests(2000)))
+    warm.run()
+    # first-use caches (NumPy's percentile path, interned names) fill here
+    summarize(warm.metrics, warm.cluster)
+    per_architecture_breakdown(warm.metrics)
+    system = FaaSCluster(SystemConfig(policy="lalbo3"))
+    system.submit_workload(build_workload(spec_for_requests(16000)))
+    system.run()
+    metrics = system.metrics
+    rows = metrics.completed_count
+    assert metrics.window_open and rows == 15925
+    for reduce in (
+        lambda: summarize(metrics, system.cluster),
+        lambda: per_architecture_breakdown(metrics),
+    ):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reduce()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peak_per_row = (peak - before) / rows
+        retained_per_row = (retained - before) / rows
+        assert peak_per_row <= SUMMARIZE_PEAK_BYTES_PER_ROW, f"{peak_per_row:.1f} B/row peak"
+        assert retained_per_row <= SUMMARIZE_RETAINED_BYTES_PER_ROW, (
+            f"{retained_per_row:.1f} B/row retained"
+        )
+    # no view of the buffer outlived the reads: the window still extends
+    metrics._window.extend(metrics._window[-9:])

@@ -3,10 +3,13 @@
 The streaming pipeline (chunked columns → low-water refill → capped
 metrics window → KV autocompaction) must change *where requests live*,
 never *what the run computes*: while the run fits the metrics window its
-summary is byte-identical to the batch pipeline's, for any chunking.
+summary is byte-identical to the batch pipeline's, for any chunking.  A
+flat ``Workload`` goes through the same chunked injector, so its
+chunking must be just as invisible.
 """
 
 import gc
+import hashlib
 
 import pytest
 
@@ -33,13 +36,12 @@ def replay_streaming(spec, config=None):
     )
 
 
-def run_by_hand(system, workload, **chunking):
-    """The driver's steps spelled out: the reference arm, and the way to
-    vary the chunking parameters ``submit_workload_streaming`` owns."""
-    if chunking:
-        system.submit_workload_streaming(workload, **chunking)
-    else:
-        system.submit_workload(workload)
+def run_by_hand(system, workload, *, submitted=None, **chunking):
+    """The driver's steps spelled out: the way to vary the chunking
+    parameters of ``submit_workload`` (``submit_workload_streaming`` is
+    the same injector under its streaming name), or to submit something
+    else for ``workload`` (its request list)."""
+    system.submit_workload(workload if submitted is None else submitted, **chunking)
     system.run()
     return summarize(
         system.metrics,
@@ -84,6 +86,66 @@ class TestBatchParity:
             system.submit_workload_streaming(
                 build_workload_streaming(SPEC), low_water=0
             )
+
+
+#: ten minutes, so an 8-minute chunk is not the whole stream
+FLAT_SPEC = WorkloadSpec(working_set=15, minutes=10, sla_s=2.0, seed=0)
+
+
+def decisions_sha(system) -> str:
+    h = hashlib.sha256()
+    for row in system.scheduler.decisions:
+        h.update(repr(tuple(row)).encode())
+    return h.hexdigest()
+
+
+def flat_run(workload, **inject):
+    system = FaaSCluster(SystemConfig())
+    summary = run_by_hand(system, workload, **inject)
+    return summary, decisions_sha(system)
+
+
+class TestFlatChunking:
+    """A flat replay's chunk size and low-water mark are invisible: the
+    summary and the decision log equal those of the whole column injected
+    in one ``schedule_many`` (the caller-held request list), and those of
+    the streaming replay of the same spec."""
+
+    @pytest.fixture(scope="class")
+    def one_column(self):
+        workload = build_workload(FLAT_SPEC)
+        return flat_run(workload, submitted=workload.requests())
+
+    @pytest.mark.parametrize("low_water", [1, 1024])
+    @pytest.mark.parametrize("minutes_per_chunk", [1, 3, 8, FLAT_SPEC.minutes + 1])
+    def test_chunking_is_invisible(self, one_column, minutes_per_chunk, low_water):
+        got = flat_run(
+            build_workload(FLAT_SPEC),
+            minutes_per_chunk=minutes_per_chunk,
+            low_water=low_water,
+        )
+        assert got == one_column
+
+    def test_flat_equals_streaming(self, one_column):
+        assert flat_run(build_workload(FLAT_SPEC)) == one_column
+        assert flat_run(build_workload_streaming(FLAT_SPEC)) == one_column
+
+    def test_chunks_are_views_of_the_columns(self):
+        """``Workload.chunks`` slices what the workload holds (row bounds
+        from ``counts``) into the blocks ``StreamingWorkload.chunks`` draws."""
+        w = build_workload(FLAT_SPEC)
+        flat = list(w.chunks(3))
+        drawn = list(build_workload_streaming(FLAT_SPEC).chunks(3))
+        assert [(c.start_minute, c.minutes, c.start_row) for c in flat] == [
+            (c.start_minute, c.minutes, c.start_row) for c in drawn
+        ]
+        for c, d in zip(flat, drawn):
+            assert c.arrival_times.base is w.arrival_times
+            assert c.function_index.base is w.function_index
+            assert c.arrival_times.tolist() == d.arrival_times.tolist()
+            assert c.function_index.tolist() == d.function_index.tolist()
+        with pytest.raises(ValueError):
+            next(w.chunks(0))
 
 
 class TestFlatMemoryState:

@@ -135,6 +135,12 @@ class TestRequestsAtArrival:
         with pytest.raises(ValueError, match="ascending"):
             replace(w, arrival_times=w.arrival_times[::-1].copy())
 
+    def test_counts_must_sum_to_the_rows(self, trace):
+        """``chunks`` takes its row bounds from ``counts``."""
+        w = build_workload(WorkloadSpec(working_set=5, minutes=1), trace=trace)
+        with pytest.raises(ValueError, match="counts"):
+            replace(w, arrival_times=w.arrival_times[:-1], function_index=w.function_index[:-1])
+
     def test_submit_builds_each_request_at_its_arrival(self, trace):
         """``submit_workload`` injects the arrival column alone: no request
         exists before the run, and each completes with the fields and the
