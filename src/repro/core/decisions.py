@@ -5,23 +5,26 @@ queue moves, O3 promotions — with the reason, so tests can assert the
 Algorithm-1/2 semantics directly and operators can audit why a request
 landed where it did.
 
-The log is a bounded ring stored as typed columns, one slot per field of
-:class:`Decision`: the time in an ``array('d')``, the request id and visits
-in ``array('q')``, the kind as a one-byte code, and the model and GPU id
-as references to the strings the requests and devices already hold.  A
-row costs ~49 bytes, where a 6-tuple plus its deque slot cost ~104, and
-nothing in it is an object the cyclic collector tracks.  The columns grow
-in blocks of :data:`BLOCK` rows up to ``maxlen`` (a small system never pays
-for the whole ring), a row is written by item assignment (no call per
-row), and :class:`Decision` views are minted only on read.
+The log is a bounded ring stored as narrow typed columns, one slot per
+field of :class:`Decision`: the time in an ``array('d')``, the request id
+and visits as ``uint32``, the kind as a one-byte code, and the model and GPU
+id as ``uint16`` codes minted by a :class:`CodeTable` each, whose code →
+string tables grow with the model set and the cluster, never with the
+trace.  A
+row costs 21 bytes, where a 6-tuple plus its deque slot cost ~104, and
+nothing in it is an object the cyclic collector tracks.  A value that does
+not fit its column raises ``OverflowError`` and the row is not appended.
+The columns grow in blocks of :data:`BLOCK` rows up to ``maxlen`` (a small
+system never pays for the whole ring), a row is written by item assignment
+(no call per row), and :class:`Decision` views are minted only on read.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from itertools import chain, starmap
-from typing import Iterator, NamedTuple
+from itertools import chain
+from typing import Hashable, Iterator, NamedTuple
 
 __all__ = ["DecisionKind", "Decision", "DecisionLog"]
 
@@ -57,8 +60,31 @@ _KINDS = tuple(DecisionKind)
 _CODE = {kind._value_: code for code, kind in enumerate(_KINDS)}
 
 
-def _named(time_s, code, request_id, model_id, gpu_id, visits) -> Decision:
-    return Decision(time_s, _KINDS[code], request_id, model_id, gpu_id, visits)
+class CodeTable(dict):
+    """Value → dense code, ``names[code]`` the value back.
+
+    A subscript mints the next code for a value not seen yet (in
+    ``__missing__``, so a known value costs a dict lookup and no call);
+    ``get`` looks up without minting.  Past :attr:`LIMIT` codes a new
+    value raises ``OverflowError`` instead of taking a code its ``uint16``
+    column cannot hold.
+    """
+
+    __slots__ = ("names",)
+    #: codes a ``uint16`` column holds
+    LIMIT = 1 << 16
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: list = []
+
+    def __missing__(self, value: Hashable) -> int:
+        code = len(self.names)
+        if code >= self.LIMIT:
+            raise OverflowError(f"more than {self.LIMIT} distinct values: {value!r}")
+        self[value] = code
+        self.names.append(value)
+        return code
 
 
 class DecisionLog:
@@ -74,10 +100,12 @@ class DecisionLog:
         self._capacity = 0
         self._time = array("d")
         self._kind = bytearray()
-        self._request = array("q")
-        self._model: list[str | None] = []
-        self._gpu: list[str | None] = []
-        self._visits = array("q")
+        self._request = array("I")
+        self._model = array("H")
+        self._gpu = array("H")
+        self._visits = array("I")
+        self._models = CodeTable()
+        self._gpus = CodeTable()
         self._counts = [0] * len(_KINDS)  # rows appended, by kind code
 
     def _grow(self) -> None:
@@ -86,10 +114,10 @@ class DecisionLog:
         zeros = bytes(8 * block)
         self._time.frombytes(zeros)
         self._kind += zeros[:block]
-        self._request.frombytes(zeros)
-        self._model += [None] * block
-        self._gpu += [None] * block
-        self._visits.frombytes(zeros)
+        self._request.frombytes(zeros[: 4 * block])
+        self._model.frombytes(zeros[: 2 * block])
+        self._gpu.frombytes(zeros[: 2 * block])
+        self._visits.frombytes(zeros[: 4 * block])
 
     def append(self, time_s: float, kind: DecisionKind, request_id: int,
                model_id: str, gpu_id: str | None, visits: int = 0) -> None:
@@ -99,12 +127,14 @@ class DecisionLog:
         if i == self._capacity:
             self._grow()
         code = _CODE[kind._value_]
+        model = self._models[model_id]
+        gpu = self._gpus[gpu_id]
+        self._request[i] = request_id
+        self._visits[i] = visits
+        self._model[i] = model
+        self._gpu[i] = gpu
         self._time[i] = time_s
         self._kind[i] = code
-        self._request[i] = request_id
-        self._model[i] = model_id
-        self._gpu[i] = gpu_id
-        self._visits[i] = visits
         self._counts[code] += 1
         self.appended = n + 1
 
@@ -116,7 +146,8 @@ class DecisionLog:
         return min(self.appended, self._maxlen)
 
     def _slots(self, start: int, stop: int):
-        """Raw rows of ring slots ``[start, stop)``, kind as its code."""
+        """Raw rows of ring slots ``[start, stop)``: the kind, model and GPU
+        as their codes."""
         return zip(
             self._time[start:stop], self._kind[start:stop], self._request[start:stop],
             self._model[start:stop], self._gpu[start:stop], self._visits[start:stop],
@@ -132,8 +163,15 @@ class DecisionLog:
             return self._slots(start, end)
         return chain(self._slots(maxlen + start, maxlen), self._slots(0, end))
 
+    def _named(self, rows) -> Iterator[Decision]:
+        models, gpus = self._models.names, self._gpus.names
+        return (
+            Decision(time_s, _KINDS[kind], request_id, models[model], gpus[gpu], visits)
+            for time_s, kind, request_id, model, gpu, visits in rows
+        )
+
     def __iter__(self) -> Iterator[Decision]:
-        return starmap(_named, self._newest(len(self)))
+        return self._named(self._newest(len(self)))
 
     def count(self, kind: DecisionKind) -> int:
         return self._counts[_CODE[kind._value_]]
@@ -143,14 +181,17 @@ class DecisionLog:
         return {kind._value_: n for kind, n in zip(_KINDS, self._counts) if n}
 
     def for_request(self, request_id: int) -> list[Decision]:
-        return [_named(*row) for row in self._newest(len(self)) if row[2] == request_id]
+        return list(self._named(row for row in self._newest(len(self)) if row[2] == request_id))
 
-    def for_gpu(self, gpu_id: str) -> list[Decision]:
-        return [_named(*row) for row in self._newest(len(self)) if row[4] == gpu_id]
+    def for_gpu(self, gpu_id: str | None) -> list[Decision]:
+        code = self._gpus.get(gpu_id)
+        if code is None:  # never appended: no row names it
+            return []
+        return list(self._named(row for row in self._newest(len(self)) if row[4] == code))
 
     def last(self, n: int = 10) -> list[Decision]:
         """The newest ``n`` decisions, oldest first (``[]`` for ``n <= 0``)."""
-        return list(starmap(_named, self._newest(max(0, min(n, len(self))))))
+        return list(self._named(self._newest(max(0, min(n, len(self))))))
 
     def hit_rate(self) -> float:
         """Hit fraction among every plain dispatch appended (local/moves hit too)."""

@@ -10,14 +10,14 @@ The collector observes two event streams:
   top one model".
 
 Completions land in **an exact window that closes**.  While the window is
-open every completion extends one typed buffer, an ``array('d')`` of
-stride :data:`_STRIDE`, by its row of scalars (arrival / dispatch /
-completion stamps, interned model / GPU / architecture codes, hit and SLA
-outcomes) — 72 bytes and no object per completion, and the only record of
-it: the request itself is not kept.  :mod:`~repro.metrics.summary`
-reduces a NumPy view of the buffer in place, and
-:meth:`MetricsCollector.columns` copies its columns out into typed arrays
-for a caller that keeps them.
+open every completion appends one packed :data:`_ROW` record to a
+``bytearray`` (arrival / dispatch / completion stamps and the SLA as
+float64, interned model / GPU / architecture codes as uint16, the hit
+outcome as int8 and the false miss as a bool) — 40 bytes and no object per
+completion, and the only record of it: the request itself is not kept.
+:mod:`~repro.metrics.summary` reduces a NumPy structured view of the
+buffer in place, and :meth:`MetricsCollector.columns` copies its fields
+out into typed arrays for a caller that keeps them.
 The per-model / miss counters are maintained *running* on
 :meth:`MetricsCollector.on_complete`, so queries like
 :meth:`most_invoked_model` cost O(models) — never a rescan of the rows.
@@ -43,21 +43,32 @@ passes ``SystemConfig.retention``.
 
 from __future__ import annotations
 
-from array import array
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.decisions import CodeTable
 from ..core.request import InferenceRequest
 from ..sim import Simulator
 from .histogram import LogHistogram
 
 __all__ = ["MetricsCollector", "CompletionColumns"]
 
-#: fields per completion row in the open window's buffer, in
-#: :class:`CompletionColumns` order
-_STRIDE = 9
+#: one completion in the open window, 40 bytes with every float64 at an
+#: 8-byte offset: arrival, dispatched (NaN: never), completed and SLA (NaN:
+#: none) stamps, model / GPU / architecture codes (a :class:`CodeTable`
+#: raises before a code outgrows its uint16), hit (1 / 0 / -1 unknown) and
+#: false miss
+_ROW = struct.Struct("<ddddHHHb?")
+#: the same record as a NumPy structured dtype, for views of the window
+_ROW_DTYPE = np.dtype([
+    ("arrival", "<f8"), ("dispatched", "<f8"), ("completed", "<f8"), ("sla_s", "<f8"),
+    ("model", "<u2"), ("gpu", "<u2"), ("architecture", "<u2"),
+    ("cache_hit", "i1"), ("false_miss", "?"),
+])
+assert _ROW_DTYPE.itemsize == _ROW.size
 
 
 @dataclass(frozen=True)
@@ -102,24 +113,6 @@ class _ArchStream:
         self.misses = 0
 
 
-class _Interner:
-    """String → dense int32 code, with the reverse table public."""
-
-    __slots__ = ("codes", "names")
-
-    def __init__(self) -> None:
-        self.codes: dict[str, int] = {}
-        self.names: list[str] = []
-
-    def code(self, name: str) -> int:
-        c = self.codes.get(name)
-        if c is None:
-            c = len(self.names)
-            self.codes[name] = c
-            self.names.append(name)
-        return c
-
-
 class MetricsCollector:
     """Accumulates per-request and cache-residency statistics."""
 
@@ -150,19 +143,19 @@ class MetricsCollector:
         self.tracer = None
         #: (fault kind, target, repair seconds) per healed fault
         self.repairs: list[tuple[str, str, float]] = []
-        self._models = _Interner()
-        self._gpus = _Interner()
-        self._archs = _Interner()
+        self._models = CodeTable()
+        self._gpus = CodeTable()
+        self._archs = CodeTable()
         #: model_id -> (model code, architecture code), resolved once
         self._model_codes: dict[str, tuple[int, int]] = {}
         self._n = 0
         #: completions the window holds before it closes (None = never)
         self.exact_cap = exact_cap
-        #: the open window: one row of _STRIDE float64 fields per
-        #: completion (one extend per completion; a NumPy scalar store
-        #: costs several times that), read in place through _rows().
-        #: None once the window has closed.
-        self._window: array | None = array("d")
+        #: the open window: one packed _ROW per completion (one append
+        #: per completion; a NumPy scalar store costs several times
+        #: that), read in place through _rows().  None once the window
+        #: has closed.
+        self._window: bytearray | None = bytearray()
         # fold state: empty while the window is open, filled by _fold
         self.lat_hist = LogHistogram()
         self._arch_stats: dict[int, _ArchStream] = {}
@@ -177,35 +170,37 @@ class MetricsCollector:
     def on_complete(self, request: InferenceRequest) -> None:
         if request.completed_at is None:
             raise ValueError(f"request {request.request_id} has not completed")
+        model_id = request.model_id
+        # the codes first: a code table past its uint16 raises before any
+        # counter moves
+        try:
+            model, arch = self._model_codes[model_id]
+        except KeyError:
+            model, arch = self._model_codes[model_id] = (
+                self._models[model_id], self._archs[request.model.architecture]
+            )
+        gpu = self._gpus[request.gpu_id or "?"]
         if request.retries:
             self.retries_total += request.retries
-        model_id = request.model_id
         self._invocations[model_id] = self._invocations.get(model_id, 0) + 1
         hit = request.cache_hit
         if hit is False:
             self.miss_count += 1
         if request.false_miss:
             self.false_miss_count += 1
-        codes = self._model_codes.get(model_id)
-        if codes is None:
-            codes = self._model_codes[model_id] = (
-                self._models.code(model_id),
-                self._archs.code(request.model.architecture),
-            )
         dispatched = request.dispatched_at if request.dispatched_at is not None else np.nan
-        gpu = self._gpus.code(request.gpu_id or "?")
         hit_code = -1 if hit is None else (1 if hit else 0)
         sla = request.sla_s if request.sla_s is not None else np.nan
         self._n += 1
         window = self._window
         if window is None:
             self._fold(request.arrival_time, dispatched, request.completed_at,
-                       codes[1], hit_code, sla)
+                       arch, hit_code, sla)
         else:
-            window.extend((
-                request.arrival_time, dispatched, request.completed_at, codes[0], gpu,
-                codes[1], hit_code, request.false_miss, sla,
-            ))
+            window += _ROW.pack(
+                request.arrival_time, dispatched, request.completed_at, sla,
+                model, gpu, arch, hit_code, request.false_miss,
+            )
             if self.exact_cap is not None and self._n > self.exact_cap:
                 self._close_window()
 
@@ -245,11 +240,8 @@ class MetricsCollector:
         self._window = None
         self.lost = []
         fold = self._fold
-        for arrival, dispatched, completed, arch, hit, sla in zip(
-            w[0::_STRIDE], w[1::_STRIDE], w[2::_STRIDE], w[5::_STRIDE],
-            w[6::_STRIDE], w[8::_STRIDE],
-        ):
-            fold(arrival, dispatched, completed, int(arch), int(hit), sla)
+        for arrival, dispatched, completed, sla, _, _, arch, hit, _ in _ROW.iter_unpack(w):
+            fold(arrival, dispatched, completed, arch, hit, sla)
 
     @property
     def window_open(self) -> bool:
@@ -270,7 +262,9 @@ class MetricsCollector:
         if w is None:
             return self.lat_hist
         hist = LogHistogram()
-        hist.record_many(map(float.__sub__, w[2::_STRIDE], w[0::_STRIDE]))
+        hist.record_many(
+            completed - arrival for arrival, _, completed, *_ in _ROW.iter_unpack(w)
+        )
         return hist
 
     def on_cache_event(self, kind: str, gpu_id: str, model_id: str, now: float) -> None:
@@ -345,11 +339,12 @@ class MetricsCollector:
         return self._archs.names
 
     def _rows(self) -> np.ndarray:
-        """The open window as a ``(completions, _STRIDE)`` float64 view, no
-        copy, columns in :class:`CompletionColumns` order.  The view
-        exports the buffer, and an exporting array cannot grow: the caller
-        drops it, and every view of it, before the next completion."""
-        return np.frombuffer(self._window, dtype=np.float64).reshape(-1, _STRIDE)
+        """The open window as a structured array of :data:`_ROW_DTYPE`, one
+        element per completion, no copy; its fields are named as in
+        :class:`CompletionColumns`.  The view exports the buffer, and an
+        exporting ``bytearray`` cannot grow: the caller drops it, and every
+        view of it, before the next completion."""
+        return np.frombuffer(self._window, dtype=_ROW_DTYPE)
 
     def columns(self) -> CompletionColumns:
         """Typed copies of the open window's completion columns, fresh on
@@ -363,15 +358,15 @@ class MetricsCollector:
             )
         rows = self._rows()
         cols = CompletionColumns(
-            arrival=rows[:, 0].copy(),
-            dispatched=rows[:, 1].copy(),
-            completed=rows[:, 2].copy(),
-            model=rows[:, 3].astype(np.int32),
-            gpu=rows[:, 4].astype(np.int32),
-            architecture=rows[:, 5].astype(np.int32),
-            cache_hit=rows[:, 6].astype(np.int8),
-            false_miss=rows[:, 7].astype(bool),
-            sla_s=rows[:, 8].copy(),
+            arrival=rows["arrival"].copy(),
+            dispatched=rows["dispatched"].copy(),
+            completed=rows["completed"].copy(),
+            model=rows["model"].astype(np.int32),
+            gpu=rows["gpu"].astype(np.int32),
+            architecture=rows["architecture"].astype(np.int32),
+            cache_hit=rows["cache_hit"].copy(),
+            false_miss=rows["false_miss"].copy(),
+            sla_s=rows["sla_s"].copy(),
         )
         del rows  # every column is a copy: the view dies before the return
         return cols

@@ -90,9 +90,9 @@ def per_architecture_breakdown(collector: MetricsCollector) -> dict[str, dict[st
     cells: dict[int, tuple[int, float, float, float]] = {}
     if collector.window_open:
         rows = collector._rows()
-        lat = rows[:, 2] - rows[:, 0]  # completed - arrival
-        misses = rows[:, 6] == 0  # cache_hit
-        architecture = rows[:, 5]
+        lat = rows["completed"] - rows["arrival"]
+        misses = rows["cache_hit"] == 0
+        architecture = rows["architecture"]
         for code in range(len(names)):
             mask = architecture == code
             sel = lat[mask]
@@ -150,9 +150,9 @@ def summarize(
         # the rows in place: each difference is a fresh contiguous array,
         # so every reduction sees the values and layout a column copy had
         rows = collector._rows()
-        queueing_mean = float(np.mean(rows[:, 1] - rows[:, 0]))  # dispatched - arrival
-        lat = rows[:, 2] - rows[:, 0]  # completed - arrival
-        sla = rows[:, 8]
+        queueing_mean = float(np.mean(rows["dispatched"] - rows["arrival"]))
+        lat = rows["completed"] - rows["arrival"]
+        sla = rows["sla_s"]
         with_sla = ~np.isnan(sla)
         n_sla = int(with_sla.sum())
         n_violations = int(np.sum(lat[with_sla] > sla[with_sla]))

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from array import array
 
-from ..metrics.collector import _Interner
+from ..core.decisions import CodeTable
 
 __all__ = ["FlightRecorder"]
 
@@ -96,8 +96,8 @@ class FlightRecorder:
         #: an unsampled span costs a counter bump and a modulo, nothing
         #: more; ``totals`` counts every span either way.
         self.span_stride = span_stride
-        self._models = _Interner()
-        self._gpus = _Interner()
+        self._models = CodeTable()
+        self._gpus = CodeTable()
         # requests ring: one borrowed InferenceRequest reference per
         # completion (stamps are final once complete; fields are read
         # at snapshot time, so the hook is a single list store)
@@ -197,8 +197,8 @@ class FlightRecorder:
         model/GPU strings into :attr:`model_names` / :attr:`gpu_names`
         as it goes."""
         objs = self._r_objs
-        model_code = self._models.code
-        gpu_code = self._gpus.code
+        models = self._models
+        gpus = self._gpus
         state = self._r_state
         rows = []
         for i in self._order(state[1], state[0]):
@@ -212,8 +212,8 @@ class FlightRecorder:
                 -1.0 if dispatched is None else dispatched,
                 -1.0 if exec_start is None else exec_start,
                 r.completed_at,
-                model_code(r.model.instance_id),
-                gpu_code(r.gpu_id or "?"),
+                models[r.model.instance_id],
+                gpus[r.gpu_id or "?"],
                 -1 if hit is None else (1 if hit else 0),
                 r.retries,
             ))

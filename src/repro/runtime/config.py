@@ -36,7 +36,7 @@ class SystemConfig:
     o3_limit: int = DEFAULT_O3_LIMIT
     #: cache replacement policy per GPU: "lru", "fifo", "lfu", "size"
     replacement: str = "lru"
-    #: one bound on every per-request record a replay retains (≥ 1 when
+    #: one bound on the per-request records a replay retains (≥ 1 when
     #: set; None, the default, keeps everything).  It is the Datastore's
     #: MVCC autocompaction horizon (etcd's ``--auto-compaction``
     #: analogue: history below ``revision - retention`` is compacted
@@ -45,7 +45,9 @@ class SystemConfig:
     #: counts and rates stay exact, quantiles hold a ~1 % relative
     #: bound).  Neither is read to schedule, so decisions are the same
     #: at any value; the paper's figures need the exact rows, hence the
-    #: default.
+    #: default.  The scheduler's decision log is not bounded by it: it is
+    #: a ring of the newest 100,000 decisions (``DecisionLog``'s default
+    #: ``maxlen``, ~2 MB) whatever ``retention`` is.
     retention: int | None = None
     #: per-tenant quotas (empty = no isolation limits)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)

@@ -24,7 +24,9 @@ per-request loop — mandated by the seeded parity tests) and concatenates
 them into two flat columns:
 
 * ``Workload.arrival_times`` — float64, ascending within each minute;
-* ``Workload.function_index`` — int64 index into ``function_ids``.
+* ``Workload.function_index`` — index into ``function_ids``, in the
+  smallest unsigned integer dtype that holds ``len(function_ids)``
+  (``uint8`` for every §V working set), cast after the draws.
 
 No :class:`~repro.core.request.InferenceRequest` objects are built during
 extraction, and a ``Workload`` holds none: it is immutable columns.
@@ -378,7 +380,7 @@ def build_workload(
     per_minute = normalized.sum(axis=0)  # requests per minute (== target)
     total = int(per_minute.sum())
     arrival_col = np.empty(total, dtype=np.float64)
-    fn_col = np.empty(total, dtype=np.int64)
+    fn_col = np.empty(total, dtype=np.min_scalar_type(n_functions))
     base = np.arange(n_functions)
     offset = 0
     for m in range(spec.minutes):
@@ -456,6 +458,7 @@ class StreamingWorkload:
         normalized = self.counts
         rng = np.random.default_rng(spec.seed)
         base = np.arange(len(self.function_ids))
+        index_dtype = np.min_scalar_type(len(self.function_ids))
         for start in range(0, spec.minutes, minutes_per_chunk):
             stop = min(start + minutes_per_chunk, spec.minutes)
             arrival_parts = []
@@ -469,7 +472,7 @@ class StreamingWorkload:
                 minutes=stop - start,
                 start_row=int(normalized[:, :start].sum()),
                 arrival_times=np.concatenate(arrival_parts),
-                function_index=np.concatenate(fn_parts),
+                function_index=np.concatenate(fn_parts).astype(index_dtype),
             )
 
     def arrivals(

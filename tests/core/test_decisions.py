@@ -94,7 +94,7 @@ class TestDecisionLog:
 
     def test_a_small_log_does_not_preallocate_its_ring(self):
         """The columns grow a block at a time: ten rows in a default
-        100k-row log cost one block (~50 KB), not the whole ring (~5 MB)."""
+        100k-row log cost one block (~21 KB), not the whole ring (~2 MB)."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -105,20 +105,69 @@ class TestDecisionLog:
         finally:
             tracemalloc.stop()
         assert len(log) == 10
-        assert held < 2 * 49 * decisions.BLOCK
+        assert held < 2 * 21 * decisions.BLOCK
 
     def test_invalid_maxlen(self):
         with pytest.raises(ValueError):
             DecisionLog(maxlen=0)
 
 
+U32_MAX = 2**32 - 1
+
+
+class TestFieldWidths:
+    """Every narrow column reads back its largest value exactly, and a
+    value one past it raises instead of wrapping; the refused row is not
+    appended."""
+
+    @pytest.mark.parametrize("field", ["request_id", "visits"])
+    def test_uint32_fields(self, field):
+        log = DecisionLog()
+        fields = dict(time_s=1.0, kind=DecisionKind.DISPATCH_HIT, request_id=1,
+                      model_id="m", gpu_id="g0", visits=0)
+        log.append(**{**fields, field: U32_MAX})
+        assert getattr(log.last(1)[0], field) == U32_MAX
+        for bad in (U32_MAX + 1, -1):
+            with pytest.raises(OverflowError):
+                log.append(**{**fields, field: bad})
+        assert log.appended == len(log) == 1
+        assert log.count(DecisionKind.DISPATCH_HIT) == 1
+
+    @pytest.mark.parametrize("field", ["model_id", "gpu_id"])
+    def test_uint16_codes(self, field):
+        log = DecisionLog(maxlen=4)
+        fields = dict(time_s=1.0, kind=DecisionKind.DISPATCH_MISS, request_id=1,
+                      model_id="m", gpu_id="g0")
+        for k in range(0x10000):  # every uint16 code
+            log.append(**{**fields, field: f"x{k}"})
+        last = "x65535"
+        assert getattr(log.last(1)[0], field) == last
+        assert [getattr(d, field) for d in log.for_request(1)][-1] == last
+        with pytest.raises(OverflowError):
+            log.append(**{**fields, field: "one too many"})
+        assert log.appended == 0x10000
+        # a value the table already holds still appends
+        log.append(**{**fields, field: last})
+        assert getattr(log.last(1)[0], field) == last
+
+    def test_for_gpu_of_an_unseen_id_mints_no_code(self):
+        log = DecisionLog()
+        log.record(mk(DecisionKind.DISPATCH_HIT, gpu="g0"))
+        log.record(mk(DecisionKind.RESUBMIT, gpu=None))
+        assert log.for_gpu("g9") == []
+        assert log._gpus.names == ["g0", None]
+        assert [d.kind for d in log.for_gpu(None)] == [DecisionKind.RESUBMIT]
+
+
+_MODELS = [f"m{k}" for k in range(40)]
+_GPUS = [f"g{k}" for k in range(12)]
 _rows = st.lists(
     st.tuples(
         st.floats(0, 1e6, allow_nan=False),
         st.sampled_from(list(DecisionKind)),
         st.integers(0, 5),
-        st.sampled_from(["m0", "m1"]),
-        st.sampled_from(["g0", "g1", None]),
+        st.sampled_from(_MODELS),
+        st.sampled_from([*_GPUS, None]),
         st.integers(0, 3),
     ),
     max_size=40,
@@ -129,9 +178,10 @@ _rows = st.lists(
 @given(rows=_rows, maxlen=st.integers(1, 9), block=st.integers(1, 4))
 def test_the_ring_reads_like_the_spec_deque(rows, maxlen, block):
     """Any append sequence on the columnar ring (small ``maxlen``, blocks
-    of 1–4 rows, so growth, wrap and eviction all happen) reads exactly as
-    the literal deque log after every append, and its per-kind counts
-    cover every append (they never fall)."""
+    of 1–4 rows, so growth, wrap and eviction all happen; many model and
+    GPU strings and ``None`` GPU ids, so the code tables fill in any order)
+    reads exactly as the literal deque log after every append, and its
+    per-kind counts cover every append (they never fall)."""
     with mock.patch.object(decisions, "BLOCK", block):
         log, spec = DecisionLog(maxlen=maxlen), SpecDecisionLog(maxlen=maxlen)
         for row in rows:
@@ -147,7 +197,7 @@ def test_the_ring_reads_like_the_spec_deque(rows, maxlen, block):
             assert log.count(kind) == spec.count(kind)
         for request_id in range(6):
             assert log.for_request(request_id) == spec.for_request(request_id)
-        for gpu_id in ("g0", "g1", None):
+        for gpu_id in (*_GPUS, None, "never-seen"):
             assert log.for_gpu(gpu_id) == spec.for_gpu(gpu_id)
         for n in range(-1, maxlen + 2):
             assert log.last(n) == spec.last(n)

@@ -16,19 +16,25 @@ objects per request.
 
 Beside it, a byte count: what tracemalloc sees a replay retain per extra
 completed request, also exact run to run and across hash seeds.  The open
-metrics window and the decision ring store typed columns, so either going
-back to a tuple per row moves it by ~50 bytes per request, and keeping the
+metrics window holds one packed 40-byte record per completion and the
+decision ring 21 bytes of narrow columns per decision, so either going
+back to a tuple per row moves it by ~80 bytes per request, and keeping the
 request objects again by ~270.  And the peak: what tracemalloc's high-water
 mark grows by per extra request, which building every request before the
-first event (rather than at its arrival) raises by ~130 bytes.
+first event (rather than at its arrival) raises by ~130 bytes.  Two exact
+per-row widths pin the layouts themselves: the bytes a full decision ring
+holds per row and the bytes the open window holds per completion.
 """
 
 import gc
 import tracemalloc
+from array import array
 from collections import Counter
 
+import pytest
+
 from repro.core import decisions
-from repro.core.decisions import Decision
+from repro.core.decisions import Decision, DecisionLog
 from repro.core.gpu_manager import LatencyRecord
 from repro.core.request import InferenceRequest
 from repro.datastore.kv import KeyValue
@@ -105,15 +111,19 @@ def test_a_replay_keeps_no_tracked_object_per_request():
 
 
 #: bytes retained per extra completed request between the 2k and the 4k
-#: §V-A replay: 141.9 measured (CPython 3.11), plus 4 % headroom for
-#: interpreter builds.  The commit before a finished request was freed
+#: §V-A replay: 80.4 measured (CPython 3.11, the same to the digit under
+#: hash seeds 0, 1 and 2), plus 4 % headroom for interpreter builds.  The
+#: commit before the decision ring and the metrics window were packed into
+#: narrow rows read 141.9 (a 41-byte decision row, a 72-byte window row of
+#: nine float64 fields, an int64 ``function_index``).  The one before a
+#: finished request was freed
 #: read 414.2 (the metrics window kept each ``InferenceRequest`` and its
 #: list slot), and the one before the metrics window and the decision log
 #: became typed columns 525.0 (a 9-tuple row plus its list slot per
 #: completion, a 6-tuple row plus its deque slot per decision).  The
 #: decision ring grows in 1,024-row blocks, and both replays lie past its
 #: first block (2,737 and 5,360 decisions).
-RETAINED_BYTES_PER_REQUEST = 148.0
+RETAINED_BYTES_PER_REQUEST = 83.6
 
 
 def _traced(requests: int):
@@ -139,7 +149,7 @@ def test_retained_bytes_per_request():
     """The per-request records of a replay are columns: between a 2k and a
     4k replay the retained bytes grow by at most
     :data:`RETAINED_BYTES_PER_REQUEST` per extra completed request (the
-    window's 72-byte row and the decision rows are most of it)."""
+    window's 40-byte row and the decision rows are most of it)."""
     _traced(2000)  # first-use caches (profiles, trace tables) fill here
     small, small_bytes, _ = _traced(2000)
     large, large_bytes, _ = _traced(4000)
@@ -151,9 +161,11 @@ def test_retained_bytes_per_request():
 
 
 #: tracemalloc's peak traced bytes per extra completed request between an
-#: 8k and a 16k §V-A replay: 147.8 measured (CPython 3.11, the same to the
+#: 8k and a 16k §V-A replay: 57.7 measured (CPython 3.11, the same to the
 #: digit under hash seeds 0, 1 and 2), plus 4 % headroom for interpreter
-#: builds.  The commit before a replay built each request at its arrival
+#: builds.  The commit before the decision ring and the metrics window were
+#: packed into narrow rows (and ``function_index`` narrowed to ``uint8``)
+#: read 147.8.  The one before a replay built each request at its arrival
 #: read 328.0: ``Workload.requests`` built every ``InferenceRequest``
 #: before the first event, so the peak held the whole stream as objects.
 #: The one before a flat workload was injected in 8-minute chunks read
@@ -161,7 +173,7 @@ def test_retained_bytes_per_request():
 #: row lists covered the whole stream until its last arrival.  What remains
 #: is columns: the workload's two, the metrics window's row and the
 #: decision ring; those lists now hold one chunk.
-PEAK_BYTES_PER_REQUEST = 154.0
+PEAK_BYTES_PER_REQUEST = 60.0
 
 
 def test_peak_bytes_per_request():
@@ -175,6 +187,58 @@ def test_peak_bytes_per_request():
     assert extra == 7800
     per_request = (large_peak - small_peak) / extra
     assert per_request <= PEAK_BYTES_PER_REQUEST, f"{per_request:.1f} B/request"
+
+
+#: bytes of typed buffer a full decision ring holds per row (a list slot
+#: counted as its 8-byte pointer): 21.05 measured (a float64 time, uint32
+#: request id and visits, a one-byte kind, uint16 model and GPU codes,
+#: plus the per-kind counts).  The commit before the ring was packed read
+#: 41.05: int64 request ids and visits, and a list slot per model and GPU
+#: string.
+RING_BYTES_PER_ROW = 25.0
+#: bytes the open metrics window holds per completion: 40 (one packed
+#: record).  The commit before it was packed read 72: nine float64 fields.
+WINDOW_BYTES_PER_ROW = 40.0
+
+
+def _held_bytes(obj) -> int:
+    """Bytes in ``obj``'s typed-buffer attributes, plus 8 per list slot."""
+    total = 0
+    for value in vars(obj).values():
+        if isinstance(value, list):
+            total += 8 * len(value)
+        elif isinstance(value, (bytearray, array)):
+            total += memoryview(value).nbytes
+    return total
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    """One 2k §V-A replay, drained (system still alive)."""
+    system = FaaSCluster(SystemConfig(policy="lalbo3"))
+    system.submit_workload(build_workload(spec_for_requests(2000)))
+    system.run()
+    return system
+
+
+def test_ring_bytes_per_row(replayed):
+    """The replay's decisions, appended past a full ring of one block,
+    cost at most :data:`RING_BYTES_PER_ROW` bytes per held row."""
+    ring = DecisionLog(maxlen=decisions.BLOCK)
+    for decision in replayed.scheduler.decisions:
+        ring.record(decision)
+    assert ring.appended == 2737 and len(ring) == decisions.BLOCK
+    per_row = _held_bytes(ring) / len(ring)
+    assert per_row <= RING_BYTES_PER_ROW, f"{per_row:.2f} B/row"
+
+
+def test_window_bytes_per_row(replayed):
+    """The open metrics window holds at most :data:`WINDOW_BYTES_PER_ROW`
+    bytes per completed request."""
+    metrics = replayed.metrics
+    assert metrics.window_open and metrics.completed_count == 1950
+    per_row = memoryview(metrics._window).nbytes / metrics.completed_count
+    assert per_row <= WINDOW_BYTES_PER_ROW, f"{per_row:.2f} B/row"
 
 
 #: tracemalloc bytes per completed row that ``summarize`` and
@@ -221,4 +285,5 @@ def test_summarize_reads_the_window_in_place():
             f"{retained_per_row:.1f} B/row retained"
         )
     # no view of the buffer outlived the reads: the window still extends
-    metrics._window.extend(metrics._window[-9:])
+    row = len(metrics._window) // rows
+    metrics._window.extend(metrics._window[-row:])

@@ -293,3 +293,32 @@ class TestWindowLifecycle:
         assert collector.exact_cap is None
         assert not hasattr(collector, "streaming")
 
+
+
+class TestRowWidths:
+    """The window's uint16 model, GPU and architecture codes read back at
+    their largest value exactly; the next new name raises instead of
+    wrapping, before any counter moves."""
+
+    @pytest.mark.parametrize(
+        "table, names, column, name",
+        [
+            ("_models", "model_names", "model", "m-alexnet"),
+            ("_gpus", "gpu_names", "gpu", "gpu0"),
+            ("_archs", "architectures", "architecture", "alexnet"),
+        ],
+    )
+    def test_codes_at_their_maximum(self, table, names, column, name):
+        collector = MetricsCollector(Simulator())
+        codes = getattr(collector, table)
+        for k in range(0xFFFF):  # every code but the last, taken
+            codes[f"taken-{k}"]
+        collector.on_complete(_completed_request(0.0, 1.0, 0.5, "alexnet", True, None))
+        assert getattr(collector.columns(), column).tolist() == [0xFFFF]
+        assert getattr(collector, names)[0xFFFF] == name
+        new = _completed_request(1.0, 1.0, 0.5, "resnet50", True, None)
+        new.gpu_id = "gpu1"
+        with pytest.raises(OverflowError):
+            collector.on_complete(new)
+        assert collector.completed_count == len(collector.columns()) == 1
+        assert collector.miss_count == 0 and sum(collector._invocations.values()) == 1

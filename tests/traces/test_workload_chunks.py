@@ -36,6 +36,8 @@ class TestColumnParity:
         assert np.array_equal(times, whole.arrival_times)
         assert np.array_equal(index, whole.function_index)
         assert stream.function_ids == whole.function_ids
+        # both index columns take the narrowest dtype for their functions
+        assert index.dtype == whole.function_index.dtype == np.uint8
 
     @pytest.mark.parametrize("minutes_per_chunk", [1, 2, 5, 6, 100])
     def test_chunking_granularity_is_invisible(self, minutes_per_chunk):
