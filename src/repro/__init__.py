@@ -35,54 +35,73 @@ Package map
 ``repro.metrics``     per-run collection and §V metric summaries
 ``repro.experiments`` regenerates every table and figure of §V
 ====================  =====================================================
+
+Names import on first access: the package and its subpackages resolve
+their re-exports through :func:`_lazy_exports`, so a trace replay loads
+the scheduler, cache, datastore and metrics modules it runs and not the
+FaaS front-end, the NumPy CNN engine, the tracer or the chaos injector.
 """
 
-from .chaos import FaultPlan, build_fault_plan
-from .cluster import PAPER_TESTBED, ClusterSpec, GPUTypeSpec
-from .core import (
-    InferenceRequest,
-    LALBPolicy,
-    LoadBalancingPolicy,
-    TenancyController,
-    TenantQuota,
-    make_scheduling_policy,
-)
-from .faas import Autoscaler, FunctionSpec, Gateway, Invocation, InvocationStatus
-from .metrics import RunSummary, summarize
-from .models import ModelInstance, ModelProfile, ProfileRegistry, get_profile
-from .runtime import FaaSCluster, SystemConfig
-from .traces import SyntheticAzureTrace, Workload, WorkloadSpec, build_workload
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "FaultPlan",
-    "build_fault_plan",
-    "PAPER_TESTBED",
-    "ClusterSpec",
-    "GPUTypeSpec",
-    "InferenceRequest",
-    "LALBPolicy",
-    "LoadBalancingPolicy",
-    "TenancyController",
-    "TenantQuota",
-    "make_scheduling_policy",
-    "Autoscaler",
-    "FunctionSpec",
-    "Gateway",
-    "Invocation",
-    "InvocationStatus",
-    "RunSummary",
-    "summarize",
-    "ModelInstance",
-    "ModelProfile",
-    "ProfileRegistry",
-    "get_profile",
-    "FaaSCluster",
-    "SystemConfig",
-    "SyntheticAzureTrace",
-    "Workload",
-    "WorkloadSpec",
-    "build_workload",
-    "__version__",
-]
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package whose public
+    names import on first access.
+
+    ``exports`` maps each name to the module, relative to the package,
+    that defines it.  The first access imports that module and binds the
+    value in ``namespace``, so later lookups never reach the hook;
+    ``from package import *`` resolves ``__all__`` through it too.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | exports.keys())
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "FaultPlan": ".chaos",
+    "build_fault_plan": ".chaos",
+    "PAPER_TESTBED": ".cluster",
+    "ClusterSpec": ".cluster",
+    "GPUTypeSpec": ".cluster",
+    "InferenceRequest": ".core",
+    "LALBPolicy": ".core",
+    "LoadBalancingPolicy": ".core",
+    "TenancyController": ".core",
+    "TenantQuota": ".core",
+    "make_scheduling_policy": ".core",
+    "Autoscaler": ".faas",
+    "FunctionSpec": ".faas",
+    "Gateway": ".faas",
+    "Invocation": ".faas",
+    "InvocationStatus": ".faas",
+    "RunSummary": ".metrics",
+    "summarize": ".metrics",
+    "ModelInstance": ".models",
+    "ModelProfile": ".models",
+    "ProfileRegistry": ".models",
+    "get_profile": ".models",
+    "FaaSCluster": ".runtime",
+    "SystemConfig": ".runtime",
+    "SyntheticAzureTrace": ".traces",
+    "Workload": ".traces",
+    "WorkloadSpec": ".traces",
+    "build_workload": ".traces",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -14,24 +14,18 @@ profiles, ``SystemConfig(fault_plan=...)`` for hand-built schedules, the
 ``docs/robustness.md``.
 """
 
-from .health import HealthWatchdog
-from .injector import ChaosInjector
-from .plan import (
-    FAULT_PROFILES,
-    FaultPlan,
-    GPUCrash,
-    LeaseExpiry,
-    Straggler,
-    build_fault_plan,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "FaultPlan",
-    "GPUCrash",
-    "Straggler",
-    "LeaseExpiry",
-    "FAULT_PROFILES",
-    "build_fault_plan",
-    "ChaosInjector",
-    "HealthWatchdog",
-]
+_EXPORTS = {
+    "FaultPlan": ".plan",
+    "GPUCrash": ".plan",
+    "Straggler": ".plan",
+    "LeaseExpiry": ".plan",
+    "FAULT_PROFILES": ".plan",
+    "build_fault_plan": ".plan",
+    "ChaosInjector": ".injector",
+    "HealthWatchdog": ".health",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -4,21 +4,21 @@ A :class:`GPUDevice` owns all of one GPU's state — its resident models
 (one GPU process each), its busy/idle state and its per-state time.
 """
 
-from .gpu import GPUDevice, GPUMemoryError, GPUState
-from .node import GPUNode
-from .pcie import PCIeModel, fit_pcie_model
-from .topology import PAPER_TESTBED, Cluster, ClusterSpec, GPUTypeSpec, build_cluster
+from .. import _lazy_exports
 
-__all__ = [
-    "GPUDevice",
-    "GPUMemoryError",
-    "GPUState",
-    "GPUNode",
-    "PCIeModel",
-    "fit_pcie_model",
-    "PAPER_TESTBED",
-    "Cluster",
-    "ClusterSpec",
-    "GPUTypeSpec",
-    "build_cluster",
-]
+_EXPORTS = {
+    "GPUDevice": ".gpu",
+    "GPUMemoryError": ".gpu",
+    "GPUState": ".gpu",
+    "GPUNode": ".node",
+    "PCIeModel": ".pcie",
+    "fit_pcie_model": ".pcie",
+    "PAPER_TESTBED": ".topology",
+    "Cluster": ".topology",
+    "ClusterSpec": ".topology",
+    "GPUTypeSpec": ".topology",
+    "build_cluster": ".topology",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,63 +1,39 @@
 """The paper's contribution: GPU Manager, Cache Manager, and the
 locality-aware load-balancing Scheduler with its policies."""
 
-from .cache_manager import CacheManager
-from .decisions import Decision, DecisionKind, DecisionLog
-from .estimator import FinishTimeEstimator
-from .gpu_manager import GPUManager
-from .policies import (
-    DEFAULT_O3_LIMIT,
-    LALBPolicy,
-    LoadBalancingPolicy,
-    SCHEDULING_POLICY_NAMES,
-    LocalityOnlyPolicy,
-    SchedulingPolicy,
-    make_scheduling_policy,
-)
-from .queues import GlobalQueue, LocalQueues
-from .replacement import (
-    POLICY_NAMES,
-    BeladyPolicy,
-    EvictionPolicy,
-    FIFOPolicy,
-    LFUPolicy,
-    LRUPolicy,
-    SizeAwarePolicy,
-    make_policy,
-)
-from .request import InferenceRequest, RequestState
-from .scheduler import Scheduler
-from .signals import PassGuard
-from .tenancy import TenancyController, TenantQuota
+from .. import _lazy_exports
 
-__all__ = [
-    "CacheManager",
-    "Decision",
-    "DecisionKind",
-    "DecisionLog",
-    "FinishTimeEstimator",
-    "GPUManager",
-    "DEFAULT_O3_LIMIT",
-    "LALBPolicy",
-    "LoadBalancingPolicy",
-    "LocalityOnlyPolicy",
-    "SchedulingPolicy",
-    "SCHEDULING_POLICY_NAMES",
-    "make_scheduling_policy",
-    "GlobalQueue",
-    "LocalQueues",
-    "POLICY_NAMES",
-    "BeladyPolicy",
-    "EvictionPolicy",
-    "FIFOPolicy",
-    "LFUPolicy",
-    "LRUPolicy",
-    "SizeAwarePolicy",
-    "make_policy",
-    "InferenceRequest",
-    "RequestState",
-    "Scheduler",
-    "PassGuard",
-    "TenancyController",
-    "TenantQuota",
-]
+_EXPORTS = {
+    "CacheManager": ".cache_manager",
+    "Decision": ".decisions",
+    "DecisionKind": ".decisions",
+    "DecisionLog": ".decisions",
+    "FinishTimeEstimator": ".estimator",
+    "GPUManager": ".gpu_manager",
+    "DEFAULT_O3_LIMIT": ".policies",
+    "LALBPolicy": ".policies",
+    "LoadBalancingPolicy": ".policies",
+    "LocalityOnlyPolicy": ".policies",
+    "SchedulingPolicy": ".policies",
+    "SCHEDULING_POLICY_NAMES": ".policies",
+    "make_scheduling_policy": ".policies",
+    "GlobalQueue": ".queues",
+    "LocalQueues": ".queues",
+    "POLICY_NAMES": ".replacement",
+    "BeladyPolicy": ".replacement",
+    "EvictionPolicy": ".replacement",
+    "FIFOPolicy": ".replacement",
+    "LFUPolicy": ".replacement",
+    "LRUPolicy": ".replacement",
+    "SizeAwarePolicy": ".replacement",
+    "make_policy": ".replacement",
+    "InferenceRequest": ".request",
+    "RequestState": ".request",
+    "Scheduler": ".scheduler",
+    "PassGuard": ".signals",
+    "TenancyController": ".tenancy",
+    "TenantQuota": ".tenancy",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

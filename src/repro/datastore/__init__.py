@@ -8,19 +8,20 @@ commit ``KVStore.apply_batch`` specifies; ``KVStore.put`` / ``delete``
 commit one revision each.
 """
 
-from .client import EPHEMERAL_HOT_PREFIXES, Datastore, WriteStats
-from .kv import BatchCommit, CompactedError, EphemeralKeyError, KeyValue, KVStore
-from .lease import Lease, LeaseManager
+from .. import _lazy_exports
 
-__all__ = [
-    "Datastore",
-    "WriteStats",
-    "EPHEMERAL_HOT_PREFIXES",
-    "BatchCommit",
-    "CompactedError",
-    "EphemeralKeyError",
-    "KeyValue",
-    "KVStore",
-    "Lease",
-    "LeaseManager",
-]
+_EXPORTS = {
+    "Datastore": ".client",
+    "WriteStats": ".client",
+    "EPHEMERAL_HOT_PREFIXES": ".client",
+    "BatchCommit": ".kv",
+    "CompactedError": ".kv",
+    "EphemeralKeyError": ".kv",
+    "KeyValue": ".kv",
+    "KVStore": ".kv",
+    "Lease": ".lease",
+    "LeaseManager": ".lease",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

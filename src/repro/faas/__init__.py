@@ -1,28 +1,26 @@
 """OpenFaaS-like FaaS framework substrate: Gateway, Watchdog, containers,
 autoscaler, and the intercepted ML API for GPU-enabled functions."""
 
-from .autoscaler import Autoscaler
-from .container import Container, ContainerPool, ContainerState
-from .gateway import FunctionNotFound, Gateway, RegisteredFunction
-from .interceptor import GPUModelHandle, InterceptedMLAPI
-from .spec import Dockerfile, FunctionSpec, default_template
-from .watchdog import HealthWatchdog, Invocation, InvocationStatus, Watchdog
+from .. import _lazy_exports
 
-__all__ = [
-    "Autoscaler",
-    "Container",
-    "ContainerPool",
-    "ContainerState",
-    "FunctionNotFound",
-    "Gateway",
-    "RegisteredFunction",
-    "GPUModelHandle",
-    "InterceptedMLAPI",
-    "Dockerfile",
-    "FunctionSpec",
-    "default_template",
-    "Invocation",
-    "InvocationStatus",
-    "Watchdog",
-    "HealthWatchdog",
-]
+_EXPORTS = {
+    "Autoscaler": ".autoscaler",
+    "Container": ".container",
+    "ContainerPool": ".container",
+    "ContainerState": ".container",
+    "FunctionNotFound": ".gateway",
+    "Gateway": ".gateway",
+    "RegisteredFunction": ".gateway",
+    "GPUModelHandle": ".interceptor",
+    "InterceptedMLAPI": ".interceptor",
+    "Dockerfile": ".spec",
+    "FunctionSpec": ".spec",
+    "default_template": ".spec",
+    "Invocation": ".watchdog",
+    "InvocationStatus": ".watchdog",
+    "Watchdog": ".watchdog",
+    "HealthWatchdog": ".watchdog",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

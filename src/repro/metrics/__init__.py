@@ -1,21 +1,20 @@
 """Metrics: per-run collection and the paper's evaluation summaries."""
 
-from .collector import MetricsCollector
-from .exposition import prometheus_exposition
-from .histogram import DEFAULT_GROWTH, LogHistogram, quantile_error_bound
-from .summary import RunSummary, per_architecture_breakdown, summarize
-from .timeline import TIMELINE_FIELDS, TimelineProbe, TimelineSample
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_GROWTH",
-    "LogHistogram",
-    "MetricsCollector",
-    "RunSummary",
-    "per_architecture_breakdown",
-    "prometheus_exposition",
-    "quantile_error_bound",
-    "summarize",
-    "TIMELINE_FIELDS",
-    "TimelineProbe",
-    "TimelineSample",
-]
+_EXPORTS = {
+    "DEFAULT_GROWTH": ".histogram",
+    "LogHistogram": ".histogram",
+    "MetricsCollector": ".collector",
+    "RunSummary": ".summary",
+    "per_architecture_breakdown": ".summary",
+    "prometheus_exposition": ".exposition",
+    "quantile_error_bound": ".histogram",
+    "summarize": ".summary",
+    "TIMELINE_FIELDS": ".timeline",
+    "TimelineProbe": ".timeline",
+    "TimelineSample": ".timeline",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -90,19 +90,20 @@ def per_architecture_breakdown(collector: MetricsCollector) -> dict[str, dict[st
     cells: dict[int, tuple[int, float, float, float]] = {}
     if collector.window_open:
         rows = collector._rows()
-        lat = rows["completed"] - rows["arrival"]
-        misses = rows["cache_hit"] == 0
-        architecture = rows["architecture"]
+        arrival, completed = rows["arrival"], rows["completed"]
+        hits, architecture = rows["cache_hit"], rows["architecture"]
         for code in range(len(names)):
             mask = architecture == code
-            sel = lat[mask]
+            # one fresh latency column per architecture, reduced in place
+            sel = completed[mask]
+            np.subtract(sel, arrival[mask], out=sel)
             cells[code] = (
-                int(mask.sum()),
+                len(sel),
                 float(sel.mean()),
-                float(np.percentile(sel, 99)),
-                float(misses[mask].sum()),
+                float(np.percentile(sel, 99, overwrite_input=True)),
+                float(np.count_nonzero(hits[mask] == 0)),
             )
-        del rows, architecture  # the window must stay free to grow
+        del rows, arrival, completed, hits, architecture  # the window must stay free to grow
     else:
         for code, stats in collector._arch_stats.items():
             hist = stats.hist
@@ -147,20 +148,28 @@ def summarize(
     if not n:
         raise ValueError("no completed requests to summarize")
     if collector.window_open:
-        # the rows in place: each difference is a fresh contiguous array,
-        # so every reduction sees the values and layout a column copy had
+        # the rows in place, through one float64 column: every reduction
+        # below runs NumPy's own arithmetic on it (mean, then _var's steps
+        # in place, then percentiles that may reorder it), so the results
+        # are bit-equal to column copies without a second column
         rows = collector._rows()
-        queueing_mean = float(np.mean(rows["dispatched"] - rows["arrival"]))
-        lat = rows["completed"] - rows["arrival"]
-        sla = rows["sla_s"]
-        with_sla = ~np.isnan(sla)
-        n_sla = int(with_sla.sum())
-        n_violations = int(np.sum(lat[with_sla] > sla[with_sla]))
-        del rows, sla  # the window must stay free to grow
+        arrival, completed, sla = rows["arrival"], rows["completed"], rows["sla_s"]
+        n_sla = len(sla) - int(np.count_nonzero(np.isnan(sla)))
+        lat = np.subtract(rows["dispatched"], arrival)
+        queueing_mean = float(lat.mean())
+        np.subtract(completed, arrival, out=lat)
+        # a NaN SLA compares False: only SLA-carrying rows can violate
+        n_violations = int(np.count_nonzero(lat > sla)) if n_sla else 0
         avg_latency = float(lat.mean())
-        latency_var = float(lat.var(ddof=0))
-        p50 = float(np.percentile(lat, 50))
-        p99 = float(np.percentile(lat, 99))
+        mean = np.add.reduce(lat, keepdims=True)
+        np.true_divide(mean, n, out=mean)
+        np.subtract(lat, mean, out=lat)
+        np.square(lat, out=lat)
+        latency_var = float(np.add.reduce(lat) / n)
+        np.subtract(completed, arrival, out=lat)
+        p50 = float(np.percentile(lat, 50, overwrite_input=True))
+        p99 = float(np.percentile(lat, 99, overwrite_input=True))
+        del rows, arrival, completed, sla  # the window must stay free to grow
     else:
         hist = collector.lat_hist
         avg_latency = hist.mean()

@@ -1,20 +1,21 @@
 """ML model substrate: Table I zoo, profiles, NumPy inference engine, profiler."""
 
-from .profiler import ProfileRegistry, WallClockProfile, profile_network
-from .profiles import PAPER_BATCH_SIZE, BatchRegression, ModelInstance, ModelProfile
-from .zoo import TABLE1, TABLE1_ROWS, get_profile, model_names, paper_profiles
+from .. import _lazy_exports
 
-__all__ = [
-    "ProfileRegistry",
-    "WallClockProfile",
-    "profile_network",
-    "PAPER_BATCH_SIZE",
-    "BatchRegression",
-    "ModelInstance",
-    "ModelProfile",
-    "TABLE1",
-    "TABLE1_ROWS",
-    "get_profile",
-    "model_names",
-    "paper_profiles",
-]
+_EXPORTS = {
+    "ProfileRegistry": ".profiler",
+    "WallClockProfile": ".profiler",
+    "profile_network": ".profiler",
+    "PAPER_BATCH_SIZE": ".profiles",
+    "BatchRegression": ".profiles",
+    "ModelInstance": ".profiles",
+    "ModelProfile": ".profiles",
+    "TABLE1": ".zoo",
+    "TABLE1_ROWS": ".zoo",
+    "get_profile": ".zoo",
+    "model_names": ".zoo",
+    "paper_profiles": ".zoo",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

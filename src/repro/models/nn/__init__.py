@@ -1,33 +1,23 @@
 """NumPy CNN inference engine (forward pass only)."""
 
-from .factory import FAMILY_SPECS, available_architectures, build_model
-from .layers import (
-    BatchNorm2D,
-    Conv2D,
-    Flatten,
-    GlobalAvgPool,
-    Layer,
-    Linear,
-    MaxPool2D,
-    ReLU,
-    Softmax,
-    im2col,
-)
-from .network import Network
+from ... import _lazy_exports
 
-__all__ = [
-    "FAMILY_SPECS",
-    "available_architectures",
-    "build_model",
-    "BatchNorm2D",
-    "Conv2D",
-    "Flatten",
-    "GlobalAvgPool",
-    "Layer",
-    "Linear",
-    "MaxPool2D",
-    "ReLU",
-    "Softmax",
-    "im2col",
-    "Network",
-]
+_EXPORTS = {
+    "FAMILY_SPECS": ".factory",
+    "available_architectures": ".factory",
+    "build_model": ".factory",
+    "BatchNorm2D": ".layers",
+    "Conv2D": ".layers",
+    "Flatten": ".layers",
+    "GlobalAvgPool": ".layers",
+    "Layer": ".layers",
+    "Linear": ".layers",
+    "MaxPool2D": ".layers",
+    "ReLU": ".layers",
+    "Softmax": ".layers",
+    "im2col": ".layers",
+    "Network": ".network",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

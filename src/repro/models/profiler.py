@@ -17,14 +17,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..cluster.pcie import PCIeModel
 from ..cluster.topology import GPUTypeSpec
-from .nn.network import Network
 from .profiles import BatchRegression, ModelProfile
 from .zoo import paper_profiles
+
+if TYPE_CHECKING:  # the registry needs no CNN engine; profile_network duck-types
+    from .nn.network import Network
 
 __all__ = ["profile_network", "ProfileRegistry", "WallClockProfile"]
 

@@ -11,17 +11,18 @@ trace_decisions=True)`` adds the scheduler explain mode
 (:class:`ExplainLog`).  See ``docs/observability.md``.
 """
 
-from .explain import Cause, ExplainLog, format_request_causes, run_explain
-from .export import chrome_trace_events, validate_chrome_trace, write_chrome_trace
-from .tracer import FlightRecorder
+from .. import _lazy_exports
 
-__all__ = [
-    "Cause",
-    "ExplainLog",
-    "FlightRecorder",
-    "chrome_trace_events",
-    "format_request_causes",
-    "run_explain",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "Cause": ".explain",
+    "ExplainLog": ".explain",
+    "FlightRecorder": ".tracer",
+    "chrome_trace_events": ".export",
+    "format_request_causes": ".explain",
+    "run_explain": ".explain",
+    "validate_chrome_trace": ".export",
+    "write_chrome_trace": ".export",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,15 +1,13 @@
 """Runtime assembly: configuration and the FaaSCluster facade."""
 
-from .config import (
-    DEFAULT_STREAMING_COMPACT_KEEP,
-    SystemConfig,
-    streaming_config,
-)
-from .system import FaaSCluster
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_STREAMING_COMPACT_KEEP",
-    "SystemConfig",
-    "FaaSCluster",
-    "streaming_config",
-]
+_EXPORTS = {
+    "DEFAULT_STREAMING_COMPACT_KEEP": ".config",
+    "SystemConfig": ".config",
+    "FaaSCluster": ".system",
+    "streaming_config": ".config",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -11,9 +11,9 @@ directly.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
-from ..chaos import ChaosInjector, HealthWatchdog, build_fault_plan
-from ..chaos.health import HEARTBEAT_S, TTL_S
+from ..chaos.plan import build_fault_plan
 from ..cluster.topology import Cluster, GPUTypeSpec, build_cluster
 from ..core.cache_manager import CacheManager
 from ..core.estimator import FinishTimeEstimator
@@ -28,11 +28,15 @@ from ..datastore.client import Datastore
 from ..metrics.collector import MetricsCollector
 from ..models.profiler import ProfileRegistry
 from ..models.profiles import ModelInstance
-from ..obs.explain import ExplainLog
-from ..obs.tracer import FlightRecorder
 from ..sim import Simulator
 from ..traces.workload import StreamingWorkload, Workload
 from .config import SystemConfig
+
+if TYPE_CHECKING:  # imported where a config turns them on
+    from ..chaos.health import HealthWatchdog
+    from ..chaos.injector import ChaosInjector
+    from ..obs.explain import ExplainLog
+    from ..obs.tracer import FlightRecorder
 
 __all__ = ["FaaSCluster"]
 
@@ -57,6 +61,8 @@ class FaaSCluster:
         # identity test, nothing else.
         self.tracer: FlightRecorder | None = None
         if self.config.tracer == "flight":
+            from ..obs.tracer import FlightRecorder
+
             self.tracer = FlightRecorder(self.sim)
             self.metrics.tracer = self.tracer
             self.datastore._tracer = self.tracer
@@ -118,6 +124,8 @@ class FaaSCluster:
         #: ``SystemConfig(trace_decisions=True)``
         self.explain: ExplainLog | None = None
         if self.config.trace_decisions:
+            from ..obs.explain import ExplainLog
+
             self.explain = ExplainLog()
             self.scheduler.explain = self.explain
         # completions wake the scheduler directly; nothing can complete
@@ -142,6 +150,9 @@ class FaaSCluster:
         self.health: HealthWatchdog | None = None
         self.chaos: ChaosInjector | None = None
         if self.fault_plan is not None:
+            from ..chaos.health import HEARTBEAT_S, TTL_S, HealthWatchdog
+            from ..chaos.injector import ChaosInjector
+
             self.health = HealthWatchdog(
                 self,
                 # heartbeats retire once every fault has played out (plus

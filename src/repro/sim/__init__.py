@@ -1,6 +1,13 @@
 """Discrete-event simulation kernel (clock, events, timers)."""
 
-from .engine import Event, SimError, Simulator
-from .resources import PeriodicTimer
+from .. import _lazy_exports
 
-__all__ = ["Event", "SimError", "Simulator", "PeriodicTimer"]
+_EXPORTS = {
+    "Event": ".engine",
+    "SimError": ".engine",
+    "Simulator": ".engine",
+    "PeriodicTimer": ".resources",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,41 +1,26 @@
 """Workload substrate: synthetic Azure trace, extraction pipeline, datasets."""
 
-from .azure import AzureTraceConfig, SyntheticAzureTrace, calibrate_zipf_exponent
-from .datasets import (
-    ImageBatch,
-    cifar_like,
-    compress_to_batch,
-    hymenoptera_like,
-    load_dataset,
-    mnist_like,
-)
-from .workload import (
-    StreamingWorkload,
-    Workload,
-    WorkloadChunk,
-    WorkloadSpec,
-    assign_architectures,
-    build_workload,
-    build_workload_streaming,
-    spec_for_requests,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AzureTraceConfig",
-    "SyntheticAzureTrace",
-    "calibrate_zipf_exponent",
-    "ImageBatch",
-    "cifar_like",
-    "compress_to_batch",
-    "hymenoptera_like",
-    "load_dataset",
-    "mnist_like",
-    "StreamingWorkload",
-    "Workload",
-    "WorkloadChunk",
-    "WorkloadSpec",
-    "assign_architectures",
-    "build_workload",
-    "build_workload_streaming",
-    "spec_for_requests",
-]
+_EXPORTS = {
+    "AzureTraceConfig": ".azure",
+    "SyntheticAzureTrace": ".azure",
+    "calibrate_zipf_exponent": ".azure",
+    "ImageBatch": ".datasets",
+    "cifar_like": ".datasets",
+    "compress_to_batch": ".datasets",
+    "hymenoptera_like": ".datasets",
+    "load_dataset": ".datasets",
+    "mnist_like": ".datasets",
+    "StreamingWorkload": ".workload",
+    "Workload": ".workload",
+    "WorkloadChunk": ".workload",
+    "WorkloadSpec": ".workload",
+    "assign_architectures": ".workload",
+    "build_workload": ".workload",
+    "build_workload_streaming": ".workload",
+    "spec_for_requests": ".workload",
+}
+
+__all__ = [*_EXPORTS]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

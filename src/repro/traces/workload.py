@@ -316,6 +316,27 @@ def _normalize_minute(counts: np.ndarray, target: int) -> np.ndarray:
     return floor
 
 
+def _normalize(raw: np.ndarray, target: int) -> np.ndarray:
+    """:func:`_normalize_minute` on every minute (column) of ``raw`` in one
+    vectorized pass, equal to it element for element: the same per-minute
+    scale, floors and stable remainder order.  All-zero minutes take
+    :func:`_normalize_minute`'s uniform spread.
+    """
+    totals = raw.sum(axis=0)
+    empty = totals == 0
+    exact = raw * (target / np.where(empty, 1, totals))
+    floor = np.floor(exact).astype(np.int64)
+    short = target - floor.sum(axis=0)
+    order = np.argsort(-(exact - floor), axis=0, kind="stable")
+    # each function's place in its minute's largest-remainder order
+    place = np.empty_like(order)
+    np.put_along_axis(place, order, np.arange(len(raw))[:, None], axis=0)
+    floor += place < short
+    for m in np.flatnonzero(empty):
+        floor[:, m] = _normalize_minute(raw[:, m], target)
+    return floor
+
+
 def _extract(
     spec: WorkloadSpec, trace: SyntheticAzureTrace, tenant: str
 ) -> tuple[list[str], np.ndarray, dict[str, ModelInstance], np.random.Generator]:
@@ -323,13 +344,7 @@ def _extract(
     rng = np.random.default_rng(spec.seed)
     function_ids = trace.top_functions(spec.working_set)
     raw = trace.counts(function_ids, range(spec.minutes))
-    normalized = np.stack(
-        [
-            _normalize_minute(raw[:, m], spec.requests_per_minute)
-            for m in range(spec.minutes)
-        ],
-        axis=1,
-    )
+    normalized = _normalize(raw, spec.requests_per_minute)
     arch_of = assign_architectures(function_ids)
     instances = {
         fid: ModelInstance(f"{fid}#model", get_profile(arch_of[fid]), tenant=tenant)

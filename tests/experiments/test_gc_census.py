@@ -243,11 +243,15 @@ def test_window_bytes_per_row(replayed):
 
 #: tracemalloc bytes per completed row that ``summarize`` and
 #: ``per_architecture_breakdown`` may allocate at their peak, and keep,
-#: on the 16k replay: 17.4 and 0.2 measured (two float64 temporaries: the
-#: latency column and one copy of it).  The commit before they read the
-#: metrics window in place read 62.5 and 46.2 for ``summarize``: it copied
-#: all nine columns out of the window and cached the copies.
-SUMMARIZE_PEAK_BYTES_PER_ROW = 24.0
+#: on the 16k replay: 8.5 and 0.2 measured for ``summarize`` (one float64
+#: latency column, reduced in place: mean, variance, then percentiles
+#: that may reorder it) and 7.2 and 0.5 for the breakdown (one fresh
+#: column per architecture).  The commit before the one-column summaries
+#: read 17.4 and 17.3 (the latency column plus a variance temporary or a
+#: percentile copy), and the one before they read the metrics window in
+#: place read 62.5 and 46.2 for ``summarize``: it copied all nine columns
+#: out of the window and cached the copies.
+SUMMARIZE_PEAK_BYTES_PER_ROW = 10.0
 SUMMARIZE_RETAINED_BYTES_PER_ROW = 1.0
 
 

@@ -17,7 +17,7 @@ from functools import partial
 import pytest
 
 import repro.core.scheduler
-import repro.runtime.system
+import repro.obs.tracer
 from repro.core import DecisionLog
 from repro.obs import FlightRecorder
 from repro.runtime import FaaSCluster, SystemConfig
@@ -38,9 +38,10 @@ def _replay(cfg, minutes=1):
 
 def _install_recorder(monkeypatch, **recorder_kwargs):
     """Make every ``FaaSCluster`` built next install a recorder with
-    ``recorder_kwargs`` instead of the class defaults."""
+    ``recorder_kwargs`` instead of the class defaults (the runtime imports
+    the class from ``repro.obs.tracer`` when ``tracer="flight"``)."""
     monkeypatch.setattr(
-        repro.runtime.system, "FlightRecorder", partial(FlightRecorder, **recorder_kwargs)
+        repro.obs.tracer, "FlightRecorder", partial(FlightRecorder, **recorder_kwargs)
     )
 
 

@@ -1,6 +1,7 @@
 """The package's public API surface must stay importable and coherent."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +342,31 @@ def test_one_way_in():
         "Linear", "MaxPool2D", "ReLU", "Softmax", "im2col", "Network",
     }
 
+
+
+_PACKAGES = sorted(
+    ".".join(path.parent.relative_to(repro.__path__[0]).parts)
+    for path in Path(repro.__path__[0]).rglob("__init__.py")
+)
+
+
+@pytest.mark.parametrize("package", _PACKAGES, ids=lambda p: p or "repro")
+def test_lazy_exports_resolve_and_list(package):
+    """Every package resolves its ``__all__`` on first access: each name
+    binds to a non-module value, appears in ``dir()`` and is bound by
+    ``from package import *``."""
+    import importlib
+    import types
+
+    name = "repro" + (f".{package}" if package else "")
+    module = importlib.import_module(name)
+    listed = dir(module)
+    starred: dict = {}
+    exec(f"from {name} import *", starred)
+    for export in module.__all__:
+        value = getattr(module, export)
+        assert not isinstance(value, types.ModuleType), export
+        assert export in listed, export
+        assert starred[export] is value, export
+    with pytest.raises(AttributeError):
+        module.no_such_name

@@ -4,8 +4,10 @@ Roots are what a user or the driver actually runs: ``examples/*.py``,
 ``benchmarks/**/*.py`` and the CLI (``repro.experiments.__main__``).
 Imports are followed statically — function-local ones included — and
 ``from package import Name`` resolves to the module that *defines*
-``Name``: a package ``__init__``'s re-export list is not itself followed,
-so re-exporting a module nothing uses does not keep it alive.  A module
+``Name``, through the package's lazy ``_EXPORTS`` table (``{name:
+module}``) or its imports: a package ``__init__``'s re-export list is not
+itself followed, so re-exporting a module nothing uses does not keep it
+alive.  A module
 outside the closure is shelf-ware: wire it to a consumer or delete it.
 """
 
@@ -48,6 +50,21 @@ def _imports(path: Path, module: str):
             yield target, [alias.name for alias in node.names]
 
 
+def _lazy_exports(path: Path, package: str) -> dict[str, str]:
+    """A package ``__init__``'s ``_EXPORTS`` table, with each module made
+    absolute."""
+    for node in ast.parse(path.read_text()).body:
+        if (
+            isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]
+        ):
+            return {
+                name: package + module if module.startswith(".") else module
+                for name, module in ast.literal_eval(node.value).items()
+            }
+    return {}
+
+
 def _defining_module(package: str, name: str) -> str | None:
     """Resolve ``from package import name`` to the defining module."""
     if _path_of(f"{package}.{name}") is not None:
@@ -57,6 +74,9 @@ def _defining_module(package: str, name: str) -> str | None:
         return None
     if path.name != "__init__.py":
         return package  # a plain module defines its own names
+    lazy = _lazy_exports(path, package)
+    if name in lazy:
+        return _defining_module(lazy[name], name)
     for target, names in _imports(path, package):
         if names and name in names and target.startswith("repro"):
             return _defining_module(target, name)
@@ -102,3 +122,11 @@ def test_every_module_is_reached_from_a_consumer():
         "modules no example, benchmark or CLI target imports: "
         + ", ".join(unreached)
     )
+
+
+def test_lazy_exports_resolve_to_their_defining_modules():
+    """A name re-exported through two lazy tables reaches the module that
+    defines it, so the closure sees the module and not the ``__init__``."""
+    assert _defining_module("repro", "FaultPlan") == "repro.chaos.plan"
+    assert _defining_module("repro", "Gateway") == "repro.faas.gateway"
+    assert _defining_module("repro.experiments", "replay") == "repro.experiments.replay"

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.models import TABLE1_ROWS
 from repro.traces import (
@@ -131,3 +134,26 @@ def test_normalize_empty_minute():
     out = _normalize_minute(np.zeros(7, dtype=np.int64), 10)
     assert out.sum() == 10
     assert out.max() - out.min() <= 1  # spread uniformly
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
+        # few distinct small counts: ties in the remainders are the rule
+        lambda shape: arrays(np.int64, shape, elements=st.integers(0, 4))
+    ),
+    target=st.integers(1, 700),
+)
+@example(raw=np.array([[3, 0], [3, 0], [1, 0]], dtype=np.int64), target=10)
+def test_vectorized_normalization_equals_the_per_minute_one(raw, target):
+    """All minutes in one pass equal each minute on its own, element for
+    element: the same floors, the same stable largest-remainder order on
+    ties, and the uniform spread of an empty minute."""
+    from repro.traces.workload import _normalize, _normalize_minute
+
+    expected = np.stack(
+        [_normalize_minute(raw[:, m], target) for m in range(raw.shape[1])], axis=1
+    )
+    out = _normalize(raw, target)
+    assert out.dtype == expected.dtype
+    np.testing.assert_array_equal(out, expected)
