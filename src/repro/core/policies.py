@@ -328,7 +328,7 @@ class LALBPolicy(SchedulingPolicy):
         # resident-model list, walking it in arrival order costs less than
         # one index probe per resident model; both routes compute the same
         # oldest-hit entry.
-        hit = None  # oldest queued entry whose model is cached on `gpu`
+        hit = None  # oldest queued request whose model is cached on `gpu`
         resident = s.cache.models_on(gpu)
         if refused:
             resident = resident - refused
@@ -336,9 +336,9 @@ class LALBPolicy(SchedulingPolicy):
             hit = queue.first_entry_matching(resident)
         else:
             for model_id in resident:
-                entry = queue.first_entry_for_model(model_id)
-                if entry is not None and (hit is None or entry.slot < hit.slot):
-                    hit = entry
+                first = queue.first_for_model(model_id)
+                if first is not None and (hit is None or first.slot < hit.slot):
+                    hit = first
         stop_slot = hit.slot if hit is not None else None
         # line 11: requests already skipped past the limit, in queue order,
         # that the literal scan would reach before the hit.  The O(1)
@@ -347,31 +347,32 @@ class LALBPolicy(SchedulingPolicy):
         # for the rest of the scan (idle candidates only shrink, queued
         # costs only grow, nothing loads), here and in the second scan.
         blocked = refused
-        if queue.starved_count:
-            for entry in queue.starved_entries_before(stop_slot):
-                if entry.model_id in blocked:
+        if queue._starved:
+            for starved in queue.starved_entries_before(stop_slot):
+                if starved.model_id in blocked:
                     continue
                 if exp is not None:
                     exp.note(
                         "alg1:starved_promotion",
-                        f"request={entry.request.request_id}",
-                        f"visits={entry.visits_at_entry}>limit={self.limit}",
+                        f"request={starved.request_id}",
+                        f"visits={starved.visits}>limit={self.limit}",
                     )
-                outcome = self._locality_load_balance(s, gpu, entry.request)
+                slot = starved.slot  # before Algorithm 2 removes it (slot -1)
+                outcome = self._locality_load_balance(s, gpu, starved)
                 if outcome == "to_this_gpu":
                     # line 13: GPUi consumed; everything scanned before this
                     # request was skipped once more (line 15)
-                    queue.bump_visits_before(entry.slot, refused)
+                    queue.bump_visits_before(slot, refused)
                     return True
                 if outcome == "blocked":
-                    blocked = blocked | {entry.model_id}
+                    blocked = blocked | {starved.model_id}
                 else:
                     acted = True
         if hit is not None:
             queue.bump_visits_before(stop_slot, refused)  # skips before the hit
             if exp is not None:
-                exp.note("alg1:cached_here", hit.request.model_id, gpu.gpu_id)
-            s.dispatch(hit.request, gpu)  # line 8
+                exp.note("alg1:cached_here", hit.model_id, gpu.gpu_id)
+            s.dispatch(hit, gpu)  # line 8
             return True
         queue.bump_visits_before(None, refused)  # no hit: all was skipped
         # -- second scan (lines 17–21) ------------------------------------

@@ -11,28 +11,32 @@ this search is bounded by the number of models cached on the GPU" rather
 than the queue length.  This module supplies everything the index-driven
 scheduling fast path needs to honour that bound:
 
-* ``first_entry_for_model`` — O(1) oldest queued request per model;
+* ``first_for_model`` — O(1) oldest queued request per model;
 * O3 ``visits`` accounting in O(log n + a constant) per scan — "every
   skipped request is visited once more" (Alg. 1 line 15) is counted
-  eagerly on the newest, not-yet-attached entries (at most
+  eagerly on the newest, not-yet-attached requests (at most
   ``_MAX_PENDING_LEAVES - 1`` of them: on a shallow queue, all of them);
-  for the entries that outlived that cap a scan only records the slot it
+  for the requests that outlived that cap a scan only records the slot it
   stopped at, and a request's count is read on demand as the number of
   recorded scans that stopped beyond its slot (:class:`_BumpCounter`);
-* an ordered *starved* set — requests whose visits exceeded the O3 limit
+* an ordered *starved* list — requests whose visits exceeded the O3 limit
   surface by index (Alg. 1 line 11) instead of being rediscovered by
   rescanning the queue, and a scan finds the newly starved without a
   search (``bump_visits_before``);
 * ``push_sorted`` — positional re-insertion (O(log n) search, one array
   splice) that updates the model index incrementally instead of the old
   clear-and-rebuild.
+
+The queue holds the :class:`~repro.core.request.InferenceRequest` itself:
+its position and lazy O3 state are queue-owned fields of the request, so
+a request sits in at most one global queue (``slot`` is −1 in none).
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
+from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -40,14 +44,17 @@ from .request import InferenceRequest, RequestState
 
 __all__ = ["GlobalQueue", "LocalQueues"]
 
-#: unattached-tail cap: the newest entries count their skips eagerly and
+#: unattached-tail cap: the newest requests count their skips eagerly and
 #: move to the bump counter together once this many have accumulated, so a
-#: scan walks fewer than this many entries whatever the queue depth
+#: scan walks fewer than this many requests whatever the queue depth
 _MAX_PENDING_LEAVES = 32
 
+#: ``InferenceRequest.o3_phase`` in a visit-tracking queue: in the
+#: unattached tail (``visits`` exact), attached to the bump counter (live
+#: count ``visits + cover(slot) - cov0``) or starved (``visits`` frozen)
+_TAIL, _ATTACHED, _STARVED = 0, 1, 2
 
-def _entry_slot(entry: "_Entry") -> int:
-    return entry.slot
+_slot = attrgetter("slot")
 
 
 class _BumpCounter:
@@ -94,35 +101,7 @@ class _BumpCounter:
             if parent < self.size:
                 stops[parent] -= stops[i]
         total = self._total
-        return [total - below for below in itertools.accumulate(stops)]
-
-
-class _Entry:
-    """One queued request plus its position and lazy O3-visit state."""
-
-    __slots__ = (
-        "request", "model_id", "key", "slot", "alive", "starved",
-        "visits_at_entry", "attached", "cov0", "regular",
-    )
-
-    def __init__(self, request: InferenceRequest, key: tuple[float, int], slot: int) -> None:
-        self.request = request
-        self.model_id = request.model_id  # the bucket this entry is filed under
-        self.key = key  # (arrival_time, push sequence): total queue order
-        self.slot = slot  # index into the queue's entry array
-        self.alive = True
-        self.starved = False
-        #: visit count as of the last settle; exact while the entry sits
-        #: in the queue's unattached tail (each covering scan updates it in
-        #: place, so a request pushed and dispatched on a shallow queue
-        #: never touches the bump counter); once ``attached`` the live
-        #: value is ``visits_at_entry + cover(slot) - cov0``
-        self.visits_at_entry = 0
-        self.attached = False
-        self.cov0 = 0  # cover(slot) as of hand-over / the last settle or write
-        #: pushed at the tail with no visits and never written since: no
-        #: regular entry behind it has been skipped more often
-        self.regular = True
+        return [total - below for below in accumulate(stops)]
 
 
 class GlobalQueue:
@@ -132,34 +111,37 @@ class GlobalQueue:
     scans; the queue then owns every held request's count.  Queues built
     without a limit (LB, locality, bare unit-test queues) skip that
     machinery and behave like a plain indexed FIFO.
+
+    The model buckets and the irregular list drop a removed request (slot
+    −1) lazily, so one that left comes back only through
+    :meth:`push_sorted`, which purges those references first.
     """
 
     def __init__(self, o3_limit: int | None = None) -> None:
         self._o3_limit = o3_limit
-        self._entries: list[_Entry | None] = []  # slot-ordered; None = removed
-        self._by_id: dict[int, _Entry] = {}
-        self._buckets: dict[str, deque[_Entry]] = {}  # model -> entries, oldest first
-        self._model_live: dict[str, int] = {}  # model -> live entry count
+        self._entries: list[InferenceRequest | None] = []  # slot-ordered; None = removed
+        self._buckets: dict[str, deque[InferenceRequest]] = {}  # model -> requests, oldest first
+        self._model_live: dict[str, int] = {}  # model -> live request count
         self._live = 0
         self._head = 0  # first possibly-alive slot
-        self._seq = itertools.count()
         self._counter = _BumpCounter(64) if o3_limit is not None else None
-        #: the unattached tail: exactly the live, non-starved entries the
+        #: the unattached tail: exactly the live, non-starved requests the
         #: counter does not cover, in slot order (fewer than the cap)
-        self._pending_leaves: list[_Entry] = []
-        #: live, non-starved attached entries; scans record themselves in
+        self._pending_leaves: list[InferenceRequest] = []
+        #: live, non-starved attached requests; scans record themselves in
         #: the counter only while this is non-zero
         self._attached = 0
         #: every slot before this one is a hole, starved or irregular
         #: (forward-only between renumberings)
         self._chain_from = 0
-        #: live attached entries with ``regular`` unset, in slot order
-        #: (dead and starved ones linger until a scan passes them)
-        self._irregular: list[_Entry] = []
-        self._starved: list[_Entry] = []  # slot-ordered; may hold dead entries
-        #: live requests past the O3 limit (the starvation/O3 signal): zero,
-        #: the common state, lets the LALB fast scan skip the line-11 sweep
-        self.starved_count = 0
+        #: live attached requests with ``regular`` unset, in slot order
+        #: (removed ones, at slot -1, and starved ones linger in place
+        #: until a scan passes them)
+        self._irregular: list[InferenceRequest] = []
+        #: live requests past the O3 limit (the starvation/O3 signal), in
+        #: slot order: empty, the common state, lets the LALB fast scan
+        #: skip the line-11 sweep
+        self._starved: list[InferenceRequest] = []
         self._version = 0  # bumped whenever slots are renumbered
 
     # ------------------------------------------------------------------
@@ -170,15 +152,24 @@ class GlobalQueue:
         """Whether lazy O3-visit accounting is active (LALB fast path)."""
         return self._o3_limit is not None
 
+    @property
+    def starved_count(self) -> int:
+        """Live requests past the O3 limit."""
+        return len(self._starved)
+
     def __contains__(self, request: InferenceRequest) -> bool:
-        return request.request_id in self._by_id
+        # a request in no queue has slot -1: the last entry, never itself
+        try:
+            return self._entries[request.slot] is request
+        except IndexError:
+            return False
 
     def __len__(self) -> int:
         return self._live
 
     def __iter__(self) -> Iterator[InferenceRequest]:
         """Iterate in arrival order over a snapshot (safe to mutate while iterating)."""
-        return iter([e.request for e in self._entries if e is not None])
+        return iter([r for r in self._entries if r is not None])
 
     def iter_requests(self) -> Iterator[InferenceRequest]:
         """Allocation-free walk in arrival order.
@@ -197,16 +188,16 @@ class GlobalQueue:
                 raise RuntimeError("global queue re-indexed during iter_requests")
             if i >= len(self._entries):
                 return
-            entry = self._entries[i]
+            request = self._entries[i]
             i += 1
-            if entry is not None:
-                yield entry.request
+            if request is not None:
+                yield request
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def push(self, request: InferenceRequest) -> None:
-        if request.request_id in self._by_id:
+        if request.slot >= 0:
             raise ValueError(f"request {request.request_id} already queued")
         if len(self._entries) > 64 and self._live * 2 < len(self._entries):
             self._reindex()  # too many holes: compact before appending
@@ -215,18 +206,17 @@ class GlobalQueue:
         if counter is not None and slot >= counter.size:
             self._reindex()
             slot = len(self._entries)
-        entry = _Entry(request, (request.arrival_time, next(self._seq)), slot)
-        self._entries.append(entry)
-        self._by_id[request.request_id] = entry
-        model_id = entry.model_id
+        request.slot = slot
+        self._entries.append(request)
+        model_id = request.model_id
         bucket = self._buckets.get(model_id)
         if bucket is None:  # avoid minting a throwaway deque per push
             bucket = self._buckets[model_id] = deque()
-        bucket.append(entry)
+        bucket.append(request)
         self._model_live[model_id] = self._model_live.get(model_id, 0) + 1
         self._live += 1
         if self._o3_limit is not None:
-            self._attach_visits(entry)
+            self._attach_visits(request, True)
 
     def push_sorted(self, request: InferenceRequest) -> None:
         """Insert by arrival time (for re-queued requests after a failure).
@@ -234,73 +224,82 @@ class GlobalQueue:
         Normal submissions arrive in time order so plain ``push`` keeps the
         queue sorted; a request returned to the queue (GPU failure, §VI
         fault handling) is older than the tail, so it is re-inserted at its
-        arrival-time position to preserve the paper's "sorted by arrival
-        times" invariant.  The entry array is compacted and the skip counts
-        settled first, so the entries hold no holes and the position is an
-        O(log n) bisection of their keys; the model index is updated with
-        a single positional insert.  The compaction and the splice are
-        O(n) with small constants, acceptable because failures are rare.
+        arrival-time position (after its equals) to preserve the paper's
+        "sorted by arrival times" invariant.  The slot array is compacted
+        and the skip counts settled first, so it holds no holes and the
+        position is an O(log n) bisection; the model index is updated with
+        a single positional insert.  The compaction, the purge and the
+        splice are O(n) with small constants, acceptable because failures
+        are rare.
         """
-        if request.request_id in self._by_id:
+        if request.slot >= 0:
             raise ValueError(f"request {request.request_id} already queued")
-        # settle: no holes, so position == insertion index, and the bump
-        # counter is empty, so the slots past the insert may shift under it
+        # settle: no holes, so position == insertion index; the bump
+        # counter is empty, so the slots past the insert may shift under
+        # it; and the irregular list holds no removed request
         self._reindex()
-        key = (request.arrival_time, next(self._seq))
-        pos = bisect_left(self._entries, key, key=attrgetter("key"))
-        if pos == len(self._entries):
+        model_id = request.model_id
+        bucket = self._buckets.get(model_id)
+        if bucket is not None:  # a stale reference would read alive once filed
+            self._buckets[model_id] = deque(r for r in bucket if r.slot >= 0)
+        entries = self._entries
+        pos = bisect_right(entries, request.arrival_time, key=attrgetter("arrival_time"))
+        if pos == len(entries):
             self.push(request)  # newest arrival after all queued ones
             return
-        entry = _Entry(request, key, pos)
-        self._entries.insert(pos, entry)
-        for i in range(pos + 1, len(self._entries)):
-            self._entries[i].slot = i  # type: ignore[union-attr]  # all alive post-reindex
-        self._by_id[request.request_id] = entry
-        self._bucket_insert(entry)
-        model_id = entry.model_id
+        entries.insert(pos, request)
+        for i in range(pos, len(entries)):
+            entries[i].slot = i  # type: ignore[union-attr]  # all alive post-reindex
+        self._bucket_insert(request)
         self._model_live[model_id] = self._model_live.get(model_id, 0) + 1
         self._live += 1
-        self._head = min(self._head, pos)
         if self._o3_limit is not None:
-            entry.regular = False  # entries behind it may have fewer visits
-            self._attach_visits(entry)
-            # the new entry may sit ahead of older unattached ones
-            self._pending_leaves.sort(key=_entry_slot)
+            # requests behind it may have fewer visits
+            self._attach_visits(request, False)
+            # the request may sit ahead of older unattached ones
+            self._pending_leaves.sort(key=_slot)
 
-    def _bucket_insert(self, entry: _Entry) -> None:
-        bucket = self._buckets.setdefault(entry.model_id, deque())
+    def _bucket_insert(self, request: InferenceRequest) -> None:
+        bucket = self._buckets.setdefault(request.model_id, deque())
         # walk from the tail: the re-queued request is usually younger than
         # most of its model's backlog, and failure re-insertions are rare
         i = len(bucket)
-        while i > 0 and bucket[i - 1].key > entry.key:
+        while i > 0 and bucket[i - 1].slot > request.slot:
             i -= 1
-        bucket.insert(i, entry)
+        bucket.insert(i, request)
 
     def remove(self, request: InferenceRequest) -> None:
-        entry = self._by_id.pop(request.request_id, None)
-        if entry is None:
+        entries = self._entries
+        slot = request.slot
+        try:
+            held = entries[slot] is request  # slot -1: the last entry, never itself
+        except IndexError:
+            held = False
+        if not held:
             raise KeyError(f"request {request.request_id} is not in the global queue")
         if self._o3_limit is not None:
             # hand the skip count back to the request
-            visits = entry.visits_at_entry
-            if entry.starved:
-                self.starved_count -= 1
-            elif entry.attached:
-                # one read: the counter holds nothing per entry to undo
-                visits += self._counter.cover(entry.slot) - entry.cov0
+            phase = request.o3_phase
+            if phase == _STARVED:
+                starved = self._starved
+                # a starved request usually leaves as the oldest one
+                del starved[0 if starved[0] is request else bisect_left(starved, slot, key=_slot)]
+            elif phase == _ATTACHED:
+                # one read: the counter holds nothing per request to undo
+                request.visits += self._counter.cover(slot) - request.cov0
                 self._attached -= 1
             else:
-                self._pending_leaves.remove(entry)
-            request.visits = visits
-        entry.alive = False
-        self._entries[entry.slot] = None
+                pending = self._pending_leaves
+                del pending[0 if pending[0] is request else bisect_left(pending, slot, key=_slot)]
+        request.slot = -1
+        entries[slot] = None
         self._live -= 1
-        model_id = entry.model_id
+        model_id = request.model_id
         remaining = self._model_live[model_id] - 1
         if remaining:
             self._model_live[model_id] = remaining
             bucket = self._buckets[model_id]
-            while bucket and not bucket[0].alive:
+            while bucket and bucket[0].slot < 0:
                 bucket.popleft()
         else:
             del self._model_live[model_id]
@@ -316,74 +315,63 @@ class GlobalQueue:
             best = None
             for model_id in self._buckets:
                 if model_id not in excluding:
-                    entry = self.first_entry_for_model(model_id)
-                    if best is None or entry.slot < best.slot:
-                        best = entry
-            return None if best is None else best.request
+                    request = self.first_for_model(model_id)
+                    if best is None or request.slot < best.slot:
+                        best = request
+            return best
         entries = self._entries
         i, n = self._head, len(entries)
         while i < n and entries[i] is None:
             i += 1
         self._head = i
-        return entries[i].request if i < n else None
+        return entries[i] if i < n else None
 
-    def first_entry_for_model(self, model_id: str) -> _Entry | None:
-        """Oldest queued entry needing ``model_id`` (amortized O(1))."""
+    def first_for_model(self, model_id: str) -> InferenceRequest | None:
+        """Oldest queued request needing ``model_id`` (amortized O(1))."""
         bucket = self._buckets.get(model_id)
         if not bucket:
             return None
-        while not bucket[0].alive:
+        while bucket[0].slot < 0:
             bucket.popleft()
         return bucket[0]
 
-    def first_entry_matching(self, model_ids) -> _Entry | None:
-        """Oldest live entry whose model is in ``model_ids`` (a set).
+    def first_entry_matching(self, model_ids) -> InferenceRequest | None:
+        """Oldest queued request whose model is in ``model_ids`` (a set).
 
         The queue-walk half of the first-scan strategy pick: cost is
         bounded by the slots past the head cursor, so callers choose it
         exactly when those are fewer than the GPU's resident models and
         the per-model index probes would cost more.  Equivalent to taking the
-        minimum slot over ``first_entry_for_model`` of every member.
+        minimum slot over ``first_for_model`` of every member.
         """
         entries = self._entries
         for i in range(self._head, len(entries)):
-            entry = entries[i]
-            if entry is not None and entry.model_id in model_ids:
-                return entry
+            request = entries[i]
+            if request is not None and request.model_id in model_ids:
+                return request
         return None
-
-    def first_for_model(self, model_id: str) -> InferenceRequest | None:
-        """Oldest queued request needing ``model_id`` (O(1) via the index)."""
-        entry = self.first_entry_for_model(model_id)
-        return entry.request if entry is not None else None
 
     def queued_models(self) -> set[str]:
         return set(self._model_live)
 
     def model_heads(self) -> list[InferenceRequest]:
         """The oldest queued request of every queued model."""
-        first = self.first_entry_for_model
-        return [first(model_id).request for model_id in self._buckets]
+        first = self.first_for_model
+        return [first(model_id) for model_id in self._buckets]
 
     # ------------------------------------------------------------------
     # O3 visit accounting (Alg. 1 lines 11/15, done lazily)
     # ------------------------------------------------------------------
-    def starved_entries_before(self, stop_slot: int | None) -> list[_Entry]:
-        """Live starved entries with slot < ``stop_slot``, oldest first.
+    def starved_entries_before(self, stop_slot: int | None) -> list[InferenceRequest]:
+        """Starved requests with slot < ``stop_slot``, oldest first.
 
         These are the requests Alg. 1 line 11 must force through Algorithm
-        2 before the scan may dispatch its cache hit at ``stop_slot``.
+        2 before the scan may dispatch its cache hit at ``stop_slot``.  A
+        copy: the caller removes the ones it dispatches.
         """
-        starved = self._starved
-        if (len(starved) - self.starved_count) * 2 > len(starved):  # mostly dead
-            self._starved = starved = [e for e in starved if e.alive]
-        out = []
-        for entry in starved:
-            if stop_slot is not None and entry.slot >= stop_slot:
-                break
-            if entry.alive:
-                out.append(entry)
-        return out
+        if stop_slot is None:
+            return self._starved[:]
+        return self._starved[:bisect_left(self._starved, stop_slot, key=_slot)]
 
     def bump_visits_before(self, stop_slot: int | None, exempt=()) -> None:
         """Count one more skip for every live request before ``stop_slot``
@@ -392,20 +380,20 @@ class GlobalQueue:
 
         This is Alg. 1 line 15 for a whole first scan, in O(log n + cap)
         instead of touching every queued request: the unattached tail is
-        counted entry by entry (fewer than ``_MAX_PENDING_LEAVES``), the
-        entries that outlived it by recording the stop slot in the bump
-        counter.  Requests skipped past the limit move to the starved set
-        (their ``visits`` freeze at limit+1, since starved requests are
-        never skipped again — Alg. 1 line 11 routes them instead).
+        counted request by request (fewer than ``_MAX_PENDING_LEAVES``),
+        the requests that outlived it by recording the stop slot in the
+        bump counter.  Requests skipped past the limit move to the starved
+        list (their ``visits`` freeze at limit+1, since starved requests
+        are never skipped again — Alg. 1 line 11 routes them instead).
 
         Finding them needs no search.  Any scan that covers a regular
-        entry covers every regular entry ahead of it, so their counts are
-        non-increasing in slot order and only the first live one can have
-        just crossed the limit: one ``cover`` at ``_chain_from``, plus one
-        per *live irregular* entry before the stop slot (dead and starved
-        ones are dropped the first time a scan passes them).  An exempt
-        entry now trails the entries behind it, so it loses ``regular``
-        (see :meth:`_exempt_before` for attached ones).
+        request covers every regular request ahead of it, so their counts
+        are non-increasing in slot order and only the first live one can
+        have just crossed the limit: one ``cover`` at ``_chain_from``, plus
+        one per *live irregular* request before the stop slot (removed and
+        starved ones are dropped the first time a scan passes them).  An
+        exempt request now trails the requests behind it, so it loses
+        ``regular`` (see :meth:`_exempt_before` for attached ones).
         """
         limit = self._o3_limit
         if limit is None:
@@ -413,20 +401,20 @@ class GlobalQueue:
         r = len(self._entries) if stop_slot is None else stop_slot
         if r <= 0:
             return
-        # mutation-equivalent: True re-filters a tail that no starved entry joins outside this loop
+        # mutation-equivalent: True re-filters a tail that no starved request joins outside this loop
         starved_now = False
-        for entry in self._pending_leaves:
-            if entry.slot >= r:
+        for request in self._pending_leaves:
+            if request.slot >= r:
                 break
-            if entry.model_id in exempt:
-                entry.regular = False
+            if request.model_id in exempt:
+                request.regular = False
                 continue
-            entry.visits_at_entry += 1
-            if entry.visits_at_entry > limit:
-                self._starve(entry)
+            request.visits += 1
+            if request.visits > limit:
+                self._starve(request)
                 starved_now = True
         if starved_now:
-            self._pending_leaves = [e for e in self._pending_leaves if not e.starved]
+            self._pending_leaves = [e for e in self._pending_leaves if e.o3_phase == _TAIL]
         if not self._attached:
             return
         counter = self._counter
@@ -436,127 +424,127 @@ class GlobalQueue:
         irregular = self._irregular
         if irregular and irregular[0].slot < r:
             dropped = False
-            for entry in irregular:
-                if entry.slot >= r:
+            for request in irregular:
+                if request.slot >= r:
                     break
-                if not entry.alive or entry.starved:
+                if request.slot < 0 or request.o3_phase == _STARVED:
                     dropped = True
-                elif entry.model_id in exempt:
+                elif request.model_id in exempt:
                     continue  # not skipped by this scan: its count stands
-                elif (visits := self._entry_visits(entry)) > limit:
-                    entry.visits_at_entry = visits  # frozen from here on
-                    self._starve(entry)
+                elif (visits := self._entry_visits(request)) > limit:
+                    request.visits = visits  # frozen from here on
+                    self._starve(request)
                     dropped = True
             if dropped:
-                self._irregular = [e for e in irregular if e.alive and not e.starved]
+                self._irregular = [e for e in irregular if e.slot >= 0 and e.o3_phase == _ATTACHED]
         entries = self._entries
         i = self._chain_from
         while i < r:
-            entry = entries[i]
-            if entry is not None and entry.regular and not entry.starved:
-                if not entry.attached:
+            request = entries[i]
+            if request is not None and request.regular and request.o3_phase != _STARVED:
+                if request.o3_phase == _TAIL:
                     break  # the unattached tail starts here
-                visits = entry.visits_at_entry + counter.cover(i) - entry.cov0
+                visits = request.visits + counter.cover(i) - request.cov0
                 if visits <= limit:
-                    break  # within the limit, like every regular entry behind it
-                entry.visits_at_entry = visits  # frozen from here on
-                self._starve(entry)
+                    break  # within the limit, like every regular request behind it
+                request.visits = visits  # frozen from here on
+                self._starve(request)
             i += 1
         self._chain_from = i
 
     def _exempt_before(self, r: int, exempt) -> None:
-        """Take the scan just recorded back out of the attached entries of
+        """Take the scan just recorded back out of the attached requests of
         ``exempt`` models before slot ``r`` and move them to the irregular
         list."""
         joined = []
         for model_id in exempt:
-            for entry in self._buckets.get(model_id, ()):
-                if not entry.alive:
-                    continue  # a dead entry keeps its slot from before a re-index
-                if entry.slot >= r:
+            for request in self._buckets.get(model_id, ()):
+                if request.slot < 0:
+                    continue  # removed: the bucket drops it lazily
+                if request.slot >= r:
                     break
-                # mutation-equivalent (and→or): the extras (pending, starved) never read cov0
-                if entry.attached and not entry.starved:
-                    entry.cov0 += 1
-                    if entry.regular:
-                        entry.regular = False
-                        joined.append(entry)
+                # mutation-equivalent (==→!=_STARVED): the extras (tail) never read cov0
+                if request.o3_phase == _ATTACHED:
+                    request.cov0 += 1
+                    if request.regular:
+                        request.regular = False
+                        joined.append(request)
         if joined:
             joined += self._irregular
-            joined.sort(key=_entry_slot)
+            joined.sort(key=_slot)
             self._irregular = joined
 
-    def _starve(self, entry: _Entry) -> None:
-        if entry.attached:
+    def _starve(self, request: InferenceRequest) -> None:
+        if request.o3_phase == _ATTACHED:
             self._attached -= 1
-        entry.starved = True
-        self.starved_count += 1
-        insort(self._starved, entry, key=_entry_slot)
+        request.o3_phase = _STARVED
+        insort(self._starved, request, key=_slot)
 
-    def _attach_visits(self, entry: _Entry) -> None:
-        request = entry.request
-        visits = entry.visits_at_entry = request.visits
+    def _attach_visits(self, request: InferenceRequest, regular: bool) -> None:
+        visits = request.visits
+        request.o3_phase = _TAIL
+        request.regular = regular and not visits  # else its count need not follow from its slot
         if visits > self._o3_limit:  # type: ignore[operator]
             # re-queued with its starvation already earned (fairness:
             # resubmit preserves visits) — surface it immediately
-            self._starve(entry)
-        else:
-            if visits:
-                entry.regular = False  # entries ahead of it may have fewer
-            pending = self._pending_leaves
-            pending.append(entry)
-            if len(pending) >= _MAX_PENDING_LEAVES:
-                # the tail outlived the cap (a backlog is building): from
-                # here the counter carries its skips, so no scan ever
-                # walks more than a constant number of entries — §VI's
-                # per-pass bound must not degrade to O(pushes since the
-                # last dispatch)
-                cover = self._counter.cover  # type: ignore[union-attr]
-                for e in pending:
-                    e.cov0 = cover(e.slot)
-                    e.attached = True
-                    if not e.regular:
-                        self._irregular.append(e)
-                self._irregular.sort(key=_entry_slot)
-                self._attached += len(pending)
-                self._pending_leaves = []
+            self._starve(request)
+            return
+        pending = self._pending_leaves
+        pending.append(request)
+        if len(pending) >= _MAX_PENDING_LEAVES:
+            # the tail outlived the cap (a backlog is building): from
+            # here the counter carries its skips, so no scan ever
+            # walks more than a constant number of requests — §VI's
+            # per-pass bound must not degrade to O(pushes since the
+            # last dispatch)
+            cover = self._counter.cover  # type: ignore[union-attr]
+            for e in pending:
+                e.cov0 = cover(e.slot)
+                e.o3_phase = _ATTACHED
+                if not e.regular:
+                    self._irregular.append(e)
+            self._irregular.sort(key=_slot)
+            self._attached += len(pending)
+            self._pending_leaves = []
 
     def visits(self, request: InferenceRequest) -> int:
         """``request``'s live skip count while it waits here (a tracking
         queue writes it to ``request.visits`` only on :meth:`remove`)."""
         if self._o3_limit is None:
             return request.visits
-        return self._entry_visits(self._by_id[request.request_id])
+        if request not in self:
+            raise KeyError(f"request {request.request_id} is not in the global queue")
+        return self._entry_visits(request)
 
-    def _entry_visits(self, entry: _Entry) -> int:
-        if entry.starved or not entry.attached:
-            return entry.visits_at_entry
-        return entry.visits_at_entry + self._counter.cover(entry.slot) - entry.cov0
+    def _entry_visits(self, request: InferenceRequest) -> int:
+        if request.o3_phase != _ATTACHED:
+            return request.visits
+        return request.visits + self._counter.cover(request.slot) - request.cov0
 
     # ------------------------------------------------------------------
     # Re-indexing (hole compaction / counter growth / positional insert)
     # ------------------------------------------------------------------
     def _reindex(self) -> None:
         """Drop holes and renumber slots 0..live-1; the skip counts settle
-        into the entries and the bump counter starts empty."""
+        into the requests and the bump counter starts empty."""
         if self._attached:
             covers = self._counter.covers()
-            for entry in self._entries:
-                if entry is not None and entry.attached and not entry.starved:
-                    entry.visits_at_entry += covers[entry.slot] - entry.cov0
-                    entry.cov0 = 0
-        alive = [e for e in self._entries if e is not None]
-        for i, entry in enumerate(alive):
-            entry.slot = i
+            for request in self._entries:
+                if request is not None and request.o3_phase == _ATTACHED:
+                    request.visits += covers[request.slot] - request.cov0
+                    request.cov0 = 0
+        alive = [r for r in self._entries if r is not None]
+        for i, request in enumerate(alive):
+            request.slot = i
         self._entries = alive  # type: ignore[assignment]
         self._head = 0
         self._version += 1
-        if len(self._starved) != self.starved_count:
-            self._starved = [e for e in self._starved if e.alive]
         if self._counter is not None:
             self._chain_from = 0
             if self._irregular:
-                self._irregular = [e for e in self._irregular if e.alive and not e.starved]
+                self._irregular = [
+                    e for e in self._irregular if e.slot >= 0 and e.o3_phase == _ATTACHED
+                ]
             need = max(64, 2 * (self._live + 1))
             self._counter = _BumpCounter(1 << (need - 1).bit_length())
 

@@ -73,9 +73,19 @@ class InferenceRequest:
 
     # -- O3 visit accounting (Alg. 1 line 15) ---------------------------
     #: times the O3 dispatch skipped this request; a visit-tracking
-    #: GlobalQueue owns the count while holding it and writes it back here
-    #: on removal (``GlobalQueue.visits`` reads it live)
+    #: GlobalQueue owns the count while holding it, settles it here lazily
+    #: and exactly on removal (``GlobalQueue.visits`` reads it live)
     visits: int = field(default=0, init=False, repr=False, compare=False)
+
+    # -- global-queue position, owned by the GlobalQueue holding it ------
+    #: ``slot``: its index there (-1 in none); ``cov0``: the bump
+    #: counter's cover of the slot at attach; ``o3_phase``: unattached
+    #: tail, attached or starved; ``regular``: no request behind it has
+    #: been skipped more often
+    slot: int = field(default=-1, init=False, repr=False, compare=False)
+    cov0: int = field(default=0, init=False, repr=False, compare=False)
+    o3_phase: int = field(default=0, init=False, repr=False, compare=False)
+    regular: bool = field(default=True, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.model_id = self.model.instance_id

@@ -20,7 +20,7 @@ module supplies the two halves the scheduling engine needs:
                         (O(1) ``len``, per-model head index, the scan
                         span past the head cursor)
   starved/O3 counter    :class:`~repro.core.queues.GlobalQueue`
-                        (the ``starved_count`` field)
+                        (its live starved list, ``starved_count``)
   cache residency       :class:`~repro.core.cache_manager.CacheManager`
                         (``models_on`` — an O(1) cached frozenset, so
                         both membership and cardinality are signals)

@@ -28,8 +28,8 @@ class TestLazyVisits:
     def test_bump_counts_prefix_only(self, make_request):
         q = GlobalQueue(o3_limit=25)
         reqs = _push_n(q, make_request, 5)
-        stop = q.first_entry_for_model(reqs[3].model_id)
-        assert stop.request is reqs[3]  # each request deploys its own instance
+        stop = q.first_for_model(reqs[3].model_id)
+        assert stop is reqs[3]  # each request deploys its own instance
         assert stop.slot == 3
         q.bump_visits_before(stop.slot)
         assert [q.visits(r) for r in reqs] == [1, 1, 1, 0, 0]
@@ -41,7 +41,7 @@ class TestLazyVisits:
         reqs = _push_n(q, make_request, 3)
         q.bump_visits_before(None)
         q.bump_visits_before(None)
-        assert reqs[1].visits == 0  # the queue owns the count while queued
+        assert q.visits(reqs[1]) == 2  # the queue owns the count while queued
         q.remove(reqs[1])
         assert reqs[1].visits == 2  # written to the request at removal
         q.bump_visits_before(None)
@@ -80,8 +80,8 @@ class TestStarvedSet:
         assert q.starved_entries_before(None) == []
         q.bump_visits_before(2)  # slots 0..1 cross the limit
         starved = q.starved_entries_before(None)
-        assert [e.request for e in starved] == reqs[:2]
-        assert all(q.visits(e.request) == 2 for e in starved)  # frozen at limit+1
+        assert starved == reqs[:2]
+        assert all(q.visits(r) == 2 for r in starved)  # frozen at limit+1
 
     def test_starved_never_bumped_again(self, make_request):
         q = GlobalQueue(o3_limit=0)
@@ -95,8 +95,8 @@ class TestStarvedSet:
         q = GlobalQueue(o3_limit=0)
         reqs = _push_n(q, make_request, 3)
         q.bump_visits_before(None)  # limit 0: every covered request starves
-        entry = q.first_entry_for_model(reqs[2].model_id)
-        assert [e.request for e in q.starved_entries_before(entry.slot)] == reqs[:2]
+        stop = q.first_for_model(reqs[2].model_id)
+        assert q.starved_entries_before(stop.slot) == reqs[:2]
         assert len(q.starved_entries_before(None)) == 3
 
     def test_requeued_request_keeps_starvation(self, make_request):
@@ -110,7 +110,7 @@ class TestStarvedSet:
         assert reqs[0].visits == 3
         q.push_sorted(reqs[0])
         starved = q.starved_entries_before(None)
-        assert reqs[0] in [e.request for e in starved]
+        assert reqs[0] in starved
         assert reqs[0] is q.head()  # re-inserted at its arrival position
 
 
@@ -254,14 +254,15 @@ def counter_calls(monkeypatch):
 
 
 class TestExemptAfterReindex:
-    def test_dead_entry_with_a_stale_slot_does_not_end_the_exempt_walk(
+    def test_a_removed_request_in_a_bucket_does_not_end_the_exempt_walk(
         self, make_request
     ):
-        """A re-index renumbers live entries only; a dead entry left in the
-        middle of a model's bucket keeps its old slot.  The exempt walk
-        must pass over it: here the dead X sits at stale slot 20, the live
-        X behind it at slot 18, and a scan stopping at 19 that passed model
-        X over (quota refusal) must not count a skip for it."""
+        """A re-index renumbers live requests only; a removed request left
+        in the middle of a model's bucket reads slot -1 there.  The exempt
+        walk must pass over it: here the removed X sits between the live X
+        at slot 6 and the live X at slot 18, and a scan stopping at 19 that
+        passed model X over (quota refusal) must not count a skip for
+        either."""
         q = GlobalQueue(o3_limit=25)
         shared = ModelInstance("X", get_profile("alexnet"))
         reqs = [
@@ -274,7 +275,7 @@ class TestExemptAfterReindex:
         for r in [reqs[20], *reqs[6:18]]:
             q.remove(r)  # X at 20 dies behind the live X at 5
         q.push_sorted(make_request("late", "alexnet", arrival=4.5))  # re-index
-        assert [e.slot for e in q._buckets["X"]] == [6, 20, 18]
+        assert [r.slot for r in q._buckets["X"]] == [6, -1, 18]
         q.bump_visits_before(19, {"X"})
         assert q.visits(reqs[5]) == q.visits(reqs[30]) == 0
         assert q.visits(reqs[18]) == q.visits(reqs[4]) == 1
@@ -346,7 +347,7 @@ class TestRouteSelection:
         # the re-inserted entries are handed over with the next full tail
         for i in range(_MAX_PENDING_LEAVES):
             queue.push(InferenceRequest("fn-pad", victims[0].model, 1.0 + i, 2201 + i))
-        assert [e.request for e in queue._irregular] == victims
+        assert queue._irregular == victims
 
         def reads_per_scan(stop_slot):
             before = counter_calls["cover"]

@@ -2,10 +2,11 @@
 
 from collections import OrderedDict
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.queues import GlobalQueue
+from repro.core.queues import _ATTACHED, _STARVED, GlobalQueue
 from repro.core.request import InferenceRequest
 from repro.models import ModelInstance, get_profile
 
@@ -195,7 +196,7 @@ def test_o3_accounting_matches_literal_model(limit, backlog, ops):
         assert len(q) == len(spec.rows)
         assert [r.request_id for r in q] == [row[0].request_id for row in spec.rows]
         assert [q.visits(r) for r in q] == [row[1] for row in spec.rows]
-        assert [e.request for e in q.starved_entries_before(None)] == [
+        assert q.starved_entries_before(None) == [
             row[0] for row in spec.rows if row[2]
         ]
         assert q.starved_count == sum(row[2] for row in spec.rows)
@@ -231,7 +232,115 @@ def test_o3_accounting_matches_literal_model(limit, backlog, ops):
                 spec.bump(len(spec.rows), exempt)
             else:
                 stop = op[1] % len(spec.rows)
-                entry = q.first_entry_for_model(spec.rows[stop][0].model_id)
-                q.bump_visits_before(entry.slot, exempt)
+                first = q.first_for_model(spec.rows[stop][0].model_id)
+                q.bump_visits_before(first.slot, exempt)
                 spec.bump(stop, exempt)
+        check()
+
+
+# ---------------------------------------------------------------------------
+# Re-queues: the queue holds the request itself
+# ---------------------------------------------------------------------------
+# A removed request keeps lazily cleaned references in its model bucket
+# (and, attached, in the irregular list) until a walk passes them; filed
+# again by ``push_sorted`` it must not read as queued twice.  Three models
+# share the buckets, and a burst pushes its requests at one arrival time,
+# so re-queues land among equal arrivals.
+_requeue_ops = st.lists(
+    st.one_of(
+        # n requests at one arrival time, models base, base+1, ...; then
+        # the clock advances or not
+        st.tuples(st.just("push"), st.integers(1, 40), st.integers(0, 2), st.booleans()),
+        st.tuples(st.just("remove"), st.integers(0, 10**6), st.integers(1, 8)),
+        st.tuples(st.just("requeue"), st.integers(0, 10**6)),
+        st.tuples(st.just("bump"), st.one_of(st.none(), st.integers(0, 10**6))),
+    ),
+    max_size=25,
+)
+#: a request removed from the middle of its model's bucket comes back
+#: among requests of its own arrival time
+_REQUEUE_MID_BUCKET = [
+    ("push", 6, 0, False), ("remove", 3, 1), ("push", 1, 0, True), ("requeue", 0),
+    ("remove", 0, 2), ("requeue", 0), ("requeue", 0),
+]
+#: a re-queued request is handed over to the bump counter as irregular,
+#: leaves, and is re-queued and handed over again: its first irregular
+#: reference must not come back to life beside the second
+_REQUEUE_IRREGULAR_TWICE = [
+    ("push", 40, 0, True), ("bump", None), ("remove", 0, 1), ("requeue", 0),
+    ("push", 32, 1, False), ("remove", 39, 1), ("requeue", 0), ("push", 32, 2, False),
+    ("bump", None), ("bump", None),
+]
+
+
+@given(st.sampled_from([None, 0, 2]), _requeue_ops)
+@example(None, _REQUEUE_MID_BUCKET)
+@example(2, _REQUEUE_MID_BUCKET)
+@example(2, _REQUEUE_IRREGULAR_TWICE)
+@settings(max_examples=150, deadline=None)
+def test_requeued_requests_are_held_once(limit, ops):
+    q = GlobalQueue(o3_limit=limit)
+    other = GlobalQueue(o3_limit=limit)  # holds requests of its own
+    instances = [ModelInstance(f"m{i}", _PROFILE) for i in range(3)]
+    spec = []  # (arrival, push order, request): the literal queue
+    removed = []
+    pushes = 0  # push order, both queues
+    clock = 0.0
+
+    def file(queue, request):
+        nonlocal pushes
+        pushes += 1
+        if queue is q:
+            spec.append((request.arrival_time, pushes, request))
+            spec.sort(key=lambda row: row[:2])
+
+    def check():
+        held = [row[2] for row in spec]
+        assert list(q) == held and len(q) == len(held)
+        for r in held:
+            assert r in q and r not in other
+            assert sum(x is r for x in q._buckets[r.model_id]) == 1
+            with pytest.raises(ValueError):
+                q.push(r)
+            with pytest.raises(ValueError):
+                q.push_sorted(r)
+        for r in removed:
+            assert r not in q and r.slot == -1
+        for r in other:
+            assert r not in q
+        for inst in instances:
+            first = next((r for r in held if r.model_id == inst.instance_id), None)
+            assert q.first_for_model(inst.instance_id) is first
+        if limit is not None:
+            starved = [r for r in held if r.o3_phase == _STARVED]
+            assert q._starved == starved  # live only, in queue order
+            live_irregular = [r for r in q._irregular if r in q]
+            assert len({id(r) for r in live_irregular}) == len(live_irregular)
+            assert all(r.o3_phase == _ATTACHED and not r.regular for r in live_irregular)
+            assert all(r.slot == -1 for r in q._irregular if r not in q)
+
+    for i in range(3):
+        r = InferenceRequest("other", instances[i], 0.0, 10_000 + i)
+        other.push(r)
+        file(other, r)
+    for op in ops:
+        if op[0] == "push":
+            _, n, base, advance = op
+            for i in range(n):
+                r = InferenceRequest("fn", instances[(base + i) % 3], clock, pushes + 1)
+                q.push(r)
+                file(q, r)
+            clock += advance
+        elif op[0] == "remove" and spec:
+            for _ in range(min(op[2], len(spec))):
+                _, _, r = spec.pop(op[1] % len(spec))
+                q.remove(r)
+                removed.append(r)
+        elif op[0] == "requeue" and removed:
+            r = removed.pop(op[1] % len(removed))
+            q.push_sorted(r)
+            file(q, r)
+        elif op[0] == "bump" and spec and limit is not None:
+            stop = None if op[1] is None else spec[op[1] % len(spec)][2].slot
+            q.bump_visits_before(stop)
         check()

@@ -10,9 +10,10 @@ in typed columns, ephemeral KV rows and latency values as exact tuples),
 the arrival column stays a column in the sim kernel instead of one
 ``Event`` per request, an ``InferenceRequest`` is built at its arrival
 and freed at its completion (the metrics window keeps its row, not the
-object).  This census is exact run
-to run: one record type going back on the books moves it by one or more
-objects per request.
+object), and a queued request is one object: the global queue holds
+the ``InferenceRequest`` itself, its slot and O3 state in fields of the
+request.  This census is exact run to run: one record type going back
+on the books moves it by one or more objects per request.
 
 Beside it, a byte count: what tracemalloc sees a replay retain per extra
 completed request, also exact run to run and across hash seeds.  The open
@@ -23,7 +24,11 @@ request objects again by ~270.  And the peak: what tracemalloc's high-water
 mark grows by per extra request, which building every request before the
 first event (rather than at its arrival) raises by ~130 bytes.  Two exact
 per-row widths pin the layouts themselves: the bytes a full decision ring
-holds per row and the bytes the open window holds per completion.
+holds per row and the bytes the open window holds per completion.  On an
+over-capacity replay, two more pin what a *queued* request costs: the
+tracked objects and the bytes the global queue holds per request it
+holds, which a wrapper object per queued request moves by one object and
+~200 bytes.
 """
 
 import gc
@@ -36,12 +41,13 @@ import pytest
 from repro.core import decisions
 from repro.core.decisions import Decision, DecisionLog
 from repro.core.gpu_manager import LatencyRecord
+from repro.core.queues import GlobalQueue
 from repro.core.request import InferenceRequest
 from repro.datastore.kv import KeyValue
 from repro.metrics.summary import per_architecture_breakdown, summarize
 from repro.runtime import FaaSCluster, SystemConfig
 from repro.sim import Event
-from repro.traces import build_workload, spec_for_requests
+from repro.traces import WorkloadSpec, build_workload, spec_for_requests
 
 
 def _tracked() -> Counter:
@@ -291,3 +297,63 @@ def test_summarize_reads_the_window_in_place():
     # no view of the buffer outlived the reads: the window still extends
     row = len(metrics._window) // rows
     metrics._window.extend(metrics._window[-row:])
+
+
+#: the over-capacity replay of ``tests/experiments/test_call_budget.py``:
+#: 6,086 of its 8,000 requests wait in the global queue when arrivals
+#: stop at t = 240 s
+DEEP_8K = WorkloadSpec(working_set=25, minutes=4, requests_per_minute=2000, seed=0)
+#: GC-tracked objects the deep replay adds between injection and t = 240
+#: s, per queued request: 1.07 measured (the request itself, plus the
+#: in-flight requests, KV rows and lists the run grows).  The commit
+#: before the queue held the request itself read 2.08: a ``_Entry``
+#: wrapper per queued request.
+TRACKED_PER_QUEUED_REQUEST = 1.1
+#: tracemalloc bytes the global queue holds per queued request at t =
+#: 240 s (freed when the queue goes): 308.6 measured (CPython 3.11, the
+#: same to the digit under hash seeds 0, 1 and 2), plus 4 % headroom for
+#: interpreter builds.  The commit before the queue held the request
+#: itself read 521.2: a 112-byte ``_Entry``, an ``(arrival, seq)`` key
+#: tuple and its ``seq`` int, and a ``request_id`` → entry dict slot.
+QUEUE_BYTES_PER_QUEUED_REQUEST = 320.9
+
+
+@pytest.fixture(scope="module")
+def deep_queue():
+    """The deep replay at t = 240 s: (queued requests, tracked objects
+    grown since injection, bytes the global queue frees when it goes)."""
+    system = FaaSCluster(SystemConfig(policy="lalbo3"))
+    system.submit_workload(build_workload(DEEP_8K))
+    before = _tracked()
+    tracemalloc.start()
+    try:
+        system.run(until=240)
+        scheduler = system.scheduler
+        queued = len(scheduler.global_queue)
+        grown = _tracked() - before
+        held = tracemalloc.get_traced_memory()[0]
+        scheduler.global_queue = GlobalQueue(o3_limit=scheduler.policy.limit)
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return queued, grown, freed
+
+
+def test_a_queued_request_is_one_tracked_object(deep_queue):
+    """Holding a request in the global queue adds no tracked object of its
+    own: at most :data:`TRACKED_PER_QUEUED_REQUEST` per queued request."""
+    queued, grown, _ = deep_queue
+    assert queued == 6086
+    per_request = sum(grown.values()) / queued
+    assert per_request <= TRACKED_PER_QUEUED_REQUEST, (
+        f"{per_request:.2f} tracked objects per queued request", grown.most_common(5)
+    )
+
+
+def test_queue_bytes_per_queued_request(deep_queue):
+    """The global queue and the requests it holds cost at most
+    :data:`QUEUE_BYTES_PER_QUEUED_REQUEST` bytes per queued request."""
+    queued, _, freed = deep_queue
+    per_request = freed / queued
+    assert per_request <= QUEUE_BYTES_PER_QUEUED_REQUEST, f"{per_request:.1f} B/request"
