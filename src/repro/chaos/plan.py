@@ -174,8 +174,8 @@ def _recoverable(seed: int, horizon_s: float, gpus: int) -> FaultPlan:
 
 def _severe(seed: int, horizon_s: float, gpus: int) -> FaultPlan:
     """Overlapping crashes including one permanent loss, long stragglers,
-    repeated lease expiries.  Requests *may* be lost under a bounded retry
-    budget — that is the point: it measures degradation, not survival."""
+    repeated lease expiries.  Displaced work is resubmitted without limit,
+    so nothing is lost; the profile measures degradation under load."""
     rng = _rng("severe", seed)
     window = lambda lo, hi: horizon_s * rng.uniform(lo, hi)  # noqa: E731
     faults: list[Fault] = [

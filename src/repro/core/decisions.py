@@ -38,8 +38,7 @@ class DecisionKind(enum.Enum):
     DISPATCH_LOCAL = "dispatch_local"      # served from a GPU's local queue
     MOVE_TO_LOCAL = "move_to_local"        # Alg. 2 line 12: wait beats load
     RESUBMIT = "resubmit"                  # failure handling: back to global queue
-    TIMEOUT = "timeout"                    # per-request deadline expired while queued
-    LOST = "lost"                          # retry budget exhausted, or stranded at drain
+    LOST = "lost"                          # stranded in a queue when the replay drains
 
 
 class Decision(NamedTuple):

@@ -24,7 +24,7 @@ class RequestState(enum.Enum):
     LOCAL_QUEUED = "local"     # moved to a busy GPU's local queue (Alg. 2 line 12)
     DISPATCHED = "dispatched"  # assigned to a GPU; loading or inferring
     COMPLETED = "completed"
-    LOST = "lost"              # dropped: deadline timeout or retry budget exhausted
+    LOST = "lost"              # dropped: stranded in a queue when the replay drains
 
 
 @dataclass(slots=True)

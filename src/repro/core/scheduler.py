@@ -61,7 +61,6 @@ class Scheduler:
         *,
         datastore: Datastore,
         tenancy: TenancyController | None = None,
-        deadline_s: float | None = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
@@ -90,11 +89,6 @@ class Scheduler:
         self._scheduling = False
         self._work_exhausted = False
         self.dispatched_count = 0
-        #: per-request deadline: a request still waiting in the *global*
-        #: queue this many seconds after arrival times out and is dropped.
-        #: None (default) schedules no timeout events at all — the
-        #: historical zero-overhead behaviour, byte for byte.
-        self.deadline_s = deadline_s
         #: callback(request, reason) fired when a request is dropped; the
         #: runtime wires this to MetricsCollector.on_lost
         self.on_lost = None
@@ -123,10 +117,6 @@ class Scheduler:
         """Accept a request from the Gateway into the global queue."""
         request.state = RequestState.QUEUED
         self.global_queue.push(request)
-        if self.deadline_s is not None:
-            self.sim.schedule_at(
-                request.arrival_time + self.deadline_s, self._deadline_expired, request
-            )
         self.actions += 1
         self._run_policy()
         # Outside a simulator event this entry point is the action
@@ -163,30 +153,9 @@ class Scheduler:
             self.datastore.flush()
 
     def give_up(self, request: InferenceRequest, reason: str) -> None:
-        """Drop a request whose retry budget is exhausted (bounded-retry
-        resubmission): it leaves the system as LOST instead of re-queueing
-        forever against a fault it cannot outlast."""
+        """Drop a request the caller has already taken out of every queue
+        (the replay's ``"stranded"`` drain): it leaves the system as LOST."""
         self._record(DecisionKind.LOST, request, None)
-        self._lose(request, reason)
-
-    def _deadline_expired(self, request: InferenceRequest) -> None:
-        """Per-request deadline timeout event (``deadline_s`` configured).
-
-        Only a request still *waiting in the global queue* can time out:
-        once it is bound to a GPU's local queue or dispatched, the work is
-        committed and will complete (or be resubmitted by failure
-        handling, staying eligible for a later firing only while QUEUED —
-        the timeout event fires exactly once, at arrival + deadline).
-        """
-        if request.state is not RequestState.QUEUED:
-            return
-        if request not in self.global_queue:
-            return
-        self.global_queue.remove(request)
-        self._record(DecisionKind.TIMEOUT, request, None)
-        self._lose(request, "deadline")
-
-    def _lose(self, request: InferenceRequest, reason: str) -> None:
         request.state = RequestState.LOST
         if self.on_lost is not None:
             self.on_lost(request, reason)

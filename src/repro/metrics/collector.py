@@ -281,8 +281,8 @@ class MetricsCollector:
         # "use" events do not change residency
 
     def on_lost(self, request: InferenceRequest, reason: str) -> None:
-        """A request left the system without completing (deadline timeout
-        or exhausted retry budget)."""
+        """A request left the system without completing (stranded in a
+        queue when the replay drained)."""
         self.lost_count += 1
         if self._window is not None:
             self.lost.append(request)

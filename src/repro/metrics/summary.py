@@ -46,7 +46,7 @@ class RunSummary:
     #: (0.0 when the workload carries no SLAs)
     sla_violation_ratio: float = 0.0
     # -- availability under faults (chaos replays; all zero when healthy) --
-    #: requests dropped (deadline timeout / retry budget exhausted)
+    #: requests dropped (stranded in a queue when the replay drained)
     lost_requests: int = 0
     #: failure-retry resubmissions absorbed across all requests
     total_retries: int = 0

@@ -49,13 +49,19 @@ class BatchRegression:
 
     @staticmethod
     def fit(batch_sizes: list[int], times_s: list[float]) -> "BatchRegression":
-        """Least-squares fit over profiled (batch, latency) samples."""
+        """Least-squares fit over profiled (batch, latency) samples, with
+        both coefficients non-negative."""
         x = np.asarray(batch_sizes, dtype=float)
         y = np.asarray(times_s, dtype=float)
         if x.size != y.size or x.size < 2:
             raise ValueError("need at least two profiled batch sizes")
         slope, intercept = np.polyfit(x, y, 1)
-        return BatchRegression(intercept=float(max(intercept, 0.0)), slope=float(max(slope, 0.0)))
+        if slope < 0 or intercept < 0:
+            # the constrained optimum lies on a boundary: keep whichever
+            # one-coefficient fit, flat or through the origin, errs less
+            fits = [(max(y.mean(), 0.0), 0.0), (0.0, max(x @ y / (x @ x), 0.0))]
+            intercept, slope = min(fits, key=lambda f: ((y - f[0] - f[1] * x) ** 2).sum())
+        return BatchRegression(intercept=float(intercept), slope=float(slope))
 
     @staticmethod
     def from_anchor(

@@ -26,7 +26,7 @@ from typing import NamedTuple
 __all__ = ["Cause", "ExplainLog", "run_explain", "format_request_causes"]
 
 #: ``pass_seq`` of decisions recorded outside any scheduling pass
-#: (resubmits, deadline timeouts, retry-budget drops)
+#: (resubmits, stranded drops)
 OUTSIDE_PASS = -1
 
 
@@ -42,7 +42,7 @@ class Cause(NamedTuple):
     gpu_id: str | None
     visits: int
     #: which executed pass produced it (:data:`OUTSIDE_PASS` for
-    #: entry-point decisions like resubmits and timeouts)
+    #: entry-point decisions like resubmits and drops)
     pass_seq: int
     #: dirty-signal state that armed the pass ("idle=2 queued=14 local=0")
     armed: str

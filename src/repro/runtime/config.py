@@ -62,17 +62,6 @@ class SystemConfig:
     fault_profile: str = "none"
     #: explicit fault schedule; overrides ``fault_profile`` when set
     fault_plan: FaultPlan | None = None
-    #: per-request deadline: a request still in the *global* queue this many
-    #: seconds after arrival times out and is dropped (None = never)
-    deadline_s: float | None = None
-    #: retry budget for failure resubmission: a request aborted/stranded
-    #: more than this many times is dropped as lost (None = unlimited,
-    #: the historical behaviour)
-    max_retries: int | None = None
-    #: base backoff before a failure resubmission re-enters the global
-    #: queue; doubles per retry already absorbed (0.0 = immediate
-    #: resubmit, the historical behaviour)
-    retry_backoff_s: float = 0.0
     #: tracing backend: ``"null"`` (default) installs nothing — every
     #: component keeps its ``None`` tracer and the hot paths pay one
     #: identity test per hook; ``"flight"`` installs the slot-indexed
@@ -104,12 +93,6 @@ class SystemConfig:
             )
         if self.fault_plan is not None:
             self.fault_plan.validate()
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive when set")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s cannot be negative")
         if self.tracer not in ("null", "flight"):
             raise ValueError(f"unknown tracer {self.tracer!r} (known: null, flight)")
 

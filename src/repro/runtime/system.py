@@ -115,7 +115,6 @@ class FaaSCluster:
             self._managers,
             datastore=self.datastore,
             tenancy=self.tenancy,
-            deadline_s=self.config.deadline_s,
         )
         self.scheduler.on_lost = self.metrics.on_lost
         if self.tracer is not None:
@@ -305,7 +304,7 @@ class FaaSCluster:
                 self.tenancy.on_load_aborted(gpu_id, inflight.model_id)
             stranded.insert(0, inflight)
         for request in stranded:
-            self._requeue(request)
+            self.scheduler.resubmit(request)
         # commit the failure's writes (offline status, withdrawn LRU lists /
         # locations, resubmits) as one action when called outside the sim;
         # scheduled failures commit at the post-event boundary instead
@@ -317,7 +316,7 @@ class FaaSCluster:
         reschedules, cache locations are invalidated atomically.
 
         The drain protocol, in order: (1) the GPU's local queue is emptied
-        and every request re-queued through the retry budget; (2) the
+        and every request resubmitted at its arrival position; (2) the
         manager marks the GPU draining — an in-flight request finishes
         normally before the GPU retires, an idle GPU retires immediately;
         (3) at retirement every cached model is withdrawn in the same
@@ -330,7 +329,7 @@ class FaaSCluster:
         stranded = self.scheduler.drain_local(gpu)
         self._managers[gpu.node_id].drain(gpu)
         for request in stranded:
-            self._requeue(request)
+            self.scheduler.resubmit(request)
         if not self.sim.is_running:
             self.datastore.flush()
 
@@ -338,26 +337,7 @@ class FaaSCluster:
         """Drain completed mid-run: re-queue anything the policies bound to
         the (then busy, now offline) GPU's local queue during the window."""
         for request in self.scheduler.drain_local(gpu):
-            self._requeue(request)
-
-    def _requeue(self, request: InferenceRequest) -> None:
-        """Route displaced work back to the global queue, applying the
-        configured retry budget and backoff.
-
-        Defaults (``max_retries=None``, ``retry_backoff_s=0``) reproduce
-        the historical behaviour exactly: unlimited, immediate resubmits.
-        """
-        cfg = self.config
-        if cfg.max_retries is not None and request.retries >= cfg.max_retries:
-            self.scheduler.give_up(request, "retries_exhausted")
-            return
-        if cfg.retry_backoff_s > 0.0:
-            # exponential: each absorbed retry doubles the pause before
-            # the request competes for GPUs again
-            delay = cfg.retry_backoff_s * (2.0 ** request.retries)
-            self.sim.schedule(delay, self.scheduler.resubmit, request)
-            return
-        self.scheduler.resubmit(request)
+            self.scheduler.resubmit(request)
 
     def recover_gpu(self, gpu_id: str) -> None:
         """Bring a failed GPU back online (empty) and resume scheduling."""

@@ -74,14 +74,14 @@ class TestDecisionLog:
         log = DecisionLog()
         d = Decision(1.5, DecisionKind.MOVE_TO_LOCAL, 7, "m", None, visits=3)
         log.record(d)
-        log.append(2.5, DecisionKind.TIMEOUT, 8, "m", "g1")
-        assert list(log) == [d, Decision(2.5, DecisionKind.TIMEOUT, 8, "m", "g1")]
+        log.append(2.5, DecisionKind.LOST, 8, "m", "g1")
+        assert list(log) == [d, Decision(2.5, DecisionKind.LOST, 8, "m", "g1")]
         assert all(type(x) is Decision for x in [*log, *log.last(2), *log.for_gpu("g1")])
         assert [tuple(map(type, x)) for x in log.last(1)] == [
             (float, DecisionKind, int, str, str, int)
         ]
         assert log.for_request(7) == [d]
-        assert log.counts() == {"move_to_local": 1, "timeout": 1}
+        assert log.counts() == {"move_to_local": 1, "lost": 1}
 
     def test_appended_counts_past_a_full_ring(self):
         """``appended`` is monotonic; the length stops at ``maxlen``."""

@@ -269,51 +269,6 @@ class TestGracefulDrain:
         assert r.gpu_id == gpu0.gpu_id
 
 
-class TestRetryBudget:
-    def test_retry_budget_exhaustion_loses_request(self, make_request):
-        """With max_retries=0 a single failure exhausts the budget: the
-        request is recorded LOST, not resubmitted forever."""
-        from repro.core.request import RequestState
-
-        system = FaaSCluster(
-            SystemConfig(
-                cluster=ClusterSpec.homogeneous(1, 1), policy="lalb", max_retries=0
-            )
-        )
-        gpu = system.cluster.gpus[0]
-        r = submit(system, make_request("fn-a", "resnet50"))
-        system.run(until=1.0)
-        system.fail_gpu(gpu.gpu_id)
-        system.recover_gpu(gpu.gpu_id)
-        system.run()
-        assert r.completed_at is None
-        assert r.state is RequestState.LOST
-        assert system.metrics.lost_count == 1
-        assert system.metrics.lost_reasons == {"retries_exhausted": 1}
-        assert len(system.sim) == 0
-
-    def test_retry_backoff_delays_resubmit(self, make_request):
-        """With a backoff configured, a failed request re-enters the queue
-        only after the delay — and completes afterwards."""
-        system = FaaSCluster(
-            SystemConfig(
-                cluster=ClusterSpec.homogeneous(1, 2),
-                policy="lalb",
-                retry_backoff_s=5.0,
-            )
-        )
-        gpu0, gpu1 = system.cluster.gpus
-        r = submit(system, make_request("fn-a", "resnet50"))
-        system.run(until=1.0)
-        fail_at = system.sim.now
-        system.fail_gpu(gpu0.gpu_id)
-        assert len(system.scheduler.global_queue) == 0  # parked in backoff
-        system.run()
-        assert r.completed_at is not None
-        assert r.gpu_id == gpu1.gpu_id
-        assert r.exec_start_at >= fail_at + 5.0
-
-
 class TestTenancyCleanup:
     def test_reservation_released_on_abort(self, make_request):
         system = FaaSCluster(

@@ -230,6 +230,8 @@ class TestReplayDriver:
         scheduler = system.scheduler
         assert summary.lost_requests == sum(r.model.tenant == "capped" for r in workload.requests())
         assert system.metrics.completed_count + summary.lost_requests == len(workload)
+        assert summary.completed_requests == system.metrics.completed_count > 0
+        assert summary.goodput_rps > 0  # the uncapped tenants' completions count
         assert system.metrics.lost_reasons == {"stranded": summary.lost_requests}
         assert len(scheduler.global_queue) == 0
         assert scheduler.local_queues.total() == 0

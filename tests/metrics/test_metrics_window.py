@@ -226,7 +226,7 @@ class TestWindowLifecycle:
             for i in range(5)
         ]
         lost = InferenceRequest("f", _INSTANCES["alexnet"], arrival_time=0.0, request_id=6)
-        collector.on_lost(lost, "deadline")
+        collector.on_lost(lost, "stranded")
         for r in requests[:3]:
             collector.on_complete(r)
         assert collector.window_open
@@ -238,10 +238,10 @@ class TestWindowLifecycle:
         assert collector.lost_count == 1
         assert collector.lat_hist.count == 4
         collector.on_complete(requests[4])  # folds directly
-        collector.on_lost(lost, "deadline")  # counted, not retained
+        collector.on_lost(lost, "stranded")  # counted, not retained
         assert collector.lost == []
         assert (collector.completed_count, collector.lost_count) == (5, 2)
-        assert collector.lost_reasons == {"deadline": 2}
+        assert collector.lost_reasons == {"stranded": 2}
         assert collector.lat_hist.count == 5
 
     def test_a_completed_request_is_not_retained(self):

@@ -67,6 +67,23 @@ class TestBatchRegression:
         assert fitted.intercept == pytest.approx(0.5)
         assert fitted.slope == pytest.approx(0.01)
 
+    @pytest.mark.parametrize(
+        "times, intercept, slope",
+        [
+            # unconstrained intercept < 0: the fit through the origin
+            ([0.004, 0.010, 0.040], 0.0, 0.184 / 21),
+            # unconstrained slope < 0: the flat fit at the mean
+            ([0.05, 0.02, 0.03], 0.1 / 3, 0.0),
+        ],
+        ids=["through_origin", "flat"],
+    )
+    def test_fit_refits_when_a_coefficient_hits_zero(self, times, intercept, slope):
+        """Clamping a negative coefficient to 0 is not enough: the other one
+        is refitted, giving the non-negative least-squares optimum."""
+        fitted = BatchRegression.fit([1, 2, 4], times)
+        assert fitted.intercept == pytest.approx(intercept)
+        assert fitted.slope == pytest.approx(slope)
+
     def test_fit_requires_two_points(self):
         with pytest.raises(ValueError):
             BatchRegression.fit([32], [1.0])

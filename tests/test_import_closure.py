@@ -49,9 +49,10 @@ MUST_NOT_LOAD = {
 
 #: ``repro`` modules and their source lines at this commit; the commit
 #: before the packages resolved their names lazily loaded all 61 modules
-#: (10,415 lines) for the same replay
+#: (10,415 lines) for the same replay, and the commit before the
+#: deadline and retry-budget knobs were retired loaded 7,786 lines
 ACHIEVED_MODULES = 40
-ACHIEVED_LINES = 7_786
+ACHIEVED_LINES = 7_722
 
 _REPLAY = """
 import json, sys

@@ -57,11 +57,12 @@ def test_subpackages_importable():
 def test_option_budget():
     """Every ``SystemConfig`` field is a configuration axis tests and
     benches must cover, so a new knob has to show up as a diff here —
-    and the engine selectors that were removed must stay removed."""
+    and the engine selectors and failure knobs that were removed must
+    stay removed."""
     assert {f.name for f in dataclasses.fields(repro.SystemConfig)} == {
         "cluster", "policy", "o3_limit", "replacement", "retention",
-        "quotas", "seed", "fault_profile", "fault_plan", "deadline_s",
-        "max_retries", "retry_backoff_s", "tracer", "trace_decisions",
+        "quotas", "seed", "fault_profile", "fault_plan", "tracer",
+        "trace_decisions",
     }
     with pytest.raises(TypeError):
         repro.SystemConfig(pass_elision=False)
@@ -71,11 +72,22 @@ def test_option_budget():
         repro.SystemConfig(metrics_streaming=True)
     with pytest.raises(TypeError):
         repro.SystemConfig(watch_delay_s=0.5)
+    with pytest.raises(TypeError):
+        repro.SystemConfig(deadline_s=2.0)
+    with pytest.raises(TypeError):
+        repro.SystemConfig(max_retries=0)
+    with pytest.raises(TypeError):
+        repro.SystemConfig(retry_backoff_s=5.0)
     s = repro.FaaSCluster().scheduler
     with pytest.raises(TypeError):
         Scheduler(
             s.sim, s.cluster, s.policy, s.cache, s.estimator, {},
             datastore=s.datastore, pass_elision=False,
+        )
+    with pytest.raises(TypeError):
+        Scheduler(
+            s.sim, s.cluster, s.policy, s.cache, s.estimator, {},
+            datastore=s.datastore, deadline_s=2.0,
         )
     with pytest.raises(TypeError):
         MetricsCollector(s.sim, streaming=True)
