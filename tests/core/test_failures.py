@@ -268,6 +268,135 @@ class TestGracefulDrain:
         gpu1.become_idle()
         assert r.gpu_id == gpu0.gpu_id
 
+    def test_work_bound_during_the_drain_window_is_resubmitted(self, system, make_request):
+        """A request the policy binds to the draining GPU's local queue
+        after ``drain_gpu`` returns goes back through ``resubmit`` when the
+        GPU retires (the manager's ``on_drained`` callback)."""
+        gpu0, gpu1 = system.cluster.gpus
+        inst = ModelInstance("fn-hot", get_profile("resnet50"))
+        warmup = make_request("fn-hot-warm", "resnet50", model=inst)
+        gpu1.begin_inference()  # park gpu1 → warmup loads on gpu0
+        submit(system, warmup)
+        system.run()
+        gpu1.become_idle()
+        r0 = make_request("fn-hot0", "resnet50", arrival=system.sim.now, model=inst)
+        gpu1.begin_inference()
+        submit(system, r0)  # hit keeps gpu0 busy
+        gpu1.become_idle()
+        system.drain_gpu(gpu0.gpu_id)  # local queue empty: nothing to resubmit yet
+        r1 = make_request("fn-hot1", "resnet50", arrival=system.sim.now, model=inst)
+        submit(system, r1)  # same model → bound to the draining gpu0
+        assert system.scheduler.local_queues.length(gpu0) == 1
+        system.run()
+        assert r0.gpu_id == gpu0.gpu_id and r0.retries == 0
+        assert r1.completed_at is not None and r1.gpu_id == gpu1.gpu_id
+        assert r1.retries == 1
+        assert not gpu0.is_online
+        assert len(system.sim) == 0
+
+
+def _single_gpu():
+    return FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(1, 1), policy="lalb"))
+
+
+class TestResubmission:
+    """Displaced work re-enters the global queue at its arrival position,
+    immediately and without limit; nothing times a request out."""
+
+    def test_resubmit_is_immediate(self, system, make_request):
+        from repro.core.decisions import DecisionKind
+
+        gpu0, gpu1 = system.cluster.gpus
+        r = submit(system, make_request("fn-a", "resnet50"))
+        system.run(until=1.0)
+        system.fail_gpu(gpu0.gpu_id)
+        # redispatched to the survivor within the failure call itself
+        assert r.gpu_id == gpu1.gpu_id
+        assert len(system.scheduler.global_queue) == 0
+        rows = system.scheduler.decisions.for_request(r.request_id)
+        assert [(d.time_s, d.kind) for d in rows] == [
+            (0.0, DecisionKind.DISPATCH_MISS),
+            (1.0, DecisionKind.RESUBMIT),
+            (1.0, DecisionKind.DISPATCH_MISS),
+        ]
+        system.run()
+        assert r.completed_at is not None and r.retries == 1
+
+    def test_resubmits_have_no_limit(self, make_request):
+        from repro.core.decisions import DecisionKind
+
+        system = _single_gpu()
+        gpu = system.cluster.gpus[0]
+        r = submit(system, make_request("fn-a", "resnet50"))
+        for _ in range(5):
+            system.run(until=system.sim.now + 1.0)  # mid-load every time
+            assert gpu.state is GPUState.LOADING
+            system.fail_gpu(gpu.gpu_id)
+            system.recover_gpu(gpu.gpu_id)
+        system.run()
+        assert r.completed_at is not None
+        assert r.retries == 5
+        assert system.metrics.lost_count == 0
+        assert system.scheduler.decisions.counts() == {
+            DecisionKind.DISPATCH_MISS.value: 6,
+            DecisionKind.RESUBMIT.value: 5,
+        }
+        assert len(system.sim) == 0
+
+    def test_a_queued_request_outlives_any_outage(self, make_request):
+        """Submitting arms no per-request timer: a request queued while
+        every GPU is down waits, however long, and completes on recovery."""
+        from repro.core.request import RequestState
+
+        system = _single_gpu()
+        gpu = system.cluster.gpus[0]
+        system.fail_gpu(gpu.gpu_id)
+        r = submit(system, make_request("fn-a", "resnet50"))
+        assert len(system.sim) == 0
+        system.run(until=10_000.0)
+        assert r.state is RequestState.QUEUED
+        assert list(system.scheduler.global_queue) == [r]
+        system.recover_gpu(gpu.gpu_id)
+        system.run()
+        assert r.completed_at is not None
+        assert r.exec_start_at >= 10_000.0
+        assert system.metrics.lost_count == 0
+        assert system.metrics.lost_reasons == {}
+
+    def test_resubmitted_request_goes_ahead_of_later_arrivals(self, make_request):
+        system = _single_gpu()
+        gpu = system.cluster.gpus[0]
+        old = submit(system, make_request("fn-a", "resnet50"))
+        system.run(until=1.0)
+        new = submit(system, make_request("fn-b", "alexnet", arrival=system.sim.now))
+        assert list(system.scheduler.global_queue) == [new]
+        system.fail_gpu(gpu.gpu_id)
+        assert list(system.scheduler.global_queue) == [old, new]
+        system.recover_gpu(gpu.gpu_id)
+        system.run()
+        assert old.completed_at is not None and new.completed_at is not None
+        assert old.exec_start_at < new.exec_start_at
+
+    def test_every_resubmit_reaches_the_retry_counters(self, system, make_request):
+        from repro.metrics.summary import summarize
+
+        gpu0, gpu1 = system.cluster.gpus
+        a = submit(system, make_request("fn-a", "resnet50"))
+        b = submit(system, make_request("fn-b", "alexnet"))
+        assert (a.gpu_id, b.gpu_id) == (gpu0.gpu_id, gpu1.gpu_id)
+        system.run(until=1.0)
+        system.fail_gpu(gpu0.gpu_id)  # gpu1 busy: a waits in the global queue
+        system.fail_gpu(gpu1.gpu_id)
+        system.recover_gpu(gpu0.gpu_id)
+        system.recover_gpu(gpu1.gpu_id)
+        system.run()
+        assert (a.retries, b.retries) == (1, 1)
+        assert system.scheduler.decisions.counts()["resubmit"] == 2
+        assert system.metrics.retries_total == 2
+        summary = summarize(system.metrics, system.cluster)
+        assert summary.total_retries == 2
+        assert summary.completed_requests == 2 and summary.lost_requests == 0
+
 
 class TestTenancyCleanup:
     def test_reservation_released_on_abort(self, make_request):
