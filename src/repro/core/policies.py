@@ -5,7 +5,8 @@
   (§V-A).
 * :class:`LALBPolicy` — locality-aware load-balancing, Algorithms 1 and 2,
   parameterized by the out-of-order (O3) skip limit.  ``limit=0`` is the
-  paper's **LALB**; ``limit=25`` (the default) is **LALBO3**.
+  paper's **LALB** (``"lalb"``); ``limit=25`` (the default) is **LALBO3**
+  (``"lalbo3"``); any other N is ``"lalbo3(limit=N)"``, its one name.
 
 Policies act through the :class:`SchedulerOps` interface exposed by the
 Scheduler, so they are pure decision logic and unit-testable against fakes.
@@ -276,7 +277,7 @@ class LALBPolicy(SchedulingPolicy):
         if limit < 0:
             raise ValueError("O3 limit cannot be negative")
         self.limit = limit
-        self.name = "lalbo3" if limit > 0 else "lalb"
+        self.name = {0: "lalb", DEFAULT_O3_LIMIT: "lalbo3"}.get(limit, f"lalbo3(limit={limit})")
 
     def schedule_pass(self, s: SchedulerOps) -> bool:
         work = s.pass_work_remaining
@@ -456,21 +457,26 @@ class LALBPolicy(SchedulingPolicy):
         return "to_this_gpu"
 
 
-#: name -> builder taking the O3 limit: the paper's three schedulers plus
-#: the ``"locality"`` strawman of §I
-_POLICY_BUILDERS: dict[str, Callable[[int], SchedulingPolicy]] = {
-    "lb": lambda o3_limit: LoadBalancingPolicy(),
-    "locality": lambda o3_limit: LocalityOnlyPolicy(),
-    "lalb": lambda o3_limit: LALBPolicy(limit=0),
-    "lalbo3": lambda o3_limit: LALBPolicy(limit=o3_limit),
+#: name -> builder: the paper's three schedulers plus the ``"locality"``
+#: strawman of §I
+_POLICY_BUILDERS: dict[str, Callable[[], SchedulingPolicy]] = {
+    "lb": LoadBalancingPolicy,
+    "locality": LocalityOnlyPolicy,
+    "lalb": lambda: LALBPolicy(limit=0),
+    "lalbo3": LALBPolicy,
 }
 SCHEDULING_POLICY_NAMES = tuple(_POLICY_BUILDERS)
 
 
-def make_scheduling_policy(name: str, *, o3_limit: int = DEFAULT_O3_LIMIT) -> SchedulingPolicy:
-    """Build the policy named exactly ``name`` (see ``SCHEDULING_POLICY_NAMES``)."""
+def make_scheduling_policy(name: str) -> SchedulingPolicy:
+    """Build the policy whose ``.name`` is exactly ``name``: one of
+    ``SCHEDULING_POLICY_NAMES`` or ``"lalbo3(limit=N)"`` for N not 0 or 25."""
     builder = _POLICY_BUILDERS.get(name)
-    if builder is None:
-        known = ", ".join(SCHEDULING_POLICY_NAMES)
-        raise KeyError(f"unknown policy {name!r}; known: {known}")
-    return builder(o3_limit)
+    if builder is not None:
+        return builder()
+    digits = name[len("lalbo3(limit=") : -1]
+    # the round trip rejects every other spelling of a limit (0, 25, 05)
+    if digits.isdecimal() and (policy := LALBPolicy(int(digits))).name == name:
+        return policy
+    known = ", ".join(SCHEDULING_POLICY_NAMES)
+    raise ValueError(f"unknown policy {name!r}; known: {known}, lalbo3(limit=N)")

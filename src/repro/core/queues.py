@@ -157,13 +157,6 @@ class GlobalQueue:
         """Live requests past the O3 limit."""
         return len(self._starved)
 
-    def __contains__(self, request: InferenceRequest) -> bool:
-        # a request in no queue has slot -1: the last entry, never itself
-        try:
-            return self._entries[request.slot] is request
-        except IndexError:
-            return False
-
     def __len__(self) -> int:
         return self._live
 

@@ -8,7 +8,7 @@ Usage::
     python -m repro.experiments fig6
     python -m repro.experiments fig7
     python -m repro.experiments all
-    python -m repro.experiments sweep --policies lb lalbo3 --o3-limits 5 25
+    python -m repro.experiments sweep --policies lb 'lalbo3(limit=5)' lalbo3
     python -m repro.experiments profile      # cProfile the 2k §V-A replay
     python -m repro.experiments trace        # traced 2k replay → trace.json (Perfetto) + trace.prom
     python -m repro.experiments explain 42   # why request #42 was scheduled the way it was
@@ -18,11 +18,13 @@ process over one shared trace; the whole §V grid takes seconds.
 
 The ``sweep`` target runs the declarative §V grid itself
 (:class:`~repro.experiments.runner.SweepSpec`; axes: ``--policies
---working-sets --o3-limits --replacements --seeds --fault-profiles``;
-scale: ``--minutes --requests-per-minute``) and prints one summary row per
-distinct config, in expansion order.  Any other target rejects these
-flags.  ``--fault-profiles recoverable`` replays the grid under the seeded
-chaos plan (see :mod:`repro.chaos` and ``docs/robustness.md``).
+--working-sets --replacements --seeds --fault-profiles``; scale:
+``--minutes --requests-per-minute``) and prints one summary row per
+distinct config, in expansion order.  An O3 limit is a policy name:
+``lalbo3(limit=5)`` (quoted in a shell); 0 is ``lalb`` and 25 ``lalbo3``.
+Any other target rejects these flags, and a value no axis knows exits 2.
+``--fault-profiles recoverable`` replays the grid under the seeded chaos
+plan (see :mod:`repro.chaos` and ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .table1 import format_table1, table1_from_paper
 
 #: the sweep target's axis flags (argparse dests, named as SweepSpec fields)
 _SWEEP_AXES = (
-    "policies", "working_sets", "o3_limits", "replacements", "seeds",
-    "fault_profiles", "minutes", "requests_per_minute",
+    "policies", "working_sets", "replacements", "seeds", "fault_profiles",
+    "minutes", "requests_per_minute",
 )
 #: argparse dest -> the only targets that read it (an error on any other)
 _TARGET_ONLY = {
@@ -78,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     # sweep-target axes (an error on any other target)
     parser.add_argument("--policies", nargs="+", default=None, metavar="P")
     parser.add_argument("--working-sets", nargs="+", type=int, default=None, metavar="WS")
-    parser.add_argument("--o3-limits", nargs="+", type=int, default=None, metavar="L")
     parser.add_argument("--replacements", nargs="+", default=None, metavar="R")
     parser.add_argument("--seeds", nargs="+", type=int, default=None, metavar="S")
     parser.add_argument(
@@ -158,10 +159,14 @@ def main(argv: list[str] | None = None) -> int:
         }
         if args.seeds is None and args.seed:
             overrides["seeds"] = (args.seed,)
-        spec = SweepSpec(**overrides)
+        try:
+            spec = SweepSpec(**overrides)
+            cells = spec.cells()
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog}: {exc}\n")
         t0 = time.perf_counter()
         rows = []
-        for c in spec.cells():
+        for c in cells:
             row = run_experiment(c, trace=shared_trace(spec.trace)).row()
             label = f"{c.label()}/{c.replacement}/ws{c.working_set}/seed{c.seed}"
             rows.append([label, row["avg_latency_s"], row["miss_ratio"], row["sm_util"]])

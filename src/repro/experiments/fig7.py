@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from ..core.policies import LALBPolicy
 from ..metrics.summary import RunSummary
 from ..traces.azure import SyntheticAzureTrace
 from .report import format_table
@@ -27,12 +28,13 @@ def run_fig7(
     base: ExperimentConfig | None = None,
     trace: SyntheticAzureTrace | None = None,
 ) -> dict[int, RunSummary]:
-    """The O3-limit axis: one LALBO3 run per limit, keyed by limit."""
+    """The O3-limit axis: one LALBO3 run per limit, keyed by limit (limit 0
+    runs ``"lalb"``, 25 ``"lalbo3"``, any other N ``"lalbo3(limit=N)"``)."""
     base = base or ExperimentConfig(policy="lalbo3", working_set=working_set)
     trace = trace or shared_trace()
     return {
         limit: run_experiment(
-            replace(base, policy="lalbo3", working_set=working_set, o3_limit=limit),
+            replace(base, policy=LALBPolicy(limit).name, working_set=working_set),
             trace=trace,
         )
         for limit in limits

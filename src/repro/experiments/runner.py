@@ -1,7 +1,8 @@
 """Experiment runner: one trace-driven run of the full system.
 
 Every figure in §V is regenerated by looping :func:`run_experiment` over
-policies / working sets / O3 limits, in process, over one shared trace.
+policies (O3 limits among them) / working sets, in process, over one
+shared trace.
 Runs are deterministic in their seeds; results carry the full
 :class:`~repro.metrics.RunSummary`.  :class:`SweepSpec` names a grid's
 axes and expands them into the configs to run.
@@ -58,7 +59,6 @@ class ExperimentConfig:
     working_set: int = 15
     minutes: int = 6
     requests_per_minute: int = 325
-    o3_limit: int = 25
     replacement: str = "lru"
     cluster: ClusterSpec = PAPER_TESTBED
     #: optional per-request SLA in seconds (None = the paper's best-effort)
@@ -69,15 +69,13 @@ class ExperimentConfig:
     fault_profile: str = "none"
 
     def __post_init__(self) -> None:
-        self.system_config()  # a typo fails here, not mid-sweep
+        # a typo or an out-of-range scale fails here, not mid-sweep
+        self.system_config(), self.workload_spec()
 
     def label(self) -> str:
-        base = (
-            f"lalbo3(limit={self.o3_limit})" if self.policy == "lalbo3" else self.policy
-        )
         if self.fault_profile != "none":
-            return f"{base}@{self.fault_profile}"
-        return base
+            return f"{self.policy}@{self.fault_profile}"
+        return self.policy
 
     def workload_spec(self) -> WorkloadSpec:
         """The workload half of the cell."""
@@ -94,7 +92,6 @@ class ExperimentConfig:
         return SystemConfig(
             cluster=self.cluster,
             policy=self.policy,
-            o3_limit=self.o3_limit,
             replacement=self.replacement,
             seed=self.seed,
             fault_profile=self.fault_profile,
@@ -136,7 +133,6 @@ class SweepSpec:
 
     policies: tuple[str, ...] = PAPER_POLICIES
     working_sets: tuple[int, ...] = (15, 25, 35)
-    o3_limits: tuple[int, ...] = (25,)
     replacements: tuple[str, ...] = ("lru",)
     seeds: tuple[int, ...] = (0,)
     slas: tuple[float | None, ...] = (None,)
@@ -151,33 +147,30 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name in (
-            "policies", "working_sets", "o3_limits", "replacements", "seeds",
-            "slas", "fault_profiles",
+            "policies", "working_sets", "replacements", "seeds", "slas",
+            "fault_profiles",
         ):
             if not getattr(self, name):
                 raise ValueError(f"sweep axis {name!r} is empty")
 
     def cells(self) -> tuple[ExperimentConfig, ...]:
         """The cross product as configs, seed outermost and policy
-        innermost, duplicates folded: non-lalbo3 policies ignore the O3
-        axis and always take its first limit, so they collapse to one
-        config per remaining key."""
+        innermost, a value repeated on an axis folded to its first cell."""
         configs = (
             ExperimentConfig(
                 policy=policy,
                 working_set=ws,
                 minutes=self.minutes,
                 requests_per_minute=self.requests_per_minute,
-                o3_limit=o3 if policy == "lalbo3" else self.o3_limits[0],
                 replacement=replacement,
                 cluster=self.cluster,
                 sla_s=sla,
                 seed=seed,
                 fault_profile=fault_profile,
             )
-            for seed, fault_profile, sla, replacement, ws, o3, policy in product(
+            for seed, fault_profile, sla, replacement, ws, policy in product(
                 self.seeds, self.fault_profiles, self.slas, self.replacements,
-                self.working_sets, self.o3_limits, self.policies,
+                self.working_sets, self.policies,
             )
         )
         return tuple(dict.fromkeys(configs))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from ..chaos.plan import FAULT_PROFILES, FaultPlan
 from ..cluster.topology import PAPER_TESTBED, ClusterSpec
-from ..core.policies import DEFAULT_O3_LIMIT, SCHEDULING_POLICY_NAMES
+from ..core.policies import make_scheduling_policy
 from ..core.replacement import POLICY_NAMES as REPLACEMENT_NAMES
 from ..core.tenancy import TenantQuota
 
@@ -30,10 +30,9 @@ class SystemConfig:
 
     #: cluster topology (default: 3 nodes × 4 RTX 2080, §V-A.3)
     cluster: ClusterSpec = PAPER_TESTBED
-    #: scheduling policy: "lb", "lalb", "lalbo3", or the "locality" strawman
+    #: scheduling policy: "lb", "lalb", "lalbo3" (O3 skip limit 25, §IV-B),
+    #: "lalbo3(limit=N)" for another limit N, or the "locality" strawman
     policy: str = "lalbo3"
-    #: out-of-order dispatch skip limit (§IV-B; only used by lalbo3)
-    o3_limit: int = DEFAULT_O3_LIMIT
     #: cache replacement policy per GPU: "lru", "fifo", "lfu", "size"
     replacement: str = "lru"
     #: one bound on the per-request records a replay retains (≥ 1 when
@@ -77,11 +76,7 @@ class SystemConfig:
     trace_decisions: bool = False
 
     def __post_init__(self) -> None:
-        if self.policy not in SCHEDULING_POLICY_NAMES:
-            known = ", ".join(SCHEDULING_POLICY_NAMES)
-            raise ValueError(f"unknown policy {self.policy!r} (known: {known})")
-        if self.o3_limit < 0:
-            raise ValueError("o3_limit cannot be negative")
+        make_scheduling_policy(self.policy)  # ValueError on an unknown name
         if self.replacement not in REPLACEMENT_NAMES:
             raise ValueError(f"unknown replacement policy {self.replacement!r}")
         if self.retention is not None and self.retention < 1:

@@ -105,7 +105,7 @@ class FaaSCluster:
                 on_drained=self._on_gpu_drained,
             )
 
-        policy = make_scheduling_policy(self.config.policy, o3_limit=self.config.o3_limit)
+        policy = make_scheduling_policy(self.config.policy)
         self.scheduler = Scheduler(
             self.sim,
             self.cluster,

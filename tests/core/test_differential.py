@@ -335,21 +335,21 @@ class TestTenancy:
         assert production.system.metrics.completed_count == len(spec)  # strands none
 
     @given(
-        policy=st.sampled_from(["lb", "lalb", "lalbo3"]),
-        o3_limit=st.sampled_from([1, 3, 25]),
+        policy=st.sampled_from(
+            ["lb", "lalb", "lalbo3(limit=1)", "lalbo3(limit=3)", "lalbo3"]
+        ),
         max_processes=st.none() | st.integers(0, 4),
         fail=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=12, deadline=None)
-    def test_generated_quotas_match_the_spec(self, policy, o3_limit, max_processes, fail, seed):
+    def test_generated_quotas_match_the_spec(self, policy, max_processes, fail, seed):
         """Generated quotas, O3 limits and an optional GPU failure: the
         index scans make the spec's decisions and leave its final KV."""
         quota = TenantQuota(max_processes)
         spec = _workload(seed, 300)
         kwargs = dict(
             policy=policy,
-            o3_limit=o3_limit,
             quotas={"capped": quota},
             cluster=ClusterSpec.homogeneous(2, 3),
             fail_gpu_at=spec[120][1] if fail else None,

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core.policies import (
+    DEFAULT_O3_LIMIT,
     SCHEDULING_POLICY_NAMES,
     LALBPolicy,
     LoadBalancingPolicy,
@@ -17,10 +18,8 @@ from repro.models import ModelInstance, get_profile
 from repro.runtime import FaaSCluster, SystemConfig
 
 
-def build(policy, gpus=2, o3_limit=25):
-    return FaaSCluster(
-        SystemConfig(cluster=ClusterSpec.homogeneous(1, gpus), policy=policy, o3_limit=o3_limit)
-    )
+def build(policy, gpus=2):
+    return FaaSCluster(SystemConfig(cluster=ClusterSpec.homogeneous(1, gpus), policy=policy))
 
 
 def warm(system, instance, gpu):
@@ -40,12 +39,23 @@ class TestFactory:
         assert isinstance(p, LALBPolicy) and p.limit == 0
 
     def test_lalbo3_limit_configurable(self):
-        p = make_scheduling_policy("lalbo3", o3_limit=45)
-        assert p.limit == 45
+        p = make_scheduling_policy("lalbo3(limit=45)")
+        assert p.limit == 45 and p.name == "lalbo3(limit=45)"
 
     def test_unknown_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             make_scheduling_policy("fifo")
+
+    def test_every_limit_round_trips_through_its_name(self):
+        """A policy's ``name`` is its one spelling: the factory rebuilds
+        the same limit from it."""
+        for n in range(61):
+            name = LALBPolicy(n).name
+            assert make_scheduling_policy(name).limit == n
+            assert SystemConfig(policy=name).policy == name
+        assert LALBPolicy(0).name == "lalb"
+        assert LALBPolicy(DEFAULT_O3_LIMIT).name == "lalbo3"
+        assert LALBPolicy(5).name == "lalbo3(limit=5)"
 
     @pytest.mark.parametrize("name", SCHEDULING_POLICY_NAMES)
     def test_one_names_table(self, name):
@@ -53,9 +63,15 @@ class TestFactory:
         assert make_scheduling_policy(name).name == name
         assert SystemConfig(policy=name).policy == name
 
-    @pytest.mark.parametrize("name", ["LALB", "Lb", "lalbo3 "])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "LALB", "Lb", "lalbo3 ", "lalbo3(limit=25)", "lalbo3(limit=0)",
+            "lalbo3(limit=-1)", "lalbo3(limit=05)", "lb(limit=3)",
+        ],
+    )
     def test_names_match_exactly(self, name):
-        with pytest.raises(KeyError, match="known: lb, locality, lalb, lalbo3"):
+        with pytest.raises(ValueError, match="known: lb, locality, lalb, lalbo3"):
             make_scheduling_policy(name)
         with pytest.raises(ValueError, match="known: lb, locality, lalb, lalbo3"):
             SystemConfig(policy=name)
@@ -173,13 +189,13 @@ class TestLALBLocality:
 
 
 class TestOutOfOrderDispatch:
-    def _two_gpu_hot_cold(self, make_request, policy, o3_limit=25):
+    def _two_gpu_hot_cold(self, make_request, policy):
         """gpu1 caches 'hot'; queue = [cold1, hot]; gpu0 busy, gpu1 idle.
 
         O3 should promote `hot` to gpu1 ahead of cold1 when the limit
         allows skipping.
         """
-        system = build(policy, gpus=2, o3_limit=o3_limit)
+        system = build(policy, gpus=2)
         gpu0, gpu1 = system.cluster.gpus
         hot_inst = ModelInstance("hot", get_profile("resnet50"))
         warm(system, hot_inst, gpu1)
@@ -206,9 +222,7 @@ class TestOutOfOrderDispatch:
 
     def test_starvation_limit_forces_dispatch(self, make_request):
         """Once visits exceed the limit the cold request must be served."""
-        system, gpu1, cold, hot = self._two_gpu_hot_cold(
-            make_request, "lalbo3", o3_limit=2
-        )
+        system, gpu1, cold, hot = self._two_gpu_hot_cold(make_request, "lalbo3(limit=2)")
         hot_inst = hot.model
         q = system.scheduler.global_queue
 
@@ -234,9 +248,7 @@ class TestOutOfOrderDispatch:
         assert hots[0].exec_start_at < cold.exec_start_at
 
     def test_lalb_limit_zero_forces_after_single_skip(self, make_request):
-        system, gpu1, cold, hot = self._two_gpu_hot_cold(
-            make_request, "lalb", o3_limit=0
-        )
+        system, gpu1, cold, hot = self._two_gpu_hot_cold(make_request, "lalb")
         q = system.scheduler.global_queue
         q.push(cold)
         q.push(hot)

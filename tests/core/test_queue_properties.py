@@ -298,16 +298,16 @@ def test_requeued_requests_are_held_once(limit, ops):
         held = [row[2] for row in spec]
         assert list(q) == held and len(q) == len(held)
         for r in held:
-            assert r in q and r not in other
+            assert any(x is r for x in q) and not any(x is r for x in other)
             assert sum(x is r for x in q._buckets[r.model_id]) == 1
             with pytest.raises(ValueError):
                 q.push(r)
             with pytest.raises(ValueError):
                 q.push_sorted(r)
         for r in removed:
-            assert r not in q and r.slot == -1
+            assert not any(x is r for x in q) and r.slot == -1
         for r in other:
-            assert r not in q
+            assert not any(x is r for x in q)
         for inst in instances:
             first = next((r for r in held if r.model_id == inst.instance_id), None)
             assert q.first_for_model(inst.instance_id) is first

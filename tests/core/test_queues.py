@@ -29,7 +29,7 @@ class TestGlobalQueue:
             q.push(r)
         q.remove(reqs[1])
         assert list(q) == [reqs[0], reqs[2]]
-        assert reqs[1] not in q
+        assert not any(r is reqs[1] for r in q)
 
     def test_remove_absent_raises(self, make_request):
         q = GlobalQueue()

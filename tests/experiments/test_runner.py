@@ -46,7 +46,12 @@ class TestRunExperiment:
 
     def test_label(self):
         assert ExperimentConfig(policy="lb").label() == "lb"
-        assert ExperimentConfig(policy="lalbo3", o3_limit=7).label() == "lalbo3(limit=7)"
+        assert ExperimentConfig(policy="lalbo3").label() == "lalbo3"
+        assert ExperimentConfig(policy="lalbo3(limit=7)").label() == "lalbo3(limit=7)"
+        assert (
+            ExperimentConfig(policy="lalbo3", fault_profile="recoverable").label()
+            == "lalbo3@recoverable"
+        )
 
     def test_false_miss_never_exceeds_miss(self):
         s = run_experiment(SMALL, trace=SMALL_TRACE)

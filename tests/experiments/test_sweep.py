@@ -2,9 +2,9 @@
 
 The contract under test:
 
-* :meth:`SweepSpec.cells` folds duplicate configs — only lalbo3 reads the
-  O3 axis — keeps every other distinct value on every axis, in expansion
-  order, and refuses an empty axis;
+* :meth:`SweepSpec.cells` folds duplicate configs, keeps every distinct
+  value on every axis (an O3 limit is a policy name), in expansion order,
+  and refuses an empty axis;
 * a grid is a plain loop: ``run_policy_grid``, ``run_fig7``, the two
   grid-shaped ablations and the ``sweep`` loop each equal a direct
   ``run_experiment`` loop, summary for summary, and running one config
@@ -40,23 +40,6 @@ BASE = ExperimentConfig(
 
 
 class TestSpec:
-    @pytest.mark.parametrize(
-        "policies",
-        [("lb", "lalbo3"), ("lalbo3", "lb", "lalb")],
-        ids=["lb-first", "lalbo3-first"],
-    )
-    def test_spec_expansion_folds_o3_duplicates(self, policies):
-        spec = SweepSpec(policies=policies, working_sets=(15,), o3_limits=(5, 25))
-        cells = spec.cells()
-        # only lalbo3 reads the O3 axis: one config per other policy, pinned
-        # to the first limit, and one lalbo3 config per limit — whatever
-        # position lalbo3 takes in its row
-        assert len(cells) == len(policies) - 1 + 2
-        assert len(set(cells)) == len(cells)
-        limits = sorted(c.o3_limit for c in cells if c.policy == "lalbo3")
-        assert limits == [5, 25]
-        assert all(c.o3_limit == 5 for c in cells if c.policy != "lalbo3")
-
     def test_equal_configs_fold_to_one(self):
         # configs are frozen and hashable: an axis that names a value twice
         # expands to one config per distinct value
@@ -70,7 +53,7 @@ class TestSpec:
         [
             ("policies", ("lb", "lalb"), "policy"),
             ("working_sets", (15, 25), "working_set"),
-            ("o3_limits", (5, 25), "o3_limit"),
+            ("policies", ("lalbo3(limit=5)", "lalbo3"), "policy"),
             ("replacements", ("lru", "fifo"), "replacement"),
             ("seeds", (0, 1), "seed"),
             ("slas", (None, 5.0), "sla_s"),
@@ -79,7 +62,7 @@ class TestSpec:
     )
     def test_any_axis_drift_is_a_distinct_config(self, axis, values, field):
         """Two values on one axis give two configs that differ in that
-        field only (lalbo3, the one policy that reads every axis)."""
+        field only."""
         spec = SweepSpec(**{"policies": ("lalbo3",), "working_sets": (15,), axis: values})
         cells = spec.cells()
         assert [getattr(c, field) for c in cells] == list(values)
@@ -87,17 +70,15 @@ class TestSpec:
 
     def test_expansion_order_is_seed_outermost_policy_innermost(self):
         spec = SweepSpec(
-            policies=("lb", "lalbo3"), working_sets=(15, 25), o3_limits=(5, 25),
+            policies=("lb", "lalbo3(limit=5)", "lalbo3"), working_sets=(15, 25),
             seeds=(0, 1),
         )
-        keys = [(c.seed, c.working_set, c.o3_limit, c.policy) for c in spec.cells()]
+        keys = [(c.seed, c.working_set, c.policy) for c in spec.cells()]
         assert keys == [
-            (seed, ws, o3, policy)
+            (seed, ws, policy)
             for seed in (0, 1)
             for ws in (15, 25)
-            for o3 in (5, 25)
-            for policy in ("lb", "lalbo3")
-            if policy == "lalbo3" or o3 == 5
+            for policy in ("lb", "lalbo3(limit=5)", "lalbo3")
         ]
 
     def test_cells_carry_the_spec_scale(self):
@@ -114,8 +95,8 @@ class TestSpec:
     @pytest.mark.parametrize(
         "axis",
         [
-            "policies", "working_sets", "o3_limits", "replacements", "seeds",
-            "slas", "fault_profiles",
+            "policies", "working_sets", "replacements", "seeds", "slas",
+            "fault_profiles",
         ],
     )
     def test_empty_axis_is_rejected(self, axis):
@@ -155,13 +136,10 @@ class TestLoop:
         } == grid
 
     def test_fig7_matches_direct_loop(self):
-        results = run_fig7((0, 15), working_set=4, base=BASE, trace=TRACE)
-        assert list(results) == [0, 15]
-        for limit, summary in results.items():
-            direct = run_experiment(
-                replace(BASE, policy="lalbo3", working_set=4, o3_limit=limit),
-                trace=TRACE,
-            )
+        results = run_fig7((0, 15, 25), working_set=4, base=BASE, trace=TRACE)
+        assert list(results) == [0, 15, 25]
+        for policy, summary in zip(("lalb", "lalbo3(limit=15)", "lalbo3"), results.values()):
+            direct = run_experiment(replace(BASE, policy=policy, working_set=4), trace=TRACE)
             assert summary == direct
 
     def test_cache_policy_ablation_matches_direct_loop(self):
@@ -192,15 +170,14 @@ class TestCli:
     def test_sweep_prints_one_row_per_distinct_config(self, capsys):
         assert main([
             "sweep", "--minutes", "1", "--requests-per-minute", "40",
-            "--policies", "lb", "lalbo3", "--working-sets", "15",
-            "--o3-limits", "5", "25",
+            "--policies", "lb", "lalbo3(limit=5)", "lalbo3", "--working-sets", "15",
         ]) == 0
         table, footer = capsys.readouterr().out.strip().split("\n\n")
         rows = [line.split()[0] for line in table.splitlines()[2:]]
         assert rows == [
             "lb/lru/ws15/seed0",
             "lalbo3(limit=5)/lru/ws15/seed0",
-            "lalbo3(limit=25)/lru/ws15/seed0",
+            "lalbo3/lru/ws15/seed0",
         ]
         assert footer.startswith("3 cells (")
 
@@ -218,7 +195,6 @@ class TestCli:
         [
             ("--policies", "lb"),
             ("--working-sets", "15"),
-            ("--o3-limits", "5"),
             ("--replacements", "lru"),
             ("--seeds", "1"),
             ("--fault-profiles", "none"),
@@ -249,11 +225,20 @@ class TestCli:
             (["sweep", "--workers", "2"], "--workers"),
             (["all", "--store", "d"], "--store"),
             (["ablations", "--workers", "1"], "--workers"),
+            # a sweep value no axis knows fails before the first config runs
+            (["sweep", "--policies", "bogus"], "unknown policy 'bogus'"),
+            (["sweep", "--policies", "lalbo3(limit=25)"], "unknown policy"),
+            (["sweep", "--replacements", "bogus"], "unknown replacement policy"),
+            (["sweep", "--fault-profiles", "bogus"], "unknown fault profile"),
+            (["sweep", "--o3-limits", "5"], "unrecognized arguments: --o3-limits"),
+            (["sweep", "--working-sets", "0"], "working_set must be >= 1"),
         ],
         ids=[
             "request-id", "requests", "trace-out", "trace-out-profile", "no-id",
             "out-of-range", "workers", "store", "no-resume", "resume",
-            "workers-sweep", "store-all", "workers-ablations",
+            "workers-sweep", "store-all", "workers-ablations", "sweep-policy",
+            "sweep-non-canonical-policy", "sweep-replacement", "sweep-fault-profile",
+            "sweep-o3-limits", "sweep-working-set",
         ],
     )
     def test_an_argument_its_target_never_reads_is_an_error(self, capsys, argv, message):

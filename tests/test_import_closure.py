@@ -49,10 +49,11 @@ MUST_NOT_LOAD = {
 
 #: ``repro`` modules and their source lines at this commit; the commit
 #: before the packages resolved their names lazily loaded all 61 modules
-#: (10,415 lines) for the same replay, and the commit before the
-#: deadline and retry-budget knobs were retired loaded 7,786 lines
+#: (10,415 lines) for the same replay, the commit before the deadline
+#: and retry-budget knobs were retired loaded 7,786 lines, and the commit
+#: before the O3 limit became part of the policy name loaded 7,722
 ACHIEVED_MODULES = 40
-ACHIEVED_LINES = 7_722
+ACHIEVED_LINES = 7_716
 
 _REPLAY = """
 import json, sys

@@ -60,10 +60,11 @@ def test_option_budget():
     and the engine selectors and failure knobs that were removed must
     stay removed."""
     assert {f.name for f in dataclasses.fields(repro.SystemConfig)} == {
-        "cluster", "policy", "o3_limit", "replacement", "retention",
-        "quotas", "seed", "fault_profile", "fault_plan", "tracer",
-        "trace_decisions",
+        "cluster", "policy", "replacement", "retention", "quotas", "seed",
+        "fault_profile", "fault_plan", "tracer", "trace_decisions",
     }
+    with pytest.raises(TypeError):  # an O3 limit is spelled in the policy name
+        repro.SystemConfig(o3_limit=5)
     with pytest.raises(TypeError):
         repro.SystemConfig(pass_elision=False)
     with pytest.raises(TypeError):
