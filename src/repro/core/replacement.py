@@ -176,28 +176,20 @@ class LRUPolicy(EvictionPolicy):
         return self.eviction_order()
 
 
-class FIFOPolicy(EvictionPolicy):
-    """Evict in load order, ignoring reuse."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._order: OrderedDict[str, None] = OrderedDict()
-
-    def _insert(self, model_id: str, now: float) -> None:
-        self._order[model_id] = None
+class FIFOPolicy(LRUPolicy):
+    """Evict in load order, ignoring reuse: LRU whose hits never reorder."""
 
     def _access(self, model_id: str, now: float) -> bool:
         return False  # load order is fixed at insertion
 
-    def _forget(self, model_id: str) -> None:
-        del self._order[model_id]
-
-    def _compute_eviction_order(self) -> list[str]:
-        return list(self._order)
-
 
 class LFUPolicy(EvictionPolicy):
-    """Least-frequently-used, ties broken by least recent use."""
+    """In-cache least-frequently-used, ties broken by least recent use.
+
+    A model's count starts at 0 when it loads and is forgotten when it is
+    evicted, so a reloaded model starts over: its hit ratio sits under
+    perfect LFU's, which counts every request ever made.
+    """
 
     def __init__(self) -> None:
         super().__init__()

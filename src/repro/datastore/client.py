@@ -20,7 +20,7 @@ key                               history  value (writer)
                                            head = coldest (Cache Manager)
 ``gpu/health/<gpu_id>``           MVCC     ``"ok"``, bound to a TTL lease
                                            (health watchdog)
-``cache/locations/<model>``       MVCC     tuple[str, ...], GPUs where the
+``cache/locations/<model>``       none     tuple[str, ...], GPUs where the
                                            model is resident; deleted when
                                            none (Cache Manager)
 ``fn/meta/<fn_name>``             MVCC     dict, registered-function
@@ -78,7 +78,7 @@ __all__ = ["Datastore", "WriteStats", "EPHEMERAL_HOT_PREFIXES"]
 #: most-frequently-written first, since the store's membership test
 #: (``str.startswith`` over the tuple) probes in order.
 EPHEMERAL_HOT_PREFIXES = (
-    "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/"
+    "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/", "cache/locations/"
 )
 
 _PUT = "put"

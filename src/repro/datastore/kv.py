@@ -26,10 +26,10 @@ linearizable store models exactly.
 
 Ephemeral-key tier
 ------------------
-High-churn status keys (``gpu/status/*``, ``gpu/finish_time/*``,
-``fn/latency/*``) are written on every dispatch and completion, yet
-nothing ever reads them at a historical revision — paying full MVCC
-history bookkeeping for them is pure commit-path residue.  A store built
+The blackboard's hot keys (GPU status, finish time, LRU list, latency
+record, model locations) are written on every dispatch, completion, load
+or eviction, yet nothing reads them at a historical revision — paying
+full MVCC history bookkeeping for them is pure commit-path residue.  A store built
 with ``ephemeral_prefixes=(...)`` routes matching keys through a fast
 lane: the live view and current-value reads are identical, but no
 per-key history columns are retained, and revision *lineage* is not

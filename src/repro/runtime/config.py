@@ -36,17 +36,17 @@ class SystemConfig:
     #: cache replacement policy per GPU: "lru", "fifo", "lfu", "size"
     replacement: str = "lru"
     #: one bound on the per-request records a replay retains (≥ 1 when
-    #: set; None, the default, keeps everything).  It is the Datastore's
-    #: MVCC autocompaction horizon (etcd's ``--auto-compaction``
-    #: analogue: history below ``revision - retention`` is compacted
-    #: away) and the completions the metrics collector holds as exact
-    #: rows (a run past it folds them into fixed-size histograms —
-    #: counts and rates stay exact, quantiles hold a ~1 % relative
-    #: bound).  Neither is read to schedule, so decisions are the same
-    #: at any value; the paper's figures need the exact rows, hence the
-    #: default.  The scheduler's decision log is not bounded by it: it is
-    #: a ring of the newest 100,000 decisions (``DecisionLog``'s default
-    #: ``maxlen``, ~2 MB) whatever ``retention`` is.
+    #: set; None, the default, keeps everything): the completions the
+    #: metrics collector holds as exact rows (a run past it folds them into
+    #: fixed-size histograms — counts and rates stay exact, quantiles hold
+    #: a ~1 % relative bound) and the MVCC autocompaction horizon (etcd's
+    #: ``--auto-compaction``), which bounds only the Gateway's ``fn/*`` and
+    #: the leased keys: every key a replay writes keeps no history.
+    #: Neither is read to schedule, so decisions are the same at any
+    #: value; the paper's figures need the exact rows, hence the default.
+    #: The scheduler's decision log is not bounded by it: it is a ring of
+    #: the newest 100,000 decisions (``DecisionLog``'s default ``maxlen``,
+    #: ~2 MB) whatever ``retention`` is.
     retention: int | None = None
     #: per-tenant quotas (empty = no isolation limits)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
@@ -97,9 +97,9 @@ def streaming_config(**overrides) -> SystemConfig:
 
     The flat-RSS replay preset: ``retention`` at
     :data:`DEFAULT_STREAMING_COMPACT_KEEP` caps the metrics window (rows
-    fold into histograms once the run outgrows it) and the MVCC history
-    (autocompaction) — the two linear-memory consumers a million-request
-    replay cannot afford.  Any field can still be overridden,
+    fold into histograms once the run outgrows it), the linear-memory
+    consumer a million-request replay cannot afford, and autocompacts
+    the Gateway's MVCC history.  Any field can still be overridden,
     ``retention`` included.
 
     >>> cfg = streaming_config(policy="lalb")

@@ -468,10 +468,11 @@ class TestProductionPath:
         assert not any(k.startswith("fn/latency/") for k in kv._history)
 
     def test_default_cluster_commits_hot_keys_history_free(self):
-        """A default ``FaaSCluster()`` reports the four schema prefixes
+        """A default ``FaaSCluster()`` reports the five schema prefixes
         and a replay leaves nothing under them in MVCC history."""
         assert EPHEMERAL_HOT_PREFIXES == (
-            "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/"
+            "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/",
+            "cache/locations/",
         )
         system = FaaSCluster()
         kv = system.datastore.kv

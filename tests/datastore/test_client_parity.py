@@ -25,7 +25,7 @@ PATHS = [
 ]
 #: one key prefix per commit tier
 TIERS = [
-    pytest.param("cache/locations/", id="mvcc"),
+    pytest.param("fn/meta/", id="mvcc"),
     pytest.param("gpu/lru/", id="hot"),
 ]
 
@@ -115,7 +115,7 @@ class TestDatastoreParity:
         assert ds.stats.logical_writes == 5
 
 
-KEYS = ["cache/locations/a", "cache/locations/b", "gpu/lru/a", "gpu/lru/b"]
+KEYS = ["fn/meta/a", "fn/meta/b", "gpu/lru/a", "gpu/lru/b"]
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,7 +21,7 @@ from repro.datastore import EPHEMERAL_HOT_PREFIXES, CompactedError, Datastore, K
 from repro.sim import Simulator
 
 #: keys of both schema tiers: MVCC rows, then history-free hot rows
-KEYS = ["fn/meta/a", "fn/meta/b", "cache/locations/m", "gpu/status/g0", "gpu/lru/g0"]
+KEYS = ["fn/meta/a", "fn/meta/b", "fn/invocations/m", "gpu/status/g0", "gpu/lru/g0"]
 #: the hot prefixes a Datastore is built with
 TIERS = [
     pytest.param((), id="durable"),

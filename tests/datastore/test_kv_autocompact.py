@@ -16,26 +16,27 @@ import pytest
 
 import repro.runtime.system as system_module
 from repro.cluster import ClusterSpec
-from repro.core.request import InferenceRequest
 from repro.datastore import Datastore
-from repro.models import ModelInstance, get_profile, model_names
+from repro.faas import FunctionSpec, Gateway
+from repro.models import model_names
 from repro.runtime import FaaSCluster, SystemConfig
 from tests.spec.datastore import WriteThroughDatastore
 
 SEED = 20230731
 N_REQUESTS = 1200
 #: more models than the three GPUs can hold, drawn uniformly: the replay
-#: keeps loading and evicting, and those ``cache/locations/*``
-#: publications are what fills the MVCC history — the per-action status
-#: keys are history-free and never reach it
+#: keeps loading and evicting
 N_FUNCTIONS = 60
 KEEP = 150
+#: registration builds every function's image and first replica before
+#: the first invocation
+WARMUP_S = 5.0
 
 
 def _workload(seed: int):
     rng = random.Random(seed)
     spec = []
-    t = 0.0
+    t = WARMUP_S
     for _ in range(N_REQUESTS):
         t += rng.expovariate(2.0) if rng.random() < 0.05 else rng.expovariate(1 / 0.035)
         spec.append((rng.randrange(N_FUNCTIONS), t))
@@ -43,6 +44,10 @@ def _workload(seed: int):
 
 
 def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True):
+    """Replay ``spec`` through the Gateway: every schema key a replay
+    writes is history-free, so the MVCC history is filled by the
+    Gateway's per-invocation ``fn/invocations/*`` counter and the
+    Watchdog's ``fn/metrics/*`` record."""
     # the runtime always batches; the write-through arm swaps in the spec
     cls = Datastore if batched else WriteThroughDatastore
 
@@ -63,14 +68,16 @@ def _run(keep: int | None, spec, track_peak: bool = False, batched: bool = True)
             peak["history"] = max(peak["history"], kv.history_entry_count())
 
         system.sim.subscribe_post_event(history_len)
+    gateway = Gateway(system)
     names = model_names()
-    instances = [
-        ModelInstance(f"m{i}", get_profile(names[i % len(names)]))
-        for i in range(N_FUNCTIONS)
-    ]
-    # every run numbers its requests 1..n: both arms compare raw
-    for row, (fn, t) in enumerate(spec):
-        system.submit_at(InferenceRequest(f"fn{fn}", instances[fn], t, row + 1))
+    for i in range(N_FUNCTIONS):
+        gateway.register(
+            FunctionSpec(name=f"fn{i}", model_architecture=names[i % len(names)])
+        )
+    # each system mints its own request IDs from 1: both arms compare raw
+    system.sim.schedule_many(
+        [t for _, t in spec], gateway.invoke, [(f"fn{fn}",) for fn, _ in spec]
+    )
     system.run()
     assert system.metrics.completed_count == N_REQUESTS
     return system, list(system.scheduler.decisions), peak["history"]

@@ -84,11 +84,15 @@ def test_replay_records_are_off_the_collectors_books():
     # ... and no request object outlives its completion
     assert drained[InferenceRequest] == 0
     kv = system.datastore.kv
-    # the hot keys are one row per GPU (status, finish time, LRU) plus one
-    # latency record per function: bounded by the cluster, not the trace
+    # the hot keys are one row per GPU (status, finish time, LRU), one
+    # latency record per function and one location row per resident
+    # model: bounded by the cluster, not the trace
     functions = system.metrics.model_names  # one model instance per function
+    resident = {m for gpu in system.cluster.gpus for m in gpu.resident_models()}
     ephemeral_keys = sum(kv.is_ephemeral(key) for key in kv.keys())
-    assert 0 < ephemeral_keys <= 3 * len(system.cluster.gpus) + len(functions)
+    assert 0 < ephemeral_keys <= (
+        3 * len(system.cluster.gpus) + len(functions) + len(resident)
+    )
     # every tracked KeyValue the run left is a durable key's
     ephemeral = [
         obj for obj in gc.get_objects()
@@ -103,8 +107,8 @@ def test_replay_records_are_off_the_collectors_books():
 def test_a_replay_keeps_no_tracked_object_per_request():
     """Between a 2k and a 4k replay the tracked set grows by ≤ 0.05
     objects per extra completed request: nothing a replay keeps scales with
-    it — no request object, decision row, KV row or event (1 object in
-    1,950 measured, one durable ``KeyValue``).  Nor does the Datastore's
+    it — no request object, decision row, KV row or event (0 objects in
+    1,950 measured).  Nor does the Datastore's
     per-key commit-lane memo, which holds the keys the cluster writes."""
     _replay(2000)  # first-use caches (profiles, trace tables) fill here
     small, _, drained_small = _replay(2000)

@@ -182,10 +182,10 @@ class TestFlatMemoryState:
         """What the Datastore retains — MVCC history entries and
         GC-tracked ``KeyValue`` objects (the mass every full-heap
         collection re-scans) — is set by the configured windows, not by
-        how many requests were replayed: the per-action keys are
-        history-free, so only the live key set (fixed per-GPU keys + one
-        latency record per function) and the durable keys' windowed
-        history survive."""
+        how many requests were replayed: every key a replay writes is
+        history-free, so only the live key set (fixed per-GPU keys, one
+        latency record per function, one location row per resident
+        model) survives."""
         keep = 200
 
         def tracked_keyvalues() -> int:
@@ -212,7 +212,7 @@ class TestFlatMemoryState:
         n_small, history_small, tracked_small = retained(9)
         n_large, history_large, tracked_large = retained(18)
         assert n_small > 2500 and n_large >= 1.9 * n_small
-        slack = 16  # a late model load publishes one durable key
+        slack = 16  # both differences read 0: no key here keeps history
         assert history_large <= history_small + slack
         assert tracked_large <= tracked_small + slack
 
@@ -220,8 +220,8 @@ class TestFlatMemoryState:
         """The 2k §V-A replay under tight retention (the windows engage
         even at this size): nothing under the schema's hot prefixes
         reaches MVCC history, the history-free lane
-        takes the writes, only the durable keys' windowed history
-        survives, and a historical read of a hot key is a typed error."""
+        takes the writes, and a historical read of a hot key is a typed
+        error."""
         system = FaaSCluster(SystemConfig(retention=500))
         system.submit_workload(build_workload(SPEC))
         system.run()
