@@ -28,7 +28,6 @@ def test_table1_wallclock_profiling(benchmark):
         table1_wallclock,
         architectures=["squeezenet1.1", "resnet50", "vgg19"],
         batch_sizes=(1, 2, 4),
-        repeats=5,
     )
     # relative compute must rank like the real families
     assert (

@@ -41,6 +41,7 @@ import repro.runtime.system as system_module
 from repro.chaos import FaultPlan
 from repro.chaos.plan import GPUCrash, Straggler
 from repro.cluster import PAPER_TESTBED, ClusterSpec
+from repro.core import DecisionKind
 from repro.core.policies import SCHEDULING_POLICY_NAMES
 from repro.core.request import InferenceRequest
 from repro.core.signals import PassGuard
@@ -468,8 +469,10 @@ class TestProductionPath:
         assert not any(k.startswith("fn/latency/") for k in kv._history)
 
     def test_default_cluster_commits_hot_keys_history_free(self):
-        """A default ``FaaSCluster()`` reports the five schema prefixes
-        and a replay leaves nothing under them in MVCC history."""
+        """A default ``FaaSCluster()`` reports the five schema prefixes,
+        and a replay whose models keep loading and evicting (working set
+        35 on the paper testbed) ends with no MVCC history at all: every
+        key a plain replay writes is under one of them."""
         assert EPHEMERAL_HOT_PREFIXES == (
             "gpu/status/", "gpu/finish_time/", "fn/latency/", "gpu/lru/",
             "cache/locations/",
@@ -477,10 +480,13 @@ class TestProductionPath:
         system = FaaSCluster()
         kv = system.datastore.kv
         assert kv.ephemeral_prefixes == EPHEMERAL_HOT_PREFIXES
-        system.submit_workload(build_workload(WorkloadSpec(working_set=15, minutes=3)))
+        system.submit_workload(build_workload(WorkloadSpec(working_set=35, minutes=3)))
         system.run()
         assert system.metrics.completed_count
+        # the cache thrashes: models keep loading after every GPU is full
+        assert system.scheduler.decisions.count(DecisionKind.DISPATCH_MISS) > 2 * 35
         _assert_no_hot_residue(system)
+        assert kv.history_entry_count() == 0
         gpu_id = system.cluster.gpus[0].gpu_id
         assert kv.get_value(f"gpu/status/{gpu_id}") == "idle"
         with pytest.raises(EphemeralKeyError):
