@@ -10,13 +10,13 @@ field of :class:`Decision`: the time in an ``array('d')``, the request id
 and visits as ``uint32``, the kind as a one-byte code, and the model and GPU
 id as ``uint16`` codes minted by a :class:`CodeTable` each, whose code →
 string tables grow with the model set and the cluster, never with the
-trace.  A
-row costs 21 bytes, where a 6-tuple plus its deque slot cost ~104, and
-nothing in it is an object the cyclic collector tracks.  A value that does
-not fit its column raises ``OverflowError`` and the row is not appended.
-The columns grow in blocks of :data:`BLOCK` rows up to ``maxlen`` (a small
-system never pays for the whole ring), a row is written by item assignment
-(no call per row), and :class:`Decision` views are minted only on read.
+trace.  A row costs 21 bytes, none of them in an object the cyclic
+collector tracks; a value that does not fit its column raises
+``OverflowError`` and the row is not appended.  The columns grow in blocks
+of :data:`BLOCK` rows up to ``maxlen``, 16 blocks (~344 KB) by default:
+``appended`` and the per-kind counts cover every decision, and the runtime
+reads only the newest row.  A row is written by item assignment (no call
+per row), and :class:`Decision` views are minted only on read.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class CodeTable(dict):
 class DecisionLog:
     """Bounded, queryable record of scheduling actions."""
 
-    def __init__(self, maxlen: int = 100_000) -> None:
+    def __init__(self, maxlen: int = 16 * BLOCK) -> None:
         if maxlen < 1:
             raise ValueError("maxlen must be positive")
         self._maxlen = maxlen

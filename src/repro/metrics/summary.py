@@ -76,14 +76,23 @@ class RunSummary:
         }
 
 
+def _percentile(col: np.ndarray, q: float) -> float:
+    """``np.percentile(col, q, overwrite_input=True)`` to the bit, without the
+    ``np.unique`` that imports ``numpy.ma``: ``col`` partitioned at two ranks."""
+    h = (len(col) - 1) * (q / 100)
+    i, j = int(h), min(int(h) + 1, len(col) - 1)
+    col.partition((i, j))
+    a, b, t = float(col[i]), float(col[j]), h - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t  # NumPy's _lerp
+
+
 def per_architecture_breakdown(collector: MetricsCollector) -> dict[str, dict[str, float]]:
     """Per-architecture statistics: count, mean latency, miss ratio.
 
     Big models (vgg19) pay more per miss than small ones (squeezenet), so
     the breakdown shows where the locality wins come from.  With the
-    window open, groups by the interned architecture codes: one boolean
-    mask per architecture instead of a Python dict-of-lists pass over the
-    requests.  Past the close, reads the per-architecture histograms.
+    window open it masks the rows by architecture code; past the close it
+    reads the per-architecture histograms.
     """
     names = collector.architectures
     #: architecture code -> (count, mean latency, p99 latency, misses)
@@ -97,12 +106,8 @@ def per_architecture_breakdown(collector: MetricsCollector) -> dict[str, dict[st
             # one fresh latency column per architecture, reduced in place
             sel = completed[mask]
             np.subtract(sel, arrival[mask], out=sel)
-            cells[code] = (
-                len(sel),
-                float(sel.mean()),
-                float(np.percentile(sel, 99, overwrite_input=True)),
-                float(np.count_nonzero(hits[mask] == 0)),
-            )
+            misses = float(np.count_nonzero(hits[mask] == 0))
+            cells[code] = (len(sel), float(sel.mean()), _percentile(sel, 99), misses)
         del rows, arrival, completed, hits, architecture  # the window must stay free to grow
     else:
         for code, stats in collector._arch_stats.items():
@@ -148,10 +153,7 @@ def summarize(
     if not n:
         raise ValueError("no completed requests to summarize")
     if collector.window_open:
-        # the rows in place, through one float64 column: every reduction
-        # below runs NumPy's own arithmetic on it (mean, then _var's steps
-        # in place, then percentiles that may reorder it), so the results
-        # are bit-equal to column copies without a second column
+        # one float64 column, reduced in place: bit-equal to column copies
         rows = collector._rows()
         arrival, completed, sla = rows["arrival"], rows["completed"], rows["sla_s"]
         n_sla = len(sla) - int(np.count_nonzero(np.isnan(sla)))
@@ -167,15 +169,13 @@ def summarize(
         np.square(lat, out=lat)
         latency_var = float(np.add.reduce(lat) / n)
         np.subtract(completed, arrival, out=lat)
-        p50 = float(np.percentile(lat, 50, overwrite_input=True))
-        p99 = float(np.percentile(lat, 99, overwrite_input=True))
+        p50, p99 = _percentile(lat, 50), _percentile(lat, 99)
         del rows, arrival, completed, sla  # the window must stay free to grow
     else:
         hist = collector.lat_hist
         avg_latency = hist.mean()
         latency_var = hist.variance()
-        p50 = hist.percentile(50)
-        p99 = hist.percentile(99)
+        p50, p99 = hist.percentile(50), hist.percentile(99)
         queueing_mean = collector.queueing_sum / n
         n_sla = collector.sla_total
         n_violations = collector.sla_violations

@@ -45,8 +45,8 @@ class SystemConfig:
     #: Neither is read to schedule, so decisions are the same at any
     #: value; the paper's figures need the exact rows, hence the default.
     #: The scheduler's decision log is not bounded by it: it is a ring of
-    #: the newest 100,000 decisions (``DecisionLog``'s default ``maxlen``,
-    #: ~2 MB) whatever ``retention`` is.
+    #: the newest 16,384 decisions (``DecisionLog``'s default ``maxlen``,
+    #: ~344 KB) whatever ``retention`` is.
     retention: int | None = None
     #: per-tenant quotas (empty = no isolation limits)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)

@@ -94,7 +94,7 @@ class TestDecisionLog:
 
     def test_a_small_log_does_not_preallocate_its_ring(self):
         """The columns grow a block at a time: ten rows in a default
-        100k-row log cost one block (~21 KB), not the whole ring (~2 MB)."""
+        16-block log cost one block (~21 KB), not the whole ring (~344 KB)."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -430,7 +430,7 @@ class TestWritePath:
         )
         # ... and in absolute form: ~1 revision per scheduling action —
         # drift means some write stopped flowing through the shared batch
-        actions = len(production.system.scheduler.decisions)
+        actions = production.system.scheduler.decisions.appended
         assert 0.8 <= production.system.datastore.kv.revision / actions <= 1.3
         # the logical write stream is identical; batching only changes
         # how many revisions (commits) carry it

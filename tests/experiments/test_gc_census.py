@@ -171,9 +171,12 @@ def test_retained_bytes_per_request():
 
 
 #: tracemalloc's peak traced bytes per extra completed request between an
-#: 8k and a 16k §V-A replay: 57.7 measured (CPython 3.11, the same to the
+#: 8k and a 16k §V-A replay: 51.7 measured (CPython 3.11, the same to the
 #: digit under hash seeds 0, 1 and 2), plus 4 % headroom for interpreter
-#: builds.  The commit before the decision ring and the metrics window were
+#: builds.  The commit before the decision ring stopped at 16 blocks read
+#: 56.1: the 16k replay's 20,683 decisions all stayed in a 100,000-row
+#: ring, where they now stop at 16,384 (the 8k replay's 11,049 fit either
+#: way).  The commit before the decision ring and the metrics window were
 #: packed into narrow rows (and ``function_index`` narrowed to ``uint8``)
 #: read 147.8.  The one before a replay built each request at its arrival
 #: read 328.0: ``Workload.requests`` built every ``InferenceRequest``
@@ -183,16 +186,23 @@ def test_retained_bytes_per_request():
 #: row lists covered the whole stream until its last arrival.  What remains
 #: is columns: the workload's two, the metrics window's row and the
 #: decision ring; those lists now hold one chunk.
-PEAK_BYTES_PER_REQUEST = 60.0
+PEAK_BYTES_PER_REQUEST = 53.8
 
 
-def test_peak_bytes_per_request():
-    """A replay never holds its stream as objects: between an 8k and a 16k
-    replay the peak grows by at most :data:`PEAK_BYTES_PER_REQUEST` per
-    extra completed request."""
+@pytest.fixture(scope="module")
+def peak_replays():
+    """The 8k and the 16k §V-A replay (systems alive) and their peaks."""
     _traced(2000)  # first-use caches (profiles, trace tables) fill here
     small, _, small_peak = _traced(8000)
     large, _, large_peak = _traced(16000)
+    return small, small_peak, large, large_peak
+
+
+def test_peak_bytes_per_request(peak_replays):
+    """A replay never holds its stream as objects: between an 8k and a 16k
+    replay the peak grows by at most :data:`PEAK_BYTES_PER_REQUEST` per
+    extra completed request."""
+    small, small_peak, large, large_peak = peak_replays
     extra = large.metrics.completed_count - small.metrics.completed_count
     assert extra == 7800
     per_request = (large_peak - small_peak) / extra
@@ -240,6 +250,17 @@ def test_ring_bytes_per_row(replayed):
     assert ring.appended == 2737 and len(ring) == decisions.BLOCK
     per_row = _held_bytes(ring) / len(ring)
     assert per_row <= RING_BYTES_PER_ROW, f"{per_row:.2f} B/row"
+
+
+def test_the_decision_ring_stops_at_sixteen_blocks(peak_replays):
+    """The 16k replay appends more decisions than the default ring holds;
+    its ring keeps the newest 16 blocks, at most
+    :data:`RING_BYTES_PER_ROW` bytes per row of them."""
+    ring = peak_replays[2].scheduler.decisions
+    rows = 16 * decisions.BLOCK
+    assert ring.appended == 20683 and len(ring) == rows
+    held = _held_bytes(ring)
+    assert held <= rows * RING_BYTES_PER_ROW, f"{held} B in the ring"
 
 
 def test_window_bytes_per_row(replayed):

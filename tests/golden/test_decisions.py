@@ -71,6 +71,8 @@ def derive(cell: str, workloads: dict) -> dict:
     config = SystemConfig(policy=policy, fault_profile=faults, quotas=QUOTAS[quota])
     summary, system = replay(config, workloads[ws])
     rows = list(system.scheduler.decisions)
+    # a pinned log holds every decision of its cell, never a truncated ring
+    assert len(rows) == system.scheduler.decisions.appended
     chain, link = [], ""
     for start in range(0, len(rows), WINDOW):
         link = hashlib.sha256((link + _sha(rows[start : start + WINDOW])).encode()).hexdigest()

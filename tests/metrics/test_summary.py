@@ -1,9 +1,13 @@
 """Unit tests for run summaries (the paper's metric definitions)."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, build_cluster
 from repro.metrics import MetricsCollector, summarize
+from repro.metrics.summary import _percentile
 from repro.sim import Simulator
 
 
@@ -91,3 +95,29 @@ class TestSummarize:
         assert row["policy"] == "x"
         assert row["working_set"] == 7
         assert row["avg_latency_s"] == 1.235
+
+
+@given(
+    n=st.integers(1, 5000),
+    distinct=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    qs=st.lists(
+        st.one_of(st.sampled_from([0, 1, 25, 50, 75, 99, 99.9, 100]), st.floats(0, 100)),
+        max_size=4,
+    ),
+)
+@example(n=1, distinct=1, seed=0, qs=[0, 100])
+@example(n=2, distinct=2, seed=0, qs=[0, 100, 37.3])
+@example(n=5000, distinct=3, seed=1, qs=[0, 100, 99.9])
+@settings(max_examples=300, deadline=None)
+def test_partition_percentile_is_numpys_to_the_bit(n, distinct, seed, qs):
+    """The summaries' percentile equals ``np.percentile(col.copy(), q,
+    overwrite_input=True)`` bit for bit: on a fresh column, and on one an
+    earlier call has already partitioned (p50 then p99, as ``summarize``
+    takes them), ties included (``distinct`` < ``n`` repeats values)."""
+    rng = np.random.default_rng(seed)
+    col = rng.choice(rng.exponential(2.0, min(n, distinct)), n)
+    for q in (50, 99, *qs):
+        want = np.percentile(col.copy(), q, overwrite_input=True)
+        got = _percentile(col, q)
+        assert np.float64(got).tobytes() == want.tobytes(), (q, got, float(want))

@@ -10,7 +10,7 @@ compares every read against.
 from collections import Counter, deque
 from itertools import islice
 
-from repro.core.decisions import Decision, DecisionKind
+from repro.core.decisions import BLOCK, Decision, DecisionKind
 
 __all__ = ["SpecDecisionLog"]
 
@@ -18,7 +18,7 @@ __all__ = ["SpecDecisionLog"]
 class SpecDecisionLog:
     """Bounded deque of named rows with a per-kind count of every append."""
 
-    def __init__(self, maxlen: int = 100_000) -> None:
+    def __init__(self, maxlen: int = 16 * BLOCK) -> None:
         if maxlen < 1:
             raise ValueError("maxlen must be positive")
         self._log: deque[Decision] = deque(maxlen=maxlen)
