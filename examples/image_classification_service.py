@@ -71,7 +71,7 @@ def main() -> None:
             labels = np.asarray(inv.response)
             print(f"{inv.function:9s} {phase:5s} {inv.latency:7.2f}s  {labels.tolist()}")
 
-    hits = int((system.metrics.columns().cache_hit == 1).sum())
+    hits = system.metrics.completed_count - system.metrics.miss_count
     print(f"\ncache hits: {hits}/{system.metrics.completed_count} "
           f"(warm-phase calls reused the GPU-resident models)")
     assert hits == len(warm)

@@ -11,16 +11,22 @@ The collector observes two event streams:
 
 Completions land in **an exact window that closes**.  While the window is
 open every completion appends one packed :data:`_ROW` record to a
-``bytearray`` (arrival / dispatch / completion stamps and the SLA as
-float64, interned model / GPU / architecture codes as uint16, the hit
-outcome as int8 and the false miss as a bool) — 40 bytes and no object per
-completion, and the only record of it: the request itself is not kept.
-:mod:`~repro.metrics.summary` reduces a NumPy structured view of the
-buffer in place, and :meth:`MetricsCollector.columns` copies its fields
-out into typed arrays for a caller that keeps them.
-The per-model / miss counters are maintained *running* on
-:meth:`MetricsCollector.on_complete`, so queries like
-:meth:`most_invoked_model` cost O(models) — never a rescan of the rows.
+``bytearray``: its latency (``completed_at - arrival_time``) and queueing
+delay (``dispatched_at - arrival_time``, NaN if never dispatched) as
+float64 and its interned architecture code as uint16 — 18 bytes and no
+object per completion, and the only record of it: the request itself is
+not kept.  The rows hold only what a count cannot: the exact mean,
+variance and percentiles of latency (overall and per architecture) and
+the mean queueing delay.  :mod:`~repro.metrics.summary` reduces a NumPy
+structured view of the buffer in place, and
+:meth:`MetricsCollector.columns` copies its fields out into typed arrays
+for a caller that keeps them.
+
+Everything else is an exact integer counter kept *running* from the first
+completion on :meth:`MetricsCollector.on_complete`: completions per model,
+misses and false misses, misses per architecture, SLA-carrying
+completions and SLA violations.  Queries like :meth:`most_invoked_model`
+cost O(models) — never a rescan of the rows.
 
 The buffer is linear in replay size, which turns a 10M-request replay into
 an OOM, so the completion that takes the run past ``exact_cap`` *closes* the
@@ -29,8 +35,7 @@ window: its rows are replayed, in completion order, through
 
 * fixed-size :class:`~repro.metrics.histogram.LogHistogram` stores
   (latency overall and per architecture), and
-* exact running aggregates (SLA totals/violations, per-architecture
-  misses, compensated queueing-delay sum),
+* a compensated queueing-delay sum,
 
 then the buffer is released and every later completion
 folds directly.  Because the replay is in order, the fold state is the
@@ -56,61 +61,29 @@ from .histogram import LogHistogram
 
 __all__ = ["MetricsCollector", "CompletionColumns"]
 
-#: one completion in the open window, 40 bytes with every float64 at an
-#: 8-byte offset: arrival, dispatched (NaN: never), completed and SLA (NaN:
-#: none) stamps, model / GPU / architecture codes (a :class:`CodeTable`
-#: raises before a code outgrows its uint16), hit (1 / 0 / -1 unknown) and
-#: false miss
-_ROW = struct.Struct("<ddddHHHb?")
+#: one completion in the open window, 18 bytes: latency and queueing delay
+#: (NaN: never dispatched) in seconds, and the architecture code (a
+#: :class:`CodeTable` raises before a code outgrows its uint16)
+_ROW = struct.Struct("<ddH")
 #: the same record as a NumPy structured dtype, for views of the window
-_ROW_DTYPE = np.dtype([
-    ("arrival", "<f8"), ("dispatched", "<f8"), ("completed", "<f8"), ("sla_s", "<f8"),
-    ("model", "<u2"), ("gpu", "<u2"), ("architecture", "<u2"),
-    ("cache_hit", "i1"), ("false_miss", "?"),
-])
+_ROW_DTYPE = np.dtype([("latency", "<f8"), ("queueing", "<f8"), ("architecture", "<u2")])
 assert _ROW_DTYPE.itemsize == _ROW.size
 
 
 @dataclass(frozen=True)
 class CompletionColumns:
-    """Trimmed, read-only views of the collector's completion columns.
+    """Typed copies of the collector's completion columns.
 
-    One row per completed request, in completion order.  Codes index the
-    collector's ``model_names`` / ``gpu_names`` / ``architectures`` interning
-    tables.  ``cache_hit`` is ``1`` hit / ``0`` miss / ``-1`` unknown;
-    ``sla_s`` is NaN for best-effort requests.
+    One row per completed request, in completion order.  ``architecture``
+    codes index the collector's ``architectures`` interning table.
     """
 
-    arrival: np.ndarray       # float64, seconds
-    dispatched: np.ndarray    # float64, seconds
-    completed: np.ndarray     # float64, seconds
-    model: np.ndarray         # int32 codes
-    gpu: np.ndarray           # int32 codes
+    latency: np.ndarray       # float64, seconds
+    queueing: np.ndarray      # float64, seconds; NaN = never dispatched
     architecture: np.ndarray  # int32 codes
-    cache_hit: np.ndarray     # int8
-    false_miss: np.ndarray    # bool
-    sla_s: np.ndarray         # float64, NaN = no SLA
 
     def __len__(self) -> int:
-        return int(self.arrival.shape[0])
-
-    @property
-    def latency(self) -> np.ndarray:
-        return self.completed - self.arrival
-
-    @property
-    def queueing(self) -> np.ndarray:
-        return self.dispatched - self.arrival
-
-
-class _ArchStream:
-    """Fixed-size per-architecture fold target (breakdown past the close)."""
-
-    __slots__ = ("hist", "misses")
-
-    def __init__(self) -> None:
-        self.hist = LogHistogram()
-        self.misses = 0
+        return int(self.latency.shape[0])
 
 
 class MetricsCollector:
@@ -128,6 +101,9 @@ class MetricsCollector:
         # running per-completion counters (no rescans of the rows)
         self.miss_count = 0
         self.false_miss_count = 0
+        #: completions that carried an SLA, and those that missed it
+        self.sla_total = 0
+        self.sla_violations = 0
         self._invocations: dict[str, int] = {}  # model_id -> completions
         # availability accounting (chaos/robustness): lost requests,
         # failure-retry totals, and open-fault → repair-time tracking
@@ -143,11 +119,11 @@ class MetricsCollector:
         self.tracer = None
         #: (fault kind, target, repair seconds) per healed fault
         self.repairs: list[tuple[str, str, float]] = []
-        self._models = CodeTable()
-        self._gpus = CodeTable()
         self._archs = CodeTable()
-        #: model_id -> (model code, architecture code), resolved once
-        self._model_codes: dict[str, tuple[int, int]] = {}
+        #: model_id -> architecture code, resolved once
+        self._arch_codes: dict[str, int] = {}
+        #: misses per architecture code, running from the first completion
+        self._arch_misses: list[int] = []
         self._n = 0
         #: completions the window holds before it closes (None = never)
         self.exact_cap = exact_cap
@@ -158,9 +134,7 @@ class MetricsCollector:
         self._window: bytearray | None = bytearray()
         # fold state: empty while the window is open, filled by _fold
         self.lat_hist = LogHistogram()
-        self._arch_stats: dict[int, _ArchStream] = {}
-        self.sla_total = 0
-        self.sla_violations = 0
+        self._arch_hists: dict[int, LogHistogram] = {}
         self._queue_sum = 0.0
         self._queue_sum_c = 0.0
 
@@ -171,53 +145,43 @@ class MetricsCollector:
         if request.completed_at is None:
             raise ValueError(f"request {request.request_id} has not completed")
         model_id = request.model_id
-        # the codes first: a code table past its uint16 raises before any
+        # the code first: the table past its uint16 raises before any
         # counter moves
         try:
-            model, arch = self._model_codes[model_id]
+            arch = self._arch_codes[model_id]
         except KeyError:
-            model, arch = self._model_codes[model_id] = (
-                self._models[model_id], self._archs[request.model.architecture]
-            )
-        gpu = self._gpus[request.gpu_id or "?"]
+            arch = self._arch_codes[model_id] = self._archs[request.model.architecture]
+            misses = self._arch_misses
+            misses.extend([0] * (arch + 1 - len(misses)))
         if request.retries:
             self.retries_total += request.retries
         self._invocations[model_id] = self._invocations.get(model_id, 0) + 1
-        hit = request.cache_hit
-        if hit is False:
+        if request.cache_hit is False:
             self.miss_count += 1
+            self._arch_misses[arch] += 1
         if request.false_miss:
             self.false_miss_count += 1
-        dispatched = request.dispatched_at if request.dispatched_at is not None else np.nan
-        hit_code = -1 if hit is None else (1 if hit else 0)
-        sla = request.sla_s if request.sla_s is not None else np.nan
-        self._n += 1
-        window = self._window
-        if window is None:
-            self._fold(request.arrival_time, dispatched, request.completed_at,
-                       arch, hit_code, sla)
-        else:
-            window += _ROW.pack(
-                request.arrival_time, dispatched, request.completed_at, sla,
-                model, gpu, arch, hit_code, request.false_miss,
-            )
-            if self.exact_cap is not None and self._n > self.exact_cap:
-                self._close_window()
-
-    def _fold(self, arrival: float, dispatched: float, completed: float,
-              arch: int, hit: int, sla: float) -> None:
-        """Fold one completion into the fixed-size state.
-
-        The scalar derivations (``completed - arrival`` etc.) are the same
-        IEEE float64 operations :class:`CompletionColumns` performs
-        elementwise, so the histograms see the values the columns held.
-        """
-        lat = completed - arrival
-        queue = dispatched - arrival  # NaN if never dispatched
-        if sla == sla:  # NaN = best-effort
+        arrival = request.arrival_time
+        lat = request.completed_at - arrival
+        sla = request.sla_s
+        if sla is not None:
             self.sla_total += 1
             if lat > sla:
                 self.sla_violations += 1
+        dispatched = request.dispatched_at
+        queue = dispatched - arrival if dispatched is not None else np.nan
+        self._n += 1
+        window = self._window
+        if window is None:
+            self._fold(lat, queue, arch)
+        else:
+            window += _ROW.pack(lat, queue, arch)
+            if self.exact_cap is not None and self._n > self.exact_cap:
+                self._close_window()
+
+    def _fold(self, lat: float, queue: float, arch: int) -> None:
+        """Fold one completion's latency and queueing delay (NaN: never
+        dispatched) into the fixed-size state."""
         # Neumaier-compensated running sum
         s = self._queue_sum
         t = s + queue
@@ -226,12 +190,10 @@ class MetricsCollector:
         # both histograms have the default geometry: one bucket lookup
         bucket = self.lat_hist._bucket(lat)
         self.lat_hist.record(lat, bucket)
-        stats = self._arch_stats.get(arch)
-        if stats is None:
-            stats = self._arch_stats[arch] = _ArchStream()
-        stats.hist.record(lat, bucket)
-        if hit == 0:
-            stats.misses += 1
+        hist = self._arch_hists.get(arch)
+        if hist is None:
+            hist = self._arch_hists[arch] = LogHistogram()
+        hist.record(lat, bucket)
 
     def _close_window(self) -> None:
         """The run outgrew ``exact_cap``: replay the window through
@@ -240,8 +202,8 @@ class MetricsCollector:
         self._window = None
         self.lost = []
         fold = self._fold
-        for arrival, dispatched, completed, sla, _, _, arch, hit, _ in _ROW.iter_unpack(w):
-            fold(arrival, dispatched, completed, arch, hit, sla)
+        for lat, queue, arch in _ROW.iter_unpack(w):
+            fold(lat, queue, arch)
 
     @property
     def window_open(self) -> bool:
@@ -262,9 +224,7 @@ class MetricsCollector:
         if w is None:
             return self.lat_hist
         hist = LogHistogram()
-        hist.record_many(
-            completed - arrival for arrival, _, completed, *_ in _ROW.iter_unpack(w)
-        )
+        hist.record_many(lat for lat, _, _ in _ROW.iter_unpack(w))
         return hist
 
     def on_cache_event(self, kind: str, gpu_id: str, model_id: str, now: float) -> None:
@@ -327,14 +287,6 @@ class MetricsCollector:
         return self._n
 
     @property
-    def model_names(self) -> list[str]:
-        return self._models.names
-
-    @property
-    def gpu_names(self) -> list[str]:
-        return self._gpus.names
-
-    @property
     def architectures(self) -> list[str]:
         return self._archs.names
 
@@ -358,15 +310,9 @@ class MetricsCollector:
             )
         rows = self._rows()
         cols = CompletionColumns(
-            arrival=rows["arrival"].copy(),
-            dispatched=rows["dispatched"].copy(),
-            completed=rows["completed"].copy(),
-            model=rows["model"].astype(np.int32),
-            gpu=rows["gpu"].astype(np.int32),
+            latency=rows["latency"].copy(),
+            queueing=rows["queueing"].copy(),
             architecture=rows["architecture"].astype(np.int32),
-            cache_hit=rows["cache_hit"].copy(),
-            false_miss=rows["false_miss"].copy(),
-            sla_s=rows["sla_s"].copy(),
         )
         del rows  # every column is a copy: the view dies before the return
         return cols

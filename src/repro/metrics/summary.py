@@ -5,11 +5,15 @@ and GPU (SM) utilization; plus the efficiency metrics of §V-D (false miss
 ratio, average duplicates of the hottest model) and the latency variance
 examined in the O3 sensitivity study (§V-E).
 
-Request-level quantities come from one of two sources, chosen by what the
-collector still holds: while its exact window is open, NumPy reductions
-over the completion rows, read in place (means, percentiles, masked SLA
-counts); once the window has closed, the log histograms and running sums
-the rows were folded into.  Counts, rates and ratios are exact either way.
+Counts come from the collector's running integer counters, kept from the
+first completion: completions, misses, false misses, misses per
+architecture, SLA-carrying completions and SLA violations.  Latency and
+queueing delay come from one of two sources, chosen by what the collector
+still holds: while its exact window is open, NumPy reductions over its
+18-byte rows (latency, queueing delay, architecture code), read in place
+(means, variance, percentiles, per-architecture masks); once the window
+has closed, the log histograms and the compensated queueing sum the rows
+were folded into.  Counts, rates and ratios are exact either way.
 """
 
 from __future__ import annotations
@@ -90,29 +94,26 @@ def per_architecture_breakdown(collector: MetricsCollector) -> dict[str, dict[st
     """Per-architecture statistics: count, mean latency, miss ratio.
 
     Big models (vgg19) pay more per miss than small ones (squeezenet), so
-    the breakdown shows where the locality wins come from.  With the
-    window open it masks the rows by architecture code; past the close it
-    reads the per-architecture histograms.
+    the breakdown shows where the locality wins come from.  Misses are the
+    collector's running per-architecture counts.  With the window open the
+    latencies are the rows masked by architecture code; past the close
+    they are the per-architecture histograms.
     """
     names = collector.architectures
+    misses = collector._arch_misses
     #: architecture code -> (count, mean latency, p99 latency, misses)
-    cells: dict[int, tuple[int, float, float, float]] = {}
+    cells: dict[int, tuple[int, float, float, int]] = {}
     if collector.window_open:
         rows = collector._rows()
-        arrival, completed = rows["arrival"], rows["completed"]
-        hits, architecture = rows["cache_hit"], rows["architecture"]
+        latency, architecture = rows["latency"], rows["architecture"]
         for code in range(len(names)):
-            mask = architecture == code
             # one fresh latency column per architecture, reduced in place
-            sel = completed[mask]
-            np.subtract(sel, arrival[mask], out=sel)
-            misses = float(np.count_nonzero(hits[mask] == 0))
-            cells[code] = (len(sel), float(sel.mean()), _percentile(sel, 99), misses)
-        del rows, arrival, completed, hits, architecture  # the window must stay free to grow
+            sel = latency[architecture == code]
+            cells[code] = (len(sel), float(sel.mean()), _percentile(sel, 99), misses[code])
+        del rows, latency, architecture  # the window must stay free to grow
     else:
-        for code, stats in collector._arch_stats.items():
-            hist = stats.hist
-            cells[code] = (hist.count, hist.mean(), hist.percentile(99), stats.misses)
+        for code, hist in collector._arch_hists.items():
+            cells[code] = (hist.count, hist.mean(), hist.percentile(99), misses[code])
     return {
         names[code]: {
             "count": float(n),
@@ -141,44 +142,42 @@ def summarize(
     explicitly when the workload's hottest function is known a priori.
     ``horizon`` defaults to the collector's current simulated time.
 
-    While the collector's exact window is open every quantity is an exact
-    reduction of the retained rows.  Once it has closed, counts / ratios /
-    SLA numbers stay exact (running counters), means come from compensated
-    sums, and quantiles come from the log histograms within their
-    documented relative-error bound.
+    Counts, ratios and SLA numbers are the collector's running counters,
+    exact whatever the window holds.  While its exact window is open,
+    latency and queueing figures are exact reductions of the retained
+    rows.  Once it has closed, means come from compensated sums and
+    quantiles from the log histograms within their documented
+    relative-error bound.
     """
     n = collector.completed_count
     end = horizon if horizon is not None else collector.sim.now
     duration = max(end - collector.started_at, 1e-12)
     if not n:
         raise ValueError("no completed requests to summarize")
+    n_sla, n_violations = collector.sla_total, collector.sla_violations
     if collector.window_open:
-        # one float64 column, reduced in place: bit-equal to column copies
+        # one contiguous float64 scratch column, reduced in place:
+        # bit-equal to column copies
         rows = collector._rows()
-        arrival, completed, sla = rows["arrival"], rows["completed"], rows["sla_s"]
-        n_sla = len(sla) - int(np.count_nonzero(np.isnan(sla)))
-        lat = np.subtract(rows["dispatched"], arrival)
+        latency = rows["latency"]
+        lat = rows["queueing"].copy()
         queueing_mean = float(lat.mean())
-        np.subtract(completed, arrival, out=lat)
-        # a NaN SLA compares False: only SLA-carrying rows can violate
-        n_violations = int(np.count_nonzero(lat > sla)) if n_sla else 0
+        np.copyto(lat, latency)
         avg_latency = float(lat.mean())
         mean = np.add.reduce(lat, keepdims=True)
         np.true_divide(mean, n, out=mean)
         np.subtract(lat, mean, out=lat)
         np.square(lat, out=lat)
         latency_var = float(np.add.reduce(lat) / n)
-        np.subtract(completed, arrival, out=lat)
+        np.copyto(lat, latency)
         p50, p99 = _percentile(lat, 50), _percentile(lat, 99)
-        del rows, arrival, completed, sla  # the window must stay free to grow
+        del rows, latency  # the window must stay free to grow
     else:
         hist = collector.lat_hist
         avg_latency = hist.mean()
         latency_var = hist.variance()
         p50, p99 = hist.percentile(50), hist.percentile(99)
         queueing_mean = collector.queueing_sum / n
-        n_sla = collector.sla_total
-        n_violations = collector.sla_violations
     top = top_model if top_model is not None else collector.most_invoked_model()
     sm = float(np.mean([g.sm_utilization(horizon=duration) for g in cluster.gpus]))
     return RunSummary(

@@ -108,11 +108,14 @@ QUOTA_CONFIG = SystemConfig(quotas={"default": TenantQuota(max_processes=1000)})
 #: 99.63 / 100.06 / 96.81 / 113.46 / 102.94 / 100.97.  The 16-block
 #: decision ring and the partition percentile moved none of the six: the
 #: largest profiled replay appends 9,871 decisions (under 16 blocks), and
-#: ``profile_replay`` runs no ``summarize``.
+#: ``profile_replay`` runs no ``summarize``.  The commit before the
+#: metrics window dropped its model and GPU codes (a ``CodeTable`` code
+#: minted per new model and per new GPU) read 99.48 / 99.91 / 96.08 /
+#: 113.20 / 102.79 / 100.24.
 #: They may only go down.
 ACHIEVED = {
-    "shallow": 99.48, "traced": 99.91, "deep": 96.08, "stream": 113.20,
-    "quota": 102.79, "deep_quota": 100.24,
+    "shallow": 99.46, "traced": 99.88, "deep": 96.07, "stream": 113.18,
+    "quota": 102.77, "deep_quota": 100.23,
 }
 #: headroom for interpreter-version differences in what counts as a call
 HEADROOM = 1.03

@@ -17,7 +17,7 @@ on the books moves it by one or more objects per request.
 
 Beside it, a byte count: what tracemalloc sees a replay retain per extra
 completed request, also exact run to run and across hash seeds.  The open
-metrics window holds one packed 40-byte record per completion and the
+metrics window holds one packed 18-byte record per completion and the
 decision ring 21 bytes of narrow columns per decision, so either going
 back to a tuple per row moves it by ~80 bytes per request, and keeping the
 request objects again by ~270.  And the peak: what tracemalloc's high-water
@@ -87,7 +87,7 @@ def test_replay_records_are_off_the_collectors_books():
     # the hot keys are one row per GPU (status, finish time, LRU), one
     # latency record per function and one location row per resident
     # model: bounded by the cluster, not the trace
-    functions = system.metrics.model_names  # one model instance per function
+    functions = system.metrics._invocations  # one model instance per function
     resident = {m for gpu in system.cluster.gpus for m in gpu.resident_models()}
     ephemeral_keys = sum(kv.is_ephemeral(key) for key in kv.keys())
     assert 0 < ephemeral_keys <= (
@@ -121,9 +121,12 @@ def test_a_replay_keeps_no_tracked_object_per_request():
 
 
 #: bytes retained per extra completed request between the 2k and the 4k
-#: §V-A replay: 80.4 measured (CPython 3.11, the same to the digit under
+#: §V-A replay: 55.2 measured (CPython 3.11, the same to the digit under
 #: hash seeds 0, 1 and 2), plus 4 % headroom for interpreter builds.  The
-#: commit before the decision ring and the metrics window were packed into
+#: commit before the metrics window kept only latency, queueing delay and
+#: architecture read 79.6 (a 40-byte window row: four float64 stamps,
+#: model / GPU / architecture codes, hit and false miss).  The commit
+#: before the decision ring and the metrics window were packed into
 #: narrow rows read 141.9 (a 41-byte decision row, a 72-byte window row of
 #: nine float64 fields, an int64 ``function_index``).  The one before a
 #: finished request was freed
@@ -133,7 +136,7 @@ def test_a_replay_keeps_no_tracked_object_per_request():
 #: completion, a 6-tuple row plus its deque slot per decision).  The
 #: decision ring grows in 1,024-row blocks, and both replays lie past its
 #: first block (2,737 and 5,360 decisions).
-RETAINED_BYTES_PER_REQUEST = 83.6
+RETAINED_BYTES_PER_REQUEST = 57.4
 
 
 def _traced(requests: int):
@@ -159,7 +162,7 @@ def test_retained_bytes_per_request():
     """The per-request records of a replay are columns: between a 2k and a
     4k replay the retained bytes grow by at most
     :data:`RETAINED_BYTES_PER_REQUEST` per extra completed request (the
-    window's 40-byte row and the decision rows are most of it)."""
+    window's 18-byte row and the decision rows are most of it)."""
     _traced(2000)  # first-use caches (profiles, trace tables) fill here
     small, small_bytes, _ = _traced(2000)
     large, large_bytes, _ = _traced(4000)
@@ -171,9 +174,15 @@ def test_retained_bytes_per_request():
 
 
 #: tracemalloc's peak traced bytes per extra completed request between an
-#: 8k and a 16k §V-A replay: 51.7 measured (CPython 3.11, the same to the
+#: 8k and a 16k §V-A replay: 12.55 measured (CPython 3.11, the same to the
 #: digit under hash seeds 0, 1 and 2), plus 4 % headroom for interpreter
-#: builds.  The commit before the decision ring stopped at 16 blocks read
+#: builds.  The 8k replay's high-water mark is now its workload build
+#: (1.12 MB), above its run's (0.80 MB), so the figure is how far the 16k
+#: replay's run peak (1.21 MB) rises above that transient: a bound on the
+#: growth per request, not its slope (52.7 between the two run peaks).
+#: The commit before the metrics window kept only latency, queueing delay
+#: and architecture read 51.9 (a 40-byte window row; 67.4 between the run
+#: peaks).  The commit before the decision ring stopped at 16 blocks read
 #: 56.1: the 16k replay's 20,683 decisions all stayed in a 100,000-row
 #: ring, where they now stop at 16,384 (the 8k replay's 11,049 fit either
 #: way).  The commit before the decision ring and the metrics window were
@@ -186,7 +195,7 @@ def test_retained_bytes_per_request():
 #: row lists covered the whole stream until its last arrival.  What remains
 #: is columns: the workload's two, the metrics window's row and the
 #: decision ring; those lists now hold one chunk.
-PEAK_BYTES_PER_REQUEST = 53.8
+PEAK_BYTES_PER_REQUEST = 13.1
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +225,12 @@ def test_peak_bytes_per_request(peak_replays):
 #: 41.05: int64 request ids and visits, and a list slot per model and GPU
 #: string.
 RING_BYTES_PER_ROW = 25.0
-#: bytes the open metrics window holds per completion: 40 (one packed
-#: record).  The commit before it was packed read 72: nine float64 fields.
-WINDOW_BYTES_PER_ROW = 40.0
+#: bytes the open metrics window holds per completion: 18 (one packed
+#: record: latency and queueing delay as float64, the architecture code as
+#: uint16).  The commit before it kept only the rows the summaries read
+#: read 40 (four float64 stamps, model / GPU / architecture codes, hit and
+#: false miss), and the one before it was packed 72: nine float64 fields.
+WINDOW_BYTES_PER_ROW = 18.0
 
 
 def _held_bytes(obj) -> int:
@@ -274,10 +286,12 @@ def test_window_bytes_per_row(replayed):
 
 #: tracemalloc bytes per completed row that ``summarize`` and
 #: ``per_architecture_breakdown`` may allocate at their peak, and keep,
-#: on the 16k replay: 8.5 and 0.2 measured for ``summarize`` (one float64
-#: latency column, reduced in place: mean, variance, then percentiles
-#: that may reorder it) and 7.2 and 0.5 for the breakdown (one fresh
-#: column per architecture).  The commit before the one-column summaries
+#: on the 16k replay: 8.3 and 0.1 measured for ``summarize`` (one float64
+#: scratch column, reduced in place: mean queueing delay, then mean,
+#: variance and percentiles of latency that may reorder it) and 5.4 and
+#: 0.4 for the breakdown (a mask and one fresh latency column per
+#: architecture; 7.2 while each column was built from two stamps).  The
+#: commit before the one-column summaries
 #: read 17.4 and 17.3 (the latency column plus a variance temporary or a
 #: percentile copy), and the one before they read the metrics window in
 #: place read 62.5 and 46.2 for ``summarize``: it copied all nine columns

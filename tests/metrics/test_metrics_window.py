@@ -6,7 +6,9 @@ reference — so every comparison below is same-stream.  While the window
 is open the two are one code path; once it closes, counts/rates stay
 exact and quantiles hold the histogram's documented relative bound.
 The fold state reached by closing is the state reached by folding from
-the first completion.
+the first completion, and the counters (misses, per-architecture misses,
+SLA totals and violations) run from the first completion whatever the
+cap.
 """
 
 import sys
@@ -51,11 +53,20 @@ def _fold_state(collector):
     return {
         "latency": hist_state(collector.lat_hist),
         "per_arch": {
-            collector.architectures[code]: (hist_state(s.hist), s.misses)
-            for code, s in collector._arch_stats.items()
+            collector.architectures[code]: hist_state(hist)
+            for code, hist in collector._arch_hists.items()
         },
-        "sla": (collector.sla_total, collector.sla_violations),
         "queueing_sum": collector.queueing_sum,
+    }
+
+
+def _counters(collector):
+    """Every running counter, compared with ``==``."""
+    return {
+        "misses": collector.miss_count,
+        "false_misses": collector.false_miss_count,
+        "per_arch_misses": dict(zip(collector.architectures, collector._arch_misses)),
+        "sla": (collector.sla_total, collector.sla_violations),
     }
 
 
@@ -119,8 +130,9 @@ class TestClosedWindow:
 class TestClosingEqualsFolding:
     def test_fold_state_is_independent_of_the_cap(self):
         """Closing at 500 replays the window in completion order, so the
-        histograms, SLA counters and compensated sums end bit-for-bit where
-        a collector that folded from the first completion ends."""
+        histograms and the compensated sum end bit-for-bit where a
+        collector that folded from the first completion ends; the counters
+        ran from the first completion in both."""
         _, shadows, _ = _run_with_shadows(
             SPEC_2K,
             SystemConfig(),
@@ -133,15 +145,23 @@ class TestClosingEqualsFolding:
         state = _fold_state(closed)
         assert state == _fold_state(from_start)
         assert state["latency"][1] == closed.completed_count
-        assert state["sla"][0] == closed.completed_count  # every request has an SLA
+        counters = _counters(closed)
+        assert counters == _counters(from_start)
+        assert counters["sla"][0] == closed.completed_count  # every request has an SLA
+        assert sum(counters["per_arch_misses"].values()) == counters["misses"]
 
     def test_open_window_folds_nothing(self):
+        """While the window is open no histogram and no float sum folds;
+        only the integer counters run."""
         system, _, _ = _run_with_shadows(
-            WorkloadSpec(working_set=15, minutes=1, seed=0), SystemConfig()
+            WorkloadSpec(working_set=15, minutes=1, sla_s=2.0, seed=0), SystemConfig()
         )
         m = system.metrics
         assert m.window_open and m.completed_count > 0
-        assert m.lat_hist.count == 0 and m._arch_stats == {} and m.sla_total == 0
+        assert m.lat_hist.count == 0 and m._arch_hists == {}
+        assert m.queueing_sum == 0.0 and (m._queue_sum, m._queue_sum_c) == (0.0, 0.0)
+        assert m.sla_total == m.completed_count and m.miss_count > 0
+        assert sum(m._arch_misses) == m.miss_count
         # ... yet the on-demand histogram covers every completion
         assert m.latency_histogram().count == m.completed_count
 
@@ -191,14 +211,24 @@ def test_open_window_is_the_uncapped_collector_and_close_keeps_counts(stream, ca
     n = len(requests)
     assert capped.completed_count == uncapped.completed_count == n
     assert capped.window_open == (n <= cap)
+    # the counters run from the first completion: a recount of the stream
+    sla = [r for r in requests if r.sla_s is not None]
+    violations = sum(r.completed_at - r.arrival_time > r.sla_s for r in sla)
+    misses = {
+        arch: sum(r.cache_hit is False for r in requests if r.model.architecture == arch)
+        for arch in capped.architectures
+    }
+    for collector in (capped, uncapped):
+        assert (collector.sla_total, collector.sla_violations) == (len(sla), violations)
+        assert dict(zip(collector.architectures, collector._arch_misses)) == misses
     got = summarize(capped, cluster, horizon=100.0)
     ref = summarize(uncapped, cluster, horizon=100.0)
     if n <= cap:
         assert got == ref
         assert per_architecture_breakdown(capped) == per_architecture_breakdown(uncapped)
-        cols = capped.columns()  # one row per completion, stamps as recorded
-        assert cols.arrival.tolist() == [r.arrival_time for r in requests]
-        assert cols.completed.tolist() == [r.completed_at for r in requests]
+        cols = capped.columns()  # one row per completion, as recorded
+        assert cols.latency.tolist() == [r.completed_at - r.arrival_time for r in requests]
+        assert cols.queueing.tolist() == [r.dispatched_at - r.arrival_time for r in requests]
     else:
         with pytest.raises(RuntimeError):
             capped.columns()
@@ -231,7 +261,9 @@ class TestWindowLifecycle:
             collector.on_complete(r)
         assert collector.window_open
         assert collector.lost == [lost]
-        assert collector.columns().arrival.tolist() == [0.0, 1.0, 2.0]
+        cols = collector.columns()
+        assert cols.latency.tolist() == [1.0, 1.0, 1.0]
+        assert cols.queueing.tolist() == [0.5, 0.5, 0.5]
         collector.on_complete(requests[3])  # n = 4 > cap: closes
         assert not collector.window_open
         assert collector.lost == []
@@ -257,9 +289,10 @@ class TestWindowLifecycle:
             assert collector.completed_count == 1
 
     def test_columns_copy_the_buffer_and_it_keeps_growing(self):
-        """``columns()`` hands out copies of every field as recorded, and
-        the window still grows after a read (a live view over the buffer
-        would make the next completion raise ``BufferError``)."""
+        """``columns()`` hands out copies of every field as recorded (a
+        request never dispatched queues NaN), and the window still grows
+        after a read (a live view over the buffer would make the next
+        completion raise ``BufferError``)."""
         collector = MetricsCollector(Simulator())
         requests = [
             _completed_request(0.0, 12.0, 0.25, "alexnet", False, 2.0),
@@ -271,15 +304,17 @@ class TestWindowLifecycle:
         collector.on_complete(requests[1])
         cols = collector.columns()
         assert len(first) == 1 and len(cols) == 2
-        assert cols.arrival.tolist() == [0.0, 1.0]
-        assert cols.completed.tolist() == [12.0, 2.5]
-        assert cols.dispatched[0] == 3.0 and np.isnan(cols.dispatched[1])
-        assert cols.cache_hit.tolist() == [0, -1] and cols.cache_hit.dtype == np.int8
-        assert cols.false_miss.tolist() == [True, False]
-        assert cols.sla_s[0] == 2.0 and np.isnan(cols.sla_s[1])
+        assert first.latency.tolist() == [12.0] and first.queueing.tolist() == [3.0]
+        assert cols.latency.tolist() == [12.0, 1.5]
+        assert cols.latency.dtype == cols.queueing.dtype == np.float64
+        assert cols.queueing[0] == 3.0 and np.isnan(cols.queueing[1])
         names = collector.architectures
         assert [names[c] for c in cols.architecture] == ["alexnet", "resnet50"]
-        assert cols.model.dtype == cols.gpu.dtype == np.int32
+        assert cols.architecture.dtype == np.int32
+        # what the row no longer holds, the counters do
+        assert (collector.miss_count, collector.false_miss_count) == (1, 1)
+        assert (collector.sla_total, collector.sla_violations) == (1, 1)
+        assert collector._arch_misses == [1, 0]
 
     def test_cap_zero_folds_from_the_first_completion(self):
         collector = MetricsCollector(Simulator(), exact_cap=0)
@@ -296,29 +331,22 @@ class TestWindowLifecycle:
 
 
 class TestRowWidths:
-    """The window's uint16 model, GPU and architecture codes read back at
-    their largest value exactly; the next new name raises instead of
-    wrapping, before any counter moves."""
+    """The window's uint16 architecture code reads back at its largest
+    value exactly; the next new name raises instead of wrapping, before
+    any counter moves."""
 
-    @pytest.mark.parametrize(
-        "table, names, column, name",
-        [
-            ("_models", "model_names", "model", "m-alexnet"),
-            ("_gpus", "gpu_names", "gpu", "gpu0"),
-            ("_archs", "architectures", "architecture", "alexnet"),
-        ],
-    )
-    def test_codes_at_their_maximum(self, table, names, column, name):
+    def test_architecture_code_at_its_maximum(self):
         collector = MetricsCollector(Simulator())
-        codes = getattr(collector, table)
+        codes = collector._archs
         for k in range(0xFFFF):  # every code but the last, taken
             codes[f"taken-{k}"]
         collector.on_complete(_completed_request(0.0, 1.0, 0.5, "alexnet", True, None))
-        assert getattr(collector.columns(), column).tolist() == [0xFFFF]
-        assert getattr(collector, names)[0xFFFF] == name
-        new = _completed_request(1.0, 1.0, 0.5, "resnet50", True, None)
-        new.gpu_id = "gpu1"
+        assert collector.columns().architecture.tolist() == [0xFFFF]
+        assert collector.architectures[0xFFFF] == "alexnet"
+        new = _completed_request(1.0, 1.0, 0.5, "resnet50", False, 0.5)
         with pytest.raises(OverflowError):
             collector.on_complete(new)
         assert collector.completed_count == len(collector.columns()) == 1
         assert collector.miss_count == 0 and sum(collector._invocations.values()) == 1
+        assert collector.sla_total == collector.sla_violations == 0
+        assert sum(collector._arch_misses) == 0

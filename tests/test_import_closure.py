@@ -59,9 +59,11 @@ THIRD_PARTY_MUST_NOT_LOAD = {"numpy.ma"}
 #: before the O3 limit became part of the policy name loaded 7,722, and
 #: the commit before FIFO became an LRU whose hits never reorder 7,716;
 #: the percentile helper that keeps ``numpy.ma`` out was paid for inside
-#: the closure, so the count held at 7,708
+#: the closure, so the count held at 7,708; the commit before the
+#: metrics window kept only latency, queueing delay and architecture
+#: loaded 7,708
 ACHIEVED_MODULES = 40
-ACHIEVED_LINES = 7_708
+ACHIEVED_LINES = 7_653
 
 _REPLAY = """
 import json, sys
