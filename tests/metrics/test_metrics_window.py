@@ -244,6 +244,45 @@ def test_open_window_is_the_uncapped_collector_and_close_keeps_counts(stream, ca
             assert breakdown[arch]["miss_ratio"] == cell["miss_ratio"]
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@given(
+    stream=st.lists(_completion, min_size=1, max_size=40),
+    undispatched=st.sets(st.integers(0, 39), max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_open_window_summary_is_numpys_reductions_of_the_columns(stream, undispatched):
+    """While the window is open, the summary's latency and queueing figures
+    are NumPy's own reductions of the columns, bit for bit.
+    ``avg_queueing_s`` is ``np.mean`` of the queueing column in completion
+    order (NaN once a request was never dispatched), not the compensated
+    running sum the closed window uses."""
+    sim = Simulator()
+    cluster = build_cluster(sim, ClusterSpec.homogeneous(1, 1))
+    collector = MetricsCollector(sim)
+    for i, fields in enumerate(stream):
+        r = _completed_request(float(i), *fields)
+        if i in undispatched:
+            r.dispatched_at = None
+        collector.on_complete(r)
+    cols = collector.columns()
+    got = summarize(collector, cluster, horizon=100.0)
+    assert _bits(got.avg_queueing_s) == _bits(np.mean(cols.queueing))
+    assert _bits(got.avg_latency_s) == _bits(np.mean(cols.latency))
+    assert _bits(got.latency_variance) == _bits(np.var(cols.latency))
+    assert _bits(got.p50_latency_s) == _bits(np.percentile(cols.latency, 50))
+    assert _bits(got.p99_latency_s) == _bits(np.percentile(cols.latency, 99))
+    assert collector.queueing_sum == 0.0  # nothing folded
+    names = collector.architectures
+    for arch, cell in per_architecture_breakdown(collector).items():
+        sel = cols.latency[cols.architecture == names.index(arch)]
+        assert cell["count"] == len(sel)
+        assert _bits(cell["avg_latency_s"]) == _bits(np.mean(sel))
+        assert _bits(cell["p99_latency_s"]) == _bits(np.percentile(sel, 99))
+
+
 # ----------------------------------------------------------------------
 # What the window holds, and what survives the close
 # ----------------------------------------------------------------------
@@ -315,6 +354,22 @@ class TestWindowLifecycle:
         assert (collector.miss_count, collector.false_miss_count) == (1, 1)
         assert (collector.sla_total, collector.sla_violations) == (1, 1)
         assert collector._arch_misses == [1, 0]
+
+    def test_sla_and_miss_counters_at_their_boundaries(self):
+        """A completion exactly at its SLA is within it; one with no SLA is
+        not an SLA completion; an unknown cache outcome (``None``) is not a
+        miss.  The counters say so whether the window is open or closed."""
+        for cap in (None, 0):
+            collector = MetricsCollector(Simulator(), exact_cap=cap)
+            for r in (
+                _completed_request(0.0, 2.0, 0.5, "alexnet", True, 2.0),  # at the SLA
+                _completed_request(1.0, 2.5, 0.5, "alexnet", False, 2.0),  # late
+                _completed_request(2.0, 9.0, 0.5, "resnet50", None, None),  # no SLA
+            ):
+                collector.on_complete(r)
+            assert (collector.sla_total, collector.sla_violations) == (2, 1)
+            assert collector.miss_count == 1 and collector._arch_misses == [1, 0]
+            assert collector.window_open == (cap is None)
 
     def test_cap_zero_folds_from_the_first_completion(self):
         collector = MetricsCollector(Simulator(), exact_cap=0)
